@@ -54,7 +54,6 @@ _SCHEMAS: Dict[str, Dict[str, tuple]] = {
         "potential": (str, "__required__", "spec string"),
         "mu": (float, 1.0, "energy*length^2"),
         "dim": (int, 3, "2|3"),
-        "grid_points": (int, 256, "count"),
     },
     "bounds": {
         "dim": (int, 3, "2|3"),
@@ -514,7 +513,7 @@ def run(config: RunConfig) -> Report:
 _HELP = """bosegas COMMAND [--key value ...]
 
 Commands and their keys (defaults in parentheses):
-  scatter      --potential SPEC  --mu (1.0)  --dim (3)  --grid-points (256)
+  scatter      --potential SPEC  --mu (1.0)  --dim (3)
                potential specs: hardcore:r0=X | squarewell:r0=X,v0=Y
                                 softsphere:r0=X,v0=Y | table:path=FILE
   bounds       --dim (3)  --y-grid (1e-12:1e-4:50:log)  --lower-c (8.9)

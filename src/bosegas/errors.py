@@ -46,7 +46,7 @@ class NoLogAsymptote(BoseGasError):
 
 
 class GridTooCoarse(BoseGasError):
-    """Grid-refinement consistency check failed."""
+    """A rerun at tenfold tighter tolerance moved the result beyond its gate."""
 
 
 class NotConverged(BoseGasError):

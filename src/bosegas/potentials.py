@@ -93,6 +93,14 @@ class PairPotential:
     def has_hard_core(self) -> bool:
         return self.kind == "hard-core"
 
+    @property
+    def breakpoints(self) -> Tuple[float, ...]:
+        """Increasing radii where v or its slope may jump: the step edge or
+        the table knots, the last of which is where a tail attaches."""
+        if self.kind == "tabulated":
+            return tuple(r for r, _ in self.table)
+        return (self.core_radius,)
+
 
 def pair_value(p: PairPotential, r: float) -> float:
     """v(r); returns the HARD_CORE marker inside a hard core."""

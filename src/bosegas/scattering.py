@@ -5,6 +5,11 @@ Solves -2*mu*u'' + v*u = 0 (3D, u = r*psi) and the radial equation for psi
 interaction range (linear in 3D, logarithmic in 2D), and extracts the
 scattering length from the asymptote.  Energy integrals are accumulated as
 extra ODE components, so they inherit the integrator's accuracy.
+
+The integration runs one segment at a time between the potential's
+breakpoints (the step edge, the table knots and the point where a tail
+attaches), so every integrator stage sees a smooth piece of v and no step
+straddles a jump.
 """
 
 from __future__ import annotations
@@ -60,7 +65,6 @@ class ScatteringSolution:
     grid: RadialGrid
     u_values: np.ndarray
     a: float
-    match_radius: float
     s: float
     converged: bool
     potential: PairPotential
@@ -96,36 +100,57 @@ def _integration_radius(p: PairPotential, grid: RadialGrid) -> float:
     return grid.r_max
 
 
-def _interior_nodes(grid: RadialGrid, r_start: float, r_end: float) -> np.ndarray:
-    inner = grid.nodes[(grid.nodes > r_start) & (grid.nodes < r_end)]
-    return np.concatenate(([r_start], inner, [r_end]))
+def _edges(p: PairPotential, r_start: float, r_end: float) -> list:
+    """r_start, the potential's breakpoints strictly between, and r_end."""
+    return [r_start, *(b for b in p.breakpoints if r_start < b < r_end), r_end]
 
 
-def _solve_3d(p, mu, grid, tol):
+def _by_segments(rhs, init, edges, stops, tol):
+    """Integrate rhs(r, y, last) one segment [lo, hi] of `edges` at a time.
+
+    Every stage inside a segment sees that segment's own piece of the
+    potential: `last` is the float just below hi, so the right end takes the
+    left limit, and rhs evaluates v at min(r, last).  Each segment stops at
+    its ends and at the `stops` strictly inside it.  Returns the radii and
+    the states there, starting with edges[0] and init.
+    """
+    radii, states = [edges[0]], [np.asarray(init, dtype=float)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        last = float(np.nextafter(hi, lo))
+        nodes = np.concatenate(([lo], stops[(stops > lo) & (stops < hi)], [hi]))
+        traj = integrate_ode(lambda r, y: rhs(r, y, last), states[-1], nodes, tol)
+        radii.extend(nodes[1:])
+        states.extend(traj[1:])
+    return np.array(radii), np.array(states)
+
+
+def _solve_3d(p, mu, grid, tol, stops):
+    # The state is (w, u', kin, pot) with w = u - r u', so that a = -w/u'
+    # beyond the range: w stays bounded where u ~ r grows, and a far cut
+    # radius costs no cancellation in r_end - u/u'.
     r_end = _integration_radius(p, grid)
-    hard = p.has_hard_core()
-    r_start = p.core_radius if hard else 0.0
+    r_start = p.core_radius if p.has_hard_core() else 0.0
+    init = [-r_start, 1.0, 0.0, 0.0]    # u = 0, u' = 1
     if r_end <= r_start:   # pure hard core: exterior is exactly u = r - R0
-        u_range, du_range, kin, pot = 0.0, 1.0, 0.0, 0.0
+        radii, traj = np.array([r_start]), np.array([init])
     else:
-        def rhs(r, y):
-            u, du = y[0], y[1]
+        def rhs(r, y, last):
+            w, du = y[0], y[1]
             if r <= 0.0:
-                # regular solution: u ~ r, so u'' and (u' - u/r) vanish at 0
-                return np.array([du, 0.0, 0.0, 0.0])
-            v = pair_value(p, r)
+                # regular solution: u ~ r, so u'' and w/r vanish at 0
+                return np.zeros(4)
+            v = pair_value(p, min(r, last))
+            u = w + r * du
             curv = v * u / (2.0 * mu)
-            grad = du - u / r
-            return np.array([du, curv, grad * grad, v * u * u])
+            grad = w / r     # u/r - u'
+            return np.array([-r * curv, curv, grad * grad, v * u * u])
 
-        nodes = _interior_nodes(grid, r_start, r_end)
-        init = [0.0, 1.0, 0.0, 0.0]
-        traj = _padded_ode(rhs, init, nodes, tol)
-        u_range, du_range, kin, pot = traj[-1]
-        interior_traj = traj
+        radii, traj = _by_segments(rhs, init, _edges(p, r_start, r_end),
+                                   stops, tol)
+    w_range, du_range, kin, pot = traj[-1]
     if du_range <= 0.0:
         raise DomainError("u' <= 0 at the range; potential not nonnegative?")
-    a = r_end - u_range / du_range
+    a = -w_range / du_range
 
     if p.tail is not None:
         # first-order tail correction: neglected repulsion beyond the cut
@@ -141,80 +166,49 @@ def _solve_3d(p, mu, grid, tol):
     else:
         s = math.nan
 
-    u_nodes = np.empty(len(grid))
-    below = grid.nodes <= r_start
-    inside = (grid.nodes > r_start) & (grid.nodes < r_end)
-    u_nodes[below] = 0.0
-    if np.any(inside):
-        u_nodes[inside] = np.interp(grid.nodes[inside],
-                                    _interior_nodes(grid, r_start, r_end)
-                                    if r_end > r_start else [r_start],
-                                    interior_traj[:, 0]
-                                    if r_end > r_start else [0.0])
-    u_nodes[grid.nodes >= r_end] = du_range * (grid.nodes[grid.nodes >= r_end] - a)
+    r = grid.nodes
+    u_traj = traj[:, 0] + radii * traj[:, 1]
+    u_nodes = np.where(r >= r_end, du_range * (r - a),
+                       np.interp(r, radii, u_traj, left=0.0))
     return a, s, u_nodes, du_range, kin, pot, r_end
 
 
-def _padded_ode(rhs, init, nodes, tol):
-    """integrate_ode on an arbitrary increasing node list (>= 2 points)."""
-    if nodes.size >= 16:
-        grid = RadialGrid(r_min=nodes[0], r_max=nodes[-1], nodes=nodes,
-                          spacing_mode="uniform")
-        return integrate_ode(rhs, init, grid, tol)
-    dense = np.unique(np.concatenate([nodes,
-                                      np.linspace(nodes[0], nodes[-1], 17)]))
-    grid = RadialGrid(r_min=dense[0], r_max=dense[-1], nodes=dense,
-                      spacing_mode="uniform")
-    traj = integrate_ode(rhs, init, grid, tol)
-    keep = np.isin(dense, nodes)
-    return traj[keep]
-
-
-def _solve_2d(p, mu, grid, tol):
+def _solve_2d(p, mu, grid, tol, stops):
     r_end = _integration_radius(p, grid)
     hard = p.has_hard_core()
     if hard and p.tail is None:
         # psi = ln(r/R0) solves the exterior equation exactly
-        psi_range, chi_range, kin, pot = 0.0, 1.0, 0.0, 0.0
         r_anchor = p.core_radius
+        with np.errstate(divide="ignore", invalid="ignore"):
+            psi_nodes = np.where(grid.nodes >= r_anchor,
+                                 np.log(np.maximum(grid.nodes, r_anchor)
+                                        / r_anchor), 0.0)
+        return r_anchor, psi_nodes, 1.0, 0.0, 0.0, r_anchor
+
+    r_start = p.core_radius if hard else 1e-9 * p.range_radius
+    if hard:
+        init = [0.0, 1.0, 0.0, 0.0]
     else:
-        r_anchor = r_end
-        r_start = p.core_radius if hard else 1e-9 * p.range_radius
-        if hard:
-            init = [0.0, 1.0, 0.0, 0.0]
-        else:
-            v0 = pair_value(p, r_start)
-            init = [1.0, v0 * r_start * r_start / (4.0 * mu), 0.0, 0.0]
+        v0 = pair_value(p, r_start)
+        init = [1.0, v0 * r_start * r_start / (4.0 * mu), 0.0, 0.0]
 
-        def rhs(r, y):
-            psi, chi = y[0], y[1]
-            v = pair_value(p, r)
-            return np.array([chi / r, r * v * psi / (2.0 * mu),
-                             chi * chi / r, v * psi * psi * r])
+    def rhs(r, y, last):
+        psi, chi = y[0], y[1]
+        v = pair_value(p, min(r, last))
+        return np.array([chi / r, r * v * psi / (2.0 * mu),
+                         chi * chi / r, v * psi * psi * r])
 
-        nodes = _interior_nodes(grid, r_start, r_end)
-        traj = _padded_ode(rhs, init, nodes, tol)
-        psi_range, chi_range, kin, pot = traj[-1]
-        interior = (nodes, traj)
+    radii, traj = _by_segments(rhs, init, _edges(p, r_start, r_end), stops, tol)
+    psi_range, chi_range, kin, pot = traj[-1]
     if chi_range <= 0.0:
         raise NoLogAsymptote("no logarithmic asymptote: v vanishes identically")
-    a = r_anchor * math.exp(-psi_range / chi_range)
+    a = r_end * math.exp(-psi_range / chi_range)
 
-    psi_nodes = np.empty(len(grid))
-    if hard and p.tail is None:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            psi_nodes = np.where(grid.nodes >= p.core_radius,
-                                 np.log(np.maximum(grid.nodes, p.core_radius)
-                                        / p.core_radius), 0.0)
-    else:
-        nodes, traj = interior
-        inside = (grid.nodes >= nodes[0]) & (grid.nodes <= r_end)
-        psi_nodes[grid.nodes < nodes[0]] = traj[0, 0]
-        psi_nodes[inside] = np.interp(grid.nodes[inside], nodes, traj[:, 0])
-        outer = grid.nodes > r_end
-        psi_nodes[outer] = psi_range + chi_range * np.log(grid.nodes[outer] / r_end)
-    return a, psi_nodes, chi_range, kin, pot, (r_anchor if hard and p.tail is None
-                                               else r_end)
+    r = grid.nodes
+    with np.errstate(divide="ignore"):
+        outer = psi_range + chi_range * np.log(r / r_end)
+    psi_nodes = np.where(r > r_end, outer, np.interp(r, radii, traj[:, 0]))
+    return a, psi_nodes, chi_range, kin, pot, r_end
 
 
 def solve_zero_energy(p: PairPotential, mu: float, grid: Optional[RadialGrid] = None,
@@ -225,9 +219,11 @@ def solve_zero_energy(p: PairPotential, mu: float, grid: Optional[RadialGrid] = 
     ----------
     p : pair potential (its dimension tag selects the 3D or 2D equation)
     mu : the kinetic coefficient hbar^2 / 2m
-    grid : output grid; defaults to `scattering_grid(p, mu)`
-    tol : integrator tolerances; a Richardson rerun on the midpoint-refined
-        grid gates `converged` (raises GridTooCoarse on failure)
+    grid : output grid; defaults to `scattering_grid(p, mu)`.  The reported
+        run stops at every node, so `u_values` is exact there.
+    tol : integrator tolerances.  A rerun at abs_tol/10 and rel_tol/10 that
+        stops only at segment ends gates `converged`: if a moves by more than
+        10 * max(rel_tol * max(|a|, range), abs_tol), GridTooCoarse is raised.
     """
     if mu <= 0:
         raise DomainError("mu must be positive")
@@ -240,37 +236,36 @@ def solve_zero_energy(p: PairPotential, mu: float, grid: Optional[RadialGrid] = 
     if p.core_radius >= grid.r_max:
         raise DomainError("hard-core radius must lie inside the grid")
 
-    def run(g):
-        if p.dimension == 3:
-            return _solve_3d(p, mu, g, tol)
-        return _solve_2d(p, mu, g, tol)
-
+    tighter = Tolerances(abs_tol=tol.abs_tol / 10.0, rel_tol=tol.rel_tol / 10.0,
+                         max_iterations=tol.max_iterations)
+    segment_ends_only = np.empty(0)
     if p.dimension == 3:
-        a, s, u_nodes, slope, kin, pot, r_range = run(grid)
-        a2 = _solve_3d(p, mu, grid.refined(), tol)[0]
+        a, s, u_nodes, slope, kin, pot, r_range = _solve_3d(p, mu, grid, tol,
+                                                            grid.nodes)
+        a2 = _solve_3d(p, mu, grid, tighter, segment_ends_only)[0]
     else:
-        a, u_nodes, slope, kin, pot, r_range = run(grid)
+        a, u_nodes, slope, kin, pot, r_range = _solve_2d(p, mu, grid, tol,
+                                                         grid.nodes)
         s = 1.0  # interaction energy is purely kinetic in 2D
-        a2 = _solve_2d(p, mu, grid.refined(), tol)[0]
+        a2 = _solve_2d(p, mu, grid, tighter, segment_ends_only)[0]
 
     scale = max(abs(a), p.range_radius)
     converged = abs(a - a2) <= 10.0 * max(tol.rel_tol * scale, tol.abs_tol)
     if not converged:
         raise GridTooCoarse(
-            f"scattering length moved by {abs(a - a2):.3e} under refinement")
+            f"scattering length moved by {abs(a - a2):.3e} under a tenfold "
+            f"tighter tolerance")
 
-    match_radius = max(2.0 * p.range_radius, 10.0 * abs(a)) if a != 0 \
-        else 2.0 * p.range_radius
     return ScatteringSolution(
         dimension=p.dimension, mu=mu, grid=grid, u_values=u_nodes, a=a,
-        match_radius=match_radius, s=s, converged=converged, potential=p,
-        range_radius=r_range, slope=slope, kin_interior=kin, pot_interior=pot)
+        s=s, converged=converged, potential=p, range_radius=r_range,
+        slope=slope, kin_interior=kin, pot_interior=pot)
 
 
 def scattering_length(sol: ScatteringSolution) -> float:
     """The scattering length extracted from the asymptote."""
     if not sol.converged:
-        raise NotConverged("solution did not pass the refinement gate")
+        raise NotConverged("solution did not pass the convergence gate")
     return sol.a
 
 
@@ -282,7 +277,7 @@ def energy_integral(sol: ScatteringSolution, R: float) -> float:
     if sol.dimension != 3:
         raise DomainError("energy_integral is a 3D operation")
     if not sol.converged:
-        raise NotConverged("solution did not pass the refinement gate")
+        raise NotConverged("solution did not pass the convergence gate")
     if R < sol.range_radius:
         raise RadiusInsideRange(
             f"R={R!r} lies inside the interaction range {sol.range_radius!r}")
@@ -306,7 +301,7 @@ def kinetic_fraction(sol: ScatteringSolution) -> float:
     if sol.dimension == 2:
         return 1.0
     if not sol.converged:
-        raise NotConverged("solution did not pass the refinement gate")
+        raise NotConverged("solution did not pass the convergence gate")
     if not (sol.a > 1e-12 * sol.range_radius):
         raise ZeroScatteringLength("kinetic fraction undefined for a = 0")
     return sol.s

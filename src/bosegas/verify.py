@@ -43,7 +43,7 @@ def _ode_linear():
     tol = Tolerances()
     grid = RadialGrid.uniform(0.0, 1.0, 33)
     traj = numerics.integrate_ode(lambda r, y: np.array([y[1], 0.0]),
-                                  [0.0, 1.0], grid, tol)
+                                  [0.0, 1.0], grid.nodes, tol)
     err = float(np.max(np.abs(traj[:, 0] - grid.nodes)))
     assert err <= 1e-12, err
     return f"max error {err:.2e}"
@@ -53,7 +53,7 @@ def _ode_sinh():
     tol = Tolerances()
     grid = RadialGrid.uniform(0.0, 1.0, 33)
     traj = numerics.integrate_ode(lambda r, y: np.array([y[1], y[0]]),
-                                  [0.0, 1.0], grid, tol)
+                                  [0.0, 1.0], grid.nodes, tol)
     err = abs(traj[-1, 0] - math.sinh(1.0))
     assert err <= 1e-10, err
     return f"u(1)-sinh(1) = {err:.2e}"
@@ -66,8 +66,8 @@ def _ode_step_halving():
     def rhs(r, y):
         return np.array([y[1], r * y[0]])
 
-    coarse = numerics.integrate_ode(rhs, [1.0, 0.0], grid, tol)
-    fine = numerics.integrate_ode(rhs, [1.0, 0.0], grid.refined(), tol)
+    coarse = numerics.integrate_ode(rhs, [1.0, 0.0], grid.nodes, tol)
+    fine = numerics.integrate_ode(rhs, [1.0, 0.0], grid.refined().nodes, tol)
     rel = abs(coarse[-1, 0] - fine[-1, 0]) / abs(fine[-1, 0])
     assert rel <= 4.0 * tol.rel_tol, rel
     return f"step-halving agreement {rel:.2e}"

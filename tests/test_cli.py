@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import bosegas
 from bosegas.cli import (RunConfig, main, parse_config, run,
                          serialize_config)
 from bosegas.errors import ParseError, UnknownKey
@@ -137,6 +138,10 @@ def test_main_exit_codes(tmp_path):
     assert main(["scatter", "--potentail", "x"]) == 2       # unknown key
     assert main(["scatter", "--potential", "nonsense:r0=1"]) == 3
     assert main(["gp", "--coupling", "-1"]) == 3            # named error
+    assert main(["scatter", "--potential", "squarewell:r0=1,v0=1",
+                 "--mu", "0"]) == 3
+    assert main(["scatter", "--potential", "hardcore:r0=1",
+                 "--grid-points", "64"]) == 2               # not a scatter key
     assert main([]) == 0                                     # help
 
 
@@ -168,8 +173,12 @@ def test_two_dimensional_commands():
 
 
 def test_cli_subprocess_entry():
+    # the child imports the same bosegas as this process, installed or not
+    src = os.path.dirname(os.path.dirname(bosegas.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "bosegas.cli", "bogolubov"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "fock_energy" in proc.stdout

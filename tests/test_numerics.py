@@ -39,15 +39,27 @@ def test_grid_invariants():
 def test_ode_linear_exact():
     grid = RadialGrid.uniform(0.0, 3.0, 49)
     traj = integrate_ode(lambda r, y: np.array([y[1], 0.0]), [0.0, 1.0],
-                         grid, TOL)
+                         grid.nodes, TOL)
     assert np.max(np.abs(traj[:, 0] - grid.nodes)) <= 1e-12
 
 
 def test_ode_sinh():
     grid = RadialGrid.uniform(0.0, 1.0, 17)
     traj = integrate_ode(lambda r, y: np.array([y[1], y[0]]), [0.0, 1.0],
-                         grid, TOL)
+                         grid.nodes, TOL)
     assert abs(traj[-1, 0] - math.sinh(1.0)) <= 1e-11
+
+
+def test_ode_on_radii_array():
+    def rhs(r, y):
+        return np.array([y[1], y[0]])
+
+    traj = integrate_ode(rhs, [0.0, 1.0], np.array([0.0, 1.0]), TOL)
+    assert traj.shape == (2, 2)
+    assert abs(traj[-1, 0] - math.sinh(1.0)) <= 1e-11
+    for bad in ([0.0], [[0.0, 1.0]], [0.0, 0.0], [1.0, 0.5]):
+        with pytest.raises(DomainError):
+            integrate_ode(rhs, [0.0, 1.0], np.array(bad), TOL)
 
 
 def test_ode_step_halving_consistency():
@@ -58,8 +70,8 @@ def test_ode_step_halving_consistency():
     def rhs(r, y):
         return np.array([y[1], r * y[0]])
 
-    coarse = integrate_ode(rhs, [1.0, 0.0], grid, tol)
-    fine = integrate_ode(rhs, [1.0, 0.0], grid.refined(), tol)
+    coarse = integrate_ode(rhs, [1.0, 0.0], grid.nodes, tol)
+    fine = integrate_ode(rhs, [1.0, 0.0], grid.refined().nodes, tol)
     rel = abs(coarse[-1, 0] - fine[-1, 0]) / abs(fine[-1, 0])
     assert rel <= 4.0 * tol.rel_tol
 
@@ -71,7 +83,7 @@ def test_ode_nonfinite_rhs():
         return np.array([y[1], math.nan if r > 0.5 else 0.0])
 
     with pytest.raises(NonFiniteRhs):
-        integrate_ode(rhs, [0.0, 1.0], grid, TOL)
+        integrate_ode(rhs, [0.0, 1.0], grid.nodes, TOL)
 
 
 def test_quad_polynomial():

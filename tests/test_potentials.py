@@ -24,10 +24,12 @@ def test_step_values():
     p = PairPotential(kind="square-well", core_radius=1.0, strength=10.0)
     assert pair_value(p, 0.5) == 10.0
     assert pair_value(p, 2.0) == 0.0
+    assert p.breakpoints == (1.0,)
 
 
 def test_table_interp():
     p = PairPotential(kind="tabulated", table=((1.0, 2.0), (2.0, 0.0)))
+    assert p.breakpoints == (1.0, 2.0)
     assert pair_value(p, 1.5) == pytest.approx(1.0, abs=1e-15)
     assert pair_value(p, 0.3) == 2.0      # constant extension to the left
     assert pair_value(p, 5.0) == 0.0      # zero beyond the last radius

@@ -8,14 +8,16 @@ The 2D analogue matches I0(kappa r) to c ln(r/a):
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import i0, i1
 
-from bosegas.errors import (NoLogAsymptote, NonIntegrableTail,
+from bosegas import scattering
+from bosegas.errors import (NoLogAsymptote, NonFiniteRhs, NonIntegrableTail,
                             RadiusInsideRange, ZeroScatteringLength)
-from bosegas.potentials import HARD_CORE, PairPotential
+from bosegas.potentials import HARD_CORE, PairPotential, pair_value
 from bosegas.scattering import (born_integral, energy_integral,
                                 kinetic_fraction, scattering_length,
                                 solve_zero_energy, two_dim_energy_ratio)
@@ -59,6 +61,35 @@ def test_square_well_oracle_sample():
         exact = square_well_a(v0, r0, mu)
         assert abs(sol.a - exact) <= 1e-8 * exact
         assert 0.0 <= sol.a <= r0     # convexity of u
+
+
+@pytest.mark.parametrize("v0", [400.0, 4000.0])
+@pytest.mark.parametrize("r0", [0.3, 2.0])
+@pytest.mark.parametrize("mu", [0.5, 2.0])
+def test_stiff_square_well_oracle(v0, r0, mu):
+    sol = solve_zero_energy(
+        PairPotential(kind="square-well", core_radius=r0, strength=v0), mu)
+    exact = square_well_a(v0, r0, mu)
+    assert abs(sol.a - exact) <= 1e-8 * exact
+
+
+def test_overflowing_stiff_well_fails_fast(monkeypatch):
+    # u ~ sinh(kappa r) with kappa = 707 overflows inside the well; the solver
+    # must stop with a named error, not a RuntimeWarning or a long stall.
+    # The stall used to cost about 380k potential evaluations; now about 26k.
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return pair_value(*args)
+
+    monkeypatch.setattr(scattering, "pair_value", counted)
+    p = PairPotential(kind="square-well", core_radius=1.0, strength=1e6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteRhs):
+            solve_zero_energy(p, 1.0)
+    assert len(calls) < 40_000
 
 
 def test_soft_sphere_born_limit():
@@ -191,6 +222,21 @@ def test_tail_potential_and_nonintegrable():
     with pytest.raises(NonIntegrableTail):
         solve_zero_energy(PairPotential(kind="square-well", core_radius=1.0,
                                         strength=1.0, tail=(1.0, 3.0)), 1.0)
+
+
+@pytest.mark.parametrize("r0, strength, mu, tail", [
+    (1.0, 20.0, 1.0, (0.3, 6.0)),
+    (1.0, 2.0, 0.5, (0.3, 6.0)),
+    (1.1, 1.5, 1.5, (1.25, 4.35)),    # the tail is cut near r = 1e8
+])
+def test_step_plus_tail_well(r0, strength, mu, tail):
+    # a step followed by a tail cut far out used to end in StepSizeUnderflow
+    # at the step edge, or in cancellation when a was read off at the cut
+    p = PairPotential(kind="square-well", core_radius=r0, strength=strength,
+                      tail=tail)
+    sol = solve_zero_energy(p, mu)
+    assert sol.a >= square_well_a(strength, r0, mu)    # a is monotone in v
+    assert 8.0 * math.pi * mu * sol.a <= born_integral(p)
 
 
 def test_trajectory_matches_asymptote():
