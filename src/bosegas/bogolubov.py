@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import DomainError, TruncationNotConverged
 from .numerics import Tolerances, gamma_fn, quad
@@ -109,6 +108,8 @@ def fock_oracle(A: float, B: float, n_max: int,
     if n_max < 4:
         raise DomainError("need n_max >= 4")
     tol = tol or Tolerances(abs_tol=1e-9, rel_tol=1e-9)
+    # LAPACK is loaded by the first call, not by importing bosegas
+    from scipy.linalg import eigh_tridiagonal
 
     def lowest(m):
         n = np.arange(m + 1, dtype=float)

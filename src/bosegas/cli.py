@@ -6,7 +6,6 @@ are CSV (with #-prefixed metadata lines) or JSON; identical configurations
 produce byte-identical bodies apart from the timestamp metadata line.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
-Set BOSEGAS_THREADS to cap sweep concurrency (default 1).
 """
 
 from __future__ import annotations
@@ -14,9 +13,7 @@ from __future__ import annotations
 import difflib
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Dict, List, Optional, Tuple
@@ -299,14 +296,6 @@ def _parse_sweep(text: str) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _sweep_map(fn, values):
-    threads = int(os.environ.get("BOSEGAS_THREADS", "1"))
-    if threads <= 1:
-        return [fn(v) for v in values]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, values))
-
-
 def _tolerances(config: RunConfig) -> Optional[Tolerances]:
     if config.abs_tol is None and config.rel_tol is None:
         return None
@@ -367,7 +356,7 @@ def _run_bounds(config: RunConfig) -> Tuple[list, list]:
                 "cell_lower_ratio": cell_ratio,
             }
 
-        rows = _sweep_map(one, [float(y) for y in ys])
+        rows = [one(float(y)) for y in ys]
         columns = [("Y", "dimensionless"), ("dyson_upper", "dimensionless"),
                    ("dyson_upper_improved", "dimensionless"),
                    ("lower_ratio", "dimensionless"), ("lower_valid", "bool"),
@@ -384,7 +373,7 @@ def _run_bounds(config: RunConfig) -> Tuple[list, list]:
         return {"rho_a2": x, "leading": lead, "upper": upper.value,
                 "lower": lower.value}
 
-    rows = _sweep_map(one2, [float(x) for x in xs])
+    rows = [one2(float(x)) for x in xs]
     columns = [("rho_a2", "dimensionless"), ("leading", "energy"),
                ("upper", "energy"), ("lower", "energy")]
     return columns, rows
@@ -448,8 +437,7 @@ def _run_gp_tf_limit(config: RunConfig) -> Tuple[list, list]:
 def _run_foldy(config: RunConfig) -> Tuple[list, list]:
     pars = config.parameters
     rhos = _parse_sweep(pars["rho_grid"])
-    rows = _sweep_map(lambda r: bogolubov.foldy_report(r, pars["mu_const"]),
-                      [float(r) for r in rhos])
+    rows = [bogolubov.foldy_report(float(r), pars["mu_const"]) for r in rhos]
     columns = [("rho", "length^-3"), ("mode_integral", "energy"),
                ("closed_form", "energy"),
                ("displayed_prefactor_form", "energy"),
@@ -529,7 +517,7 @@ Commands and their keys (defaults in parentheses):
 
 Common keys: --config FILE (flat JSON; flags override), --output PATH,
   --format csv|json, --abs-tol X, --rel-tol X.
-Sweeps use lo:hi:points[:log].  BOSEGAS_THREADS caps sweep concurrency.
+Sweeps use lo:hi:points[:log].
 Exit codes: 0 ok, 2 config error, 3 numerical failure.
 """
 

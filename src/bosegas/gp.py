@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import DomainError, NegativeCoupling, NoConvergence, NotConverged
 from .numerics import RadialGrid, Tolerances, find_root, quad
@@ -99,6 +98,10 @@ class _Discretization:
 
     def __init__(self, trap: TrapPotential, mu_const: float, d: int,
                  r_max: float, n: int):
+        # LAPACK is loaded by the first GP solve, not by importing bosegas
+        from scipy.linalg import solve_banded
+
+        self.solve_banded = solve_banded
         self.d = d
         self.mu = mu_const
         self.trap = trap
@@ -158,7 +161,7 @@ class _Discretization:
             ab[0, 1:] = tau * self.off
             ab[1] = 1.0 + tau * (self.main + diag_extra)
             ab[2, :-1] = tau * self.off
-            return solve_banded((1, 1), ab, rhs)
+            return self.solve_banded((1, 1), ab, rhs)
         # 2D: the conservative stencil is symmetric only in the r-weighted
         # inner product; solve the similarity-transformed symmetric system
         # (main/off hold the transformed coefficients).
@@ -167,7 +170,7 @@ class _Discretization:
         ab[0, 1:] = tau * self.off
         ab[1] = 1.0 + tau * (self.main + diag_extra)
         ab[2, :-1] = tau * self.off
-        y = solve_banded((1, 1), ab, rhs * s)
+        y = self.solve_banded((1, 1), ab, rhs * s)
         return y / s
 
 
@@ -252,6 +255,10 @@ def gp_minimize(trap: TrapPotential, N: float, coupling: float,
     product N*coupling only, so states related by the (N, a) -> (1, N a)
     scaling share one discretization exactly.
     """
+    if not all(map(math.isfinite, (N, coupling, mu_const))):
+        raise DomainError("N, coupling and mu_const must be finite")
+    if mu_const <= 0:
+        raise DomainError("mu_const must be positive")
     if coupling < 0:
         raise NegativeCoupling("coupling must be nonnegative")
     if N <= 0:
@@ -405,10 +412,35 @@ def chemical_potential(state: GpState) -> float:
     return state.mu_gp
 
 
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson rule for n >= 3 samples y at strictly increasing x.
+
+    A 1-D port of SciPy's `integrate.simpson(y, x=x)` (scipy/integrate/
+    _quadrature.py, BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc.
+    and 2003-2024 SciPy Developers), same operations in the same order, so
+    the value agrees bit for bit.  Each pair of intervals gets the
+    uneven-spacing parabola; for an even number of samples the last interval
+    gets Cartwright's (2017) correction.
+    """
+    n = y.size
+    stop = n - 2 if n % 2 else n - 3
+    h = np.diff(x)
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum, hprod, h0divh1 = h0 + h1, h0 * h1, h0 / h1
+    result = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / h0divh1)
+                                  + y[1:stop + 1:2] * (hsum * (hsum / hprod))
+                                  + y[2:stop + 2:2] * (2.0 - h0divh1)))
+    if n % 2 == 0:
+        p, q = np.asarray(h[-2]), np.asarray(h[-1])
+        alpha = (2 * q ** 2 + 3 * p * q) / (6 * (q + p))
+        beta = (q ** 2 + 3.0 * p * q) / (6 * p)
+        eta = q ** 3 / (6 * p * (p + q))
+        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return float(result)
+
+
 def mean_density(state: GpState) -> float:
     """Mean density (1/N) int |phi|^4 d^dx (Simpson quadrature)."""
-    from scipy.integrate import simpson
-
     if not state.converged:
         raise NotConverged("state is not converged")
     if state.trap.kind == "box":
@@ -416,7 +448,7 @@ def mean_density(state: GpState) -> float:
     d = state.dimension
     r = state.grid.nodes
     jac = _omega(d) * r ** (d - 1)
-    body = float(simpson(state.phi ** 4 * jac, x=r))
+    body = _simpson(state.phi ** 4 * jac, r)
     # the grid starts off-axis; phi is flat at the origin, so the missing
     # [0, r_min) piece integrates to phi(r_min)^4 Omega r_min^d / d
     origin = float(state.phi[0]) ** 4 * _omega(d) * r[0] ** d / d

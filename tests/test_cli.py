@@ -106,21 +106,6 @@ def test_csv_determinism():
     assert one == two
 
 
-def test_threaded_sweep_order_preserved():
-    args = ["bounds", "--y-grid", "1e-12:1e-4:9:log"]
-    serial = strip_timestamp(run(parse_config(args)).to_csv())
-    old = os.environ.get("BOSEGAS_THREADS")
-    os.environ["BOSEGAS_THREADS"] = "4"
-    try:
-        threaded = strip_timestamp(run(parse_config(args)).to_csv())
-    finally:
-        if old is None:
-            os.environ.pop("BOSEGAS_THREADS")
-        else:
-            os.environ["BOSEGAS_THREADS"] = old
-    assert serial == threaded
-
-
 def test_json_format():
     cfg = parse_config(["foldy", "--rho-grid", "1:16:2:log",
                         "--format", "json"])
@@ -143,6 +128,16 @@ def test_main_exit_codes(tmp_path):
     assert main(["scatter", "--potential", "hardcore:r0=1",
                  "--grid-points", "64"]) == 2               # not a scatter key
     assert main([]) == 0                                     # help
+
+
+def test_gp_invalid_inputs_exit_3(capsys):
+    for argv in (["gp", "--coupling", "nan"],
+                 ["gp", "--n", "nan", "--coupling", "1"],
+                 ["gp", "--coupling", "inf"],
+                 ["gp", "--coupling", "1", "--mu-const", "-1"]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "DomainError" in err and "Traceback" not in err
 
 
 def test_gp_profile_export(tmp_path):
@@ -182,3 +177,40 @@ def test_cli_subprocess_entry():
         env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "fock_energy" in proc.stdout
+
+
+_COLD_PATH_PROBE = """
+import contextlib, io, json, sys
+from bosegas import cli
+runs = [["scatter", "--potential", "hardcore:r0=1"],
+        ["scatter", "--potential", "squarewell:r0=1,v0=10", "--mu", "2"],
+        ["bounds", "--y-grid", "1e-12:1e-4:5:log"],
+        ["tf", "--coupling", "100"],
+        ["foldy", "--rho-grid", "1:16:2:log"],
+        ["scatter", "--potentail", "x"],
+        ["gp", "--coupling", "-1"]]
+codes = []
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    for argv in runs:
+        codes.append(cli.main(argv))
+    cold = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    codes.append(cli.main(["gp", "--coupling", "1", "--grid-points", "300"]))
+gp = sorted(m for m in sys.modules
+            if m.startswith(("scipy.optimize", "scipy.integrate")))
+print(json.dumps({"codes": codes, "cold": cold, "gp": gp}))
+"""
+
+
+def test_cold_commands_do_not_load_scipy():
+    # sys.modules of this process already holds scipy, so look in a fresh one
+    src = os.path.dirname(os.path.dirname(bosegas.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_PATH_PROBE], capture_output=True,
+        text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["codes"] == [0, 0, 0, 0, 0, 2, 3, 0]
+    assert seen["cold"] == []
+    assert seen["gp"] == []

@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 from bosegas.errors import DomainError, NegativeCoupling, NotConverged
-from bosegas.gp import (chemical_potential, coupling_2d, export_profile,
-                        gp_energy, gp_minimize, gp_residual, gp_tf_limit,
-                        mean_density, tf_chemical_identity_gap, tf_density,
-                        tf_energy, tf_scaling, tf_solve, two_dim_coupling)
+from bosegas.gp import (_simpson, chemical_potential, coupling_2d,
+                        export_profile, gp_energy, gp_minimize, gp_residual,
+                        gp_tf_limit, mean_density, tf_chemical_identity_gap,
+                        tf_density, tf_energy, tf_scaling, tf_solve,
+                        two_dim_coupling)
 from bosegas.numerics import RadialGrid
 from bosegas.potentials import TrapPotential
 
@@ -79,6 +80,19 @@ def test_linear_limit_harmonic():
 def test_negative_coupling_rejected():
     with pytest.raises(NegativeCoupling):
         gp_minimize(HARM3, 1.0, -0.1)
+
+
+def test_nonfinite_inputs_and_nonpositive_mu_rejected():
+    box = TrapPotential(kind="box", dimension=3, box_side=2.0)
+    for trap in (HARM3, HARM2, box):
+        for n_part, coupling, mu_const in ((math.nan, 1.0, 1.0),
+                                           (1.0, math.inf, 1.0),
+                                           (1.0, -math.inf, 1.0),
+                                           (1.0, 1.0, math.nan),
+                                           (1.0, 1.0, 0.0),
+                                           (1.0, 1.0, -1.0)):
+            with pytest.raises(DomainError):
+                gp_minimize(trap, n_part, coupling, mu_const)
 
 
 @pytest.mark.parametrize("n_part,a", [(10.0, 0.01), (100.0, 0.001)])
@@ -164,6 +178,18 @@ def test_mean_density():
     gauss_state = dataclasses.replace(st, phi=phi, N=1.0)
     exact = (2.0 * math.pi * sigma ** 2) ** -1.5
     assert mean_density(gauss_state) == pytest.approx(exact, rel=1e-8)
+
+
+def test_simpson_matches_scipy_bitwise():
+    from scipy.integrate import simpson
+
+    rng = np.random.default_rng(5)
+    for n in range(3, 40):              # both parities
+        for x in (np.linspace(0.1, float(rng.uniform(1.0, 9.0)), n),
+                  np.sort(rng.uniform(0.0, 5.0, n)),
+                  np.geomspace(1e-3, 40.0, n)):
+            y = rng.normal(size=n) * np.exp(-x)
+            assert _simpson(y, x) == float(simpson(y, x=x))
 
 
 def test_coupling_2d_formula():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bosegas.errors import (DivergentTail, DomainError, InvalidBracket,
-                            NonFiniteRhs)
+                            NoConvergence, NonFiniteRhs)
 from bosegas.numerics import (RadialGrid, Tolerances, find_root, gamma_fn,
                               integrate_ode, quad)
 
@@ -150,6 +150,56 @@ def test_find_root_identity_and_bracketing():
 def test_find_root_invalid_bracket():
     with pytest.raises(InvalidBracket):
         find_root(lambda t: t * t + 1.0, (0.0, 1.0), TOL)
+
+
+def test_find_root_matches_scipy_brentq_bitwise():
+    from scipy.optimize import brentq
+
+    families = [
+        lambda c: (lambda t: t * t - c),
+        lambda c: (lambda t: (t - c) ** 3),
+        lambda c: (lambda t: math.exp(t) - 1.0 - c),
+        lambda c: (lambda t: math.tanh(3.0 * (t - c)) + 1e-3 * (t - c)),
+        lambda c: (lambda t: math.cos(t) - c * t),
+    ]
+    rng = np.random.default_rng(11)
+    for i in range(100):
+        f = families[i % len(families)](float(rng.uniform(0.1, 3.0)))
+        lo, hi = -float(rng.uniform(0.0, 4.0)), float(rng.uniform(3.5, 10.0))
+        if f(lo) * f(hi) >= 0:
+            continue
+        tol = Tolerances(abs_tol=float(10.0 ** rng.uniform(-15, -3)),
+                         rel_tol=float(10.0 ** rng.uniform(-15, -4)))
+        xtol = max(tol.abs_tol, 1e-15 * (1.0 + abs(lo) + abs(hi)))
+        rtol = max(tol.rel_tol, 4.0 * np.finfo(float).eps)
+        ref, info = brentq(f, lo, hi, xtol=xtol, rtol=rtol,
+                           maxiter=tol.max_iterations, full_output=True)
+        calls = []
+        root = find_root(lambda t: calls.append(t) or f(t), (lo, hi), tol)
+        assert root == min(max(ref, lo), hi)
+        assert len(calls) == info.function_calls   # same number of steps
+
+
+def test_find_root_evaluates_each_endpoint_once():
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return t * t - 2.0
+
+    find_root(f, (1.0, 2.0), TOL)
+    assert calls[:2] == [1.0, 2.0]
+    assert calls.count(1.0) == 1 and calls.count(2.0) == 1
+
+
+def test_find_root_budget_and_nan_raise_no_convergence():
+    # a step function defeats interpolation, so every step bisects: 10
+    # bisections cannot shrink [0, 1] to 1e-12
+    tight = Tolerances(abs_tol=1e-12, rel_tol=1e-12, max_iterations=1)
+    with pytest.raises(NoConvergence):
+        find_root(lambda t: -1.0 if t < 0.3 else 1.0, (0.0, 1.0), tight)
+    with pytest.raises(NoConvergence):
+        find_root(lambda t: math.nan if t > 0.4 else t - 0.5, (0.0, 1.0), TOL)
 
 
 def test_find_root_tf_normalization():
