@@ -34,6 +34,7 @@ from .homogeneous import (
     EnergyEstimate,
     cell_energy_factor,
     cell_lower_bound,
+    cell_lower_ratio,
     dilute_lower_ratio,
     dyson_upper_ratio,
     leading_energy,

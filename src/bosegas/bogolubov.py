@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, TruncationNotConverged
+from .errors import DomainError, TruncationNotConverged, require_finite
 from .numerics import Tolerances, gamma_fn, quad
 
 __all__ = [
@@ -196,8 +196,9 @@ def mode_integral_energy(rho: float, mu_const: float = 1.0,
                          tol: Optional[Tolerances] = None) -> float:
     """Numeric per-particle energy -1/2 (2 pi)^-3 int (f - sqrt(f^2-g^2)) d^3k
     over the pairing modes (radial measure 4 pi k^2 dk)."""
-    if rho <= 0:
-        raise DomainError("rho must be positive")
+    require_finite(rho=rho, mu_const=mu_const)
+    if rho <= 0 or mu_const <= 0:
+        raise DomainError("rho and mu_const must be positive")
     tol = tol or Tolerances(abs_tol=1e-13, rel_tol=1e-11)
 
     def radial(k):

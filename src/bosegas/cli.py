@@ -23,7 +23,6 @@ import numpy as np
 from . import __version__
 from . import bogolubov, gp, homogeneous, scattering
 from .errors import (
-    AnsatzInfeasible,
     BoseGasError,
     DomainError,
     ParseError,
@@ -31,7 +30,6 @@ from .errors import (
 )
 from .numerics import Tolerances
 from .potentials import parse_pair_potential, parse_trap_potential
-from .verify import run_all
 
 __all__ = ["RunConfig", "Report", "parse_config", "serialize_config", "run",
            "main"]
@@ -118,8 +116,8 @@ class Report:
         lines.append(f"# units: {units}")
         names = [name for name, _ in self.columns]
         lines.append(",".join(names))
-        for row in self.rows:
-            lines.append(",".join(_fmt(row[name]) for name in names))
+        lines.extend(",".join([_fmt(row[name]) for name in names])
+                     for row in self.rows)
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -133,6 +131,10 @@ class Report:
 
 
 def _fmt(value) -> str:
+    if type(value) is float:
+        return repr(value)
+    if type(value) is bool:
+        return str(value)
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value))
     if isinstance(value, (float, np.floating)):
@@ -285,13 +287,15 @@ def _parse_sweep(text: str) -> np.ndarray:
         n = int(parts[2])
     except ValueError as exc:
         raise ParseError(f"sweep {text!r}: {exc}")
+    if not all(map(math.isfinite, (lo, hi, hi - lo))):
+        raise ParseError(f"sweep {text!r}: lo, hi and hi - lo must be finite")
     if n < 1:
         raise ParseError("sweep needs at least one point")
     if len(parts) == 4:
         if parts[3] != "log":
             raise ParseError(f"sweep suffix must be 'log', got {parts[3]!r}")
-        if lo <= 0:
-            raise ParseError("log sweep needs lo > 0")
+        if lo <= 0 or hi <= 0:
+            raise ParseError("log sweep needs lo > 0 and hi > 0")
         return np.geomspace(lo, hi, n)
     return np.linspace(lo, hi, n)
 
@@ -335,28 +339,20 @@ def _run_bounds(config: RunConfig) -> Tuple[list, list]:
     pars = config.parameters
     if pars["dim"] == 3:
         ys = _parse_sweep(pars["y_grid"])
-
-        def one(y):
-            lower = homogeneous.dilute_lower_ratio(y, pars["lower_c"])
-            try:
-                # unit-scale instantiation: rho = 1, a from Y
-                a = (3.0 * y / (4.0 * math.pi)) ** (1.0 / 3.0)
-                cell = homogeneous.cell_lower_bound(
-                    homogeneous.DiluteParams(rho=1.0, a=a, mu=1.0))
-                cell_ratio = cell.value / (4.0 * math.pi * a)
-            except AnsatzInfeasible:
-                cell_ratio = 0.0
-            return {
-                "Y": y,
-                "dyson_upper": homogeneous.dyson_upper_ratio(y),
-                "dyson_upper_improved": homogeneous.dyson_upper_ratio(y, True),
-                "lower_ratio": lower.value,
-                "lower_valid": lower.valid,
-                "dyson_lower_const": homogeneous.DYSON_LOWER_RATIO,
-                "cell_lower_ratio": cell_ratio,
-            }
-
-        rows = [one(float(y)) for y in ys]
+        outside = np.flatnonzero((ys <= 0.0) | (ys >= 1.0))
+        if outside.size:
+            # the first row outside 0 < Y < 1 names the error, as row by row
+            ys = ys[:outside[0] + 1]
+        lower = homogeneous.dilute_lower_ratio(ys, pars["lower_c"])
+        values = [ys, homogeneous.dyson_upper_ratio(ys),
+                  homogeneous.dyson_upper_ratio(ys, True),
+                  lower.value, lower.valid, homogeneous.cell_lower_ratio(ys)]
+        rows = [{"Y": y, "dyson_upper": up, "dyson_upper_improved": up_i,
+                 "lower_ratio": low, "lower_valid": valid,
+                 "dyson_lower_const": homogeneous.DYSON_LOWER_RATIO,
+                 "cell_lower_ratio": cell}
+                for y, up, up_i, low, valid, cell
+                in zip(*(v.tolist() for v in values))]
         columns = [("Y", "dimensionless"), ("dyson_upper", "dimensionless"),
                    ("dyson_upper_improved", "dimensionless"),
                    ("lower_ratio", "dimensionless"), ("lower_valid", "bool"),
@@ -466,6 +462,7 @@ def _run_bogolubov(config: RunConfig) -> Tuple[list, list]:
 
 
 def _run_verify(config: RunConfig) -> Tuple[list, list]:
+    from .verify import run_all     # 450 lines of checks only this command needs
     results = run_all()
     rows = [{"suite": r.suite, "check": r.name, "passed": r.passed,
              "detail": r.detail.replace(",", ";")} for r in results]

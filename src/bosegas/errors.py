@@ -4,6 +4,8 @@ Every numerical failure mode surfaces as one of these named errors so that
 callers (and the CLI) can report the failure by name instead of crashing.
 """
 
+import math
+
 
 class BoseGasError(Exception):
     """Base class for all errors raised by this package."""
@@ -11,6 +13,13 @@ class BoseGasError(Exception):
 
 class DomainError(BoseGasError):
     """An argument lies outside the mathematical domain of the operation."""
+
+
+def require_finite(**values) -> None:
+    """Raise DomainError naming the first keyword whose value is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
 
 
 # --- numerics ---------------------------------------------------------------

@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NegativeCoupling, NoConvergence, NotConverged
+from .errors import (DomainError, NegativeCoupling, NoConvergence,
+                     NotConverged, require_finite)
 from .numerics import RadialGrid, Tolerances, find_root, quad
 from .potentials import TrapPotential
 
@@ -486,6 +487,9 @@ def tf_solve(trap: TrapPotential, N: float, a: float, mu_const: float = 1.0,
     """
     if trap.kind == "box":
         raise DomainError("TF closed forms are for power-law traps")
+    require_finite(N=N, coupling=a, mu_const=mu_const)
+    if mu_const <= 0:
+        raise DomainError("mu_const must be positive")
     d = trap.dimension
     coupling = a if d == 3 else 1.0
     if coupling <= 0 or N <= 0:

@@ -17,7 +17,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import AnsatzInfeasible, DomainError, GapViolation, VarianceNegative
+from .errors import (AnsatzInfeasible, DomainError, GapViolation,
+                     VarianceNegative, require_finite)
 
 __all__ = [
     "DiluteParams",
@@ -37,6 +38,7 @@ __all__ = [
     "first_order_expectation",
     "cell_energy_factor",
     "cell_lower_bound",
+    "cell_lower_ratio",
     "cell_params_from_ansatz",
     "two_dim_cell_parameters",
     "occupation_minimum",
@@ -73,7 +75,7 @@ class DiluteParams:
             raise DomainError("rho, a, mu must all be positive")
         if self.d not in (2, 3):
             raise DomainError("d must be 2 or 3")
-        object.__setattr__(self, "y", 4.0 * math.pi * self.rho * self.a ** 3 / 3.0)
+        object.__setattr__(self, "y", float(_diluteness(self.rho, self.a)))
         object.__setattr__(self, "rho_a2", self.rho * self.a ** 2)
 
 
@@ -148,39 +150,63 @@ def lhy_energy(p: DiluteParams) -> EnergyEstimate:
                           "asymptotic", "lhy_expansion", p)
 
 
+def _libm_pow(x, e):
+    """Elementwise ``x ** e`` through the C library's ``pow``, as Python
+    floats compute it; returns an array shaped like ``x``.
+
+    numpy's float64 ``power`` may take a SIMD path (AVX-512 builds do) that
+    differs from libm ``pow`` by 1 ulp on a few percent of inputs.  The
+    scalar entry points have always computed their powers with libm, so the
+    array formulas route every power through here and match them bit for
+    bit.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.fromiter((v ** e for v in x.ravel().tolist()), float,
+                       x.size).reshape(x.shape)
+
+
 def dyson_upper_ratio(y, finite_range_improved: bool = False):
     """Hard-sphere-style upper bound on e0/(4 pi mu rho a) as a function of
-    Y = 4 pi rho a^3 / 3 (valid for Y < 1).
+    Y = 4 pi rho a^3 / 3 (valid for Y < 1); array-valued for array ``Y``.
 
     The improved variant assumes finite range R0 < b = (4 pi rho/3)^(-1/3),
-    for which a/b = Y^(1/3).
+    for which a/b = Y^(1/3).  The cube root is numpy's power for scalars
+    and arrays alike; the later powers go through libm (`_libm_pow`), as
+    they always have for scalar ``Y``, so both give the same bits.
     """
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0.0) or np.any(y >= 1.0):
         raise DomainError("upper bound valid for 0 < Y < 1")
     t = y ** (1.0 / 3.0)
     if finite_range_improved:
-        out = (1.0 - t ** 2 + 0.5 * t ** 3) / (1.0 - t) ** 4
+        out = (1.0 - _libm_pow(t, 2) + 0.5 * _libm_pow(t, 3)) \
+            / _libm_pow(1.0 - t, 4)
     else:
-        out = (1.0 - t + t ** 2 - 0.5 * t ** 3) / (1.0 - t) ** 8
+        out = (1.0 - t + _libm_pow(t, 2) - 0.5 * _libm_pow(t, 3)) \
+            / _libm_pow(1.0 - t, 8)
     return out if out.ndim else float(out)
 
 
 class LowerRatio(NamedTuple):
-    value: float
+    value: float        # or an array, for array Y
     valid: bool
 
 
-def dilute_lower_ratio(y: float, c: float = LOWER_RATIO_C) -> LowerRatio:
+def dilute_lower_ratio(y, c: float = LOWER_RATIO_C) -> LowerRatio:
     """Lower bound ratio 1 - C Y^(1/17), unclamped, with a validity flag.
 
     The bound is vacuous (value <= 0) for large Y; returning the raw value
-    keeps the crossover against DYSON_LOWER_RATIO visible.
+    keeps the crossover against DYSON_LOWER_RATIO visible.  Array ``Y``
+    gives arrays; scalar ``Y`` a Python float and bool.
     """
-    if y <= 0:
+    require_finite(C=c)
+    y = np.asarray(y, dtype=float)
+    if np.any(y <= 0):
         raise DomainError("Y must be positive")
-    value = 1.0 - c * y ** (1.0 / 17.0)
-    return LowerRatio(value=value, valid=value > 0.0)
+    value = 1.0 - c * _libm_pow(y, 1.0 / 17.0)
+    if value.ndim:
+        return LowerRatio(value=value, valid=value > 0.0)
+    return LowerRatio(value=float(value), valid=bool(value > 0.0))
 
 
 def schick_2d_bounds(p: DiluteParams, c_upper: float = 1.0,
@@ -298,8 +324,8 @@ def first_order_expectation(params: CellMethodParams, rho_cell: float,
     raise DomainError("d must be 2 or 3")
 
 
-def cell_energy_factor(params: CellMethodParams, a: float, mu: float = 1.0,
-                       d: int = 3, n=None):
+def cell_energy_factor(params: CellMethodParams, a: float, d: int = 3,
+                       n=None):
     """The dimensionless factor K(n, ell) of the cell-method lower bound.
 
     3D:  (1-eps) (1-2R/ell)^3 (1 + 4 pi/3 rho (1-1/n)(R^3-R0^3))^(-1)
@@ -315,14 +341,7 @@ def cell_energy_factor(params: CellMethodParams, a: float, mu: float = 1.0,
         raise DomainError("need n >= 2")
     ell, R, R0, eps = params.ell, params.R, params.R0, params.eps
     if d == 3:
-        shell = R ** 3 - R0 ** 3
-        rho = n / ell ** 3
-        local = 1.0 + 4.0 * math.pi / 3.0 * rho * (1.0 - 1.0 / n) * shell
-        denom = eps / ell ** 2 - 4.0 * a / ell ** 3 * n * (n - 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            temple = 1.0 - (3.0 / math.pi) * a * n / (shell * denom)
-        k = (1.0 - eps) * (1.0 - 2.0 * R / ell) ** 3 / local * temple
-        k = np.where(denom > 0.0, np.maximum(k, 0.0), 0.0)
+        k = _k_factor_3d(eps, ell, R, n, _temple(a, eps, ell, R, R0, n))
     elif d == 2:
         soft = softened_interaction(params, a=a, d=2)
         nu = 1.0 / soft.amplitude
@@ -349,19 +368,12 @@ def cell_params_from_ansatz(p: DiluteParams, c_eps: float = 1.0,
     """
     if p.d != 3:
         raise DomainError("the Y-power ansatz is three-dimensional")
-    alpha, beta, gamma = ANSATZ_EXPONENTS
-    y = p.y
-    eps = c_eps * y ** alpha
-    ell = p.a / (c_ell * y ** beta)
     R0 = p.a if R0 is None else R0
-    R = (R0 ** 3 + c_R * y ** gamma * ell ** 3) ** (1.0 / 3.0)
-    n = 4.0 * p.rho * ell ** 3
-    if not (0.0 < eps < 1.0):
-        raise AnsatzInfeasible(f"eps = {eps!r} outside (0, 1); Y too large")
-    if not (R0 < R < 0.5 * ell):
-        raise AnsatzInfeasible("ansatz violates R0 < R < ell/2; Y too large")
-    if n < 2:
-        raise AnsatzInfeasible("fewer than 2 particles per cell; Y too large")
+    eps, ell, R, n = map(float, _ansatz(p.y, p.a, p.rho, c_eps, c_ell, c_R,
+                                        R0))
+    for holds, message in _ansatz_checks(eps, ell, R, R0, n):
+        if not holds:
+            raise AnsatzInfeasible(message.format(eps=eps))
     return CellMethodParams(n=n, ell=ell, R=R, R0=R0, eps=eps,
                             c_eps=c_eps, c_ell=c_ell, c_R=c_R)
 
@@ -371,34 +383,130 @@ def cell_lower_bound(p: DiluteParams, c_eps: float = 1.0, c_ell: float = 1.0,
     """Cell-method lower bound 4 pi mu a rho (1 - 1/(rho ell^3)) K(4 rho ell^3, ell)
     with the ansatz-instantiated cell parameters.
 
-    The estimate records the five relative error terms of the construction in
-    ``error_terms`` (attached attribute on the returned estimate's params is
-    avoided; use `cell_error_terms` for the breakdown).
+    Raises AnsatzInfeasible when the ansatz or one of the five relative
+    error terms (`cell_error_terms`) rules the construction out.
     """
     params = cell_params_from_ansatz(p, c_eps, c_ell, c_R)
     terms = cell_error_terms(p, params)
     if any(t >= 1.0 for t in terms.values()):
         raise AnsatzInfeasible(f"error terms not all < 1: {terms}")
-    k = cell_energy_factor(params, a=p.a, mu=p.mu, d=3)
-    value = 4.0 * math.pi * p.mu * p.a * p.rho \
-        * (1.0 - 1.0 / (p.rho * params.ell ** 3)) * k
-    return EnergyEstimate(value, "lower", "cell_method", p)
+    k = cell_energy_factor(params, a=p.a, d=3)
+    value = _cell_value(p.mu, p.a, p.rho, terms["occupancy"], k)
+    return EnergyEstimate(float(value), "lower", "cell_method", p)
+
+
+def cell_lower_ratio(y, c_eps: float = 1.0, c_ell: float = 1.0,
+                     c_R: float = 1.0):
+    """Cell-method lower bound over 4 pi mu rho a as a function of Y, for
+    scalar or array ``Y``, and 0 wherever `cell_lower_bound` would raise
+    AnsatzInfeasible (0 is the trivial lower bound).
+
+    Evaluated at the unit-scale instantiation rho = mu = 1,
+    a = (3Y/(4 pi))^(1/3); each value is bit for bit
+    ``cell_lower_bound(DiluteParams(1.0, a)).value / (4 pi a)``.
+    """
+    y = np.asarray(y, dtype=float)
+    if np.any(y <= 0):
+        raise DomainError("Y must be positive")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a = _libm_pow(3.0 * y / (4.0 * math.pi), 1.0 / 3.0)
+        eps, ell, R, n = _ansatz(_diluteness(1.0, a), a, 1.0, c_eps, c_ell,
+                                 c_R, a)
+        temple = _temple(a, eps, ell, R, a, n)
+        terms = _error_terms(1.0, eps, ell, R, temple)
+        feasible = np.logical_and.reduce(
+            [holds for holds, _ in _ansatz_checks(eps, ell, R, a, n)]
+            + [~(t >= 1.0) for t in terms.values()])
+        k = _k_factor_3d(eps, ell, R, n, temple)
+        ratio = _cell_value(1.0, a, 1.0, terms["occupancy"], k) \
+            / (4.0 * math.pi * a)
+    out = np.where(feasible, ratio, 0.0)
+    return out if out.ndim else float(out)
 
 
 def cell_error_terms(p: DiluteParams, params: CellMethodParams) -> dict:
     """The five relative error terms of the cell construction (all must be << 1)."""
-    shell = params.R ** 3 - params.R0 ** 3
-    n, ell, eps = params.n, params.ell, params.eps
-    denom = eps / ell ** 2 - 4.0 * p.a / ell ** 3 * n * (n - 1.0)
-    temple_err = math.inf if denom <= 0 else \
-        (3.0 / math.pi) * p.a * n / (shell * denom)
+    eps, ell, R = params.eps, params.ell, params.R
+    temple = _temple(p.a, eps, ell, R, params.R0, params.n)
+    return {name: float(t) for name, t in
+            _error_terms(p.rho, eps, ell, R, temple).items()}
+
+
+# --- the cell-method chain, elementwise on scalars or arrays -----------------------
+#
+# One copy of the formulas serves the scalar entry points above and the
+# array-valued `cell_lower_ratio`.  Every power goes through `_libm_pow`, so
+# an array element carries the same bits as the scalar evaluation.
+
+
+def _diluteness(rho, a):
+    """Y = 4 pi rho a^3 / 3."""
+    return 4.0 * math.pi * rho * _libm_pow(a, 3) / 3.0
+
+
+def _ansatz(y, a, rho, c_eps, c_ell, c_R, R0):
+    """(eps, ell, R, n) of the Y-power ansatz at diluteness y."""
+    alpha, beta, gamma = ANSATZ_EXPONENTS
+    eps = c_eps * _libm_pow(y, alpha)
+    with np.errstate(divide="ignore"):      # c_ell = 0: infeasible, ell = inf
+        ell = a / (c_ell * _libm_pow(y, beta))
+    ell3 = _libm_pow(ell, 3)
+    R = _libm_pow(_libm_pow(R0, 3) + c_R * _libm_pow(y, gamma) * ell3,
+                  1.0 / 3.0)
+    n = 4.0 * rho * ell3
+    return eps, ell, R, n
+
+
+def _ansatz_checks(eps, ell, R, R0, n):
+    """(holds, message) for each feasibility condition, in checking order."""
+    return [((0.0 < eps) & (eps < 1.0),
+             "eps = {eps!r} outside (0, 1); Y too large"),
+            ((R0 < R) & (R < 0.5 * ell),
+             "ansatz violates R0 < R < ell/2; Y too large"),
+            (np.logical_not(n < 2),
+             "fewer than 2 particles per cell; Y too large")]
+
+
+class _Temple(NamedTuple):
+    """The pieces of the 3D Temple denominator shared by the error terms and K."""
+
+    ell3: np.ndarray
+    shell: np.ndarray       # R^3 - R0^3
+    denom: np.ndarray       # eps ell^-2 - 4 a ell^-3 n(n-1)
+    error: np.ndarray       # (3/pi) a n / (shell denom); +inf where denom <= 0
+
+
+def _temple(a, eps, ell, R, R0, n) -> _Temple:
+    ell3 = _libm_pow(ell, 3)
+    shell = _libm_pow(R, 3) - _libm_pow(R0, 3)
+    denom = eps / _libm_pow(ell, 2) - 4.0 * a / ell3 * n * (n - 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        error = (3.0 / math.pi) * a * n / (shell * denom)
+    return _Temple(ell3, shell, denom, np.where(denom <= 0.0, math.inf, error))
+
+
+def _error_terms(rho, eps, ell, R, t: _Temple) -> dict:
     return {
         "eps": eps,
-        "occupancy": 1.0 / (p.rho * ell ** 3),
-        "boundary": 2.0 * params.R / ell,
-        "local_density": 4.0 * math.pi / 3.0 * (4.0 * p.rho) * shell,
-        "temple": temple_err,
+        "occupancy": 1.0 / (rho * t.ell3),
+        "boundary": 2.0 * R / ell,
+        "local_density": 4.0 * math.pi / 3.0 * (4.0 * rho) * t.shell,
+        "temple": t.error,
     }
+
+
+def _k_factor_3d(eps, ell, R, n, t: _Temple):
+    local = 1.0 + 4.0 * math.pi / 3.0 * (n / t.ell3) * (1.0 - 1.0 / n) \
+        * t.shell
+    with np.errstate(invalid="ignore"):
+        k = (1.0 - eps) * _libm_pow(1.0 - 2.0 * R / ell, 3) / local \
+            * (1.0 - t.error)
+    return np.where(t.denom > 0.0, np.maximum(k, 0.0), 0.0)
+
+
+def _cell_value(mu, a, rho, occupancy, k):
+    """4 pi mu a rho (1 - 1/(rho ell^3)) K."""
+    return 4.0 * math.pi * mu * a * rho * (1.0 - occupancy) * k
 
 
 def two_dim_cell_parameters(rho: float, a: float, c_eps: float = 1.0,

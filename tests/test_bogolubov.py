@@ -176,6 +176,18 @@ def test_mode_integral_vs_closed_form():
         foldy_energy(1.0) / 2.0, rel=1e-12)
 
 
+def test_foldy_rejects_nonfinite_inputs_by_name():
+    for rho, mu_const, name in ((math.nan, 1.0, "rho"),
+                                (math.inf, 1.0, "rho"),
+                                (1.0, math.nan, "mu_const"),
+                                (1.0, -math.inf, "mu_const")):
+        for fn in (mode_integral_energy, foldy_report):
+            with pytest.raises(DomainError, match=f"^{name} must be finite"):
+                fn(rho, mu_const)
+    with pytest.raises(DomainError):
+        mode_integral_energy(1.0, -1.0)
+
+
 def test_mode_integral_density_exponent():
     rhos = [1.0, 16.0, 256.0]
     es = [abs(mode_integral_energy(r)) for r in rhos]

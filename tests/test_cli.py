@@ -1,14 +1,17 @@
 """CLI: config parsing, round trips, report formats, determinism, errors."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 
+import numpy as np
 import pytest
 
 import bosegas
-from bosegas.cli import (RunConfig, main, parse_config, run,
+from bosegas.cli import (RunConfig, _parse_sweep, main, parse_config, run,
                          serialize_config)
 from bosegas.errors import ParseError, UnknownKey
 
@@ -99,6 +102,109 @@ def test_bounds_row_count_and_csv():
     assert len({ln.count(",") for ln in body}) == 1
 
 
+def _row_by_row_bounds(y, c=8.9):
+    """Oracle: one 3D bounds row evaluated the way the report used to be,
+    one Y at a time with scalar arithmetic (Python floats and libm powers;
+    numpy only for the cube root of the upper bound and the numpy-scalar
+    arithmetic after it), independent of the array code in bosegas."""
+    lower = 1.0 - c * y ** (1.0 / 17.0)
+    # cell method at the unit-scale instantiation rho = mu = 1, a from Y
+    a = (3.0 * y / (4.0 * math.pi)) ** (1.0 / 3.0)
+    y_cell = 4.0 * math.pi * 1.0 * a ** 3 / 3.0
+    eps = 1.0 * y_cell ** (1.0 / 17.0)
+    ell = a / (1.0 * y_cell ** (6.0 / 17.0))
+    r_soft = (a ** 3 + 1.0 * y_cell ** (3.0 / 17.0) * ell ** 3) ** (1.0 / 3.0)
+    n = 4.0 * 1.0 * ell ** 3
+    cell = 0.0
+    if 0.0 < eps < 1.0 and a < r_soft < 0.5 * ell and not n < 2:
+        shell = r_soft ** 3 - a ** 3
+        denom = eps / ell ** 2 - 4.0 * a / ell ** 3 * n * (n - 1.0)
+        temple = math.inf if denom <= 0 else \
+            (3.0 / math.pi) * a * n / (shell * denom)
+        terms = (eps, 1.0 / (1.0 * ell ** 3), 2.0 * r_soft / ell,
+                 4.0 * math.pi / 3.0 * (4.0 * 1.0) * shell, temple)
+        if not any(t >= 1.0 for t in terms):
+            local = 1.0 + 4.0 * math.pi / 3.0 * (n / ell ** 3) \
+                * (1.0 - 1.0 / n) * shell
+            k = (1.0 - eps) * (1.0 - 2.0 * r_soft / ell) ** 3 / local \
+                * (1.0 - temple)
+            value = 4.0 * math.pi * 1.0 * a * 1.0 \
+                * (1.0 - 1.0 / (1.0 * ell ** 3)) * max(k, 0.0)
+            cell = value / (4.0 * math.pi * a)
+    t = np.asarray(y, dtype=float) ** (1.0 / 3.0)
+    return {
+        "Y": y,
+        "dyson_upper": float((1.0 - t + t ** 2 - 0.5 * t ** 3)
+                             / (1.0 - t) ** 8),
+        "dyson_upper_improved": float((1.0 - t ** 2 + 0.5 * t ** 3)
+                                      / (1.0 - t) ** 4),
+        "lower_ratio": lower,
+        "lower_valid": lower > 0.0,
+        "dyson_lower_const": 1.0 / (10.0 * math.sqrt(2.0)),
+        "cell_lower_ratio": cell,
+    }
+
+
+@pytest.mark.parametrize("grid", ["1e-12:1e-4:50:log", "1e-14:0.9:4000:log",
+                                  "1e-6:0.99:1001"])
+def test_bounds_rows_match_row_by_row_oracle_bitwise(grid):
+    rows = run(parse_config(["bounds", "--y-grid", grid])).rows
+    ys = _parse_sweep(grid).tolist()
+    assert len(rows) == len(ys)
+    for row, y in zip(rows, ys):
+        want = _row_by_row_bounds(y)
+        assert list(row) == list(want)
+        # repr pins every bit of a float; type() pins float vs numpy vs bool
+        assert {k: (type(v), repr(v)) for k, v in row.items()} \
+            == {k: (type(v), repr(v)) for k, v in want.items()}
+
+
+def test_bounds_outside_unit_interval_first_row_decides(capsys):
+    for grid, message in (("-1:2:4", "Y must be positive"),
+                          ("2:-1:4", "upper bound valid for 0 < Y < 1")):
+        assert main(["bounds", "--y-grid", grid]) == 3
+        err = capsys.readouterr().err
+        assert f"DomainError: {message}" in err and "Traceback" not in err
+
+
+def test_sweep_rejects_nonfinite_ends():
+    for text in ("nan:1e-4:3", "1e-8:inf:3:log", "-inf:1:3", "1:nan:2:log",
+                 "-1e308:1e308:3", "1e-8:0:3:log", "1e-8:-1:3:log"):
+        with pytest.raises(ParseError):
+            _parse_sweep(text)
+
+
+def test_nonfinite_sweeps_exit_2_without_warnings(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (["bounds", "--y-grid", "nan:1e-4:3"],
+                     ["bounds", "--dim", "2", "--rho-a2-grid",
+                      "nan:1e-6:3:log"],
+                     ["bounds", "--y-grid", "1e-8:inf:3:log"],
+                     ["gp-tf-limit", "--g-grid", "10:nan:2"],
+                     ["foldy", "--rho-grid", "1:inf:2"]):
+            assert main(argv) == 2
+            assert "ParseError" in capsys.readouterr().err
+
+
+def test_nonfinite_inputs_exit_3_naming_the_input(capsys):
+    for argv, name in ((["bounds", "--lower-c", "nan"], "C"),
+                       (["tf", "--coupling", "inf"], "coupling"),
+                       (["tf", "--coupling", "nan"], "coupling"),
+                       (["tf", "--n", "nan", "--coupling", "1"], "N"),
+                       (["foldy", "--mu-const", "nan"], "mu_const"),
+                       (["foldy", "--rho-grid", "1:2:2", "--mu-const", "-inf"],
+                        "mu_const")):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"DomainError: {name} must be finite" in err
+        assert "Traceback" not in err
+    for argv in (["tf", "--coupling", "1", "--mu-const", "-1"],
+                 ["foldy", "--mu-const", "-1"]):
+        assert main(argv) == 3
+        assert "DomainError" in capsys.readouterr().err
+
+
 def test_csv_determinism():
     args = ["bounds", "--y-grid", "1e-12:1e-4:7:log"]
     one = strip_timestamp(run(parse_config(args)).to_csv())
@@ -182,6 +288,7 @@ def test_cli_subprocess_entry():
 _COLD_PATH_PROBE = """
 import contextlib, io, json, sys
 from bosegas import cli
+verify_loaded = "bosegas.verify" in sys.modules
 runs = [["scatter", "--potential", "hardcore:r0=1"],
         ["scatter", "--potential", "squarewell:r0=1,v0=10", "--mu", "2"],
         ["bounds", "--y-grid", "1e-12:1e-4:5:log"],
@@ -198,7 +305,8 @@ with contextlib.redirect_stdout(io.StringIO()), \\
     codes.append(cli.main(["gp", "--coupling", "1", "--grid-points", "300"]))
 gp = sorted(m for m in sys.modules
             if m.startswith(("scipy.optimize", "scipy.integrate")))
-print(json.dumps({"codes": codes, "cold": cold, "gp": gp}))
+print(json.dumps({"codes": codes, "cold": cold, "gp": gp,
+                  "verify_loaded": verify_loaded}))
 """
 
 
@@ -214,3 +322,4 @@ def test_cold_commands_do_not_load_scipy():
     assert seen["codes"] == [0, 0, 0, 0, 0, 2, 3, 0]
     assert seen["cold"] == []
     assert seen["gp"] == []
+    assert seen["verify_loaded"] is False

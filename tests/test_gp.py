@@ -95,6 +95,19 @@ def test_nonfinite_inputs_and_nonpositive_mu_rejected():
                 gp_minimize(trap, n_part, coupling, mu_const)
 
 
+def test_tf_rejects_nonfinite_inputs_by_name():
+    for trap in (HARM3, HARM2):
+        for kwargs, name in (({"N": math.nan, "a": 1.0}, "N"),
+                             ({"N": 1.0, "a": math.inf}, "coupling"),
+                             ({"N": 1.0, "a": math.nan}, "coupling"),
+                             ({"N": 1.0, "a": 1.0, "mu_const": math.nan},
+                              "mu_const")):
+            with pytest.raises(DomainError, match=f"^{name} must be finite"):
+                tf_solve(trap, **kwargs)
+        with pytest.raises(DomainError):
+            tf_solve(trap, 1.0, 1.0, mu_const=-1.0)
+
+
 @pytest.mark.parametrize("n_part,a", [(10.0, 0.01), (100.0, 0.001)])
 def test_scaling_law_energy(n_part, a):
     big = gp_minimize(HARM3, n_part, a, grid_points=1200)

@@ -1,5 +1,6 @@
 """Homogeneous-gas bounds and Temple/cell-method machinery tests."""
 
+import inspect
 import math
 
 import numpy as np
@@ -12,7 +13,8 @@ from bosegas.errors import (AnsatzInfeasible, DomainError, GapViolation,
 from bosegas.homogeneous import (ANSATZ_EXPONENTS, DYSON_LOWER_RATIO,
                                  CellMethodParams, DiluteParams,
                                  cell_energy_factor, cell_error_terms,
-                                 cell_lower_bound, cell_params_from_ansatz,
+                                 cell_lower_bound, cell_lower_ratio,
+                                 cell_params_from_ansatz,
                                  dilute_lower_ratio, dyson_upper_ratio,
                                  first_order_expectation,
                                  intermediate_2d_upper, leading_energy,
@@ -86,6 +88,57 @@ def test_lower_ratio_and_crossover():
     root = find_root(lambda y: dilute_lower_ratio(y).value - DYSON_LOWER_RATIO,
                      (y_star * 0.1, min(1.0, y_star * 10.0)), Tolerances())
     assert root == pytest.approx(y_star, rel=1e-6)
+
+
+def test_lower_ratio_rejects_nonfinite_constant():
+    for c in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            dilute_lower_ratio(1e-6, c)
+        with pytest.raises(DomainError):
+            dilute_lower_ratio(np.array([1e-6, 1e-5]), c)
+
+
+# crosses from the feasible cell ansatz into the AnsatzInfeasible region
+# (near Y = 2.7e-11) and ends close to the Y < 1 edge of the upper bound
+ARRAY_GRID = np.geomspace(1e-14, 0.9, 3001)
+
+
+def _same_bits(array, scalars):
+    return array.tobytes() == np.array(scalars, dtype=float).tobytes()
+
+
+def test_upper_and_lower_ratio_arrays_match_scalars_bitwise():
+    ys = [float(y) for y in ARRAY_GRID]
+    for improved in (False, True):
+        scalars = [dyson_upper_ratio(y, improved) for y in ys]
+        assert all(type(v) is float for v in scalars)
+        assert _same_bits(dyson_upper_ratio(ARRAY_GRID, improved), scalars)
+    for c in (8.9, 2.0):      # C = 2 moves the validity edge onto the grid
+        scalars = [dilute_lower_ratio(y, c) for y in ys]
+        assert all(type(r.value) is float and type(r.valid) is bool
+                   for r in scalars)
+        arrays = dilute_lower_ratio(ARRAY_GRID, c)
+        assert _same_bits(arrays.value, [r.value for r in scalars])
+        assert arrays.valid.tolist() == [r.valid for r in scalars]
+    assert 0 < int(arrays.valid.sum()) < ARRAY_GRID.size
+
+
+def test_cell_ratio_array_matches_cell_lower_bound_bitwise():
+    scalars = []
+    for y in ARRAY_GRID.tolist():
+        a = (3.0 * y / (4.0 * math.pi)) ** (1.0 / 3.0)
+        try:
+            value = cell_lower_bound(DiluteParams(rho=1.0, a=a, mu=1.0)).value
+            scalars.append(value / (4.0 * math.pi * a))
+        except AnsatzInfeasible:
+            scalars.append(0.0)
+    ratios = cell_lower_ratio(ARRAY_GRID)
+    assert _same_bits(ratios, scalars)
+    assert 0 < np.count_nonzero(ratios) < ARRAY_GRID.size
+    one = cell_lower_ratio(float(ARRAY_GRID[500]))
+    assert type(one) is float and one == scalars[500] > 0.0
+    with pytest.raises(DomainError):
+        cell_lower_ratio(np.array([1e-8, 0.0]))
 
 
 def test_bound_sandwich_sweep():
@@ -218,6 +271,11 @@ def test_cell_factor_limits_and_monotonicity():
     assert ks[0] > 0.0 and ks[-1] == 0.0
 
 
+def test_cell_energy_factor_has_no_mu_parameter():
+    # K depends on the cell geometry and a only; mu scales the bound outside
+    assert "mu" not in inspect.signature(cell_energy_factor).parameters
+
+
 def test_cell_factor_frozen_sample():
     # ansatz defaults at Y = 1e-10 (plug-in regression value)
     y = 1e-10
@@ -242,7 +300,7 @@ def test_variance_substitution_identity():
     rebuilt = (1.0 - params.eps) * (1.0 - 2.0 * params.R / ell) ** 3 \
         / (1.0 + 4.0 * math.pi / 3.0 * (n / ell ** 3) * (1.0 - 1.0 / n)
            * shell) * temple_factor
-    k = cell_energy_factor(params, a=p.a, mu=p.mu, d=3)
+    k = cell_energy_factor(params, a=p.a, d=3)
     assert k == pytest.approx(rebuilt, rel=1e-12)
 
 
