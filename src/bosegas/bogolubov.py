@@ -96,10 +96,13 @@ def fock_oracle(A: float, B: float, n_max: int,
     equal-pair-number Fock space span{|n, n> : n <= n_max}.
 
     The matrix is tridiagonal with entries built from the elementary ladder
-    coefficients sqrt(n+1): diagonal 2An, off-diagonal B(n+1).  Converges
-    monotonically from above to sqrt(A^2 - B^2) - A as n_max grows; raises
-    TruncationNotConverged if the last two cutoff increments still move the
-    eigenvalue by more than the tolerance.
+    coefficients sqrt(n+1): diagonal 2An, off-diagonal B(n+1).  In exact
+    arithmetic it converges monotonically from above to sqrt(A^2 - B^2) - A
+    as n_max grows.  In floating point that holds only down to the
+    eigensolver's round-off, about 2 A n_max eps, since the diagonal reaches
+    2 A n_max: fock_oracle(5, 3, 100000) returns -1.00000000008, just below
+    the exact -1.  Raises TruncationNotConverged if the last two cutoff
+    increments still move the eigenvalue by more than the tolerance.
     """
     if not (A >= B > 0.0):
         if B == 0.0:

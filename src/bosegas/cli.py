@@ -389,14 +389,14 @@ def _run_gp(config: RunConfig) -> Tuple[list, list]:
         "kinetic": state.kinetic, "trap_energy": state.trap_energy,
         "interaction": state.interaction, "mu_gp": state.mu_gp,
         "rho_bar": gp.mean_density(state), "residual": state.residual,
-        "iterations": state.iterations,
+        "iterations": state.iterations, "newton_steps": state.newton_steps,
     }
     columns = [("trap", "spec"), ("dim", "1"), ("N", "count"),
                ("coupling", "length|dimensionless"), ("E", "energy"),
                ("kinetic", "energy"), ("trap_energy", "energy"),
                ("interaction", "energy"), ("mu_gp", "energy"),
                ("rho_bar", "length^-dim"), ("residual", "dimensionless"),
-               ("iterations", "count")]
+               ("iterations", "count"), ("newton_steps", "count")]
     return columns, [row]
 
 

@@ -1,11 +1,16 @@
 """Gross-Pitaevskii and Thomas-Fermi solvers on radial grids (3D and 2D).
 
-The GP minimizer runs a normalized gradient flow: linearized backward-Euler
-imaginary-time steps, renormalization to the particle number after every
-step, and backtracking step-size control so the discrete energy never
-increases between accepted iterations.  In 3D the substitution w = r*phi
-turns the radial problem into a plain 1D Dirichlet problem; in 2D a
-cell-centered conservative stencil handles the r = 0 axis.
+The GP minimizer runs Newton's method on the discrete eigenproblem
+H(u) u = lambda u with the particle-number constraint <u, u>_W = N: each
+step is one tridiagonal solve with two right-hand sides.  A Newton step is
+kept only if it is finite, does not change sign in the bulk and does not
+raise the discrete energy; otherwise the step is a normalized gradient flow
+step (linearized backward Euler in imaginary time, renormalized, with
+backtracking so the energy never increases between accepted iterations).
+The flow is the globalizer, Newton gives the fast local convergence.  In 3D
+the substitution w = r*phi turns the radial problem into a plain 1D
+Dirichlet problem; in 2D a cell-centered conservative stencil handles the
+r = 0 axis.
 
 Box traps use the closed-form constant profile (the gradient-term subtlety
 of true Dirichlet boxes is out of scope).
@@ -68,6 +73,7 @@ class GpState:
     iterations: int
     residual_trace: tuple
     energy_trace: tuple = ()
+    newton_steps: int = 0     # accepted Newton steps among the iterations
 
     @property
     def energy_breakdown(self):
@@ -127,10 +133,14 @@ class _Discretization:
             off = -mu_const * e[1:-1] / (np.sqrt(self.r[:-1] * self.r[1:]) * h ** 2)
             # symmetrize in the weighted inner product: work with y = sqrt(r) u
         self.main = main
-        self.off = off
+        # LAPACK band storage; only the diagonal row changes between solves
+        self._band = np.zeros((3, n))
+        self._band[0, 1:] = off
+        self._band[2, :-1] = off
+        self._sqrt_r = np.sqrt(self.r)
 
     def kinetic_quadratic(self, u: np.ndarray) -> float:
-        """<u, A u> with the flow's kinetic stencil (dimensionful energy)."""
+        """<u, A u> with the kinetic stencil (dimensionful energy)."""
         if self.d == 3:
             diffs = np.diff(np.concatenate(([0.0], u, [0.0])))
             return 4.0 * math.pi * self.mu * np.sum(diffs ** 2) / self.h
@@ -152,27 +162,21 @@ class _Discretization:
         inward = np.concatenate(([0.0], e[1:-1] * (u[1:] - u[:-1])))
         return self.mu * (outward + inward) / (self.r * self.h ** 2)
 
-    def solve_shifted(self, tau: float, diag_extra: np.ndarray,
-                      rhs: np.ndarray) -> np.ndarray:
-        """Solve (I + tau (A + diag_extra)) x = rhs; the matrix is an M-matrix,
-        so positivity of rhs is preserved exactly."""
-        n = len(rhs)
+    def solve(self, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve (A + diag) x = rhs; rhs is one vector or a column stack.
+
+        In 2D the conservative stencil is symmetric only in the r-weighted
+        inner product, so the similarity-transformed symmetric system in
+        y = sqrt(r) x is solved (main and the band hold its coefficients).
+        With a positive diag the matrix is an M-matrix and keeps rhs > 0
+        positive.
+        """
+        band = self._band.copy()
+        band[1] = self.main + diag
         if self.d == 3:
-            ab = np.zeros((3, n))
-            ab[0, 1:] = tau * self.off
-            ab[1] = 1.0 + tau * (self.main + diag_extra)
-            ab[2, :-1] = tau * self.off
-            return self.solve_banded((1, 1), ab, rhs)
-        # 2D: the conservative stencil is symmetric only in the r-weighted
-        # inner product; solve the similarity-transformed symmetric system
-        # (main/off hold the transformed coefficients).
-        s = np.sqrt(self.r)
-        ab = np.zeros((3, n))
-        ab[0, 1:] = tau * self.off
-        ab[1] = 1.0 + tau * (self.main + diag_extra)
-        ab[2, :-1] = tau * self.off
-        y = self.solve_banded((1, 1), ab, rhs * s)
-        return y / s
+            return self.solve_banded((1, 1), band, rhs)
+        s = self._sqrt_r if rhs.ndim == 1 else self._sqrt_r[:, None]
+        return self.solve_banded((1, 1), band, rhs * s) / s
 
 
 def _interaction_coeff(mu_const: float, coupling: float) -> float:
@@ -250,10 +254,12 @@ def gp_minimize(trap: TrapPotential, N: float, coupling: float,
 
     Returns a state with phi > 0 on the grid, the energy breakdown, the
     chemical potential E/N + (4 pi mu c/N) int phi^4, and the relative
-    residual of the discrete GP equation.  Convergence requires both
-    residual <= residual_tol and a flat energy over the last 5 accepted
-    iterations.  The domain radius and spacing depend on the trap and the
-    product N*coupling only, so states related by the (N, a) -> (1, N a)
+    residual of the discrete GP equation.  The solve stops at the first
+    accepted step (Newton or flow) whose residual is <= residual_tol and
+    whose energy change is at most rel_tol |E| + abs_tol.  `iterations`
+    counts the passes of the solver loop, `newton_steps` the accepted Newton
+    steps among them.  The domain radius and spacing depend on the trap and
+    the product N*coupling only, so states related by the (N, a) -> (1, N a)
     scaling share one discretization exactly.
     """
     if not all(map(math.isfinite, (N, coupling, mu_const))):
@@ -274,7 +280,7 @@ def gp_minimize(trap: TrapPotential, N: float, coupling: float,
     if r_max is None:
         r_max = _auto_extent(trap, mu_const, d, g_eff)
     disc = _Discretization(trap, mu_const, d, r_max, grid_points)
-    r, h, V = disc.r, disc.h, disc.V
+    r, V = disc.r, disc.V
     g_int = _interaction_coeff(mu_const, coupling)
 
     def interaction_diag(u):
@@ -292,40 +298,77 @@ def gp_minimize(trap: TrapPotential, N: float, coupling: float,
         norm = float(np.sum(disc.weights * u ** 2))
         return u * math.sqrt(N / norm)
 
+    def newton_candidate(u, h_u, lam):
+        """One Newton step on H(u) u = lam u, <u, u>_W = N, or None.
+
+        The Jacobian is A + V + 3 int(u) - lam; its solves against F and u
+        give dlam from the linearized constraint <u, du>_W = 0.  A candidate
+        that changes sign in the bulk or is not finite is refused; the
+        round-off sign flips of the far tail are dropped by |u|.
+        """
+        rhs = np.column_stack((h_u - lam * u, u))
+        try:
+            sol = disc.solve(V + 3.0 * interaction_diag(u) - lam, rhs)
+        except np.linalg.LinAlgError:       # lam hit an eigenvalue exactly
+            return None
+        step_a, step_b = sol[:, 0], sol[:, 1]
+        with np.errstate(all="ignore"):     # a nearly singular solve
+            dlam = np.sum(disc.weights * u * step_a) \
+                / np.sum(disc.weights * u * step_b)
+            cand = u - step_a + dlam * step_b
+        if not np.all(np.isfinite(cand)):
+            return None
+        # |min(cand, 0)|_W <= 1e-10 |cand|_W, squared
+        neg = np.sum(disc.weights * np.minimum(cand, 0.0) ** 2)
+        if neg > 1e-20 * np.sum(disc.weights * cand ** 2):
+            return None
+        return normalize(np.abs(cand))
+
     u = _initial_profile(disc, trap, mu_const, g_eff)
     u = normalize(u)
     e_old, _ = energy(u)
+    h_u, lam, _ = _rayleigh(disc, u, V, interaction_diag)
     tau = 0.2 / max(1.0, abs(e_old) / N)
     resid_hist = []
     e_hist = [e_old]
     converged = False
-    iterations = 0
+    iterations = newton_steps = 0
+    try_newton = True
 
     for iterations in range(1, tol.max_iterations + 1):
-        trial = disc.solve_shifted(tau, V + interaction_diag(u), u)
-        trial = normalize(trial)
-        e_new, _ = energy(trial)
-        if e_new > e_old + 1e-14 * abs(e_old):
-            tau *= 0.5
-            if tau < 1e-14:
-                raise NoConvergence("step size underflow in gradient flow")
-            continue
+        trial = newton_candidate(u, h_u, lam) if try_newton else None
+        if trial is not None:
+            e_new, _ = energy(trial)
+            if e_new > e_old + 1e-14 * abs(e_old):
+                trial = None
+        if trial is None:
+            # fall back on a backtracking flow step: linearized backward
+            # Euler, (A + V + int(u) + 1/tau) u_new = u / tau
+            trial = normalize(disc.solve(V + interaction_diag(u) + 1.0 / tau,
+                                         u / tau))
+            e_new, _ = energy(trial)
+            if e_new > e_old + 1e-14 * abs(e_old):
+                try_newton = False
+                tau *= 0.5
+                if tau < 1e-14:
+                    raise NoConvergence("step size underflow in gradient flow")
+                continue
+            tau = min(tau * 1.1, 2.0)
+        else:
+            newton_steps += 1
+        try_newton = True
         u = trial
+        flat = abs(e_new - e_old) <= tol.rel_tol * abs(e_new) + tol.abs_tol
         e_old = min(e_new, e_old)
         e_hist.append(e_new)
-        tau = min(tau * 1.1, 2.0)
-        res = _relative_residual(disc, u, V, interaction_diag)
+        h_u, lam, res = _rayleigh(disc, u, V, interaction_diag)
         resid_hist.append(res)
-        recent = e_hist[-6:]
-        flat = len(recent) == 6 and all(
-            abs(recent[i + 1] - recent[i]) <= tol.rel_tol * abs(recent[-1])
-            + tol.abs_tol for i in range(5))
         if res <= residual_tol and flat:
             converged = True
             break
     if not converged:
         raise NoConvergence(
-            f"gradient flow residual {resid_hist[-1]:.3e} after "
+            f"GP residual {resid_hist[-1]:.3e} after "
             f"{iterations} iterations")
 
     e_total = e_hist[-1]
@@ -342,7 +385,7 @@ def gp_minimize(trap: TrapPotential, N: float, coupling: float,
         interaction=inter, E=e_total, mu_gp=mu_gp,
         residual=resid_hist[-1], converged=True, iterations=iterations,
         residual_trace=tuple(resid_hist[-32:]),
-        energy_trace=tuple(e_hist[-64:]))
+        energy_trace=tuple(e_hist[-64:]), newton_steps=newton_steps)
 
 
 def _initial_profile(disc, trap, mu_const, g_eff):
@@ -359,12 +402,14 @@ def _initial_profile(disc, trap, mu_const, g_eff):
     return prof * r if disc.d == 3 else prof
 
 
-def _relative_residual(disc, u, V, interaction_diag):
+def _rayleigh(disc, u, V, interaction_diag):
+    """H(u) u, the Rayleigh quotient lam and the relative residual
+    |H(u) u - lam u|_W / (|lam| |u|_W) of the discrete GP equation."""
     h_u = disc.apply_kinetic(u) + (V + interaction_diag(u)) * u
     lam = float(np.sum(disc.weights * u * h_u) / np.sum(disc.weights * u * u))
     num = np.sqrt(np.sum(disc.weights * (h_u - lam * u) ** 2))
     den = abs(lam) * np.sqrt(np.sum(disc.weights * u * u))
-    return float(num / den)
+    return h_u, lam, float(num / den)
 
 
 def _box_state(trap, N, coupling, mu_const):
@@ -403,7 +448,7 @@ def gp_residual(state: GpState) -> float:
         dens = (w / disc.r) ** 2 if d == 3 else w ** 2
         return 2.0 * g_int * dens
 
-    return _relative_residual(disc, u, disc.V, interaction_diag)
+    return _rayleigh(disc, u, disc.V, interaction_diag)[2]
 
 
 def chemical_potential(state: GpState) -> float:

@@ -71,12 +71,22 @@ class DiluteParams:
     rho_a2: float = field(init=False)
 
     def __post_init__(self):
+        require_finite(rho=self.rho, a=self.a, mu=self.mu)
         if self.rho <= 0 or self.a <= 0 or self.mu <= 0:
             raise DomainError("rho, a, mu must all be positive")
         if self.d not in (2, 3):
             raise DomainError("d must be 2 or 3")
-        object.__setattr__(self, "y", float(_diluteness(self.rho, self.a)))
-        object.__setattr__(self, "rho_a2", self.rho * self.a ** 2)
+        try:
+            with np.errstate(over="ignore"):
+                y = float(_diluteness(self.rho, self.a))
+                rho_a2 = self.rho * self.a ** 2
+        except OverflowError:           # a ** 3 beyond the float range
+            y = rho_a2 = math.inf
+        if not (math.isfinite(y) and math.isfinite(rho_a2)):
+            raise DomainError(f"rho = {self.rho!r}, a = {self.a!r}: "
+                              "Y = 4 pi rho a^3 / 3 overflows")
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "rho_a2", rho_a2)
 
 
 @dataclass(frozen=True)
@@ -368,6 +378,7 @@ def cell_params_from_ansatz(p: DiluteParams, c_eps: float = 1.0,
     """
     if p.d != 3:
         raise DomainError("the Y-power ansatz is three-dimensional")
+    _check_ansatz_constants(c_eps, c_ell, c_R)
     R0 = p.a if R0 is None else R0
     eps, ell, R, n = map(float, _ansatz(p.y, p.a, p.rho, c_eps, c_ell, c_R,
                                         R0))
@@ -408,6 +419,7 @@ def cell_lower_ratio(y, c_eps: float = 1.0, c_ell: float = 1.0,
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0):
         raise DomainError("Y must be positive")
+    _check_ansatz_constants(c_eps, c_ell, c_R)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a = _libm_pow(3.0 * y / (4.0 * math.pi), 1.0 / 3.0)
         eps, ell, R, n = _ansatz(_diluteness(1.0, a), a, 1.0, c_eps, c_ell,
@@ -442,6 +454,15 @@ def cell_error_terms(p: DiluteParams, params: CellMethodParams) -> dict:
 def _diluteness(rho, a):
     """Y = 4 pi rho a^3 / 3."""
     return 4.0 * math.pi * rho * _libm_pow(a, 3) / 3.0
+
+
+def _check_ansatz_constants(c_eps, c_ell, c_R):
+    """The ansatz constants must be finite and nonnegative: a negative c_ell
+    or c_R puts a negative number under a cube root."""
+    require_finite(c_eps=c_eps, c_ell=c_ell, c_R=c_R)
+    for name, c in (("c_eps", c_eps), ("c_ell", c_ell), ("c_R", c_R)):
+        if c < 0:
+            raise DomainError(f"{name} must be nonnegative, got {c!r}")
 
 
 def _ansatz(y, a, rho, c_eps, c_ell, c_R, R0):

@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, NonIntegrableTail
+from .errors import DomainError, NonIntegrableTail, require_finite
 
 __all__ = [
     "HARD_CORE",
@@ -55,6 +55,12 @@ class PairPotential:
             raise DomainError(f"unknown pair potential kind {self.kind!r}")
         if self.dimension not in (2, 3):
             raise DomainError("dimension must be 2 or 3")
+        require_finite(core_radius=self.core_radius, strength=self.strength)
+        for r, v in self.table or ():
+            require_finite(table_radius=r, table_value=v)
+        if self.tail is not None:
+            require_finite(tail_coefficient=self.tail[0],
+                           tail_exponent=self.tail[1])
         if self.core_radius < 0:
             raise DomainError("core radius must be nonnegative")
         if self.strength < 0:
@@ -172,6 +178,9 @@ class TrapPotential:
             raise DomainError(f"unknown trap kind {self.kind!r}")
         if self.dimension not in (2, 3):
             raise DomainError("dimension must be 2 or 3")
+        require_finite(box_side=self.box_side,
+                       homogeneity_degree=self.homogeneity_degree,
+                       scale=self.scale)
         if self.kind == "box" and self.box_side <= 0:
             raise DomainError("box trap needs a positive side length")
         if self.kind != "box":
@@ -257,8 +266,11 @@ def _missing(spec: str, key: str):
     raise DomainError(f"spec {spec!r} is missing {key}=...")
 
 
-def _require(kv: dict, key: str, spec: str) -> float:
+def _require(kv: dict, key: str, spec: str,
+             default: Optional[float] = None) -> float:
     if key not in kv:
+        if default is not None:
+            return default
         raise DomainError(f"spec {spec!r} is missing {key}=...")
     try:
         return float(kv[key])
@@ -304,7 +316,7 @@ def parse_trap_potential(spec: str, dimension: int = 3) -> TrapPotential:
     if name == "harmonic":
         kv = _parse_kv(body, frozenset({"scale"}), spec)
         return TrapPotential(kind="harmonic", dimension=dimension,
-                             scale=float(kv.get("scale", 1.0)))
+                             scale=_require(kv, "scale", spec, 1.0))
     if name == "box":
         kv = _parse_kv(body, frozenset({"l"}), spec)
         return TrapPotential(kind="box", dimension=dimension,
@@ -313,5 +325,5 @@ def parse_trap_potential(spec: str, dimension: int = 3) -> TrapPotential:
         kv = _parse_kv(body, frozenset({"s", "scale"}), spec)
         return TrapPotential(kind="power-law", dimension=dimension,
                              homogeneity_degree=_require(kv, "s", spec),
-                             scale=float(kv.get("scale", 1.0)))
+                             scale=_require(kv, "scale", spec, 1.0))
     raise DomainError(f"unknown trap spec {spec!r}")

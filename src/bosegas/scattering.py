@@ -29,6 +29,7 @@ from .errors import (
     NotConverged,
     RadiusInsideRange,
     ZeroScatteringLength,
+    require_finite,
 )
 from .numerics import RadialGrid, Tolerances, integrate_ode, quad
 from .potentials import (
@@ -225,6 +226,7 @@ def solve_zero_energy(p: PairPotential, mu: float, grid: Optional[RadialGrid] = 
         stops only at segment ends gates `converged`: if a moves by more than
         10 * max(rel_tol * max(|a|, range), abs_tol), GridTooCoarse is raised.
     """
+    require_finite(mu=mu)
     if mu <= 0:
         raise DomainError("mu must be positive")
     report = tail_integrability(p)

@@ -205,6 +205,31 @@ def test_nonfinite_inputs_exit_3_naming_the_input(capsys):
         assert "DomainError" in capsys.readouterr().err
 
 
+
+def test_scatter_nonfinite_mu_exits_3_naming_mu(capsys):
+    # --mu inf once gave a = -0.0, s = nan and converged = True with exit 0
+    for mu in ("inf", "nan", "-inf"):
+        assert main(["scatter", "--potential", "squarewell:r0=1,v0=1",
+                     "--mu", mu]) == 3
+        err = capsys.readouterr().err
+        assert "DomainError: mu must be finite" in err
+        assert "Traceback" not in err
+
+
+def test_nonfinite_potential_specs_exit_3_without_warnings(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv, name in ((["scatter", "--potential", "hardcore:r0=inf"],
+                            "core_radius"),
+                           (["scatter", "--potential",
+                             "squarewell:r0=1,v0=nan"], "strength"),
+                           (["gp", "--trap", "harmonic:scale=inf",
+                             "--coupling", "1"], "scale")):
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert f"DomainError: {name} must be finite" in err
+            assert "Traceback" not in err
+
 def test_csv_determinism():
     args = ["bounds", "--y-grid", "1e-12:1e-4:7:log"]
     one = strip_timestamp(run(parse_config(args)).to_csv())

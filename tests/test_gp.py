@@ -21,7 +21,7 @@ from bosegas.gp import (_simpson, chemical_potential, coupling_2d,
                         tf_density, tf_energy, tf_scaling, tf_solve,
                         two_dim_coupling)
 from bosegas.numerics import RadialGrid
-from bosegas.potentials import TrapPotential
+from bosegas.potentials import TrapPotential, parse_trap_potential
 
 HARM3 = TrapPotential(kind="harmonic", dimension=3)
 HARM2 = TrapPotential(kind="harmonic", dimension=2)
@@ -312,3 +312,45 @@ def test_not_converged_guard():
     bad = dataclasses.replace(st, converged=False)
     with pytest.raises(NotConverged):
         chemical_potential(bad)
+
+
+# Energies computed by a pure normalized gradient flow, a reference
+# independent of the Newton steps, as (trap, d, grid_points, N, coupling, E),
+# on the shapes of the warm-sweeps benchmark.  Each pair of rows is one
+# scaling pair (N, a) and (1, N a); the last two rows are at coupling 0.
+_FLOW_ENERGIES = [
+    ("harmonic", 3, 500, 7.0, 0.04285714285714286, 22.52555794879719),
+    ("harmonic", 3, 500, 1.0, 0.3, 3.21793684982817),
+    ("power:s=4", 3, 2000, 3.0, 1.0, 20.57897230964414),
+    ("power:s=4", 3, 2000, 1.0, 3.0, 6.859657436548046),
+    ("harmonic", 3, 8000, 40.0, 0.75, 353.79471623458346),
+    ("harmonic", 3, 8000, 1.0, 30.0, 8.844867905864588),
+    ("power:s=4", 2, 8000, 12.0, 25.0, 1697.4567690090619),
+    ("power:s=4", 2, 8000, 1.0, 300.0, 141.45473075075517),
+    ("harmonic", 2, 2000, 90.0, 33.333333333333336, 13148.55997425523),
+    ("harmonic", 2, 2000, 1.0, 3000.0, 146.09511082505813),
+    ("power:s=4", 2, 500, 2.5, 12000.0, 7591.317336597429),
+    ("power:s=4", 2, 500, 1.0, 30000.0, 3036.526934638972),
+    ("harmonic", 3, 500, 1.0, 0.0, 2.9998991501266783),
+    ("power:s=4", 2, 2000, 1.0, 0.0, 2.3448190593067406),
+]
+
+
+@pytest.mark.parametrize("spec,d,points,n_part,coupling,energy",
+                         _FLOW_ENERGIES)
+def test_newton_matches_flow_energies(spec, d, points, n_part, coupling,
+                                      energy):
+    trap = parse_trap_potential(spec, dimension=d)
+    st = gp_minimize(trap, n_part, coupling, grid_points=points)
+    assert abs(st.E - energy) <= 1e-12 * abs(energy)
+    assert st.residual <= 1e-9 and gp_residual(st) <= 1e-9
+    assert st.phi.min() > 0.0
+    assert 1 <= st.newton_steps <= 10
+    assert st.newton_steps <= st.iterations
+
+
+def test_box_state_takes_no_steps():
+    box = TrapPotential(kind="box", dimension=2, box_side=3.0)
+    st = gp_minimize(box, 4.0, 0.2)
+    assert st.iterations == 0 and st.newton_steps == 0
+    assert st.E == pytest.approx(4.0 * math.pi * 0.2 * 16.0 / 9.0, rel=1e-14)

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -455,3 +456,33 @@ def test_estimate_kinds_ordered():
         upper = lead * dyson_upper_ratio(float(y))
         lower = cell_lower_bound(p).value
         assert lower <= upper
+
+
+def test_dilute_params_reject_overflow_and_nonfinite_inputs():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kwargs in ({"rho": 1.0, "a": 1e200}, {"rho": 1e300, "a": 1e10},
+                       {"rho": 1.0, "a": 1e200, "d": 2}):
+            with pytest.raises(DomainError, match="overflows"):
+                DiluteParams(**kwargs)
+        for kwargs, name in (({"rho": math.nan, "a": 1.0}, "rho"),
+                             ({"rho": 1.0, "a": math.inf}, "a"),
+                             ({"rho": 1.0, "a": 1.0, "mu": math.nan}, "mu")):
+            with pytest.raises(DomainError, match=f"^{name} must be finite"):
+                DiluteParams(**kwargs)
+
+
+@pytest.mark.parametrize("name", ["c_eps", "c_ell", "c_R"])
+@pytest.mark.parametrize("value,message", [(-1.0, "must be nonnegative"),
+                                           (math.nan, "must be finite"),
+                                           (math.inf, "must be finite")])
+def test_cell_method_rejects_bad_ansatz_constants(name, value, message):
+    p = DiluteParams(rho=1.0, a=1e-5, mu=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: cell_params_from_ansatz(p, **{name: value}),
+                     lambda: cell_lower_bound(p, **{name: value}),
+                     lambda: cell_lower_ratio(np.array([1e-12, 1e-9]),
+                                              **{name: value})):
+            with pytest.raises(DomainError, match=f"^{name} {message}"):
+                call()

@@ -1,6 +1,7 @@
 """Pair- and trap-potential representation tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -124,3 +125,54 @@ def test_spec_string_parsing(tmp_path):
         parse_pair_potential("squarewell:ro=1,v0=3")
     with pytest.raises(DomainError):
         parse_trap_potential("funnel:s=1")
+
+
+@pytest.mark.parametrize("kwargs,name", [
+    ({"kind": "hard-core", "core_radius": math.inf}, "core_radius"),
+    ({"kind": "square-well", "core_radius": math.nan, "strength": 1.0},
+     "core_radius"),
+    ({"kind": "soft-sphere", "core_radius": 1.0, "strength": math.inf},
+     "strength"),
+    ({"kind": "tabulated", "table": ((1.0, 2.0), (math.inf, 0.0))},
+     "table_radius"),
+    ({"kind": "tabulated", "table": ((1.0, math.nan), (2.0, 0.0))},
+     "table_value"),
+    ({"kind": "square-well", "core_radius": 1.0, "strength": 1.0,
+      "tail": (math.inf, 4.0)}, "tail_coefficient"),
+    ({"kind": "square-well", "core_radius": 1.0, "strength": 1.0,
+      "tail": (1.0, math.nan)}, "tail_exponent"),
+])
+def test_pair_potential_rejects_nonfinite_fields(kwargs, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            PairPotential(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs,name", [
+    ({"kind": "box", "box_side": math.inf}, "box_side"),
+    ({"kind": "harmonic", "scale": math.nan}, "scale"),
+    ({"kind": "power-law", "homogeneity_degree": math.inf},
+     "homogeneity_degree"),
+    ({"kind": "power-law", "homogeneity_degree": 4.0, "scale": -math.inf},
+     "scale"),
+])
+def test_trap_potential_rejects_nonfinite_fields(kwargs, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            TrapPotential(**kwargs)
+
+
+def test_nonfinite_specs_fail_before_any_numerics():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spec, name in (("hardcore:r0=inf", "core_radius"),
+                           ("squarewell:r0=1,v0=nan", "strength")):
+            with pytest.raises(DomainError, match=f"^{name} must be finite"):
+                parse_pair_potential(spec)
+        with pytest.raises(DomainError, match="^homogeneity_degree must be"):
+            parse_trap_potential("power:s=inf")
+        for spec in ("harmonic:scale=abc", "power:s=4,scale=x"):
+            with pytest.raises(DomainError, match="is not a number"):
+                parse_trap_potential(spec)
