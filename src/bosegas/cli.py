@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import difflib
+import functools
 import json
 import math
 import sys
@@ -40,8 +41,6 @@ __all__ = ["RunConfig", "Report", "parse_config", "serialize_config", "run",
 _COMMON = {
     "output": (str, None, "path"),
     "format": (str, "csv", "csv|json"),
-    "abs_tol": (float, None, "dimensionless"),
-    "rel_tol": (float, None, "dimensionless"),
 }
 
 _SCHEMAS: Dict[str, Dict[str, tuple]] = {
@@ -49,6 +48,8 @@ _SCHEMAS: Dict[str, Dict[str, tuple]] = {
         "potential": (str, "__required__", "spec string"),
         "mu": (float, 1.0, "energy*length^2"),
         "dim": (int, 3, "2|3"),
+        "abs_tol": (float, None, "dimensionless"),
+        "rel_tol": (float, None, "dimensionless"),
     },
     "bounds": {
         "dim": (int, 3, "2|3"),
@@ -97,59 +98,65 @@ class RunConfig:
     parameters: dict
     output_path: Optional[str] = None
     output_format: str = "csv"
-    abs_tol: Optional[float] = None
-    rel_tol: Optional[float] = None
 
 
 @dataclass
 class Report:
+    """A command's rows, each keyed by the column names in column order.
+
+    Both formats read one table of cell text, built when the report is first
+    serialised; change no row after that."""
     metadata: dict
     columns: List[Tuple[str, str]]   # (name, unit)
     rows: List[dict] = field(default_factory=list)
 
+    @functools.cached_property
+    def _cells(self) -> List[Tuple[list, list]]:
+        """Per column, the CSV and the JSON text of every cell."""
+        return [_format_column([row[name] for row in self.rows])
+                for name, _ in self.columns]
+
     def to_csv(self) -> str:
-        lines = [f"# command = {self.metadata['command']}",
-                 f"# config = {self.metadata['config']}",
-                 f"# version = {self.metadata['version']}",
-                 f"# timestamp = {self.metadata['timestamp']}"]
+        lines = [f"# {key} = {self.metadata[key]}"
+                 for key in ("command", "config", "version", "timestamp")]
         units = "; ".join(f"{name} [{unit}]" for name, unit in self.columns)
         lines.append(f"# units: {units}")
-        names = [name for name, _ in self.columns]
-        lines.append(",".join(names))
-        lines.extend(",".join([_fmt(row[name]) for name in names])
-                     for row in self.rows)
+        lines.append(",".join(name for name, _ in self.columns))
+        lines.extend(map(",".join, zip(*(csv for csv, _ in self._cells))))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        payload = {
-            "metadata": dict(self.metadata,
-                             columns=[{"name": n, "unit": u}
-                                      for n, u in self.columns]),
-            "rows": self.rows,
-        }
-        return json.dumps(payload, indent=2, default=_json_default) + "\n"
+        """What json.dumps(indent=2) writes, with the rows joined from cells."""
+        head = json.dumps({"metadata": dict(self.metadata, columns=[
+            {"name": n, "unit": u} for n, u in self.columns]), "rows": []},
+            indent=2)[:-len("[]\n}")]
+        if not self.rows:
+            return head + "[]\n}\n"
+        row = ",\n".join(f"      {json.dumps(name).replace('%', '%%')}: %s"
+                         for name, _ in self.columns)
+        row = "    {\n" + row + "\n    }"
+        body = ",\n".join(row % cells
+                          for cells in zip(*(js for _, js in self._cells)))
+        return head + "[\n" + body + "\n  ]\n}\n"
 
 
-def _fmt(value) -> str:
-    if type(value) is float:
-        return repr(value)
-    if type(value) is bool:
-        return str(value)
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, np.integer):
-        return str(int(value))
-    return str(value)
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_default(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.bool_):
-        return bool(value)
-    raise TypeError(f"not serializable: {type(value)}")
+def _format_column(values: list) -> Tuple[list, list]:
+    """The CSV and the JSON text of each value, each formatted once: floats
+    by repr (NaN and Infinity in JSON), bools True/False and true/false,
+    strings raw and quoted; numpy scalars as the Python scalars they hold."""
+    if all(isinstance(v, float) for v in values):
+        csv = list(map(float.__repr__, values))
+        if all(map(math.isfinite, values)):
+            return csv, csv
+        return csv, [_JSON_NONFINITE.get(c, c) for c in csv]
+    if all(isinstance(v, (bool, np.bool_)) for v in values):
+        return ([("False", "True")[bool(v)] for v in values],
+                [("false", "true")[bool(v)] for v in values])
+    values = [v.item() if isinstance(v, np.generic) else v for v in values]
+    return list(map(str, values)), list(map(json.dumps, values))
 
 
 def _coerce(key, raw, typ):
@@ -234,7 +241,6 @@ def parse_config(argv: List[str]) -> RunConfig:
     parameters: Dict[str, object] = {}
     out_path: Optional[str] = None
     out_format = "csv"
-    abs_tol = rel_tol = None
     for key, raw in merged.items():
         if key not in valid:
             raise UnknownKey(_suggest(key, valid))
@@ -245,10 +251,6 @@ def parse_config(argv: List[str]) -> RunConfig:
             if out_format not in ("csv", "json"):
                 raise ParseError(f"format must be csv or json, "
                                  f"got {out_format!r}")
-        elif key == "abs_tol":
-            abs_tol = _coerce(key, raw, float)
-        elif key == "rel_tol":
-            rel_tol = _coerce(key, raw, float)
         else:
             parameters[key] = _coerce(key, raw, schema[key][0])
     for key, (typ, default, _unit) in schema.items():
@@ -259,8 +261,7 @@ def parse_config(argv: List[str]) -> RunConfig:
             if default is not None:
                 parameters[key] = default
     return RunConfig(command=command, parameters=parameters,
-                     output_path=out_path, output_format=out_format,
-                     abs_tol=abs_tol, rel_tol=rel_tol)
+                     output_path=out_path, output_format=out_format)
 
 
 def serialize_config(config: RunConfig) -> str:
@@ -269,12 +270,8 @@ def serialize_config(config: RunConfig) -> str:
                                "format": config.output_format}
     if config.output_path is not None:
         flat["output"] = config.output_path
-    if config.abs_tol is not None:
-        flat["abs_tol"] = config.abs_tol
-    if config.rel_tol is not None:
-        flat["rel_tol"] = config.rel_tol
     flat.update(config.parameters)
-    return json.dumps(flat, sort_keys=True, default=_json_default)
+    return json.dumps(flat, sort_keys=True)
 
 
 def _parse_sweep(text: str) -> np.ndarray:
@@ -300,20 +297,16 @@ def _parse_sweep(text: str) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _tolerances(config: RunConfig) -> Optional[Tolerances]:
-    if config.abs_tol is None and config.rel_tol is None:
-        return None
-    return Tolerances(abs_tol=config.abs_tol or 0.0,
-                      rel_tol=config.rel_tol or 0.0)
-
-
 # --- command implementations -----------------------------------------------------
 
 
 def _run_scatter(config: RunConfig) -> Tuple[list, list]:
     pars = config.parameters
     p = parse_pair_potential(pars["potential"], dimension=pars["dim"])
-    sol = scattering.solve_zero_energy(p, pars["mu"], tol=_tolerances(config))
+    abs_tol, rel_tol = pars.get("abs_tol"), pars.get("rel_tol")
+    tol = None if abs_tol is None and rel_tol is None else \
+        Tolerances(abs_tol=abs_tol or 0.0, rel_tol=rel_tol or 0.0)
+    sol = scattering.solve_zero_energy(p, pars["mu"], tol=tol)
     try:
         born = scattering.born_integral(p)
     except BoseGasError:
@@ -323,8 +316,8 @@ def _run_scatter(config: RunConfig) -> Tuple[list, list]:
         "dim": p.dimension,
         "mu": pars["mu"],
         "a": sol.a,
-        "s": scattering.kinetic_fraction(sol) if p.dimension == 3 and sol.a > 0
-        else (1.0 if p.dimension == 2 else math.nan),
+        "s": scattering.kinetic_fraction(sol) if sol.has_kinetic_fraction
+        else math.nan,
         "born_integral": born,
         "converged": sol.converged,
     }
@@ -499,6 +492,7 @@ _HELP = """bosegas COMMAND [--key value ...]
 
 Commands and their keys (defaults in parentheses):
   scatter      --potential SPEC  --mu (1.0)  --dim (3)
+               --abs-tol X  --rel-tol X   [ODE tolerances]
                potential specs: hardcore:r0=X | squarewell:r0=X,v0=Y
                                 softsphere:r0=X,v0=Y | table:path=FILE
   bounds       --dim (3)  --y-grid (1e-12:1e-4:50:log)  --lower-c (8.9)
@@ -513,7 +507,7 @@ Commands and their keys (defaults in parentheses):
   verify       (no keys; runs the invariant battery)
 
 Common keys: --config FILE (flat JSON; flags override), --output PATH,
-  --format csv|json, --abs-tol X, --rel-tol X.
+  --format csv|json.
 Sweeps use lo:hi:points[:log].
 Exit codes: 0 ok, 2 config error, 3 numerical failure.
 """

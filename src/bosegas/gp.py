@@ -252,7 +252,8 @@ def gp_minimize(trap: TrapPotential, N: float, coupling: float,
                 residual_tol: float = 1e-9) -> GpState:
     """Minimize the GP functional at particle number N.
 
-    Returns a state with phi > 0 on the grid, the energy breakdown, the
+    Returns a state with phi >= 0 on the grid, positive except where the
+    far tail underflows to 0 at extreme coupling, the energy breakdown, the
     chemical potential E/N + (4 pi mu c/N) int phi^4, and the relative
     residual of the discrete GP equation.  The solve stops at the first
     accepted step (Newton or flow) whose residual is <= residual_tol and

@@ -262,10 +262,6 @@ def _parse_kv(body: str, allowed: frozenset, spec: str) -> dict:
     return out
 
 
-def _missing(spec: str, key: str):
-    raise DomainError(f"spec {spec!r} is missing {key}=...")
-
-
 def _require(kv: dict, key: str, spec: str,
              default: Optional[float] = None) -> float:
     if key not in kv:
@@ -295,8 +291,10 @@ def parse_pair_potential(spec: str, dimension: int = 3) -> PairPotential:
                              strength=_require(kv, "v0", spec))
     if name == "table":
         kv = _parse_kv(body, frozenset({"path"}), spec)
+        # an empty or absent path raises _require's missing-key error
+        path = kv.get("path") or _require({}, "path", spec)
         rows = []
-        with open(kv.get("path") or _missing(spec, "path"), newline="") as fh:
+        with open(path, newline="") as fh:
             for row in csv.reader(fh):
                 if not row or not row[0].strip():
                     continue

@@ -74,6 +74,11 @@ class ScatteringSolution:
     kin_interior: float   # int (u' - u/r)^2 dr (3D) / int psi'^2 r dr (2D), raw
     pot_interior: float   # int v u^2 dr (3D) / int v psi^2 r dr (2D), raw
 
+    @property
+    def has_kinetic_fraction(self) -> bool:
+        """Whether kinetic_fraction defines s: in 2D, or for a > 1e-12 range."""
+        return self.dimension == 2 or self.a > 1e-12 * self.range_radius
+
 
 def _a_estimate(p: PairPotential, mu: float) -> float:
     if p.has_hard_core():
@@ -304,7 +309,7 @@ def kinetic_fraction(sol: ScatteringSolution) -> float:
         return 1.0
     if not sol.converged:
         raise NotConverged("solution did not pass the convergence gate")
-    if not (sol.a > 1e-12 * sol.range_radius):
+    if not sol.has_kinetic_fraction:
         raise ZeroScatteringLength("kinetic fraction undefined for a = 0")
     return sol.s
 

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import bosegas
-from bosegas.cli import (RunConfig, _parse_sweep, main, parse_config, run,
-                         serialize_config)
+from bosegas.cli import (_RUNNERS, Report, RunConfig, _parse_sweep, main,
+                         parse_config, run, serialize_config)
 from bosegas.errors import ParseError, UnknownKey
 
 
@@ -65,16 +65,44 @@ def test_config_file_and_flag_override(tmp_path):
 
 
 def test_round_trip_identity(tmp_path):
-    cfg = RunConfig(command="bounds",
-                    parameters={"dim": 3, "y_grid": "1e-10:1e-6:5:log",
-                                "rho_a2_grid": "1e-30:1e-6:25:log",
-                                "lower_c": 8.9},
-                    output_path="out.csv", output_format="csv",
-                    abs_tol=1e-10, rel_tol=None)
-    path = tmp_path / "round.json"
-    path.write_text(serialize_config(cfg))
-    again = parse_config(["--config", str(path)])
-    assert again == cfg
+    bounds = RunConfig(command="bounds",
+                       parameters={"dim": 3, "y_grid": "1e-10:1e-6:5:log",
+                                   "rho_a2_grid": "1e-30:1e-6:25:log",
+                                   "lower_c": 8.9},
+                       output_path="out.csv", output_format="csv")
+    scatter = RunConfig(command="scatter",
+                        parameters={"potential": "squarewell:r0=1,v0=2",
+                                    "mu": 1.0, "dim": 3, "abs_tol": 1e-10},
+                        output_path="out.csv", output_format="csv")
+    for cfg in (bounds, scatter):
+        path = tmp_path / "round.json"
+        path.write_text(serialize_config(cfg))
+        again = parse_config(["--config", str(path)])
+        assert again == cfg
+
+
+def test_tolerance_keys_only_for_scatter(capsys):
+    cfg = parse_config(["scatter", "--potential", "squarewell:r0=1,v0=2",
+                        "--abs-tol", "1e-11", "--rel-tol", "1e-9"])
+    assert (cfg.parameters["abs_tol"], cfg.parameters["rel_tol"]) \
+        == (1e-11, 1e-9)
+    assert run(cfg).rows[0]["converged"]
+    for argv in (["bounds", "--rel-tol", "5"],
+                 ["gp", "--coupling", "1", "--abs-tol", "-3"],
+                 ["tf", "--coupling", "1", "--rel-tol", "1e-3"],
+                 ["verify", "--abs-tol", "1e-8"]):
+        assert main(argv) == 2
+        assert "UnknownKey" in capsys.readouterr().err
+
+
+def test_scatter_tiny_positive_a_reports_nan_s(capsys):
+    # 0 < a <= 1e-12 * range: kinetic_fraction leaves s undefined
+    argv = ["scatter", "--potential", "squarewell:r0=0.1,v0=1e-12"]
+    row = run(parse_config(argv)).rows[0]
+    assert 0.0 < row["a"] < 1e-12 * 0.1
+    assert math.isnan(row["s"])
+    assert main(argv) == 0
+    assert ",nan," in capsys.readouterr().out
 
 
 def test_scatter_report_values():
@@ -348,3 +376,126 @@ def test_cold_commands_do_not_load_scipy():
     assert seen["cold"] == []
     assert seen["gp"] == []
     assert seen["verify_loaded"] is False
+
+
+# --- report writer against independent oracles -----------------------------------
+
+_EVERY_COMMAND = [
+    ["scatter", "--potential", "hardcore:r0=1"],
+    ["scatter", "--potential", "squarewell:r0=1,v0=10", "--mu", "2"],
+    ["scatter", "--potential", "squarewell:r0=1,v0=0.5", "--dim", "2"],
+    ["bounds", "--y-grid", "1e-300:1e-4:40:log"],
+    ["bounds", "--dim", "2", "--rho-a2-grid", "1e-20:1e-8:4:log"],
+    ["gp", "--coupling", "100", "--grid-points", "300"],
+    ["gp", "--coupling", "30", "--dim", "2", "--trap", "power:s=4",
+     "--grid-points", "300"],
+    ["tf", "--coupling", "100"],
+    ["tf", "--coupling", "1", "--dim", "2"],
+    ["gp-tf-limit", "--g-grid", "10:1000:3:log", "--grid-points", "300"],
+    ["foldy", "--rho-grid", "1:256:3:log"],
+    ["bogolubov", "--a-value", "5", "--b-value", "3"],
+    ["verify"],
+]
+
+
+def _old_fmt(value) -> str:
+    """The CSV cell text of the per-cell writer the report once used."""
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, np.integer):
+        return str(int(value))
+    return str(value)
+
+
+def _oracle_csv(report) -> str:
+    lines = [f"# {key} = {report.metadata[key]}"
+             for key in ("command", "config", "version", "timestamp")]
+    lines.append("# units: " + "; ".join(f"{name} [{unit}]"
+                                         for name, unit in report.columns))
+    names = [name for name, _ in report.columns]
+    lines.append(",".join(names))
+    lines.extend(",".join(_old_fmt(row[name]) for name in names)
+                 for row in report.rows)
+    return "\n".join(lines) + "\n"
+
+
+def _numpy_scalar(value):
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"not serializable: {type(value)}")
+
+
+def _oracle_json(report) -> str:
+    payload = {"metadata": dict(report.metadata,
+                                columns=[{"name": n, "unit": u}
+                                         for n, u in report.columns]),
+               "rows": report.rows}
+    return json.dumps(payload, indent=2, default=_numpy_scalar) + "\n"
+
+
+def _synthetic_report(rows):
+    columns = [("x", "length"), ("flag", "bool"), ("n", "count"),
+               ("text", "spec"), ("np_x", "energy"), ("np_flag", "bool"),
+               ("np_n", "count"), ("mixed", "any")]
+    rows = [dict(zip([name for name, _ in columns], row)) for row in rows]
+    metadata = {"command": "synthetic", "config": '{"a": "b\\\\c"}',
+                "version": bosegas.__version__, "timestamp": "now"}
+    return Report(metadata=metadata, columns=columns, rows=rows)
+
+
+_SYNTHETIC_ROWS = [
+    (1.5, True, 3, 'say "hi"', np.float64(0.1), np.bool_(True),
+     np.int64(7), 1),
+    (math.nan, False, -2, "back\\slash", np.float64(math.nan),
+     np.bool_(False), np.int64(-1), "plain"),
+    (math.inf, np.bool_(True), 0, "Ω café ünï", np.float64(-math.inf),
+     False, np.int64(2 ** 62), np.float32(0.1)),
+    (-math.inf, True, 10 ** 20, "squarewell:r0=1,v0=10", 1e-300,
+     np.bool_(True), np.int64(0), np.float64(math.inf)),
+    (np.float64(-0.0), False, 1, "tab\there\nline", 5e-324, True,
+     np.int64(3), None),
+    (1e300, True, 2, "", math.nan, False, np.int64(4), True),
+]
+
+
+@pytest.fixture(scope="module")
+def command_reports():
+    return [run(parse_config(argv)) for argv in _EVERY_COMMAND]
+
+
+@pytest.fixture
+def synthetic_reports():
+    return [_synthetic_report(_SYNTHETIC_ROWS),
+            _synthetic_report(_SYNTHETIC_ROWS[:1]), _synthetic_report([])]
+
+
+def test_reports_cover_every_command(command_reports):
+    assert {r.metadata["command"] for r in command_reports} \
+        == set(_RUNNERS)
+
+
+def test_row_keys_are_the_column_names_in_order(command_reports):
+    for report in command_reports:
+        names = [name for name, _ in report.columns]
+        assert report.rows
+        for row in report.rows:
+            assert list(row) == names
+
+
+def test_json_matches_json_dumps(command_reports, synthetic_reports):
+    for report in command_reports + synthetic_reports:
+        assert report.to_json() == _oracle_json(report)
+        assert report.to_json() == _oracle_json(report)   # cached cells
+
+
+def test_csv_matches_per_cell_writer(command_reports, synthetic_reports):
+    for report in command_reports + synthetic_reports:
+        assert report.to_csv() == _oracle_csv(report)
+        assert report.to_csv() == _oracle_csv(report)     # cached cells
+    text, js = synthetic_reports[0].to_csv(), synthetic_reports[0].to_json()
+    assert "\nnan,False," in text and "\ninf,True," in text
+    assert "\n-inf,True," in text
+    assert '"x": NaN' in js and '"x": Infinity' in js
+    assert '"x": -Infinity' in js and '"flag": true' in js

@@ -354,3 +354,14 @@ def test_box_state_takes_no_steps():
     st = gp_minimize(box, 4.0, 0.2)
     assert st.iterations == 0 and st.newton_steps == 0
     assert st.E == pytest.approx(4.0 * math.pi * 0.2 * 16.0 / 9.0, rel=1e-14)
+
+
+def test_far_tail_may_underflow_to_zero():
+    # at extreme coupling the box is far wider than the profile's decay, so
+    # the tail underflows: phi >= 0, not phi > 0
+    residual_tol = 1e-9
+    state = gp_minimize(HARM2, 1.0, 1e7, grid_points=2000,
+                        residual_tol=residual_tol)
+    assert np.all(np.isfinite(state.phi))
+    assert np.all(state.phi >= 0.0)
+    assert state.residual <= residual_tol

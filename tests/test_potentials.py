@@ -127,6 +127,17 @@ def test_spec_string_parsing(tmp_path):
         parse_trap_potential("funnel:s=1")
 
 
+def test_missing_spec_keys_name_the_key():
+    for spec, key in (("table:", "path"), ("table:path=", "path"),
+                      ("hardcore:", "r0"), ("squarewell:r0=1", "v0"),
+                      ("power:scale=2", "s")):
+        parse = parse_trap_potential if spec.startswith("power") \
+            else parse_pair_potential
+        with pytest.raises(DomainError) as err:
+            parse(spec)
+        assert str(err.value) == f"spec {spec!r} is missing {key}=..."
+
+
 @pytest.mark.parametrize("kwargs,name", [
     ({"kind": "hard-core", "core_radius": math.inf}, "core_radius"),
     ({"kind": "square-well", "core_radius": math.nan, "strength": 1.0},
