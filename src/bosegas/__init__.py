@@ -9,7 +9,7 @@ laws, and the Bogolubov pairing treatment of the charged gas.
 __version__ = "0.1.0"
 
 from .errors import BoseGasError, DomainError
-from .numerics import RadialGrid, Tolerances, find_root, gamma_fn, integrate_ode, quad
+from .numerics import RadialGrid, Tolerances, find_root, integrate_ode, quad
 from .potentials import (
     HARD_CORE,
     PairPotential,
@@ -50,7 +50,6 @@ from .gp import (
     TfState,
     chemical_potential,
     coupling_2d,
-    gp_energy,
     gp_minimize,
     gp_residual,
     gp_tf_limit,

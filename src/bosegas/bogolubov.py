@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, TruncationNotConverged, require_finite
-from .numerics import Tolerances, gamma_fn, quad
+from .numerics import Tolerances, quad
 
 __all__ = [
     "BogolubovMode",
@@ -181,8 +181,8 @@ def foldy_dimensionless_integral(tol: Optional[Tolerances] = None) -> float:
 
 def foldy_gamma_closed_form() -> float:
     """2^(3/4) sqrt(pi) Gamma(3/4) / (5 Gamma(5/4))."""
-    return (2.0 ** 0.75 * math.sqrt(math.pi) * gamma_fn(0.75)
-            / (5.0 * gamma_fn(1.25)))
+    return (2.0 ** 0.75 * math.sqrt(math.pi) * math.gamma(0.75)
+            / (5.0 * math.gamma(1.25)))
 
 
 def foldy_energy(rho: float, mu_const: float = 1.0) -> float:
@@ -190,7 +190,7 @@ def foldy_energy(rho: float, mu_const: float = 1.0) -> float:
     -(2/5)(Gamma(3/4)/Gamma(5/4)) (2/(mu pi))^(1/4) rho^(1/4)."""
     if rho <= 0:
         raise DomainError("rho must be positive")
-    coeff = 0.4 * gamma_fn(0.75) / gamma_fn(1.25) \
+    coeff = 0.4 * math.gamma(0.75) / math.gamma(1.25) \
         * (2.0 / (mu_const * math.pi)) ** 0.25
     return -coeff * rho ** 0.25
 

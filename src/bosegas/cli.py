@@ -146,7 +146,8 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 def _format_column(values: list) -> Tuple[list, list]:
     """The CSV and the JSON text of each value, each formatted once: floats
     by repr (NaN and Infinity in JSON), bools True/False and true/false,
-    strings raw and quoted; numpy scalars as the Python scalars they hold."""
+    other values by str (quoted in CSV where RFC 4180 needs it) and by
+    json.dumps; numpy scalars as the Python scalars they hold."""
     if all(isinstance(v, float) for v in values):
         csv = list(map(float.__repr__, values))
         if all(map(math.isfinite, values)):
@@ -156,7 +157,14 @@ def _format_column(values: list) -> Tuple[list, list]:
         return ([("False", "True")[bool(v)] for v in values],
                 [("false", "true")[bool(v)] for v in values])
     values = [v.item() if isinstance(v, np.generic) else v for v in values]
-    return list(map(str, values)), list(map(json.dumps, values))
+    return [_csv_quote(str(v)) for v in values], list(map(json.dumps, values))
+
+
+def _csv_quote(text: str) -> str:
+    """RFC 4180: quote a cell holding , " CR or LF; double inner quotes."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _coerce(key, raw, typ):
@@ -455,12 +463,16 @@ def _run_bogolubov(config: RunConfig) -> Tuple[list, list]:
 
 
 def _run_verify(config: RunConfig) -> Tuple[list, list]:
-    from .verify import run_all     # 450 lines of checks only this command needs
-    results = run_all()
-    rows = [{"suite": r.suite, "check": r.name, "passed": r.passed,
-             "detail": r.detail.replace(",", ";")} for r in results]
+    from .verify import run_all     # only this command runs the registry
+    rows = [{"suite": r.entry.suite, "check": r.entry.name,
+             "passed": r.passed, "observed": r.observed,
+             "tolerance": r.entry.tolerance,
+             "margin": (r.entry.tolerance / r.observed if r.observed
+                        else math.inf),
+             "detail": r.detail} for r in run_all()]
     columns = [("suite", "name"), ("check", "name"), ("passed", "bool"),
-               ("detail", "text")]
+               ("observed", "per check"), ("tolerance", "per check"),
+               ("margin", "tolerance/observed"), ("detail", "text")]
     return columns, rows
 
 

@@ -32,7 +32,6 @@ from .potentials import TrapPotential
 __all__ = [
     "GpState",
     "TfState",
-    "gp_energy",
     "gp_minimize",
     "gp_residual",
     "chemical_potential",
@@ -210,38 +209,6 @@ def _tf_mu_closed(trap: TrapPotential, mu_const: float, d: int,
     return (target / coeff) ** (s / (s + d))
 
 
-# --- energy quadrature (user-facing) --------------------------------------------
-
-
-def gp_energy(phi: np.ndarray, trap: TrapPotential, coupling: float,
-              mu_const: float = 1.0, d: int = 3,
-              grid: Optional[RadialGrid] = None):
-    """(kinetic, trap, interaction) of the GP functional for a radial profile.
-
-    Trapezoid quadrature with the r^(d-1) Jacobian; phi' by central
-    differences.  For a box trap the profile must be the constant closed
-    form and the gradient term vanishes by construction.
-    """
-    phi = np.asarray(phi, dtype=float)
-    g_int = _interaction_coeff(mu_const, coupling)
-    if trap.kind == "box":
-        if phi.size and not np.allclose(phi, phi.flat[0], rtol=1e-12, atol=0):
-            raise DomainError("box-trap profiles are the constant closed form")
-        volume = trap.box_side ** d
-        value = float(phi.flat[0]) if phi.size else 0.0
-        return 0.0, 0.0, g_int * value ** 4 * volume
-    if grid is None:
-        raise DomainError("power-law traps need the radial grid")
-    r = grid.nodes
-    jac = _omega(d) * r ** (d - 1)
-    dphi = np.gradient(phi, r)
-    v = np.asarray(trap.radial(r), dtype=float)
-    kinetic = np.trapezoid(mu_const * dphi ** 2 * jac, r)
-    trap_e = np.trapezoid(v * phi ** 2 * jac, r)
-    inter = np.trapezoid(g_int * phi ** 4 * jac, r)
-    return float(kinetic), float(trap_e), float(inter)
-
-
 # --- the minimizer ---------------------------------------------------------------
 
 
@@ -378,8 +345,7 @@ def gp_minimize(trap: TrapPotential, N: float, coupling: float,
     quartic = float(np.sum(disc.weights * (phi * r) ** 4 / r ** 2)) if d == 3 \
         else float(np.sum(disc.weights * phi ** 4))
     mu_gp = e_total / N + g_int / N * quartic
-    grid = RadialGrid(r_min=float(r[0]), r_max=float(r[-1]), nodes=r,
-                      spacing_mode="uniform")
+    grid = RadialGrid(r_min=float(r[0]), r_max=float(r[-1]), nodes=r)
     return GpState(
         dimension=d, trap=trap, N=N, coupling=coupling, mu_const=mu_const,
         grid=grid, phi=phi, kinetic=kin, trap_energy=trap_e,
@@ -422,8 +388,7 @@ def _box_state(trap, N, coupling, mu_const):
     inter = g_int * N * N / volume
     n_nodes = 33
     nodes = np.linspace(L / n_nodes, L, n_nodes)
-    grid = RadialGrid(r_min=float(nodes[0]), r_max=L, nodes=nodes,
-                      spacing_mode="uniform")
+    grid = RadialGrid(r_min=float(nodes[0]), r_max=L, nodes=nodes)
     mu_gp = 2.0 * inter / N
     return GpState(dimension=d, trap=trap, N=N, coupling=coupling,
                    mu_const=mu_const, grid=grid,

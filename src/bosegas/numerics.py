@@ -1,4 +1,4 @@
-"""Shared numerical kernels: ODE integration, quadrature, root finding, Gamma.
+"""Shared numerical kernels: ODE integration, quadrature and root finding.
 
 All routines are deterministic pure functions of their arguments; nothing in
 this module keeps global state, so values can be shared freely between
@@ -28,7 +28,6 @@ __all__ = [
     "integrate_ode",
     "quad",
     "find_root",
-    "gamma_fn",
 ]
 
 
@@ -60,7 +59,6 @@ class RadialGrid:
     r_min: float
     r_max: float
     nodes: np.ndarray = field(repr=False)
-    spacing_mode: str = "uniform"
 
     def __post_init__(self):
         nodes = np.array(self.nodes, dtype=float, copy=True)
@@ -81,7 +79,7 @@ class RadialGrid:
     @classmethod
     def uniform(cls, r_min: float, r_max: float, n: int) -> "RadialGrid":
         nodes = np.linspace(r_min, r_max, n)
-        return cls(r_min=r_min, r_max=r_max, nodes=nodes, spacing_mode="uniform")
+        return cls(r_min=r_min, r_max=r_max, nodes=nodes)
 
     @classmethod
     def geometric(cls, r_min: float, r_max: float, n: int) -> "RadialGrid":
@@ -89,17 +87,7 @@ class RadialGrid:
             raise DomainError("geometric spacing requires r_min > 0")
         nodes = np.geomspace(r_min, r_max, n)
         nodes[0], nodes[-1] = r_min, r_max
-        return cls(r_min=r_min, r_max=r_max, nodes=nodes, spacing_mode="geometric")
-
-    def refined(self) -> "RadialGrid":
-        """Grid with midpoints inserted between all nodes (for step-halving checks)."""
-        nodes = self.nodes
-        mid = 0.5 * (nodes[:-1] + nodes[1:])
-        merged = np.empty(nodes.size + mid.size)
-        merged[0::2] = nodes
-        merged[1::2] = mid
-        return RadialGrid(r_min=self.r_min, r_max=self.r_max, nodes=merged,
-                          spacing_mode=self.spacing_mode)
+        return cls(r_min=r_min, r_max=r_max, nodes=nodes)
 
 
 # Dormand-Prince 8(5,3) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
@@ -445,9 +433,3 @@ def _brent(f, xpre, xcur, fpre, fcur, xtol, rtol, maxiter) -> float:
     raise NoConvergence(f"root not bracketed to tolerance after {maxiter} "
                         f"iterations; last iterate {xcur!r}")
 
-
-def gamma_fn(x: float) -> float:
-    """Gamma function for x > 0 (standard library implementation)."""
-    if x <= 0:
-        raise DomainError("gamma_fn requires x > 0")
-    return math.gamma(x)

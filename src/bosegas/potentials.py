@@ -30,7 +30,7 @@ __all__ = [
 
 HARD_CORE = math.inf
 
-_PAIR_KINDS = ("hard-core", "square-well", "soft-sphere", "tabulated")
+_PAIR_KINDS = ("hard-core", "square-well", "tabulated")
 _TRAP_KINDS = ("box", "harmonic", "power-law")
 
 
@@ -38,8 +38,8 @@ _TRAP_KINDS = ("box", "harmonic", "power-law")
 class PairPotential:
     """Radially symmetric two-body potential, tagged with its dimension.
 
-    ``square-well`` and ``soft-sphere`` both denote the repulsive step
-    V0 * 1[r < R0]; both names are kept for interface compatibility.
+    ``square-well`` is the repulsive step V0 * 1[r < R0] (the spec parser
+    also reads it as ``softsphere``).
     An optional tail adds C_t * r^-p beyond the finite range.
     """
 
@@ -67,7 +67,7 @@ class PairPotential:
             raise DomainError("strength must be nonnegative (v >= 0)")
         if self.kind == "hard-core" and self.core_radius <= 0:
             raise DomainError("hard core needs core_radius > 0")
-        if self.kind in ("square-well", "soft-sphere") and self.core_radius <= 0:
+        if self.kind == "square-well" and self.core_radius <= 0:
             raise DomainError("step potential needs core_radius > 0")
         if self.kind == "tabulated":
             if not self.table:
@@ -114,7 +114,7 @@ def pair_value(p: PairPotential, r: float) -> float:
         raise DomainError("pair_value requires r > 0")
     if p.kind == "hard-core":
         base = HARD_CORE if r < p.core_radius else 0.0
-    elif p.kind in ("square-well", "soft-sphere"):
+    elif p.kind == "square-well":
         base = p.strength if r < p.core_radius else 0.0
     else:
         radii = [x for x, _ in p.table]
@@ -222,7 +222,7 @@ def born_pair_integral(p: PairPotential) -> float:
     d = p.dimension
     omega = 4.0 * math.pi if d == 3 else 2.0 * math.pi
 
-    if p.kind in ("square-well", "soft-sphere"):
+    if p.kind == "square-well":
         body = p.strength * p.core_radius ** d / d * omega
     else:  # tabulated: exact integral of the linear interpolant
         radii = np.array([x for x, _ in p.table])
@@ -285,8 +285,7 @@ def parse_pair_potential(spec: str, dimension: int = 3) -> PairPotential:
                              core_radius=_require(kv, "r0", spec))
     if name in ("squarewell", "softsphere"):
         kv = _parse_kv(body, frozenset({"r0", "v0"}), spec)
-        kind = "square-well" if name == "squarewell" else "soft-sphere"
-        return PairPotential(kind=kind, dimension=dimension,
+        return PairPotential(kind="square-well", dimension=dimension,
                              core_radius=_require(kv, "r0", spec),
                              strength=_require(kv, "v0", spec))
     if name == "table":

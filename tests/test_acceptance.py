@@ -1,292 +1,55 @@
-"""Acceptance suite: every criterion at its stated tolerance.
+"""Acceptance suite: every entry of the invariant registry at its full sample.
 
-Each test prints one `ACCEPTANCE nn PASS/FAIL` line (visible with `pytest -s`
-or in the captured output).  Tolerances are pinned here and nowhere else.
+Tolerances, seeds, sample sizes and runtime budgets live in
+`bosegas.verify.REGISTRY` and nowhere else.  Each numbered entry prints one
+`ACCEPTANCE nn PASS/FAIL` line (visible with `pytest -s`) and keeps its
+test name, `test_criterion_nn_<name>`; the other entries run as
+`test_<suite>_<name>`.
 """
 
-import math
 import time
 
-import numpy as np
-import pytest
-
-from bosegas import bogolubov, gp, homogeneous, scattering
 from bosegas.cli import parse_config, run
-from bosegas.errors import NoLogAsymptote
-from bosegas.potentials import PairPotential, TrapPotential
-from bosegas.verify import run_all
-
-HARM3 = TrapPotential(kind="harmonic", dimension=3)
-HARM2 = TrapPotential(kind="harmonic", dimension=2)
+from bosegas.verify import REGISTRY, run_entry
 
 
 def _report(num: int, ok: bool, detail: str):
-    status = "PASS" if ok else "FAIL"
-    print(f"ACCEPTANCE {num:02d} {status} - {detail}")
+    print(f"ACCEPTANCE {num:02d} {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {num}: {detail}"
 
 
-def test_criterion_01_hard_sphere_scattering_length():
-    t0 = time.perf_counter()
-    worst = 0.0
-    for r0 in (0.1, 1.0, 10.0):
-        for mu in (0.5, 1.0, 2.0):
-            sol = scattering.solve_zero_energy(
-                PairPotential(kind="hard-core", core_radius=r0), mu)
-            worst = max(worst, abs(sol.a - r0) / r0)
-    elapsed = time.perf_counter() - t0
-    _report(1, worst <= 1e-8 and elapsed < 1.0,
-            f"max rel deviation {worst:.2e}, runtime {elapsed:.3f}s")
+def _registry_test(entry):
+    def test():
+        t0 = time.perf_counter()
+        result = run_entry(entry, entry.n)
+        elapsed = time.perf_counter() - t0
+        within = entry.budget_s is None or elapsed < entry.budget_s
+        detail = (f"{result.detail}; observed {result.observed:.3g} <= "
+                  f"{entry.tolerance:.3g}, runtime {elapsed:.3f}s")
+        if entry.number is not None:
+            _report(entry.number, result.passed and within, detail)
+        assert result.passed and within, detail
+    return test
 
 
-def test_criterion_02_square_well_oracle():
-    rng = np.random.default_rng(2024)
-    worst = 0.0
-    for _ in range(100):
-        v0 = rng.uniform(0.05, 40.0)
-        r0 = rng.uniform(0.3, 2.0)
-        mu = rng.uniform(0.5, 2.0)
-        sol = scattering.solve_zero_energy(
-            PairPotential(kind="square-well", core_radius=r0, strength=v0), mu)
-        kappa = math.sqrt(v0 / (2.0 * mu))
-        exact = r0 * (1.0 - math.tanh(kappa * r0) / (kappa * r0))
-        worst = max(worst, abs(sol.a - exact) / exact)
-    _report(2, worst <= 1e-8,
-            f"100 wells, max rel deviation from closed form {worst:.2e}")
-
-
-def test_criterion_03_energy_integral_identity():
-    worst = 0.0
-    potentials = [PairPotential(kind="hard-core", core_radius=1.0),
-                  PairPotential(kind="square-well", core_radius=1.0,
-                                strength=5.0)]
-    for p in potentials:
-        sol = scattering.solve_zero_energy(p, 1.0)
-        for ratio in (2.0, 5.0, 20.0, 100.0):
-            R = ratio * p.range_radius
-            lhs = scattering.energy_integral(sol, R)
-            rhs = 8.0 * math.pi * sol.mu * sol.a * (1.0 - sol.a / R)
-            worst = max(worst, abs(lhs / rhs - 1.0))
-    _report(3, worst <= 1e-6, f"max identity deviation {worst:.2e}")
-
-
-def test_criterion_04_two_dimensional_scattering():
-    sol = scattering.solve_zero_energy(
-        PairPotential(kind="hard-core", core_radius=1.0, dimension=2), 1.0)
-    disc_ok = abs(sol.a - 1.0) <= 1e-8
-    try:
-        scattering.solve_zero_energy(
-            PairPotential(kind="square-well", core_radius=1.0, strength=0.0,
-                          dimension=2), 1.0)
-        raised = False
-    except NoLogAsymptote:
-        raised = True
-    _report(4, disc_ok and raised,
-            f"hard disc |a-R0| = {abs(sol.a - 1.0):.2e}; "
-            f"v=0 raised NoLogAsymptote: {raised}")
-
-
-def test_criterion_05_kinetic_fraction():
-    hard = scattering.solve_zero_energy(
-        PairPotential(kind="hard-core", core_radius=1.0), 1.0)
-    s_hard = scattering.kinetic_fraction(hard)
-    ok = abs(s_hard - 1.0) <= 1e-6
-    worst_fd = 0.0
-    rng = np.random.default_rng(55)
-    for _ in range(5):
-        v0 = rng.uniform(0.5, 25.0)
-        r0 = rng.uniform(0.4, 1.5)
-        mu = rng.uniform(0.6, 1.8)
-        p = PairPotential(kind="square-well", core_radius=r0, strength=v0)
-        sol = scattering.solve_zero_energy(p, mu)
-        s = scattering.kinetic_fraction(sol)
-        ok = ok and (0.0 < s <= 1.0 + 1e-12)
-        dmu = 1e-3 * mu
-        up = scattering.solve_zero_energy(p, mu + dmu)
-        dn = scattering.solve_zero_energy(p, mu - dmu)
-        fd = ((mu + dmu) * up.a - (mu - dmu) * dn.a) / (2.0 * dmu)
-        worst_fd = max(worst_fd, abs(fd - s * sol.a) / abs(fd))
-    ok = ok and worst_fd <= 1e-5
-    _report(5, ok, f"hard-sphere s deviation {abs(s_hard-1):.2e}; "
-                   f"worst derivative-identity deviation {worst_fd:.2e}")
-
-
-def test_criterion_06_foldy_integral_identity():
-    t0 = time.perf_counter()
-    numeric = bogolubov.foldy_dimensionless_integral()
-    closed = bogolubov.foldy_gamma_closed_form()
-    elapsed = time.perf_counter() - t0
-    rel = abs(numeric / closed - 1.0)
-    _report(6, rel <= 1e-9 and elapsed < 1.0,
-            f"quadrature vs Gamma closed form {rel:.2e}, "
-            f"runtime {elapsed:.3f}s")
-
-
-def test_criterion_07_bogolubov_oracle():
-    rng = np.random.default_rng(777)
-    ok = abs(bogolubov.fock_oracle(5.0, 3.0, 60) + 1.0) <= 1e-6
-    worst = 0.0
-    for _ in range(50):
-        a_val = rng.uniform(0.5, 10.0)
-        b_val = a_val * rng.uniform(0.05, 0.95)
-        exact = math.sqrt(a_val ** 2 - b_val ** 2) - a_val
-        e = bogolubov.fock_oracle(a_val, b_val, 200)
-        worst = max(worst, abs(e - exact))
-        ok = ok and e >= exact - 1e-9        # never below the theorem bound
-    ok = ok and worst <= 1e-6
-    _report(7, ok, f"(5,3) -> -1; 50 random pairs, worst |E - exact| "
-                   f"{worst:.2e} at n_max <= 200")
-
-
-def test_criterion_08_gp_linear_limit():
-    st1 = gp.gp_minimize(HARM3, 1.0, 0.0, grid_points=1000)
-    st2 = gp.gp_minimize(HARM3, 1.0, 0.0, grid_points=2000)
-    extrap = (4.0 * st2.E - st1.E) / 3.0
-    resid = gp.gp_residual(st2)
-    ok = abs(extrap - 3.0) <= 1e-4 and resid <= 1e-6
-    _report(8, ok, f"E/N -> {extrap:.8f} (target 3 +- 1e-4); "
-                   f"residual {resid:.2e}")
-
-
-def test_criterion_09_gp_scaling_law():
-    worst = 0.0
-    for n_part, a in ((10.0, 0.01), (100.0, 0.001)):
-        big = gp.gp_minimize(HARM3, n_part, a, grid_points=1500)
-        unit = gp.gp_minimize(HARM3, 1.0, n_part * a, grid_points=1500)
-        worst = max(worst, abs(big.E - n_part * unit.E) / abs(big.E))
-    _report(9, worst <= 1e-6, f"worst scaling-identity deviation {worst:.2e}")
-
-
-def test_criterion_10_tf_closed_forms():
-    tf3 = gp.tf_solve(HARM3, N=2.0, a=0.5)
-    exact3 = 15.0 ** 0.4
-    rel3 = abs(tf3.mu_tf - exact3) / exact3
-    tf2 = gp.tf_solve(HARM2, N=1.0, a=1.0)
-    rel2 = abs(tf2.mu_tf - 4.0) / 4.0
-    gap = max(gp.tf_chemical_identity_gap(tf3),
-              gp.tf_chemical_identity_gap(tf2))
-    ok = rel3 <= 1e-10 and rel2 <= 1e-10 and gap <= 1e-9
-    _report(10, ok, f"root-finder vs analytic: {rel3:.2e} (3D), "
-                    f"{rel2:.2e} (2D); chemical identity gap {gap:.2e}")
-
-
-def test_criterion_11_gp_tf_limit():
-    t0 = time.perf_counter()
-    rows = gp.gp_tf_limit(HARM3, [10.0, 100.0, 1000.0, 10000.0],
-                          grid_points=2000)
-    elapsed = time.perf_counter() - t0
-    ratios = [row["ratio"] for row in rows]
-    monotone = all(b < a for a, b in zip(ratios, ratios[1:]))
-    ok = monotone and all(r > 1.0 for r in ratios) \
-        and ratios[-1] - 1.0 < 0.05 and elapsed < 60.0
-    _report(11, ok, f"ratios {[round(float(r), 5) for r in ratios]}, "
-                    f"final deviation {ratios[-1]-1:.2e}, "
-                    f"runtime {elapsed:.1f}s")
-
-
-def test_criterion_12_bound_sandwich_sweep():
-    ok = True
-    worst_cell = 0.0
-    for y in np.geomspace(1e-20, 1e-4, 50):
-        y = float(y)
-        lower = homogeneous.dilute_lower_ratio(y, 8.9).value
-        upper = homogeneous.dyson_upper_ratio(y)
-        ok = ok and (lower <= 1.0 <= upper)
-        a = (3.0 * y / (4.0 * math.pi)) ** (1.0 / 3.0)
-        p = homogeneous.DiluteParams(rho=1.0, a=a, mu=1.0)
-        try:
-            ratio = homogeneous.cell_lower_bound(p).value \
-                / homogeneous.leading_energy(p).value
-        except homogeneous.AnsatzInfeasible:
-            ratio = 0.0        # the documented trivial lower bound
-        ok = ok and ratio <= 1.0 + 1e-12
-        worst_cell = max(worst_cell, ratio)
-    _report(12, ok, f"sandwich holds on 50 points; "
-                    f"max cell ratio {worst_cell:.4f} <= 1")
-
-
-def test_criterion_13_temple_property():
-    rng = np.random.default_rng(13)
-    tested = 0
-    ok = True
-    while tested < 1000:
-        m = rng.normal(size=(5, 5))
-        h = 0.5 * (m + m.T)
-        evals, evecs = np.linalg.eigh(h)
-        v = evecs[:, 0] + 0.1 * rng.normal(size=5)
-        v /= np.linalg.norm(v)
-        h_mean = float(v @ h @ v)
-        if evals[1] <= h_mean:
-            continue
-        bound = homogeneous.temple_bound(h_mean, float(v @ h @ h @ v),
-                                         float(evals[1]))
-        ok = ok and bound <= evals[0] + 1e-12
-        tested += 1
-    _report(13, ok, "1000 random 5x5 states: bound never exceeds "
-                    "the true ground energy")
-
-
-def test_criterion_14_log_quadratic_gap_battery():
-    rng = np.random.default_rng(14)
-    x = rng.uniform(1e-12, 1.0 - 1e-12, 10000)
-    b = rng.uniform(1e-12, 1.0 - 1e-12, 10000)
-    k = rng.uniform(1.0, 10.0, 10000)
-    worst = float(np.min(homogeneous.log_quadratic_gap(x, b, k)))
-    _report(14, worst >= -1e-14, f"min gap {worst:.2e} over 10^4 triples")
-
-
-def test_criterion_15_occupation_minimization():
-    ok = all(homogeneous.occupation_minimum(float(k), 4 * k)
-             == float(k * (k - 1)) for k in range(1, 21))
-    rng = np.random.default_rng(15)
-    worst = 0.0
-    for _ in range(20):
-        k = float(rng.integers(2, 20))
-        p = int(rng.integers(2, int(4 * k)))
-        ts = np.linspace(1.0, k, 200001)
-        oracle = float(np.min(ts * (ts - 1.0) + 0.5 * (k - ts) * (p - 1.0)))
-        worst = max(worst, abs(homogeneous.occupation_minimum(k, p) - oracle))
-    ok = ok and worst <= 1e-6
-    _report(15, ok, f"p >= 4k exact; p < 4k brute-force deviation {worst:.2e}")
-
-
-def test_criterion_16_two_component_scaling():
-    res = bogolubov.two_component_scaling([10.0 ** e for e in range(3, 10)])
-    e_exp, l_exp = res["energy_exponent"], res["radius_exponent"]
-    ok = abs(e_exp - 1.4) <= 1e-6 and abs(l_exp + 0.2) <= 1e-6
-    _report(16, ok, f"|E| exponent {e_exp:.8f}, radius exponent {l_exp:.8f}")
-
-
-def test_criterion_17_cell_factor_monotonicity():
-    ok = True
-    ns = np.arange(2.0, 10001.0)
-    for y in (1e-12, 1e-14, 1e-16):
-        a = (3.0 * y / (4.0 * math.pi)) ** (1.0 / 3.0)
-        params = homogeneous.cell_params_from_ansatz(
-            homogeneous.DiluteParams(rho=1.0, a=a, mu=1.0))
-        ks = homogeneous.cell_energy_factor(params, a=a, n=ns)
-        ok = ok and bool(np.all(np.diff(ks) <= 1e-12))
-        positive = ks[ks > 0.0]
-        ok = ok and bool(np.all(np.diff(positive) < 0.0))
-    _report(17, ok, "K nonincreasing over n = 2..10^4 at three settings "
-                    "(strictly decreasing while positive)")
+for _entry in REGISTRY:
+    _name = f"test_{_entry.suite}_{_entry.name}" if _entry.number is None \
+        else f"test_criterion_{_entry.number:02d}_{_entry.name}"
+    globals()[_name] = _registry_test(_entry)
 
 
 def test_criterion_18_cli_verify_and_determinism():
-    results = run_all()
-    all_pass = all(r.passed for r in results)
-
     def body(text):
         return "\n".join(ln for ln in text.splitlines()
                          if not ln.startswith("# timestamp"))
 
     identical = True
     for args in (["bounds", "--y-grid", "1e-12:1e-4:11:log"], ["verify"]):
-        one = body(run(parse_config(args)).to_csv())
-        two = body(run(parse_config(args)).to_csv())
-        identical = identical and one == two
-    ok = all_pass and identical
-    failed = [f"{r.suite}.{r.name}" for r in results if not r.passed]
-    _report(18, ok, f"verify: {sum(r.passed for r in results)}/"
-                    f"{len(results)} checks pass{' ' + str(failed) if failed else ''}; "
-                    f"CSV bodies byte-identical: {identical}")
+        one = run(parse_config(args))
+        two = run(parse_config(args))
+        identical = identical and body(one.to_csv()) == body(two.to_csv())
+    failed = [f"{r['suite']}.{r['check']}" for r in one.rows if not r["passed"]]
+    _report(18, identical and not failed,
+            f"verify: {len(one.rows) - len(failed)}/{len(one.rows)} checks "
+            f"pass{' ' + str(failed) if failed else ''}; "
+            f"CSV bodies byte-identical: {identical}")

@@ -1,5 +1,7 @@
 """CLI: config parsing, round trips, report formats, determinism, errors."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -11,8 +13,9 @@ import numpy as np
 import pytest
 
 import bosegas
-from bosegas.cli import (_RUNNERS, Report, RunConfig, _parse_sweep, main,
-                         parse_config, run, serialize_config)
+from bosegas.cli import (_RUNNERS, Report, RunConfig, _format_column,
+                         _parse_sweep, main, parse_config, run,
+                         serialize_config)
 from bosegas.errors import ParseError, UnknownKey
 
 
@@ -415,10 +418,12 @@ def _oracle_csv(report) -> str:
     lines.append("# units: " + "; ".join(f"{name} [{unit}]"
                                          for name, unit in report.columns))
     names = [name for name, _ in report.columns]
-    lines.append(",".join(names))
-    lines.extend(",".join(_old_fmt(row[name]) for name in names)
-                 for row in report.rows)
-    return "\n".join(lines) + "\n"
+    body = io.StringIO()
+    writer = csv.writer(body, lineterminator="\n")
+    writer.writerow(names)
+    writer.writerows([_old_fmt(row[name]) for name in names]
+                     for row in report.rows)
+    return "\n".join(lines) + "\n" + body.getvalue()
 
 
 def _numpy_scalar(value):
@@ -499,3 +504,14 @@ def test_csv_matches_per_cell_writer(command_reports, synthetic_reports):
     assert "\n-inf,True," in text
     assert '"x": NaN' in js and '"x": Infinity' in js
     assert '"x": -Infinity' in js and '"flag": true' in js
+
+
+def test_csv_reader_reads_back_every_cell(command_reports, synthetic_reports):
+    for report in command_reports + synthetic_reports:
+        body = report.to_csv().split("\n", 5)[5]      # after the # lines
+        rows = list(csv.reader(io.StringIO(body, newline="")))
+        names = [name for name, _ in report.columns]
+        assert rows[0] == names and len(rows) == len(report.rows) + 1
+        for row, cells in zip(report.rows, rows[1:]):
+            assert cells == [_old_fmt(row[name]) for name in names]
+    assert _format_column(["a\rb", "plain"])[0] == ['"a\rb"', "plain"]

@@ -16,51 +16,14 @@ import pytest
 
 from bosegas.errors import DomainError, NegativeCoupling, NotConverged
 from bosegas.gp import (_simpson, chemical_potential, coupling_2d,
-                        export_profile, gp_energy, gp_minimize, gp_residual,
+                        export_profile, gp_minimize, gp_residual,
                         gp_tf_limit, mean_density, tf_chemical_identity_gap,
                         tf_density, tf_energy, tf_scaling, tf_solve,
                         two_dim_coupling)
-from bosegas.numerics import RadialGrid
 from bosegas.potentials import TrapPotential, parse_trap_potential
 
 HARM3 = TrapPotential(kind="harmonic", dimension=3)
 HARM2 = TrapPotential(kind="harmonic", dimension=2)
-
-
-def test_gp_energy_box_closed_form():
-    box = TrapPotential(kind="box", dimension=3, box_side=2.0)
-    n_part, a = 5.0, 0.1
-    value = math.sqrt(n_part / 8.0)
-    kin, trap_e, inter = gp_energy(np.full(40, value), box, a)
-    assert kin == 0.0 and trap_e == 0.0
-    assert inter == pytest.approx(4.0 * math.pi * a * n_part ** 2 / 8.0,
-                                  rel=1e-12)
-    with pytest.raises(DomainError):
-        gp_energy(np.linspace(0.1, 0.2, 8), box, a)
-
-
-def test_gp_energy_gaussian_oracle():
-    # a = 0 harmonic ground state: E/N = 3 for the exact Gaussian profile
-    grid = RadialGrid.uniform(1e-4, 10.0, 6000)
-    r = grid.nodes
-    phi = (math.pi) ** -0.75 * np.exp(-0.5 * r * r)
-    kin, trap_e, inter = gp_energy(phi, HARM3, 0.0, grid=grid)
-    assert inter == 0.0
-    assert kin + trap_e == pytest.approx(3.0, abs=2e-4)
-    assert kin == pytest.approx(1.5, abs=1e-4)
-
-
-def test_gp_energy_breakdown_vs_fused_quadrature():
-    grid = RadialGrid.uniform(1e-3, 8.0, 3000)
-    r = grid.nodes
-    phi = np.exp(-0.3 * r * r) * (1.0 + 0.1 * np.sin(3.0 * r))
-    a = 0.07
-    kin, trap_e, inter = gp_energy(phi, HARM3, a, grid=grid)
-    dphi = np.gradient(phi, r)
-    fused = np.trapezoid(
-        (dphi ** 2 + r ** 2 * phi ** 2 + 4.0 * math.pi * a * phi ** 4)
-        * 4.0 * math.pi * r ** 2, r)
-    assert kin + trap_e + inter == pytest.approx(fused, rel=1e-10)
 
 
 def test_linear_limit_harmonic():

@@ -46,8 +46,8 @@ def test_nonnegativity_enforced():
 
 
 def test_step_monotone_nonincreasing():
-    for kind in ("square-well", "soft-sphere"):
-        p = PairPotential(kind=kind, core_radius=1.3, strength=4.0)
+    for spec in ("squarewell:r0=1.3,v0=4", "softsphere:r0=1.3,v0=4"):
+        p = parse_pair_potential(spec)
         vals = [pair_value(p, r) for r in np.linspace(0.05, 3.0, 60)]
         assert all(b <= a for a, b in zip(vals, vals[1:]))
 
@@ -113,6 +113,9 @@ def test_spec_string_parsing(tmp_path):
     assert p.kind == "hard-core" and p.core_radius == 2.0
     q = parse_pair_potential("squarewell:r0=1,v0=10", dimension=2)
     assert q.strength == 10.0 and q.dimension == 2
+    assert parse_pair_potential("softsphere:r0=1,v0=10", dimension=2) == q
+    with pytest.raises(DomainError):
+        PairPotential(kind="soft-sphere", core_radius=1.0, strength=10.0)
 
     csv_path = tmp_path / "pot.csv"
     csv_path.write_text("radius,value\n1.0,2.0\n2.0,0.0\n")
@@ -142,7 +145,7 @@ def test_missing_spec_keys_name_the_key():
     ({"kind": "hard-core", "core_radius": math.inf}, "core_radius"),
     ({"kind": "square-well", "core_radius": math.nan, "strength": 1.0},
      "core_radius"),
-    ({"kind": "soft-sphere", "core_radius": 1.0, "strength": math.inf},
+    ({"kind": "square-well", "core_radius": 1.0, "strength": math.inf},
      "strength"),
     ({"kind": "tabulated", "table": ((1.0, 2.0), (math.inf, 0.0))},
      "table_radius"),
@@ -179,7 +182,8 @@ def test_nonfinite_specs_fail_before_any_numerics():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for spec, name in (("hardcore:r0=inf", "core_radius"),
-                           ("squarewell:r0=1,v0=nan", "strength")):
+                           ("squarewell:r0=1,v0=nan", "strength"),
+                           ("softsphere:r0=1,v0=inf", "strength")):
             with pytest.raises(DomainError, match=f"^{name} must be finite"):
                 parse_pair_potential(spec)
         with pytest.raises(DomainError, match="^homogeneity_degree must be"):
