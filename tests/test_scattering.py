@@ -20,8 +20,8 @@ from bosegas.errors import (NonFiniteRhs, NonIntegrableTail,
 from bosegas.potentials import (HARD_CORE, PairPotential, pair_value,
                                 parse_pair_potential)
 from bosegas.scattering import (born_integral, energy_integral,
-                                kinetic_fraction, solve_zero_energy,
-                                two_dim_energy_ratio)
+                                kinetic_fraction, scattering_length,
+                                solve_zero_energy, two_dim_energy_ratio)
 
 
 def square_well_a(v0, r0, mu):
@@ -32,6 +32,15 @@ def square_well_a(v0, r0, mu):
 def disc_well_a(v0, r0, mu):
     kappa = math.sqrt(v0 / (2.0 * mu))
     return r0 * math.exp(-i0(kappa * r0) / (kappa * r0 * i1(kappa * r0)))
+
+
+@pytest.mark.parametrize("r0", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
+def test_hard_sphere(r0, mu):
+    sol = solve_zero_energy(PairPotential(kind="hard-core", core_radius=r0), mu)
+    assert abs(sol.a - r0) <= 1e-8 * r0
+    assert scattering_length(sol) == sol.a
+    assert abs(kinetic_fraction(sol) - 1.0) <= 1e-6
 
 
 def test_free_case_3d():
