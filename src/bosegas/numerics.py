@@ -47,10 +47,6 @@ class Tolerances:
         if self.max_iterations < 1:
             raise DomainError("max_iterations must be at least 1")
 
-    @classmethod
-    def default(cls) -> "Tolerances":
-        return cls()
-
 
 @dataclass(frozen=True)
 class RadialGrid:
@@ -79,14 +75,6 @@ class RadialGrid:
     @classmethod
     def uniform(cls, r_min: float, r_max: float, n: int) -> "RadialGrid":
         nodes = np.linspace(r_min, r_max, n)
-        return cls(r_min=r_min, r_max=r_max, nodes=nodes)
-
-    @classmethod
-    def geometric(cls, r_min: float, r_max: float, n: int) -> "RadialGrid":
-        if r_min <= 0:
-            raise DomainError("geometric spacing requires r_min > 0")
-        nodes = np.geomspace(r_min, r_max, n)
-        nodes[0], nodes[-1] = r_min, r_max
         return cls(r_min=r_min, r_max=r_max, nodes=nodes)
 
 

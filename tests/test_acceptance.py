@@ -7,8 +7,14 @@ test name, `test_criterion_nn_<name>`; the other entries run as
 `test_<suite>_<name>`.
 """
 
+import dataclasses
+import math
 import time
 
+import numpy as np
+import pytest
+
+from bosegas import homogeneous
 from bosegas.cli import parse_config, run
 from bosegas.verify import REGISTRY, run_entry
 
@@ -53,3 +59,35 @@ def test_criterion_18_cli_verify_and_determinism():
             f"verify: {len(one.rows) - len(failed)}/{len(one.rows)} checks "
             f"pass{' ' + str(failed) if failed else ''}; "
             f"CSV bodies byte-identical: {identical}")
+
+
+def _nan_at(fn, call):
+    """Wrap fn so that its `call`-th result turns NaN (mid-array for an
+    array result)."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        value = fn(*args, **kwargs)
+        if len(calls) != call:
+            return value
+        if isinstance(value, np.ndarray):
+            value = value.copy()
+            value[len(value) // 2] = np.nan
+            return value
+        if dataclasses.is_dataclass(value):
+            return dataclasses.replace(value, value=math.nan)
+        return math.nan
+    return wrapped
+
+
+@pytest.mark.parametrize("number, target, call", [
+    (12, "leading_energy", 2), (13, "temple_bound", 2),
+    (14, "log_quadratic_gap", 1), (17, "cell_energy_factor", 2)])
+def test_nan_partway_through_a_sample_fails_its_entry(monkeypatch, number,
+                                                       target, call):
+    entry = next(e for e in REGISTRY if e.number == number)
+    monkeypatch.setattr(homogeneous, target,
+                        _nan_at(getattr(homogeneous, target), call))
+    result = run_entry(entry, entry.n)
+    assert not result.passed and math.isnan(result.observed), result

@@ -29,8 +29,6 @@ def test_grid_invariants():
         RadialGrid.uniform(0.0, 1.0, 8)      # fewer than 16 nodes
     with pytest.raises(DomainError):
         RadialGrid(r_min=0.0, r_max=1.0, nodes=np.zeros(20))
-    with pytest.raises(DomainError):
-        RadialGrid.geometric(0.0, 1.0, 20)
 
 
 def test_ode_on_radii_array():
