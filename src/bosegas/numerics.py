@@ -173,7 +173,6 @@ _E5[8] = -0.3503288487499736816886487290
 _E5[9] = 0.3341791187130174790297318841
 _E5[10] = 0.8192320648511571246570742613e-1
 _E5[11] = -0.2235530786388629525884427845e-1
-_ROWS = [_A[i, :i] for i in range(1, _STAGES)]
 
 
 def integrate_ode(rhs, initial, radii: np.ndarray,
@@ -188,8 +187,12 @@ def integrate_ode(rhs, initial, radii: np.ndarray,
     step size may not fall below 1e-14 of the span.  `radii` is a strictly
     increasing 1-D array of two or more radii (a RadialGrid's `nodes`, say);
     every radius is a forced stop.  Returns the trajectory there, shape
-    (len(radii), len(initial)).  A non-finite right-hand side, or a state
-    that overflows, raises NonFiniteRhs.
+    (len(radii), len(initial)).
+
+    `rhs` receives r as a Python float and y as a float array, and returns
+    len(initial) floats, as a sequence or an array.  A non-finite right-hand side at any
+    stage of a step, or a state that overflows, raises NonFiniteRhs before
+    the step is used.  No evaluation follows the last accepted step.
     """
     nodes = np.asarray(radii, dtype=float)
     if nodes.ndim != 1 or nodes.size < 2:
@@ -199,42 +202,42 @@ def integrate_ode(rhs, initial, radii: np.ndarray,
     y = np.asarray(initial, dtype=float).copy()
     out = np.empty((nodes.size, y.size))
     out[0] = y
-    h_min = 1e-14 * (nodes[-1] - nodes[0])
+    stops = nodes.tolist()
+    r, r_final = stops[0], stops[-1]
+    h_min = 1e-14 * (r_final - r)
     max_steps = 50 * tol.max_iterations
+    abs_tol, rel_tol = tol.abs_tol, tol.rel_tol
     k = np.empty((_STAGES, y.size))
+    # per stage: its node, its tableau row, the stages it reads, its slot
+    stages = [(float(_C[s]), _A[s, :s], k[:s], k[s]) for s in range(1, _STAGES)]
     steps = 0
-
-    def checked_rhs(r, state):
-        f = np.asarray(rhs(r, state), dtype=float)
-        if not np.all(np.isfinite(f)):
-            raise NonFiniteRhs(f"rhs non-finite at r={float(r)!r}")
-        return f
 
     # overflow in the stages surfaces as NonFiniteRhs, not as a warning
     with np.errstate(all="ignore"):
-        r = nodes[0]
-        k[0] = checked_rhs(r, y)
-        h = nodes[1] - nodes[0]
-        for i in range(1, nodes.size):
-            r_end = nodes[i]
+        k[0] = rhs(r, y)
+        h = stops[1] - r
+        for i, r_end in enumerate(stops[1:], start=1):
             while r < r_end:
                 last = h >= r_end - r
                 step = r_end - r if last else h
-                for s, row in enumerate(_ROWS, start=1):
-                    k[s] = checked_rhs(r + _C[s] * step, y + step * (row @ k[:s]))
+                for c, row, prev, slot in stages:
+                    slot[:] = rhs(r + c * step, y + step * (row @ prev))
+                if not np.isfinite(k).all():
+                    raise NonFiniteRhs(f"rhs non-finite in the step from r={r!r}")
                 y_new = y + step * (_B @ k)
-                scale = tol.abs_tol + tol.rel_tol * (np.abs(y) + np.abs(step * k[0]))
+                scale = abs_tol + rel_tol * (np.abs(y) + np.abs(step * k[0]))
                 e5 = step * (_E5 @ k) / scale
                 e3 = step * (_E3 @ k) / scale
                 denom = np.hypot(e5, 0.1 * e3)
-                err = float(np.max(np.divide(e5 * e5, denom, out=np.zeros_like(e5),
-                                             where=denom > 0.0)))
-                if not (math.isfinite(err) and np.all(np.isfinite(y_new))):
+                err = float(np.divide(e5 * e5, denom, out=np.zeros(y.size),
+                                      where=denom > 0.0).max())
+                if not (math.isfinite(err) and np.isfinite(y_new).all()):
                     raise NonFiniteRhs(f"state overflow near r={r:.6g}")
                 if err <= 1.0:
                     r = r_end if last else r + step
                     y = y_new
-                    k[0] = checked_rhs(r, y)
+                    if r < r_final:
+                        k[0] = rhs(r, y)
                     grow = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
                     # a step clipped to land on a node does not shrink h
                     h = max(h, step * grow) if last else step * grow

@@ -9,15 +9,20 @@ extra ODE components, so they inherit the integrator's accuracy.
 The integration runs one segment at a time between the potential's
 breakpoints (the step edge, the table knots and the point where a tail
 attaches), so every integrator stage sees a smooth piece of v and no step
-straddles a jump.
+straddles a jump.  The reported run stops only at those segment ends; the
+trajectory on the grid nodes (`ScatteringSolution.u_values`) is integrated
+on first access.  Each state is chosen to stay bounded where the solution
+grows without bound: w = u - r u' in 3D, and on the 2D tail segment, which
+reaches out to the tail's cut radius, q = psi - chi ln r.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -55,16 +60,16 @@ __all__ = [
 class ScatteringSolution:
     """Radial zero-energy solution with derived quantities.
 
-    ``u_values`` holds u(r) in 3D and psi(r) in 2D on the grid nodes, in the
-    raw normalization of the outward integration; ``slope`` is the asymptotic
-    scale (u' beyond the range in 3D, r*psi' in 2D), so dividing by it gives
-    the u ~ r - a (3D) or psi ~ ln(r/a) (2D) normalization.
+    ``slope`` is the asymptotic scale (u' beyond the range in 3D, r*psi' in
+    2D), so dividing by it gives the u ~ r - a (3D) or psi ~ ln(r/a) (2D)
+    normalization.  ``range_radius`` is where that asymptote is read off:
+    the interaction range, or the cut radius of a tail.  ``tol`` holds the
+    tolerances the reported run used.
     """
 
     dimension: int
     mu: float
     grid: RadialGrid
-    u_values: np.ndarray
     a: float
     s: float
     converged: bool
@@ -73,11 +78,44 @@ class ScatteringSolution:
     slope: float
     kin_interior: float   # int (u' - u/r)^2 dr (3D) / int psi'^2 r dr (2D), raw
     pot_interior: float   # int v u^2 dr (3D) / int v psi^2 r dr (2D), raw
+    tol: Tolerances
 
     @property
     def has_kinetic_fraction(self) -> bool:
         """Whether kinetic_fraction defines s: in 2D, or for a > 1e-12 range."""
         return self.dimension == 2 or self.a > 1e-12 * self.range_radius
+
+    @functools.cached_property
+    def u_values(self) -> np.ndarray:
+        """u(r) in 3D and psi(r) in 2D on the grid nodes, in the raw
+        normalization of the outward integration.
+
+        Computed on first access, by rerunning the reported integration with
+        a forced stop at every node, so the values are exact there; a solve
+        whose caller never reads them never pays for the stops.
+        """
+        solve = _solve_3d if self.dimension == 3 else _solve_2d
+        run = solve(self.potential, self.mu, self.grid, self.tol, self.grid.nodes)
+        r = self.grid.nodes
+        with np.errstate(divide="ignore"):
+            outer = (run.slope * (r - run.a) if self.dimension == 3
+                     else run.u[-1] + run.slope * np.log(r / run.r_end))
+        return np.where(r >= run.r_end, outer, np.interp(r, run.radii, run.u))
+
+
+class _Run(NamedTuple):
+    """One outward integration: a, s, the asymptotic slope, the raw interior
+    energy integrals, the radius where the asymptote starts, and u (3D) or
+    psi (2D) at the radii where the integration stopped."""
+
+    a: float
+    s: float
+    slope: float
+    kin: float
+    pot: float
+    r_end: float
+    radii: np.ndarray
+    u: np.ndarray
 
 
 def _a_estimate(p: PairPotential, mu: float) -> float:
@@ -112,7 +150,7 @@ def _edges(p: PairPotential, r_start: float, r_end: float) -> list:
 
 
 def _by_segments(rhs, init, edges, stops, tol):
-    """Integrate rhs(r, y, last) one segment [lo, hi] of `edges` at a time.
+    """Integrate rhs(last, r, y) one segment [lo, hi] of `edges` at a time.
 
     Every stage inside a segment sees that segment's own piece of the
     potential: `last` is the float just below hi, so the right end takes the
@@ -124,13 +162,13 @@ def _by_segments(rhs, init, edges, stops, tol):
     for lo, hi in zip(edges[:-1], edges[1:]):
         last = float(np.nextafter(hi, lo))
         nodes = np.concatenate(([lo], stops[(stops > lo) & (stops < hi)], [hi]))
-        traj = integrate_ode(lambda r, y: rhs(r, y, last), states[-1], nodes, tol)
+        traj = integrate_ode(functools.partial(rhs, last), states[-1], nodes, tol)
         radii.extend(nodes[1:])
         states.extend(traj[1:])
     return np.array(radii), np.array(states)
 
 
-def _solve_3d(p, mu, grid, tol, stops):
+def _solve_3d(p, mu, grid, tol, stops) -> _Run:
     # The state is (w, u', kin, pot) with w = u - r u', so that a = -w/u'
     # beyond the range: w stays bounded where u ~ r grows, and a far cut
     # radius costs no cancellation in r_end - u/u'.
@@ -140,16 +178,16 @@ def _solve_3d(p, mu, grid, tol, stops):
     if r_end <= r_start:   # pure hard core: exterior is exactly u = r - R0
         radii, traj = np.array([r_start]), np.array([init])
     else:
-        def rhs(r, y, last):
-            w, du = y[0], y[1]
+        def rhs(last, r, y):
+            w, du, _, _ = y.tolist()
             if r <= 0.0:
                 # regular solution: u ~ r, so u'' and w/r vanish at 0
-                return np.zeros(4)
+                return (0.0, 0.0, 0.0, 0.0)
             v = pair_value(p, min(r, last))
             u = w + r * du
             curv = v * u / (2.0 * mu)
             grad = w / r     # u/r - u'
-            return np.array([-r * curv, curv, grad * grad, v * u * u])
+            return (-r * curv, curv, grad * grad, v * u * u)
 
         radii, traj = _by_segments(rhs, init, _edges(p, r_start, r_end),
                                    stops, tol)
@@ -171,25 +209,21 @@ def _solve_3d(p, mu, grid, tol, stops):
         s = kin_total / a
     else:
         s = math.nan
-
-    r = grid.nodes
-    u_traj = traj[:, 0] + radii * traj[:, 1]
-    u_nodes = np.where(r >= r_end, du_range * (r - a),
-                       np.interp(r, radii, u_traj, left=0.0))
-    return a, s, u_nodes, du_range, kin, pot, r_end
+    return _Run(a, s, du_range, kin, pot, r_end, radii,
+                traj[:, 0] + radii * traj[:, 1])
 
 
-def _solve_2d(p, mu, grid, tol, stops):
+def _solve_2d(p, mu, grid, tol, stops) -> _Run:
+    # The state is (psi, chi, kin, pot) with chi = r psi'.  On the tail
+    # segment psi ~ chi ln r grows out to the cut radius, so the state there
+    # is (q, chi, kin, pot) with q = psi - chi ln r, q' = -chi' ln r, and
+    # a = exp(-q/chi) beyond the range.
     r_end = _integration_radius(p, grid)
     hard = p.has_hard_core()
     if hard and p.tail is None:
         # psi = ln(r/R0) solves the exterior equation exactly
-        r_anchor = p.core_radius
-        with np.errstate(divide="ignore", invalid="ignore"):
-            psi_nodes = np.where(grid.nodes >= r_anchor,
-                                 np.log(np.maximum(grid.nodes, r_anchor)
-                                        / r_anchor), 0.0)
-        return r_anchor, psi_nodes, 1.0, 0.0, 0.0, r_anchor
+        r0 = p.core_radius
+        return _Run(r0, 1.0, 1.0, 0.0, 0.0, r0, np.array([r0]), np.zeros(1))
 
     r_start = p.core_radius if hard else 1e-9 * p.range_radius
     if hard:
@@ -198,23 +232,40 @@ def _solve_2d(p, mu, grid, tol, stops):
         v0 = pair_value(p, r_start)
         init = [1.0, v0 * r_start * r_start / (4.0 * mu), 0.0, 0.0]
 
-    def rhs(r, y, last):
-        psi, chi = y[0], y[1]
+    def rhs(last, r, y):
+        psi, chi, _, _ = y.tolist()
         v = pair_value(p, min(r, last))
-        return np.array([chi / r, r * v * psi / (2.0 * mu),
-                         chi * chi / r, v * psi * psi * r])
+        return (chi / r, r * v * psi / (2.0 * mu), chi * chi / r, v * psi * psi * r)
 
-    radii, traj = _by_segments(rhs, init, _edges(p, r_start, r_end), stops, tol)
-    psi_range, chi_range, kin, pot = traj[-1]
+    def tail_rhs(last, r, y):
+        q, chi, _, _ = y.tolist()
+        v = pair_value(p, min(r, last))
+        log_r = math.log(r)
+        psi = q + chi * log_r
+        dchi = r * v * psi / (2.0 * mu)
+        return (-dchi * log_r, dchi, chi * chi / r, v * psi * psi * r)
+
+    r_tail = p.range_radius
+    tailed = r_end > r_tail     # the tail runs in q from where it attaches
+    edges = _edges(p, r_start, r_end)
+    radii, traj = _by_segments(rhs, init, [e for e in edges if e <= r_tail],
+                               stops, tol)
+    psi = traj[:, 0]
+    if tailed:
+        start = traj[-1].copy()
+        start[0] -= start[1] * math.log(r_tail)
+        tail_radii, traj = _by_segments(tail_rhs, start, [r_tail, r_end],
+                                        stops, tol)
+        radii = np.concatenate((radii, tail_radii[1:]))
+        psi = np.concatenate(
+            (psi, traj[1:, 0] + traj[1:, 1] * np.log(tail_radii[1:])))
+    lead, chi_range, kin, pot = traj[-1]     # lead is q on a tail, else psi
     if chi_range <= 0.0:
         raise NoLogAsymptote("no logarithmic asymptote: v vanishes identically")
-    a = r_end * math.exp(-psi_range / chi_range)
-
-    r = grid.nodes
-    with np.errstate(divide="ignore"):
-        outer = psi_range + chi_range * np.log(r / r_end)
-    psi_nodes = np.where(r > r_end, outer, np.interp(r, radii, traj[:, 0]))
-    return a, psi_nodes, chi_range, kin, pot, r_end
+    # psi = chi ln(r/a) beyond the range: a = r exp(-psi/chi) = exp(-q/chi)
+    a = math.exp(-lead / chi_range) * (1.0 if tailed else r_end)
+    # s = 1: the 2D interaction energy is purely kinetic
+    return _Run(a, 1.0, chi_range, kin, pot, r_end, radii, psi)
 
 
 def solve_zero_energy(p: PairPotential, mu: float, grid: Optional[RadialGrid] = None,
@@ -225,11 +276,17 @@ def solve_zero_energy(p: PairPotential, mu: float, grid: Optional[RadialGrid] = 
     ----------
     p : pair potential (its dimension tag selects the 3D or 2D equation)
     mu : the kinetic coefficient hbar^2 / 2m
-    grid : output grid; defaults to `scattering_grid(p, mu)`.  The reported
-        run stops at every node, so `u_values` is exact there.
-    tol : integrator tolerances.  A rerun at abs_tol/10 and rel_tol/10 that
-        stops only at segment ends gates `converged`: if a moves by more than
+    grid : output grid; defaults to `scattering_grid(p, mu)`.  A tail is
+        integrated out to its r_max.  The solve itself stops only at the
+        potential's breakpoints, so the node count costs nothing until
+        `u_values` is read: that integrates onto the nodes on first access.
+    tol : integrator tolerances.  A rerun at abs_tol/10 and rel_tol/10
+        gates `converged`: if a moves by more than
         10 * max(rel_tol * max(|a|, range), abs_tol), GridTooCoarse is raised.
+
+    The 3D state is (u - r u', u', ...) throughout; the 2D state is
+    (psi, r psi', ...) inside the range and (psi - r psi' ln r, r psi', ...)
+    on a tail, so that neither grows with the radius where a is read off.
     """
     require_finite(mu=mu)
     if mu <= 0:
@@ -245,16 +302,10 @@ def solve_zero_energy(p: PairPotential, mu: float, grid: Optional[RadialGrid] = 
 
     tighter = Tolerances(abs_tol=tol.abs_tol / 10.0, rel_tol=tol.rel_tol / 10.0,
                          max_iterations=tol.max_iterations)
+    solve = _solve_3d if p.dimension == 3 else _solve_2d
     segment_ends_only = np.empty(0)
-    if p.dimension == 3:
-        a, s, u_nodes, slope, kin, pot, r_range = _solve_3d(p, mu, grid, tol,
-                                                            grid.nodes)
-        a2 = _solve_3d(p, mu, grid, tighter, segment_ends_only)[0]
-    else:
-        a, u_nodes, slope, kin, pot, r_range = _solve_2d(p, mu, grid, tol,
-                                                         grid.nodes)
-        s = 1.0  # interaction energy is purely kinetic in 2D
-        a2 = _solve_2d(p, mu, grid, tighter, segment_ends_only)[0]
+    run = solve(p, mu, grid, tol, segment_ends_only)
+    a, a2 = run.a, solve(p, mu, grid, tighter, segment_ends_only).a
 
     scale = max(abs(a), p.range_radius)
     converged = abs(a - a2) <= 10.0 * max(tol.rel_tol * scale, tol.abs_tol)
@@ -264,9 +315,9 @@ def solve_zero_energy(p: PairPotential, mu: float, grid: Optional[RadialGrid] = 
             f"tighter tolerance")
 
     return ScatteringSolution(
-        dimension=p.dimension, mu=mu, grid=grid, u_values=u_nodes, a=a,
-        s=s, converged=converged, potential=p, range_radius=r_range,
-        slope=slope, kin_interior=kin, pot_interior=pot)
+        dimension=p.dimension, mu=mu, grid=grid, a=a, s=run.s,
+        converged=converged, potential=p, range_radius=run.r_end,
+        slope=run.slope, kin_interior=run.kin, pot_interior=run.pot, tol=tol)
 
 
 def scattering_length(sol: ScatteringSolution) -> float:

@@ -1,14 +1,15 @@
 """Numerical-kernel tests: ODE control, quadrature, roots."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from bosegas.errors import (DivergentTail, DomainError, InvalidBracket,
-                            NoConvergence, NonFiniteRhs)
-from bosegas.numerics import (RadialGrid, Tolerances, find_root,
-                              integrate_ode, quad)
+                            NoConvergence, NonFiniteRhs, StepSizeUnderflow)
+from bosegas.numerics import (_A, _B, _C, _E3, _E5, _STAGES, RadialGrid,
+                              Tolerances, find_root, integrate_ode, quad)
 
 TOL = Tolerances()
 
@@ -66,6 +67,117 @@ def test_ode_nonfinite_rhs():
 
     with pytest.raises(NonFiniteRhs):
         integrate_ode(rhs, [0.0, 1.0], grid.nodes, TOL)
+
+
+def _reference_integrate_ode(rhs, initial, radii, tol):
+    """The DOP853 loop as first written: numpy-scalar radii, a finiteness
+    check after each of the 12 evaluations, and a final FSAL evaluation.
+    The oracle for the bits of integrate_ode."""
+    nodes = np.asarray(radii, dtype=float)
+    y = np.asarray(initial, dtype=float).copy()
+    out = np.empty((nodes.size, y.size))
+    out[0] = y
+    h_min = 1e-14 * (nodes[-1] - nodes[0])
+    max_steps = 50 * tol.max_iterations
+    k = np.empty((_STAGES, y.size))
+    rows = [_A[i, :i] for i in range(1, _STAGES)]
+    steps = 0
+
+    def checked_rhs(r, state):
+        f = np.asarray(rhs(r, state), dtype=float)
+        if not np.all(np.isfinite(f)):
+            raise NonFiniteRhs(f"rhs non-finite at r={float(r)!r}")
+        return f
+
+    with np.errstate(all="ignore"):
+        r = nodes[0]
+        k[0] = checked_rhs(r, y)
+        h = nodes[1] - nodes[0]
+        for i in range(1, nodes.size):
+            r_end = nodes[i]
+            while r < r_end:
+                last = h >= r_end - r
+                step = r_end - r if last else h
+                for s, row in enumerate(rows, start=1):
+                    k[s] = checked_rhs(r + _C[s] * step, y + step * (row @ k[:s]))
+                y_new = y + step * (_B @ k)
+                scale = tol.abs_tol + tol.rel_tol * (np.abs(y) + np.abs(step * k[0]))
+                e5 = step * (_E5 @ k) / scale
+                e3 = step * (_E3 @ k) / scale
+                denom = np.hypot(e5, 0.1 * e3)
+                err = float(np.max(np.divide(e5 * e5, denom, out=np.zeros_like(e5),
+                                             where=denom > 0.0)))
+                if not (math.isfinite(err) and np.all(np.isfinite(y_new))):
+                    raise NonFiniteRhs(f"state overflow near r={r:.6g}")
+                if err <= 1.0:
+                    r = r_end if last else r + step
+                    y = y_new
+                    k[0] = checked_rhs(r, y)
+                    grow = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
+                    h = max(h, step * grow) if last else step * grow
+                else:
+                    h = step * max(0.2, 0.9 * err ** -0.125)
+                    if h < h_min:
+                        raise StepSizeUnderflow(
+                            f"step {h:.3e} below floor near r={r:.6g}")
+                steps += 1
+                if steps > max_steps:
+                    raise StepSizeUnderflow("step budget exhausted")
+            out[i] = y
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ode_bits_match_reference_loop(seed):
+    # seeded linear and nonlinear systems with random node stops, at a
+    # tolerance that rejects steps and at the default one
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(3, 3))
+    c = rng.uniform(0.5, 3.0)
+
+    def linear(r, y):
+        return m @ y
+
+    def nonlinear(r, y):      # a damped pendulum driving a cubic relaxation
+        return np.array([y[1], -c * np.sin(y[0]) - 0.1 * r * y[1],
+                         np.cos(r * y[0]) - y[2] ** 3])
+
+    stops = np.sort(rng.uniform(0.0, 4.0, size=int(rng.integers(2, 40))))
+    stops = np.unique(np.concatenate(([0.0], stops, [4.0])))
+    y0 = rng.uniform(-1.0, 1.0, size=3)
+    for rhs in (linear, nonlinear):
+        for tol in (Tolerances(), Tolerances(abs_tol=1e-6, rel_tol=1e-5)):
+            new = integrate_ode(rhs, y0, stops, tol)
+            old = _reference_integrate_ode(rhs, y0, stops, tol)
+            assert new.tobytes() == old.tobytes()
+
+
+def test_ode_nan_at_zero_weight_stage_raises():
+    # stage 2 enters neither the solution nor the error estimate, and no
+    # later stage reads the state here, so only a check of every stage sees it
+    assert _B[2] == _E5[2] == _E3[2] == 0.0
+    calls = []
+
+    def rhs(r, y):
+        calls.append(r)
+        return [math.nan if len(calls) == 3 else 1.0]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteRhs, match="rhs non-finite"):
+            integrate_ode(rhs, [0.0], np.array([0.0, 1.0]), TOL)
+
+
+def test_ode_skips_the_final_fsal_evaluation():
+    new_calls, old_calls = [], []
+    stops = np.array([0.0, 0.7, 2.0])
+
+    def counted(calls):
+        return lambda r, y: calls.append(r) or np.array([y[1], -y[0]])
+
+    integrate_ode(counted(new_calls), [0.0, 1.0], stops, TOL)
+    _reference_integrate_ode(counted(old_calls), [0.0, 1.0], stops, TOL)
+    assert new_calls == old_calls[:-1] and old_calls[-1] == 2.0
 
 
 def test_quad_foldy_integral_vs_gamma():

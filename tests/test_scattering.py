@@ -17,6 +17,7 @@ from scipy.special import i0, i1
 from bosegas import scattering
 from bosegas.errors import (NonFiniteRhs, NonIntegrableTail,
                             RadiusInsideRange, ZeroScatteringLength)
+from bosegas.numerics import Tolerances
 from bosegas.potentials import (HARD_CORE, PairPotential, pair_value,
                                 parse_pair_potential)
 from bosegas.scattering import (born_integral, energy_integral,
@@ -231,3 +232,60 @@ def test_trajectory_matches_log_asymptote_2d():
     outside = r > 1.5
     expected = sol.slope * np.log(r[outside] / sol.a)
     assert np.max(np.abs(sol.u_values[outside] - expected)) <= 1e-9
+
+
+def test_trajectory_inside_the_well_3d():
+    # u(0) = 0, u'(0) = 1 and -2 mu u'' + v0 u = 0 give u = sinh(kappa r)/kappa
+    v0, mu = 5.0, 1.0
+    sol = solve_zero_energy(
+        PairPotential(kind="square-well", core_radius=1.0, strength=v0), mu)
+    kappa = math.sqrt(v0 / (2.0 * mu))
+    r = sol.grid.nodes
+    inside = r < 1.0
+    expected = np.sinh(kappa * r[inside]) / kappa
+    assert np.max(np.abs(sol.u_values[inside] - expected)) <= 1e-9
+
+
+def test_trajectory_inside_the_well_2d():
+    # psi(r_start) = 1 at r_start = 1e-9 R0, regular: psi = I0(kappa r)/I0(kappa r_start)
+    v0, mu, r0 = 4.0, 1.0, 1.0
+    sol = solve_zero_energy(PairPotential(kind="square-well", core_radius=r0,
+                                          strength=v0, dimension=2), mu)
+    kappa = math.sqrt(v0 / (2.0 * mu))
+    r = sol.grid.nodes
+    inside = r < r0
+    expected = i0(kappa * r[inside]) / i0(kappa * 1e-9 * r0)
+    assert np.max(np.abs(sol.u_values[inside] - expected)) <= 1e-9
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_node_stops_run_only_when_u_values_is_read(monkeypatch, dimension):
+    stop_counts = []
+    integrate = scattering.integrate_ode
+
+    def counted(rhs, initial, radii, tol):
+        stop_counts.append(len(radii))
+        return integrate(rhs, initial, radii, tol)
+
+    monkeypatch.setattr(scattering, "integrate_ode", counted)
+    sol = solve_zero_energy(
+        PairPotential(kind="square-well", core_radius=1.0, strength=3.0,
+                      dimension=dimension, tail=(0.5, 6.0)), 1.0)
+    assert stop_counts and set(stop_counts) == {2}   # segment ends only
+    solved = len(stop_counts)
+    first = sol.u_values
+    assert max(stop_counts[solved:]) > 2
+    read = len(stop_counts)
+    assert sol.u_values is first and len(stop_counts) == read   # cached
+
+
+def test_tailed_disc_matches_tight_solve():
+    # psi ~ chi ln r grows out to the tail's cut radius near 3.6e10; in that
+    # state the per-step error scale grew with it and a came out 8.5e-11
+    # (relative) off, against the gate's 1e-10
+    p = PairPotential(kind="hard-core", dimension=2, core_radius=0.520865,
+                      tail=(1.74258, 3.04403))
+    mu = 1.87159
+    a = solve_zero_energy(p, mu).a
+    ref = solve_zero_energy(p, mu, tol=Tolerances(abs_tol=1e-15, rel_tol=1e-13)).a
+    assert abs(a - ref) <= 1e-11 * ref
