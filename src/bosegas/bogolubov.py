@@ -16,7 +16,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, TruncationNotConverged, require_finite
+from .errors import (DomainError, TruncationNotConverged, float_range,
+                     require_finite)
 from .numerics import Tolerances, quad
 
 __all__ = [
@@ -46,15 +47,17 @@ class BogolubovMode:
     D: float = field(init=False)
     ground_bound_coeff: float = field(init=False)
 
+    @float_range
     def __post_init__(self):
         if not (self.A >= self.B > 0.0):
             raise DomainError("need A >= B > 0")
+        require_finite(A=self.A)
+        root = math.sqrt(self.A ** 2 - self.B ** 2)
         # A/B - sqrt(A^2/B^2 - 1), rationalized to avoid cancellation at B << A
-        alpha = self.B / (self.A + math.sqrt(self.A ** 2 - self.B ** 2))
+        alpha = self.B / (self.A + root)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "D", self.B / (2.0 * alpha))
-        object.__setattr__(self, "ground_bound_coeff",
-                           0.5 * (self.A - math.sqrt(self.A ** 2 - self.B ** 2)))
+        object.__setattr__(self, "ground_bound_coeff", 0.5 * (self.A - root))
 
 
 @dataclass(frozen=True)
@@ -195,6 +198,7 @@ def foldy_energy(rho: float, mu_const: float = 1.0) -> float:
     return -coeff * rho ** 0.25
 
 
+@float_range
 def mode_integral_energy(rho: float, mu_const: float = 1.0,
                          tol: Optional[Tolerances] = None) -> float:
     """Numeric per-particle energy -1/2 (2 pi)^-3 int (f - sqrt(f^2-g^2)) d^3k
@@ -202,6 +206,10 @@ def mode_integral_energy(rho: float, mu_const: float = 1.0,
     require_finite(rho=rho, mu_const=mu_const)
     if rho <= 0 or mu_const <= 0:
         raise DomainError("rho and mu_const must be positive")
+    # The integrand depends on mu_const/rho alone; outside this range the
+    # quadrature misses the mode peak and returns 0, or fails its tail test.
+    if not 1e-9 <= mu_const / rho <= 1e22:
+        raise DomainError("need 1e-9 <= mu_const/rho <= 1e22")
     tol = tol or Tolerances(abs_tol=1e-13, rel_tol=1e-11)
 
     def radial(k):

@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 
 from __future__ import annotations
 
-import difflib
 import functools
 import json
 import math
@@ -19,30 +18,15 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from . import __version__
-from . import bogolubov, gp, homogeneous, scattering
-from .errors import (
-    BoseGasError,
-    DomainError,
-    ParseError,
-    UnknownKey,
-)
-from .numerics import Tolerances
-from .potentials import parse_pair_potential, parse_trap_potential
+from .errors import BoseGasError, DomainError, ParseError, UnknownKey
 
 __all__ = ["RunConfig", "Report", "parse_config", "serialize_config", "run",
            "main"]
 
 
 # Parameter schema per command: name -> (python type, default, unit).
-# `None` default means required.
-_COMMON = {
-    "output": (str, None, "path"),
-    "format": (str, "csv", "csv|json"),
-}
-
+# A "__required__" default marks a required key; None leaves the key unset.
 _SCHEMAS: Dict[str, Dict[str, tuple]] = {
     "scatter": {
         "potential": (str, "__required__", "spec string"),
@@ -55,7 +39,7 @@ _SCHEMAS: Dict[str, Dict[str, tuple]] = {
         "dim": (int, 3, "2|3"),
         "y_grid": (str, "1e-12:1e-4:50:log", "sweep"),
         "rho_a2_grid": (str, "1e-30:1e-6:25:log", "sweep"),
-        "lower_c": (float, homogeneous.LOWER_RATIO_C, "dimensionless"),
+        "lower_c": (float, 8.9, "dimensionless"),  # LOWER_RATIO_C, test-pinned
     },
     "gp": {
         "trap": (str, "harmonic", "spec string"),
@@ -148,6 +132,7 @@ def _format_column(values: list) -> Tuple[list, list]:
     by repr (NaN and Infinity in JSON), bools True/False and true/false,
     other values by str (quoted in CSV where RFC 4180 needs it) and by
     json.dumps; numpy scalars as the Python scalars they hold."""
+    import numpy as np
     if all(isinstance(v, float) for v in values):
         csv = list(map(float.__repr__, values))
         if all(map(math.isfinite, values)):
@@ -168,23 +153,20 @@ def _csv_quote(text: str) -> str:
 
 
 def _coerce(key, raw, typ):
-    if raw is None:
-        return None
     if isinstance(raw, typ):
         return raw
     try:
-        if typ is bool and isinstance(raw, str):
-            return raw.lower() in ("1", "true", "yes")
         return typ(raw)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"parameter {key!r}: cannot convert {raw!r} "
                          f"to {typ.__name__}") from exc
 
 
-def _suggest(key, valid):
-    close = difflib.get_close_matches(key, sorted(valid), n=1)
+def _suggest(kind, name, valid):
+    import difflib      # only a config error pays for it
+    close = difflib.get_close_matches(name, valid, n=1)
     hint = f"; did you mean {close[0]!r}?" if close else ""
-    return f"unknown key {key!r}{hint}"
+    return f"unknown {kind} {name!r}{hint}"
 
 
 def parse_config(argv: List[str]) -> RunConfig:
@@ -240,18 +222,18 @@ def parse_config(argv: List[str]) -> RunConfig:
                          f"{', '.join(sorted(_SCHEMAS))}")
     command = str(command)
     if command not in _SCHEMAS:
-        close = difflib.get_close_matches(command, _SCHEMAS, n=1)
-        hint = f"; did you mean {close[0]!r}?" if close else ""
-        raise ParseError(f"unknown command {command!r}{hint}")
+        raise ParseError(_suggest("command", command, _SCHEMAS))
     schema = _SCHEMAS[command]
-    valid = set(schema) | set(_COMMON)
+    valid = set(schema) | {"output", "format"}
 
     parameters: Dict[str, object] = {}
     out_path: Optional[str] = None
     out_format = "csv"
     for key, raw in merged.items():
         if key not in valid:
-            raise UnknownKey(_suggest(key, valid))
+            raise UnknownKey(_suggest("key", key, sorted(valid)))
+        if raw is None:     # a JSON null leaves the key unset
+            continue
         if key == "output":
             out_path = str(raw)
         elif key == "format":
@@ -282,8 +264,9 @@ def serialize_config(config: RunConfig) -> str:
     return json.dumps(flat, sort_keys=True)
 
 
-def _parse_sweep(text: str) -> np.ndarray:
-    """`lo:hi:points` (linear) or `lo:hi:points:log`."""
+def _parse_sweep(text: str):
+    """`lo:hi:points` (linear) or `lo:hi:points:log`, as a numpy array."""
+    import numpy as np
     parts = text.split(":")
     if len(parts) not in (3, 4):
         raise ParseError(f"sweep {text!r}: expected lo:hi:points[:log]")
@@ -306,14 +289,16 @@ def _parse_sweep(text: str) -> np.ndarray:
 
 
 # --- command implementations -----------------------------------------------------
+# Each runner imports what it calls: a command loads only its own modules.
 
 
 def _run_scatter(config: RunConfig) -> Tuple[list, list]:
+    from . import numerics, potentials, scattering
     pars = config.parameters
-    p = parse_pair_potential(pars["potential"], dimension=pars["dim"])
+    p = potentials.parse_pair_potential(pars["potential"], dimension=pars["dim"])
     abs_tol, rel_tol = pars.get("abs_tol"), pars.get("rel_tol")
     tol = None if abs_tol is None and rel_tol is None else \
-        Tolerances(abs_tol=abs_tol or 0.0, rel_tol=rel_tol or 0.0)
+        numerics.Tolerances(abs_tol=abs_tol or 0.0, rel_tol=rel_tol or 0.0)
     sol = scattering.solve_zero_energy(p, pars["mu"], tol=tol)
     try:
         born = scattering.born_integral(p)
@@ -337,7 +322,11 @@ def _run_scatter(config: RunConfig) -> Tuple[list, list]:
 
 
 def _run_bounds(config: RunConfig) -> Tuple[list, list]:
+    import numpy as np
+    from . import homogeneous
     pars = config.parameters
+    if pars["dim"] not in (2, 3):
+        raise DomainError("dimension must be 2 or 3")
     if pars["dim"] == 3:
         ys = _parse_sweep(pars["y_grid"])
         outside = np.flatnonzero((ys <= 0.0) | (ys >= 1.0))
@@ -364,6 +353,8 @@ def _run_bounds(config: RunConfig) -> Tuple[list, list]:
     xs = _parse_sweep(pars["rho_a2_grid"])
 
     def one2(x):
+        if x <= 0.0:
+            raise DomainError("rho_a2 must be positive")
         p = homogeneous.DiluteParams(rho=1.0, a=math.sqrt(x), mu=1.0, d=2)
         upper, lower = homogeneous.schick_2d_bounds(p)
         lead = homogeneous.leading_energy(p).value
@@ -377,8 +368,9 @@ def _run_bounds(config: RunConfig) -> Tuple[list, list]:
 
 
 def _run_gp(config: RunConfig) -> Tuple[list, list]:
+    from . import gp, potentials
     pars = config.parameters
-    trap = parse_trap_potential(pars["trap"], dimension=pars["dim"])
+    trap = potentials.parse_trap_potential(pars["trap"], dimension=pars["dim"])
     state = gp.gp_minimize(trap, pars["n"], pars["coupling"],
                            mu_const=pars["mu_const"],
                            grid_points=pars["grid_points"])
@@ -402,8 +394,9 @@ def _run_gp(config: RunConfig) -> Tuple[list, list]:
 
 
 def _run_tf(config: RunConfig) -> Tuple[list, list]:
+    from . import gp, potentials
     pars = config.parameters
-    trap = parse_trap_potential(pars["trap"], dimension=pars["dim"])
+    trap = potentials.parse_trap_potential(pars["trap"], dimension=pars["dim"])
     state = gp.tf_solve(trap, pars["n"], pars["coupling"],
                         mu_const=pars["mu_const"])
     row = {
@@ -420,8 +413,9 @@ def _run_tf(config: RunConfig) -> Tuple[list, list]:
 
 
 def _run_gp_tf_limit(config: RunConfig) -> Tuple[list, list]:
+    from . import gp, potentials
     pars = config.parameters
-    trap = parse_trap_potential(pars["trap"], dimension=pars["dim"])
+    trap = potentials.parse_trap_potential(pars["trap"], dimension=pars["dim"])
     gs = _parse_sweep(pars["g_grid"])
     rows = gp.gp_tf_limit(trap, [float(g) for g in gs],
                            grid_points=pars["grid_points"])
@@ -432,6 +426,7 @@ def _run_gp_tf_limit(config: RunConfig) -> Tuple[list, list]:
 
 
 def _run_foldy(config: RunConfig) -> Tuple[list, list]:
+    from . import bogolubov
     pars = config.parameters
     rhos = _parse_sweep(pars["rho_grid"])
     rows = [bogolubov.foldy_report(float(r), pars["mu_const"]) for r in rhos]
@@ -446,6 +441,7 @@ def _run_foldy(config: RunConfig) -> Tuple[list, list]:
 
 
 def _run_bogolubov(config: RunConfig) -> Tuple[list, list]:
+    from . import bogolubov
     pars = config.parameters
     a_val, b_val = pars["a_value"], pars["b_value"]
     mode = bogolubov.pair_mode_bound(a_val, b_val)
@@ -463,7 +459,7 @@ def _run_bogolubov(config: RunConfig) -> Tuple[list, list]:
 
 
 def _run_verify(config: RunConfig) -> Tuple[list, list]:
-    from .verify import run_all     # only this command runs the registry
+    from .verify import run_all
     rows = [{"suite": r.entry.suite, "check": r.entry.name,
              "passed": r.passed, "observed": r.observed,
              "tolerance": r.entry.tolerance,

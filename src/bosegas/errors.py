@@ -1,9 +1,10 @@
-"""Exception types shared by all bosegas modules.
+"""Exception types shared by all bosegas modules, and the checks that raise them.
 
 Every numerical failure mode surfaces as one of these named errors so that
 callers (and the CLI) can report the failure by name instead of crashing.
 """
 
+import functools
 import math
 
 
@@ -20,6 +21,21 @@ def require_finite(**values) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value!r}")
+
+
+def float_range(solve):
+    """Decorator: a float exception in the solve (overflow, division by zero,
+    an invalid operation) raises DomainError, as an input out of range does."""
+    @functools.wraps(solve)
+    def checked(*args, **kwargs):
+        import numpy as np      # the solver modules have loaded it already
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                return solve(*args, **kwargs)
+        except ArithmeticError as exc:
+            raise DomainError(f"{solve.__qualname__} leaves the float range: "
+                              f"{exc}") from None
+    return checked
 
 
 # --- numerics ---------------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (DomainError, NegativeCoupling, NoConvergence,
-                     NotConverged, require_finite)
+                     NotConverged, float_range, require_finite)
 from .numerics import RadialGrid, Tolerances, find_root, quad
 from .potentials import TrapPotential
 
@@ -212,6 +212,7 @@ def _tf_mu_closed(trap: TrapPotential, mu_const: float, d: int,
 # --- the minimizer ---------------------------------------------------------------
 
 
+@float_range
 def gp_minimize(trap: TrapPotential, N: float, coupling: float,
                 mu_const: float = 1.0, grid_points: int = 2000,
                 tol: Optional[Tolerances] = None,
@@ -238,6 +239,8 @@ def gp_minimize(trap: TrapPotential, N: float, coupling: float,
         raise NegativeCoupling("coupling must be nonnegative")
     if N <= 0:
         raise DomainError("N must be positive")
+    if grid_points < 16:
+        raise DomainError("grid needs at least 16 nodes")
     d = trap.dimension
     tol = tol or Tolerances(abs_tol=1e-12, rel_tol=1e-13, max_iterations=20000)
 
@@ -451,6 +454,7 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> float:
     return float(result)
 
 
+@float_range
 def mean_density(state: GpState) -> float:
     """Mean density (1/N) int |phi|^4 d^dx (Simpson quadrature)."""
     if not state.converged:
@@ -488,6 +492,7 @@ def two_dim_coupling(trap: TrapPotential, N: float, a: float,
 # --- Thomas-Fermi -----------------------------------------------------------------
 
 
+@float_range
 def tf_solve(trap: TrapPotential, N: float, a: float, mu_const: float = 1.0,
              tol: Optional[Tolerances] = None) -> TfState:
     """Thomas-Fermi minimizer for a power-law trap.
@@ -503,12 +508,12 @@ def tf_solve(trap: TrapPotential, N: float, a: float, mu_const: float = 1.0,
         raise DomainError("mu_const must be positive")
     d = trap.dimension
     coupling = a if d == 3 else 1.0
-    if coupling <= 0 or N <= 0:
-        raise DomainError("need positive N and coupling")
+    denom = 8.0 * math.pi * mu_const * coupling
+    if not (N > 0 and 0.0 < denom < math.inf):
+        raise DomainError("need N > 0 and 0 < 8 pi mu_const coupling < inf")
     tol = tol or Tolerances(abs_tol=1e-13, rel_tol=1e-12)
     s = trap.homogeneity_degree
     c = trap.scale
-    denom = 8.0 * math.pi * mu_const * coupling
     omega = _omega(d)
 
     def norm_residual(mu):

@@ -297,6 +297,8 @@ def parse_pair_potential(spec: str, dimension: int = 3) -> PairPotential:
             for row in csv.reader(fh):
                 if not row or not row[0].strip():
                     continue
+                if len(row) < 2:
+                    raise DomainError(f"table {path!r}: row {row!r} lacks a value")
                 try:
                     rows.append((float(row[0]), float(row[1])))
                 except ValueError:

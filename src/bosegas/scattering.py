@@ -34,6 +34,7 @@ from .errors import (
     NotConverged,
     RadiusInsideRange,
     ZeroScatteringLength,
+    float_range,
     require_finite,
 )
 from .numerics import RadialGrid, Tolerances, integrate_ode, quad
@@ -268,6 +269,7 @@ def _solve_2d(p, mu, grid, tol, stops) -> _Run:
     return _Run(a, 1.0, chi_range, kin, pot, r_end, radii, psi)
 
 
+@float_range
 def solve_zero_energy(p: PairPotential, mu: float, grid: Optional[RadialGrid] = None,
                       tol: Optional[Tolerances] = None) -> ScatteringSolution:
     """Solve the zero-energy scattering problem and extract a (and s in 3D).
@@ -330,22 +332,27 @@ def scattering_length(sol: ScatteringSolution) -> float:
 def energy_integral(sol: ScatteringSolution, R: float) -> float:
     """int_{|x|<=R} (2 mu |grad psi0|^2 + v psi0^2) d^3x, psi0 -> 1 at infinity.
 
-    Equals 8 pi mu a (1 - a/R) for finite-range potentials.
+    Equals 8 pi mu a (1 - a/R) for finite-range potentials.  R may lie
+    anywhere beyond the potential's range: inside a tail's cut radius the
+    interior integrals come from a rerun of the solve out to R.
     """
     if sol.dimension != 3:
         raise DomainError("energy_integral is a 3D operation")
     if not sol.converged:
         raise NotConverged("solution did not pass the convergence gate")
-    if R < sol.range_radius:
+    p = sol.potential
+    if R < p.range_radius:
         raise RadiusInsideRange(
-            f"R={R!r} lies inside the interaction range {sol.range_radius!r}")
+            f"R={R!r} lies inside the interaction range {p.range_radius!r}")
     mu, a, c = sol.mu, sol.a, sol.slope
     c2 = c * c
+    if R < sol.range_radius:    # a tail is integrated out to the grid's end
+        run = _solve_3d(p, mu, RadialGrid.uniform(0.0, R, 16), sol.tol,
+                        np.empty(0))
+        return 4.0 * math.pi * (2.0 * mu * run.kin + run.pot) / c2
     kin = sol.kin_interior / c2 + a * a * (1.0 / sol.range_radius - 1.0 / R)
     pot = sol.pot_interior / c2
-    if sol.potential.tail is not None and R > sol.range_radius:
-        p = sol.potential
-
+    if p.tail is not None and R > sol.range_radius:
         def tail_term(r):
             return pair_value(p, r) * (1.0 - a / r) ** 2 * r * r
 

@@ -201,3 +201,29 @@ def test_two_component_scaling():
     assert all(p.E_opt < 0.0 for p in res["points"])
     with pytest.raises(DomainError):
         two_component_scaling([1e3, 1e2, 1e4])
+
+
+def test_mode_integral_range_edges():
+    # the integral depends on mu_const/rho alone; at the edges of the
+    # accepted range it still meets the closed form
+    for rho, mu_const in ((1.0, 1e-9), (1.0, 1e22), (1e3, 1e25),
+                          (1e300, 1e300)):
+        report = foldy_report(rho, mu_const)
+        assert report["numeric_over_closed"] == pytest.approx(1.0, abs=1e-11)
+    # beyond them the quadrature once returned 0 (ratio 1e23 and up) or
+    # failed its tail test (1e-10 and below)
+    for mu_const in (1e-10, 1e23, 1e300, 1e308):
+        with pytest.raises(DomainError, match="mu_const/rho"):
+            mode_integral_energy(1.0, mu_const)
+    # mu_const k^2 overflows at the largest nodes
+    with pytest.raises(DomainError, match="leaves the float range"):
+        mode_integral_energy(1e308, 1e308)
+
+
+def test_pair_mode_out_of_float_range():
+    # A^2 overflows, or alpha = B/(A + sqrt(A^2 - B^2)) underflows to 0
+    for a, b in ((1e200, 1e199), (1e308, 1e307), (5.0, 5e-324)):
+        with pytest.raises(DomainError, match="leaves the float range"):
+            pair_mode_bound(a, b)
+    mode = pair_mode_bound(1e150, 3e149)       # A^2 still finite
+    assert mode.ground_bound_coeff == pytest.approx(0.5e150 * (1 - 0.91 ** 0.5))

@@ -1,6 +1,7 @@
 """CLI: config parsing, round trips, report formats, determinism, errors."""
 
 import csv
+import importlib
 import io
 import json
 import math
@@ -65,6 +66,22 @@ def test_config_file_and_flag_override(tmp_path):
                                "potential": "hardcore:r0=1", "ro": 1}))
     with pytest.raises(UnknownKey):
         parse_config(["--config", str(bad)])
+
+
+def test_config_file_null_leaves_the_key_unset(tmp_path, capsys):
+    # a null coupling once reached gp_minimize and ended in a TypeError
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"command": "gp", "coupling": None}))
+    assert main(["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "ParseError: command 'gp' requires --coupling" in err
+    path.write_text(json.dumps({"command": "scatter", "abs_tol": None,
+                                "potential": "hardcore:r0=1", "output": None,
+                                "mu": None}))
+    cfg = parse_config(["--config", str(path)])
+    assert cfg.parameters == {"potential": "hardcore:r0=1", "mu": 1.0,
+                              "dim": 3}
+    assert cfg.output_path is None
 
 
 def test_round_trip_identity(tmp_path):
@@ -302,6 +319,63 @@ def test_gp_invalid_inputs_exit_3(capsys):
         assert "DomainError" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gp", "--coupling", "1", "--grid-points", "0"],
+     "grid needs at least 16 nodes"),
+    (["gp", "--coupling", "1", "--grid-points", "-3"],
+     "grid needs at least 16 nodes"),
+    (["gp", "--coupling", "1e308"], "gp_minimize leaves the float range"),
+    (["gp", "--coupling", "1", "--n", "1e308"],
+     "gp_minimize leaves the float range"),
+    (["gp", "--coupling", "1", "--n", "1e300", "--grid-points", "300"],
+     "gp_minimize leaves the float range"),
+    (["gp", "--trap", "harmonic:scale=1e308", "--coupling", "1"],
+     "gp_minimize leaves the float range"),
+    (["gp", "--n", "3.8e16", "--coupling", "3.8e16", "--mu-const", "1e-308",
+      "--grid-points", "239"], "mean_density leaves the float range"),
+    (["tf", "--trap", "harmonic:scale=1e-308", "--coupling", "1"],
+     "tf_solve leaves the float range"),
+    (["gp-tf-limit", "--trap", "power:s=1e-212,scale=1e15",
+      "--grid-points", "100"], "tf_solve leaves the float range"),
+    (["bogolubov", "--a-value", "1e308", "--b-value", "1e307"],
+     "BogolubovMode.__post_init__ leaves the float range"),
+    (["bogolubov", "--b-value", "5e-324"],
+     "BogolubovMode.__post_init__ leaves the float range"),
+    (["bounds", "--dim", "4"], "dimension must be 2 or 3"),
+    (["bounds", "--dim", "1", "--rho-a2-grid", "1e-8:1e-6:2"],
+     "dimension must be 2 or 3"),
+    (["bounds", "--dim", "2", "--rho-a2-grid", "-2.5:-2.5:1"],
+     "rho_a2 must be positive"),
+    (["tf", "--coupling", "5e-266", "--mu-const", "5e-266"],
+     "need N > 0 and 0 < 8 pi mu_const coupling < inf"),
+    (["foldy", "--mu-const", "1e308"], "need 1e-9 <= mu_const/rho <= 1e22"),
+    (["foldy", "--rho-grid", "1e308:1e308:1", "--mu-const", "1e308"],
+     "mode_integral_energy leaves the float range"),
+    (["scatter", "--potential", "squarewell:r0=1e200,v0=1"],
+     "solve_zero_energy leaves the float range"),
+    (["scatter", "--potential", "hardcore:r0=1e308"],
+     "solve_zero_energy leaves the float range"),
+])
+def test_boundary_inputs_exit_3_with_a_named_error(capsys, argv, message):
+    # each of these once ended in a traceback (exit 1), or in bounds'
+    # case ran the 2D branch for any --dim other than 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"{argv[0]}: DomainError: {message}")
+    assert "Traceback" not in err
+
+
+def test_table_row_without_a_value_exits_3(tmp_path, capsys):
+    table = tmp_path / "one_column.csv"
+    table.write_text("0.5\n1.0\n")
+    assert main(["scatter", "--potential", f"table:path={table}"]) == 3
+    err = capsys.readouterr().err
+    assert "DomainError: table" in err and "lacks a value" in err
+    assert "Traceback" not in err
+
+
 def test_gp_profile_export(tmp_path):
     prof = tmp_path / "prof.csv"
     cfg = parse_config(["gp", "--coupling", "0.1", "--grid-points", "700",
@@ -329,6 +403,16 @@ def test_two_dimensional_commands():
     assert rows[1]["ratio"] < rows[0]["ratio"]
 
 
+def test_lower_c_default_is_the_library_constant():
+    # the schema holds a literal so that parsing a config loads no solver
+    # module; `# config` writes its repr
+    from bosegas import homogeneous
+    default = parse_config(["bounds"]).parameters["lower_c"]
+    assert repr(default) == repr(homogeneous.LOWER_RATIO_C) == "8.9"
+    assert '"lower_c": 8.9' in run(parse_config(["bounds", "--y-grid",
+                                                 "1e-8:1e-6:2"])).to_csv()
+
+
 def test_cli_subprocess_entry():
     # the child imports the same bosegas as this process, installed or not
     src = os.path.dirname(os.path.dirname(bosegas.__file__))
@@ -341,28 +425,41 @@ def test_cli_subprocess_entry():
     assert "fock_energy" in proc.stdout
 
 
+# The probe's commands in order, each with its exit code and the bosegas
+# modules it adds to those loaded so far; `import bosegas.cli` loads `cli`
+# and `errors` only.  A config error (exit 2) loads neither numpy nor a
+# solver module, and the commands up to the first GP solve load no scipy.
+_IMPORT_GRAPH = [
+    (["gp", "--coupling", "1", "--coupling-strength", "2"], 2, []),
+    (["scatter", "--potentail", "x"], 2, []),
+    (["bounds", "--y-grid", "1e-12:1e-4:5:log"], 0, ["homogeneous"]),
+    (["bounds", "--dim", "2", "--rho-a2-grid", "1e-20:1e-8:4:log"], 0, []),
+    (["foldy", "--rho-grid", "1:16:2:log"], 0, ["bogolubov", "numerics"]),
+    (["gp", "--coupling", "-1"], 3, ["gp", "potentials"]),
+    (["tf", "--coupling", "100"], 0, []),
+    (["scatter", "--potential", "hardcore:r0=1"], 0, ["scattering"]),
+    (["scatter", "--potential", "squarewell:r0=1,v0=10", "--mu", "2"], 0, []),
+    (["gp", "--coupling", "1", "--grid-points", "300"], 0, []),
+    (["gp-tf-limit", "--g-grid", "10:100:2:log", "--grid-points", "300"], 0,
+     []),
+    (["bogolubov", "--n-max", "40"], 0, []),
+]
+
 _COLD_PATH_PROBE = """
 import contextlib, io, json, sys
+def seen(code):
+    return {"code": code, "numpy": "numpy" in sys.modules,
+            "bosegas": sorted(m for m in sys.modules
+                              if m.startswith("bosegas.")),
+            "scipy": sorted(m for m in sys.modules
+                            if m.split(".")[0] == "scipy")}
 from bosegas import cli
-verify_loaded = "bosegas.verify" in sys.modules
-runs = [["scatter", "--potential", "hardcore:r0=1"],
-        ["scatter", "--potential", "squarewell:r0=1,v0=10", "--mu", "2"],
-        ["bounds", "--y-grid", "1e-12:1e-4:5:log"],
-        ["tf", "--coupling", "100"],
-        ["foldy", "--rho-grid", "1:16:2:log"],
-        ["scatter", "--potentail", "x"],
-        ["gp", "--coupling", "-1"]]
-codes = []
+steps = [seen(None)]
 with contextlib.redirect_stdout(io.StringIO()), \\
         contextlib.redirect_stderr(io.StringIO()):
-    for argv in runs:
-        codes.append(cli.main(argv))
-    cold = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-    codes.append(cli.main(["gp", "--coupling", "1", "--grid-points", "300"]))
-gp = sorted(m for m in sys.modules
-            if m.startswith(("scipy.optimize", "scipy.integrate")))
-print(json.dumps({"codes": codes, "cold": cold, "gp": gp,
-                  "verify_loaded": verify_loaded}))
+    for argv in json.loads(sys.argv[1]):
+        steps.append(seen(cli.main(argv)))
+print(json.dumps(steps))
 """
 
 
@@ -371,14 +468,75 @@ def test_cold_commands_do_not_load_scipy():
     src = os.path.dirname(os.path.dirname(bosegas.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _COLD_PATH_PROBE], capture_output=True,
-        text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+        [sys.executable, "-c", _COLD_PATH_PROBE,
+         json.dumps([argv for argv, _, _ in _IMPORT_GRAPH])],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout)
-    assert seen["codes"] == [0, 0, 0, 0, 0, 2, 3, 0]
-    assert seen["cold"] == []
-    assert seen["gp"] == []
-    assert seen["verify_loaded"] is False
+    steps = json.loads(proc.stdout)
+    loaded = {"bosegas.cli", "bosegas.errors"}
+    assert steps[0] == {"code": None, "numpy": False,
+                        "bosegas": sorted(loaded), "scipy": []}
+    first_gp = next(i for i, (argv, code, _) in enumerate(_IMPORT_GRAPH)
+                    if argv[0] == "gp" and code == 0)
+    for i, ((argv, code, adds), step) in enumerate(zip(_IMPORT_GRAPH,
+                                                      steps[1:])):
+        loaded |= {f"bosegas.{m}" for m in adds}
+        assert (step["code"], step["bosegas"]) == (code, sorted(loaded)), argv
+        # the two config errors load no numpy; every command after them does
+        assert step["numpy"] == (i >= 2), argv
+        # scipy comes with the first GP solve, and only scipy.linalg
+        if i < first_gp:
+            assert step["scipy"] == [], argv
+        assert not any(m.startswith(("scipy.optimize", "scipy.integrate"))
+                       for m in step["scipy"]), argv
+
+
+# The names `bosegas/__init__.py` imported eagerly before its namespace
+# became lazy, by defining module.
+_PUBLIC_NAMES = {
+    "errors": ["BoseGasError", "DomainError"],
+    "numerics": ["RadialGrid", "Tolerances", "find_root", "integrate_ode",
+                 "quad"],
+    "potentials": ["HARD_CORE", "PairPotential", "TrapPotential",
+                   "pair_value", "parse_pair_potential",
+                   "parse_trap_potential", "tail_integrability",
+                   "trap_value"],
+    "scattering": ["ScatteringSolution", "born_integral", "energy_integral",
+                   "kinetic_fraction", "scattering_length",
+                   "solve_zero_energy"],
+    "homogeneous": ["CellMethodParams", "DiluteParams", "EnergyEstimate",
+                    "cell_energy_factor", "cell_lower_bound",
+                    "cell_lower_ratio", "dilute_lower_ratio",
+                    "dyson_upper_ratio", "leading_energy", "lhy_energy",
+                    "log_quadratic_gap", "occupation_minimum",
+                    "schick_2d_bounds", "softened_interaction",
+                    "temple_bound"],
+    "gp": ["GpState", "TfState", "chemical_potential", "coupling_2d",
+           "gp_minimize", "gp_residual", "gp_tf_limit", "mean_density",
+           "tf_energy", "tf_scaling", "tf_solve"],
+    "bogolubov": ["BogolubovMode", "FoldyParams", "fock_oracle",
+                  "foldy_dimensionless_integral", "foldy_energy",
+                  "foldy_mode_integrand", "kinetic_cutoff", "pair_mode_bound",
+                  "two_component_scaling", "yukawa_ft"],
+}
+
+
+def test_lazy_namespace_resolves_every_public_name():
+    for module, names in _PUBLIC_NAMES.items():
+        defining = importlib.import_module(f"bosegas.{module}")
+        for name in names:
+            assert getattr(bosegas, name) is getattr(defining, name)
+            assert name in dir(bosegas)
+    assert sorted(bosegas.__all__) \
+        == sorted(sum(_PUBLIC_NAMES.values(), []))
+    from bosegas import PairPotential, solve_zero_energy
+    assert PairPotential is bosegas.potentials.PairPotential
+    assert solve_zero_energy is bosegas.scattering.solve_zero_energy
+    with pytest.raises(AttributeError):
+        bosegas.no_such_name
+    with pytest.raises(ImportError):
+        from bosegas import no_such_name  # noqa: F401
 
 
 # --- report writer against independent oracles -----------------------------------

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from bosegas.errors import RadiusInsideRange
 from bosegas.gp import (gp_minimize, tf_chemical_identity_gap, tf_solve)
 from bosegas.potentials import PairPotential, TrapPotential, pair_value
 from bosegas.scattering import energy_integral, solve_zero_energy
@@ -79,6 +80,38 @@ def test_energy_integral_with_tail():
                                               sol.range_radius * 4.0)]
     assert vals[1] > vals[0] > 0.0
     assert vals[1] <= 8.0 * math.pi * sol.a * 1.01
+
+
+def test_energy_integral_inside_a_tail_cut_radius():
+    # The potential's range is 1; the tail is integrated out to its cut
+    # radius, about 2325, and every R beyond the range has an integral.
+    p = PairPotential(kind="square-well", core_radius=1.0, strength=2.0,
+                      tail=(0.3, 6.0))
+    sol = solve_zero_energy(p, 1.0)
+    cut = sol.range_radius
+    radii = [1.0, 1.5, 10.0, 100.0, 2000.0, cut, 1.5 * cut, 4.0 * cut]
+    vals = [energy_integral(sol, R) for R in radii]
+    assert all(map(math.isfinite, vals))
+    assert np.all(np.diff(vals) > 0.0)     # the integrand is nonnegative
+    # the rerun out to just below the cut radius meets the reported run
+    assert energy_integral(sol, float(np.nextafter(cut, 0.0))) \
+        == pytest.approx(vals[5], rel=1e-10)
+    with pytest.raises(RadiusInsideRange, match=r"interaction range 1\.0$"):
+        energy_integral(sol, 0.99)
+
+    # independent route at R = 10: scipy RK45 on u, int (u' - u/r)^2 and
+    # int v u^2, segment by segment, normalized by the solver's slope
+    def rhs(r, y):
+        if r <= 0.0:
+            return [y[1], 0.0, 0.0, 0.0]
+        v, grad = pair_value(p, r), y[1] - y[0] / r
+        return [y[1], v * y[0] / 2.0, grad * grad, v * y[0] * y[0]]
+
+    y = [0.0, 1.0, 0.0, 0.0]
+    for lo, hi in ((0.0, 1.0), (1.0, 10.0)):
+        y = solve_ivp(rhs, (lo, hi), y, rtol=1e-12, atol=1e-14).y[:, -1]
+    want = 4.0 * math.pi * (2.0 * y[2] + y[3]) / sol.slope ** 2
+    assert vals[2] == pytest.approx(want, rel=1e-8)
 
 
 def test_gp_nonunit_constants():
