@@ -75,6 +75,10 @@ _SCHEMAS: Dict[str, Dict[str, tuple]] = {
     "verify": {},
 }
 
+# Size ceilings, checked at parse time; the README gives their measured costs
+_CEILINGS = {"grid_points": 10 ** 5, "n_max": 10 ** 5}
+_MAX_SWEEP_POINTS = 10 ** 6
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -157,7 +161,7 @@ def _coerce(key, raw, typ):
         return raw
     try:
         return typ(raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"parameter {key!r}: cannot convert {raw!r} "
                          f"to {typ.__name__}") from exc
 
@@ -242,7 +246,10 @@ def parse_config(argv: List[str]) -> RunConfig:
                 raise ParseError(f"format must be csv or json, "
                                  f"got {out_format!r}")
         else:
-            parameters[key] = _coerce(key, raw, schema[key][0])
+            value = parameters[key] = _coerce(key, raw, schema[key][0])
+            if key in _CEILINGS and value > _CEILINGS[key]:
+                raise ParseError(f"parameter {key!r}: {value} exceeds the "
+                                 f"ceiling {_CEILINGS[key]}")
     for key, (typ, default, _unit) in schema.items():
         if key not in parameters:
             if default == "__required__":
@@ -277,8 +284,9 @@ def _parse_sweep(text: str):
         raise ParseError(f"sweep {text!r}: {exc}")
     if not all(map(math.isfinite, (lo, hi, hi - lo))):
         raise ParseError(f"sweep {text!r}: lo, hi and hi - lo must be finite")
-    if n < 1:
-        raise ParseError("sweep needs at least one point")
+    if not 1 <= n <= _MAX_SWEEP_POINTS:
+        raise ParseError(f"sweep {text!r}: needs 1 to {_MAX_SWEEP_POINTS} "
+                         f"points")
     if len(parts) == 4:
         if parts[3] != "log":
             raise ParseError(f"sweep suffix must be 'log', got {parts[3]!r}")
@@ -496,35 +504,44 @@ def run(config: RunConfig) -> Report:
     return Report(metadata=metadata, columns=columns, rows=rows)
 
 
-_HELP = """bosegas COMMAND [--key value ...]
-
-Commands and their keys (defaults in parentheses):
-  scatter      --potential SPEC  --mu (1.0)  --dim (3)
-               --abs-tol X  --rel-tol X   [ODE tolerances]
-               potential specs: hardcore:r0=X | squarewell:r0=X,v0=Y
-                                softsphere:r0=X,v0=Y | table:path=FILE
-  bounds       --dim (3)  --y-grid (1e-12:1e-4:50:log)  --lower-c (8.9)
-               --rho-a2-grid (1e-30:1e-6:25:log)   [2D]
-  gp           --trap (harmonic) --dim (3) --n (1.0) --coupling REQUIRED
-               --mu-const (1.0) --grid-points (2000) --profile-out PATH
-               trap specs: harmonic[:scale=S] | box:l=L | power:s=S[,scale=C]
-  tf           --trap (harmonic) --dim (3) --n (1.0) --coupling REQUIRED
-  gp-tf-limit  --trap (harmonic) --dim (3) --g-grid (10:10000:4:log)
-  foldy        --rho-grid (1:256:3:log)  --mu-const (1.0)
-  bogolubov    --a-value (5.0)  --b-value (3.0)  --n-max (120)
-  verify       (no keys; runs the invariant battery)
-
+_HELP_FOOTER = f"""
+Potential specs: hardcore:r0=X | squarewell:r0=X,v0=Y | softsphere:r0=X,v0=Y
+                 | table:path=FILE
+Trap specs: harmonic[:scale=S] | box:l=L | power:s=S[,scale=C]
+Sweeps use lo:hi:points[:log], at most {_MAX_SWEEP_POINTS} points.
+  bounds reads --y-grid in 3D and --rho-a2-grid in 2D; --abs-tol and
+  --rel-tol are the ODE tolerances of scatter.
 Common keys: --config FILE (flat JSON; flags override), --output PATH,
   --format csv|json.
-Sweeps use lo:hi:points[:log].
 Exit codes: 0 ok, 2 config error, 3 numerical failure.
 """
+
+
+def _help() -> str:
+    """Usage text: every command's keys with their defaults, from _SCHEMAS."""
+    lines = ["bosegas COMMAND [--key value ...]", "",
+             "Commands and their keys (defaults in parentheses):"]
+    for command, schema in _SCHEMAS.items():
+        items = []
+        for key, (_typ, default, _unit) in schema.items():
+            shown = {"__required__": "required", None: "unset"}.get(
+                default, default)
+            ceiling = f"; at most {_CEILINGS[key]}" if key in _CEILINGS else ""
+            items.append(f"--{key.replace('_', '-')} ({shown}{ceiling})")
+        row = [command.ljust(11)]
+        for item in items or ["(no keys; runs the invariant battery)"]:
+            if len(row) > 1 and len("  ".join(row + [item])) > 75:
+                lines.append("  " + "  ".join(row))
+                row = [" " * 11]
+            row.append(item)
+        lines.append("  " + "  ".join(row))
+    return "\n".join(lines) + "\n" + _HELP_FOOTER
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if not argv or argv[0] in ("-h", "--help", "help"):
-        print(_HELP, end="")
+        print(_help(), end="")
         return 0
     try:
         config = parse_config(argv)

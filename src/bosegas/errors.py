@@ -86,6 +86,11 @@ class ZeroScatteringLength(BoseGasError):
     """Operation is undefined for a = 0."""
 
 
+class ScatteringLengthUnderflow(BoseGasError):
+    """A potential that is not identically zero gave a <= 0: a lies below
+    the float range."""
+
+
 # --- homogeneous-gas machinery ------------------------------------------------
 
 class GapViolation(BoseGasError):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import (DomainError, NegativeCoupling, NoConvergence,
                      NotConverged, float_range, require_finite)
-from .numerics import RadialGrid, Tolerances, find_root, quad
+from .numerics import Tolerances, find_root, quad
 from .potentials import TrapPotential
 
 __all__ = [
@@ -60,7 +60,7 @@ class GpState:
     N: float
     coupling: float           # scattering length a (3D) or alpha (2D)
     mu_const: float
-    grid: RadialGrid
+    r: np.ndarray             # the grid: increasing radii of phi, r[0] > 0
     phi: np.ndarray
     kinetic: float
     trap_energy: float
@@ -77,9 +77,6 @@ class GpState:
     @property
     def energy_breakdown(self):
         return self.kinetic, self.trap_energy, self.interaction
-
-    def density(self) -> np.ndarray:
-        return self.phi ** 2
 
 
 @dataclass(frozen=True)
@@ -211,25 +208,26 @@ def _tf_mu_closed(trap: TrapPotential, mu_const: float, d: int,
 
 # --- the minimizer ---------------------------------------------------------------
 
+# the minimizer's pass budget and stopping rule (see gp_minimize)
+_TOL = Tolerances(abs_tol=1e-12, rel_tol=1e-13, max_iterations=20000)
+_RESIDUAL_TOL = 1e-9
+
 
 @float_range
 def gp_minimize(trap: TrapPotential, N: float, coupling: float,
-                mu_const: float = 1.0, grid_points: int = 2000,
-                tol: Optional[Tolerances] = None,
-                r_max: Optional[float] = None,
-                residual_tol: float = 1e-9) -> GpState:
+                mu_const: float = 1.0, grid_points: int = 2000) -> GpState:
     """Minimize the GP functional at particle number N.
 
     Returns a state with phi >= 0 on the grid, positive except where the
     far tail underflows to 0 at extreme coupling, the energy breakdown, the
     chemical potential E/N + (4 pi mu c/N) int phi^4, and the relative
     residual of the discrete GP equation.  The solve stops at the first
-    accepted step (Newton or flow) whose residual is <= residual_tol and
-    whose energy change is at most rel_tol |E| + abs_tol.  `iterations`
-    counts the passes of the solver loop, `newton_steps` the accepted Newton
-    steps among them.  The domain radius and spacing depend on the trap and
-    the product N*coupling only, so states related by the (N, a) -> (1, N a)
-    scaling share one discretization exactly.
+    accepted step (Newton or flow) whose residual is <= 1e-9 and whose
+    energy change is at most 1e-13 |E| + 1e-12, within 20000 passes.
+    `iterations` counts the passes of the solver loop, `newton_steps` the
+    accepted Newton steps among them.  The domain radius and spacing depend
+    on the trap and the product N*coupling only, so states related by the
+    (N, a) -> (1, N a) scaling share one discretization exactly.
     """
     if not all(map(math.isfinite, (N, coupling, mu_const))):
         raise DomainError("N, coupling and mu_const must be finite")
@@ -242,15 +240,13 @@ def gp_minimize(trap: TrapPotential, N: float, coupling: float,
     if grid_points < 16:
         raise DomainError("grid needs at least 16 nodes")
     d = trap.dimension
-    tol = tol or Tolerances(abs_tol=1e-12, rel_tol=1e-13, max_iterations=20000)
 
     if trap.kind == "box":
         return _box_state(trap, N, coupling, mu_const)
 
     g_eff = N * coupling
-    if r_max is None:
-        r_max = _auto_extent(trap, mu_const, d, g_eff)
-    disc = _Discretization(trap, mu_const, d, r_max, grid_points)
+    disc = _Discretization(trap, mu_const, d,
+                           _auto_extent(trap, mu_const, d, g_eff), grid_points)
     r, V = disc.r, disc.V
     g_int = _interaction_coeff(mu_const, coupling)
 
@@ -306,7 +302,7 @@ def gp_minimize(trap: TrapPotential, N: float, coupling: float,
     iterations = newton_steps = 0
     try_newton = True
 
-    for iterations in range(1, tol.max_iterations + 1):
+    for iterations in range(1, _TOL.max_iterations + 1):
         trial = newton_candidate(u, h_u, lam) if try_newton else None
         if trial is not None:
             e_new, _ = energy(trial)
@@ -329,12 +325,12 @@ def gp_minimize(trap: TrapPotential, N: float, coupling: float,
             newton_steps += 1
         try_newton = True
         u = trial
-        flat = abs(e_new - e_old) <= tol.rel_tol * abs(e_new) + tol.abs_tol
+        flat = abs(e_new - e_old) <= _TOL.rel_tol * abs(e_new) + _TOL.abs_tol
         e_old = min(e_new, e_old)
         e_hist.append(e_new)
         h_u, lam, res = _rayleigh(disc, u, V, interaction_diag)
         resid_hist.append(res)
-        if res <= residual_tol and flat:
+        if res <= _RESIDUAL_TOL and flat:
             converged = True
             break
     if not converged:
@@ -348,10 +344,9 @@ def gp_minimize(trap: TrapPotential, N: float, coupling: float,
     quartic = float(np.sum(disc.weights * (phi * r) ** 4 / r ** 2)) if d == 3 \
         else float(np.sum(disc.weights * phi ** 4))
     mu_gp = e_total / N + g_int / N * quartic
-    grid = RadialGrid(r_min=float(r[0]), r_max=float(r[-1]), nodes=r)
     return GpState(
         dimension=d, trap=trap, N=N, coupling=coupling, mu_const=mu_const,
-        grid=grid, phi=phi, kinetic=kin, trap_energy=trap_e,
+        r=r, phi=phi, kinetic=kin, trap_energy=trap_e,
         interaction=inter, E=e_total, mu_gp=mu_gp,
         residual=resid_hist[-1], converged=True, iterations=iterations,
         residual_trace=tuple(resid_hist[-32:]),
@@ -390,11 +385,9 @@ def _box_state(trap, N, coupling, mu_const):
     g_int = _interaction_coeff(mu_const, coupling)
     inter = g_int * N * N / volume
     n_nodes = 33
-    nodes = np.linspace(L / n_nodes, L, n_nodes)
-    grid = RadialGrid(r_min=float(nodes[0]), r_max=L, nodes=nodes)
     mu_gp = 2.0 * inter / N
     return GpState(dimension=d, trap=trap, N=N, coupling=coupling,
-                   mu_const=mu_const, grid=grid,
+                   mu_const=mu_const, r=np.linspace(L / n_nodes, L, n_nodes),
                    phi=np.full(n_nodes, value), kinetic=0.0, trap_energy=0.0,
                    interaction=inter, E=inter, mu_gp=mu_gp, residual=0.0,
                    converged=True, iterations=0, residual_trace=(0.0,))
@@ -405,11 +398,10 @@ def gp_residual(state: GpState) -> float:
     if state.trap.kind == "box":
         return 0.0
     d = state.dimension
-    n = len(state.grid)
     # both discretizations place the outer Dirichlet edge one spacing unit
-    # beyond/at the last node: R = r_max + r_min (h or h/2 offset)
-    r_max = state.grid.r_max + state.grid.r_min
-    disc = _Discretization(state.trap, state.mu_const, d, r_max, n)
+    # beyond/at the last node: R = r[-1] + r[0] (h or h/2 offset)
+    disc = _Discretization(state.trap, state.mu_const, d,
+                           state.r[-1] + state.r[0], state.r.size)
     u = state.phi * disc.r if d == 3 else np.asarray(state.phi, dtype=float)
     g_int = _interaction_coeff(state.mu_const, state.coupling)
 
@@ -462,7 +454,7 @@ def mean_density(state: GpState) -> float:
     if state.trap.kind == "box":
         return state.N / state.trap.box_side ** state.dimension
     d = state.dimension
-    r = state.grid.nodes
+    r = state.r
     jac = _omega(d) * r ** (d - 1)
     body = _simpson(state.phi ** 4 * jac, r)
     # the grid starts off-axis; phi is flat at the origin, so the missing
@@ -605,7 +597,7 @@ def gp_tf_limit(trap: TrapPotential, g_sequence: Sequence[float],
             dens_scale = g ** (2.0 / (s + 2.0))
         r_ref = np.linspace(0.0, 1.4 * tf_unit.support_radius, 800)
         rho_ref = tf_density(tf_unit, r_ref)
-        rho_gp = dens_scale * np.interp(scale * r_ref, state.grid.nodes,
+        rho_gp = dens_scale * np.interp(scale * r_ref, state.r,
                                         state.phi ** 2, right=0.0)
         jac = _omega(d) * r_ref ** (d - 1)
         l1 = float(np.trapezoid(np.abs(rho_gp - rho_ref) * jac, r_ref))
@@ -635,7 +627,7 @@ def export_profile(state: GpState, path: str) -> None:
         f"# mu_gp = {state.mu_gp!r}",
         "r,phi,rho",
     ]
-    for r, phi in zip(state.grid.nodes, state.phi):
+    for r, phi in zip(state.r, state.phi):
         lines.append(f"{r!r},{phi!r},{phi * phi!r}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

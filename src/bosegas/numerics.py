@@ -1,15 +1,16 @@
 """Shared numerical kernels: ODE integration, quadrature and root finding.
 
-All routines are deterministic pure functions of their arguments; nothing in
-this module keeps global state, so values can be shared freely between
-concurrent workers.
+Radii are plain float arrays: `integrate_ode` stops at each radius of the
+array it is given.  All routines are deterministic pure functions of their
+arguments; nothing in this module keeps global state, so values can be
+shared freely between concurrent workers.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from .errors import (
 
 __all__ = [
     "Tolerances",
-    "RadialGrid",
     "integrate_ode",
     "quad",
     "find_root",
@@ -46,36 +46,6 @@ class Tolerances:
             raise DomainError("abs_tol + rel_tol must be positive")
         if self.max_iterations < 1:
             raise DomainError("max_iterations must be at least 1")
-
-
-@dataclass(frozen=True)
-class RadialGrid:
-    """Strictly increasing radial nodes covering [r_min, r_max]."""
-
-    r_min: float
-    r_max: float
-    nodes: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        nodes = np.array(self.nodes, dtype=float, copy=True)
-        if nodes.ndim != 1 or nodes.size < 16:
-            raise DomainError("grid needs at least 16 nodes")
-        if not np.all(np.diff(nodes) > 0):
-            raise DomainError("grid nodes must be strictly increasing")
-        if self.r_min < 0 or self.r_max <= self.r_min:
-            raise DomainError("need 0 <= r_min < r_max")
-        if nodes[0] != self.r_min or nodes[-1] != self.r_max:
-            raise DomainError("grid endpoints must equal r_min, r_max")
-        nodes.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
-
-    def __len__(self) -> int:
-        return self.nodes.size
-
-    @classmethod
-    def uniform(cls, r_min: float, r_max: float, n: int) -> "RadialGrid":
-        nodes = np.linspace(r_min, r_max, n)
-        return cls(r_min=r_min, r_max=r_max, nodes=nodes)
 
 
 # Dormand-Prince 8(5,3) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
@@ -185,9 +155,8 @@ def integrate_ode(rhs, initial, radii: np.ndarray,
     Hairer, Norsett & Wanner driving acceptance and the next step size.  The
     error scale per component is abs_tol + rel_tol * (|y| + |h f|); the
     step size may not fall below 1e-14 of the span.  `radii` is a strictly
-    increasing 1-D array of two or more radii (a RadialGrid's `nodes`, say);
-    every radius is a forced stop.  Returns the trajectory there, shape
-    (len(radii), len(initial)).
+    increasing 1-D array of two or more radii; every radius is a forced
+    stop.  Returns the trajectory there, shape (len(radii), len(initial)).
 
     `rhs` receives r as a Python float and y as a float array, and returns
     len(initial) floats, as a sequence or an array.  A non-finite right-hand side at any

@@ -99,6 +99,13 @@ class PairPotential:
     def has_hard_core(self) -> bool:
         return self.kind == "hard-core"
 
+    def vanishes(self) -> bool:
+        """Whether v is identically zero: a zero step or table, no tail."""
+        values = [v for _, v in self.table] if self.kind == "tabulated" \
+            else [self.strength]
+        return (not self.has_hard_core() and not any(values)
+                and (self.tail is None or self.tail[0] == 0.0))
+
     @property
     def breakpoints(self) -> Tuple[float, ...]:
         """Increasing radii where v or its slope may jump: the step edge or

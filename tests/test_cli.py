@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -14,9 +15,9 @@ import numpy as np
 import pytest
 
 import bosegas
-from bosegas.cli import (_RUNNERS, Report, RunConfig, _format_column,
-                         _parse_sweep, main, parse_config, run,
-                         serialize_config)
+from bosegas.cli import (_RUNNERS, _SCHEMAS, Report, RunConfig,
+                         _format_column, _parse_sweep, main, parse_config,
+                         run, serialize_config)
 from bosegas.errors import ParseError, UnknownKey
 
 
@@ -309,6 +310,65 @@ def test_main_exit_codes(tmp_path):
     assert main([]) == 0                                     # help
 
 
+def test_help_lists_every_key_with_its_default(capsys):
+    assert main(["--help"]) == 0
+    text = capsys.readouterr().out
+    for command, schema in _SCHEMAS.items():
+        # a command's block: its line and the continuation lines under it
+        block = re.search(rf"^  {re.escape(command)} +(.*(\n {{15}}.*)*)",
+                          text, re.M).group(1)
+        for key, (_typ, default, _unit) in schema.items():
+            shown = {"__required__": "required", None: "unset"}.get(
+                default, default)
+            assert f"--{key.replace('_', '-')} ({shown}" in block, key
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bounds", "--y-grid", "1:2:1000000000000"],
+     "sweep '1:2:1000000000000': needs 1 to 1000000 points"),
+    (["foldy", "--rho-grid", "1:2:1000001:log"],
+     "sweep '1:2:1000001:log': needs 1 to 1000000 points"),
+    (["gp", "--coupling", "1", "--grid-points", "100000000000"],
+     "parameter 'grid_points': 100000000000 exceeds the ceiling 100000"),
+    (["gp-tf-limit", "--grid-points", "100001"],
+     "parameter 'grid_points': 100001 exceeds the ceiling 100000"),
+    (["bogolubov", "--n-max", "100000000000000000000"],
+     "parameter 'n_max': 100000000000000000000 exceeds the ceiling 100000"),
+])
+def test_sizes_above_their_ceiling_exit_2(capsys, argv, message):
+    # the first, third and last once ended in a traceback (exit 1): a
+    # 7.28 TiB sweep, a 745 GiB grid and an array size numpy refuses
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: ParseError: {message}")
+
+
+def test_infinite_size_in_a_config_file_exits_2(tmp_path, capsys):
+    # json reads Infinity as a float, and int(inf) raised a bare
+    # OverflowError
+    path = tmp_path / "inf.json"
+    path.write_text('{"command": "bogolubov", "n_max": Infinity}')
+    assert main(["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ParseError: parameter 'n_max': "
+                          "cannot convert inf to int")
+
+
+def test_sizes_at_their_ceiling_parse():
+    assert _parse_sweep("1:2:1000000").size == 10 ** 6
+    for argv in (["gp", "--coupling", "1", "--grid-points", "100000"],
+                 ["bogolubov", "--n-max", "100000"]):
+        key = argv[-2][2:].replace("-", "_")
+        assert parse_config(argv).parameters[key] == 10 ** 5
+
+
+def test_underflowed_scattering_length_exits_3(capsys):
+    # a ~ 1.7e-925 once came out as a = -0.0, s = nan and converged = True
+    assert main(["scatter", "--potential", "squarewell:r0=1e-308,v0=1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("scatter: ScatteringLengthUnderflow: a = -0.0 ")
+
+
 def test_gp_invalid_inputs_exit_3(capsys):
     for argv in (["gp", "--coupling", "nan"],
                  ["gp", "--n", "nan", "--coupling", "1"],
@@ -351,8 +411,6 @@ def test_gp_invalid_inputs_exit_3(capsys):
     (["foldy", "--mu-const", "1e308"], "need 1e-9 <= mu_const/rho <= 1e22"),
     (["foldy", "--rho-grid", "1e308:1e308:1", "--mu-const", "1e308"],
      "mode_integral_energy leaves the float range"),
-    (["scatter", "--potential", "squarewell:r0=1e200,v0=1"],
-     "solve_zero_energy leaves the float range"),
     (["scatter", "--potential", "hardcore:r0=1e308"],
      "solve_zero_energy leaves the float range"),
 ])
@@ -364,6 +422,19 @@ def test_boundary_inputs_exit_3_with_a_named_error(capsys, argv, message):
         assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"{argv[0]}: DomainError: {message}")
+    assert "Traceback" not in err
+
+
+def test_overflowing_huge_well_exits_3(capsys):
+    # u ~ sinh(r / sqrt(2)) overflows inside the well, a NonFiniteRhs as for
+    # any overflowing well; it once surfaced as a DomainError from the Born
+    # integral's r0^3, which a solve without a tail no longer computes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["scatter", "--potential",
+                     "squarewell:r0=1e200,v0=1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("scatter: NonFiniteRhs: ")
     assert "Traceback" not in err
 
 
@@ -496,8 +567,7 @@ def test_cold_commands_do_not_load_scipy():
 # became lazy, by defining module.
 _PUBLIC_NAMES = {
     "errors": ["BoseGasError", "DomainError"],
-    "numerics": ["RadialGrid", "Tolerances", "find_root", "integrate_ode",
-                 "quad"],
+    "numerics": ["Tolerances", "find_root", "integrate_ode", "quad"],
     "potentials": ["HARD_CORE", "PairPotential", "TrapPotential",
                    "pair_value", "parse_pair_potential",
                    "parse_trap_potential", "tail_integrability",

@@ -122,8 +122,8 @@ def test_gp_nonunit_constants():
     # interacting state still satisfies its invariants
     st = gp_minimize(trap, 1.0, 0.7, mu_const=0.5, grid_points=1500)
     assert st.residual <= 1e-9 and st.phi.min() > 0.0
-    quartic = np.trapezoid(st.phi ** 4 * 4.0 * math.pi * st.grid.nodes ** 2,
-                           st.grid.nodes)
+    quartic = np.trapezoid(st.phi ** 4 * 4.0 * math.pi * st.r ** 2,
+                           st.r)
     rebuilt = st.E / st.N + 4.0 * math.pi * 0.5 * 0.7 / st.N * quartic
     assert st.mu_gp == pytest.approx(rebuilt, rel=1e-6)
 

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from bosegas.errors import DomainError, NegativeCoupling, NotConverged
-from bosegas.gp import (_simpson, chemical_potential, coupling_2d,
-                        export_profile, gp_minimize, gp_residual,
+from bosegas.gp import (_RESIDUAL_TOL, _simpson, chemical_potential,
+                        coupling_2d, export_profile, gp_minimize, gp_residual,
                         gp_tf_limit, mean_density, tf_chemical_identity_gap,
                         tf_density, tf_energy, tf_scaling, tf_solve,
                         two_dim_coupling)
@@ -34,7 +34,7 @@ def test_linear_limit_harmonic():
     assert st2.residual <= 1e-6
     assert st2.mu_gp == pytest.approx(st2.E, rel=1e-12)  # no interaction term
     # profile matches the Gaussian ground state on the grid
-    r = st2.grid.nodes
+    r = st2.r
     gauss = np.exp(-0.5 * r * r)
     gauss *= math.sqrt(1.0 / (4.0 * math.pi * np.trapezoid(gauss ** 2 * r ** 2, r)))
     assert np.max(np.abs(st2.phi - gauss)) <= 1e-4
@@ -81,7 +81,7 @@ def test_scaling_law_energy(n_part, a):
 def test_scaling_law_minimizer():
     big = gp_minimize(HARM3, 10.0, 0.01, grid_points=1200)
     unit = gp_minimize(HARM3, 1.0, 0.1, grid_points=1200)
-    r = big.grid.nodes
+    r = big.r
     diff = big.phi - math.sqrt(10.0) * unit.phi
     l2 = math.sqrt(np.trapezoid(diff ** 2 * 4.0 * math.pi * r ** 2, r))
     assert l2 <= 1e-5
@@ -90,7 +90,7 @@ def test_scaling_law_minimizer():
 def test_residual_behaviour():
     st = gp_minimize(HARM3, 1.0, 0.05, grid_points=1000)
     assert gp_residual(st) <= 1e-9
-    bump = np.exp(-0.5 * (st.grid.nodes - 1.0) ** 2 / 0.04)
+    bump = np.exp(-0.5 * (st.r - 1.0) ** 2 / 0.04)
     perturbed = dataclasses.replace(st, phi=st.phi + 0.1 * bump * st.phi.max())
     assert gp_residual(perturbed) > 10.0 * gp_residual(st)
     trace = st.residual_trace
@@ -108,7 +108,7 @@ def test_energy_trace_monotone():
 def test_normalization_invariant():
     for n_part in (1.0, 25.0):
         st = gp_minimize(HARM3, n_part, 0.3, grid_points=1500)
-        r = st.grid.nodes
+        r = st.r
         norm = np.trapezoid(st.phi ** 2 * 4.0 * math.pi * r ** 2, r)
         assert norm == pytest.approx(n_part, rel=1e-6)
         # chemical-potential identity holds by construction
@@ -148,7 +148,7 @@ def test_mean_density():
     assert mean_density(st) == pytest.approx((2.0 * math.pi) ** -1.5,
                                              rel=1e-4)
     # analytic-profile oracle: rho_bar = N (2 pi sigma^2)^(-3/2) exactly
-    r = st.grid.nodes
+    r = st.r
     sigma = 1.3
     phi = (math.pi * sigma ** 2) ** -0.75 * np.exp(-0.5 * (r / sigma) ** 2)
     gauss_state = dataclasses.replace(st, phi=phi, N=1.0)
@@ -267,7 +267,7 @@ def test_export_profile(tmp_path):
     assert any("mu_gp" in ln for ln in meta)
     header_idx = len(meta)
     assert lines[header_idx] == "r,phi,rho"
-    assert len(lines) == header_idx + 1 + len(st.grid)
+    assert len(lines) == header_idx + 1 + st.r.size
 
 
 def test_not_converged_guard():
@@ -322,9 +322,7 @@ def test_box_state_takes_no_steps():
 def test_far_tail_may_underflow_to_zero():
     # at extreme coupling the box is far wider than the profile's decay, so
     # the tail underflows: phi >= 0, not phi > 0
-    residual_tol = 1e-9
-    state = gp_minimize(HARM2, 1.0, 1e7, grid_points=2000,
-                        residual_tol=residual_tol)
+    state = gp_minimize(HARM2, 1.0, 1e7, grid_points=2000)
     assert np.all(np.isfinite(state.phi))
     assert np.all(state.phi >= 0.0)
-    assert state.residual <= residual_tol
+    assert state.residual <= _RESIDUAL_TOL

@@ -8,8 +8,8 @@ import pytest
 
 from bosegas.errors import (DivergentTail, DomainError, InvalidBracket,
                             NoConvergence, NonFiniteRhs, StepSizeUnderflow)
-from bosegas.numerics import (_A, _B, _C, _E3, _E5, _STAGES, RadialGrid,
-                              Tolerances, find_root, integrate_ode, quad)
+from bosegas.numerics import (_A, _B, _C, _E3, _E5, _STAGES, Tolerances,
+                              find_root, integrate_ode, quad)
 
 TOL = Tolerances()
 
@@ -21,15 +21,6 @@ def test_tolerances_validation():
         Tolerances(max_iterations=0)
     with pytest.raises(DomainError):
         Tolerances(abs_tol=-1.0)
-
-
-def test_grid_invariants():
-    g = RadialGrid.uniform(0.0, 2.0, 33)
-    assert g.nodes[0] == 0.0 and g.nodes[-1] == 2.0 and len(g) == 33
-    with pytest.raises(DomainError):
-        RadialGrid.uniform(0.0, 1.0, 8)      # fewer than 16 nodes
-    with pytest.raises(DomainError):
-        RadialGrid(r_min=0.0, r_max=1.0, nodes=np.zeros(20))
 
 
 def test_ode_on_radii_array():
@@ -47,26 +38,22 @@ def test_ode_on_radii_array():
 def test_ode_step_halving_consistency():
     # oscillatory-tolerance stress: u'' = r u, compare against half-step rerun
     tol = Tolerances(abs_tol=1e-10, rel_tol=1e-8)
-    grid = RadialGrid.uniform(0.0, 5.0, 33)
 
     def rhs(r, y):
         return np.array([y[1], r * y[0]])
 
-    coarse = integrate_ode(rhs, [1.0, 0.0], grid.nodes, tol)
-    fine = integrate_ode(rhs, [1.0, 0.0],
-                         RadialGrid.uniform(0.0, 5.0, 65).nodes, tol)
+    coarse = integrate_ode(rhs, [1.0, 0.0], np.linspace(0.0, 5.0, 33), tol)
+    fine = integrate_ode(rhs, [1.0, 0.0], np.linspace(0.0, 5.0, 65), tol)
     rel = abs(coarse[-1, 0] - fine[-1, 0]) / abs(fine[-1, 0])
     assert rel <= 4.0 * tol.rel_tol
 
 
 def test_ode_nonfinite_rhs():
-    grid = RadialGrid.uniform(0.0, 1.0, 17)
-
     def rhs(r, y):
         return np.array([y[1], math.nan if r > 0.5 else 0.0])
 
     with pytest.raises(NonFiniteRhs):
-        integrate_ode(rhs, [0.0, 1.0], grid.nodes, TOL)
+        integrate_ode(rhs, [0.0, 1.0], np.linspace(0.0, 1.0, 17), TOL)
 
 
 def _reference_integrate_ode(rhs, initial, radii, tol):

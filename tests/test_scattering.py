@@ -15,8 +15,9 @@ import pytest
 from scipy.special import i0, i1
 
 from bosegas import scattering
-from bosegas.errors import (NonFiniteRhs, NonIntegrableTail,
-                            RadiusInsideRange, ZeroScatteringLength)
+from bosegas.errors import (NoLogAsymptote, NonFiniteRhs, NonIntegrableTail,
+                            RadiusInsideRange, ScatteringLengthUnderflow,
+                            ZeroScatteringLength)
 from bosegas.numerics import Tolerances
 from bosegas.potentials import (HARD_CORE, PairPotential, pair_value,
                                 parse_pair_potential)
@@ -214,69 +215,25 @@ def test_step_plus_tail_well(r0, strength, mu, tail):
     assert 8.0 * math.pi * mu * sol.a <= born_integral(p)
 
 
-def test_trajectory_matches_asymptote():
-    p = PairPotential(kind="square-well", core_radius=1.0, strength=5.0)
-    sol = solve_zero_energy(p, 1.0)
-    r = sol.grid.nodes
-    outside = r > 1.5
-    expected = sol.slope * (r[outside] - sol.a)
-    assert np.max(np.abs(sol.u_values[outside] - expected)) <= 1e-9
-
-
-def test_trajectory_matches_log_asymptote_2d():
-    # beyond the range, psi/slope - ln(r/a) vanishes identically
-    p = PairPotential(kind="square-well", core_radius=1.0, strength=4.0,
-                      dimension=2)
-    sol = solve_zero_energy(p, 1.0)
-    r = sol.grid.nodes
-    outside = r > 1.5
-    expected = sol.slope * np.log(r[outside] / sol.a)
-    assert np.max(np.abs(sol.u_values[outside] - expected)) <= 1e-9
-
-
-def test_trajectory_inside_the_well_3d():
-    # u(0) = 0, u'(0) = 1 and -2 mu u'' + v0 u = 0 give u = sinh(kappa r)/kappa
-    v0, mu = 5.0, 1.0
-    sol = solve_zero_energy(
-        PairPotential(kind="square-well", core_radius=1.0, strength=v0), mu)
-    kappa = math.sqrt(v0 / (2.0 * mu))
-    r = sol.grid.nodes
-    inside = r < 1.0
-    expected = np.sinh(kappa * r[inside]) / kappa
-    assert np.max(np.abs(sol.u_values[inside] - expected)) <= 1e-9
-
-
-def test_trajectory_inside_the_well_2d():
-    # psi(r_start) = 1 at r_start = 1e-9 R0, regular: psi = I0(kappa r)/I0(kappa r_start)
-    v0, mu, r0 = 4.0, 1.0, 1.0
-    sol = solve_zero_energy(PairPotential(kind="square-well", core_radius=r0,
-                                          strength=v0, dimension=2), mu)
-    kappa = math.sqrt(v0 / (2.0 * mu))
-    r = sol.grid.nodes
-    inside = r < r0
-    expected = i0(kappa * r[inside]) / i0(kappa * 1e-9 * r0)
-    assert np.max(np.abs(sol.u_values[inside] - expected)) <= 1e-9
-
-
 @pytest.mark.parametrize("dimension", [2, 3])
-def test_node_stops_run_only_when_u_values_is_read(monkeypatch, dimension):
-    stop_counts = []
-    integrate = scattering.integrate_ode
+@pytest.mark.parametrize("r0", [1e-308, 1e-200])
+def test_underflowed_scattering_length_is_named(dimension, r0):
+    # a ~ v0 r0^3 (3D) or r0 exp(-4 mu / (v0 r0^2)) (2D) lies below the float
+    # range: a = 0 for a nonzero potential is no result
+    p = PairPotential(kind="square-well", core_radius=r0, strength=1.0,
+                      dimension=dimension)
+    with pytest.raises(ScatteringLengthUnderflow):
+        solve_zero_energy(p, 1.0)
 
-    def counted(rhs, initial, radii, tol):
-        stop_counts.append(len(radii))
-        return integrate(rhs, initial, radii, tol)
 
-    monkeypatch.setattr(scattering, "integrate_ode", counted)
-    sol = solve_zero_energy(
-        PairPotential(kind="square-well", core_radius=1.0, strength=3.0,
-                      dimension=dimension, tail=(0.5, 6.0)), 1.0)
-    assert stop_counts and set(stop_counts) == {2}   # segment ends only
-    solved = len(stop_counts)
-    first = sol.u_values
-    assert max(stop_counts[solved:]) > 2
-    read = len(stop_counts)
-    assert sol.u_values is first and len(stop_counts) == read   # cached
+def test_zero_table_keeps_its_result():
+    # v = 0 identically: a = 0 in 3D, and no logarithmic asymptote in 2D
+    table = ((0.5, 0.0), (1.0, 0.0))
+    sol = solve_zero_energy(PairPotential(kind="tabulated", table=table), 1.0)
+    assert sol.a == 0.0 and sol.converged and not sol.has_kinetic_fraction
+    with pytest.raises(NoLogAsymptote):
+        solve_zero_energy(PairPotential(kind="tabulated", table=table,
+                                        dimension=2), 1.0)
 
 
 def test_tailed_disc_matches_tight_solve():
