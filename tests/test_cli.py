@@ -411,6 +411,8 @@ def test_gp_invalid_inputs_exit_3(capsys):
     (["foldy", "--mu-const", "1e308"], "need 1e-9 <= mu_const/rho <= 1e22"),
     (["foldy", "--rho-grid", "1e308:1e308:1", "--mu-const", "1e308"],
      "mode_integral_energy leaves the float range"),
+    (["scatter", "--potential", "hardcore:r0=1e200"],
+     "solve_zero_energy leaves the float range"),
     (["scatter", "--potential", "hardcore:r0=1e308"],
      "solve_zero_energy leaves the float range"),
 ])
