@@ -1,5 +1,11 @@
 """Gross-Pitaevskii and Thomas-Fermi solvers on radial grids (3D and 2D).
 
+Both solve in trap units: for V = scale r^s, with scale ell^(s+2) = mu_const,
+x = r/ell and phi = ell^(-d/2) psi, the GP energy is mu_const/ell^2 times
+the one with unit kinetic and trap coefficients and coupling c ell^(2-d)
+(Lieb, Seiringer & Yngvason, PRA 61, 043602 (2000)).  The results are
+mapped back; at ell = 1 and mu_const = 1 every factor is exactly 1.
+
 The GP minimizer runs Newton's method on the discrete eigenproblem
 H(u) u = lambda u with the particle-number constraint <u, u>_W = N: each
 step is one tridiagonal solve with two right-hand sides.  A Newton step is
@@ -93,41 +99,50 @@ class TfState:
     E_tf: float
 
 
-# --- discrete operators --------------------------------------------------------
+def _trap_units(trap: TrapPotential, mu_const: float):
+    """The trap length ell, scale ell^(s+2) = mu_const, and the energy unit
+    mu_const / ell^2 of a power-law trap."""
+    ell = (mu_const / trap.scale) ** (1.0 / (trap.homogeneity_degree + 2.0))
+    if not 0.0 < ell < math.inf:        # float_range names the solve
+        raise OverflowError(f"trap length (mu_const/scale)^(1/(s+2)) = {ell!r}")
+    return ell, mu_const / ell ** 2
+
+
+# --- the discrete GP energy in trap units ----------------------------------------
 
 
 class _Discretization:
-    """Uniform radial discretization with SPD kinetic + potential operator."""
+    """Uniform radial grid in trap units (kinetic coefficient 1, trap x^s,
+    interaction 4 pi c psi^4) on u = x psi in 3D and u = psi in 2D: the one
+    owner of the discrete GP energy, the interaction diagonal and the
+    Rayleigh residual."""
 
-    def __init__(self, trap: TrapPotential, mu_const: float, d: int,
-                 r_max: float, n: int):
+    def __init__(self, s: float, d: int, coupling: float, r_max: float,
+                 n: int):
         # LAPACK is loaded by the first GP solve, not by importing bosegas
         from scipy.linalg import solve_banded
 
         self.solve_banded = solve_banded
         self.d = d
-        self.mu = mu_const
-        self.trap = trap
+        self.g = 4.0 * math.pi * coupling
         h = r_max / (n + 1) if d == 3 else r_max / n
         self.h = h
         if d == 3:
             self.r = h * np.arange(1, n + 1)
         else:
             self.r = h * (np.arange(n) + 0.5)
-        self.V = np.asarray(trap.radial(self.r), dtype=float)
+        self.V = self.r ** s
         # quadrature weights for int f(r) Omega_d r^(d-1) dr
         if d == 3:
             self.weights = 4.0 * math.pi * h * np.ones(n)   # acts on w = r*phi
+            main = 2.0 * np.ones(n) / h ** 2
+            off = -np.ones(n - 1) / h ** 2
         else:
             self.weights = 2.0 * math.pi * h * self.r
-        if d == 3:
-            main = 2.0 * np.ones(n) * mu_const / h ** 2
-            off = -np.ones(n - 1) * mu_const / h ** 2
-        else:
-            e = h * np.arange(n + 1)        # edge radii, e[0] = 0
-            main = mu_const * (e[:-1] + e[1:]) / (self.r * h ** 2)
-            off = -mu_const * e[1:-1] / (np.sqrt(self.r[:-1] * self.r[1:]) * h ** 2)
+            self.edges = e = h * np.arange(n + 1)    # edge radii, e[0] = 0
+            main = (e[:-1] + e[1:]) / (self.r * h ** 2)
             # symmetrize in the weighted inner product: work with y = sqrt(r) u
+            off = -e[1:-1] / (np.sqrt(self.r[:-1] * self.r[1:]) * h ** 2)
         self.main = main
         # LAPACK band storage; only the diagonal row changes between solves
         self._band = np.zeros((3, n))
@@ -135,28 +150,45 @@ class _Discretization:
         self._band[2, :-1] = off
         self._sqrt_r = np.sqrt(self.r)
 
-    def kinetic_quadratic(self, u: np.ndarray) -> float:
-        """<u, A u> with the kinetic stencil (dimensionful energy)."""
+    def density(self, u: np.ndarray) -> np.ndarray:
+        return (u / self.r) ** 2 if self.d == 3 else u ** 2
+
+    def interaction_diag(self, u: np.ndarray) -> np.ndarray:
+        return 2.0 * self.g * self.density(u)    # 8 pi c |psi|^2
+
+    def energy(self, u: np.ndarray):
+        """The discrete GP energy and its (kinetic, trap, interaction) parts."""
         if self.d == 3:
             diffs = np.diff(np.concatenate(([0.0], u, [0.0])))
-            return 4.0 * math.pi * self.mu * np.sum(diffs ** 2) / self.h
-        e = self.h * np.arange(len(u) + 1)
-        diffs = np.diff(np.concatenate((u, [0.0])))   # inner edge flux-free
-        return 2.0 * math.pi * self.mu * (
-            np.sum(e[1:] * diffs ** 2) / self.h)
+            kin = 4.0 * math.pi * np.sum(diffs ** 2) / self.h
+        else:
+            diffs = np.diff(np.concatenate((u, [0.0])))   # inner edge flux-free
+            kin = 2.0 * math.pi * (np.sum(self.edges[1:] * diffs ** 2) / self.h)
+        trap_e = float(np.sum(self.weights * self.V * u ** 2))
+        inter = float(np.sum(self.weights * self.g * self.density(u) * u ** 2))
+        return kin + trap_e + inter, (kin, trap_e, inter)
 
     def apply_kinetic(self, u: np.ndarray) -> np.ndarray:
         if self.d == 3:
             out = 2.0 * u.copy()
             out[:-1] -= u[1:]
             out[1:] -= u[:-1]
-            return self.mu * out / self.h ** 2
-        n = len(u)
-        e = self.h * np.arange(n + 1)
+            return out / self.h ** 2
+        e = self.edges
         up = np.concatenate((u, [0.0]))
         outward = e[1:] * (u - up[1:])                       # edge e_{i+1}
         inward = np.concatenate(([0.0], e[1:-1] * (u[1:] - u[:-1])))
-        return self.mu * (outward + inward) / (self.r * self.h ** 2)
+        return (outward + inward) / (self.r * self.h ** 2)
+
+    def rayleigh(self, u: np.ndarray):
+        """H(u) u, the Rayleigh quotient lam and the relative residual
+        |H(u) u - lam u|_W / (|lam| |u|_W) of the discrete GP equation."""
+        h_u = self.apply_kinetic(u) + (self.V + self.interaction_diag(u)) * u
+        lam = float(np.sum(self.weights * u * h_u)
+                    / np.sum(self.weights * u * u))
+        num = np.sqrt(np.sum(self.weights * (h_u - lam * u) ** 2))
+        den = abs(lam) * np.sqrt(np.sum(self.weights * u * u))
+        return h_u, lam, float(num / den)
 
     def solve(self, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve (A + diag) x = rhs; rhs is one vector or a column stack.
@@ -175,35 +207,22 @@ class _Discretization:
         return self.solve_banded((1, 1), band, rhs * s) / s
 
 
-def _interaction_coeff(mu_const: float, coupling: float) -> float:
-    return 4.0 * math.pi * mu_const * coupling
-
-
-def _auto_extent(trap: TrapPotential, mu_const: float, d: int,
-                 g_eff: float) -> float:
-    """Domain radius covering the linear ground state and the TF cloud."""
-    s = trap.homogeneity_degree
-    c = trap.scale
-    w0 = (mu_const / c) ** (1.0 / (s + 2.0))
-    r_max = 9.0 * w0
+def _auto_extent(s: float, d: int, g_eff: float) -> float:
+    """Domain radius in trap units covering the linear ground state (width
+    1) and the TF cloud of the coupling N c."""
+    r_max = 9.0
     if g_eff > 0:
-        mu_tf = _tf_mu_closed(trap, mu_const, d, max(g_eff, 1e-12))
-        r_tf = (mu_tf / c) ** (1.0 / s)
-        r_max = max(r_max, 1.35 * r_tf + 4.0 * w0)
+        mu_tf = _tf_mu_closed(s, d, max(g_eff, 1e-12))
+        r_max = max(r_max, 1.35 * mu_tf ** (1.0 / s) + 4.0)
     return r_max
 
 
-def _tf_mu_closed(trap: TrapPotential, mu_const: float, d: int,
-                  g: float) -> float:
-    """Closed-form TF chemical potential for the power trap c r^s at N=1,
-    coupling g (3D: a = g; 2D: coupling-1 functional scaled by g)."""
-    s = trap.homogeneity_degree
-    c = trap.scale
-    omega = _omega(d)
-    # int (mu - c r^s)_+ d^dx = omega * mu^(1+d/s) c^(-d/s) * s / (d (d+s))
-    coeff = omega * c ** (-d / s) * s / (d * (d + s))
-    target = 8.0 * math.pi * mu_const * g
-    return (target / coeff) ** (s / (s + d))
+def _tf_mu_closed(s: float, d: int, g: float) -> float:
+    """Closed-form TF chemical potential in trap units for the trap x^s at
+    N=1, coupling g (3D: a = g; 2D: coupling-1 functional scaled by g)."""
+    # int (mu - x^s)_+ d^dx = omega * mu^(1+d/s) * s / (d (d+s))
+    coeff = _omega(d) * s / (d * (d + s))
+    return (8.0 * math.pi * g / coeff) ** (s / (s + d))
 
 
 # --- the minimizer ---------------------------------------------------------------
@@ -216,18 +235,19 @@ _RESIDUAL_TOL = 1e-9
 @float_range
 def gp_minimize(trap: TrapPotential, N: float, coupling: float,
                 mu_const: float = 1.0, grid_points: int = 2000) -> GpState:
-    """Minimize the GP functional at particle number N.
+    """Minimize E = int mu_const |grad phi|^2 + V phi^2 + 4 pi mu_const c
+    phi^4 at N = int phi^2 (c = a in 3D, alpha in 2D), in trap units.
 
-    Returns a state with phi >= 0 on the grid, positive except where the
-    far tail underflows to 0 at extreme coupling, the energy breakdown, the
-    chemical potential E/N + (4 pi mu c/N) int phi^4, and the relative
-    residual of the discrete GP equation.  The solve stops at the first
-    accepted step (Newton or flow) whose residual is <= 1e-9 and whose
-    energy change is at most 1e-13 |E| + 1e-12, within 20000 passes.
-    `iterations` counts the passes of the solver loop, `newton_steps` the
-    accepted Newton steps among them.  The domain radius and spacing depend
-    on the trap and the product N*coupling only, so states related by the
-    (N, a) -> (1, N a) scaling share one discretization exactly.
+    Returns phi >= 0 on the grid (the far tail may underflow to 0 at extreme
+    coupling), the energy breakdown, mu_gp = E/N + (4 pi mu_const c/N)
+    int phi^4 and the relative residual of the discrete GP equation.  The
+    solve stops at the first accepted step (Newton or flow) with residual
+    <= max(1e-9, 4 eps/h^2), the round-off floor of the kinetic stencil at
+    spacing h in trap units (above 1e-9 only beyond 8000 points), and an
+    energy change of at most 1e-13 |E| + 1e-12 in trap units, within 20000
+    passes.  `iterations` counts the passes, `newton_steps` the accepted
+    Newton steps among them.  The grid depends on the trap and N*coupling
+    only, so (N, a) and (1, N a) share one discretization exactly.
     """
     if not all(map(math.isfinite, (N, coupling, mu_const))):
         raise DomainError("N, coupling and mu_const must be finite")
@@ -242,24 +262,23 @@ def gp_minimize(trap: TrapPotential, N: float, coupling: float,
     d = trap.dimension
 
     if trap.kind == "box":
-        return _box_state(trap, N, coupling, mu_const)
+        # the constant profile: all of the energy is interaction
+        L = trap.box_side
+        volume = L ** d
+        inter = 4.0 * math.pi * mu_const * coupling * N * N / volume
+        return GpState(
+            dimension=d, trap=trap, N=N, coupling=coupling, mu_const=mu_const,
+            r=np.linspace(L / 33, L, 33), phi=np.full(33, math.sqrt(N / volume)),
+            kinetic=0.0, trap_energy=0.0, interaction=inter, E=inter,
+            mu_gp=2.0 * inter / N, residual=0.0, converged=True, iterations=0,
+            residual_trace=(0.0,))
 
-    g_eff = N * coupling
-    disc = _Discretization(trap, mu_const, d,
-                           _auto_extent(trap, mu_const, d, g_eff), grid_points)
-    r, V = disc.r, disc.V
-    g_int = _interaction_coeff(mu_const, coupling)
-
-    def interaction_diag(u):
-        dens = (u / r) ** 2 if d == 3 else u ** 2
-        return 2.0 * g_int * dens     # 8 pi mu c |phi|^2 in the GP operator
-
-    def energy(u):
-        dens = (u / r) ** 2 if d == 3 else u ** 2
-        kin = disc.kinetic_quadratic(u)
-        trap_e = float(np.sum(disc.weights * V * u ** 2))
-        inter = float(np.sum(disc.weights * g_int * dens * u ** 2))
-        return kin + trap_e + inter, (kin, trap_e, inter)
+    s = trap.homogeneity_degree
+    ell, unit = _trap_units(trap, mu_const)
+    g_eff = N * coupling * ell ** (2 - d)       # N c in trap units
+    disc = _Discretization(s, d, coupling * ell ** (2 - d),
+                           _auto_extent(s, d, g_eff), grid_points)
+    resid_tol = max(_RESIDUAL_TOL, 4.0 * np.finfo(float).eps / disc.h ** 2)
 
     def normalize(u):
         norm = float(np.sum(disc.weights * u ** 2))
@@ -275,7 +294,7 @@ def gp_minimize(trap: TrapPotential, N: float, coupling: float,
         """
         rhs = np.column_stack((h_u - lam * u, u))
         try:
-            sol = disc.solve(V + 3.0 * interaction_diag(u) - lam, rhs)
+            sol = disc.solve(disc.V + 3.0 * disc.interaction_diag(u) - lam, rhs)
         except np.linalg.LinAlgError:       # lam hit an eigenvalue exactly
             return None
         step_a, step_b = sol[:, 0], sol[:, 1]
@@ -291,10 +310,9 @@ def gp_minimize(trap: TrapPotential, N: float, coupling: float,
             return None
         return normalize(np.abs(cand))
 
-    u = _initial_profile(disc, trap, mu_const, g_eff)
-    u = normalize(u)
-    e_old, _ = energy(u)
-    h_u, lam, _ = _rayleigh(disc, u, V, interaction_diag)
+    u = normalize(_initial_profile(disc, s, g_eff))
+    e_old, _ = disc.energy(u)
+    h_u, lam, _ = disc.rayleigh(u)
     tau = 0.2 / max(1.0, abs(e_old) / N)
     resid_hist = []
     e_hist = [e_old]
@@ -305,15 +323,15 @@ def gp_minimize(trap: TrapPotential, N: float, coupling: float,
     for iterations in range(1, _TOL.max_iterations + 1):
         trial = newton_candidate(u, h_u, lam) if try_newton else None
         if trial is not None:
-            e_new, _ = energy(trial)
+            e_new, _ = disc.energy(trial)
             if e_new > e_old + 1e-14 * abs(e_old):
                 trial = None
         if trial is None:
             # fall back on a backtracking flow step: linearized backward
             # Euler, (A + V + int(u) + 1/tau) u_new = u / tau
-            trial = normalize(disc.solve(V + interaction_diag(u) + 1.0 / tau,
-                                         u / tau))
-            e_new, _ = energy(trial)
+            trial = normalize(disc.solve(
+                disc.V + disc.interaction_diag(u) + 1.0 / tau, u / tau))
+            e_new, _ = disc.energy(trial)
             if e_new > e_old + 1e-14 * abs(e_old):
                 try_newton = False
                 tau *= 0.5
@@ -328,9 +346,9 @@ def gp_minimize(trap: TrapPotential, N: float, coupling: float,
         flat = abs(e_new - e_old) <= _TOL.rel_tol * abs(e_new) + _TOL.abs_tol
         e_old = min(e_new, e_old)
         e_hist.append(e_new)
-        h_u, lam, res = _rayleigh(disc, u, V, interaction_diag)
+        h_u, lam, res = disc.rayleigh(u)
         resid_hist.append(res)
-        if res <= _RESIDUAL_TOL and flat:
+        if res <= resid_tol and flat:
             converged = True
             break
     if not converged:
@@ -338,59 +356,33 @@ def gp_minimize(trap: TrapPotential, N: float, coupling: float,
             f"GP residual {resid_hist[-1]:.3e} after "
             f"{iterations} iterations")
 
-    e_total = e_hist[-1]
-    _, (kin, trap_e, inter) = energy(u)
+    e_total, parts = disc.energy(u)
+    r = disc.r
     phi = u / r if d == 3 else u.copy()
     quartic = float(np.sum(disc.weights * (phi * r) ** 4 / r ** 2)) if d == 3 \
         else float(np.sum(disc.weights * phi ** 4))
-    mu_gp = e_total / N + g_int / N * quartic
+    mu_gp = e_total / N + disc.g / N * quartic
+    kin, trap_e, inter = (float(unit * e) for e in parts)
     return GpState(
         dimension=d, trap=trap, N=N, coupling=coupling, mu_const=mu_const,
-        r=r, phi=phi, kinetic=kin, trap_energy=trap_e,
-        interaction=inter, E=e_total, mu_gp=mu_gp,
+        r=ell * r, phi=ell ** (-d / 2) * phi, kinetic=kin, trap_energy=trap_e,
+        interaction=inter, E=float(unit * e_total), mu_gp=float(unit * mu_gp),
         residual=resid_hist[-1], converged=True, iterations=iterations,
         residual_trace=tuple(resid_hist[-32:]),
-        energy_trace=tuple(e_hist[-64:]), newton_steps=newton_steps)
+        energy_trace=tuple(float(unit * e) for e in e_hist[-64:]),
+        newton_steps=newton_steps)
 
 
-def _initial_profile(disc, trap, mu_const, g_eff):
+def _initial_profile(disc, s, g_eff):
     r = disc.r
-    s = trap.homogeneity_degree
-    w0 = (mu_const / trap.scale) ** (1.0 / (s + 2.0))
-    gauss = np.exp(-0.5 * (r / (1.5 * w0)) ** 2)
+    gauss = np.exp(-0.5 * (r / 1.5) ** 2)
     if g_eff > 10.0:
-        mu_tf = _tf_mu_closed(trap, mu_const, disc.d, g_eff)
-        dens = np.maximum(mu_tf - np.asarray(trap.radial(r)), 0.0)
+        mu_tf = _tf_mu_closed(s, disc.d, g_eff)
+        dens = np.maximum(mu_tf - disc.V, 0.0)
         prof = np.sqrt(dens) + 1e-6 * math.sqrt(mu_tf) * gauss
     else:
         prof = gauss
     return prof * r if disc.d == 3 else prof
-
-
-def _rayleigh(disc, u, V, interaction_diag):
-    """H(u) u, the Rayleigh quotient lam and the relative residual
-    |H(u) u - lam u|_W / (|lam| |u|_W) of the discrete GP equation."""
-    h_u = disc.apply_kinetic(u) + (V + interaction_diag(u)) * u
-    lam = float(np.sum(disc.weights * u * h_u) / np.sum(disc.weights * u * u))
-    num = np.sqrt(np.sum(disc.weights * (h_u - lam * u) ** 2))
-    den = abs(lam) * np.sqrt(np.sum(disc.weights * u * u))
-    return h_u, lam, float(num / den)
-
-
-def _box_state(trap, N, coupling, mu_const):
-    d = trap.dimension
-    L = trap.box_side
-    volume = L ** d
-    value = math.sqrt(N / volume)
-    g_int = _interaction_coeff(mu_const, coupling)
-    inter = g_int * N * N / volume
-    n_nodes = 33
-    mu_gp = 2.0 * inter / N
-    return GpState(dimension=d, trap=trap, N=N, coupling=coupling,
-                   mu_const=mu_const, r=np.linspace(L / n_nodes, L, n_nodes),
-                   phi=np.full(n_nodes, value), kinetic=0.0, trap_energy=0.0,
-                   interaction=inter, E=inter, mu_gp=mu_gp, residual=0.0,
-                   converged=True, iterations=0, residual_trace=(0.0,))
 
 
 def gp_residual(state: GpState) -> float:
@@ -398,18 +390,14 @@ def gp_residual(state: GpState) -> float:
     if state.trap.kind == "box":
         return 0.0
     d = state.dimension
+    ell, _ = _trap_units(state.trap, state.mu_const)
     # both discretizations place the outer Dirichlet edge one spacing unit
     # beyond/at the last node: R = r[-1] + r[0] (h or h/2 offset)
-    disc = _Discretization(state.trap, state.mu_const, d,
-                           state.r[-1] + state.r[0], state.r.size)
-    u = state.phi * disc.r if d == 3 else np.asarray(state.phi, dtype=float)
-    g_int = _interaction_coeff(state.mu_const, state.coupling)
-
-    def interaction_diag(w):
-        dens = (w / disc.r) ** 2 if d == 3 else w ** 2
-        return 2.0 * g_int * dens
-
-    return _rayleigh(disc, u, disc.V, interaction_diag)[2]
+    disc = _Discretization(state.trap.homogeneity_degree, d,
+                           state.coupling * ell ** (2 - d),
+                           (state.r[-1] + state.r[0]) / ell, state.r.size)
+    psi = ell ** (d / 2) * np.asarray(state.phi, dtype=float)
+    return disc.rayleigh(psi * disc.r if d == 3 else psi)[2]
 
 
 def chemical_potential(state: GpState) -> float:
@@ -487,11 +475,13 @@ def two_dim_coupling(trap: TrapPotential, N: float, a: float,
 @float_range
 def tf_solve(trap: TrapPotential, N: float, a: float, mu_const: float = 1.0,
              tol: Optional[Tolerances] = None) -> TfState:
-    """Thomas-Fermi minimizer for a power-law trap.
+    """Thomas-Fermi minimizer for a power-law trap, in trap units.
 
-    The density is [mu_tf - V]_+ / (8 pi mu c) with c = a in 3D and c = 1 in
-    the 2D coupling-1 convention; mu_tf is found by root-finding the
-    normalization integral (evaluated by quadrature).
+    The density is [mu_tf - V]_+ / (8 pi mu_const c) with c = a in 3D and
+    c = 1 in the 2D coupling-1 convention; mu_tf is the root of the
+    normalization integral (by quadrature).  A root that misses it by more
+    than 1e-9 relative (mu_tf in trap units near or below the root finder's
+    absolute tolerance) raises NoConvergence.
     """
     if trap.kind == "box":
         raise DomainError("TF closed forms are for power-law traps")
@@ -500,36 +490,42 @@ def tf_solve(trap: TrapPotential, N: float, a: float, mu_const: float = 1.0,
         raise DomainError("mu_const must be positive")
     d = trap.dimension
     coupling = a if d == 3 else 1.0
-    denom = 8.0 * math.pi * mu_const * coupling
-    if not (N > 0 and 0.0 < denom < math.inf):
+    if not (N > 0 and 0.0 < 8.0 * math.pi * mu_const * coupling < math.inf):
         raise DomainError("need N > 0 and 0 < 8 pi mu_const coupling < inf")
     tol = tol or Tolerances(abs_tol=1e-13, rel_tol=1e-12)
     s = trap.homogeneity_degree
-    c = trap.scale
+    ell, unit = _trap_units(trap, mu_const)
+    g = coupling * ell ** (2 - d)                # the coupling in trap units
+    denom = 8.0 * math.pi * g
     omega = _omega(d)
 
     def norm_residual(mu):
-        r_edge = (mu / c) ** (1.0 / s)
-        integral = quad(lambda r: (mu - c * r ** s) * r ** (d - 1),
-                        (0.0, r_edge), tol)
+        integral = quad(lambda r: (mu - r ** s) * r ** (d - 1),
+                        (0.0, mu ** (1.0 / s)), tol)
         return omega * integral / denom - N
 
-    mu_hi = _tf_mu_closed(trap, mu_const, d, N * coupling) * 2.0 + 1.0
+    mu_hi = _tf_mu_closed(s, d, N * coupling * ell ** (2 - d)) * 2.0 + 1.0
     while norm_residual(mu_hi) < 0.0:
         mu_hi *= 2.0
     mu_tf = find_root(norm_residual, (1e-300, mu_hi), tol)
-    support = (mu_tf / c) ** (1.0 / s)
+    miss = abs(norm_residual(mu_tf)) / N
+    if not miss <= 1e-9:
+        raise NoConvergence(
+            f"TF root {mu_tf!r} (trap units) misses the normalization by "
+            f"{miss:.3e} relative")
+    support = mu_tf ** (1.0 / s)
 
     def energy_density(r):
-        rho = (mu_tf - c * r ** s) / denom
-        v = c * r ** s
-        return (v * rho + 4.0 * math.pi * mu_const * coupling * rho * rho) \
-            * r ** (d - 1)
+        rho = (mu_tf - r ** s) / denom
+        v = r ** s
+        return (v * rho + 4.0 * math.pi * g * rho * rho) * r ** (d - 1)
 
     e_tf = omega * quad(energy_density, (0.0, support), tol)
-    return TfState(dimension=d, trap=trap, N=N, a=coupling,
-                   mu_const=mu_const, mu_tf=mu_tf, support_radius=support,
-                   E_tf=e_tf)
+    mu_tf, support, e_tf = unit * mu_tf, ell * support, unit * e_tf
+    if math.inf in (mu_tf, support, e_tf):  # float_range names the solve
+        raise OverflowError("mu_tf, support_radius or E_tf overflows")
+    return TfState(dimension=d, trap=trap, N=N, a=coupling, mu_const=mu_const,
+                   mu_tf=mu_tf, support_radius=support, E_tf=e_tf)
 
 
 def tf_density(state: TfState, r) -> np.ndarray:
@@ -620,14 +616,12 @@ def export_profile(state: GpState, path: str) -> None:
     lines = [
         f"# trap = {trap_spec}",
         f"# dimension = {state.dimension}",
-        f"# N = {state.N!r}",
-        f"# coupling = {state.coupling!r}",
-        f"# mu_const = {state.mu_const!r}",
-        f"# E = {state.E!r}",
-        f"# mu_gp = {state.mu_gp!r}",
+        *(f"# {key} = {float(getattr(state, key))!r}"
+          for key in ("N", "coupling", "mu_const", "E", "mu_gp")),
         "r,phi,rho",
     ]
-    for r, phi in zip(state.r, state.phi):
+    # plain float reprs: np.float64's repr is not a number
+    for r, phi in zip(state.r.tolist(), state.phi.tolist()):
         lines.append(f"{r!r},{phi!r},{phi * phi!r}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -139,6 +139,12 @@ def _by_segments(rhs, state, edges, tol):
     return state
 
 
+def _bare_core(p, mu, r_end, tol) -> _Run:
+    # u = r - R0 (3D) and psi = ln(r/R0) (2D) solve the exterior equation
+    # exactly: a = R0 and s = 1, with no rounding
+    return _Run(p.core_radius, 1.0, 1.0, 0.0, 0.0, p.core_radius)
+
+
 def _solve_3d(p, mu, r_end, tol) -> _Run:
     # The state is (w, u', kin, pot) with w = u - r u', so that a = -w/u'
     # beyond the range: w stays bounded where u ~ r grows, and a far cut
@@ -157,9 +163,8 @@ def _solve_3d(p, mu, r_end, tol) -> _Run:
         grad = w / r     # u/r - u'
         return (-r * curv, curv, grad * grad, v * u * u)
 
-    # a pure hard core has no segment: the exterior is exactly u = r - R0
-    edges = _edges(p, r_start, r_end) if r_end > r_start else [r_start]
-    w_range, du_range, kin, pot = _by_segments(rhs, state, edges, tol)
+    w_range, du_range, kin, pot = _by_segments(
+        rhs, state, _edges(p, r_start, r_end), tol)
     if du_range <= 0.0:
         raise DomainError("u' <= 0 at the range; potential not nonnegative?")
     a = -w_range / du_range
@@ -186,11 +191,6 @@ def _solve_2d(p, mu, r_end, tol) -> _Run:
     # is (q, chi, kin, pot) with q = psi - chi ln r, q' = -chi' ln r, and
     # a = exp(-q/chi) beyond the range.
     hard = p.has_hard_core()
-    if hard and p.tail is None:
-        # psi = ln(r/R0) solves the exterior equation exactly
-        r0 = p.core_radius
-        return _Run(r0, 1.0, 1.0, 0.0, 0.0, r0)
-
     r_start = p.core_radius if hard else 1e-9 * p.range_radius
     if hard:
         state = [0.0, 1.0, 0.0, 0.0]
@@ -260,7 +260,8 @@ def solve_zero_energy(p: PairPotential, mu: float,
 
     tighter = Tolerances(abs_tol=tol.abs_tol / 10.0, rel_tol=tol.rel_tol / 10.0,
                          max_iterations=tol.max_iterations)
-    solve = _solve_3d if p.dimension == 3 else _solve_2d
+    solve = (_bare_core if p.has_hard_core() and p.tail is None
+             else _solve_3d if p.dimension == 3 else _solve_2d)
     run = solve(p, mu, r_end, tol)
     if run.a <= 0.0 and not vanishes:
         raise ScatteringLengthUnderflow(

@@ -389,12 +389,12 @@ def test_gp_invalid_inputs_exit_3(capsys):
      "gp_minimize leaves the float range"),
     (["gp", "--coupling", "1", "--n", "1e300", "--grid-points", "300"],
      "gp_minimize leaves the float range"),
-    (["gp", "--trap", "harmonic:scale=1e308", "--coupling", "1"],
-     "gp_minimize leaves the float range"),
+    (["gp", "--trap", "harmonic:scale=1e308", "--mu-const", "1e308",
+      "--coupling", "1"], "gp_minimize leaves the float range"),
     (["gp", "--n", "3.8e16", "--coupling", "3.8e16", "--mu-const", "1e-308",
       "--grid-points", "239"], "mean_density leaves the float range"),
-    (["tf", "--trap", "harmonic:scale=1e-308", "--coupling", "1"],
-     "tf_solve leaves the float range"),
+    (["tf", "--trap", "harmonic:scale=1e-308", "--mu-const", "1e10",
+      "--coupling", "1"], "tf_solve leaves the float range"),
     (["gp-tf-limit", "--trap", "power:s=1e-212,scale=1e15",
       "--grid-points", "100"], "tf_solve leaves the float range"),
     (["bogolubov", "--a-value", "1e308", "--b-value", "1e307"],
@@ -411,10 +411,9 @@ def test_gp_invalid_inputs_exit_3(capsys):
     (["foldy", "--mu-const", "1e308"], "need 1e-9 <= mu_const/rho <= 1e22"),
     (["foldy", "--rho-grid", "1e308:1e308:1", "--mu-const", "1e308"],
      "mode_integral_energy leaves the float range"),
-    (["scatter", "--potential", "hardcore:r0=1e200"],
-     "solve_zero_energy leaves the float range"),
-    (["scatter", "--potential", "hardcore:r0=1e308"],
-     "solve_zero_energy leaves the float range"),
+    # the solve works in trap units; the report's mean density overflows
+    (["gp", "--trap", "harmonic:scale=1e308", "--coupling", "1"],
+     "mean_density leaves the float range"),
 ])
 def test_boundary_inputs_exit_3_with_a_named_error(capsys, argv, message):
     # each of these once ended in a traceback (exit 1), or in bounds'
@@ -425,6 +424,21 @@ def test_boundary_inputs_exit_3_with_a_named_error(capsys, argv, message):
     err = capsys.readouterr().err
     assert err.startswith(f"{argv[0]}: DomainError: {message}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["tf", "--coupling", "1e-30"],
+    ["tf", "--coupling", "1e-100"],
+    ["tf", "--trap", "harmonic:scale=1e-200", "--coupling", "100"],
+    ["tf", "--trap", "harmonic:scale=1e-308", "--coupling", "1"],
+])
+def test_tf_root_off_its_normalization_exits_3(capsys, argv):
+    # mu_tf in trap units lies at or below the root finder's absolute
+    # tolerance; these once exited 0 with mu_tf off by 0.6 % up to 1e300x
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("tf: NoConvergence: TF root")
+    assert "misses the normalization" in err
 
 
 def test_overflowing_huge_well_exits_3(capsys):

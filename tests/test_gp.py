@@ -8,6 +8,7 @@ Analytic oracles used here (derived by hand, unit scale, mu_const = 1):
   2D harmonic TF (N=1, coupling 1): mu = 4, E_tf = mu^3/24 = 8/3.
 """
 
+import csv
 import dataclasses
 import math
 
@@ -270,6 +271,23 @@ def test_export_profile(tmp_path):
     assert len(lines) == header_idx + 1 + st.r.size
 
 
+def test_export_profile_reads_back_as_floats(tmp_path):
+    st = gp_minimize(HARM2, 2.0, 0.1, mu_const=0.5, grid_points=300)
+    path = tmp_path / "profile.csv"
+    export_profile(st, str(path))
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    meta = dict(row[0][2:].split(" = ") for row in rows if row[0].startswith("#"))
+    for key in ("N", "coupling", "mu_const", "E", "mu_gp"):
+        assert float(meta[key]) == getattr(st, key)
+    body = rows[len(meta) + 1:]
+    assert rows[len(meta)] == ["r", "phi", "rho"] and len(body) == st.r.size
+    values = np.array([[float(cell) for cell in row] for row in body])
+    assert np.array_equal(values[:, 0], st.r)
+    assert np.array_equal(values[:, 1], st.phi)
+    assert np.array_equal(values[:, 2], st.phi * st.phi)
+
+
 def test_not_converged_guard():
     st = gp_minimize(HARM3, 1.0, 0.0, grid_points=800)
     bad = dataclasses.replace(st, converged=False)
@@ -326,3 +344,71 @@ def test_far_tail_may_underflow_to_zero():
     assert np.all(np.isfinite(state.phi))
     assert np.all(state.phi >= 0.0)
     assert state.residual <= _RESIDUAL_TOL
+
+
+# Energies of the solver as it was when it worked in the caller's units, at
+# trap scales and mu_const away from 1 where it converged (in 5 to 152
+# passes), as (trap, d, mu_const, E) at N = 3, coupling 0.5 and 500 grid
+# points.  The solve in trap units must reproduce them.
+_SCALED_ENERGIES = [
+    ("harmonic:scale=1e-06", 3, 1.0, 0.00911138734340291),
+    ("harmonic:scale=0.001", 3, 1.0, 0.30315757707264274),
+    ("harmonic:scale=1000.0", 3, 1.0, 553.6249670094171),
+    ("harmonic:scale=1000000.0", 3, 1.0, 31267.104216948457),
+    ("harmonic", 3, 1e-06, 0.03126710421694847),
+    ("harmonic", 3, 1000000.0, 9111.38734340291),
+    ("harmonic:scale=1e-06", 2, 1.0, 0.011774316708442655),
+    ("harmonic:scale=0.001", 2, 1.0, 0.37233658690855476),
+    ("harmonic:scale=1000.0", 2, 1.0, 372.336586908555),
+    ("harmonic:scale=1000000.0", 2, 1.0, 11774.316708442653),
+    ("harmonic", 2, 1e-06, 0.011774316708442659),
+    ("harmonic", 2, 1000000.0, 11774.316708442655),
+    ("power:s=4,scale=1e-06", 3, 1.0, 0.12084945621496682),
+    ("power:s=4,scale=0.001", 3, 1.0, 1.340076645367253),
+    ("power:s=4,scale=1000.0", 3, 1.0, 242.69098840568256),
+    ("power:s=4,scale=1000000.0", 3, 1.0, 3987.7643205150525),
+    ("power:s=4", 3, 1e-06, 0.0039877643205150515),
+    ("power:s=4", 3, 1000000.0, 120849.45621496682),
+    ("power:s=4,scale=1e-06", 2, 1.0, 0.16502457130125475),
+    ("power:s=4,scale=0.001", 2, 1.0, 1.6502457130125474),
+    ("power:s=4,scale=1000.0", 2, 1.0, 165.0245713012548),
+    ("power:s=4,scale=1000000.0", 2, 1.0, 1650.2457130125472),
+    ("power:s=4", 2, 1e-06, 0.0016502457130125473),
+    ("power:s=4", 2, 1000000.0, 165024.57130125473),
+]
+
+
+@pytest.mark.parametrize("spec,d,mu_const,energy", _SCALED_ENERGIES)
+def test_trap_units_keep_scaled_energies(spec, d, mu_const, energy):
+    trap = parse_trap_potential(spec, dimension=d)
+    st = gp_minimize(trap, 3.0, 0.5, mu_const=mu_const, grid_points=500)
+    assert abs(st.E - energy) <= 1e-12 * abs(energy)
+    assert st.iterations <= 15 and gp_residual(st) <= 1e-9
+
+
+@pytest.mark.parametrize("d", [3, 2])
+@pytest.mark.parametrize("spec,mu_const", [("harmonic:scale=1e-12", 1.0),
+                                           ("power:s=4,scale=1e-12", 1.0),
+                                           ("harmonic", 1e-12)])
+def test_extreme_trap_scale_converges_in_few_passes(spec, d, mu_const):
+    # absolute tolerances in the caller's units stall at these scales
+    trap = parse_trap_potential(spec, dimension=d)
+    st = gp_minimize(trap, 3.0, 0.5, mu_const=mu_const, grid_points=500)
+    assert st.iterations <= 15 and gp_residual(st) <= 1e-9
+
+
+def test_tf_closed_form_at_tiny_trap_scale():
+    # 2D harmonic trap c r^2, N = 1, coupling 1: mu_tf = 4 sqrt(c)
+    for scale in (1e-12, 1e12):
+        trap = TrapPotential(kind="harmonic", dimension=2, scale=scale)
+        exact = 4.0 * math.sqrt(scale)
+        assert abs(tf_solve(trap, 1.0, 1.0).mu_tf - exact) <= 1e-10 * exact
+
+
+def test_large_grid_stops_at_its_round_off_floor():
+    # at 10^5 nodes the residual cannot reach 1e-9; the gate rises to
+    # 4 eps / h^2 in trap units and the solve ends in a few passes
+    st = gp_minimize(HARM3, 1.0, 1.0, grid_points=100_000)
+    h = st.r[0]
+    assert _RESIDUAL_TOL < st.residual <= 4.0 * np.finfo(float).eps / h ** 2
+    assert st.iterations <= 15

@@ -45,6 +45,15 @@ def test_hard_sphere(r0, mu):
     assert abs(kinetic_fraction(sol) - 1.0) <= 1e-6
 
 
+@pytest.mark.parametrize("r0", [1e-320, 1e-300, 0.1, 1.0, 10.0, 1e200, 1e308])
+def test_pure_hard_core_is_exact(r0):
+    # u = r - R0 outside the core: a = R0 and s = 1 with no rounding, from
+    # subnormal radii (where R0^2 underflows) up to the largest floats
+    sol = solve_zero_energy(PairPotential(kind="hard-core", core_radius=r0), 1.0)
+    assert sol.a == r0
+    assert sol.s == 1.0 and kinetic_fraction(sol) == 1.0
+
+
 def test_free_case_3d():
     sol = solve_zero_energy(
         PairPotential(kind="square-well", core_radius=1.0, strength=0.0), 1.0)
