@@ -62,22 +62,20 @@ class BogolubovMode:
 
 @dataclass(frozen=True)
 class FoldyParams:
-    """Parameters of the localized charged-gas construction."""
+    """Parameters of the localized charged-gas construction that
+    kinetic_cutoff reads: the cell side ell and the cutoff's smoothing t and
+    constant C_univ; ell_cor = rho^(-1/4) is the correlation length.  The
+    kinetic coefficient is an argument of the mode integrals instead."""
 
     rho: float
-    mu_const: float = 1.0
-    omega: float = 1.0        # Yukawa screening mass
     ell: float = 1.0          # cell side
     t: float = 0.1            # smoothing parameter of the cutoff function
     C_univ: float = 1.0       # unquantified universal constant, configurable
-    n: float = 1.0
     ell_cor: float = field(init=False)
 
     def __post_init__(self):
-        if self.rho <= 0 or self.mu_const <= 0:
-            raise DomainError("rho and mu_const must be positive")
-        if self.omega <= 0 or self.ell <= 0:
-            raise DomainError("omega and ell must be positive")
+        if self.rho <= 0 or self.ell <= 0:
+            raise DomainError("rho and ell must be positive")
         if self.C_univ <= 0 or not (0.0 < self.t < 1.0 / self.C_univ):
             raise DomainError("need 0 < t < 1/C_univ")
         object.__setattr__(self, "ell_cor", self.rho ** -0.25)

@@ -157,10 +157,15 @@ def _csv_quote(text: str) -> str:
 
 
 def _coerce(key, raw, typ):
-    if isinstance(raw, typ):
-        return raw
+    """raw as typ, read as the flag's text would be: a JSON bool is no
+    number, and an int key takes only integral numbers."""
     try:
-        return typ(raw)
+        if isinstance(raw, bool) and typ is not str:
+            raise TypeError
+        value = raw if isinstance(raw, typ) else typ(raw)
+        if typ is int and isinstance(raw, float) and value != raw:
+            raise ValueError        # int(300.7) would read 300
+        return value
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"parameter {key!r}: cannot convert {raw!r} "
                          f"to {typ.__name__}") from exc

@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (DomainError, NegativeCoupling, NoConvergence,
                      NotConverged, float_range, require_finite)
-from .numerics import Tolerances, find_root, quad
+from .numerics import Tolerances, quad
 from .potentials import TrapPotential
 
 __all__ = [
@@ -278,6 +278,9 @@ def gp_minimize(trap: TrapPotential, N: float, coupling: float,
     g_eff = N * coupling * ell ** (2 - d)       # N c in trap units
     disc = _Discretization(s, d, coupling * ell ** (2 - d),
                            _auto_extent(s, d, g_eff), grid_points)
+    if disc.V[-1] == disc.V[0] < math.inf:  # x^s rounds to one value
+        raise DomainError(f"trap is flat on the grid: x^s = "
+                          f"{float(disc.V[0])!r} at every node (s = {s!r})")
     resid_tol = max(_RESIDUAL_TOL, 4.0 * np.finfo(float).eps / disc.h ** 2)
 
     def normalize(u):
@@ -436,19 +439,22 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> float:
 
 @float_range
 def mean_density(state: GpState) -> float:
-    """Mean density (1/N) int |phi|^4 d^dx (Simpson quadrature)."""
+    """Mean density (1/N) int |phi|^4 d^dx (Simpson quadrature), computed in
+    trap units (x = r/ell, psi = ell^(d/2) phi) and divided by ell^d."""
     if not state.converged:
         raise NotConverged("state is not converged")
     if state.trap.kind == "box":
         return state.N / state.trap.box_side ** state.dimension
     d = state.dimension
-    r = state.r
-    jac = _omega(d) * r ** (d - 1)
-    body = _simpson(state.phi ** 4 * jac, r)
-    # the grid starts off-axis; phi is flat at the origin, so the missing
-    # [0, r_min) piece integrates to phi(r_min)^4 Omega r_min^d / d
-    origin = float(state.phi[0]) ** 4 * _omega(d) * r[0] ** d / d
-    return (body + origin) / state.N
+    ell, _ = _trap_units(state.trap, state.mu_const)
+    x = state.r / ell
+    psi = ell ** (d / 2) * state.phi
+    jac = _omega(d) * x ** (d - 1)
+    body = _simpson(psi ** 4 * jac, x)
+    # the grid starts off-axis; psi is flat at the origin, so the missing
+    # [0, x_min) piece integrates to psi(x_min)^4 Omega x_min^d / d
+    origin = float(psi[0]) ** 4 * _omega(d) * x[0] ** d / d
+    return (body + origin) / state.N / ell ** d
 
 
 def coupling_2d(rho_bar_N: float, a: float) -> float:
@@ -473,15 +479,15 @@ def two_dim_coupling(trap: TrapPotential, N: float, a: float,
 
 
 @float_range
-def tf_solve(trap: TrapPotential, N: float, a: float, mu_const: float = 1.0,
-             tol: Optional[Tolerances] = None) -> TfState:
-    """Thomas-Fermi minimizer for a power-law trap, in trap units.
+def tf_solve(trap: TrapPotential, N: float, a: float,
+             mu_const: float = 1.0) -> TfState:
+    """Thomas-Fermi minimizer for a power-law trap, in closed form.
 
-    The density is [mu_tf - V]_+ / (8 pi mu_const c) with c = a in 3D and
-    c = 1 in the 2D coupling-1 convention; mu_tf is the root of the
-    normalization integral (by quadrature).  A root that misses it by more
-    than 1e-9 relative (mu_tf in trap units near or below the root finder's
-    absolute tolerance) raises NoConvergence.
+    The density is [mu_tf - V]_+ / (8 pi mu_const c), c = a in 3D and 1 in
+    the 2D coupling-1 convention.  In trap units (coupling g = c ell^(2-d))
+    the support radius is R = (8 pi N g d (d+s) / (Omega_d s))^(1/(s+d)),
+    mu = R^s and E_tf = N mu (s+d)/(2s+d).  R comes first, as a product of
+    powers that each stay in range: mu^(1/s) loses its digits as s -> 0.
     """
     if trap.kind == "box":
         raise DomainError("TF closed forms are for power-law traps")
@@ -492,38 +498,18 @@ def tf_solve(trap: TrapPotential, N: float, a: float, mu_const: float = 1.0,
     coupling = a if d == 3 else 1.0
     if not (N > 0 and 0.0 < 8.0 * math.pi * mu_const * coupling < math.inf):
         raise DomainError("need N > 0 and 0 < 8 pi mu_const coupling < inf")
-    tol = tol or Tolerances(abs_tol=1e-13, rel_tol=1e-12)
     s = trap.homogeneity_degree
     ell, unit = _trap_units(trap, mu_const)
     g = coupling * ell ** (2 - d)                # the coupling in trap units
-    denom = 8.0 * math.pi * g
-    omega = _omega(d)
-
-    def norm_residual(mu):
-        integral = quad(lambda r: (mu - r ** s) * r ** (d - 1),
-                        (0.0, mu ** (1.0 / s)), tol)
-        return omega * integral / denom - N
-
-    mu_hi = _tf_mu_closed(s, d, N * coupling * ell ** (2 - d)) * 2.0 + 1.0
-    while norm_residual(mu_hi) < 0.0:
-        mu_hi *= 2.0
-    mu_tf = find_root(norm_residual, (1e-300, mu_hi), tol)
-    miss = abs(norm_residual(mu_tf)) / N
-    if not miss <= 1e-9:
-        raise NoConvergence(
-            f"TF root {mu_tf!r} (trap units) misses the normalization by "
-            f"{miss:.3e} relative")
-    support = mu_tf ** (1.0 / s)
-
-    def energy_density(r):
-        rho = (mu_tf - r ** s) / denom
-        v = r ** s
-        return (v * rho + 4.0 * math.pi * g * rho * rho) * r ** (d - 1)
-
-    e_tf = omega * quad(energy_density, (0.0, support), tol)
-    mu_tf, support, e_tf = unit * mu_tf, ell * support, unit * e_tf
-    if math.inf in (mu_tf, support, e_tf):  # float_range names the solve
-        raise OverflowError("mu_tf, support_radius or E_tf overflows")
+    p = 1.0 / (s + d)
+    radius = (N ** p * g ** p
+              * (8.0 * math.pi * d * (d + s) / _omega(d)) ** p / s ** p)
+    mu = radius ** s
+    mu_tf, support = unit * mu, ell * radius
+    e_tf = N * mu_tf * ((s + d) / (2.0 * s + d))
+    if not all(0.0 < v < math.inf for v in (mu_tf, support, e_tf)):
+        raise ArithmeticError(f"mu_tf, support_radius, E_tf = {mu_tf!r}, "
+                              f"{support!r}, {e_tf!r} leave (0, inf)")
     return TfState(dimension=d, trap=trap, N=N, a=coupling, mu_const=mu_const,
                    mu_tf=mu_tf, support_radius=support, E_tf=e_tf)
 
@@ -549,17 +535,24 @@ def tf_scaling(g: float, s: float, d: int = 3) -> float:
     return g ** (s / (s + d))
 
 
+@float_range
 def tf_chemical_identity_gap(state: TfState) -> float:
-    """Relative gap in mu_tf = E_tf/N + (4 pi mu c / N) int rho^2."""
+    """Relative gap in mu_tf = E_tf/N + (4 pi mu c / N) int rho^2, int rho^2
+    by quadrature of the density over its support in trap units, scaled by
+    mu and R so the integrand is of order one: (4 pi g / N) int rho^2 =
+    Omega_d mu^2 R^d / (16 pi g N) int_0^1 (1 - (R t)^s / mu)^2 t^(d-1) dt."""
     tol = Tolerances(abs_tol=1e-13, rel_tol=1e-12)
     d = state.dimension
-    omega = _omega(d)
-    quartic = omega * quad(
-        lambda r: tf_density(state, r) ** 2 * r ** (d - 1),
-        (0.0, state.support_radius), tol)
-    rhs = state.E_tf / state.N \
-        + 4.0 * math.pi * state.mu_const * state.a / state.N * quartic
-    return abs(state.mu_tf - rhs) / abs(state.mu_tf)
+    s = state.trap.homogeneity_degree
+    ell, unit = _trap_units(state.trap, state.mu_const)
+    g = state.a * ell ** (2 - d)
+    mu, radius = state.mu_tf / unit, state.support_radius / ell
+    shape = quad(lambda t: (1.0 - (radius * t) ** s / mu) ** 2 * t ** (d - 1),
+                 (0.0, 1.0), tol)
+    quartic = _omega(d) * (mu / g) * (mu / (16.0 * math.pi * state.N)) \
+        * radius ** d * shape
+    rhs = state.E_tf / unit / state.N + quartic
+    return abs(mu - rhs) / mu
 
 
 # --- GP -> TF limit ---------------------------------------------------------------

@@ -103,10 +103,6 @@ class CellMethodParams:
     R: float
     R0: float = 0.0
     eps: float = 0.5
-    exponents: tuple = ANSATZ_EXPONENTS
-    c_eps: float = 1.0
-    c_ell: float = 1.0
-    c_R: float = 1.0
 
     def __post_init__(self):
         if not (0.0 <= self.R0 < self.R < 0.5 * self.ell):
@@ -115,8 +111,6 @@ class CellMethodParams:
             raise DomainError("eps must lie in (0, 1)")
         if self.n < 2:
             raise DomainError("need at least 2 particles per cell")
-        if min(self.c_eps, self.c_ell, self.c_R) <= 0:
-            raise DomainError("ansatz constants must be positive")
 
 
 @dataclass(frozen=True)
@@ -385,8 +379,7 @@ def cell_params_from_ansatz(p: DiluteParams, c_eps: float = 1.0,
     for holds, message in _ansatz_checks(eps, ell, R, R0, n):
         if not holds:
             raise AnsatzInfeasible(message.format(eps=eps))
-    return CellMethodParams(n=n, ell=ell, R=R, R0=R0, eps=eps,
-                            c_eps=c_eps, c_ell=c_ell, c_R=c_R)
+    return CellMethodParams(n=n, ell=ell, R=R, R0=R0, eps=eps)
 
 
 def cell_lower_bound(p: DiluteParams, c_eps: float = 1.0, c_ell: float = 1.0,

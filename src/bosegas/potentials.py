@@ -198,13 +198,6 @@ class TrapPotential:
             elif self.homogeneity_degree <= 0:
                 raise DomainError("homogeneity degree must be positive")
 
-    def radial(self, r):
-        """V as a function of radius (vectorized); box is 0 inside |x| <= L/2."""
-        if self.kind == "box":
-            r = np.asarray(r, dtype=float)
-            return np.where(r <= 0.5 * self.box_side, 0.0, HARD_CORE)
-        return self.scale * np.abs(np.asarray(r, dtype=float)) ** self.homogeneity_degree
-
 
 def trap_value(t: TrapPotential, x) -> float:
     """V(x) for a position vector (or scalar radius)."""
@@ -223,6 +216,8 @@ def born_pair_integral(p: PairPotential) -> float:
     """
     if p.has_hard_core():
         return HARD_CORE
+    if p.vanishes():        # exact, and no r^d to overflow at a huge radius
+        return 0.0
     report = tail_integrability(p)
     if not report.integrable:
         raise NonIntegrableTail("Born integral diverges: tail exponent <= dimension")

@@ -354,6 +354,26 @@ def test_infinite_size_in_a_config_file_exits_2(tmp_path, capsys):
                           "cannot convert inf to int")
 
 
+@pytest.mark.parametrize("key, value, flag", [
+    ("coupling", True, "true"), ("grid_points", 300.7, "300.7"),
+    ("grid_points", False, "false")])
+def test_config_values_parse_like_flags(tmp_path, capsys, key, value, flag):
+    # a JSON bool once read as 1.0 or 0, and 300.7 grid points as 300
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"command": "gp", "coupling": 1.0,
+                                key: value}))
+    for argv in (["--config", str(path)],
+                 ["gp", "--coupling", "1", "--" + key.replace("_", "-"),
+                  flag]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: ParseError: parameter "
+                              f"{key!r}: cannot convert")
+    path.write_text('{"command": "gp", "coupling": 1e2, "grid_points": 3e2}')
+    assert parse_config(["--config", str(path)]).parameters["grid_points"] \
+        == 300
+
+
 def test_sizes_at_their_ceiling_parse():
     assert _parse_sweep("1:2:1000000").size == 10 ** 6
     for argv in (["gp", "--coupling", "1", "--grid-points", "100000"],
@@ -391,12 +411,13 @@ def test_gp_invalid_inputs_exit_3(capsys):
      "gp_minimize leaves the float range"),
     (["gp", "--trap", "harmonic:scale=1e308", "--mu-const", "1e308",
       "--coupling", "1"], "gp_minimize leaves the float range"),
-    (["gp", "--n", "3.8e16", "--coupling", "3.8e16", "--mu-const", "1e-308",
-      "--grid-points", "239"], "mean_density leaves the float range"),
+    # x^s rounds to 1.0 on the whole grid: no trap left to confine the gas
+    (["gp", "--trap", "power:s=1e-212,scale=1e15", "--coupling", "10",
+      "--grid-points", "100"], "trap is flat on the grid"),
     (["tf", "--trap", "harmonic:scale=1e-308", "--mu-const", "1e10",
       "--coupling", "1"], "tf_solve leaves the float range"),
     (["gp-tf-limit", "--trap", "power:s=1e-212,scale=1e15",
-      "--grid-points", "100"], "tf_solve leaves the float range"),
+      "--grid-points", "100"], "trap is flat on the grid"),
     (["bogolubov", "--a-value", "1e308", "--b-value", "1e307"],
      "BogolubovMode.__post_init__ leaves the float range"),
     (["bogolubov", "--b-value", "5e-324"],
@@ -411,9 +432,6 @@ def test_gp_invalid_inputs_exit_3(capsys):
     (["foldy", "--mu-const", "1e308"], "need 1e-9 <= mu_const/rho <= 1e22"),
     (["foldy", "--rho-grid", "1e308:1e308:1", "--mu-const", "1e308"],
      "mode_integral_energy leaves the float range"),
-    # the solve works in trap units; the report's mean density overflows
-    (["gp", "--trap", "harmonic:scale=1e308", "--coupling", "1"],
-     "mean_density leaves the float range"),
 ])
 def test_boundary_inputs_exit_3_with_a_named_error(capsys, argv, message):
     # each of these once ended in a traceback (exit 1), or in bounds'
@@ -426,19 +444,55 @@ def test_boundary_inputs_exit_3_with_a_named_error(capsys, argv, message):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["tf", "--coupling", "1e-30"],
-    ["tf", "--coupling", "1e-100"],
-    ["tf", "--trap", "harmonic:scale=1e-200", "--coupling", "100"],
-    ["tf", "--trap", "harmonic:scale=1e-308", "--coupling", "1"],
+@pytest.mark.parametrize("trap, s, scale, coupling", [
+    ("harmonic", 2.0, 1.0, 1e-30),
+    ("harmonic", 2.0, 1.0, 1e-100),
+    ("harmonic:scale=1e-200", 2.0, 1e-200, 100.0),
+    ("harmonic:scale=1e-308", 2.0, 1e-308, 1.0),
+    ("power:s=1e-3", 1e-3, 1.0, 10.0),
+    ("power:s=50", 50.0, 1.0, 10.0),
 ])
-def test_tf_root_off_its_normalization_exits_3(capsys, argv):
-    # mu_tf in trap units lies at or below the root finder's absolute
-    # tolerance; these once exited 0 with mu_tf off by 0.6 % up to 1e300x
-    assert main(argv) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("tf: NoConvergence: TF root")
-    assert "misses the normalization" in err
+def test_tf_closed_form_at_extreme_inputs(trap, s, scale, coupling):
+    # when mu_tf was the root of a quadrature, the first four missed their
+    # normalization (NoConvergence) and power:s=1e-3 left the float range
+    row = run(parse_config(["tf", "--trap", trap,
+                            "--coupling", repr(coupling)])).rows[0]
+    # 3D, N = mu_const = 1: trap length ell = scale^(-1/(s+2)), coupling
+    # g = a / ell, support radius R^(s+3) = 6 g (s+3) / s in trap units
+    ell = scale ** (-1.0 / (s + 2.0))
+    radius = (6.0 * (coupling / ell) * (s + 3.0) / s) ** (1.0 / (s + 3.0))
+    assert row["mu_tf"] == pytest.approx(radius ** s / ell ** 2, rel=1e-12)
+    assert row["identity_gap"] <= 1e-9
+
+
+@pytest.mark.parametrize("argv, scale", [
+    (["gp", "--trap", "harmonic:scale=1e308", "--coupling", "1"], 1e308),
+    (["gp", "--n", "3.8e16", "--coupling", "3.8e16", "--mu-const", "1e-308",
+      "--grid-points", "239"], 1.0),
+])
+def test_mean_density_in_trap_units(argv, scale):
+    # the solve works in trap units; in caller units the mean density's
+    # phi^4 once overflowed (exit 3)
+    from bosegas.gp import gp_minimize, mean_density
+    from bosegas.potentials import TrapPotential
+    config = parse_config(argv)
+    pars = config.parameters
+    ell = (pars["mu_const"] / scale) ** 0.25
+    # the same solve on the unit trap: coupling c ell^(2-d), mu_const 1
+    unit = gp_minimize(TrapPotential(kind="harmonic"), pars["n"],
+                       pars["coupling"] / ell,
+                       grid_points=pars["grid_points"])
+    rho_bar = run(config).rows[0]["rho_bar"]
+    assert rho_bar == pytest.approx(ell ** -3 * mean_density(unit),
+                                    rel=1e-10)
+
+
+def test_zero_huge_well_has_born_integral_zero(capsys):
+    # the Born integral's r0^3 once overflowed into a traceback (exit 1)
+    assert main(["scatter", "--potential", "squarewell:r0=1e200,v0=0"]) == 0
+    body = [ln for ln in capsys.readouterr().out.splitlines()
+            if not ln.startswith("#")]
+    assert next(csv.DictReader(body))["born_integral"] == "0.0"
 
 
 def test_overflowing_huge_well_exits_3(capsys):

@@ -3,13 +3,18 @@ named error (exit 2 or 3), never in a traceback or a warning.
 
 Flags are drawn per command from the CLI schema, with hostile values (NaN,
 infinities, zero, negatives, 1e308, text) and near-miss unknown keys; the
-potential and trap specs are drawn the same way.  Only sizes are bounded,
-for runtime: at most 400 GP grid points, 5 sweep points and n_max 60, and
-`verify` is left out.
+potential and trap specs are drawn the same way.  Flat JSON configs are
+drawn too, with values of every JSON type: huge ints, floats, strings,
+bools, null, lists and objects.  Only sizes are bounded, for runtime: at
+most 400 GP grid points, 5 sweep points and n_max 60, and `verify` is left
+out.
 """
 
 import contextlib
 import io
+import json
+import math
+import os
 import warnings
 
 from hypothesis import given, settings
@@ -111,6 +116,67 @@ def command_lines(draw, tables, out):
     return argv
 
 
+# a drawn size above its cap must exceed the parse-time ceiling of 10^5
+CAPS = {"grid_points": 400, "n_max": 60}
+HUGE = [10 ** 6, 10 ** 30, 10 ** 400, -(10 ** 30), 1e6, 1e300, math.inf,
+        -math.inf, math.nan]
+
+
+def json_values(key, typ, tables, out, hostile):
+    """One key's value in a flat config: what its flag would read (the
+    flag's text, or a JSON number for a numeric key), or, if hostile, a
+    value of any JSON type: a huge or non-integral number, a bool, null, a
+    list or an object."""
+    if key == "profile_out":        # any other value names a file to write
+        return st.sampled_from([out, None])
+    cap = CAPS.get(key)
+    if cap is None:
+        numbers = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                            st.integers(-10 ** 30, 10 ** 30))
+    else:
+        numbers = st.one_of(st.integers(-5, cap), st.floats(-5.0, float(cap)))
+    text = values(key, typ, tables, out)
+    natural = text if typ is str else st.one_of(text, numbers)
+    if not hostile:
+        return natural
+    odd = st.one_of(numbers, st.sampled_from(HUGE), st.booleans(),
+                    st.lists(natural, max_size=2),
+                    st.dictionaries(st.sampled_from(["", key]), natural,
+                                    max_size=2))
+    # null leaves a size unset: the default of thousands
+    return odd if cap is not None else st.one_of(odd, st.none())
+
+
+@st.composite
+def json_configs(draw, tables, out):
+    """A flat config object and the argv that reads it (the command comes
+    from the file or, at times, from the command line)."""
+    command = draw(st.sampled_from(sorted(set(_SCHEMAS) - {"verify"})))
+    schema = _SCHEMAS[command]
+
+    def value(key, typ):
+        hostile = draw(st.integers(0, 3)) == 0
+        return draw(json_values(key, typ, tables, out, hostile))
+
+    config = {}
+    for key, (typ, _default, _unit) in schema.items():
+        if key in CAPS or draw(st.integers(0, 3)) > 0:
+            config[key] = value(key, typ)
+    if draw(st.integers(0, 4)) == 0:
+        config["format"] = draw(st.one_of(
+            st.sampled_from(["csv", "json", "xml"]), st.integers(),
+            st.booleans(), st.none()))
+    if draw(st.integers(0, 5)) == 0:
+        near = draw(st.sampled_from(near_misses(draw(st.sampled_from(
+            sorted(schema) + ["format"])))))
+        config[near] = value(near, float)
+    if draw(st.booleans()):
+        return config, [command]
+    config["command"] = command if draw(st.integers(0, 3)) \
+        else value("command", float)
+    return config, []
+
+
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     """Table files, good and hostile, and a path for GP profiles."""
@@ -139,4 +205,22 @@ def test_main_ends_in_a_report_or_a_named_error(files, data):
                 contextlib.redirect_stderr(stderr):
             code = main(argv)
     assert code in (0, 2, 3), (argv, stderr.getvalue())
+    assert "Traceback" not in stderr.getvalue()
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_json_config_ends_in_a_report_or_a_named_error(files, data):
+    tables, out = files
+    config, argv = data.draw(json_configs(tables, out), label="config")
+    path = os.path.join(os.path.dirname(out), "config.json")
+    with open(path, "w") as fh:
+        json.dump(config, fh)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            code = main(argv + ["--config", path])
+    assert code in (0, 2, 3), (config, stderr.getvalue())
     assert "Traceback" not in stderr.getvalue()

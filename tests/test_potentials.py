@@ -99,6 +99,14 @@ def test_born_integral_closed_forms():
     assert born_pair_integral(hc) == HARD_CORE
 
 
+def test_born_integral_of_a_zero_potential_is_exact():
+    # r^3 at the last radius once overflowed for a potential that is zero
+    table = PairPotential(kind="tabulated", table=((1.0, 0.0), (1e200, 0.0)))
+    assert born_pair_integral(table) == 0.0
+    well = PairPotential(kind="square-well", core_radius=1e200, strength=0.0)
+    assert born_pair_integral(well) == 0.0
+
+
 def test_born_integral_table_vs_trapezoid_oracle():
     # triangle potential: v = 2 at r = 1 falling to 0 at r = 2
     p = PairPotential(kind="tabulated", table=((1.0, 2.0), (2.0, 0.0)))
