@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "errors": "BoseGasError DomainError",
-    "numerics": "Tolerances find_root integrate_ode quad",
+    "numerics": "Tolerances integrate_ode quad",
     "potentials": "HARD_CORE PairPotential TrapPotential pair_value "
     "parse_pair_potential parse_trap_potential tail_integrability trap_value",
     "scattering": "ScatteringSolution born_integral energy_integral "

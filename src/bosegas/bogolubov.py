@@ -163,21 +163,20 @@ def foldy_mode_integrand(k: float, rho: float, mu_const: float = 1.0) -> float:
     return g * g / (f + math.sqrt((f - g) * (f + g)))
 
 
-def foldy_dimensionless_integral(tol: Optional[Tolerances] = None) -> float:
+def foldy_dimensionless_integral() -> float:
     """Quadrature of int_0^inf (1 + x^4 - x^2 sqrt(2 + x^4)) dx.
 
     Closed form: 2^(3/4) sqrt(pi) Gamma(3/4) / (5 Gamma(5/4)).  The integrand
     is evaluated as 1/((1 + x^4) + x^2 sqrt(2 + x^4)), the rationalized form
     with no large-x cancellation.
     """
-    tol = tol or Tolerances(abs_tol=1e-13, rel_tol=1e-12)
-
     def integrand(x):
         x2 = x * x
         x4 = x2 * x2
         return 1.0 / ((1.0 + x4) + x2 * math.sqrt(2.0 + x4))
 
-    return quad(integrand, (0.0, math.inf), tol)
+    return quad(integrand, (0.0, math.inf),
+                Tolerances(abs_tol=1e-13, rel_tol=1e-12))
 
 
 def foldy_gamma_closed_form() -> float:
@@ -197,8 +196,7 @@ def foldy_energy(rho: float, mu_const: float = 1.0) -> float:
 
 
 @float_range
-def mode_integral_energy(rho: float, mu_const: float = 1.0,
-                         tol: Optional[Tolerances] = None) -> float:
+def mode_integral_energy(rho: float, mu_const: float = 1.0) -> float:
     """Numeric per-particle energy -1/2 (2 pi)^-3 int (f - sqrt(f^2-g^2)) d^3k
     over the pairing modes (radial measure 4 pi k^2 dk)."""
     require_finite(rho=rho, mu_const=mu_const)
@@ -208,12 +206,12 @@ def mode_integral_energy(rho: float, mu_const: float = 1.0,
     # quadrature misses the mode peak and returns 0, or fails its tail test.
     if not 1e-9 <= mu_const / rho <= 1e22:
         raise DomainError("need 1e-9 <= mu_const/rho <= 1e22")
-    tol = tol or Tolerances(abs_tol=1e-13, rel_tol=1e-11)
 
     def radial(k):
         return k * k * foldy_mode_integrand(k, rho, mu_const)
 
-    integral = quad(radial, (0.0, math.inf), tol)
+    integral = quad(radial, (0.0, math.inf),
+                    Tolerances(abs_tol=1e-13, rel_tol=1e-11))
     return -integral / (4.0 * math.pi ** 2)
 
 

@@ -14,7 +14,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from typing import Dict, List, Optional, Tuple
 
@@ -306,12 +306,13 @@ def _parse_sweep(text: str):
 
 
 def _run_scatter(config: RunConfig) -> Tuple[list, list]:
-    from . import numerics, potentials, scattering
+    from . import potentials, scattering
     pars = config.parameters
     p = potentials.parse_pair_potential(pars["potential"], dimension=pars["dim"])
-    abs_tol, rel_tol = pars.get("abs_tol"), pars.get("rel_tol")
-    tol = None if abs_tol is None and rel_tol is None else \
-        numerics.Tolerances(abs_tol=abs_tol or 0.0, rel_tol=rel_tol or 0.0)
+    # a tolerance that is not given keeps the solver's default
+    tol = replace(scattering.DEFAULT_TOL, **{
+        key: pars[key] for key in ("abs_tol", "rel_tol")
+        if pars.get(key) is not None})
     sol = scattering.solve_zero_energy(p, pars["mu"], tol=tol)
     try:
         born = scattering.born_integral(p)

@@ -56,10 +56,6 @@ class DivergentTail(BoseGasError):
     """Tail estimate of a semi-infinite integral does not shrink."""
 
 
-class InvalidBracket(BoseGasError):
-    """Root bracket endpoints have the same sign."""
-
-
 # --- potentials / scattering -------------------------------------------------
 
 class NonIntegrableTail(BoseGasError):

@@ -249,12 +249,14 @@ def intermediate_2d_upper(p: DiluteParams, b: Optional[float] = None) -> float:
     return 2.0 * math.pi * p.mu * p.rho / denom
 
 
-def temple_bound(h_mean: float, h2_mean: float, e1: float,
-                 var_tol: float = 1e-12) -> float:
+def temple_bound(h_mean: float, h2_mean: float, e1: float) -> float:
     """Variational lower bound <H> - Var(H)/(E1 - <H>) for the lowest
-    eigenvalue, valid when the second eigenvalue estimate E1 exceeds <H>."""
+    eigenvalue, valid when the second eigenvalue estimate E1 exceeds <H>.
+
+    A variance below -1e-12 max(1, <H>^2) raises VarianceNegative; a smaller
+    negative one is rounding and counts as 0."""
     variance = h2_mean - h_mean * h_mean
-    if variance < -var_tol * max(1.0, h_mean * h_mean):
+    if variance < -1e-12 * max(1.0, h_mean * h_mean):
         raise VarianceNegative(f"<H^2> - <H>^2 = {variance!r} < 0")
     variance = max(variance, 0.0)
     gap = e1 - h_mean
@@ -362,24 +364,23 @@ def cell_energy_factor(params: CellMethodParams, a: float, d: int = 3,
 
 
 def cell_params_from_ansatz(p: DiluteParams, c_eps: float = 1.0,
-                            c_ell: float = 1.0, c_R: float = 1.0,
-                            R0: Optional[float] = None) -> CellMethodParams:
+                            c_ell: float = 1.0,
+                            c_R: float = 1.0) -> CellMethodParams:
     """Instantiate cell parameters from the Y-power ansatz.
 
     eps = c_eps Y^(1/17), a/ell = c_ell Y^(6/17),
-    (R^3 - R0^3)/ell^3 = c_R Y^(3/17); R0 defaults to a (the hard-core
+    (R^3 - R0^3)/ell^3 = c_R Y^(3/17) with R0 = a (the hard-core
     convention, where range and scattering length coincide).
     """
     if p.d != 3:
         raise DomainError("the Y-power ansatz is three-dimensional")
     _check_ansatz_constants(c_eps, c_ell, c_R)
-    R0 = p.a if R0 is None else R0
     eps, ell, R, n = map(float, _ansatz(p.y, p.a, p.rho, c_eps, c_ell, c_R,
-                                        R0))
-    for holds, message in _ansatz_checks(eps, ell, R, R0, n):
+                                        p.a))
+    for holds, message in _ansatz_checks(eps, ell, R, p.a, n):
         if not holds:
             raise AnsatzInfeasible(message.format(eps=eps))
-    return CellMethodParams(n=n, ell=ell, R=R, R0=R0, eps=eps)
+    return CellMethodParams(n=n, ell=ell, R=R, R0=p.a, eps=eps)
 
 
 def cell_lower_bound(p: DiluteParams, c_eps: float = 1.0, c_ell: float = 1.0,

@@ -1,4 +1,4 @@
-"""Shared numerical kernels: ODE integration, quadrature and root finding.
+"""Shared numerical kernels: ODE integration and quadrature.
 
 Radii are plain float arrays: `integrate_ode` stops at each radius of the
 array it is given.  All routines are deterministic pure functions of their
@@ -17,7 +17,6 @@ import numpy as np
 from .errors import (
     DivergentTail,
     DomainError,
-    InvalidBracket,
     NoConvergence,
     NonFiniteRhs,
     StepSizeUnderflow,
@@ -27,7 +26,6 @@ __all__ = [
     "Tolerances",
     "integrate_ode",
     "quad",
-    "find_root",
 ]
 
 
@@ -318,78 +316,4 @@ def _adaptive_gk(f, a, b, tol: Tolerances) -> float:
         heapq.heappush(heap, (-e2, counter + 1, mid, pb, v2))
         counter += 2
     return total
-
-
-def find_root(f, bracket, tol: Tolerances) -> float:
-    """Bracketing root finder (Brent); endpoints must straddle the root.
-
-    f is called once at each endpoint.  A NaN value raises NoConvergence, as
-    does an iteration budget of max(tol.max_iterations, 10) running out.
-    """
-    lo, hi = map(float, bracket)
-    if hi <= lo:
-        raise DomainError("bracket must satisfy lo < hi")
-    flo, fhi = _value(f, lo), _value(f, hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise InvalidBracket(
-            f"f({lo!r})={flo!r} and f({hi!r})={fhi!r} have the same sign")
-    xtol = max(tol.abs_tol, 1e-15 * (1.0 + abs(lo) + abs(hi)))
-    rtol = max(tol.rel_tol, 4.0 * np.finfo(float).eps)
-    root = _brent(f, lo, hi, flo, fhi, xtol, rtol,
-                  max(tol.max_iterations, 10))
-    return float(min(max(root, lo), hi))
-
-
-def _value(f, x: float) -> float:
-    fx = float(f(x))
-    if math.isnan(fx):
-        raise NoConvergence(f"f({x!r}) is NaN")
-    return fx
-
-
-def _brent(f, xpre, xcur, fpre, fcur, xtol, rtol, maxiter) -> float:
-    """Brent's method (Brent 1973, ch. 4) from a sign-changing bracket whose
-    end values are already known.
-
-    Step for step the iteration of SciPy's `brentq` (scipy/optimize/
-    Zeros/brentq.c, BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc.
-    and 2003-2024 SciPy Developers), with its inverse-quadratic extrapolation
-    formula and its stopping rule |half bracket| < (xtol + rtol |x|)/2, so
-    the iterates agree bit for bit.
-    """
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:        # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:                   # inverse quadratic extrapolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) \
-                    / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = _value(f, xcur)
-    raise NoConvergence(f"root not bracketed to tolerance after {maxiter} "
-                        f"iterations; last iterate {xcur!r}")
 

@@ -146,12 +146,12 @@ class TailReport:
     cut_radius: float
 
 
-def tail_integrability(p: PairPotential, tol: float = 1e-10) -> TailReport:
+def tail_integrability(p: PairPotential) -> TailReport:
     """Diagnose the large-r decay of v.
 
     For a tail C_t r^-p the integral int_R^inf v(r) r^(d-1) dr is finite only
     for p > d; slower decay means an infinite scattering length.  The report's
-    cut radius bounds the neglected Born-integral contribution below ``tol``.
+    cut radius bounds the neglected Born-integral contribution below 1e-10.
     """
     if p.tail is None:
         return TailReport(finite_range=True, integrable=True,
@@ -165,8 +165,8 @@ def tail_integrability(p: PairPotential, tol: float = 1e-10) -> TailReport:
     r0 = p.range_radius
     tail_integral = c_t * r0 ** (d - exponent) / (exponent - d)
     omega = 4.0 * math.pi if d == 3 else 2.0 * math.pi
-    # Omega_d * C_t * R^(d-p) / (p-d) <= tol  fixes the cut radius
-    cut = (omega * c_t / (tol * (exponent - d))) ** (1.0 / (exponent - d))
+    # Omega_d * C_t * R^(d-p) / (p-d) <= 1e-10  fixes the cut radius
+    cut = (omega * c_t / (1e-10 * (exponent - d))) ** (1.0 / (exponent - d))
     return TailReport(False, True, tail_integral, max(cut, 2.0 * r0))
 
 

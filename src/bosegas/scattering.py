@@ -18,11 +18,10 @@ radius, q = psi - chi ln r.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +46,7 @@ from .potentials import (
 )
 
 __all__ = [
+    "DEFAULT_TOL",
     "ScatteringSolution",
     "solve_zero_energy",
     "scattering_length",
@@ -55,6 +55,10 @@ __all__ = [
     "two_dim_energy_ratio",
     "born_integral",
 ]
+
+
+# the integrator tolerances of a solve that sets none
+DEFAULT_TOL = Tolerances(abs_tol=1e-13, rel_tol=1e-11)
 
 
 @dataclass(frozen=True)
@@ -145,10 +149,20 @@ def _bare_core(p, mu, r_end, tol) -> _Run:
     return _Run(p.core_radius, 1.0, 1.0, 0.0, 0.0, p.core_radius)
 
 
+def _vanishing(p, mu, r_end, tol) -> _Run:
+    # u = r solves the 3D equation for v = 0 exactly: a = +0.0, and s is
+    # undefined
+    return _Run(0.0, math.nan, 1.0, 0.0, 0.0, r_end)
+
+
 def _solve_3d(p, mu, r_end, tol) -> _Run:
     # The state is (w, u', kin, pot) with w = u - r u', so that a = -w/u'
     # beyond the range: w stays bounded where u ~ r grows, and a far cut
     # radius costs no cancellation in r_end - u/u'.
+    if tol.abs_tol == 0.0:
+        # the integrals kin and pot start at exactly 0, so a purely relative
+        # error scale is 0 there
+        raise DomainError("abs_tol must be positive for a 3D solve")
     r_start = p.core_radius if p.has_hard_core() else 0.0
     state = [-r_start, 1.0, 0.0, 0.0]    # u = 0, u' = 1
 
@@ -230,7 +244,7 @@ def _solve_2d(p, mu, r_end, tol) -> _Run:
 
 @float_range
 def solve_zero_energy(p: PairPotential, mu: float,
-                      tol: Optional[Tolerances] = None) -> ScatteringSolution:
+                      tol: Tolerances = DEFAULT_TOL) -> ScatteringSolution:
     """Solve the zero-energy scattering problem and extract a (and s in 3D).
 
     Parameters
@@ -240,13 +254,15 @@ def solve_zero_energy(p: PairPotential, mu: float,
     tol : integrator tolerances.  A rerun at abs_tol/10 and rel_tol/10
         gates `converged`: if a moves by more than
         10 * max(rel_tol * max(|a|, range), abs_tol), GridTooCoarse is raised.
+        A 3D integration needs abs_tol > 0.
 
     The 3D state is (u - r u', u', ...) throughout; the 2D state is
     (psi, r psi', ...) inside the range and (psi - r psi' ln r, r psi', ...)
     on a tail, so that neither grows with the radius where a is read off.
-    A potential that vanishes identically has a = 0 in 3D and raises
-    NoLogAsymptote in 2D; any other potential whose a comes out <= 0, below
-    the float range, raises ScatteringLengthUnderflow.
+    A potential that vanishes identically has the exact a = 0.0 in 3D, with
+    no integration, and raises NoLogAsymptote in 2D; any other potential
+    whose a comes out <= 0, below the float range, raises
+    ScatteringLengthUnderflow.
     """
     require_finite(mu=mu)
     if mu <= 0:
@@ -256,11 +272,10 @@ def solve_zero_energy(p: PairPotential, mu: float,
     if vanishes and p.dimension == 2:
         raise NoLogAsymptote(
             "no logarithmic asymptote: v vanishes identically")
-    tol = tol or Tolerances(abs_tol=1e-13, rel_tol=1e-11)
-
     tighter = Tolerances(abs_tol=tol.abs_tol / 10.0, rel_tol=tol.rel_tol / 10.0,
                          max_iterations=tol.max_iterations)
     solve = (_bare_core if p.has_hard_core() and p.tail is None
+             else _vanishing if vanishes
              else _solve_3d if p.dimension == 3 else _solve_2d)
     run = solve(p, mu, r_end, tol)
     if run.a <= 0.0 and not vanishes:
@@ -347,8 +362,6 @@ def two_dim_energy_ratio(sol: ScatteringSolution, R: float) -> float:
     return kin / (kin + pot)
 
 
-def born_integral(p: PairPotential, d: Optional[int] = None) -> float:
+def born_integral(p: PairPotential) -> float:
     """First Born integral int v(|x|) d^dx (an upper bound for 8 pi mu a in 3D)."""
-    if d is not None and d != p.dimension:
-        p = dataclasses.replace(p, dimension=d)
     return born_pair_integral(p)

@@ -144,14 +144,6 @@ def _quad_linearity(rng, n):
     return worst, f"linearity defect over {n} combinations"
 
 
-@_entry("numerics", "find_root", 1e-12)
-def _find_root(rng, n):
-    x = numerics.find_root(lambda t: t * t - 2.0, (1.0, 2.0), Tolerances())
-    assert 1.0 <= x <= 2.0, x
-    err = abs(x - math.sqrt(2.0))
-    return err, "root of t^2 - 2 in [1, 2] against sqrt(2)"
-
-
 # --- potentials ------------------------------------------------------------------
 
 @_entry("potentials", "properties", 1e-12, n=100, seed=9)

@@ -116,6 +116,28 @@ def test_tolerance_keys_only_for_scatter(capsys):
         assert "UnknownKey" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--abs-tol", "1e-13"],
+                                   ["--rel-tol", "1e-11"]])
+def test_missing_tolerance_keeps_its_default(capsys, flags):
+    # a missing flag once read as 0: --rel-tol alone exited 3 with
+    # NonFiniteRhs, and --abs-tol alone solved with rel_tol = 0
+    def body(extra):
+        assert main(["scatter", "--potential", "squarewell:r0=1,v0=10",
+                     *extra]) == 0
+        return [ln for ln in capsys.readouterr().out.splitlines()
+                if not ln.startswith("#")]
+
+    assert body(flags) == body([])
+
+
+def test_vanishing_well_reports_a_plus_zero(capsys):
+    # the ODE once ran for v = 0 and gave a = -0.0
+    assert main(["scatter", "--potential", "squarewell:r0=1,v0=0"]) == 0
+    body = [ln for ln in capsys.readouterr().out.splitlines()
+            if not ln.startswith("#")]
+    assert body[1] == '"squarewell:r0=1,v0=0",3,1.0,0.0,nan,0.0,True'
+
+
 def test_scatter_tiny_positive_a_reports_nan_s(capsys):
     # 0 < a <= 1e-12 * range: kinetic_fraction leaves s undefined
     argv = ["scatter", "--potential", "squarewell:r0=0.1,v0=1e-12"]
@@ -432,6 +454,9 @@ def test_gp_invalid_inputs_exit_3(capsys):
     (["foldy", "--mu-const", "1e308"], "need 1e-9 <= mu_const/rho <= 1e22"),
     (["foldy", "--rho-grid", "1e308:1e308:1", "--mu-const", "1e308"],
      "mode_integral_energy leaves the float range"),
+    # the 3D integrals start at 0, so a purely relative error scale is 0
+    (["scatter", "--potential", "squarewell:r0=1,v0=10", "--abs-tol", "0"],
+     "abs_tol must be positive for a 3D solve"),
 ])
 def test_boundary_inputs_exit_3_with_a_named_error(capsys, argv, message):
     # each of these once ended in a traceback (exit 1), or in bounds'
@@ -637,7 +662,7 @@ def test_cold_commands_do_not_load_scipy():
 # became lazy, by defining module.
 _PUBLIC_NAMES = {
     "errors": ["BoseGasError", "DomainError"],
-    "numerics": ["Tolerances", "find_root", "integrate_ode", "quad"],
+    "numerics": ["Tolerances", "integrate_ode", "quad"],
     "potentials": ["HARD_CORE", "PairPotential", "TrapPotential",
                    "pair_value", "parse_pair_potential",
                    "parse_trap_potential", "tail_integrability",

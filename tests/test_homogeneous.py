@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
-from scipy.optimize import linprog
+from scipy.optimize import brentq, linprog
 
 from bosegas.errors import (AnsatzInfeasible, DomainError, GapViolation,
                             VarianceNegative)
@@ -23,7 +23,6 @@ from bosegas.homogeneous import (ANSATZ_EXPONENTS, DYSON_LOWER_RATIO,
                                  occupation_minimum, schick_2d_bounds,
                                  softened_interaction, temple_bound,
                                  two_dim_cell_parameters)
-from bosegas.numerics import Tolerances, find_root
 
 
 def test_dilute_params_derived_fields():
@@ -84,10 +83,10 @@ def test_lower_ratio_and_crossover():
     res = dilute_lower_ratio(1e-3)
     assert not res.valid and res.value < 0.0
     # crossover against the hard-sphere lower constant 1/(10 sqrt 2),
-    # verified with the root finder
+    # verified with SciPy's root finder
     y_star = ((1.0 - DYSON_LOWER_RATIO) / 8.9) ** 17
-    root = find_root(lambda y: dilute_lower_ratio(y).value - DYSON_LOWER_RATIO,
-                     (y_star * 0.1, min(1.0, y_star * 10.0)), Tolerances())
+    root = brentq(lambda y: dilute_lower_ratio(y).value - DYSON_LOWER_RATIO,
+                  y_star * 0.1, min(1.0, y_star * 10.0))
     assert root == pytest.approx(y_star, rel=1e-6)
 
 

@@ -1,4 +1,4 @@
-"""Numerical-kernel tests: ODE control, quadrature, roots."""
+"""Numerical-kernel tests: ODE control and quadrature."""
 
 import math
 import warnings
@@ -6,10 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from bosegas.errors import (DivergentTail, DomainError, InvalidBracket,
-                            NoConvergence, NonFiniteRhs, StepSizeUnderflow)
+from bosegas.errors import (DivergentTail, DomainError, NonFiniteRhs,
+                            StepSizeUnderflow)
 from bosegas.numerics import (_A, _B, _C, _E3, _E5, _STAGES, Tolerances,
-                              find_root, integrate_ode, quad)
+                              integrate_ode, quad)
 
 TOL = Tolerances()
 
@@ -186,85 +186,3 @@ def test_quad_divergent_tail():
     with pytest.raises(DivergentTail):
         quad(lambda x: 1.0 / (1.0 + x), (0.0, math.inf), TOL)
 
-
-def test_find_root_sqrt2():
-    x = find_root(lambda t: t * t - 2.0, (1.0, 2.0), TOL)
-    assert abs(x - math.sqrt(2.0)) <= 1e-12
-    assert 1.0 <= x <= 2.0
-
-
-def test_find_root_identity_and_bracketing():
-    assert find_root(lambda t: t, (-1.0, 1.0), TOL) == pytest.approx(0.0, abs=1e-12)
-    rng = np.random.default_rng(2)
-    for _ in range(25):
-        root = rng.uniform(-5.0, 5.0)
-        lo, hi = root - rng.uniform(0.1, 3.0), root + rng.uniform(0.1, 3.0)
-        x = find_root(lambda t: (t - root) ** 3, (lo, hi), TOL)
-        assert lo <= x <= hi
-
-
-def test_find_root_invalid_bracket():
-    with pytest.raises(InvalidBracket):
-        find_root(lambda t: t * t + 1.0, (0.0, 1.0), TOL)
-
-
-def test_find_root_matches_scipy_brentq_bitwise():
-    from scipy.optimize import brentq
-
-    families = [
-        lambda c: (lambda t: t * t - c),
-        lambda c: (lambda t: (t - c) ** 3),
-        lambda c: (lambda t: math.exp(t) - 1.0 - c),
-        lambda c: (lambda t: math.tanh(3.0 * (t - c)) + 1e-3 * (t - c)),
-        lambda c: (lambda t: math.cos(t) - c * t),
-    ]
-    rng = np.random.default_rng(11)
-    for i in range(100):
-        f = families[i % len(families)](float(rng.uniform(0.1, 3.0)))
-        lo, hi = -float(rng.uniform(0.0, 4.0)), float(rng.uniform(3.5, 10.0))
-        if f(lo) * f(hi) >= 0:
-            continue
-        tol = Tolerances(abs_tol=float(10.0 ** rng.uniform(-15, -3)),
-                         rel_tol=float(10.0 ** rng.uniform(-15, -4)))
-        xtol = max(tol.abs_tol, 1e-15 * (1.0 + abs(lo) + abs(hi)))
-        rtol = max(tol.rel_tol, 4.0 * np.finfo(float).eps)
-        ref, info = brentq(f, lo, hi, xtol=xtol, rtol=rtol,
-                           maxiter=tol.max_iterations, full_output=True)
-        calls = []
-        root = find_root(lambda t: calls.append(t) or f(t), (lo, hi), tol)
-        assert root == min(max(ref, lo), hi)
-        assert len(calls) == info.function_calls   # same number of steps
-
-
-def test_find_root_evaluates_each_endpoint_once():
-    calls = []
-
-    def f(t):
-        calls.append(t)
-        return t * t - 2.0
-
-    find_root(f, (1.0, 2.0), TOL)
-    assert calls[:2] == [1.0, 2.0]
-    assert calls.count(1.0) == 1 and calls.count(2.0) == 1
-
-
-def test_find_root_budget_and_nan_raise_no_convergence():
-    # a step function defeats interpolation, so every step bisects: 10
-    # bisections cannot shrink [0, 1] to 1e-12
-    tight = Tolerances(abs_tol=1e-12, rel_tol=1e-12, max_iterations=1)
-    with pytest.raises(NoConvergence):
-        find_root(lambda t: -1.0 if t < 0.3 else 1.0, (0.0, 1.0), tight)
-    with pytest.raises(NoConvergence):
-        find_root(lambda t: math.nan if t > 0.4 else t - 0.5, (0.0, 1.0), TOL)
-
-
-def test_find_root_tf_normalization():
-    # harmonic-trap normalization: int (mu - r^2)_+ d^3x = 8 pi mu_tf^(5/2)/15,
-    # so the residual against 8 pi N a has root mu_tf = (15 N a)^(2/5)
-    n_part, a = 3.0, 0.2
-
-    def residual(mu):
-        return 8.0 * math.pi * mu ** 2.5 / 15.0 - 8.0 * math.pi * n_part * a
-
-    root = find_root(residual, (1e-6, 50.0), TOL)
-    assert abs(root - (15.0 * n_part * a) ** 0.4) <= 1e-12

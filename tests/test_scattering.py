@@ -240,6 +240,7 @@ def test_zero_table_keeps_its_result():
     table = ((0.5, 0.0), (1.0, 0.0))
     sol = solve_zero_energy(PairPotential(kind="tabulated", table=table), 1.0)
     assert sol.a == 0.0 and sol.converged and not sol.has_kinetic_fraction
+    assert math.copysign(1.0, sol.a) == 1.0
     with pytest.raises(NoLogAsymptote):
         solve_zero_energy(PairPotential(kind="tabulated", table=table,
                                         dimension=2), 1.0)
