@@ -34,24 +34,24 @@ print("\n-- second-order expansion (3D) --")
 for x in (1e-8, 1e-6, 1e-4):
     p = DiluteParams(rho=x, a=1.0, mu=1.0)
     print(f"  rho a^3 = {x:0.0e}: expansion/leading = "
-          f"{lhy_energy(p).value / leading_energy(p).value:.8f}")
+          f"{lhy_energy(p) / leading_energy(p):.8f}")
 
 print("\n-- cell-method lower bound with unit ansatz constants --")
 print(f"  {'Y':>8}  {'bound/leading':>14}  dominant error terms")
 for y in (1e-12, 1e-20, 1e-50, 1e-100):
     a = (3.0 * y / (4.0 * math.pi)) ** (1.0 / 3.0)
     p = DiluteParams(rho=1.0, a=a, mu=1.0)
-    est = cell_lower_bound(p)
     terms = cell_error_terms(p, cell_params_from_ansatz(p))
     top = sorted(terms.items(), key=lambda kv: -kv[1])[:2]
     summary = ", ".join(f"{k} = {v:.3f}" for k, v in top)
-    print(f"  {y:8.0e}  {est.value / leading_energy(p).value:14.6f}  {summary}")
+    print(f"  {y:8.0e}  {cell_lower_bound(p) / leading_energy(p):14.6f}  "
+          f"{summary}")
 print("  every error term scales like Y^(1/17): the bound creeps toward 1")
 
 print("\n-- 2D: the logarithmic formula 4 pi mu rho / |ln(rho a^2)| --")
 for rho_a2 in (1e-8, 1e-16, 1e-30):
     p = DiluteParams(rho=1.0, a=math.sqrt(rho_a2), mu=1.0, d=2)
     upper, lower = schick_2d_bounds(p)
-    lead = leading_energy(p).value
+    lead = leading_energy(p)
     print(f"  rho a^2 = {rho_a2:6.0e}: lower/leading = "
-          f"{lower.value / lead:.4f}, upper/leading = {upper.value / lead:.4f}")
+          f"{lower / lead:.4f}, upper/leading = {upper / lead:.4f}")

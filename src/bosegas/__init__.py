@@ -20,13 +20,13 @@ _EXPORTS = {
     "potentials": "HARD_CORE PairPotential TrapPotential pair_value "
     "parse_pair_potential parse_trap_potential tail_integrability trap_value",
     "scattering": "ScatteringSolution born_integral energy_integral "
-    "kinetic_fraction scattering_length solve_zero_energy",
-    "homogeneous": "CellMethodParams DiluteParams EnergyEstimate "
+    "kinetic_fraction solve_zero_energy",
+    "homogeneous": "CellMethodParams DiluteParams "
     "cell_energy_factor cell_lower_bound cell_lower_ratio dilute_lower_ratio "
     "dyson_upper_ratio leading_energy lhy_energy log_quadratic_gap "
     "occupation_minimum schick_2d_bounds softened_interaction temple_bound",
-    "gp": "GpState TfState chemical_potential coupling_2d gp_minimize "
-    "gp_residual gp_tf_limit mean_density tf_energy tf_scaling tf_solve",
+    "gp": "GpState TfState coupling_2d gp_minimize gp_residual gp_tf_limit "
+    "mean_density tf_scaling tf_solve",
     "bogolubov": "BogolubovMode FoldyParams fock_oracle "
     "foldy_dimensionless_integral foldy_energy foldy_mode_integrand "
     "kinetic_cutoff pair_mode_bound two_component_scaling yukawa_ft",

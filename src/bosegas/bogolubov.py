@@ -105,10 +105,10 @@ def fock_oracle(A: float, B: float, n_max: int,
     the exact -1.  Raises TruncationNotConverged if the last two cutoff
     increments still move the eigenvalue by more than the tolerance.
     """
-    if not (A >= B > 0.0):
-        if B == 0.0:
-            return 0.0
+    if not (A >= 0.0 and (B == 0.0 or A >= B > 0.0)):
         raise DomainError("need A >= B >= 0")
+    if B == 0.0:
+        return 0.0
     if n_max < 4:
         raise DomainError("need n_max >= 4")
     tol = tol or Tolerances(abs_tol=1e-9, rel_tol=1e-9)

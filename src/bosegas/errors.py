@@ -70,10 +70,6 @@ class GridTooCoarse(BoseGasError):
     """A rerun at tenfold tighter tolerance moved the result beyond its gate."""
 
 
-class NotConverged(BoseGasError):
-    """Operation requires a converged solution, but the input is not."""
-
-
 class RadiusInsideRange(BoseGasError):
     """Requested radius lies inside the interaction range."""
 

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (DomainError, NegativeCoupling, NoConvergence,
-                     NotConverged, float_range, require_finite)
+                     float_range, require_finite)
 from .numerics import Tolerances, quad
 from .potentials import TrapPotential
 
@@ -40,12 +40,10 @@ __all__ = [
     "TfState",
     "gp_minimize",
     "gp_residual",
-    "chemical_potential",
     "mean_density",
     "coupling_2d",
     "two_dim_coupling",
     "tf_solve",
-    "tf_energy",
     "tf_density",
     "tf_scaling",
     "gp_tf_limit",
@@ -59,7 +57,11 @@ def _omega(d: int) -> float:
 
 @dataclass(frozen=True)
 class GpState:
-    """Converged GP minimizer on a radial grid with its energy breakdown."""
+    """Converged GP minimizer on a radial grid with its energy breakdown.
+
+    Every state has passed the stopping rule of `gp_minimize`: a solve that
+    misses it raises NoConvergence.
+    """
 
     dimension: int
     trap: TrapPotential
@@ -74,7 +76,6 @@ class GpState:
     E: float
     mu_gp: float
     residual: float
-    converged: bool
     iterations: int
     residual_trace: tuple
     energy_trace: tuple = ()
@@ -270,7 +271,7 @@ def gp_minimize(trap: TrapPotential, N: float, coupling: float,
             dimension=d, trap=trap, N=N, coupling=coupling, mu_const=mu_const,
             r=np.linspace(L / 33, L, 33), phi=np.full(33, math.sqrt(N / volume)),
             kinetic=0.0, trap_energy=0.0, interaction=inter, E=inter,
-            mu_gp=2.0 * inter / N, residual=0.0, converged=True, iterations=0,
+            mu_gp=2.0 * inter / N, residual=0.0, iterations=0,
             residual_trace=(0.0,))
 
     s = trap.homogeneity_degree
@@ -319,7 +320,6 @@ def gp_minimize(trap: TrapPotential, N: float, coupling: float,
     tau = 0.2 / max(1.0, abs(e_old) / N)
     resid_hist = []
     e_hist = [e_old]
-    converged = False
     iterations = newton_steps = 0
     try_newton = True
 
@@ -352,9 +352,8 @@ def gp_minimize(trap: TrapPotential, N: float, coupling: float,
         h_u, lam, res = disc.rayleigh(u)
         resid_hist.append(res)
         if res <= resid_tol and flat:
-            converged = True
             break
-    if not converged:
+    else:
         raise NoConvergence(
             f"GP residual {resid_hist[-1]:.3e} after "
             f"{iterations} iterations")
@@ -370,7 +369,7 @@ def gp_minimize(trap: TrapPotential, N: float, coupling: float,
         dimension=d, trap=trap, N=N, coupling=coupling, mu_const=mu_const,
         r=ell * r, phi=ell ** (-d / 2) * phi, kinetic=kin, trap_energy=trap_e,
         interaction=inter, E=float(unit * e_total), mu_gp=float(unit * mu_gp),
-        residual=resid_hist[-1], converged=True, iterations=iterations,
+        residual=resid_hist[-1], iterations=iterations,
         residual_trace=tuple(resid_hist[-32:]),
         energy_trace=tuple(float(unit * e) for e in e_hist[-64:]),
         newton_steps=newton_steps)
@@ -401,13 +400,6 @@ def gp_residual(state: GpState) -> float:
                            (state.r[-1] + state.r[0]) / ell, state.r.size)
     psi = ell ** (d / 2) * np.asarray(state.phi, dtype=float)
     return disc.rayleigh(psi * disc.r if d == 3 else psi)[2]
-
-
-def chemical_potential(state: GpState) -> float:
-    """mu_GP = E/N + (4 pi mu c / N) int phi^4 (c = a in 3D, alpha in 2D)."""
-    if not state.converged:
-        raise NotConverged("state is not converged")
-    return state.mu_gp
 
 
 def _simpson(y: np.ndarray, x: np.ndarray) -> float:
@@ -441,8 +433,6 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> float:
 def mean_density(state: GpState) -> float:
     """Mean density (1/N) int |phi|^4 d^dx (Simpson quadrature), computed in
     trap units (x = r/ell, psi = ell^(d/2) phi) and divided by ell^d."""
-    if not state.converged:
-        raise NotConverged("state is not converged")
     if state.trap.kind == "box":
         return state.N / state.trap.box_side ** state.dimension
     d = state.dimension
@@ -520,10 +510,6 @@ def tf_density(state: TfState, r) -> np.ndarray:
     v = state.trap.scale * r ** state.trap.homogeneity_degree
     denom = 8.0 * math.pi * state.mu_const * state.a
     return np.maximum(state.mu_tf - v, 0.0) / denom
-
-
-def tf_energy(state: TfState) -> float:
-    return state.E_tf
 
 
 def tf_scaling(g: float, s: float, d: int = 3) -> float:

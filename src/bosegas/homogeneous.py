@@ -5,15 +5,15 @@ bound, the 2D logarithmic bounds, and the Temple/cell-method machinery that
 produces the lower bounds.  Everything here is formula evaluation: pure,
 deterministic, and cheap enough for dense parameter sweeps.
 
-Constants hidden inside O(.) remainders are exposed as configuration with
-default 1.0; only the exponents are fixed.
+The paper leaves the constants inside its O(.) remainders unquantified;
+here each is fixed at 1, and only the exponents carry the theory.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .errors import (AnsatzInfeasible, DomainError, GapViolation,
 __all__ = [
     "DiluteParams",
     "CellMethodParams",
-    "EnergyEstimate",
     "LowerRatio",
     "DYSON_LOWER_RATIO",
     "LOWER_RATIO_C",
@@ -113,33 +112,17 @@ class CellMethodParams:
             raise DomainError("need at least 2 particles per cell")
 
 
-@dataclass(frozen=True)
-class EnergyEstimate:
-    """Energy per particle with provenance."""
-
-    value: float
-    kind: str                  # upper | lower | asymptotic
-    formula_id: str
-    params: Optional[DiluteParams] = None
-
-    def __post_init__(self):
-        if self.kind not in ("upper", "lower", "asymptotic"):
-            raise DomainError(f"unknown estimate kind {self.kind!r}")
-
-
-def leading_energy(p: DiluteParams) -> EnergyEstimate:
+def leading_energy(p: DiluteParams) -> float:
     """Leading low-density energy per particle: 4 pi mu rho a, or its 2D
     analogue 4 pi mu rho / |ln(rho a^2)|."""
     if p.d == 3:
-        return EnergyEstimate(4.0 * math.pi * p.mu * p.rho * p.a,
-                              "asymptotic", "leading_3d", p)
+        return 4.0 * math.pi * p.mu * p.rho * p.a
     if p.rho_a2 >= 1.0:
         raise DomainError("2D leading term needs rho a^2 < 1")
-    return EnergyEstimate(4.0 * math.pi * p.mu * p.rho / abs(math.log(p.rho_a2)),
-                          "asymptotic", "leading_2d", p)
+    return 4.0 * math.pi * p.mu * p.rho / abs(math.log(p.rho_a2))
 
 
-def lhy_energy(p: DiluteParams) -> EnergyEstimate:
+def lhy_energy(p: DiluteParams) -> float:
     """Leading term times the Lee-Huang-Yang correction series
     1 + (128/15 sqrt(pi)) x^(1/2) + 8(4 pi/3 - sqrt 3) x ln x, x = rho a^3."""
     if p.d != 3:
@@ -150,8 +133,7 @@ def lhy_energy(p: DiluteParams) -> EnergyEstimate:
     series = (1.0
               + 128.0 / (15.0 * math.sqrt(math.pi)) * math.sqrt(x)
               + 8.0 * (4.0 * math.pi / 3.0 - math.sqrt(3.0)) * x * math.log(x))
-    return EnergyEstimate(4.0 * math.pi * p.mu * p.rho * p.a * series,
-                          "asymptotic", "lhy_expansion", p)
+    return 4.0 * math.pi * p.mu * p.rho * p.a * series
 
 
 def _libm_pow(x, e):
@@ -213,12 +195,11 @@ def dilute_lower_ratio(y, c: float = LOWER_RATIO_C) -> LowerRatio:
     return LowerRatio(value=float(value), valid=bool(value > 0.0))
 
 
-def schick_2d_bounds(p: DiluteParams, c_upper: float = 1.0,
-                     c_lower: float = 1.0):
-    """2D bounds around 4 pi mu rho / |ln(rho a^2)|.
+def schick_2d_bounds(p: DiluteParams):
+    """2D bounds (upper, lower) around 4 pi mu rho / |ln(rho a^2)|.
 
-    upper: leading * (1 + c_upper / |ln|); lower: leading * (1 - c_lower *
-    |ln|^(-1/5)).  The remainder constants are configuration, default 1.
+    upper: leading * (1 + 1/|ln|); lower: leading * (1 - |ln|^(-1/5)), with
+    the remainder constants fixed at 1.
     """
     if p.d != 2:
         raise DomainError("2D operation")
@@ -226,23 +207,17 @@ def schick_2d_bounds(p: DiluteParams, c_upper: float = 1.0,
         raise DomainError("need rho a^2 small enough that |ln(rho a^2)| > 1")
     log = abs(math.log(p.rho_a2))
     lead = 4.0 * math.pi * p.mu * p.rho / log
-    upper = EnergyEstimate(lead * (1.0 + c_upper / log), "upper",
-                           "log_2d_upper", p)
-    lower = EnergyEstimate(lead * (1.0 - c_lower * log ** -0.2), "lower",
-                           "log_2d_lower", p)
-    return upper, lower
+    return lead * (1.0 + 1.0 / log), lead * (1.0 - log ** -0.2)
 
 
-def intermediate_2d_upper(p: DiluteParams, b: Optional[float] = None) -> float:
-    """2D upper bound 2 pi mu rho / (ln(b/a) - pi rho b^2) at cutoff b.
-
-    The leading term is minimized at b = (2 pi rho)^(-1/2), where it reduces
+def intermediate_2d_upper(p: DiluteParams) -> float:
+    """2D upper bound 2 pi mu rho / (ln(b/a) - pi rho b^2) at the cutoff
+    b = (2 pi rho)^(-1/2) that minimizes its leading term, where it reduces
     to 4 pi mu rho / |ln(rho a^2)| up to O(1/|ln|) corrections.
     """
     if p.d != 2:
         raise DomainError("2D operation")
-    if b is None:
-        b = (2.0 * math.pi * p.rho) ** -0.5
+    b = (2.0 * math.pi * p.rho) ** -0.5
     denom = math.log(b / p.a) - math.pi * p.rho * b * b
     if denom <= 0:
         raise DomainError("cutoff b too large for the bound to hold")
@@ -363,61 +338,52 @@ def cell_energy_factor(params: CellMethodParams, a: float, d: int = 3,
     return k if k.ndim else float(k)
 
 
-def cell_params_from_ansatz(p: DiluteParams, c_eps: float = 1.0,
-                            c_ell: float = 1.0,
-                            c_R: float = 1.0) -> CellMethodParams:
+def cell_params_from_ansatz(p: DiluteParams) -> CellMethodParams:
     """Instantiate cell parameters from the Y-power ansatz.
 
-    eps = c_eps Y^(1/17), a/ell = c_ell Y^(6/17),
-    (R^3 - R0^3)/ell^3 = c_R Y^(3/17) with R0 = a (the hard-core
-    convention, where range and scattering length coincide).
+    eps = Y^(1/17), a/ell = Y^(6/17), (R^3 - R0^3)/ell^3 = Y^(3/17) with
+    R0 = a (the hard-core convention, where range and scattering length
+    coincide); the constants of the three powers are fixed at 1.
     """
     if p.d != 3:
         raise DomainError("the Y-power ansatz is three-dimensional")
-    _check_ansatz_constants(c_eps, c_ell, c_R)
-    eps, ell, R, n = map(float, _ansatz(p.y, p.a, p.rho, c_eps, c_ell, c_R,
-                                        p.a))
+    eps, ell, R, n = map(float, _ansatz(p.y, p.a, p.rho))
     for holds, message in _ansatz_checks(eps, ell, R, p.a, n):
         if not holds:
             raise AnsatzInfeasible(message.format(eps=eps))
     return CellMethodParams(n=n, ell=ell, R=R, R0=p.a, eps=eps)
 
 
-def cell_lower_bound(p: DiluteParams, c_eps: float = 1.0, c_ell: float = 1.0,
-                     c_R: float = 1.0) -> EnergyEstimate:
+def cell_lower_bound(p: DiluteParams) -> float:
     """Cell-method lower bound 4 pi mu a rho (1 - 1/(rho ell^3)) K(4 rho ell^3, ell)
     with the ansatz-instantiated cell parameters.
 
     Raises AnsatzInfeasible when the ansatz or one of the five relative
     error terms (`cell_error_terms`) rules the construction out.
     """
-    params = cell_params_from_ansatz(p, c_eps, c_ell, c_R)
+    params = cell_params_from_ansatz(p)
     terms = cell_error_terms(p, params)
     if any(t >= 1.0 for t in terms.values()):
         raise AnsatzInfeasible(f"error terms not all < 1: {terms}")
     k = cell_energy_factor(params, a=p.a, d=3)
-    value = _cell_value(p.mu, p.a, p.rho, terms["occupancy"], k)
-    return EnergyEstimate(float(value), "lower", "cell_method", p)
+    return float(_cell_value(p.mu, p.a, p.rho, terms["occupancy"], k))
 
 
-def cell_lower_ratio(y, c_eps: float = 1.0, c_ell: float = 1.0,
-                     c_R: float = 1.0):
+def cell_lower_ratio(y):
     """Cell-method lower bound over 4 pi mu rho a as a function of Y, for
     scalar or array ``Y``, and 0 wherever `cell_lower_bound` would raise
     AnsatzInfeasible (0 is the trivial lower bound).
 
     Evaluated at the unit-scale instantiation rho = mu = 1,
     a = (3Y/(4 pi))^(1/3); each value is bit for bit
-    ``cell_lower_bound(DiluteParams(1.0, a)).value / (4 pi a)``.
+    ``cell_lower_bound(DiluteParams(1.0, a)) / (4 pi a)``.
     """
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0):
         raise DomainError("Y must be positive")
-    _check_ansatz_constants(c_eps, c_ell, c_R)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a = _libm_pow(3.0 * y / (4.0 * math.pi), 1.0 / 3.0)
-        eps, ell, R, n = _ansatz(_diluteness(1.0, a), a, 1.0, c_eps, c_ell,
-                                 c_R, a)
+        eps, ell, R, n = _ansatz(_diluteness(1.0, a), a, 1.0)
         temple = _temple(a, eps, ell, R, a, n)
         terms = _error_terms(1.0, eps, ell, R, temple)
         feasible = np.logical_and.reduce(
@@ -450,24 +416,14 @@ def _diluteness(rho, a):
     return 4.0 * math.pi * rho * _libm_pow(a, 3) / 3.0
 
 
-def _check_ansatz_constants(c_eps, c_ell, c_R):
-    """The ansatz constants must be finite and nonnegative: a negative c_ell
-    or c_R puts a negative number under a cube root."""
-    require_finite(c_eps=c_eps, c_ell=c_ell, c_R=c_R)
-    for name, c in (("c_eps", c_eps), ("c_ell", c_ell), ("c_R", c_R)):
-        if c < 0:
-            raise DomainError(f"{name} must be nonnegative, got {c!r}")
-
-
-def _ansatz(y, a, rho, c_eps, c_ell, c_R, R0):
-    """(eps, ell, R, n) of the Y-power ansatz at diluteness y."""
+def _ansatz(y, a, rho):
+    """(eps, ell, R, n) of the Y-power ansatz at diluteness y, with R0 = a."""
     alpha, beta, gamma = ANSATZ_EXPONENTS
-    eps = c_eps * _libm_pow(y, alpha)
-    with np.errstate(divide="ignore"):      # c_ell = 0: infeasible, ell = inf
-        ell = a / (c_ell * _libm_pow(y, beta))
+    eps = _libm_pow(y, alpha)
+    with np.errstate(divide="ignore"):      # y = 0 (a^3 underflows): ell = inf
+        ell = a / _libm_pow(y, beta)
     ell3 = _libm_pow(ell, 3)
-    R = _libm_pow(_libm_pow(R0, 3) + c_R * _libm_pow(y, gamma) * ell3,
-                  1.0 / 3.0)
+    R = _libm_pow(_libm_pow(a, 3) + _libm_pow(y, gamma) * ell3, 1.0 / 3.0)
     n = 4.0 * rho * ell3
     return eps, ell, R, n
 
@@ -524,17 +480,16 @@ def _cell_value(mu, a, rho, occupancy, k):
     return 4.0 * math.pi * mu * a * rho * (1.0 - occupancy) * k
 
 
-def two_dim_cell_parameters(rho: float, a: float, c_eps: float = 1.0,
-                            c_ell: float = 1.0, c_R: float = 1.0):
-    """2D cell parameters: eps ~ |ln(rho a^2)|^(-1/5),
-    ell ~ rho^(-1/2) |ln|^(1/10), R ~ rho^(-1/2) |ln|^(-1/10)."""
+def two_dim_cell_parameters(rho: float, a: float):
+    """2D cell parameters: eps = |ln(rho a^2)|^(-1/5),
+    ell = rho^(-1/2) |ln|^(1/10), R = rho^(-1/2) |ln|^(-1/10)."""
     rho_a2 = rho * a * a
     if rho_a2 >= 1.0:
         raise DomainError("need rho a^2 < 1")
     log = abs(math.log(rho_a2))
-    eps = c_eps * log ** -0.2
-    ell = c_ell * rho ** -0.5 * log ** 0.1
-    R = c_R * rho ** -0.5 * log ** -0.1
+    eps = log ** -0.2
+    ell = rho ** -0.5 * log ** 0.1
+    R = rho ** -0.5 * log ** -0.1
     return eps, ell, R
 
 

@@ -30,7 +30,6 @@ from .errors import (
     GridTooCoarse,
     NoLogAsymptote,
     NonIntegrableTail,
-    NotConverged,
     RadiusInsideRange,
     ScatteringLengthUnderflow,
     ZeroScatteringLength,
@@ -49,7 +48,6 @@ __all__ = [
     "DEFAULT_TOL",
     "ScatteringSolution",
     "solve_zero_energy",
-    "scattering_length",
     "energy_integral",
     "kinetic_fraction",
     "two_dim_energy_ratio",
@@ -69,14 +67,14 @@ class ScatteringSolution:
     2D), so dividing by it gives the u ~ r - a (3D) or psi ~ ln(r/a) (2D)
     normalization.  ``range_radius`` is where that asymptote is read off:
     the interaction range, or the cut radius of a tail.  ``tol`` holds the
-    tolerances the reported run used.
+    tolerances the reported run used.  Every solution has passed the
+    convergence gate: a solve that misses it raises GridTooCoarse.
     """
 
     dimension: int
     mu: float
     a: float
     s: float
-    converged: bool
     potential: PairPotential
     range_radius: float
     slope: float
@@ -252,7 +250,7 @@ def solve_zero_energy(p: PairPotential, mu: float,
     p : pair potential (its dimension tag selects the 3D or 2D equation)
     mu : the kinetic coefficient hbar^2 / 2m
     tol : integrator tolerances.  A rerun at abs_tol/10 and rel_tol/10
-        gates `converged`: if a moves by more than
+        gates the result: if a moves by more than
         10 * max(rel_tol * max(|a|, range), abs_tol), GridTooCoarse is raised.
         A 3D integration needs abs_tol > 0.
 
@@ -285,23 +283,15 @@ def solve_zero_energy(p: PairPotential, mu: float,
     a, a2 = run.a, solve(p, mu, r_end, tighter).a
 
     scale = max(abs(a), p.range_radius)
-    converged = abs(a - a2) <= 10.0 * max(tol.rel_tol * scale, tol.abs_tol)
-    if not converged:
+    if not abs(a - a2) <= 10.0 * max(tol.rel_tol * scale, tol.abs_tol):
         raise GridTooCoarse(
             f"scattering length moved by {abs(a - a2):.3e} under a tenfold "
             f"tighter tolerance")
 
     return ScatteringSolution(
         dimension=p.dimension, mu=mu, a=a, s=run.s,
-        converged=converged, potential=p, range_radius=run.r_end,
+        potential=p, range_radius=run.r_end,
         slope=run.slope, kin_interior=run.kin, pot_interior=run.pot, tol=tol)
-
-
-def scattering_length(sol: ScatteringSolution) -> float:
-    """The scattering length extracted from the asymptote."""
-    if not sol.converged:
-        raise NotConverged("solution did not pass the convergence gate")
-    return sol.a
 
 
 def energy_integral(sol: ScatteringSolution, R: float) -> float:
@@ -313,8 +303,6 @@ def energy_integral(sol: ScatteringSolution, R: float) -> float:
     """
     if sol.dimension != 3:
         raise DomainError("energy_integral is a 3D operation")
-    if not sol.converged:
-        raise NotConverged("solution did not pass the convergence gate")
     p = sol.potential
     if R < p.range_radius:
         raise RadiusInsideRange(
@@ -339,8 +327,6 @@ def kinetic_fraction(sol: ScatteringSolution) -> float:
     """s = int |grad psi0|^2 d^3x / (4 pi a); equals 1 identically in 2D."""
     if sol.dimension == 2:
         return 1.0
-    if not sol.converged:
-        raise NotConverged("solution did not pass the convergence gate")
     if not sol.has_kinetic_fraction:
         raise ZeroScatteringLength("kinetic fraction undefined for a = 0")
     return sol.s

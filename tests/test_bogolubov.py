@@ -46,6 +46,10 @@ def test_fock_oracle_examples():
     assert fock_oracle(5.0, 0.0, 10) == 0.0
     with pytest.raises(DomainError):
         fock_oracle(5.0, 3.0, 3)
+    # the B = 0 shortcut once returned 0.0 before checking A
+    for a_val in (-1.0, math.nan):
+        with pytest.raises(DomainError):
+            fock_oracle(a_val, 0.0, 10)
 
 
 def test_fock_oracle_sandwich_and_monotonicity():

@@ -6,7 +6,9 @@ import io
 import json
 import math
 import os
+import pathlib
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -457,16 +459,42 @@ def test_gp_invalid_inputs_exit_3(capsys):
     # the 3D integrals start at 0, so a purely relative error scale is 0
     (["scatter", "--potential", "squarewell:r0=1,v0=10", "--abs-tol", "0"],
      "abs_tol must be positive for a 3D solve"),
+    # the scaled error e5 * e5 overflows although no state does: the step is
+    # rejected, where it once raised a misleading NonFiniteRhs
+    *((["scatter", "--potential", "squarewell:r0=1,v0=10", "--abs-tol", tol],
+      "StepSizeUnderflow: step")
+      for tol in ("1e-160", "1e-200", "1e-320", "5e-324")),
 ])
 def test_boundary_inputs_exit_3_with_a_named_error(capsys, argv, message):
     # each of these once ended in a traceback (exit 1), or in bounds'
-    # case ran the 2D branch for any --dim other than 3
+    # case ran the 2D branch for any --dim other than 3; a message that
+    # names no error is a DomainError's
+    error, _, text = message.rpartition(": ")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == 3
     err = capsys.readouterr().err
-    assert err.startswith(f"{argv[0]}: DomainError: {message}")
+    assert err.startswith(f"{argv[0]}: {error or 'DomainError'}: {text}")
     assert "Traceback" not in err
+
+
+def _readme_cli_examples():
+    """The `bosegas ...` lines of the README's "Command line" block."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines()
+            if line.startswith("bosegas ")]
+
+
+def test_readme_cli_examples_exit_0(tmp_path, monkeypatch, capsys):
+    # a flag or command that goes must not leave a dead example behind;
+    # files the examples write land in tmp_path
+    examples = _readme_cli_examples()
+    assert examples
+    monkeypatch.chdir(tmp_path)
+    for argv in examples:
+        assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("trap, s, scale, coupling", [
@@ -668,18 +696,17 @@ _PUBLIC_NAMES = {
                    "parse_trap_potential", "tail_integrability",
                    "trap_value"],
     "scattering": ["ScatteringSolution", "born_integral", "energy_integral",
-                   "kinetic_fraction", "scattering_length",
-                   "solve_zero_energy"],
-    "homogeneous": ["CellMethodParams", "DiluteParams", "EnergyEstimate",
+                   "kinetic_fraction", "solve_zero_energy"],
+    "homogeneous": ["CellMethodParams", "DiluteParams",
                     "cell_energy_factor", "cell_lower_bound",
                     "cell_lower_ratio", "dilute_lower_ratio",
                     "dyson_upper_ratio", "leading_energy", "lhy_energy",
                     "log_quadratic_gap", "occupation_minimum",
                     "schick_2d_bounds", "softened_interaction",
                     "temple_bound"],
-    "gp": ["GpState", "TfState", "chemical_potential", "coupling_2d",
-           "gp_minimize", "gp_residual", "gp_tf_limit", "mean_density",
-           "tf_energy", "tf_scaling", "tf_solve"],
+    "gp": ["GpState", "TfState", "coupling_2d", "gp_minimize",
+           "gp_residual", "gp_tf_limit", "mean_density", "tf_scaling",
+           "tf_solve"],
     "bogolubov": ["BogolubovMode", "FoldyParams", "fock_oracle",
                   "foldy_dimensionless_integral", "foldy_energy",
                   "foldy_mode_integrand", "kinetic_cutoff", "pair_mode_bound",

@@ -15,12 +15,11 @@ import math
 import numpy as np
 import pytest
 
-from bosegas.errors import DomainError, NegativeCoupling, NotConverged
-from bosegas.gp import (_RESIDUAL_TOL, _simpson, chemical_potential,
-                        coupling_2d, export_profile, gp_minimize, gp_residual,
-                        gp_tf_limit, mean_density, tf_chemical_identity_gap,
-                        tf_density, tf_energy, tf_scaling, tf_solve,
-                        two_dim_coupling)
+from bosegas.errors import DomainError, NegativeCoupling
+from bosegas.gp import (_RESIDUAL_TOL, _simpson, coupling_2d, export_profile,
+                        gp_minimize, gp_residual, gp_tf_limit, mean_density,
+                        tf_chemical_identity_gap, tf_density, tf_scaling,
+                        tf_solve, two_dim_coupling)
 from bosegas.potentials import TrapPotential, parse_trap_potential
 
 HARM3 = TrapPotential(kind="harmonic", dimension=3)
@@ -126,7 +125,7 @@ def test_chemical_potential_derivative():
     up = gp_minimize(HARM3, n_part + dn, a, grid_points=1200)
     dn_state = gp_minimize(HARM3, n_part - dn, a, grid_points=1200)
     fd = (up.E - dn_state.E) / (2.0 * dn)
-    assert abs(fd - chemical_potential(st)) / abs(fd) <= 1e-4
+    assert abs(fd - st.mu_gp) / abs(fd) <= 1e-4
 
 
 def test_chemical_potential_tf_trend():
@@ -186,8 +185,7 @@ def test_tf_closed_forms_3d():
     assert abs(tf.mu_tf - exact_mu) <= 1e-10 * exact_mu
     assert tf.support_radius == pytest.approx(math.sqrt(exact_mu), rel=1e-10)
     # E_tf = mu^(7/2) / (21 a) for the unit harmonic trap
-    assert tf_energy(tf) == pytest.approx(exact_mu ** 3.5 / (21.0 * a),
-                                          rel=1e-9)
+    assert tf.E_tf == pytest.approx(exact_mu ** 3.5 / (21.0 * a), rel=1e-9)
     assert tf_chemical_identity_gap(tf) <= 1e-9
     # density nonnegative, zero outside the support
     rs = np.linspace(0.0, 2.0 * tf.support_radius, 101)
@@ -199,7 +197,7 @@ def test_tf_closed_forms_3d():
 def test_tf_closed_forms_2d():
     tf = tf_solve(HARM2, 1.0, 1.0)
     assert abs(tf.mu_tf - 4.0) <= 1e-10 * 4.0
-    assert tf_energy(tf) == pytest.approx(8.0 / 3.0, rel=1e-9)
+    assert tf.E_tf == pytest.approx(8.0 / 3.0, rel=1e-9)
     assert tf_chemical_identity_gap(tf) <= 1e-9
 
 
@@ -286,13 +284,6 @@ def test_export_profile_reads_back_as_floats(tmp_path):
     assert np.array_equal(values[:, 0], st.r)
     assert np.array_equal(values[:, 1], st.phi)
     assert np.array_equal(values[:, 2], st.phi * st.phi)
-
-
-def test_not_converged_guard():
-    st = gp_minimize(HARM3, 1.0, 0.0, grid_points=800)
-    bad = dataclasses.replace(st, converged=False)
-    with pytest.raises(NotConverged):
-        chemical_potential(bad)
 
 
 # Energies computed by a pure normalized gradient flow, a reference
