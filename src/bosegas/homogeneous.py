@@ -347,6 +347,9 @@ def cell_params_from_ansatz(p: DiluteParams) -> CellMethodParams:
     """
     if p.d != 3:
         raise DomainError("the Y-power ansatz is three-dimensional")
+    if p.y == 0.0:      # a^3 below the float range: the ansatz takes 0 * inf
+        raise DomainError(f"rho = {p.rho!r}, a = {p.a!r}: "
+                          "Y = 4 pi rho a^3 / 3 underflows to 0")
     eps, ell, R, n = map(float, _ansatz(p.y, p.a, p.rho))
     for holds, message in _ansatz_checks(eps, ell, R, p.a, n):
         if not holds:

@@ -1,9 +1,12 @@
 """Shared numerical kernels: ODE integration and quadrature.
 
 Radii are plain float arrays: `integrate_ode` stops at each radius of the
-array it is given.  All routines are deterministic pure functions of their
-arguments; nothing in this module keeps global state, so values can be
-shared freely between concurrent workers.
+array it is given.  Its steps run on Python floats, and `rhs` receives the
+state as a list of floats; every sum has a fixed left-to-right order, so
+its results depend only on IEEE double arithmetic, not on the BLAS build.
+All routines are deterministic pure functions of their arguments; nothing
+in this module keeps global state, so values can be shared freely between
+concurrent workers.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -143,6 +147,16 @@ _E5[10] = 0.8192320648511571246570742613e-1
 _E5[11] = -0.2235530786388629525884427845e-1
 
 
+def _sparse(weights) -> tuple:
+    """The nonzero entries of a row of stage weights, as (stage, weight)."""
+    return tuple((j, a) for j, a in enumerate(weights.tolist()) if a != 0.0)
+
+
+# every stage after the first, as its node and its sparse tableau row
+_ROWS = tuple((_C[s].item(), _sparse(_A[s, :s])) for s in range(1, _STAGES))
+_B_ROW, _E5_ROW, _E3_ROW = _sparse(_B), _sparse(_E5), _sparse(_E3)
+
+
 def integrate_ode(rhs, initial, radii: np.ndarray,
                   tol: Tolerances) -> np.ndarray:
     """Integrate y' = rhs(r, y) across `radii` with adaptive DOP853 steps.
@@ -156,69 +170,89 @@ def integrate_ode(rhs, initial, radii: np.ndarray,
     increasing 1-D array of two or more radii; every radius is a forced
     stop.  Returns the trajectory there, shape (len(radii), len(initial)).
 
-    `rhs` receives r as a Python float and y as a float array, and returns
-    len(initial) floats, as a sequence or an array.  A non-finite right-hand side at any
-    stage of a step, or a state that overflows, raises NonFiniteRhs before
-    the step is used.  No evaluation follows the last accepted step.
+    The step runs on Python floats: every weighted sum of stages is formed
+    left to right over the nonzero weights, so the results depend only on
+    IEEE double arithmetic, not on the BLAS build.  `rhs` receives r as a
+    Python float and y as a list of floats, and returns len(initial) floats,
+    as a sequence or an array.  A non-finite right-hand side at any stage of
+    a step, or a state that overflows, raises NonFiniteRhs before the step
+    is used.  No evaluation follows the last accepted step.
     """
     nodes = np.asarray(radii, dtype=float)
     if nodes.ndim != 1 or nodes.size < 2:
         raise DomainError("need a 1-D array of at least 2 radii")
     if not np.all(np.diff(nodes) > 0):
         raise DomainError("radii must be strictly increasing")
-    y = np.asarray(initial, dtype=float).copy()
-    out = np.empty((nodes.size, y.size))
+    y = np.asarray(initial, dtype=float).tolist()
+    out = np.empty((nodes.size, len(y)))
     out[0] = y
     stops = nodes.tolist()
     r, r_final = stops[0], stops[-1]
     h_min = 1e-14 * (r_final - r)
     max_steps = 50 * tol.max_iterations
     abs_tol, rel_tol = tol.abs_tol, tol.rel_tol
-    k = np.empty((_STAGES, y.size))
-    # per stage: its node, its tableau row, the stages it reads, its slot
-    stages = [(float(_C[s]), _A[s, :s], k[:s], k[s]) for s in range(1, _STAGES)]
+    k = [list(map(float, rhs(r, y)))] + [None] * (_STAGES - 1)
+    h = stops[1] - r
     steps = 0
 
-    # overflow in the stages surfaces as NonFiniteRhs, not as a warning
-    with np.errstate(all="ignore"):
-        k[0] = rhs(r, y)
-        h = stops[1] - r
-        for i, r_end in enumerate(stops[1:], start=1):
-            while r < r_end:
-                last = h >= r_end - r
-                step = r_end - r if last else h
-                for c, row, prev, slot in stages:
-                    slot[:] = rhs(r + c * step, y + step * (row @ prev))
-                if not np.isfinite(k).all():
-                    raise NonFiniteRhs(f"rhs non-finite in the step from r={r!r}")
-                y_new = y + step * (_B @ k)
-                scale = abs_tol + rel_tol * (np.abs(y) + np.abs(step * k[0]))
-                e5 = step * (_E5 @ k) / scale
-                e3 = step * (_E3 @ k) / scale
-                denom = np.hypot(e5, 0.1 * e3)
-                err = float(np.divide(e5 * e5, denom, out=np.zeros(y.size),
-                                      where=denom > 0.0).max())
-                # a non-finite err (e5 * e5 overflows at a tiny abs_tol) is
-                # a rejected step: err ** -0.125 shrinks h by 0.2
-                if not np.isfinite(y_new).all():
-                    raise NonFiniteRhs(f"state overflow near r={r:.6g}")
-                if err <= 1.0:
-                    r = r_end if last else r + step
-                    y = y_new
-                    if r < r_final:
-                        k[0] = rhs(r, y)
-                    grow = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
-                    # a step clipped to land on a node does not shrink h
-                    h = max(h, step * grow) if last else step * grow
+    for i, r_end in enumerate(stops[1:], start=1):
+        while r < r_end:
+            last = h >= r_end - r
+            step = r_end - r if last else h
+            for s, (c, row) in enumerate(_ROWS, start=1):
+                state = []
+                for m, y_m in enumerate(y):
+                    acc = 0.0
+                    for j, a in row:
+                        acc += a * k[j][m]
+                    state.append(y_m + step * acc)
+                k[s] = list(map(float, rhs(r + c * step, state)))
+            if not all(map(math.isfinite, chain.from_iterable(k))):
+                raise NonFiniteRhs(f"rhs non-finite in the step from r={r!r}")
+            y_new = []
+            err = 0.0
+            for m, y_m in enumerate(y):
+                acc = e5 = e3 = 0.0
+                for j, a in _B_ROW:
+                    acc += a * k[j][m]
+                for j, a in _E5_ROW:
+                    e5 += a * k[j][m]
+                for j, a in _E3_ROW:
+                    e3 += a * k[j][m]
+                y_new.append(y_m + step * acc)
+                e5, e3 = step * e5, step * e3
+                scale = abs_tol + rel_tol * (abs(y_m) + abs(step * k[0][m]))
+                if scale > 0.0:
+                    e5, e3 = e5 / scale, e3 / scale
+                    denom = math.hypot(e5, 0.1 * e3)
+                    q = e5 * e5 / denom if denom > 0.0 else 0.0
                 else:
-                    h = step * max(0.2, 0.9 * err ** -0.125)
-                    if h < h_min:
-                        raise StepSizeUnderflow(
-                            f"step {h:.3e} below floor near r={r:.6g}")
-                steps += 1
-                if steps > max_steps:
-                    raise StepSizeUnderflow("step budget exhausted")
-            out[i] = y
+                    # x/0 is inf and 0/0 nan: a rejected step, or a component
+                    # that the denom > 0 mask drops
+                    q = math.inf if e5 or e3 else 0.0
+                if q > err or q != q:     # a NaN err sticks, as in a max
+                    err = q
+            # a non-finite err (e5 * e5 overflows at a tiny abs_tol) is
+            # a rejected step: err ** -0.125 shrinks h by 0.2
+            if not all(map(math.isfinite, y_new)):
+                raise NonFiniteRhs(f"state overflow near r={r:.6g}")
+            if err <= 1.0:
+                r = r_end if last else r + step
+                y = y_new
+                if r < r_final:
+                    k[0] = list(map(float, rhs(r, y)))
+                grow = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
+                # a step clipped to land on a node does not shrink h
+                h = max(h, step * grow) if last else step * grow
+            else:
+                h = step * max(0.2, 0.9 * err ** -0.125)
+                if h < h_min:
+                    raise StepSizeUnderflow(
+                        f"step {h:.3e} below floor near r={r:.6g}")
+            steps += 1
+            if steps > max_steps:
+                raise StepSizeUnderflow("step budget exhausted")
+        out[i] = y
     return out
 
 

@@ -81,6 +81,9 @@ class PairPotential:
                 raise DomainError("table radii must be positive and strictly increasing")
             object.__setattr__(self, "table", tuple(
                 (float(r), float(v)) for r, v in self.table))
+            # the knot arrays pair_value interpolates, built once
+            object.__setattr__(self, "_knots", (
+                np.array(radii, dtype=float), np.array(values, dtype=float)))
         if self.tail is not None:
             c_t, p = self.tail
             if c_t < 0:
@@ -124,14 +127,13 @@ def pair_value(p: PairPotential, r: float) -> float:
     elif p.kind == "square-well":
         base = p.strength if r < p.core_radius else 0.0
     else:
-        radii = [x for x, _ in p.table]
-        values = [v for _, v in p.table]
-        if r >= radii[-1]:
+        (r_first, v_first), (r_last, _) = p.table[0], p.table[-1]
+        if r >= r_last:
             base = 0.0
-        elif r <= radii[0]:
-            base = values[0]  # constant extension left of the first sample
+        elif r <= r_first:
+            base = v_first  # constant extension left of the first sample
         else:
-            base = float(np.interp(r, radii, values))
+            base = float(np.interp(r, *p._knots))
     if p.tail is not None and r >= p.range_radius:
         c_t, exponent = p.tail
         return base + c_t * r ** (-exponent)
@@ -227,8 +229,7 @@ def born_pair_integral(p: PairPotential) -> float:
     if p.kind == "square-well":
         body = p.strength * p.core_radius ** d / d * omega
     else:  # tabulated: exact integral of the linear interpolant
-        radii = np.array([x for x, _ in p.table])
-        values = np.array([v for _, v in p.table])
+        radii, values = p._knots
         rs = np.concatenate(([0.0], radii)) if radii[0] > 0 else radii
         vs = np.concatenate(([values[0]], values)) if radii[0] > 0 else values
         body = 0.0

@@ -165,7 +165,7 @@ def _solve_3d(p, mu, r_end, tol) -> _Run:
     state = [-r_start, 1.0, 0.0, 0.0]    # u = 0, u' = 1
 
     def rhs(last, r, y):
-        w, du, _, _ = y.tolist()
+        w, du, _, _ = y
         if r <= 0.0:
             # regular solution: u ~ r, so u'' and w/r vanish at 0
             return (0.0, 0.0, 0.0, 0.0)
@@ -211,12 +211,12 @@ def _solve_2d(p, mu, r_end, tol) -> _Run:
         state = [1.0, v0 * r_start * r_start / (4.0 * mu), 0.0, 0.0]
 
     def rhs(last, r, y):
-        psi, chi, _, _ = y.tolist()
+        psi, chi, _, _ = y
         v = pair_value(p, min(r, last))
         return (chi / r, r * v * psi / (2.0 * mu), chi * chi / r, v * psi * psi * r)
 
     def tail_rhs(last, r, y):
-        q, chi, _, _ = y.tolist()
+        q, chi, _, _ = y
         v = pair_value(p, min(r, last))
         log_r = math.log(r)
         psi = q + chi * log_r

@@ -84,7 +84,7 @@ _HARM3 = TrapPotential(kind="harmonic", dimension=3)
 @_entry("numerics", "ode_linear", 1e-12, n=49)
 def _ode_linear(rng, n):
     nodes = np.linspace(0.0, 3.0, n)
-    traj = numerics.integrate_ode(lambda r, y: np.array([y[1], 0.0]),
+    traj = numerics.integrate_ode(lambda r, y: (y[1], 0.0),
                                   [0.0, 1.0], nodes, Tolerances())
     err = float(np.max(np.abs(traj[:, 0] - nodes)))
     return err, f"max |u(r) - r| on {n} nodes"
@@ -92,7 +92,7 @@ def _ode_linear(rng, n):
 
 @_entry("numerics", "ode_sinh", 1e-11, n=33)
 def _ode_sinh(rng, n):
-    traj = numerics.integrate_ode(lambda r, y: np.array([y[1], y[0]]),
+    traj = numerics.integrate_ode(lambda r, y: (y[1], y[0]),
                                   [0.0, 1.0], np.linspace(0.0, 1.0, n),
                                   Tolerances())
     err = abs(traj[-1, 0] - math.sinh(1.0))
@@ -104,7 +104,7 @@ def _ode_step_halving(rng, n):
     tol = Tolerances(abs_tol=1e-10, rel_tol=1e-8)
 
     def rhs(r, y):
-        return np.array([y[1], r * y[0]])
+        return (y[1], r * y[0])
 
     coarse = numerics.integrate_ode(rhs, [1.0, 0.0], np.linspace(0.0, 4.0, n),
                                     tol)

@@ -278,6 +278,17 @@ def test_cell_lower_bound_ansatz():
         cell_lower_bound(DiluteParams(rho=1.0, a=0.1, mu=1.0))
 
 
+def test_cell_lower_bound_names_an_underflowed_y():
+    # a^3 below the float range gives Y = 0, where the ansatz would take
+    # 0 * inf: a DomainError naming the underflow, not "Y too large"
+    p = DiluteParams(rho=1.0, a=1e-300, mu=1.0)
+    assert p.y == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="underflows to 0"):
+            cell_lower_bound(p)
+
+
 def test_cell_lower_bound_ratio_to_one():
     ratios = []
     for y in (1e-50, 1e-100, 1e-200):

@@ -56,10 +56,19 @@ def test_ode_nonfinite_rhs():
         integrate_ode(rhs, [0.0, 1.0], np.linspace(0.0, 1.0, 17), TOL)
 
 
+def _left_to_right(weights, k):
+    """sum_j weights[j] * k[j], one rounded addition at a time from 0."""
+    acc = np.zeros(k.shape[1])
+    for w, stage in zip(weights, k):
+        acc = acc + w * stage
+    return acc
+
+
 def _reference_integrate_ode(rhs, initial, radii, tol):
     """The DOP853 loop as first written: numpy-scalar radii, a finiteness
     check after each of the 12 evaluations, and a final FSAL evaluation.
-    The oracle for the bits of integrate_ode."""
+    Each weighted sum of stages is a plain float sum, left to right.  The
+    oracle for the bits of integrate_ode."""
     nodes = np.asarray(radii, dtype=float)
     y = np.asarray(initial, dtype=float).copy()
     out = np.empty((nodes.size, y.size))
@@ -86,11 +95,11 @@ def _reference_integrate_ode(rhs, initial, radii, tol):
                 last = h >= r_end - r
                 step = r_end - r if last else h
                 for s, row in enumerate(rows, start=1):
-                    k[s] = checked_rhs(r + _C[s] * step, y + step * (row @ k[:s]))
-                y_new = y + step * (_B @ k)
+                    k[s] = checked_rhs(r + _C[s] * step, y + step * _left_to_right(row, k))
+                y_new = y + step * _left_to_right(_B, k)
                 scale = tol.abs_tol + tol.rel_tol * (np.abs(y) + np.abs(step * k[0]))
-                e5 = step * (_E5 @ k) / scale
-                e3 = step * (_E3 @ k) / scale
+                e5 = step * _left_to_right(_E5, k) / scale
+                e3 = step * _left_to_right(_E3, k) / scale
                 denom = np.hypot(e5, 0.1 * e3)
                 err = float(np.max(np.divide(e5 * e5, denom, out=np.zeros_like(e5),
                                              where=denom > 0.0)))

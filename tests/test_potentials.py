@@ -36,6 +36,22 @@ def test_table_interp():
     assert pair_value(p, 5.0) == 0.0      # zero beyond the last radius
 
 
+def test_table_values_unchanged_over_a_radius_grid():
+    # the knot arrays are built once, at construction: every value, at the
+    # knots, between them, outside them and on the tail, equals np.interp
+    # over lists of the table's own radii and values, bit for bit
+    table = ((0.2, 3.0), (0.5, 1.25), (0.9, 0.0), (1.3, 2.5), (1.4, 0.75))
+    radii, values = [x for x, _ in table], [v for _, v in table]
+    for tail in (None, (0.5, 4.0)):
+        p = PairPotential(kind="tabulated", table=table, tail=tail)
+        for r in np.linspace(0.01, 2.0, 397).tolist() + radii:
+            ref = (0.0 if r >= radii[-1] else values[0] if r <= radii[0]
+                   else float(np.interp(r, radii, values)))
+            if tail is not None and r >= radii[-1]:
+                ref += tail[0] * r ** -tail[1]
+            assert pair_value(p, r) == ref
+
+
 def test_nonnegativity_enforced():
     with pytest.raises(DomainError):
         PairPotential(kind="tabulated", table=((1.0, 1.0), (2.0, -0.1)))

@@ -17,7 +17,7 @@ from scipy.special import i0, i1
 from bosegas import scattering
 from bosegas.errors import (NoLogAsymptote, NonFiniteRhs, NonIntegrableTail,
                             RadiusInsideRange, ScatteringLengthUnderflow,
-                            ZeroScatteringLength)
+                            StepSizeUnderflow, ZeroScatteringLength)
 from bosegas.numerics import Tolerances
 from bosegas.potentials import (HARD_CORE, PairPotential, pair_value,
                                 parse_pair_potential)
@@ -255,3 +255,12 @@ def test_tailed_disc_matches_tight_solve():
     a = solve_zero_energy(p, mu).a
     ref = solve_zero_energy(p, mu, tol=Tolerances(abs_tol=1e-15, rel_tol=1e-13)).a
     assert abs(a - ref) <= 1e-11 * ref
+
+
+def test_zero_error_scale_rejects_the_step():
+    # with abs_tol = 0 the integral pot starts at y = 0 with f = 0, so its
+    # error scale is 0: x/0 is a rejected step, not a ZeroDivisionError
+    p = PairPotential(kind="hard-core", dimension=2, core_radius=1.0,
+                      tail=(1.0, 4.0))
+    with pytest.raises(StepSizeUnderflow, match="below floor"):
+        solve_zero_energy(p, 1.0, Tolerances(abs_tol=0.0, rel_tol=1e-10))
