@@ -229,7 +229,8 @@ def _tf_mu_closed(s: float, d: int, g: float) -> float:
 # --- the minimizer ---------------------------------------------------------------
 
 # the minimizer's pass budget and stopping rule (see gp_minimize)
-_TOL = Tolerances(abs_tol=1e-12, rel_tol=1e-13, max_iterations=20000)
+_TOL = Tolerances(abs_tol=1e-12, rel_tol=1e-13)
+_MAX_PASSES = 20000
 _RESIDUAL_TOL = 1e-9
 
 
@@ -323,7 +324,7 @@ def gp_minimize(trap: TrapPotential, N: float, coupling: float,
     iterations = newton_steps = 0
     try_newton = True
 
-    for iterations in range(1, _TOL.max_iterations + 1):
+    for iterations in range(1, _MAX_PASSES + 1):
         trial = newton_candidate(u, h_u, lam) if try_newton else None
         if trial is not None:
             e_new, _ = disc.energy(trial)

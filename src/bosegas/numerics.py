@@ -33,21 +33,22 @@ __all__ = [
 ]
 
 
+# the step budget of one integrate_ode call and the panel cap of one quad
+_MAX_STEPS, _MAX_PANELS = 500_000, 10_000
+
+
 @dataclass(frozen=True)
 class Tolerances:
-    """Absolute/relative error targets plus an iteration budget."""
+    """Absolute and relative error targets."""
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
-    max_iterations: int = 10_000
 
     def __post_init__(self):
         if self.abs_tol < 0 or self.rel_tol < 0:
             raise DomainError("tolerances must be nonnegative")
         if self.abs_tol + self.rel_tol <= 0:
             raise DomainError("abs_tol + rel_tol must be positive")
-        if self.max_iterations < 1:
-            raise DomainError("max_iterations must be at least 1")
 
 
 # Dormand-Prince 8(5,3) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
@@ -189,7 +190,6 @@ def integrate_ode(rhs, initial, radii: np.ndarray,
     stops = nodes.tolist()
     r, r_final = stops[0], stops[-1]
     h_min = 1e-14 * (r_final - r)
-    max_steps = 50 * tol.max_iterations
     abs_tol, rel_tol = tol.abs_tol, tol.rel_tol
     k = [list(map(float, rhs(r, y)))] + [None] * (_STAGES - 1)
     h = stops[1] - r
@@ -250,7 +250,7 @@ def integrate_ode(rhs, initial, radii: np.ndarray,
                     raise StepSizeUnderflow(
                         f"step {h:.3e} below floor near r={r:.6g}")
             steps += 1
-            if steps > max_steps:
+            if steps > _MAX_STEPS:
                 raise StepSizeUnderflow("step budget exhausted")
         out[i] = y
     return out
@@ -334,9 +334,8 @@ def _adaptive_gk(f, a, b, tol: Tolerances) -> float:
     heap = [(-err, 0, a, b, val)]
     total, total_err = val, err
     counter = 1
-    max_panels = max(64, tol.max_iterations)
     while total_err > max(tol.abs_tol, tol.rel_tol * abs(total)):
-        if counter >= max_panels:
+        if counter >= _MAX_PANELS:
             raise NoConvergence(
                 f"quadrature stalled at error {total_err:.3e} after "
                 f"{counter} panels")

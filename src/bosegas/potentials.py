@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -30,32 +30,37 @@ __all__ = [
 
 HARD_CORE = math.inf
 
-_PAIR_KINDS = ("hard-core", "square-well", "tabulated")
+# each pair kind with the fields it does not read, which keep their defaults
+_PAIR_KINDS = {"hard-core": ("strength", "table"), "square-well": ("table",),
+               "tabulated": ("core_radius", "strength")}
 _TRAP_KINDS = ("box", "harmonic", "power-law")
 
 
 @dataclass(frozen=True)
 class PairPotential:
-    """Radially symmetric two-body potential, tagged with its dimension.
+    """Radially symmetric two-body potential v >= 0, tagged with its dimension.
 
-    ``square-well`` is the repulsive step V0 * 1[r < R0] (the spec parser
-    also reads it as ``softsphere``).
-    An optional tail adds C_t * r^-p beyond the finite range.
+    A hard core of radius ``core_radius``, or a knot table: v is constant up
+    to the first knot, linear between knots and 0 from the last knot on,
+    where an optional tail C_t * r^-p attaches.  ``square-well`` (core_radius
+    R0, strength V0) builds the one-knot table ((R0, V0),), of kind
+    ``tabulated``; ``strength`` is not stored.  A field that the kind does
+    not read must keep its default.
     """
 
     kind: str
     dimension: int = 3
     core_radius: float = 0.0
-    strength: float = 0.0
+    strength: InitVar[float] = 0.0
     table: Optional[Tuple[Tuple[float, float], ...]] = None
     tail: Optional[Tuple[float, float]] = None  # (C_t, p)
 
-    def __post_init__(self):
+    def __post_init__(self, strength):
         if self.kind not in _PAIR_KINDS:
             raise DomainError(f"unknown pair potential kind {self.kind!r}")
         if self.dimension not in (2, 3):
             raise DomainError("dimension must be 2 or 3")
-        require_finite(core_radius=self.core_radius, strength=self.strength)
+        require_finite(core_radius=self.core_radius, strength=strength)
         for r, v in self.table or ():
             require_finite(table_radius=r, table_value=v)
         if self.tail is not None:
@@ -63,81 +68,75 @@ class PairPotential:
                            tail_exponent=self.tail[1])
         if self.core_radius < 0:
             raise DomainError("core radius must be nonnegative")
-        if self.strength < 0:
+        if strength < 0:
             raise DomainError("strength must be nonnegative (v >= 0)")
+        given = {"core_radius": self.core_radius != 0.0,
+                 "strength": strength != 0.0, "table": self.table is not None}
+        for name in _PAIR_KINDS[self.kind]:
+            if given[name]:
+                raise DomainError(f"{name} is not read by a {self.kind} potential")
         if self.kind == "hard-core" and self.core_radius <= 0:
             raise DomainError("hard core needs core_radius > 0")
-        if self.kind == "square-well" and self.core_radius <= 0:
-            raise DomainError("step potential needs core_radius > 0")
+        if self.kind == "square-well":
+            if self.core_radius <= 0:
+                raise DomainError("step potential needs core_radius > 0")
+            object.__setattr__(self, "table", ((self.core_radius, strength),))
+            object.__setattr__(self, "core_radius", 0.0)
+            object.__setattr__(self, "kind", "tabulated")
         if self.kind == "tabulated":
             if not self.table:
                 raise DomainError("tabulated potential needs a table")
-            radii = [r for r, _ in self.table]
-            values = [v for _, v in self.table]
-            if any(v < 0 for v in values):
+            knots = tuple((float(r), float(v)) for r, v in self.table)
+            object.__setattr__(self, "table", knots)
+            if any(v < 0 for _, v in knots):
                 raise DomainError("tabulated values must be nonnegative")
-            if any(r <= 0 for r in radii) or any(
-                    b <= a for a, b in zip(radii, radii[1:])):
+            if knots[0][0] <= 0 or any(
+                    b <= a for (a, _), (b, _) in zip(knots, knots[1:])):
                 raise DomainError("table radii must be positive and strictly increasing")
-            object.__setattr__(self, "table", tuple(
-                (float(r), float(v)) for r, v in self.table))
-            # the knot arrays pair_value interpolates, built once
-            object.__setattr__(self, "_knots", (
-                np.array(radii, dtype=float), np.array(values, dtype=float)))
+        else:
+            knots = ((float(self.core_radius), HARD_CORE),)
+        # built once: the arrays pair_value interpolates and its three ends
+        object.__setattr__(self, "_knots", tuple(map(np.array, zip(*knots))))
+        object.__setattr__(self, "_ends", (*knots[0], knots[-1][0]))
         if self.tail is not None:
             c_t, p = self.tail
             if c_t < 0:
                 raise DomainError("tail coefficient must be nonnegative")
-            if self.range_radius <= 0:
-                raise DomainError("a tail needs a positive finite range to attach to")
             object.__setattr__(self, "tail", (float(c_t), float(p)))
 
     @property
     def range_radius(self) -> float:
         """Radius beyond which only the (optional) tail remains."""
-        if self.kind == "tabulated":
-            return self.table[-1][0]
-        return self.core_radius
+        return self._ends[2]
 
     def has_hard_core(self) -> bool:
         return self.kind == "hard-core"
 
     def vanishes(self) -> bool:
-        """Whether v is identically zero: a zero step or table, no tail."""
-        values = [v for _, v in self.table] if self.kind == "tabulated" \
-            else [self.strength]
-        return (not self.has_hard_core() and not any(values)
-                and (self.tail is None or self.tail[0] == 0.0))
+        """Whether v is identically zero: all knot values zero, no tail."""
+        return not self._knots[1].any() and (self.tail is None or self.tail[0] == 0.0)
 
     @property
     def breakpoints(self) -> Tuple[float, ...]:
-        """Increasing radii where v or its slope may jump: the step edge or
-        the table knots, the last of which is where a tail attaches."""
-        if self.kind == "tabulated":
-            return tuple(r for r, _ in self.table)
-        return (self.core_radius,)
+        """Increasing radii where v or its slope may jump: the knots, the
+        last of which is where a tail attaches."""
+        return tuple(self._knots[0].tolist())
+
+
+del PairPotential.strength    # constructor-only: p.strength raises
 
 
 def pair_value(p: PairPotential, r: float) -> float:
     """v(r); returns the HARD_CORE marker inside a hard core."""
     if r <= 0:
         raise DomainError("pair_value requires r > 0")
-    if p.kind == "hard-core":
-        base = HARD_CORE if r < p.core_radius else 0.0
-    elif p.kind == "square-well":
-        base = p.strength if r < p.core_radius else 0.0
-    else:
-        (r_first, v_first), (r_last, _) = p.table[0], p.table[-1]
-        if r >= r_last:
-            base = 0.0
-        elif r <= r_first:
-            base = v_first  # constant extension left of the first sample
-        else:
-            base = float(np.interp(r, *p._knots))
-    if p.tail is not None and r >= p.range_radius:
-        c_t, exponent = p.tail
-        return base + c_t * r ** (-exponent)
-    return base
+    r_first, v_first, r_last = p._ends
+    if r < r_last:      # constant up to the first knot
+        return v_first if r <= r_first else float(np.interp(r, *p._knots))
+    if p.tail is None:
+        return 0.0
+    c_t, exponent = p.tail
+    return c_t * r ** (-exponent)
 
 
 @dataclass(frozen=True)
@@ -155,13 +154,11 @@ def tail_integrability(p: PairPotential) -> TailReport:
     for p > d; slower decay means an infinite scattering length.  The report's
     cut radius bounds the neglected Born-integral contribution below 1e-10.
     """
-    if p.tail is None:
+    if p.tail is None or p.tail[0] == 0.0:
         return TailReport(finite_range=True, integrable=True,
                           tail_integral=0.0, cut_radius=p.range_radius)
     c_t, exponent = p.tail
     d = p.dimension
-    if c_t == 0.0:
-        return TailReport(True, True, 0.0, p.range_radius)
     if exponent <= d:
         return TailReport(False, False, math.inf, math.inf)
     r0 = p.range_radius
@@ -213,8 +210,8 @@ def trap_value(t: TrapPotential, x) -> float:
 def born_pair_integral(p: PairPotential) -> float:
     """int v(|x|) d^dx; HARD_CORE for hard cores, error for non-integrable tails.
 
-    Computed exactly: the step and interpolated-table bodies integrate in
-    closed form, and so does the power tail.
+    Computed exactly: the interpolated knot table integrates in closed form,
+    and so does the power tail.
     """
     if p.has_hard_core():
         return HARD_CORE
@@ -226,34 +223,29 @@ def born_pair_integral(p: PairPotential) -> float:
     d = p.dimension
     omega = 4.0 * math.pi if d == 3 else 2.0 * math.pi
 
-    if p.kind == "square-well":
-        body = p.strength * p.core_radius ** d / d * omega
-    else:  # tabulated: exact integral of the linear interpolant
-        radii, values = p._knots
-        rs = np.concatenate(([0.0], radii)) if radii[0] > 0 else radii
-        vs = np.concatenate(([values[0]], values)) if radii[0] > 0 else values
-        body = 0.0
-        for (ra, va), (rb, vb) in zip(zip(rs, vs), zip(rs[1:], vs[1:])):
-            # integrate (va + (vb-va)(r-ra)/(rb-ra)) r^(d-1) dr exactly
-            slope = (vb - va) / (rb - ra)
-            const = va - slope * ra
-            body += const * (rb ** d - ra ** d) / d
+    # exact integral of the linear interpolant, constant from r = 0 to the first knot
+    knots = np.array(((0.0, p.table[0][1]),) + p.table)
+    body = 0.0
+    for (ra, va), (rb, vb) in zip(knots, knots[1:]):
+        # integrate (va + (vb-va)(r-ra)/(rb-ra)) r^(d-1) dr exactly
+        slope = (vb - va) / (rb - ra)
+        const = va - slope * ra
+        body += const * (rb ** d - ra ** d) / d
+        if slope:   # a flat piece has no r^(d+1) term to overflow
             body += slope * (rb ** (d + 1) - ra ** (d + 1)) / (d + 1)
-        body *= omega
+    body *= omega
     if p.tail is not None:
         c_t, exponent = p.tail
         r0 = p.range_radius
         body += omega * c_t * r0 ** (d - exponent) / (exponent - d)
-    return body
+    return float(body)
 
 
 # --- CLI-facing spec strings ---------------------------------------------------
 
 def _parse_kv(body: str, allowed: frozenset, spec: str) -> dict:
     out = {}
-    if not body:
-        return out
-    for item in body.split(","):
+    for item in body.split(",") if body else ():
         if "=" not in item:
             raise DomainError(f"malformed parameter {item!r} in {spec!r}")
         key, value = item.split("=", 1)
@@ -261,6 +253,8 @@ def _parse_kv(body: str, allowed: frozenset, spec: str) -> dict:
         if key not in allowed:
             raise DomainError(f"unknown parameter {key!r} in {spec!r}; "
                               f"valid: {', '.join(sorted(allowed))}")
+        if key in out:
+            raise DomainError(f"parameter {key!r} given twice in {spec!r}")
         out[key] = value.strip()
     return out
 
@@ -297,15 +291,19 @@ def parse_pair_potential(spec: str, dimension: int = 3) -> PairPotential:
         path = kv.get("path") or _require({}, "path", spec)
         rows = []
         with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or not row[0].strip():
-                    continue
-                if len(row) < 2:
-                    raise DomainError(f"table {path!r}: row {row!r} lacks a value")
+            reader = csv.reader(fh)
+            for n, row in enumerate(r for r in reader if any(map(str.strip, r))):
                 try:
-                    rows.append((float(row[0]), float(row[1])))
+                    knot = tuple(map(float, row))
                 except ValueError:
-                    continue  # header line
+                    if n == 0:
+                        continue  # the first non-blank row may be a header
+                    knot = ()
+                if len(knot) != 2:
+                    raise DomainError(
+                        f"table {path!r} line {reader.line_num}: row {row!r} "
+                        + ("lacks a value" if len(row) < 2 else "is not two numbers"))
+                rows.append(knot)
         return PairPotential(kind="tabulated", dimension=dimension,
                              table=tuple(rows))
     raise DomainError(f"unknown pair potential spec {spec!r}")

@@ -8,12 +8,11 @@ extra ODE components, so they inherit the integrator's accuracy.
 
 The integration ends at the interaction range, or for a tail at the radius
 `_end_radius` picks.  It runs one segment at a time between the potential's
-breakpoints (the step edge, the table knots and the point where a tail
-attaches), so every integrator stage sees a smooth piece of v and no step
-straddles a jump; the run stops only at those segment ends.  Each state is
-chosen to stay bounded where the solution grows without bound: w = u - r u'
-in 3D, and on the 2D tail segment, which reaches out to the tail's cut
-radius, q = psi - chi ln r.
+breakpoints (the knots and the point where a tail attaches), so every
+integrator stage sees a smooth piece of v and no step straddles a jump; the
+run stops only at those segment ends.  Each state is chosen to stay bounded
+where the solution grows without bound: w = u - r u' in 3D, and on the 2D
+tail segment, which reaches out to the tail's cut radius, q = psi - chi ln r.
 """
 
 from __future__ import annotations
@@ -270,8 +269,7 @@ def solve_zero_energy(p: PairPotential, mu: float,
     if vanishes and p.dimension == 2:
         raise NoLogAsymptote(
             "no logarithmic asymptote: v vanishes identically")
-    tighter = Tolerances(abs_tol=tol.abs_tol / 10.0, rel_tol=tol.rel_tol / 10.0,
-                         max_iterations=tol.max_iterations)
+    tighter = Tolerances(abs_tol=tol.abs_tol / 10.0, rel_tol=tol.rel_tol / 10.0)
     solve = (_bare_core if p.has_hard_core() and p.tail is None
              else _vanishing if vanishes
              else _solve_3d if p.dimension == 3 else _solve_2d)

@@ -570,6 +570,17 @@ def test_table_row_without_a_value_exits_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["scatter", "--potential", "squarewell:r0=1,v0=2,r0=3"],
+    ["gp", "--coupling", "1", "--trap", "harmonic:scale=1,scale=2"],
+])
+def test_repeated_spec_key_exits_with_a_named_error(argv, capsys):
+    assert main(argv) in (2, 3)
+    err = capsys.readouterr().err
+    assert "DomainError: parameter " in err and "given twice" in err
+    assert "Traceback" not in err
+
+
 def test_gp_profile_export(tmp_path):
     prof = tmp_path / "prof.csv"
     cfg = parse_config(["gp", "--coupling", "0.1", "--grid-points", "700",

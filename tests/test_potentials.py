@@ -136,7 +136,8 @@ def test_spec_string_parsing(tmp_path):
     p = parse_pair_potential("hardcore:r0=2")
     assert p.kind == "hard-core" and p.core_radius == 2.0
     q = parse_pair_potential("squarewell:r0=1,v0=10", dimension=2)
-    assert q.strength == 10.0 and q.dimension == 2
+    assert q == PairPotential(kind="tabulated", table=((1.0, 10.0),),
+                              dimension=2)
     assert parse_pair_potential("softsphere:r0=1,v0=10", dimension=2) == q
     with pytest.raises(DomainError):
         PairPotential(kind="soft-sphere", core_radius=1.0, strength=10.0)
@@ -215,3 +216,62 @@ def test_nonfinite_specs_fail_before_any_numerics():
         for spec in ("harmonic:scale=abc", "power:s=4,scale=x"):
             with pytest.raises(DomainError, match="is not a number"):
                 parse_trap_potential(spec)
+
+
+def test_square_well_is_its_one_knot_table():
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        r0, v0 = float(rng.uniform(0.1, 5.0)), float(rng.uniform(0.0, 50.0))
+        for d in (2, 3):
+            for tail in (None, (float(rng.uniform(0.1, 2.0)), 4.5)):
+                well = PairPotential(kind="square-well", core_radius=r0,
+                                     strength=v0, dimension=d, tail=tail)
+                table = PairPotential(kind="tabulated", table=((r0, v0),),
+                                      dimension=d, tail=tail)
+                assert well == table and hash(well) == hash(table)
+                assert well.kind == "tabulated" and well.core_radius == 0.0
+                assert well.range_radius == r0 and well.breakpoints == (r0,)
+                for r in (0.5 * r0, r0, 2.0 * r0):
+                    assert pair_value(well, r) == (v0 if r < r0 else 0.0) + (
+                        tail[0] * r ** -tail[1] if tail and r >= r0 else 0.0)
+    with pytest.raises(AttributeError):
+        well.strength
+
+
+def test_born_integral_of_a_flat_piece_at_a_huge_radius():
+    # the zero-slope piece from r = 0 has no r^(d+1) term to overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = PairPotential(kind="tabulated", table=((1e100, 1.0),))
+        assert born_pair_integral(table) == 4.188790204786391e+300
+
+
+@pytest.mark.parametrize("kwargs,name", [
+    ({"kind": "hard-core", "core_radius": 1.0, "strength": 2.0}, "strength"),
+    ({"kind": "hard-core", "core_radius": 1.0, "table": ((1.0, 2.0),)},
+     "table"),
+    ({"kind": "square-well", "core_radius": 1.0, "strength": 2.0,
+      "table": ((1.0, 2.0),)}, "table"),
+    ({"kind": "tabulated", "table": ((1.0, 2.0),), "strength": 2.0},
+     "strength"),
+    ({"kind": "tabulated", "table": ((1.0, 2.0),), "core_radius": 0.5},
+     "core_radius"),
+])
+def test_pair_potential_rejects_fields_its_kind_does_not_read(kwargs, name):
+    with pytest.raises(DomainError, match=f"^{name} is not read by a "):
+        PairPotential(**kwargs)
+    # the defaults stay accepted, as a caller that passes every field needs
+    defaults = {"core_radius": 0.0, "strength": 0.0, "table": None}
+    PairPotential(**{**kwargs, name: defaults[name]})
+
+
+@pytest.mark.parametrize("text,line", [
+    ("1.0,2.0\n1.5,2..0\n2.0,0.0\n", 2),
+    ("1.0,2.0,7\n2.0,0.0\n", 1),
+    ("radius,value\n1.0,2.0\nradius,value\n2.0,0.0\n", 3),
+])
+def test_table_rows_are_two_numbers_after_one_header(tmp_path, text, line):
+    path = tmp_path / "pot.csv"
+    path.write_text(text)
+    with pytest.raises(DomainError, match=f"^table .* line {line}: row "):
+        parse_pair_potential(f"table:path={path}")
