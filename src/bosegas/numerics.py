@@ -1,12 +1,11 @@
 """Shared numerical kernels: ODE integration and quadrature.
 
-Radii are plain float arrays: `integrate_ode` stops at each radius of the
-array it is given.  Its steps run on Python floats, and `rhs` receives the
-state as a list of floats; every sum has a fixed left-to-right order, so
-its results depend only on IEEE double arithmetic, not on the BLAS build.
-All routines are deterministic pure functions of their arguments; nothing
-in this module keeps global state, so values can be shared freely between
-concurrent workers.
+`integrate_ode` integrates over one span (lo, hi) on which the right-hand
+side is smooth; a caller whose equation has breakpoints integrates one span
+per piece.  Its steps run on Python floats, and `rhs` receives the state as
+a list of floats; every sum has a fixed left-to-right order, so its results
+depend only on IEEE double arithmetic, not on the BLAS build.  All routines
+are deterministic pure functions of their arguments.
 """
 
 from __future__ import annotations
@@ -158,18 +157,18 @@ _ROWS = tuple((_C[s].item(), _sparse(_A[s, :s])) for s in range(1, _STAGES))
 _B_ROW, _E5_ROW, _E3_ROW = _sparse(_B), _sparse(_E5), _sparse(_E3)
 
 
-def integrate_ode(rhs, initial, radii: np.ndarray,
-                  tol: Tolerances) -> np.ndarray:
-    """Integrate y' = rhs(r, y) across `radii` with adaptive DOP853 steps.
+def integrate_ode(rhs, initial, span, tol: Tolerances) -> list:
+    """Integrate y' = rhs(r, y) over span = (lo, hi) with adaptive DOP853
+    steps and return the state at hi, as a list of floats.
 
     The Dormand-Prince 8(5,3) embedded pair: eighth-order steps of 12
     right-hand-side evaluations, the last reused as the first of the next
     step (FSAL), with the combined fifth/third-order error estimate of
     Hairer, Norsett & Wanner driving acceptance and the next step size.  The
     error scale per component is abs_tol + rel_tol * (|y| + |h f|); the
-    step size may not fall below 1e-14 of the span.  `radii` is a strictly
-    increasing 1-D array of two or more radii; every radius is a forced
-    stop.  Returns the trajectory there, shape (len(radii), len(initial)).
+    step size may not fall below 1e-14 of the span.  The span is one smooth
+    piece of rhs: the first step tries all of it, and the last is clipped to
+    end on hi.  lo < hi, both finite.
 
     The step runs on Python floats: every weighted sum of stages is formed
     left to right over the nonzero weights, so the results depend only on
@@ -179,81 +178,73 @@ def integrate_ode(rhs, initial, radii: np.ndarray,
     a step, or a state that overflows, raises NonFiniteRhs before the step
     is used.  No evaluation follows the last accepted step.
     """
-    nodes = np.asarray(radii, dtype=float)
-    if nodes.ndim != 1 or nodes.size < 2:
-        raise DomainError("need a 1-D array of at least 2 radii")
-    if not np.all(np.diff(nodes) > 0):
-        raise DomainError("radii must be strictly increasing")
-    y = np.asarray(initial, dtype=float).tolist()
-    out = np.empty((nodes.size, len(y)))
-    out[0] = y
-    stops = nodes.tolist()
-    r, r_final = stops[0], stops[-1]
-    h_min = 1e-14 * (r_final - r)
+    lo, hi = span
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise DomainError(f"need a finite span lo < hi, got {span!r}")
+    y = list(map(float, initial))
+    r = lo
+    h_min = 1e-14 * (hi - lo)
     abs_tol, rel_tol = tol.abs_tol, tol.rel_tol
     k = [list(map(float, rhs(r, y)))] + [None] * (_STAGES - 1)
-    h = stops[1] - r
+    h = hi - r
     steps = 0
 
-    for i, r_end in enumerate(stops[1:], start=1):
-        while r < r_end:
-            last = h >= r_end - r
-            step = r_end - r if last else h
-            for s, (c, row) in enumerate(_ROWS, start=1):
-                state = []
-                for m, y_m in enumerate(y):
-                    acc = 0.0
-                    for j, a in row:
-                        acc += a * k[j][m]
-                    state.append(y_m + step * acc)
-                k[s] = list(map(float, rhs(r + c * step, state)))
-            if not all(map(math.isfinite, chain.from_iterable(k))):
-                raise NonFiniteRhs(f"rhs non-finite in the step from r={r!r}")
-            y_new = []
-            err = 0.0
+    while True:
+        last = h >= hi - r
+        step = hi - r if last else h
+        for s, (c, row) in enumerate(_ROWS, start=1):
+            state = []
             for m, y_m in enumerate(y):
-                acc = e5 = e3 = 0.0
-                for j, a in _B_ROW:
+                acc = 0.0
+                for j, a in row:
                     acc += a * k[j][m]
-                for j, a in _E5_ROW:
-                    e5 += a * k[j][m]
-                for j, a in _E3_ROW:
-                    e3 += a * k[j][m]
-                y_new.append(y_m + step * acc)
-                e5, e3 = step * e5, step * e3
-                scale = abs_tol + rel_tol * (abs(y_m) + abs(step * k[0][m]))
-                if scale > 0.0:
-                    e5, e3 = e5 / scale, e3 / scale
-                    denom = math.hypot(e5, 0.1 * e3)
-                    q = e5 * e5 / denom if denom > 0.0 else 0.0
-                else:
-                    # x/0 is inf and 0/0 nan: a rejected step, or a component
-                    # that the denom > 0 mask drops
-                    q = math.inf if e5 or e3 else 0.0
-                if q > err or q != q:     # a NaN err sticks, as in a max
-                    err = q
-            # a non-finite err (e5 * e5 overflows at a tiny abs_tol) is
-            # a rejected step: err ** -0.125 shrinks h by 0.2
-            if not all(map(math.isfinite, y_new)):
-                raise NonFiniteRhs(f"state overflow near r={r:.6g}")
-            if err <= 1.0:
-                r = r_end if last else r + step
-                y = y_new
-                if r < r_final:
-                    k[0] = list(map(float, rhs(r, y)))
-                grow = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
-                # a step clipped to land on a node does not shrink h
-                h = max(h, step * grow) if last else step * grow
+                state.append(y_m + step * acc)
+            k[s] = list(map(float, rhs(r + c * step, state)))
+        if not all(map(math.isfinite, chain.from_iterable(k))):
+            raise NonFiniteRhs(f"rhs non-finite in the step from r={r!r}")
+        y_new = []
+        err = 0.0
+        for m, y_m in enumerate(y):
+            acc = e5 = e3 = 0.0
+            for j, a in _B_ROW:
+                acc += a * k[j][m]
+            for j, a in _E5_ROW:
+                e5 += a * k[j][m]
+            for j, a in _E3_ROW:
+                e3 += a * k[j][m]
+            y_new.append(y_m + step * acc)
+            e5, e3 = step * e5, step * e3
+            scale = abs_tol + rel_tol * (abs(y_m) + abs(step * k[0][m]))
+            if scale > 0.0:
+                e5, e3 = e5 / scale, e3 / scale
+                denom = math.hypot(e5, 0.1 * e3)
+                q = e5 * e5 / denom if denom > 0.0 else 0.0
             else:
-                h = step * max(0.2, 0.9 * err ** -0.125)
-                if h < h_min:
-                    raise StepSizeUnderflow(
-                        f"step {h:.3e} below floor near r={r:.6g}")
-            steps += 1
-            if steps > _MAX_STEPS:
-                raise StepSizeUnderflow("step budget exhausted")
-        out[i] = y
-    return out
+                # x/0 is inf and 0/0 nan: a rejected step, or a component
+                # that the denom > 0 mask drops
+                q = math.inf if e5 or e3 else 0.0
+            if q > err or q != q:     # a NaN err sticks, as in a max
+                err = q
+        # a non-finite err (e5 * e5 overflows at a tiny abs_tol) is
+        # a rejected step: err ** -0.125 shrinks h by 0.2
+        if not all(map(math.isfinite, y_new)):
+            raise NonFiniteRhs(f"state overflow near r={r:.6g}")
+        if err <= 1.0:
+            r += step
+            y = y_new
+            if last or r >= hi:     # r + h may round onto hi
+                return y
+            k[0] = list(map(float, rhs(r, y)))
+            grow = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
+            h = step * grow
+        else:
+            h = step * max(0.2, 0.9 * err ** -0.125)
+            if h < h_min:
+                raise StepSizeUnderflow(
+                    f"step {h:.3e} below floor near r={r:.6g}")
+        steps += 1
+        if steps > _MAX_STEPS:
+            raise StepSizeUnderflow("step budget exhausted")
 
 
 # 15-point Kronrod rule with embedded 7-point Gauss rule on [-1, 1].

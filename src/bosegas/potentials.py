@@ -232,7 +232,8 @@ def born_pair_integral(p: PairPotential) -> float:
         const = va - slope * ra
         body += const * (rb ** d - ra ** d) / d
         if slope:   # a flat piece has no r^(d+1) term to overflow
-            body += slope * (rb ** (d + 1) - ra ** (d + 1)) / (d + 1)
+            # rb factored out: rb^(d+1) overflows where slope * rb^(d+1) does not
+            body += slope * rb * (rb ** d - ra ** d * (ra / rb)) / (d + 1)
     body *= omega
     if p.tail is not None:
         c_t, exponent = p.tail

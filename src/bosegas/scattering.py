@@ -7,12 +7,13 @@ scattering length from the asymptote.  Energy integrals are accumulated as
 extra ODE components, so they inherit the integrator's accuracy.
 
 The integration ends at the interaction range, or for a tail at the radius
-`_end_radius` picks.  It runs one segment at a time between the potential's
-breakpoints (the knots and the point where a tail attaches), so every
-integrator stage sees a smooth piece of v and no step straddles a jump; the
-run stops only at those segment ends.  Each state is chosen to stay bounded
-where the solution grows without bound: w = u - r u' in 3D, and on the 2D
-tail segment, which reaches out to the tail's cut radius, q = psi - chi ln r.
+`_end_radius` picks.  `_by_segments` runs it one integrate_ode span per
+segment between the potential's breakpoints (the knots and the point where
+a tail attaches), so every integrator stage sees a smooth piece of v and no
+step straddles a jump.  Each state is chosen to stay bounded where the
+solution grows without bound: w = u - r u' in 3D, and on the 2D tail
+segment, which reaches out to the tail's cut radius, q = psi - chi ln r.
+A bare hard core and a vanishing potential are exact, with no integration.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import (
     DomainError,
@@ -88,15 +87,14 @@ class ScatteringSolution:
 
 
 class _Run(NamedTuple):
-    """One outward integration: a, s, the asymptotic slope, the raw interior
-    energy integrals and the radius where the asymptote starts."""
+    """One outward integration: a, s, the asymptotic slope and the raw
+    interior energy integrals."""
 
     a: float
     s: float
     slope: float
     kin: float
     pot: float
-    r_end: float
 
 
 def _a_estimate(p: PairPotential, mu: float) -> float:
@@ -124,32 +122,19 @@ def _edges(p: PairPotential, r_start: float, r_end: float) -> list:
     return [r_start, *(b for b in p.breakpoints if r_start < b < r_end), r_end]
 
 
-def _by_segments(rhs, state, edges, tol):
-    """Integrate rhs(last, r, y) one segment [lo, hi] of `edges` at a time
-    and return the state at edges[-1].
+def _by_segments(rhs, state, edges, tol) -> list:
+    """Integrate rhs(last, r, y) one integrate_ode span per segment [lo, hi]
+    of `edges`, and return the state at edges[-1]: the one place that
+    decides where an integration stops.
 
     Every stage inside a segment sees that segment's own piece of the
     potential: `last` is the float just below hi, so the right end takes the
     left limit, and rhs evaluates v at min(r, last).
     """
-    state = np.asarray(state, dtype=float)
     for lo, hi in zip(edges[:-1], edges[1:]):
-        last = float(np.nextafter(hi, lo))
-        state = integrate_ode(functools.partial(rhs, last), state,
-                              np.array([lo, hi]), tol)[-1]
+        state = integrate_ode(functools.partial(rhs, math.nextafter(hi, lo)),
+                              state, (lo, hi), tol)
     return state
-
-
-def _bare_core(p, mu, r_end, tol) -> _Run:
-    # u = r - R0 (3D) and psi = ln(r/R0) (2D) solve the exterior equation
-    # exactly: a = R0 and s = 1, with no rounding
-    return _Run(p.core_radius, 1.0, 1.0, 0.0, 0.0, p.core_radius)
-
-
-def _vanishing(p, mu, r_end, tol) -> _Run:
-    # u = r solves the 3D equation for v = 0 exactly: a = +0.0, and s is
-    # undefined
-    return _Run(0.0, math.nan, 1.0, 0.0, 0.0, r_end)
 
 
 def _solve_3d(p, mu, r_end, tol) -> _Run:
@@ -193,7 +178,7 @@ def _solve_3d(p, mu, r_end, tol) -> _Run:
         s = kin_total / a
     else:
         s = math.nan
-    return _Run(a, s, du_range, kin, pot, r_end)
+    return _Run(a, s, du_range, kin, pot)
 
 
 def _solve_2d(p, mu, r_end, tol) -> _Run:
@@ -227,7 +212,6 @@ def _solve_2d(p, mu, r_end, tol) -> _Run:
     edges = _edges(p, r_start, r_end)
     state = _by_segments(rhs, state, [e for e in edges if e <= r_tail], tol)
     if tailed:
-        state = state.copy()
         state[0] -= state[1] * math.log(r_tail)
         state = _by_segments(tail_rhs, state, [r_tail, r_end], tol)
     lead, chi_range, kin, pot = state     # lead is q on a tail, else psi
@@ -236,7 +220,7 @@ def _solve_2d(p, mu, r_end, tol) -> _Run:
     a = (math.exp(-lead / chi_range) * (1.0 if tailed else r_end)
          if chi_range > 0.0 else 0.0)
     # s = 1: the 2D interaction energy is purely kinetic
-    return _Run(a, 1.0, chi_range, kin, pot, r_end)
+    return _Run(a, 1.0, chi_range, kin, pot)
 
 
 @float_range
@@ -265,39 +249,44 @@ def solve_zero_energy(p: PairPotential, mu: float,
     if mu <= 0:
         raise DomainError("mu must be positive")
     r_end = _end_radius(p, mu)
-    vanishes = p.vanishes()
-    if vanishes and p.dimension == 2:
-        raise NoLogAsymptote(
-            "no logarithmic asymptote: v vanishes identically")
-    tighter = Tolerances(abs_tol=tol.abs_tol / 10.0, rel_tol=tol.rel_tol / 10.0)
-    solve = (_bare_core if p.has_hard_core() and p.tail is None
-             else _vanishing if vanishes
-             else _solve_3d if p.dimension == 3 else _solve_2d)
-    run = solve(p, mu, r_end, tol)
-    if run.a <= 0.0 and not vanishes:
-        raise ScatteringLengthUnderflow(
-            f"a = {float(run.a)!r} for a nonzero potential: the scattering "
-            f"length lies below the float range")
-    a, a2 = run.a, solve(p, mu, r_end, tighter).a
-
-    scale = max(abs(a), p.range_radius)
-    if not abs(a - a2) <= 10.0 * max(tol.rel_tol * scale, tol.abs_tol):
-        raise GridTooCoarse(
-            f"scattering length moved by {abs(a - a2):.3e} under a tenfold "
-            f"tighter tolerance")
+    if p.has_hard_core() and p.tail is None:
+        # u = r - R0 (3D) and psi = ln(r/R0) (2D) solve the exterior
+        # equation exactly: a = R0 and s = 1, with no rounding
+        run = _Run(p.core_radius, 1.0, 1.0, 0.0, 0.0)
+    elif p.vanishes():
+        if p.dimension == 2:
+            raise NoLogAsymptote(
+                "no logarithmic asymptote: v vanishes identically")
+        # u = r solves the 3D equation exactly: a = +0.0, and s is undefined
+        run = _Run(0.0, math.nan, 1.0, 0.0, 0.0)
+    else:
+        solve = _solve_3d if p.dimension == 3 else _solve_2d
+        run = solve(p, mu, r_end, tol)
+        if run.a <= 0.0:
+            raise ScatteringLengthUnderflow(
+                f"a = {run.a!r} for a nonzero potential: the scattering "
+                f"length lies below the float range")
+        tighter = Tolerances(tol.abs_tol / 10.0, tol.rel_tol / 10.0)
+        a, a2 = run.a, solve(p, mu, r_end, tighter).a
+        scale = max(abs(a), p.range_radius)
+        if not abs(a - a2) <= 10.0 * max(tol.rel_tol * scale, tol.abs_tol):
+            raise GridTooCoarse(
+                f"scattering length moved by {abs(a - a2):.3e} under a "
+                f"tenfold tighter tolerance")
 
     return ScatteringSolution(
-        dimension=p.dimension, mu=mu, a=a, s=run.s,
-        potential=p, range_radius=run.r_end,
+        dimension=p.dimension, mu=mu, a=run.a, s=run.s,
+        potential=p, range_radius=r_end,
         slope=run.slope, kin_interior=run.kin, pot_interior=run.pot, tol=tol)
 
 
 def energy_integral(sol: ScatteringSolution, R: float) -> float:
     """int_{|x|<=R} (2 mu |grad psi0|^2 + v psi0^2) d^3x, psi0 -> 1 at infinity.
 
-    Equals 8 pi mu a (1 - a/R) for finite-range potentials.  R may lie
-    anywhere beyond the potential's range: inside a tail's cut radius the
-    interior integrals come from a rerun of the solve out to R.
+    Equals 8 pi mu a (1 - a/R) for finite-range potentials.  R may be any
+    radius from the potential's range on: inside a tail's cut radius the
+    interior integrals come from a rerun of the solve out to R, and at the
+    radius of a bare hard core, where psi0 vanishes, the integral is 0.
     """
     if sol.dimension != 3:
         raise DomainError("energy_integral is a 3D operation")
@@ -305,6 +294,8 @@ def energy_integral(sol: ScatteringSolution, R: float) -> float:
     if R < p.range_radius:
         raise RadiusInsideRange(
             f"R={R!r} lies inside the interaction range {p.range_radius!r}")
+    if R == p.core_radius:      # psi0 = 0 on the core and inside it
+        return 0.0
     mu, a, c = sol.mu, sol.a, sol.slope
     c2 = c * c
     if R < sol.range_radius:    # a tail is integrated out to its end radius
@@ -334,16 +325,27 @@ def two_dim_energy_ratio(sol: ScatteringSolution, R: float) -> float:
     """Kinetic share of the 2D energy integral over a disc of radius R.
 
     Tends to 1 like 1/ln(R/a): the logarithmically growing kinetic part
-    dominates the finite potential part.
+    dominates the finite potential part.  R may be any radius beyond the
+    potential's range: inside a tail's cut radius the interior integrals
+    come from a rerun of the solve out to R.  At the radius of a hard disc
+    both parts vanish, and the ratio 0/0 raises DomainError.
     """
     if sol.dimension != 2:
         raise DomainError("two_dim_energy_ratio is a 2D diagnostic")
-    if R < sol.range_radius:
+    p = sol.potential
+    if R < p.range_radius:
         raise RadiusInsideRange("R inside the interaction range")
+    if R == p.core_radius:
+        raise DomainError(
+            f"the energy ratio is 0/0 at the hard-disc radius R={R!r}")
     c2 = sol.slope * sol.slope
-    kin = 2.0 * sol.mu * (sol.kin_interior / c2 + math.log(R / sol.range_radius))
-    pot = sol.pot_interior / c2
-    return kin / (kin + pot)
+    if R < sol.range_radius:    # a tail is integrated out to its end radius
+        run = _solve_2d(p, sol.mu, R, sol.tol)
+        kin, pot = run.kin / c2, run.pot / c2
+    else:
+        kin = sol.kin_interior / c2 + math.log(R / sol.range_radius)
+        pot = sol.pot_interior / c2
+    return 2.0 * sol.mu * kin / (2.0 * sol.mu * kin + pot)
 
 
 def born_integral(p: PairPotential) -> float:

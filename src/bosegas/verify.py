@@ -81,21 +81,27 @@ _HARM3 = TrapPotential(kind="harmonic", dimension=3)
 
 # --- numerics ------------------------------------------------------------------
 
+def _walk(rhs, initial, nodes, tol):
+    """The states at an array of nodes, one integrate_ode span per gap."""
+    states, nodes = [initial], nodes.tolist()
+    for lo, hi in zip(nodes, nodes[1:]):
+        states.append(numerics.integrate_ode(rhs, states[-1], (lo, hi), tol))
+    return states
+
+
 @_entry("numerics", "ode_linear", 1e-12, n=49)
 def _ode_linear(rng, n):
     nodes = np.linspace(0.0, 3.0, n)
-    traj = numerics.integrate_ode(lambda r, y: (y[1], 0.0),
-                                  [0.0, 1.0], nodes, Tolerances())
-    err = float(np.max(np.abs(traj[:, 0] - nodes)))
+    states = _walk(lambda r, y: (y[1], 0.0), [0.0, 1.0], nodes, Tolerances())
+    err = max(abs(y[0] - r) for y, r in zip(states, nodes))
     return err, f"max |u(r) - r| on {n} nodes"
 
 
 @_entry("numerics", "ode_sinh", 1e-11, n=33)
 def _ode_sinh(rng, n):
-    traj = numerics.integrate_ode(lambda r, y: (y[1], y[0]),
-                                  [0.0, 1.0], np.linspace(0.0, 1.0, n),
-                                  Tolerances())
-    err = abs(traj[-1, 0] - math.sinh(1.0))
+    states = _walk(lambda r, y: (y[1], y[0]), [0.0, 1.0],
+                   np.linspace(0.0, 1.0, n), Tolerances())
+    err = abs(states[-1][0] - math.sinh(1.0))
     return err, f"|u(1) - sinh(1)| on {n} nodes"
 
 
@@ -106,11 +112,9 @@ def _ode_step_halving(rng, n):
     def rhs(r, y):
         return (y[1], r * y[0])
 
-    coarse = numerics.integrate_ode(rhs, [1.0, 0.0], np.linspace(0.0, 4.0, n),
-                                    tol)
-    fine = numerics.integrate_ode(rhs, [1.0, 0.0],
-                                  np.linspace(0.0, 4.0, 2 * n - 1), tol)
-    rel = abs(coarse[-1, 0] - fine[-1, 0]) / abs(fine[-1, 0])
+    coarse = _walk(rhs, [1.0, 0.0], np.linspace(0.0, 4.0, n), tol)
+    fine = _walk(rhs, [1.0, 0.0], np.linspace(0.0, 4.0, 2 * n - 1), tol)
+    rel = abs(coarse[-1][0] - fine[-1][0]) / abs(fine[-1][0])
     return rel, f"{n} nodes against {2 * n - 1}"
 
 

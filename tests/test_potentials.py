@@ -246,6 +246,17 @@ def test_born_integral_of_a_flat_piece_at_a_huge_radius():
         assert born_pair_integral(table) == 4.188790204786391e+300
 
 
+def test_born_integral_of_a_sloped_piece_at_a_huge_radius():
+    # the sloped piece's r^4 overflows at r = 1e81, slope * r^4 does not:
+    # 4 pi (1e240/3 + (10/9)(1e243 - 1e240)/3 - (10/9)(1e243 - 1e239)/4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = PairPotential(kind="tabulated",
+                              table=((1e80, 1.0), (1e81, 0.0)))
+        assert born_pair_integral(table) == pytest.approx(
+            1111.0 * math.pi / 3.0 * 1e240, rel=1e-14)    # 1.16344e243
+
+
 @pytest.mark.parametrize("kwargs,name", [
     ({"kind": "hard-core", "core_radius": 1.0, "strength": 2.0}, "strength"),
     ({"kind": "hard-core", "core_radius": 1.0, "table": ((1.0, 2.0),)},

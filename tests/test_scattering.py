@@ -15,9 +15,10 @@ import pytest
 from scipy.special import i0, i1
 
 from bosegas import scattering
-from bosegas.errors import (NoLogAsymptote, NonFiniteRhs, NonIntegrableTail,
-                            RadiusInsideRange, ScatteringLengthUnderflow,
-                            StepSizeUnderflow, ZeroScatteringLength)
+from bosegas.errors import (DomainError, NoLogAsymptote, NonFiniteRhs,
+                            NonIntegrableTail, RadiusInsideRange,
+                            ScatteringLengthUnderflow, StepSizeUnderflow,
+                            ZeroScatteringLength)
 from bosegas.numerics import Tolerances
 from bosegas.potentials import (HARD_CORE, PairPotential, pair_value,
                                 parse_pair_potential)
@@ -264,3 +265,63 @@ def test_zero_error_scale_rejects_the_step():
                       tail=(1.0, 4.0))
     with pytest.raises(StepSizeUnderflow, match="below floor"):
         solve_zero_energy(p, 1.0, Tolerances(abs_tol=0.0, rel_tol=1e-10))
+
+
+def test_2d_energy_ratio_inside_a_tail_cut_radius():
+    # inside the cut radius the ratio comes from a rerun out to R, which
+    # meets the reported run at the cut radius
+    p = PairPotential(kind="hard-core", dimension=2, core_radius=1.0,
+                      tail=(0.5, 4.0))
+    sol = solve_zero_energy(p, 1.0)
+    cut = sol.range_radius
+    assert 0.0 < two_dim_energy_ratio(sol, 2.0) < 1.0
+    inside = two_dim_energy_ratio(sol, math.nextafter(cut, 0.0))
+    at_cut = two_dim_energy_ratio(sol, cut)
+    assert abs(inside - at_cut) <= math.ulp(at_cut)
+    with pytest.raises(RadiusInsideRange):
+        two_dim_energy_ratio(sol, 0.5)
+
+
+@pytest.mark.parametrize("tail", [None, (0.5, 4.0)])
+def test_2d_energy_ratio_at_the_hard_disc_radius_is_named(tail):
+    # kinetic and potential parts both vanish at R0: the ratio is 0/0
+    p = PairPotential(kind="hard-core", dimension=2, core_radius=1.0,
+                      tail=tail)
+    with pytest.raises(DomainError, match="0/0"):
+        two_dim_energy_ratio(solve_zero_energy(p, 1.0), 1.0)
+
+
+@pytest.mark.parametrize("tail", [None, (1.0, 4.0)])
+def test_energy_integral_at_the_hard_core_radius_is_zero(tail):
+    p = PairPotential(kind="hard-core", core_radius=1.0, tail=tail)
+    assert energy_integral(solve_zero_energy(p, 1.0), 1.0) == 0.0
+
+
+# float.hex of (a, s) for one potential of each kind the solver branches on,
+# fixed when the integration path was last restructured: any change to the
+# bits of the integration fails here by name
+_GOLDEN = {
+    "well3d": (dict(kind="square-well", core_radius=1.0, strength=5.0), 1.0,
+               "0x1.acf77924dab3ep-2", "0x1.f84355ba7790bp-2"),
+    "stiff3d": (dict(kind="square-well", core_radius=1.0, strength=1800.0),
+                1.0, "0x1.eeeeeeeeeef1cp-1", "0x1.f72c234f72c9ep-1"),
+    "table3d": (dict(kind="tabulated",
+                     table=((0.4, 6.0), (0.8, 2.5), (1.2, 0.7))), 0.8,
+                "0x1.af13c0b6510b4p-2", "0x1.e5ac1cc57bd73p-2"),
+    "hardcore_tail3d": (dict(kind="hard-core", core_radius=1.0,
+                             tail=(0.5, 6.0)), 1.0,
+                        "0x1.021e95d0d446fp+0", "0x1.fbd2b9355fb0ep-1"),
+    "well2d": (dict(kind="square-well", dimension=2, core_radius=1.0,
+                    strength=6.0), 1.0,
+               "0x1.a46272d96ae5ap-2", "0x1.0000000000000p+0"),
+    "disc_tail2d": (dict(kind="hard-core", dimension=2, core_radius=1.0,
+                         tail=(1.0, 4.0)), 1.0,
+                    "0x1.1f7caca031527p+0", "0x1.0000000000000p+0"),
+}
+
+
+@pytest.mark.parametrize("name", list(_GOLDEN))
+def test_scattering_golden_bits(name):
+    kwargs, mu, a_hex, s_hex = _GOLDEN[name]
+    sol = solve_zero_energy(PairPotential(**kwargs), mu)
+    assert (float(sol.a).hex(), float(sol.s).hex()) == (a_hex, s_hex)
