@@ -2,10 +2,10 @@
 
 `integrate_ode` integrates over one span (lo, hi) on which the right-hand
 side is smooth; a caller whose equation has breakpoints integrates one span
-per piece.  Its steps run on Python floats, and `rhs` receives the state as
-a list of floats; every sum has a fixed left-to-right order, so its results
-depend only on IEEE double arithmetic, not on the BLAS build.  All routines
-are deterministic pure functions of their arguments.
+per piece.  Its steps run on Python floats and skip the stage states of
+quadratures, integrals rhs never reads; every sum has a fixed left-to-right
+order, so its results depend only on IEEE double arithmetic, not on the
+BLAS build.  All routines are deterministic pure functions of their arguments.
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ _ROWS = tuple((_C[s].item(), _sparse(_A[s, :s])) for s in range(1, _STAGES))
 _B_ROW, _E5_ROW, _E3_ROW = _sparse(_B), _sparse(_E5), _sparse(_E3)
 
 
-def integrate_ode(rhs, initial, span, tol: Tolerances) -> list:
+def integrate_ode(rhs, initial, span, tol: Tolerances, quadratures: int = 0) -> list:
     """Integrate y' = rhs(r, y) over span = (lo, hi) with adaptive DOP853
     steps and return the state at hi, as a list of floats.
 
@@ -168,24 +168,30 @@ def integrate_ode(rhs, initial, span, tol: Tolerances) -> list:
     error scale per component is abs_tol + rel_tol * (|y| + |h f|); the
     step size may not fall below 1e-14 of the span.  The span is one smooth
     piece of rhs: the first step tries all of it, and the last is clipped to
-    end on hi.  lo < hi, both finite.
+    end on hi.  lo < hi, both finite.  The last `quadratures` components,
+    0 <= quadratures < len(initial), are integrals that rhs never reads: no
+    stage states are built for them; the update and error norm cover them.
 
     The step runs on Python floats: every weighted sum of stages is formed
     left to right over the nonzero weights, so the results depend only on
-    IEEE double arithmetic, not on the BLAS build.  `rhs` receives r as a
-    Python float and y as a list of floats, and returns len(initial) floats,
-    as a sequence or an array.  A non-finite right-hand side at any stage of
-    a step, or a state that overflows, raises NonFiniteRhs before the step
-    is used.  No evaluation follows the last accepted step.
+    IEEE double arithmetic, not on the BLAS build.  `rhs` gets r and the
+    components of y before the quadratures, as a list, and returns
+    len(initial) numbers, read as they are; the state at hi becomes Python
+    floats once.  A non-finite rhs at any stage, or a state that overflows,
+    raises NonFiniteRhs before the step is used.  No evaluation follows the
+    last accepted step.
     """
     lo, hi = span
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"need a finite span lo < hi, got {span!r}")
     y = list(map(float, initial))
+    if not (isinstance(quadratures, int) and 0 <= quadratures < len(y)):
+        raise DomainError(f"need 0 <= quadratures < {len(y)}, got {quadratures!r}")
+    n = len(y) - quadratures       # the driving components
     r = lo
     h_min = 1e-14 * (hi - lo)
     abs_tol, rel_tol = tol.abs_tol, tol.rel_tol
-    k = [list(map(float, rhs(r, y)))] + [None] * (_STAGES - 1)
+    k = [rhs(r, y[:n])] + [None] * (_STAGES - 1)
     h = hi - r
     steps = 0
 
@@ -194,12 +200,12 @@ def integrate_ode(rhs, initial, span, tol: Tolerances) -> list:
         step = hi - r if last else h
         for s, (c, row) in enumerate(_ROWS, start=1):
             state = []
-            for m, y_m in enumerate(y):
+            for m in range(n):
                 acc = 0.0
                 for j, a in row:
                     acc += a * k[j][m]
-                state.append(y_m + step * acc)
-            k[s] = list(map(float, rhs(r + c * step, state)))
+                state.append(y[m] + step * acc)
+            k[s] = rhs(r + c * step, state)
         if not all(map(math.isfinite, chain.from_iterable(k))):
             raise NonFiniteRhs(f"rhs non-finite in the step from r={r!r}")
         y_new = []
@@ -233,8 +239,8 @@ def integrate_ode(rhs, initial, span, tol: Tolerances) -> list:
             r += step
             y = y_new
             if last or r >= hi:     # r + h may round onto hi
-                return y
-            k[0] = list(map(float, rhs(r, y)))
+                return list(map(float, y))
+            k[0] = rhs(r, y[:n])
             grow = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
             h = step * grow
         else:

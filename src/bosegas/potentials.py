@@ -7,6 +7,7 @@ potentials are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import InitVar, dataclass
@@ -95,9 +96,8 @@ class PairPotential:
                 raise DomainError("table radii must be positive and strictly increasing")
         else:
             knots = ((float(self.core_radius), HARD_CORE),)
-        # built once: the arrays pair_value interpolates and its three ends
-        object.__setattr__(self, "_knots", tuple(map(np.array, zip(*knots))))
-        object.__setattr__(self, "_ends", (*knots[0], knots[-1][0]))
+        # built once: the knot radii and values that pair_piece reads
+        object.__setattr__(self, "_knots", tuple(zip(*knots)))
         if self.tail is not None:
             c_t, p = self.tail
             if c_t < 0:
@@ -107,20 +107,20 @@ class PairPotential:
     @property
     def range_radius(self) -> float:
         """Radius beyond which only the (optional) tail remains."""
-        return self._ends[2]
+        return self._knots[0][-1]
 
     def has_hard_core(self) -> bool:
         return self.kind == "hard-core"
 
     def vanishes(self) -> bool:
         """Whether v is identically zero: all knot values zero, no tail."""
-        return not self._knots[1].any() and (self.tail is None or self.tail[0] == 0.0)
+        return not any(self._knots[1]) and (self.tail is None or self.tail[0] == 0.0)
 
     @property
     def breakpoints(self) -> Tuple[float, ...]:
         """Increasing radii where v or its slope may jump: the knots, the
         last of which is where a tail attaches."""
-        return tuple(self._knots[0].tolist())
+        return self._knots[0]
 
 
 del PairPotential.strength    # constructor-only: p.strength raises
@@ -130,13 +130,32 @@ def pair_value(p: PairPotential, r: float) -> float:
     """v(r); returns the HARD_CORE marker inside a hard core."""
     if r <= 0:
         raise DomainError("pair_value requires r > 0")
-    r_first, v_first, r_last = p._ends
-    if r < r_last:      # constant up to the first knot
-        return v_first if r <= r_first else float(np.interp(r, *p._knots))
-    if p.tail is None:
-        return 0.0
-    c_t, exponent = p.tail
-    return c_t * r ** (-exponent)
+    if r < p.range_radius:
+        return pair_piece(p, r, r)(r)
+    c_t, power = p.tail or (0.0, 0.0)     # no tail is the tail 0 r^0
+    return c_t * r ** -power
+
+
+def pair_piece(p: PairPotential, lo: float, hi: float):
+    """The piece of v that starts at lo, as a function of r on [lo, hi]: a
+    constant before the first knot, linear between two, 0 or the tail beyond
+    the last; all but the constant read r at min(r, the float below hi)."""
+    radii, values = p._knots
+    j = bisect.bisect_right(radii, lo)
+    if j == 0:
+        return lambda r: values[0]
+    last = math.nextafter(hi, lo)
+    if j == len(radii):
+        c_t, power = p.tail or (0.0, 0.0)
+        return lambda r: c_t * (r if r < last else last) ** -power
+    xa, xb, va, vb = radii[j - 1], radii[j], values[j - 1], values[j]
+    slope = (vb - va) / (xb - xa)
+
+    def linear(r):      # np.interp's arithmetic, bit for bit
+        x = r if r < last else last
+        y = va if x == xa else slope * (x - xa) + va
+        return y if y == y else slope * (x - xb) + vb     # NaN: from xb
+    return linear
 
 
 @dataclass(frozen=True)
@@ -224,16 +243,16 @@ def born_pair_integral(p: PairPotential) -> float:
     omega = 4.0 * math.pi if d == 3 else 2.0 * math.pi
 
     # exact integral of the linear interpolant, constant from r = 0 to the first knot
-    knots = np.array(((0.0, p.table[0][1]),) + p.table)
+    knots = ((0.0, p.table[0][1]),) + p.table
     body = 0.0
     for (ra, va), (rb, vb) in zip(knots, knots[1:]):
-        # integrate (va + (vb-va)(r-ra)/(rb-ra)) r^(d-1) dr exactly
-        slope = (vb - va) / (rb - ra)
-        const = va - slope * ra
-        body += const * (rb ** d - ra ** d) / d
-        if slope:   # a flat piece has no r^(d+1) term to overflow
-            # rb factored out: rb^(d+1) overflows where slope * rb^(d+1) does not
-            body += slope * rb * (rb ** d - ra ** d * (ra / rb)) / (d + 1)
+        if va == vb:
+            body += va * (rb ** d - ra ** d) / d
+        elif d == 3:    # va W_a + vb W_b, weights >= 0: no large terms cancel
+            body += (rb - ra) * (va * (rb * rb + 2.0 * ra * rb + 3.0 * ra * ra)
+                                 + vb * (3.0 * rb * rb + 2.0 * ra * rb + ra * ra)) / 12.0
+        else:
+            body += (rb - ra) * (va * (rb + 2.0 * ra) + vb * (2.0 * rb + ra)) / 6.0
     body *= omega
     if p.tail is not None:
         c_t, exponent = p.tail

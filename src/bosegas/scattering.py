@@ -9,7 +9,7 @@ extra ODE components, so they inherit the integrator's accuracy.
 The integration ends at the interaction range, or for a tail at the radius
 `_end_radius` picks.  `_by_segments` runs it one integrate_ode span per
 segment between the potential's breakpoints (the knots and the point where
-a tail attaches), so every integrator stage sees a smooth piece of v and no
+a tail attaches), and every stage reads its segment's own piece of v, so no
 step straddles a jump.  Each state is chosen to stay bounded where the
 solution grows without bound: w = u - r u' in 3D, and on the 2D tail
 segment, which reaches out to the tail's cut radius, q = psi - chi ln r.
@@ -38,6 +38,7 @@ from .numerics import Tolerances, integrate_ode, quad
 from .potentials import (
     PairPotential,
     born_pair_integral,
+    pair_piece,
     pair_value,
     tail_integrability,
 )
@@ -122,18 +123,17 @@ def _edges(p: PairPotential, r_start: float, r_end: float) -> list:
     return [r_start, *(b for b in p.breakpoints if r_start < b < r_end), r_end]
 
 
-def _by_segments(rhs, state, edges, tol) -> list:
-    """Integrate rhs(last, r, y) one integrate_ode span per segment [lo, hi]
-    of `edges`, and return the state at edges[-1]: the one place that
-    decides where an integration stops.
-
-    Every stage inside a segment sees that segment's own piece of the
-    potential: `last` is the float just below hi, so the right end takes the
-    left limit, and rhs evaluates v at min(r, last).
+def _by_segments(rhs, state, p, edges, tol) -> list:
+    """Integrate rhs(piece, r, y) one integrate_ode span per segment
+    [lo, hi] of `edges`, and return the state at edges[-1]: the one place
+    that decides where an integration stops.  Every stage sees its
+    segment's own piece of v, pair_piece(p, lo, hi), which takes the left
+    limit at hi.  kin and pot, the last two components, are quadratures:
+    rhs receives only the two before them.
     """
     for lo, hi in zip(edges[:-1], edges[1:]):
-        state = integrate_ode(functools.partial(rhs, math.nextafter(hi, lo)),
-                              state, (lo, hi), tol)
+        state = integrate_ode(functools.partial(rhs, pair_piece(p, lo, hi)),
+                              state, (lo, hi), tol, quadratures=2)
     return state
 
 
@@ -148,19 +148,19 @@ def _solve_3d(p, mu, r_end, tol) -> _Run:
     r_start = p.core_radius if p.has_hard_core() else 0.0
     state = [-r_start, 1.0, 0.0, 0.0]    # u = 0, u' = 1
 
-    def rhs(last, r, y):
-        w, du, _, _ = y
+    def rhs(piece, r, y):
+        w, du = y
         if r <= 0.0:
             # regular solution: u ~ r, so u'' and w/r vanish at 0
             return (0.0, 0.0, 0.0, 0.0)
-        v = pair_value(p, min(r, last))
+        v = piece(r)
         u = w + r * du
         curv = v * u / (2.0 * mu)
         grad = w / r     # u/r - u'
         return (-r * curv, curv, grad * grad, v * u * u)
 
     w_range, du_range, kin, pot = _by_segments(
-        rhs, state, _edges(p, r_start, r_end), tol)
+        rhs, state, p, _edges(p, r_start, r_end), tol)
     if du_range <= 0.0:
         raise DomainError("u' <= 0 at the range; potential not nonnegative?")
     a = -w_range / du_range
@@ -194,14 +194,14 @@ def _solve_2d(p, mu, r_end, tol) -> _Run:
         v0 = pair_value(p, r_start)
         state = [1.0, v0 * r_start * r_start / (4.0 * mu), 0.0, 0.0]
 
-    def rhs(last, r, y):
-        psi, chi, _, _ = y
-        v = pair_value(p, min(r, last))
+    def rhs(piece, r, y):
+        psi, chi = y
+        v = piece(r)
         return (chi / r, r * v * psi / (2.0 * mu), chi * chi / r, v * psi * psi * r)
 
-    def tail_rhs(last, r, y):
-        q, chi, _, _ = y
-        v = pair_value(p, min(r, last))
+    def tail_rhs(piece, r, y):
+        q, chi = y
+        v = piece(r)
         log_r = math.log(r)
         psi = q + chi * log_r
         dchi = r * v * psi / (2.0 * mu)
@@ -210,10 +210,10 @@ def _solve_2d(p, mu, r_end, tol) -> _Run:
     r_tail = p.range_radius
     tailed = r_end > r_tail     # the tail runs in q from where it attaches
     edges = _edges(p, r_start, r_end)
-    state = _by_segments(rhs, state, [e for e in edges if e <= r_tail], tol)
+    state = _by_segments(rhs, state, p, [e for e in edges if e <= r_tail], tol)
     if tailed:
         state[0] -= state[1] * math.log(r_tail)
-        state = _by_segments(tail_rhs, state, [r_tail, r_end], tol)
+        state = _by_segments(tail_rhs, state, p, [r_tail, r_end], tol)
     lead, chi_range, kin, pot = state     # lead is q on a tail, else psi
     # psi = chi ln(r/a) beyond the range: a = r exp(-psi/chi) = exp(-q/chi);
     # chi underflows to 0 only where a does

@@ -181,6 +181,33 @@ def test_ode_skips_the_final_fsal_evaluation():
     assert new_calls == old_calls[:-1] and old_calls[-1] == 2.0
 
 
+def test_ode_quadratures_are_integrals_that_rhs_never_reads():
+    # (u, u', int u^2, int u'^2) for u'' = -u: the last two components are
+    # quadratures, so rhs sees only (u, u') and the state keeps its bits
+    def oscillator(seen, array):
+        def rhs(r, y):
+            seen.append(len(y))
+            f = (y[1], -y[0], y[0] * y[0], y[1] * y[1])
+            return np.array(f) if array else f
+        return rhs
+
+    initial, span = [0.0, 1.0, 0.0, 0.0], (0.0, 3.0)
+    all_seen = []
+    full = integrate_ode(oscillator(all_seen, False), initial, span, TOL)
+    assert abs(full[2] - (1.5 - math.sin(6.0) / 4.0)) <= 1e-10
+    for array in (False, True):
+        seen = []
+        y = integrate_ode(oscillator(seen, array), initial, span, TOL,
+                          quadratures=2)
+        assert type(y) is list and set(map(type, y)) == {float}
+        assert list(map(float.hex, y)) == list(map(float.hex, full))
+        assert seen == [2] * len(all_seen) and set(all_seen) == {4}
+    for bad in (-1, 4, 5, 1.0, None):
+        with pytest.raises(DomainError, match="quadratures"):
+            integrate_ode(oscillator([], False), initial, span, TOL,
+                          quadratures=bad)
+
+
 def test_quad_foldy_integral_vs_gamma():
     # int_0^inf (1 + x^4 - x^2 sqrt(2+x^4)) dx, rationalized integrand
     tol = Tolerances(abs_tol=1e-13, rel_tol=1e-12)

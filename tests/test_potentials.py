@@ -2,13 +2,14 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from bosegas.errors import DomainError
 from bosegas.potentials import (HARD_CORE, PairPotential, TrapPotential,
-                                born_pair_integral, pair_value,
+                                born_pair_integral, pair_piece, pair_value,
                                 parse_pair_potential, parse_trap_potential,
                                 tail_integrability, trap_value)
 
@@ -36,20 +37,36 @@ def test_table_interp():
     assert pair_value(p, 5.0) == 0.0      # zero beyond the last radius
 
 
+def _interp_oracle(p, r):
+    """v(r) through np.interp over lists of the table's own radii and values:
+    constant before the first knot, 0 from the last on, plus the tail."""
+    radii, values = [x for x, _ in p.table], [v for _, v in p.table]
+    ref = (0.0 if r >= radii[-1] else values[0] if r <= radii[0]
+           else float(np.interp(r, radii, values)))
+    if p.tail is not None and r >= radii[-1]:
+        ref += p.tail[0] * r ** -p.tail[1]
+    return ref
+
+
 def test_table_values_unchanged_over_a_radius_grid():
-    # the knot arrays are built once, at construction: every value, at the
-    # knots, between them, outside them and on the tail, equals np.interp
-    # over lists of the table's own radii and values, bit for bit
-    table = ((0.2, 3.0), (0.5, 1.25), (0.9, 0.0), (1.3, 2.5), (1.4, 0.75))
-    radii, values = [x for x, _ in table], [v for _, v in table]
-    for tail in (None, (0.5, 4.0)):
-        p = PairPotential(kind="tabulated", table=table, tail=tail)
-        for r in np.linspace(0.01, 2.0, 397).tolist() + radii:
-            ref = (0.0 if r >= radii[-1] else values[0] if r <= radii[0]
-                   else float(np.interp(r, radii, values)))
-            if tail is not None and r >= radii[-1]:
-                ref += tail[0] * r ** -tail[1]
-            assert pair_value(p, r) == ref
+    # every value, at the knots, between them, outside them and on the tail,
+    # through pair_value and through each segment's piece (read at the float
+    # below the segment's end), equals np.interp bit for bit; the second
+    # table's slope overflows to inf
+    for table in (((0.2, 3.0), (0.5, 1.25), (0.9, 0.0), (1.3, 2.5), (1.4, 0.75)),
+                  ((1.0, 0.0), (1.0 + 1e-12, 1e300))):
+        radii = [x for x, _ in table]
+        grid = sorted({*np.linspace(0.01, 2.0, 397).tolist(), *radii,
+                       *np.linspace(radii[0], radii[-1], 33).tolist()})
+        edges = [grid[0], *radii, grid[-1]]
+        for tail in (None, (0.5, 4.0)):
+            p = PairPotential(kind="tabulated", table=table, tail=tail)
+            for r in grid:
+                assert pair_value(p, r) == _interp_oracle(p, r)
+            for lo, hi in zip(edges, edges[1:]):
+                piece, last = pair_piece(p, lo, hi), math.nextafter(hi, lo)
+                for r in (x for x in grid if lo <= x <= hi):
+                    assert piece(r) == _interp_oracle(p, min(r, last))
 
 
 def test_nonnegativity_enforced():
@@ -255,6 +272,42 @@ def test_born_integral_of_a_sloped_piece_at_a_huge_radius():
                               table=((1e80, 1.0), (1e81, 0.0)))
         assert born_pair_integral(table) == pytest.approx(
             1111.0 * math.pi / 3.0 * 1e240, rel=1e-14)    # 1.16344e243
+
+
+def _born_exact(p):
+    """The Born integral of a table in exact rational arithmetic, from the
+    antiderivative of each linear piece, times the float Omega_d."""
+    d = p.dimension
+    knots = [(Fraction(0), Fraction(p.table[0][1]))] + [
+        (Fraction(r), Fraction(v)) for r, v in p.table]
+    body = Fraction(0)
+    for (ra, va), (rb, vb) in zip(knots, knots[1:]):
+        slope = (vb - va) / (rb - ra)
+        body += ((va - slope * ra) * (rb ** d - ra ** d) / d
+                 + slope * (rb ** (d + 1) - ra ** (d + 1)) / (d + 1))
+    return Fraction(4.0 * math.pi if d == 3 else 2.0 * math.pi) * body
+
+
+def test_born_integral_of_sloped_tables_vs_exact_arithmetic():
+    # the tables the tests build, and seeded ones drawn as the scattering
+    # laws draw theirs (2 to 8 knots in [0.05, 2], values in [0, 20]): each
+    # piece is va W_a + vb W_b with weights >= 0, so no large terms cancel
+    # on a steep piece, where a split into r^d and r^(d+1) terms loses up to
+    # 9.4e-15 on these tables
+    tables = [((1.0, 2.0), (2.0, 0.0)), ((0.2, 3.0), (1.0, 1.5), (1.8, 0.0)),
+              ((0.4, 6.0), (0.8, 2.5), (1.2, 0.7)),
+              ((0.2, 3.0), (0.5, 1.25), (0.9, 0.0), (1.3, 2.5), (1.4, 0.75)),
+              ((1e80, 1.0), (1e81, 0.0))]
+    rng = np.random.default_rng(19)
+    for _ in range(100):
+        n = int(rng.integers(2, 9))
+        radii = np.sort(rng.choice(rng.uniform(0.05, 2.0, 20), n, replace=False))
+        tables.append(tuple(zip(radii.tolist(), rng.uniform(0.0, 20.0, n).tolist())))
+    for table in tables:
+        for d in (2, 3):
+            p = PairPotential(kind="tabulated", table=table, dimension=d)
+            exact = _born_exact(p)
+            assert abs(Fraction(born_pair_integral(p)) - exact) <= 1e-15 * exact
 
 
 @pytest.mark.parametrize("kwargs,name", [

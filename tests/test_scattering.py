@@ -297,31 +297,39 @@ def test_energy_integral_at_the_hard_core_radius_is_zero(tail):
     assert energy_integral(solve_zero_energy(p, 1.0), 1.0) == 0.0
 
 
-# float.hex of (a, s) for one potential of each kind the solver branches on,
-# fixed when the integration path was last restructured: any change to the
-# bits of the integration fails here by name
+# float.hex of (a, s, kin_interior, pot_interior) for one potential of each
+# kind the solver branches on, fixed when the integration path was last
+# restructured: any change to the bits of the integration, the quadrature
+# components included, fails here by name
 _GOLDEN = {
     "well3d": (dict(kind="square-well", core_radius=1.0, strength=5.0), 1.0,
-               "0x1.acf77924dab3ep-2", "0x1.f84355ba7790bp-2"),
+               "0x1.acf77924dab3ep-2", "0x1.f84355ba7790bp-2",
+               "0x1.94cbf7e27ed7bp-3", "0x1.5d4432d6768f0p+1"),
     "stiff3d": (dict(kind="square-well", core_radius=1.0, strength=1800.0),
-                1.0, "0x1.eeeeeeeeeef1cp-1", "0x1.f72c234f72c9ep-1"),
+                1.0, "0x1.eeeeeeeeeef1cp-1", "0x1.f72c234f72c9ep-1",
+                "0x1.782dde94e2deap+78", "0x1.930c930d3b8f4p+79"),
     "table3d": (dict(kind="tabulated",
                      table=((0.4, 6.0), (0.8, 2.5), (1.2, 0.7))), 0.8,
-                "0x1.af13c0b6510b4p-2", "0x1.e5ac1cc57bd73p-2"),
+                "0x1.af13c0b6510b4p-2", "0x1.e5ac1cc57bd73p-2",
+                "0x1.78939ed4bc24bp-2", "0x1.40a83d2ba39bap+1"),
     "hardcore_tail3d": (dict(kind="hard-core", core_radius=1.0,
                              tail=(0.5, 6.0)), 1.0,
-                        "0x1.021e95d0d446fp+0", "0x1.fbd2b9355fb0ep-1"),
+                        "0x1.021e95d0d446fp+0", "0x1.fbd2b9355fb0ep-1",
+                        "0x1.06613cec0e834p+0", "0x1.145622db0793ap-6"),
     "well2d": (dict(kind="square-well", dimension=2, core_radius=1.0,
                     strength=6.0), 1.0,
-               "0x1.a46272d96ae5ap-2", "0x1.0000000000000p+0"),
+               "0x1.a46272d96ae5ap-2", "0x1.0000000000000p+0",
+               "0x1.d6f30a75cdf8cp-1", "0x1.92de5cded3ca7p+2"),
     "disc_tail2d": (dict(kind="hard-core", dimension=2, core_radius=1.0,
                          tail=(1.0, 4.0)), 1.0,
-                    "0x1.1f7caca031527p+0", "0x1.0000000000000p+0"),
+                    "0x1.1f7caca031527p+0", "0x1.0000000000000p+0",
+                    "0x1.e3c86c41ddb57p+3", "0x1.19245cfa41629p-2"),
 }
 
 
 @pytest.mark.parametrize("name", list(_GOLDEN))
 def test_scattering_golden_bits(name):
-    kwargs, mu, a_hex, s_hex = _GOLDEN[name]
+    kwargs, mu, *golden = _GOLDEN[name]
     sol = solve_zero_energy(PairPotential(**kwargs), mu)
-    assert (float(sol.a).hex(), float(sol.s).hex()) == (a_hex, s_hex)
+    assert [float(x).hex() for x in (sol.a, sol.s, sol.kin_interior,
+                                      sol.pot_interior)] == golden
