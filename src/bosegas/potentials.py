@@ -130,8 +130,9 @@ def pair_value(p: PairPotential, r: float) -> float:
     """v(r); returns the HARD_CORE marker inside a hard core."""
     if r <= 0:
         raise DomainError("pair_value requires r > 0")
-    if r < p.range_radius:
-        return pair_piece(p, r, r)(r)
+    radii, values = p._knots
+    if r < radii[-1]:   # constant up to the first knot
+        return values[0] if r <= radii[0] else pair_piece(p, r, r)(r)
     c_t, power = p.tail or (0.0, 0.0)     # no tail is the tail 0 r^0
     return c_t * r ** -power
 

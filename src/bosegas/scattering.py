@@ -124,12 +124,11 @@ def _edges(p: PairPotential, r_start: float, r_end: float) -> list:
 
 
 def _by_segments(rhs, state, p, edges, tol) -> list:
-    """Integrate rhs(piece, r, y) one integrate_ode span per segment
-    [lo, hi] of `edges`, and return the state at edges[-1]: the one place
-    that decides where an integration stops.  Every stage sees its
-    segment's own piece of v, pair_piece(p, lo, hi), which takes the left
-    limit at hi.  kin and pot, the last two components, are quadratures:
-    rhs receives only the two before them.
+    """Integrate rhs(piece, r, y) one integrate_ode span per segment [lo, hi]
+    of `edges`, and return the state at edges[-1]: the one place that decides
+    where an integration stops.  Every stage sees its segment's own piece of
+    v, pair_piece(p, lo, hi), which takes the left limit at hi; rhs gets only
+    y's first two components, as kin and pot are quadratures.
     """
     for lo, hi in zip(edges[:-1], edges[1:]):
         state = integrate_ode(functools.partial(rhs, pair_piece(p, lo, hi)),

@@ -20,7 +20,7 @@ from bosegas.errors import (DomainError, NoLogAsymptote, NonFiniteRhs,
                             ScatteringLengthUnderflow, StepSizeUnderflow,
                             ZeroScatteringLength)
 from bosegas.numerics import Tolerances
-from bosegas.potentials import (HARD_CORE, PairPotential, pair_value,
+from bosegas.potentials import (HARD_CORE, PairPotential, pair_piece,
                                 parse_pair_potential)
 from bosegas.scattering import (born_integral, energy_integral,
                                 kinetic_fraction, solve_zero_energy,
@@ -76,13 +76,18 @@ def test_overflowing_stiff_well_fails_fast(monkeypatch):
     # u ~ sinh(kappa r) with kappa = 707 overflows inside the well; the solver
     # must stop with a named error, not a RuntimeWarning or a long stall.
     # The stall used to cost about 380k potential evaluations; now about 26k.
+    # Each right-hand side reads v through its segment's piece: count those.
     calls = []
 
     def counted(*args):
-        calls.append(None)
-        return pair_value(*args)
+        piece = pair_piece(*args)
 
-    monkeypatch.setattr(scattering, "pair_value", counted)
+        def counted_piece(r):
+            calls.append(None)
+            return piece(r)
+        return counted_piece
+
+    monkeypatch.setattr(scattering, "pair_piece", counted)
     p = PairPotential(kind="square-well", core_radius=1.0, strength=1e6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
