@@ -38,9 +38,8 @@ for row in gp_tf_limit(HARM3, [10.0, 100.0, 1000.0, 10000.0]):
 
 print("\n-- interaction energy splits kinetic/potential via the gas profile --")
 state = gp_minimize(HARM3, 1.0, 50.0, grid_points=1500)
-kin, trap_e, inter = state.energy_breakdown
-print(f"  g = 50: kinetic = {kin:.5f}, trap = {trap_e:.5f}, "
-      f"interaction = {inter:.5f}")
+print(f"  g = 50: kinetic = {state.kinetic:.5f}, "
+      f"trap = {state.trap_energy:.5f}, interaction = {state.interaction:.5f}")
 print(f"  mean density rho_bar = {mean_density(state):.6f}")
 
 export_profile(state, "gp_profile_g50.csv")

@@ -10,15 +10,15 @@ as the other's background turns the same law into the N^(7/5) instability.
 
 import math
 
-from bosegas.bogolubov import (fock_oracle, foldy_dimensionless_integral,
+from bosegas.bogolubov import (BogolubovMode, fock_oracle,
+                               foldy_dimensionless_integral,
                                foldy_gamma_closed_form, foldy_report,
-                               pair_mode_bound, two_component_scaling,
-                               yukawa_ft)
+                               two_component_scaling, yukawa_ft)
 from bosegas.numerics import Tolerances
 
 print("-- one pair of modes: truncated-Fock oracle vs the closed square --")
 a_val, b_val = 5.0, 3.0
-mode = pair_mode_bound(a_val, b_val)
+mode = BogolubovMode(a_val, b_val)
 exact = math.sqrt(a_val ** 2 - b_val ** 2) - a_val
 print(f"  (A, B) = (5, 3): alpha = {mode.alpha:.6f}, "
       f"bound coefficient = {mode.ground_bound_coeff:.6f}")

@@ -17,10 +17,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": "BoseGasError DomainError",
     "numerics": "Tolerances integrate_ode quad",
-    "potentials": "HARD_CORE PairPotential TrapPotential pair_value "
-    "parse_pair_potential parse_trap_potential tail_integrability trap_value",
-    "scattering": "ScatteringSolution born_integral energy_integral "
-    "kinetic_fraction solve_zero_energy",
+    "potentials": "HARD_CORE PairPotential TrapPotential born_integral "
+    "pair_value parse_pair_potential parse_trap_potential tail_integrability "
+    "trap_value",
+    "scattering": "ScatteringSolution energy_integral kinetic_fraction "
+    "solve_zero_energy",
     "homogeneous": "CellMethodParams DiluteParams "
     "cell_energy_factor cell_lower_bound cell_lower_ratio dilute_lower_ratio "
     "dyson_upper_ratio leading_energy lhy_energy log_quadratic_gap "
@@ -29,7 +30,7 @@ _EXPORTS = {
     "mean_density tf_scaling tf_solve",
     "bogolubov": "BogolubovMode FoldyParams fock_oracle "
     "foldy_dimensionless_integral foldy_energy foldy_mode_integrand "
-    "kinetic_cutoff pair_mode_bound two_component_scaling yukawa_ft",
+    "kinetic_cutoff two_component_scaling yukawa_ft",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names.split()}

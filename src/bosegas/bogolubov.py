@@ -23,7 +23,6 @@ from .numerics import Tolerances, quad
 __all__ = [
     "BogolubovMode",
     "FoldyParams",
-    "pair_mode_bound",
     "fock_oracle",
     "yukawa_ft",
     "kinetic_cutoff",
@@ -39,7 +38,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BogolubovMode:
-    """Completed-square data for A(b*b + c*c) + B(b*c* + bc), A >= B > 0."""
+    """Completed-square coefficients for one (k, -k) mode pair, the form
+    A(b*b + c*c) + B(b*c* + bc) with A >= B > 0.
+
+    The quadratic form is bounded below by -ground_bound_coeff times the sum
+    of the two mode commutators; for unit commutators that is
+    sqrt(A^2 - B^2) - A.
+    """
 
     A: float
     B: float
@@ -79,16 +84,6 @@ class FoldyParams:
         if self.C_univ <= 0 or not (0.0 < self.t < 1.0 / self.C_univ):
             raise DomainError("need 0 < t < 1/C_univ")
         object.__setattr__(self, "ell_cor", self.rho ** -0.25)
-
-
-def pair_mode_bound(A: float, B: float) -> BogolubovMode:
-    """Completed-square coefficients for one (k, -k) mode pair.
-
-    The quadratic form is bounded below by -ground_bound_coeff times the sum
-    of the two mode commutators; for unit commutators that is
-    sqrt(A^2 - B^2) - A.
-    """
-    return BogolubovMode(A=A, B=B)
 
 
 def fock_oracle(A: float, B: float, n_max: int,
@@ -208,6 +203,8 @@ def mode_integral_energy(rho: float, mu_const: float = 1.0) -> float:
         raise DomainError("need 1e-9 <= mu_const/rho <= 1e22")
 
     def radial(k):
+        if mu_const * k * k == math.inf:    # the mode peak is lost
+            raise OverflowError("mu_const k^2 overflows")
         return k * k * foldy_mode_integrand(k, rho, mu_const)
 
     integral = quad(radial, (0.0, math.inf),

@@ -25,52 +25,52 @@ __all__ = ["RunConfig", "Report", "parse_config", "serialize_config", "run",
            "main"]
 
 
-# Parameter schema per command: name -> (python type, default, unit).
+# Parameter schema per command: name -> (python type, default).
 # A "__required__" default marks a required key; None leaves the key unset.
 _SCHEMAS: Dict[str, Dict[str, tuple]] = {
     "scatter": {
-        "potential": (str, "__required__", "spec string"),
-        "mu": (float, 1.0, "energy*length^2"),
-        "dim": (int, 3, "2|3"),
-        "abs_tol": (float, None, "dimensionless"),
-        "rel_tol": (float, None, "dimensionless"),
+        "potential": (str, "__required__"),
+        "mu": (float, 1.0),
+        "dim": (int, 3),
+        "abs_tol": (float, None),
+        "rel_tol": (float, None),
     },
     "bounds": {
-        "dim": (int, 3, "2|3"),
-        "y_grid": (str, "1e-12:1e-4:50:log", "sweep"),
-        "rho_a2_grid": (str, "1e-30:1e-6:25:log", "sweep"),
-        "lower_c": (float, 8.9, "dimensionless"),  # LOWER_RATIO_C, test-pinned
+        "dim": (int, 3),
+        "y_grid": (str, "1e-12:1e-4:50:log"),
+        "rho_a2_grid": (str, "1e-30:1e-6:25:log"),
+        "lower_c": (float, 8.9),  # LOWER_RATIO_C, test-pinned
     },
     "gp": {
-        "trap": (str, "harmonic", "spec string"),
-        "dim": (int, 3, "2|3"),
-        "n": (float, 1.0, "count"),
-        "coupling": (float, "__required__", "length (3D) | dimensionless (2D)"),
-        "mu_const": (float, 1.0, "energy*length^2"),
-        "grid_points": (int, 2000, "count"),
-        "profile_out": (str, None, "path"),
+        "trap": (str, "harmonic"),
+        "dim": (int, 3),
+        "n": (float, 1.0),
+        "coupling": (float, "__required__"),
+        "mu_const": (float, 1.0),
+        "grid_points": (int, 2000),
+        "profile_out": (str, None),
     },
     "tf": {
-        "trap": (str, "harmonic", "spec string"),
-        "dim": (int, 3, "2|3"),
-        "n": (float, 1.0, "count"),
-        "coupling": (float, "__required__", "length (3D) | 1 (2D)"),
-        "mu_const": (float, 1.0, "energy*length^2"),
+        "trap": (str, "harmonic"),
+        "dim": (int, 3),
+        "n": (float, 1.0),
+        "coupling": (float, "__required__"),
+        "mu_const": (float, 1.0),
     },
     "gp-tf-limit": {
-        "trap": (str, "harmonic", "spec string"),
-        "dim": (int, 3, "2|3"),
-        "g_grid": (str, "10:10000:4:log", "sweep"),
-        "grid_points": (int, 2000, "count"),
+        "trap": (str, "harmonic"),
+        "dim": (int, 3),
+        "g_grid": (str, "10:10000:4:log"),
+        "grid_points": (int, 2000),
     },
     "foldy": {
-        "rho_grid": (str, "1:256:3:log", "sweep"),
-        "mu_const": (float, 1.0, "energy*length^2"),
+        "rho_grid": (str, "1:256:3:log"),
+        "mu_const": (float, 1.0),
     },
     "bogolubov": {
-        "a_value": (float, 5.0, "energy"),
-        "b_value": (float, 3.0, "energy"),
-        "n_max": (int, 120, "count"),
+        "a_value": (float, 5.0),
+        "b_value": (float, 3.0),
+        "n_max": (int, 120),
     },
     "verify": {},
 }
@@ -255,7 +255,7 @@ def parse_config(argv: List[str]) -> RunConfig:
             if key in _CEILINGS and value > _CEILINGS[key]:
                 raise ParseError(f"parameter {key!r}: {value} exceeds the "
                                  f"ceiling {_CEILINGS[key]}")
-    for key, (typ, default, _unit) in schema.items():
+    for key, (typ, default) in schema.items():
         if key not in parameters:
             if default == "__required__":
                 raise ParseError(f"command {command!r} requires --"
@@ -315,7 +315,7 @@ def _run_scatter(config: RunConfig) -> Tuple[list, list]:
         if pars.get(key) is not None})
     sol = scattering.solve_zero_energy(p, pars["mu"], tol=tol)
     try:
-        born = scattering.born_integral(p)
+        born = potentials.born_integral(p)
     except BoseGasError:
         born = math.nan
     row = {
@@ -323,8 +323,7 @@ def _run_scatter(config: RunConfig) -> Tuple[list, list]:
         "dim": p.dimension,
         "mu": pars["mu"],
         "a": sol.a,
-        "s": scattering.kinetic_fraction(sol) if sol.has_kinetic_fraction
-        else math.nan,
+        "s": sol.s,
         "born_integral": born,
         # a solve that misses its convergence gate raises GridTooCoarse
         # (exit 3), so every reported row is converged
@@ -459,7 +458,7 @@ def _run_bogolubov(config: RunConfig) -> Tuple[list, list]:
     from . import bogolubov
     pars = config.parameters
     a_val, b_val = pars["a_value"], pars["b_value"]
-    mode = bogolubov.pair_mode_bound(a_val, b_val)
+    mode = bogolubov.BogolubovMode(a_val, b_val)
     exact = math.sqrt(a_val ** 2 - b_val ** 2) - a_val
     row = {
         "A": a_val, "B": b_val, "alpha": mode.alpha, "D": mode.D,
@@ -530,7 +529,7 @@ def _help() -> str:
              "Commands and their keys (defaults in parentheses):"]
     for command, schema in _SCHEMAS.items():
         items = []
-        for key, (_typ, default, _unit) in schema.items():
+        for key, (_typ, default) in schema.items():
             shown = {"__required__": "required", None: "unset"}.get(
                 default, default)
             ceiling = f"; at most {_CEILINGS[key]}" if key in _CEILINGS else ""

@@ -81,10 +81,6 @@ class GpState:
     energy_trace: tuple = ()
     newton_steps: int = 0     # accepted Newton steps among the iterations
 
-    @property
-    def energy_breakdown(self):
-        return self.kinetic, self.trap_energy, self.interaction
-
 
 @dataclass(frozen=True)
 class TfState:

@@ -3,8 +3,9 @@
 `integrate_ode` integrates over one span (lo, hi) on which the right-hand
 side is smooth; a caller whose equation has breakpoints integrates one span
 per piece.  Its steps run on Python floats and skip the stage states of
-quadratures, integrals rhs never reads; every sum has a fixed left-to-right
-order, so its results depend only on IEEE double arithmetic, not on the
+quadratures, integrals rhs never reads.  `quad` sums each Gauss-Kronrod
+panel in Python floats too.  Every sum in both has a fixed left-to-right
+order, so their results depend only on IEEE double arithmetic, not on the
 BLAS build.  All routines are deterministic pure functions of their arguments.
 """
 
@@ -254,34 +255,40 @@ def integrate_ode(rhs, initial, span, tol: Tolerances, quadratures: int = 0) -> 
 
 
 # 15-point Kronrod rule with embedded 7-point Gauss rule on [-1, 1].
-_KRONROD_X = np.array([
+_KRONROD_X = (
     -0.991455371120813, -0.949107912342759, -0.864864423359769,
     -0.741531185599394, -0.586087235467691, -0.405845151377397,
     -0.207784955007898, 0.0, 0.207784955007898, 0.405845151377397,
     0.586087235467691, 0.741531185599394, 0.864864423359769,
     0.949107912342759, 0.991455371120813,
-])
-_KRONROD_W = np.array([
+)
+_KRONROD_W = (
     0.022935322010529, 0.063092092629979, 0.104790010322250,
     0.140653259715525, 0.169004726639267, 0.190350578064785,
     0.204432940075298, 0.209482141084728, 0.204432940075298,
     0.190350578064785, 0.169004726639267, 0.140653259715525,
     0.104790010322250, 0.063092092629979, 0.022935322010529,
-])
-_GAUSS_W = np.array([
+)
+_GAUSS_W = (
     0.129484966168870, 0.279705391489277, 0.381830050505119,
     0.417959183673469, 0.381830050505119, 0.279705391489277,
     0.129484966168870,
-])
+)
 
 
 def _gk_panel(f, a, b):
+    """The Kronrod value on [a, b] and its distance from the Gauss value;
+    each weighted sum runs left to right over the nodes, in Python floats."""
     c, half = 0.5 * (a + b), 0.5 * (b - a)
-    fx = np.array([f(c + half * x) for x in _KRONROD_X], dtype=float)
-    if not np.all(np.isfinite(fx)):
+    fx = [float(f(c + half * x)) for x in _KRONROD_X]
+    if not all(map(math.isfinite, fx)):
         raise NoConvergence(f"integrand non-finite on [{a!r}, {b!r}]")
-    k15 = half * float(_KRONROD_W @ fx)
-    g7 = half * float(_GAUSS_W @ fx[1::2])
+    k15 = g7 = 0.0
+    for w, y in zip(_KRONROD_W, fx):
+        k15 += w * y
+    for w, y in zip(_GAUSS_W, fx[1::2]):
+        g7 += w * y
+    k15, g7 = half * k15, half * g7
     return k15, abs(k15 - g7)
 
 

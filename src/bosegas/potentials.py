@@ -1,8 +1,9 @@
 """Nonnegative pair potentials v(r) and trap potentials V(x).
 
-A hard core is encoded as the exact marker ``HARD_CORE`` (float infinity);
-solvers branch on it instead of integrating through a large float.  All
-potentials are immutable after construction and safe to share.
+A hard core of radius R0 is the one knot (R0, HARD_CORE), with the exact
+marker ``HARD_CORE`` (float infinity) as its value; solvers branch on it
+instead of integrating through a large float.  All potentials are immutable
+after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = [
     "PairPotential",
     "TrapPotential",
     "TailReport",
+    "born_integral",
     "pair_value",
     "trap_value",
     "tail_integrability",
@@ -41,98 +43,98 @@ _TRAP_KINDS = ("box", "harmonic", "power-law")
 class PairPotential:
     """Radially symmetric two-body potential v >= 0, tagged with its dimension.
 
-    A hard core of radius ``core_radius``, or a knot table: v is constant up
-    to the first knot, linear between knots and 0 from the last knot on,
-    where an optional tail C_t * r^-p attaches.  ``square-well`` (core_radius
-    R0, strength V0) builds the one-knot table ((R0, V0),), of kind
-    ``tabulated``; ``strength`` is not stored.  A field that the kind does
-    not read must keep its default.
+    Stored as its knot table and optional tail, and nothing else: v is
+    constant up to the first knot, linear between knots and 0 from the last
+    knot on, where a tail C_t * r^-p attaches.  A hard core of radius R0 is
+    the one knot ((R0, HARD_CORE),), and a tail with C_t = 0 is stored as
+    None.  The constructor-only `kind` is ``tabulated`` (with `table`),
+    ``hard-core`` (with `core_radius`) or ``square-well`` (core_radius R0,
+    strength V0: the table ((R0, V0),)); an argument that the kind does not
+    read must keep its default.
     """
 
-    kind: str
+    kind: InitVar[str]
     dimension: int = 3
-    core_radius: float = 0.0
+    core_radius: InitVar[float] = 0.0
     strength: InitVar[float] = 0.0
     table: Optional[Tuple[Tuple[float, float], ...]] = None
     tail: Optional[Tuple[float, float]] = None  # (C_t, p)
 
-    def __post_init__(self, strength):
-        if self.kind not in _PAIR_KINDS:
-            raise DomainError(f"unknown pair potential kind {self.kind!r}")
+    def __post_init__(self, kind, core_radius, strength):
+        if kind not in _PAIR_KINDS:
+            raise DomainError(f"unknown pair potential kind {kind!r}")
         if self.dimension not in (2, 3):
             raise DomainError("dimension must be 2 or 3")
-        require_finite(core_radius=self.core_radius, strength=strength)
+        require_finite(core_radius=core_radius, strength=strength)
         for r, v in self.table or ():
             require_finite(table_radius=r, table_value=v)
         if self.tail is not None:
             require_finite(tail_coefficient=self.tail[0],
                            tail_exponent=self.tail[1])
-        if self.core_radius < 0:
+        if core_radius < 0:
             raise DomainError("core radius must be nonnegative")
         if strength < 0:
             raise DomainError("strength must be nonnegative (v >= 0)")
-        given = {"core_radius": self.core_radius != 0.0,
+        given = {"core_radius": core_radius != 0.0,
                  "strength": strength != 0.0, "table": self.table is not None}
-        for name in _PAIR_KINDS[self.kind]:
+        for name in _PAIR_KINDS[kind]:
             if given[name]:
-                raise DomainError(f"{name} is not read by a {self.kind} potential")
-        if self.kind == "hard-core" and self.core_radius <= 0:
-            raise DomainError("hard core needs core_radius > 0")
-        if self.kind == "square-well":
-            if self.core_radius <= 0:
+                raise DomainError(f"{name} is not read by a {kind} potential")
+        table = self.table
+        if kind == "hard-core":
+            if core_radius <= 0:
+                raise DomainError("hard core needs core_radius > 0")
+            table = ((core_radius, HARD_CORE),)
+        if kind == "square-well":
+            if core_radius <= 0:
                 raise DomainError("step potential needs core_radius > 0")
-            object.__setattr__(self, "table", ((self.core_radius, strength),))
-            object.__setattr__(self, "core_radius", 0.0)
-            object.__setattr__(self, "kind", "tabulated")
-        if self.kind == "tabulated":
-            if not self.table:
-                raise DomainError("tabulated potential needs a table")
-            knots = tuple((float(r), float(v)) for r, v in self.table)
-            object.__setattr__(self, "table", knots)
-            if any(v < 0 for _, v in knots):
-                raise DomainError("tabulated values must be nonnegative")
-            if knots[0][0] <= 0 or any(
-                    b <= a for (a, _), (b, _) in zip(knots, knots[1:])):
-                raise DomainError("table radii must be positive and strictly increasing")
-        else:
-            knots = ((float(self.core_radius), HARD_CORE),)
-        # built once: the knot radii and values that pair_piece reads
-        object.__setattr__(self, "_knots", tuple(zip(*knots)))
+            table = ((core_radius, strength),)
+        if not table:
+            raise DomainError("tabulated potential needs a table")
+        knots = tuple((float(r), float(v)) for r, v in table)
+        object.__setattr__(self, "table", knots)
+        if any(v < 0 for _, v in knots):
+            raise DomainError("tabulated values must be nonnegative")
+        if knots[0][0] <= 0 or any(
+                b <= a for (a, _), (b, _) in zip(knots, knots[1:])):
+            raise DomainError("table radii must be positive and strictly increasing")
         if self.tail is not None:
             c_t, p = self.tail
             if c_t < 0:
                 raise DomainError("tail coefficient must be nonnegative")
-            object.__setattr__(self, "tail", (float(c_t), float(p)))
+            # the tail 0 r^-p is no tail
+            object.__setattr__(self, "tail", (float(c_t), float(p)) if c_t else None)
 
     @property
     def range_radius(self) -> float:
-        """Radius beyond which only the (optional) tail remains."""
-        return self._knots[0][-1]
+        """Radius beyond which only the (optional) tail remains: the last
+        knot, which for a hard core is its radius."""
+        return self.table[-1][0]
 
     def has_hard_core(self) -> bool:
-        return self.kind == "hard-core"
+        return self.table[0][1] == HARD_CORE
 
     def vanishes(self) -> bool:
         """Whether v is identically zero: all knot values zero, no tail."""
-        return not any(self._knots[1]) and (self.tail is None or self.tail[0] == 0.0)
+        return self.tail is None and not any(v for _, v in self.table)
 
     @property
     def breakpoints(self) -> Tuple[float, ...]:
         """Increasing radii where v or its slope may jump: the knots, the
         last of which is where a tail attaches."""
-        return self._knots[0]
+        return tuple(r for r, _ in self.table)
 
 
-del PairPotential.strength    # constructor-only: p.strength raises
+del PairPotential.core_radius, PairPotential.strength  # constructor-only
 
 
 def pair_value(p: PairPotential, r: float) -> float:
     """v(r); returns the HARD_CORE marker inside a hard core."""
     if r <= 0:
         raise DomainError("pair_value requires r > 0")
-    radii, values = p._knots
-    if r < radii[-1]:   # constant up to the first knot
-        return values[0] if r <= radii[0] else pair_piece(p, r, r)(r)
+    (r_first, v_first), (r_last, _) = p.table[0], p.table[-1]
+    if r < r_last:   # constant up to the first knot
+        return v_first if r <= r_first else pair_piece(p, r, r)(r)
     c_t, power = p.tail or (0.0, 0.0)     # no tail is the tail 0 r^0
     return c_t * r ** -power
 
@@ -141,15 +143,16 @@ def pair_piece(p: PairPotential, lo: float, hi: float):
     """The piece of v that starts at lo, as a function of r on [lo, hi]: a
     constant before the first knot, linear between two, 0 or the tail beyond
     the last; all but the constant read r at min(r, the float below hi)."""
-    radii, values = p._knots
-    j = bisect.bisect_right(radii, lo)
+    table = p.table
+    j = bisect.bisect_right(table, lo, key=lambda knot: knot[0])
     if j == 0:
-        return lambda r: values[0]
+        v_first = table[0][1]
+        return lambda r: v_first
     last = math.nextafter(hi, lo)
-    if j == len(radii):
+    if j == len(table):
         c_t, power = p.tail or (0.0, 0.0)
         return lambda r: c_t * (r if r < last else last) ** -power
-    xa, xb, va, vb = radii[j - 1], radii[j], values[j - 1], values[j]
+    (xa, va), (xb, vb) = table[j - 1], table[j]
     slope = (vb - va) / (xb - xa)
 
     def linear(r):      # np.interp's arithmetic, bit for bit
@@ -161,7 +164,6 @@ def pair_piece(p: PairPotential, lo: float, hi: float):
 
 @dataclass(frozen=True)
 class TailReport:
-    finite_range: bool
     integrable: bool
     tail_integral: float
     cut_radius: float
@@ -174,19 +176,19 @@ def tail_integrability(p: PairPotential) -> TailReport:
     for p > d; slower decay means an infinite scattering length.  The report's
     cut radius bounds the neglected Born-integral contribution below 1e-10.
     """
-    if p.tail is None or p.tail[0] == 0.0:
-        return TailReport(finite_range=True, integrable=True,
-                          tail_integral=0.0, cut_radius=p.range_radius)
+    if p.tail is None:
+        return TailReport(integrable=True, tail_integral=0.0,
+                          cut_radius=p.range_radius)
     c_t, exponent = p.tail
     d = p.dimension
     if exponent <= d:
-        return TailReport(False, False, math.inf, math.inf)
+        return TailReport(False, math.inf, math.inf)
     r0 = p.range_radius
     tail_integral = c_t * r0 ** (d - exponent) / (exponent - d)
     omega = 4.0 * math.pi if d == 3 else 2.0 * math.pi
     # Omega_d * C_t * R^(d-p) / (p-d) <= 1e-10  fixes the cut radius
     cut = (omega * c_t / (1e-10 * (exponent - d))) ** (1.0 / (exponent - d))
-    return TailReport(False, True, tail_integral, max(cut, 2.0 * r0))
+    return TailReport(True, tail_integral, max(cut, 2.0 * r0))
 
 
 @dataclass(frozen=True)
@@ -227,8 +229,9 @@ def trap_value(t: TrapPotential, x) -> float:
     return float(t.scale * r ** t.homogeneity_degree)
 
 
-def born_pair_integral(p: PairPotential) -> float:
-    """int v(|x|) d^dx; HARD_CORE for hard cores, error for non-integrable tails.
+def born_integral(p: PairPotential) -> float:
+    """First Born integral int v(|x|) d^dx, an upper bound for 8 pi mu a in 3D;
+    HARD_CORE for hard cores, error for non-integrable tails.
 
     Computed exactly: the interpolated knot table integrates in closed form,
     and so does the power tail.

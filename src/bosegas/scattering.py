@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import (
     DomainError,
@@ -37,7 +36,7 @@ from .errors import (
 from .numerics import Tolerances, integrate_ode, quad
 from .potentials import (
     PairPotential,
-    born_pair_integral,
+    born_integral,
     pair_piece,
     pair_value,
     tail_integrability,
@@ -50,7 +49,6 @@ __all__ = [
     "energy_integral",
     "kinetic_fraction",
     "two_dim_energy_ratio",
-    "born_integral",
 ]
 
 
@@ -60,17 +58,19 @@ DEFAULT_TOL = Tolerances(abs_tol=1e-13, rel_tol=1e-11)
 
 @dataclass(frozen=True)
 class ScatteringSolution:
-    """Radial zero-energy solution with derived quantities.
+    """Radial zero-energy solution with derived quantities; its dimension is
+    that of ``potential``.
 
-    ``slope`` is the asymptotic scale (u' beyond the range in 3D, r*psi' in
-    2D), so dividing by it gives the u ~ r - a (3D) or psi ~ ln(r/a) (2D)
-    normalization.  ``range_radius`` is where that asymptote is read off:
-    the interaction range, or the cut radius of a tail.  ``tol`` holds the
-    tolerances the reported run used.  Every solution has passed the
-    convergence gate: a solve that misses it raises GridTooCoarse.
+    ``s`` is the kinetic fraction: 1 in 2D, and in 3D NaN exactly where it
+    is undefined, at a <= 1e-12 range_radius.  ``slope`` is the asymptotic
+    scale (u' beyond the range in 3D, r*psi' in 2D), so dividing by it gives
+    the u ~ r - a (3D) or psi ~ ln(r/a) (2D) normalization.
+    ``range_radius`` is where that asymptote is read off: the interaction
+    range, or the cut radius of a tail.  ``tol`` holds the tolerances the
+    reported run used.  Every solution has passed the convergence gate: a
+    solve that misses it raises GridTooCoarse.
     """
 
-    dimension: int
     mu: float
     a: float
     s: float
@@ -81,41 +81,21 @@ class ScatteringSolution:
     pot_interior: float   # int v u^2 dr (3D) / int v psi^2 r dr (2D), raw
     tol: Tolerances
 
-    @property
-    def has_kinetic_fraction(self) -> bool:
-        """Whether kinetic_fraction defines s: in 2D, or for a > 1e-12 range."""
-        return self.dimension == 2 or self.a > 1e-12 * self.range_radius
-
-
-class _Run(NamedTuple):
-    """One outward integration: a, s, the asymptotic slope and the raw
-    interior energy integrals."""
-
-    a: float
-    s: float
-    slope: float
-    kin: float
-    pot: float
-
-
-def _a_estimate(p: PairPotential, mu: float) -> float:
-    if p.has_hard_core():
-        return p.core_radius
-    born = born_pair_integral(p)
-    return min(p.range_radius, born / (8.0 * math.pi * mu) + 1e-3 * p.range_radius)
-
 
 def _end_radius(p: PairPotential, mu: float) -> float:
     """Where the integration ends: the range, or for a tail the largest of
-    twice the range, ten a-estimates and the cut radius."""
+    twice the range, ten a-estimates and the cut radius.  The a-estimate is
+    the Born bound on a plus 1e-3 range, capped at the range, which is where
+    a hard core's infinite Born integral puts it."""
     report = tail_integrability(p)
     if not report.integrable:
         raise NonIntegrableTail(
             "potential tail decays too slowly; scattering length infinite")
     if p.tail is None:
         return p.range_radius
-    return max(2.0 * p.range_radius, 10.0 * _a_estimate(p, mu),
-               report.cut_radius)
+    r0 = p.range_radius
+    a_estimate = min(r0, born_integral(p) / (8.0 * math.pi * mu) + 1e-3 * r0)
+    return max(2.0 * r0, 10.0 * a_estimate, report.cut_radius)
 
 
 def _edges(p: PairPotential, r_start: float, r_end: float) -> list:
@@ -136,7 +116,7 @@ def _by_segments(rhs, state, p, edges, tol) -> list:
     return state
 
 
-def _solve_3d(p, mu, r_end, tol) -> _Run:
+def _solve_3d(p, mu, r_end, tol) -> ScatteringSolution:
     # The state is (w, u', kin, pot) with w = u - r u', so that a = -w/u'
     # beyond the range: w stays bounded where u ~ r grows, and a far cut
     # radius costs no cancellation in r_end - u/u'.
@@ -144,7 +124,7 @@ def _solve_3d(p, mu, r_end, tol) -> _Run:
         # the integrals kin and pot start at exactly 0, so a purely relative
         # error scale is 0 there
         raise DomainError("abs_tol must be positive for a 3D solve")
-    r_start = p.core_radius if p.has_hard_core() else 0.0
+    r_start = p.range_radius if p.has_hard_core() else 0.0
     state = [-r_start, 1.0, 0.0, 0.0]    # u = 0, u' = 1
 
     def rhs(piece, r, y):
@@ -171,22 +151,19 @@ def _solve_3d(p, mu, r_end, tol) -> _Run:
         a += c_t * r_end ** (3 - exponent) / ((exponent - 3) * 2.0 * mu)
 
     # kinetic fraction s = int |grad psi0|^2 / (4 pi a), psi0 -> 1 at infinity
-    c2 = du_range * du_range
-    if a > 0.0:
-        kin_total = kin / c2 + a * a / r_end
-        s = kin_total / a
-    else:
-        s = math.nan
-    return _Run(a, s, du_range, kin, pot)
+    s = math.nan
+    if a > 1e-12 * r_end:
+        s = (kin / (du_range * du_range) + a * a / r_end) / a
+    return ScatteringSolution(mu, a, s, p, r_end, du_range, kin, pot, tol)
 
 
-def _solve_2d(p, mu, r_end, tol) -> _Run:
+def _solve_2d(p, mu, r_end, tol) -> ScatteringSolution:
     # The state is (psi, chi, kin, pot) with chi = r psi'.  On the tail
     # segment psi ~ chi ln r grows out to the cut radius, so the state there
     # is (q, chi, kin, pot) with q = psi - chi ln r, q' = -chi' ln r, and
     # a = exp(-q/chi) beyond the range.
-    hard = p.has_hard_core()
-    r_start = p.core_radius if hard else 1e-9 * p.range_radius
+    hard, r_tail = p.has_hard_core(), p.range_radius
+    r_start = r_tail if hard else 1e-9 * r_tail
     if hard:
         state = [0.0, 1.0, 0.0, 0.0]
     else:
@@ -206,7 +183,6 @@ def _solve_2d(p, mu, r_end, tol) -> _Run:
         dchi = r * v * psi / (2.0 * mu)
         return (-dchi * log_r, dchi, chi * chi / r, v * psi * psi * r)
 
-    r_tail = p.range_radius
     tailed = r_end > r_tail     # the tail runs in q from where it attaches
     edges = _edges(p, r_start, r_end)
     state = _by_segments(rhs, state, p, [e for e in edges if e <= r_tail], tol)
@@ -219,7 +195,7 @@ def _solve_2d(p, mu, r_end, tol) -> _Run:
     a = (math.exp(-lead / chi_range) * (1.0 if tailed else r_end)
          if chi_range > 0.0 else 0.0)
     # s = 1: the 2D interaction energy is purely kinetic
-    return _Run(a, 1.0, chi_range, kin, pot)
+    return ScatteringSolution(mu, a, 1.0, p, r_end, chi_range, kin, pot, tol)
 
 
 @float_range
@@ -251,32 +227,28 @@ def solve_zero_energy(p: PairPotential, mu: float,
     if p.has_hard_core() and p.tail is None:
         # u = r - R0 (3D) and psi = ln(r/R0) (2D) solve the exterior
         # equation exactly: a = R0 and s = 1, with no rounding
-        run = _Run(p.core_radius, 1.0, 1.0, 0.0, 0.0)
-    elif p.vanishes():
+        return ScatteringSolution(mu, p.range_radius, 1.0, p, r_end, 1.0, 0.0, 0.0,
+                                  tol)
+    if p.vanishes():
         if p.dimension == 2:
             raise NoLogAsymptote(
                 "no logarithmic asymptote: v vanishes identically")
         # u = r solves the 3D equation exactly: a = +0.0, and s is undefined
-        run = _Run(0.0, math.nan, 1.0, 0.0, 0.0)
-    else:
-        solve = _solve_3d if p.dimension == 3 else _solve_2d
-        run = solve(p, mu, r_end, tol)
-        if run.a <= 0.0:
-            raise ScatteringLengthUnderflow(
-                f"a = {run.a!r} for a nonzero potential: the scattering "
-                f"length lies below the float range")
-        tighter = Tolerances(tol.abs_tol / 10.0, tol.rel_tol / 10.0)
-        a, a2 = run.a, solve(p, mu, r_end, tighter).a
-        scale = max(abs(a), p.range_radius)
-        if not abs(a - a2) <= 10.0 * max(tol.rel_tol * scale, tol.abs_tol):
-            raise GridTooCoarse(
-                f"scattering length moved by {abs(a - a2):.3e} under a "
-                f"tenfold tighter tolerance")
-
-    return ScatteringSolution(
-        dimension=p.dimension, mu=mu, a=run.a, s=run.s,
-        potential=p, range_radius=r_end,
-        slope=run.slope, kin_interior=run.kin, pot_interior=run.pot, tol=tol)
+        return ScatteringSolution(mu, 0.0, math.nan, p, r_end, 1.0, 0.0, 0.0, tol)
+    solve = _solve_3d if p.dimension == 3 else _solve_2d
+    sol = solve(p, mu, r_end, tol)
+    if sol.a <= 0.0:
+        raise ScatteringLengthUnderflow(
+            f"a = {sol.a!r} for a nonzero potential: the scattering "
+            f"length lies below the float range")
+    tighter = Tolerances(tol.abs_tol / 10.0, tol.rel_tol / 10.0)
+    a, a2 = sol.a, solve(p, mu, r_end, tighter).a
+    scale = max(abs(a), p.range_radius)
+    if not abs(a - a2) <= 10.0 * max(tol.rel_tol * scale, tol.abs_tol):
+        raise GridTooCoarse(
+            f"scattering length moved by {abs(a - a2):.3e} under a "
+            f"tenfold tighter tolerance")
+    return sol
 
 
 def energy_integral(sol: ScatteringSolution, R: float) -> float:
@@ -287,19 +259,19 @@ def energy_integral(sol: ScatteringSolution, R: float) -> float:
     interior integrals come from a rerun of the solve out to R, and at the
     radius of a bare hard core, where psi0 vanishes, the integral is 0.
     """
-    if sol.dimension != 3:
-        raise DomainError("energy_integral is a 3D operation")
     p = sol.potential
+    if p.dimension != 3:
+        raise DomainError("energy_integral is a 3D operation")
     if R < p.range_radius:
         raise RadiusInsideRange(
             f"R={R!r} lies inside the interaction range {p.range_radius!r}")
-    if R == p.core_radius:      # psi0 = 0 on the core and inside it
+    if R == p.range_radius and p.has_hard_core():    # psi0 = 0 on the core
         return 0.0
     mu, a, c = sol.mu, sol.a, sol.slope
     c2 = c * c
     if R < sol.range_radius:    # a tail is integrated out to its end radius
         run = _solve_3d(p, mu, R, sol.tol)
-        return 4.0 * math.pi * (2.0 * mu * run.kin + run.pot) / c2
+        return 4.0 * math.pi * (2.0 * mu * run.kin_interior + run.pot_interior) / c2
     kin = sol.kin_interior / c2 + a * a * (1.0 / sol.range_radius - 1.0 / R)
     pot = sol.pot_interior / c2
     if p.tail is not None and R > sol.range_radius:
@@ -312,10 +284,10 @@ def energy_integral(sol: ScatteringSolution, R: float) -> float:
 
 
 def kinetic_fraction(sol: ScatteringSolution) -> float:
-    """s = int |grad psi0|^2 d^3x / (4 pi a); equals 1 identically in 2D."""
-    if sol.dimension == 2:
-        return 1.0
-    if not sol.has_kinetic_fraction:
+    """s = int |grad psi0|^2 d^3x / (4 pi a); equals 1 identically in 2D.
+    Raises ZeroScatteringLength where sol.s is NaN: in 3D, at a <= 1e-12
+    range_radius, where s is undefined."""
+    if math.isnan(sol.s):
         raise ZeroScatteringLength("kinetic fraction undefined for a = 0")
     return sol.s
 
@@ -329,24 +301,19 @@ def two_dim_energy_ratio(sol: ScatteringSolution, R: float) -> float:
     come from a rerun of the solve out to R.  At the radius of a hard disc
     both parts vanish, and the ratio 0/0 raises DomainError.
     """
-    if sol.dimension != 2:
-        raise DomainError("two_dim_energy_ratio is a 2D diagnostic")
     p = sol.potential
+    if p.dimension != 2:
+        raise DomainError("two_dim_energy_ratio is a 2D diagnostic")
     if R < p.range_radius:
         raise RadiusInsideRange("R inside the interaction range")
-    if R == p.core_radius:
+    if R == p.range_radius and p.has_hard_core():
         raise DomainError(
             f"the energy ratio is 0/0 at the hard-disc radius R={R!r}")
     c2 = sol.slope * sol.slope
     if R < sol.range_radius:    # a tail is integrated out to its end radius
         run = _solve_2d(p, sol.mu, R, sol.tol)
-        kin, pot = run.kin / c2, run.pot / c2
+        kin, pot = run.kin_interior / c2, run.pot_interior / c2
     else:
         kin = sol.kin_interior / c2 + math.log(R / sol.range_radius)
         pot = sol.pot_interior / c2
     return 2.0 * sol.mu * kin / (2.0 * sol.mu * kin + pot)
-
-
-def born_integral(p: PairPotential) -> float:
-    """First Born integral int v(|x|) d^dx (an upper bound for 8 pi mu a in 3D)."""
-    return born_pair_integral(p)

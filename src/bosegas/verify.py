@@ -206,7 +206,7 @@ def _square_wells(rng, n):
         worst = _worst(worst, abs(sol.a - exact) / exact)
         assert 0.0 <= sol.a <= r0, (sol.a, r0)        # convexity of u
         assert 8.0 * math.pi * mu * sol.a \
-            <= scattering.born_integral(p) * (1.0 + 1e-12), "Born bound"
+            <= potentials.born_integral(p) * (1.0 + 1e-12), "Born bound"
     return worst, f"closed form over {n} wells; 0 <= a <= R0; Born bound"
 
 
@@ -443,7 +443,7 @@ def _pair_identities(rng, n):
     for _ in range(n):
         a_val = rng.uniform(0.1, 10.0)
         b_val = a_val * rng.uniform(1e-3, 1.0)
-        mode = bogolubov.pair_mode_bound(a_val, b_val)
+        mode = bogolubov.BogolubovMode(a_val, b_val)
         worst = _worst(worst,
                        abs(mode.D * (1 + mode.alpha ** 2) - a_val),
                        abs(2.0 * mode.D * mode.alpha - b_val))

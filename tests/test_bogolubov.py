@@ -6,28 +6,28 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
-from bosegas.bogolubov import (FoldyParams, displayed_prefactor_energy,
-                               fock_oracle, foldy_dimensionless_integral,
-                               foldy_energy, foldy_gamma_closed_form,
-                               foldy_mode_integrand, foldy_report,
-                               kinetic_cutoff, mode_integral_energy,
-                               pair_mode_bound, two_component_scaling,
+from bosegas.bogolubov import (BogolubovMode, FoldyParams,
+                               displayed_prefactor_energy, fock_oracle,
+                               foldy_dimensionless_integral, foldy_energy,
+                               foldy_gamma_closed_form, foldy_mode_integrand,
+                               foldy_report, kinetic_cutoff,
+                               mode_integral_energy, two_component_scaling,
                                yukawa_ft)
 from bosegas.errors import DomainError, TruncationNotConverged
 
 
 def test_pair_mode_examples():
-    mode = pair_mode_bound(5.0, 3.0)
+    mode = BogolubovMode(5.0, 3.0)
     assert mode.ground_bound_coeff == pytest.approx(0.5, rel=1e-14)
-    tiny = pair_mode_bound(5.0, 1e-10)
+    tiny = BogolubovMode(5.0, 1e-10)
     assert tiny.ground_bound_coeff <= 1e-20     # B -> 0+ limit
-    equal = pair_mode_bound(4.0, 4.0)
+    equal = BogolubovMode(4.0, 4.0)
     assert equal.ground_bound_coeff == pytest.approx(2.0, rel=1e-14)
     assert equal.alpha == pytest.approx(1.0, rel=1e-14)
     with pytest.raises(DomainError):
-        pair_mode_bound(3.0, 4.0)
+        BogolubovMode(3.0, 4.0)
     with pytest.raises(DomainError):
-        pair_mode_bound(3.0, 0.0)
+        BogolubovMode(3.0, 0.0)
 
 
 def test_completed_square_identities():
@@ -35,7 +35,7 @@ def test_completed_square_identities():
     for _ in range(1000):
         a_val = rng.uniform(0.01, 20.0)
         b_val = a_val * rng.uniform(1e-6, 1.0)
-        mode = pair_mode_bound(a_val, b_val)
+        mode = BogolubovMode(a_val, b_val)
         assert abs(mode.D * (1.0 + mode.alpha ** 2) - a_val) <= 1e-12 * a_val
         assert abs(2.0 * mode.D * mode.alpha - b_val) <= 1e-12 * max(b_val, 1.0)
         assert 0.0 < mode.alpha <= 1.0
@@ -58,7 +58,7 @@ def test_fock_oracle_sandwich_and_monotonicity():
         a_val = rng.uniform(0.5, 10.0)
         b_val = a_val * rng.uniform(0.05, 0.95)
         exact = math.sqrt(a_val ** 2 - b_val ** 2) - a_val
-        coeff = pair_mode_bound(a_val, b_val).ground_bound_coeff
+        coeff = BogolubovMode(a_val, b_val).ground_bound_coeff
         prev = math.inf
         for n_max in (60, 100, 160):
             e = fock_oracle(a_val, b_val, n_max)
@@ -228,6 +228,6 @@ def test_pair_mode_out_of_float_range():
     # A^2 overflows, or alpha = B/(A + sqrt(A^2 - B^2)) underflows to 0
     for a, b in ((1e200, 1e199), (1e308, 1e307), (5.0, 5e-324)):
         with pytest.raises(DomainError, match="leaves the float range"):
-            pair_mode_bound(a, b)
-    mode = pair_mode_bound(1e150, 3e149)       # A^2 still finite
+            BogolubovMode(a, b)
+    mode = BogolubovMode(1e150, 3e149)       # A^2 still finite
     assert mode.ground_bound_coeff == pytest.approx(0.5e150 * (1 - 0.91 ** 0.5))

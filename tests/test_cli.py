@@ -341,7 +341,7 @@ def test_help_lists_every_key_with_its_default(capsys):
         # a command's block: its line and the continuation lines under it
         block = re.search(rf"^  {re.escape(command)} +(.*(\n {{15}}.*)*)",
                           text, re.M).group(1)
-        for key, (_typ, default, _unit) in schema.items():
+        for key, (_typ, default) in schema.items():
             shown = {"__required__": "required", None: "unset"}.get(
                 default, default)
             assert f"--{key.replace('_', '-')} ({shown}" in block, key
@@ -703,10 +703,10 @@ _PUBLIC_NAMES = {
     "errors": ["BoseGasError", "DomainError"],
     "numerics": ["Tolerances", "integrate_ode", "quad"],
     "potentials": ["HARD_CORE", "PairPotential", "TrapPotential",
-                   "pair_value", "parse_pair_potential",
+                   "born_integral", "pair_value", "parse_pair_potential",
                    "parse_trap_potential", "tail_integrability",
                    "trap_value"],
-    "scattering": ["ScatteringSolution", "born_integral", "energy_integral",
+    "scattering": ["ScatteringSolution", "energy_integral",
                    "kinetic_fraction", "solve_zero_energy"],
     "homogeneous": ["CellMethodParams", "DiluteParams",
                     "cell_energy_factor", "cell_lower_bound",
@@ -720,7 +720,7 @@ _PUBLIC_NAMES = {
            "tf_solve"],
     "bogolubov": ["BogolubovMode", "FoldyParams", "fock_oracle",
                   "foldy_dimensionless_integral", "foldy_energy",
-                  "foldy_mode_integrand", "kinetic_cutoff", "pair_mode_bound",
+                  "foldy_mode_integrand", "kinetic_cutoff",
                   "two_component_scaling", "yukawa_ft"],
 }
 

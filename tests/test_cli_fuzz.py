@@ -98,7 +98,7 @@ def command_lines(draw, tables, out):
     command = draw(st.sampled_from(sorted(set(_SCHEMAS) - {"verify"})))
     schema = _SCHEMAS[command]
     argv = [command]
-    for key, (typ, _default, _unit) in schema.items():
+    for key, (typ, _default) in schema.items():
         bounded = key in ("grid_points", "n_max")   # runtime: always drawn
         if bounded or draw(st.integers(0, 3)) > 0:
             value = draw(values(key, typ, tables, out))
@@ -159,7 +159,7 @@ def json_configs(draw, tables, out):
         return draw(json_values(key, typ, tables, out, hostile))
 
     config = {}
-    for key, (typ, _default, _unit) in schema.items():
+    for key, (typ, _default) in schema.items():
         if key in CAPS or draw(st.integers(0, 3)) > 0:
             config[key] = value(key, typ)
     if draw(st.integers(0, 4)) == 0:

@@ -8,8 +8,9 @@ import pytest
 
 from bosegas.errors import (DivergentTail, DomainError, NonFiniteRhs,
                             StepSizeUnderflow)
-from bosegas.numerics import (_A, _B, _C, _E3, _E5, _MAX_STEPS, _STAGES,
-                              Tolerances, integrate_ode, quad)
+from bosegas.numerics import (_A, _B, _C, _E3, _E5, _GAUSS_W, _KRONROD_W,
+                              _KRONROD_X, _MAX_STEPS, _STAGES, Tolerances,
+                              _gk_panel, integrate_ode, quad)
 
 TOL = Tolerances()
 
@@ -221,6 +222,34 @@ def test_quad_foldy_integral_vs_gamma():
     closed = 2.0 ** 0.75 * math.sqrt(math.pi) * math.gamma(0.75) \
         / (5.0 * math.gamma(1.25))
     assert abs(value / closed - 1.0) <= 1e-9
+
+
+def test_quad_panel_is_a_left_to_right_sum():
+    # a panel's Kronrod and Gauss sums are written out term by term; Python
+    # adds left to right, so the bits cannot depend on a BLAS dot kernel
+    rng = np.random.default_rng(8)
+    kx, kw, gw = _KRONROD_X, _KRONROD_W, _GAUSS_W
+    for _ in range(200):
+        lo = float(rng.uniform(-3.0, 3.0))
+        hi = lo + float(rng.uniform(1e-3, 5.0))
+        c0, c1, c2 = rng.uniform(-2.0, 2.0, size=3).tolist()
+
+        def f(x):
+            return c0 * math.sin(c1 * x) + c2 * math.exp(-x * x)
+
+        c, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        y = [f(c + half * x) for x in kx]
+        k15 = half * (kw[0] * y[0] + kw[1] * y[1] + kw[2] * y[2]
+                      + kw[3] * y[3] + kw[4] * y[4] + kw[5] * y[5]
+                      + kw[6] * y[6] + kw[7] * y[7] + kw[8] * y[8]
+                      + kw[9] * y[9] + kw[10] * y[10] + kw[11] * y[11]
+                      + kw[12] * y[12] + kw[13] * y[13] + kw[14] * y[14])
+        g7 = half * (gw[0] * y[1] + gw[1] * y[3] + gw[2] * y[5]
+                     + gw[3] * y[7] + gw[4] * y[9] + gw[5] * y[11]
+                     + gw[6] * y[13])
+        value, err = _gk_panel(f, lo, hi)
+        assert type(value) is float and value.hex() == k15.hex()
+        assert err.hex() == abs(k15 - g7).hex()
 
 
 def test_quad_divergent_tail():

@@ -1,5 +1,6 @@
 """Pair- and trap-potential representation tests."""
 
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 
 from bosegas.errors import DomainError
 from bosegas.potentials import (HARD_CORE, PairPotential, TrapPotential,
-                                born_pair_integral, pair_piece, pair_value,
+                                born_integral, pair_piece, pair_value,
                                 parse_pair_potential, parse_trap_potential,
                                 tail_integrability, trap_value)
 
@@ -109,13 +110,13 @@ def test_trap_homogeneity_property():
 def test_tail_integrability_cases():
     finite = PairPotential(kind="square-well", core_radius=1.0, strength=2.0)
     rep = tail_integrability(finite)
-    assert rep.finite_range and rep.integrable and rep.tail_integral == 0.0
+    assert rep.integrable and rep.tail_integral == 0.0 and rep.cut_radius == 1.0
 
     # int_1^inf r^-4 r^2 dr = 1 for C_t = 1, p = 4, attached at R0 = 1
     p4 = PairPotential(kind="square-well", core_radius=1.0, strength=1.0,
                        tail=(1.0, 4.0))
     rep4 = tail_integrability(p4)
-    assert not rep4.finite_range and rep4.integrable
+    assert rep4.integrable
     assert rep4.tail_integral == pytest.approx(1.0, rel=1e-14)
     assert rep4.cut_radius > 2.0
 
@@ -127,17 +128,17 @@ def test_tail_integrability_cases():
 
 def test_born_integral_closed_forms():
     p = PairPotential(kind="square-well", core_radius=1.0, strength=3.0)
-    assert born_pair_integral(p) == pytest.approx(4.0 * math.pi, rel=1e-14)
+    assert born_integral(p) == pytest.approx(4.0 * math.pi, rel=1e-14)
     hc = PairPotential(kind="hard-core", core_radius=1.0)
-    assert born_pair_integral(hc) == HARD_CORE
+    assert born_integral(hc) == HARD_CORE
 
 
 def test_born_integral_of_a_zero_potential_is_exact():
     # r^3 at the last radius once overflowed for a potential that is zero
     table = PairPotential(kind="tabulated", table=((1.0, 0.0), (1e200, 0.0)))
-    assert born_pair_integral(table) == 0.0
+    assert born_integral(table) == 0.0
     well = PairPotential(kind="square-well", core_radius=1e200, strength=0.0)
-    assert born_pair_integral(well) == 0.0
+    assert born_integral(well) == 0.0
 
 
 def test_born_integral_table_vs_trapezoid_oracle():
@@ -146,12 +147,12 @@ def test_born_integral_table_vs_trapezoid_oracle():
     rs = np.linspace(1e-9, 2.0, 400001)
     vals = np.array([pair_value(p, r) for r in rs])
     oracle = 4.0 * math.pi * np.trapezoid(vals * rs ** 2, rs)
-    assert abs(born_pair_integral(p) - oracle) <= 1e-8 * oracle
+    assert abs(born_integral(p) - oracle) <= 1e-8 * oracle
 
 
 def test_spec_string_parsing(tmp_path):
     p = parse_pair_potential("hardcore:r0=2")
-    assert p.kind == "hard-core" and p.core_radius == 2.0
+    assert p.table == ((2.0, HARD_CORE),) and p.has_hard_core()
     q = parse_pair_potential("squarewell:r0=1,v0=10", dimension=2)
     assert q == PairPotential(kind="tabulated", table=((1.0, 10.0),),
                               dimension=2)
@@ -162,7 +163,7 @@ def test_spec_string_parsing(tmp_path):
     csv_path = tmp_path / "pot.csv"
     csv_path.write_text("radius,value\n1.0,2.0\n2.0,0.0\n")
     t = parse_pair_potential(f"table:path={csv_path}")
-    assert t.kind == "tabulated" and t.table == ((1.0, 2.0), (2.0, 0.0))
+    assert t.table == ((1.0, 2.0), (2.0, 0.0)) and not t.has_hard_core()
 
     trap = parse_trap_potential("power:s=3,scale=2")
     assert trap.homogeneity_degree == 3.0 and trap.scale == 2.0
@@ -246,13 +247,63 @@ def test_square_well_is_its_one_knot_table():
                 table = PairPotential(kind="tabulated", table=((r0, v0),),
                                       dimension=d, tail=tail)
                 assert well == table and hash(well) == hash(table)
-                assert well.kind == "tabulated" and well.core_radius == 0.0
                 assert well.range_radius == r0 and well.breakpoints == (r0,)
                 for r in (0.5 * r0, r0, 2.0 * r0):
                     assert pair_value(well, r) == (v0 if r < r0 else 0.0) + (
                         tail[0] * r ** -tail[1] if tail and r >= r0 else 0.0)
-    with pytest.raises(AttributeError):
-        well.strength
+
+
+def test_pair_potential_stores_only_its_knots_and_tail():
+    # kind, core_radius and strength are constructor-only arguments
+    assert [f.name for f in dataclasses.fields(PairPotential)] \
+        == ["dimension", "table", "tail"]
+    hard = PairPotential(kind="hard-core", core_radius=2.0)
+    assert hard.table == ((2.0, HARD_CORE),) and hard.has_hard_core()
+    assert hard.range_radius == 2.0 and hard.breakpoints == (2.0,)
+    for p in (hard, PairPotential(kind="square-well", core_radius=1.0,
+                                  strength=3.0),
+              PairPotential(kind="tabulated", table=((1.0, 2.0), (2.0, 0.0)))):
+        for name in ("kind", "core_radius", "strength"):
+            with pytest.raises(AttributeError):
+                getattr(p, name)
+        assert p.has_hard_core() == (p is hard)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"kind": "hard-core", "core_radius": 1.0},
+    {"kind": "square-well", "core_radius": 1.0, "strength": 1.0},
+    {"kind": "tabulated", "table": ((0.5, 2.0), (1.0, 0.0)), "dimension": 2},
+])
+def test_a_zero_tail_is_stored_as_none(kwargs):
+    # the tail 0 r^-p is no tail, whatever p: the same v in the same shape
+    bare = PairPotential(**kwargs)
+    for tail in ((0.0, 3.0), (-0.0, 4.0), (0.0, 1.0), (0, 2)):
+        p = PairPotential(**kwargs, tail=tail)
+        assert p.tail is None and p == bare and hash(p) == hash(bare)
+        assert tail_integrability(p) == tail_integrability(bare)
+        assert born_integral(p) == born_integral(bare)
+
+
+# every family of the benchmark's scatter mix, in the one spelling it uses:
+# all six keywords, with the defaults for those the kind does not read
+_FULL_KEYWORD_FAMILIES = {
+    "well3d": ("square-well", 3, 1.2, 5.0, None, None),
+    "well2d": ("square-well", 2, 1.2, 5.0, None, None),
+    "table3d": ("tabulated", 3, 0.0, 0.0, ((0.4, 6.0), (1.2, 0.7)), None),
+    "hardcore3d": ("hard-core", 3, 1.2, 0.0, None, None),
+    "steptail3d": ("square-well", 3, 1.2, 5.0, None, (0.5, 6.0)),
+    "disc2d": ("hard-core", 2, 1.2, 0.0, None, (0.5, 4.0)),
+}
+
+
+@pytest.mark.parametrize("family", list(_FULL_KEYWORD_FAMILIES))
+def test_benchmark_families_build_through_the_full_keyword_call(family):
+    kind, d, r0, v0, table, tail = _FULL_KEYWORD_FAMILIES[family]
+    p = PairPotential(kind=kind, dimension=d, core_radius=r0, strength=v0,
+                      table=table, tail=tail)
+    value = HARD_CORE if kind == "hard-core" else v0
+    assert p.table == (table or ((r0, value),)) and p.tail == tail
+    assert p.dimension == d and p.has_hard_core() == (kind == "hard-core")
 
 
 def test_born_integral_of_a_flat_piece_at_a_huge_radius():
@@ -260,7 +311,7 @@ def test_born_integral_of_a_flat_piece_at_a_huge_radius():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         table = PairPotential(kind="tabulated", table=((1e100, 1.0),))
-        assert born_pair_integral(table) == 4.188790204786391e+300
+        assert born_integral(table) == 4.188790204786391e+300
 
 
 def test_born_integral_of_a_sloped_piece_at_a_huge_radius():
@@ -270,7 +321,7 @@ def test_born_integral_of_a_sloped_piece_at_a_huge_radius():
         warnings.simplefilter("error")
         table = PairPotential(kind="tabulated",
                               table=((1e80, 1.0), (1e81, 0.0)))
-        assert born_pair_integral(table) == pytest.approx(
+        assert born_integral(table) == pytest.approx(
             1111.0 * math.pi / 3.0 * 1e240, rel=1e-14)    # 1.16344e243
 
 
@@ -307,7 +358,7 @@ def test_born_integral_of_sloped_tables_vs_exact_arithmetic():
         for d in (2, 3):
             p = PairPotential(kind="tabulated", table=table, dimension=d)
             exact = _born_exact(p)
-            assert abs(Fraction(born_pair_integral(p)) - exact) <= 1e-15 * exact
+            assert abs(Fraction(born_integral(p)) - exact) <= 1e-15 * exact
 
 
 @pytest.mark.parametrize("kwargs,name", [

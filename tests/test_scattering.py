@@ -20,11 +20,10 @@ from bosegas.errors import (DomainError, NoLogAsymptote, NonFiniteRhs,
                             ScatteringLengthUnderflow, StepSizeUnderflow,
                             ZeroScatteringLength)
 from bosegas.numerics import Tolerances
-from bosegas.potentials import (HARD_CORE, PairPotential, pair_piece,
-                                parse_pair_potential)
-from bosegas.scattering import (born_integral, energy_integral,
-                                kinetic_fraction, solve_zero_energy,
-                                two_dim_energy_ratio)
+from bosegas.potentials import (HARD_CORE, PairPotential, born_integral,
+                                pair_piece, parse_pair_potential)
+from bosegas.scattering import (energy_integral, kinetic_fraction,
+                                solve_zero_energy, two_dim_energy_ratio)
 
 
 def square_well_a(v0, r0, mu):
@@ -244,7 +243,9 @@ def test_zero_table_keeps_its_result():
     # v = 0 identically: a = 0 in 3D, and no logarithmic asymptote in 2D
     table = ((0.5, 0.0), (1.0, 0.0))
     sol = solve_zero_energy(PairPotential(kind="tabulated", table=table), 1.0)
-    assert sol.a == 0.0 and not sol.has_kinetic_fraction
+    assert sol.a == 0.0 and math.isnan(sol.s)
+    with pytest.raises(ZeroScatteringLength):
+        kinetic_fraction(sol)
     assert math.copysign(1.0, sol.a) == 1.0
     with pytest.raises(NoLogAsymptote):
         solve_zero_energy(PairPotential(kind="tabulated", table=table,
@@ -302,33 +303,59 @@ def test_energy_integral_at_the_hard_core_radius_is_zero(tail):
     assert energy_integral(solve_zero_energy(p, 1.0), 1.0) == 0.0
 
 
-# float.hex of (a, s, kin_interior, pot_interior) for one potential of each
-# kind the solver branches on, fixed when the integration path was last
-# restructured: any change to the bits of the integration, the quadrature
-# components included, fails here by name
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_a_zero_tail_gives_the_tailless_bits(dimension):
+    # a tail with coefficient 0 is stored as None: no ZeroDivisionError from
+    # the Born integral and no float-range error from the solve, even at
+    # p = d, where a nonzero tail would not be integrable
+    hard = solve_zero_energy(PairPotential(
+        kind="hard-core", core_radius=1.5, dimension=dimension,
+        tail=(0.0, 4.0)), 1.0)
+    assert hard.a == 1.5 and hard.s == 1.0 and hard.range_radius == 1.5
+    well = dict(kind="square-well", core_radius=1.0, strength=1.0,
+                dimension=dimension)
+    bare = solve_zero_energy(PairPotential(**well), 1.0)
+    zero = solve_zero_energy(PairPotential(**well, tail=(0.0, dimension)), 1.0)
+    fields = ("a", "s", "slope", "range_radius", "kin_interior", "pot_interior")
+    assert [float(getattr(zero, f)).hex() for f in fields] \
+        == [float(getattr(bare, f)).hex() for f in fields]
+    closed = (square_well_a if dimension == 3 else disc_well_a)(1.0, 1.0, 1.0)
+    assert abs(zero.a - closed) <= 1e-8 * closed
+
+
+# float.hex of (a, s, kin_interior, pot_interior, slope, range_radius) for
+# one potential of each kind the solver branches on, fixed when the
+# integration path was last restructured: any change to the bits of the
+# integration, the quadrature components included, fails here by name
 _GOLDEN = {
     "well3d": (dict(kind="square-well", core_radius=1.0, strength=5.0), 1.0,
                "0x1.acf77924dab3ep-2", "0x1.f84355ba7790bp-2",
-               "0x1.94cbf7e27ed7bp-3", "0x1.5d4432d6768f0p+1"),
+               "0x1.94cbf7e27ed7bp-3", "0x1.5d4432d6768f0p+1",
+               "0x1.443d16d8abd93p+1", "0x1.0000000000000p+0"),
     "stiff3d": (dict(kind="square-well", core_radius=1.0, strength=1800.0),
                 1.0, "0x1.eeeeeeeeeef1cp-1", "0x1.f72c234f72c9ep-1",
-                "0x1.782dde94e2deap+78", "0x1.930c930d3b8f4p+79"),
+                "0x1.782dde94e2deap+78", "0x1.930c930d3b8f4p+79",
+                "0x1.370470aecab46p+42", "0x1.0000000000000p+0"),
     "table3d": (dict(kind="tabulated",
                      table=((0.4, 6.0), (0.8, 2.5), (1.2, 0.7))), 0.8,
                 "0x1.af13c0b6510b4p-2", "0x1.e5ac1cc57bd73p-2",
-                "0x1.78939ed4bc24bp-2", "0x1.40a83d2ba39bap+1"),
+                "0x1.78939ed4bc24bp-2", "0x1.40a83d2ba39bap+1",
+                "0x1.5475745c77216p+1", "0x1.3333333333333p+0"),
     "hardcore_tail3d": (dict(kind="hard-core", core_radius=1.0,
                              tail=(0.5, 6.0)), 1.0,
                         "0x1.021e95d0d446fp+0", "0x1.fbd2b9355fb0ep-1",
-                        "0x1.06613cec0e834p+0", "0x1.145622db0793ap-6"),
+                        "0x1.06613cec0e834p+0", "0x1.145622db0793ap-6",
+                        "0x1.03360c8bb9b59p+0", "0x1.588ef57e9f2cbp+11"),
     "well2d": (dict(kind="square-well", dimension=2, core_radius=1.0,
                     strength=6.0), 1.0,
                "0x1.a46272d96ae5ap-2", "0x1.0000000000000p+0",
-               "0x1.d6f30a75cdf8cp-1", "0x1.92de5cded3ca7p+2"),
+               "0x1.d6f30a75cdf8cp-1", "0x1.92de5cded3ca7p+2",
+               "0x1.11958995e3472p+1", "0x1.0000000000000p+0"),
     "disc_tail2d": (dict(kind="hard-core", dimension=2, core_radius=1.0,
                          tail=(1.0, 4.0)), 1.0,
                     "0x1.1f7caca031527p+0", "0x1.0000000000000p+0",
-                    "0x1.e3c86c41ddb57p+3", "0x1.19245cfa41629p-2"),
+                    "0x1.e3c86c41ddb57p+3", "0x1.19245cfa41629p-2",
+                    "0x1.2103955dfca3fp+0", "0x1.5a2eb14aa5ae9p+17"),
 }
 
 
@@ -337,4 +364,5 @@ def test_scattering_golden_bits(name):
     kwargs, mu, *golden = _GOLDEN[name]
     sol = solve_zero_energy(PairPotential(**kwargs), mu)
     assert [float(x).hex() for x in (sol.a, sol.s, sol.kin_interior,
-                                      sol.pot_interior)] == golden
+                                      sol.pot_interior, sol.slope,
+                                      sol.range_radius)] == golden

@@ -17,7 +17,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from bosegas.potentials import PairPotential  # noqa: E402
-from bosegas.scattering import born_integral, solve_zero_energy  # noqa: E402
+from bosegas.potentials import born_integral  # noqa: E402
+from bosegas.scattering import solve_zero_energy  # noqa: E402
 
 LAWS = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 # Each solve passes the gate 10 * max(rel_tol * max(|a|, range), abs_tol) at
