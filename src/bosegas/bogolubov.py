@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from .errors import (DomainError, TruncationNotConverged, float_range,
                      require_finite)
 from .numerics import Tolerances, quad
@@ -91,37 +89,57 @@ def fock_oracle(A: float, B: float, n_max: int,
     """Lowest eigenvalue of A(b*b + c*c) + B(b*c* + bc) on the truncated
     equal-pair-number Fock space span{|n, n> : n <= n_max}.
 
-    The matrix is tridiagonal with entries built from the elementary ladder
-    coefficients sqrt(n+1): diagonal 2An, off-diagonal B(n+1).  In exact
-    arithmetic it converges monotonically from above to sqrt(A^2 - B^2) - A
-    as n_max grows.  In floating point that holds only down to the
-    eigensolver's round-off, about 2 A n_max eps, since the diagonal reaches
-    2 A n_max: fock_oracle(5, 3, 100000) returns -1.00000000008, just below
-    the exact -1.  Raises TruncationNotConverged if the last two cutoff
-    increments still move the eigenvalue by more than the tolerance.
+    The matrix T is tridiagonal with entries built from the elementary
+    ladder coefficients sqrt(n+1): diagonal 2An, off-diagonal B(n+1).  In
+    exact arithmetic its lowest eigenvalue converges monotonically from
+    above to sqrt(A^2 - B^2) - A as n_max grows.  Sturm-sequence bisection
+    on Python floats finds it, down to adjacent floats: T - x has a pivot
+    <= 0 exactly when an eigenvalue lies at or below x, and a count stops at
+    the first.  The smallest cutoff starts from the two-mode cutoff n <= 1,
+    each larger one from the eigenvalue before it (upper bounds by Cauchy
+    interlacing), and both bracket ends are checked by a count.  A and B are
+    scaled by a power of two, so (Bn)^2 cannot overflow.  Round-off of order
+    A n_max eps may put the result below the exact value;
+    fock_oracle(5, 3, 100000) returns -0.9999999999999999, above the exact
+    -1.  Raises TruncationNotConverged if the last two cutoff increments
+    still move the eigenvalue by more than the tolerance.
     """
-    if not (A >= 0.0 and (B == 0.0 or A >= B > 0.0)):
-        raise DomainError("need A >= B >= 0")
+    if not (A >= 0.0 and (B == 0.0 or math.inf > A >= B > 0.0)):
+        raise DomainError("need A >= B >= 0, and A finite")
     if B == 0.0:
         return 0.0
     if n_max < 4:
         raise DomainError("need n_max >= 4")
     tol = tol or Tolerances(abs_tol=1e-9, rel_tol=1e-9)
-    # LAPACK is loaded by the first call, not by importing bosegas
-    from scipy.linalg import eigh_tridiagonal
+    scale = math.frexp(A)[1]
+    a, b = math.ldexp(A, -scale), math.ldexp(B, -scale)
 
-    def lowest(m):
-        n = np.arange(m + 1, dtype=float)
-        diag = 2.0 * A * n
-        ladder = np.sqrt(n[1:])              # <n|b|n+1> per mode
-        off = B * ladder * ladder            # b and c ladders multiply
-        vals = eigh_tridiagonal(diag, off, select="i",
-                                select_range=(0, 0))[0]
-        return float(vals[0])
+    def lowest(m, hi):
+        """The lowest eigenvalue at cutoff m, from a bound hi above it."""
+        rows = [(2.0 * a * n, (b * n) ** 2) for n in range(m + 1)]
+
+        def below(x):
+            q = 1.0
+            for d, e2 in rows:
+                q = d - x - e2 / q
+                if q <= 0.0:
+                    return True
+            return False
+
+        width = math.ulp(hi)
+        while not below(hi):        # hi rounded below the eigenvalue
+            hi, width = hi + width, 2.0 * width
+        lo = hi - width
+        while below(lo):            # a failed lo is the better hi
+            hi, lo, width = lo, lo - 2.0 * width, 2.0 * width
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (lo, mid) if below(mid) else (mid, hi)
+        return hi
 
     step = max(4, n_max // 8)
-    e2, e1, e0 = (lowest(max(4, n_max - 2 * step)),
-                  lowest(max(4, n_max - step)), lowest(n_max))
+    e2 = lowest(max(4, n_max - 2 * step), -b * b / (a + math.hypot(a, b)))
+    e1 = lowest(max(4, n_max - step), e2)
+    e2, e1, e0 = (math.ldexp(e, scale) for e in (e2, e1, lowest(n_max, e1)))
     budget = max(tol.abs_tol, tol.rel_tol * abs(e0))
     if abs(e0 - e1) > budget or abs(e1 - e2) > budget:
         raise TruncationNotConverged(
@@ -274,6 +292,7 @@ def two_component_scaling(N_sequence: Sequence[float]):
             raise DomainError("closed-form and numeric minimizers disagree")
         points.append(TwoComponentPoint(N=n, L_opt=l_closed,
                                         E_opt=energy(l_closed)))
+    import numpy as np      # for the fits; no other function here needs it
     logs_n = np.log([p.N for p in points])
     slope_e = np.polyfit(logs_n, np.log([abs(p.E_opt) for p in points]), 1)[0]
     slope_l = np.polyfit(logs_n, np.log([p.L_opt for p in points]), 1)[0]

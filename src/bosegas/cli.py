@@ -5,7 +5,8 @@ Configuration comes from flags and/or a flat JSON file (flags win).  Reports
 are CSV (with #-prefixed metadata lines) or JSON; identical configurations
 produce byte-identical bodies apart from the timestamp metadata line.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure or
+another library error, such as a potential or trap spec its parser rejects.
 """
 
 from __future__ import annotations
@@ -136,16 +137,17 @@ def _format_column(values: list) -> Tuple[list, list]:
     by repr (NaN and Infinity in JSON), bools True/False and true/false,
     other values by str (quoted in CSV where RFC 4180 needs it) and by
     json.dumps; numpy scalars as the Python scalars they hold."""
-    import numpy as np
     if all(isinstance(v, float) for v in values):
         csv = list(map(float.__repr__, values))
         if all(map(math.isfinite, values)):
             return csv, csv
         return csv, [_JSON_NONFINITE.get(c, c) for c in csv]
-    if all(isinstance(v, (bool, np.bool_)) for v in values):
+    np = sys.modules.get("numpy")   # without it no value is a numpy scalar
+    if all(isinstance(v, (bool, np.bool_) if np else bool) for v in values):
         return ([("False", "True")[bool(v)] for v in values],
                 [("false", "true")[bool(v)] for v in values])
-    values = [v.item() if isinstance(v, np.generic) else v for v in values]
+    if np:
+        values = [v.item() if isinstance(v, np.generic) else v for v in values]
     return [_csv_quote(str(v)) for v in values], list(map(json.dumps, values))
 
 
@@ -408,16 +410,16 @@ def _run_gp(config: RunConfig) -> Tuple[list, list]:
 
 
 def _run_tf(config: RunConfig) -> Tuple[list, list]:
-    from . import gp, potentials
+    from . import potentials, thomas_fermi as tf
     pars = config.parameters
     trap = potentials.parse_trap_potential(pars["trap"], dimension=pars["dim"])
-    state = gp.tf_solve(trap, pars["n"], pars["coupling"],
+    state = tf.tf_solve(trap, pars["n"], pars["coupling"],
                         mu_const=pars["mu_const"])
     row = {
         "trap": pars["trap"], "dim": pars["dim"], "N": pars["n"],
         "coupling": pars["coupling"], "mu_tf": state.mu_tf,
         "support_radius": state.support_radius, "E_tf": state.E_tf,
-        "identity_gap": gp.tf_chemical_identity_gap(state),
+        "identity_gap": tf.tf_chemical_identity_gap(state),
     }
     columns = [("trap", "spec"), ("dim", "1"), ("N", "count"),
                ("coupling", "length|dimensionless"), ("mu_tf", "energy"),
@@ -519,7 +521,7 @@ Sweeps use lo:hi:points[:log], at most {_MAX_SWEEP_POINTS} points.
   --rel-tol are the ODE tolerances of scatter.
 Common keys: --config FILE (flat JSON; flags override), --output PATH,
   --format csv|json.
-Exit codes: 0 ok, 2 config error, 3 numerical failure.
+Exit codes: 0 ok, 2 config error, 3 numerical failure or a rejected spec.
 """
 
 

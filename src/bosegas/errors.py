@@ -4,8 +4,10 @@ Every numerical failure mode surfaces as one of these named errors so that
 callers (and the CLI) can report the failure by name instead of crashing.
 """
 
+import contextlib
 import functools
 import math
+import sys
 
 
 class BoseGasError(Exception):
@@ -25,12 +27,16 @@ def require_finite(**values) -> None:
 
 def float_range(solve):
     """Decorator: a float exception in the solve (overflow, division by zero,
-    an invalid operation) raises DomainError, as an input out of range does."""
+    an invalid operation) raises DomainError, as an input out of range does.
+    numpy's traps are set only when numpy is loaded: a solve on numpy arrays
+    lives in a module that imports it, and Python floats raise OverflowError
+    and ZeroDivisionError themselves."""
     @functools.wraps(solve)
     def checked(*args, **kwargs):
-        import numpy as np      # the solver modules have loaded it already
+        np = sys.modules.get("numpy")
         try:
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
+            with (np.errstate(over="raise", divide="raise", invalid="raise")
+                  if np else contextlib.nullcontext()):
                 return solve(*args, **kwargs)
         except ArithmeticError as exc:
             raise DomainError(f"{solve.__qualname__} leaves the float range: "

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 
-import numpy as np
-
 from .errors import (
     DivergentTail,
     DomainError,
@@ -57,105 +55,94 @@ class Tolerances:
 # Enthought, Inc. and 2003-2024 SciPy Developers).  Inlined because importing
 # scipy.integrate would add about 0.3 s to every command-line call.
 _STAGES = 12
-_C = np.array([
-    0.0,
-    0.526001519587677318785587544488e-01,
-    0.789002279381515978178381316732e-01,
-    0.118350341907227396726757197510,
-    0.281649658092772603273242802490,
-    0.333333333333333333333333333333,
-    0.25,
-    0.307692307692307692307692307692,
-    0.651282051282051282051282051282,
-    0.6,
-    0.857142857142857142857142857142,
-    1.0,
-])
-_A = np.zeros((_STAGES + 1, _STAGES))
-_A[1, 0] = 5.26001519587677318785587544488e-2
-_A[2, 0] = 1.97250569845378994544595329183e-2
-_A[2, 1] = 5.91751709536136983633785987549e-2
-_A[3, 0] = 2.95875854768068491816892993775e-2
-_A[3, 2] = 8.87627564304205475450678981324e-2
-_A[4, 0] = 2.41365134159266685502369798665e-1
-_A[4, 2] = -8.84549479328286085344864962717e-1
-_A[4, 3] = 9.24834003261792003115737966543e-1
-_A[5, 0] = 3.7037037037037037037037037037e-2
-_A[5, 3] = 1.70828608729473871279604482173e-1
-_A[5, 4] = 1.25467687566822425016691814123e-1
-_A[6, 0] = 3.7109375e-2
-_A[6, 3] = 1.70252211019544039314978060272e-1
-_A[6, 4] = 6.02165389804559606850219397283e-2
-_A[6, 5] = -1.7578125e-2
-_A[7, 0] = 3.70920001185047927108779319836e-2
-_A[7, 3] = 1.70383925712239993810214054705e-1
-_A[7, 4] = 1.07262030446373284651809199168e-1
-_A[7, 5] = -1.53194377486244017527936158236e-2
-_A[7, 6] = 8.27378916381402288758473766002e-3
-_A[8, 0] = 6.24110958716075717114429577812e-1
-_A[8, 3] = -3.36089262944694129406857109825
-_A[8, 4] = -8.68219346841726006818189891453e-1
-_A[8, 5] = 2.75920996994467083049415600797e1
-_A[8, 6] = 2.01540675504778934086186788979e1
-_A[8, 7] = -4.34898841810699588477366255144e1
-_A[9, 0] = 4.77662536438264365890433908527e-1
-_A[9, 3] = -2.48811461997166764192642586468
-_A[9, 4] = -5.90290826836842996371446475743e-1
-_A[9, 5] = 2.12300514481811942347288949897e1
-_A[9, 6] = 1.52792336328824235832596922938e1
-_A[9, 7] = -3.32882109689848629194453265587e1
-_A[9, 8] = -2.03312017085086261358222928593e-2
-_A[10, 0] = -9.3714243008598732571704021658e-1
-_A[10, 3] = 5.18637242884406370830023853209
-_A[10, 4] = 1.09143734899672957818500254654
-_A[10, 5] = -8.14978701074692612513997267357
-_A[10, 6] = -1.85200656599969598641566180701e1
-_A[10, 7] = 2.27394870993505042818970056734e1
-_A[10, 8] = 2.49360555267965238987089396762
-_A[10, 9] = -3.0467644718982195003823669022
-_A[11, 0] = 2.27331014751653820792359768449
-_A[11, 3] = -1.05344954667372501984066689879e1
-_A[11, 4] = -2.00087205822486249909675718444
-_A[11, 5] = -1.79589318631187989172765950534e1
-_A[11, 6] = 2.79488845294199600508499808837e1
-_A[11, 7] = -2.85899827713502369474065508674
-_A[11, 8] = -8.87285693353062954433549289258
-_A[11, 9] = 1.23605671757943030647266201528e1
-_A[11, 10] = 6.43392746015763530355970484046e-1
-# the eighth-order weights are the last row
-_A[12, 0] = 5.42937341165687622380535766363e-2
-_A[12, 5] = 4.45031289275240888144113950566
-_A[12, 6] = 1.89151789931450038304281599044
-_A[12, 7] = -5.8012039600105847814672114227
-_A[12, 8] = 3.1116436695781989440891606237e-1
-_A[12, 9] = -1.52160949662516078556178806805e-1
-_A[12, 10] = 2.01365400804030348374776537501e-1
-_A[12, 11] = 4.47106157277725905176885569043e-2
-_B = _A[_STAGES]
-# embedded error weights: third order (E3) and fifth order (E5)
-_E3 = _B.copy()
-_E3[0] -= 0.244094488188976377952755905512
-_E3[8] -= 0.733846688281611857341361741547
-_E3[11] -= 0.220588235294117647058823529412e-1
-_E5 = np.zeros(_STAGES)
-_E5[0] = 0.1312004499419488073250102996e-1
-_E5[5] = -0.1225156446376204440720569753e+1
-_E5[6] = -0.4957589496572501915214079952
-_E5[7] = 0.1664377182454986536961530415e+1
-_E5[8] = -0.3503288487499736816886487290
-_E5[9] = 0.3341791187130174790297318841
-_E5[10] = 0.8192320648511571246570742613e-1
-_E5[11] = -0.2235530786388629525884427845e-1
-
-
-def _sparse(weights) -> tuple:
-    """The nonzero entries of a row of stage weights, as (stage, weight)."""
-    return tuple((j, a) for j, a in enumerate(weights.tolist()) if a != 0.0)
-
-
-# every stage after the first, as its node and its sparse tableau row
-_ROWS = tuple((_C[s].item(), _sparse(_A[s, :s])) for s in range(1, _STAGES))
-_B_ROW, _E5_ROW, _E3_ROW = _sparse(_B), _sparse(_E5), _sparse(_E3)
+# each stage after the first: its node and its nonzero (stage, weight) pairs
+_ROWS = (
+    (0.526001519587677318785587544488e-01, (
+        (0, 5.26001519587677318785587544488e-2),)),
+    (0.789002279381515978178381316732e-01, (
+        (0, 1.97250569845378994544595329183e-2),
+        (1, 5.91751709536136983633785987549e-2))),
+    (0.118350341907227396726757197510, (
+        (0, 2.95875854768068491816892993775e-2),
+        (2, 8.87627564304205475450678981324e-2))),
+    (0.281649658092772603273242802490, (
+        (0, 2.41365134159266685502369798665e-1),
+        (2, -8.84549479328286085344864962717e-1),
+        (3, 9.24834003261792003115737966543e-1))),
+    (0.333333333333333333333333333333, (
+        (0, 3.7037037037037037037037037037e-2),
+        (3, 1.70828608729473871279604482173e-1),
+        (4, 1.25467687566822425016691814123e-1))),
+    (0.25, (
+        (0, 3.7109375e-2),
+        (3, 1.70252211019544039314978060272e-1),
+        (4, 6.02165389804559606850219397283e-2),
+        (5, -1.7578125e-2))),
+    (0.307692307692307692307692307692, (
+        (0, 3.70920001185047927108779319836e-2),
+        (3, 1.70383925712239993810214054705e-1),
+        (4, 1.07262030446373284651809199168e-1),
+        (5, -1.53194377486244017527936158236e-2),
+        (6, 8.27378916381402288758473766002e-3))),
+    (0.651282051282051282051282051282, (
+        (0, 6.24110958716075717114429577812e-1),
+        (3, -3.36089262944694129406857109825),
+        (4, -8.68219346841726006818189891453e-1),
+        (5, 2.75920996994467083049415600797e1),
+        (6, 2.01540675504778934086186788979e1),
+        (7, -4.34898841810699588477366255144e1))),
+    (0.6, (
+        (0, 4.77662536438264365890433908527e-1),
+        (3, -2.48811461997166764192642586468),
+        (4, -5.90290826836842996371446475743e-1),
+        (5, 2.12300514481811942347288949897e1),
+        (6, 1.52792336328824235832596922938e1),
+        (7, -3.32882109689848629194453265587e1),
+        (8, -2.03312017085086261358222928593e-2))),
+    (0.857142857142857142857142857142, (
+        (0, -9.3714243008598732571704021658e-1),
+        (3, 5.18637242884406370830023853209),
+        (4, 1.09143734899672957818500254654),
+        (5, -8.14978701074692612513997267357),
+        (6, -1.85200656599969598641566180701e1),
+        (7, 2.27394870993505042818970056734e1),
+        (8, 2.49360555267965238987089396762),
+        (9, -3.0467644718982195003823669022))),
+    (1.0, (
+        (0, 2.27331014751653820792359768449),
+        (3, -1.05344954667372501984066689879e1),
+        (4, -2.00087205822486249909675718444),
+        (5, -1.79589318631187989172765950534e1),
+        (6, 2.79488845294199600508499808837e1),
+        (7, -2.85899827713502369474065508674),
+        (8, -8.87285693353062954433549289258),
+        (9, 1.23605671757943030647266201528e1),
+        (10, 6.43392746015763530355970484046e-1))),
+)
+# the eighth-order weights, then the embedded error weights of fifth
+# order (E5) and of third order (E3: three eighth-order weights less)
+_B_ROW = (
+    (0, 5.42937341165687622380535766363e-2),
+    (5, 4.45031289275240888144113950566),
+    (6, 1.89151789931450038304281599044),
+    (7, -5.8012039600105847814672114227),
+    (8, 3.1116436695781989440891606237e-1),
+    (9, -1.52160949662516078556178806805e-1),
+    (10, 2.01365400804030348374776537501e-1),
+    (11, 4.47106157277725905176885569043e-2))
+_E5_ROW = (
+    (0, 0.1312004499419488073250102996e-1),
+    (5, -0.1225156446376204440720569753e+1),
+    (6, -0.4957589496572501915214079952),
+    (7, 0.1664377182454986536961530415e+1),
+    (8, -0.3503288487499736816886487290),
+    (9, 0.3341791187130174790297318841),
+    (10, 0.8192320648511571246570742613e-1),
+    (11, -0.2235530786388629525884427845e-1))
+_E3_SHIFT = {0: 0.244094488188976377952755905512,
+             8: 0.733846688281611857341361741547,
+             11: 0.220588235294117647058823529412e-1}
+_E3_ROW = tuple((j, b - _E3_SHIFT.get(j, 0.0)) for j, b in _B_ROW)
 
 
 def integrate_ode(rhs, initial, span, tol: Tolerances, quadratures: int = 0) -> list:

@@ -14,8 +14,6 @@ import math
 from dataclasses import InitVar, dataclass
 from typing import Optional, Tuple
 
-import numpy as np
-
 from .errors import DomainError, NonIntegrableTail, require_finite
 
 __all__ = [
@@ -222,6 +220,7 @@ class TrapPotential:
 
 def trap_value(t: TrapPotential, x) -> float:
     """V(x) for a position vector (or scalar radius)."""
+    import numpy as np      # loaded by the first call, not by the module
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if t.kind == "box":
         return 0.0 if np.max(np.abs(x)) <= 0.5 * t.box_side else HARD_CORE

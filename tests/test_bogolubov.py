@@ -69,6 +69,36 @@ def test_fock_oracle_sandwich_and_monotonicity():
         assert abs(prev - exact) <= 1e-6
 
 
+def test_fock_oracle_bisection_agrees_with_lapack():
+    # LAPACK's tridiagonal eigensolver, imported by this test alone, on the
+    # matrix written out directly; A spans six decades
+    from scipy.linalg import eigh_tridiagonal
+    rng = np.random.default_rng(41)
+    eps = np.finfo(float).eps
+    for _ in range(40):
+        a_val = 10.0 ** rng.uniform(-3.0, 3.0)
+        b_val = a_val * rng.uniform(0.05, 0.95)
+        n_max = int(rng.integers(60, 400))
+        n = np.arange(n_max + 1, dtype=float)
+        lapack = eigh_tridiagonal(2.0 * a_val * n, b_val * n[1:], select="i",
+                                  select_range=(0, 0))[0][0]
+        e = fock_oracle(a_val, b_val, n_max)
+        assert abs(e - lapack) <= 4.0 * a_val * n_max * eps, \
+            (a_val, b_val, n_max, e, lapack)
+        # criterion 07: never below the exact pair energy by more than 1e-9
+        assert e >= math.sqrt(a_val ** 2 - b_val ** 2) - a_val - 1e-9
+
+
+def test_fock_oracle_at_the_float_range_ends():
+    # A and B are scaled by a power of two: (B n)^2 no longer overflows,
+    # where LAPACK's bisection once failed to converge at A = 1e154
+    for scale in (1e-300, 1e154):
+        assert fock_oracle(5.0 * scale, 3.0 * scale, 200) \
+            == pytest.approx(-scale, rel=1e-14)
+    with pytest.raises(DomainError):
+        fock_oracle(math.inf, 1.0, 10)
+
+
 def test_fock_oracle_truncation_gate():
     # B/A -> 1 converges slowly; a small cutoff must be flagged
     with pytest.raises(TruncationNotConverged):

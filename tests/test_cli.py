@@ -464,6 +464,12 @@ def test_gp_invalid_inputs_exit_3(capsys):
     *((["scatter", "--potential", "squarewell:r0=1,v0=10", "--abs-tol", tol],
       "StepSizeUnderflow: step")
       for tol in ("1e-160", "1e-200", "1e-320", "5e-324")),
+    # a spec is read by the library's parsers when the command runs, not by
+    # parse_config: the README gives exit 3 for their DomainError
+    (["scatter", "--potential", "nope"], "unknown pair potential spec 'nope'"),
+    (["scatter", "--potential", "squarewell:r0=1,v0=2,r0=3"],
+     "parameter 'r0' given twice in 'squarewell:r0=1,v0=2,r0=3'"),
+    (["gp", "--trap", "nope", "--coupling", "1"], "unknown trap spec 'nope'"),
 ])
 def test_boundary_inputs_exit_3_with_a_named_error(capsys, argv, message):
     # each of these once ended in a traceback (exit 1), or in bounds'
@@ -618,14 +624,18 @@ def test_lower_c_default_is_the_library_constant():
                                                  "1e-8:1e-6:2"])).to_csv()
 
 
-def test_cli_subprocess_entry():
-    # the child imports the same bosegas as this process, installed or not
+def _child_env():
+    """The environment of a child that imports the same bosegas as this
+    process, installed or not."""
     src = os.path.dirname(os.path.dirname(bosegas.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_cli_subprocess_entry():
     proc = subprocess.run(
         [sys.executable, "-m", "bosegas.cli", "bogolubov"],
-        capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=path))
+        capture_output=True, text=True, timeout=120, env=_child_env())
     assert proc.returncode == 0
     assert "fock_energy" in proc.stdout
 
@@ -633,21 +643,24 @@ def test_cli_subprocess_entry():
 # The probe's commands in order, each with its exit code and the bosegas
 # modules it adds to those loaded so far; `import bosegas.cli` loads `cli`
 # and `errors` only.  A config error (exit 2) loads neither numpy nor a
-# solver module, and the commands up to the first GP solve load no scipy.
+# solver module.  The commands that compute on Python floats come first, so
+# numpy arrives with the first `bounds` and scipy with the first GP solve.
 _IMPORT_GRAPH = [
     (["gp", "--coupling", "1", "--coupling-strength", "2"], 2, []),
     (["scatter", "--potentail", "x"], 2, []),
+    (["scatter", "--potential", "nope"], 3,
+     ["numerics", "potentials", "scattering"]),
+    (["scatter", "--potential", "hardcore:r0=1"], 0, []),
+    (["scatter", "--potential", "squarewell:r0=1,v0=10", "--mu", "2"], 0, []),
+    (["tf", "--coupling", "100"], 0, ["thomas_fermi"]),
+    (["bogolubov", "--n-max", "40"], 0, ["bogolubov"]),
     (["bounds", "--y-grid", "1e-12:1e-4:5:log"], 0, ["homogeneous"]),
     (["bounds", "--dim", "2", "--rho-a2-grid", "1e-20:1e-8:4:log"], 0, []),
-    (["foldy", "--rho-grid", "1:16:2:log"], 0, ["bogolubov", "numerics"]),
-    (["gp", "--coupling", "-1"], 3, ["gp", "potentials"]),
-    (["tf", "--coupling", "100"], 0, []),
-    (["scatter", "--potential", "hardcore:r0=1"], 0, ["scattering"]),
-    (["scatter", "--potential", "squarewell:r0=1,v0=10", "--mu", "2"], 0, []),
+    (["foldy", "--rho-grid", "1:16:2:log"], 0, []),
+    (["gp", "--coupling", "-1"], 3, ["gp"]),
     (["gp", "--coupling", "1", "--grid-points", "300"], 0, []),
     (["gp-tf-limit", "--g-grid", "10:100:2:log", "--grid-points", "300"], 0,
      []),
-    (["bogolubov", "--n-max", "40"], 0, []),
 ]
 
 _COLD_PATH_PROBE = """
@@ -670,31 +683,105 @@ print(json.dumps(steps))
 
 def test_cold_commands_do_not_load_scipy():
     # sys.modules of this process already holds scipy, so look in a fresh one
-    src = os.path.dirname(os.path.dirname(bosegas.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", _COLD_PATH_PROBE,
          json.dumps([argv for argv, _, _ in _IMPORT_GRAPH])],
-        capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=path))
+        capture_output=True, text=True, timeout=120, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     steps = json.loads(proc.stdout)
     loaded = {"bosegas.cli", "bosegas.errors"}
     assert steps[0] == {"code": None, "numpy": False,
                         "bosegas": sorted(loaded), "scipy": []}
+    first_numpy = next(i for i, (argv, _, _) in enumerate(_IMPORT_GRAPH)
+                       if argv[0] == "bounds")
     first_gp = next(i for i, (argv, code, _) in enumerate(_IMPORT_GRAPH)
                     if argv[0] == "gp" and code == 0)
     for i, ((argv, code, adds), step) in enumerate(zip(_IMPORT_GRAPH,
                                                       steps[1:])):
         loaded |= {f"bosegas.{m}" for m in adds}
         assert (step["code"], step["bosegas"]) == (code, sorted(loaded)), argv
-        # the two config errors load no numpy; every command after them does
-        assert step["numpy"] == (i >= 2), argv
+        # no command before the first `bounds` loads numpy
+        assert step["numpy"] == (i >= first_numpy), argv
         # scipy comes with the first GP solve, and only scipy.linalg
         if i < first_gp:
             assert step["scipy"] == [], argv
         assert not any(m.startswith(("scipy.optimize", "scipy.integrate"))
                        for m in step["scipy"]), argv
+
+
+# Each command with the numpy and scipy it loads in a process of its own:
+# only `bounds`, `foldy` and the GP commands compute with numpy arrays, and
+# only the GP commands call LAPACK.
+_FRESH_LOADS = [
+    (["gp", "--coupling", "1", "--coupling-strength", "2"], 2, False, False),
+    (["scatter", "--potentail", "x"], 2, False, False),
+    (["scatter", "--potential", "nope"], 3, False, False),
+    (["scatter", "--potential", "hardcore:r0=1"], 0, False, False),
+    (["scatter", "--potential", "squarewell:r0=1,v0=10"], 0, False, False),
+    (["tf", "--coupling", "100"], 0, False, False),
+    (["bogolubov"], 0, False, False),
+    (["bounds", "--y-grid", "1e-12:1e-4:5:log"], 0, True, False),
+    (["foldy", "--rho-grid", "1:16:2:log"], 0, True, False),
+    (["gp", "--coupling", "-1"], 3, True, False),
+    (["gp", "--coupling", "1", "--grid-points", "300"], 0, True, True),
+    (["gp-tf-limit", "--g-grid", "10:100:2:log", "--grid-points", "300"], 0,
+     True, True),
+    (["verify"], 0, True, True),
+]
+
+# Runs each command in a child forked from an interpreter that has imported
+# only the standard library, so a child's sys.modules holds what its
+# command loaded and nothing an earlier command did.  Two children run at a
+# time; their results print in command order.
+_FRESH_PROBE = """
+import contextlib, io, json, os, sys
+running = []
+def collect():
+    read, pid = running.pop(0)
+    with os.fdopen(read) as fh:
+        print(fh.read())
+    os.waitpid(pid, 0)
+for argv in json.loads(sys.argv[1]):
+    if len(running) == 2:
+        collect()
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read)
+        with contextlib.redirect_stdout(io.StringIO()), \\
+                contextlib.redirect_stderr(io.StringIO()):
+            from bosegas import cli
+            code = cli.main(argv)
+        with os.fdopen(write, "w") as fh:
+            json.dump([code, "numpy" in sys.modules,
+                       sorted(m for m in sys.modules
+                              if m.split(".")[0] == "scipy")], fh)
+        os._exit(0)
+    os.close(write)
+    running.append((read, pid))
+while running:
+    collect()
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the probe forks")
+def test_each_command_loads_only_what_it_computes_with():
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_PROBE,
+         json.dumps([argv for argv, *_ in _FRESH_LOADS])],
+        capture_output=True, text=True, timeout=120, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    seen = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(seen) == len(_FRESH_LOADS)
+    for (argv, code, numpy, scipy), (got_code, got_numpy, got_scipy) \
+            in zip(_FRESH_LOADS, seen):
+        assert (got_code, got_numpy, bool(got_scipy)) \
+            == (code, numpy, scipy), argv
+        # scipy.linalg and the private modules it pulls in, nothing else
+        subpackages = {m.split(".")[1] for m in got_scipy if "." in m}
+        assert all(p in ("linalg", "version") or p.startswith("_")
+                   for p in subpackages), (argv, subpackages)
+        assert not scipy or "linalg" in subpackages, argv
 
 
 # The names `bosegas/__init__.py` imported eagerly before its namespace

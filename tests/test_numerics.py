@@ -8,11 +8,27 @@ import pytest
 
 from bosegas.errors import (DivergentTail, DomainError, NonFiniteRhs,
                             StepSizeUnderflow)
-from bosegas.numerics import (_A, _B, _C, _E3, _E5, _GAUSS_W, _KRONROD_W,
-                              _KRONROD_X, _MAX_STEPS, _STAGES, Tolerances,
-                              _gk_panel, integrate_ode, quad)
+from bosegas.numerics import (_B_ROW, _E3_ROW, _E5_ROW, _GAUSS_W,
+                              _KRONROD_W, _KRONROD_X, _MAX_STEPS, _ROWS,
+                              _STAGES, Tolerances, _gk_panel, integrate_ode,
+                              quad)
 
 TOL = Tolerances()
+
+
+def _dense(row):
+    """A sparse tableau row of (stage, weight) pairs as a dense array."""
+    out = np.zeros(_STAGES)
+    for j, weight in row:
+        out[j] = weight
+    return out
+
+
+# the DOP853 tableau as dense arrays: nodes _C, stage weights _A (row s holds
+# the weights of stage s), eighth-order weights _B and error weights _E5, _E3
+_C = np.array([0.0] + [c for c, _ in _ROWS])
+_A = np.array([_dense(())] + [_dense(row) for _, row in _ROWS])
+_B, _E5, _E3 = map(_dense, (_B_ROW, _E5_ROW, _E3_ROW))
 
 
 def test_tolerances_validation():
