@@ -1,7 +1,7 @@
 """bosegas: numerical laboratory for rigorous Bose-gas ground-state theory.
 
 Scattering-length solvers, closed-form energy bounds for the homogeneous
-dilute gas (3D and 2D), Temple/cell-method lower-bound machinery,
+dilute gas (3D and 2D), the 3D Temple/cell-method lower-bound machinery,
 Gross-Pitaevskii and Thomas-Fermi variational solvers with their scaling
 laws, and the Bogolubov pairing treatment of the charged gas.
 
@@ -25,8 +25,8 @@ _EXPORTS = {
     "homogeneous": "CellMethodParams DiluteParams "
     "cell_energy_factor cell_lower_bound cell_lower_ratio dilute_lower_ratio "
     "dyson_upper_ratio leading_energy lhy_energy log_quadratic_gap "
-    "occupation_minimum schick_2d_bounds softened_interaction temple_bound",
-    "gp": "GpState TfState coupling_2d gp_minimize gp_residual gp_tf_limit "
+    "occupation_minimum schick_2d_bounds temple_bound",
+    "gp": "GpState TfState gp_minimize gp_residual gp_tf_limit "
     "mean_density tf_scaling tf_solve",
     "bogolubov": "BogolubovMode FoldyParams fock_oracle "
     "foldy_dimensionless_integral foldy_energy foldy_mode_integrand "

@@ -43,8 +43,6 @@ __all__ = [
     "gp_minimize",
     "gp_residual",
     "mean_density",
-    "coupling_2d",
-    "two_dim_coupling",
     "tf_solve",
     "tf_density",
     "tf_scaling",
@@ -411,24 +409,6 @@ def mean_density(state: GpState) -> float:
     return (body + origin) / state.N / ell ** d
 
 
-def coupling_2d(rho_bar_N: float, a: float) -> float:
-    """2D coupling alpha = 1/|ln(rho_bar_N a^2)| from a coupling-1 mean density."""
-    x = rho_bar_N * a * a
-    if not (0.0 < x < 1.0):
-        raise DomainError("need 0 < rho_bar_N a^2 < 1")
-    return 1.0 / abs(math.log(x))
-
-
-def two_dim_coupling(trap: TrapPotential, N: float, a: float,
-                     mu_const: float = 1.0, grid_points: int = 1500) -> float:
-    """alpha for a 2D gas: solve the coupling-1 functional once, then apply
-    the mean-density formula.  No self-consistency loop."""
-    if trap.dimension != 2:
-        raise DomainError("two_dim_coupling is a 2D operation")
-    state = gp_minimize(trap, N, 1.0, mu_const, grid_points=grid_points)
-    return coupling_2d(mean_density(state), a)
-
-
 # --- Thomas-Fermi -----------------------------------------------------------------
 
 
@@ -461,12 +441,11 @@ def gp_tf_limit(trap: TrapPotential, g_sequence: Sequence[float],
     for g in gs:
         state = gp_minimize(trap, 1.0, g, grid_points=grid_points)
         if d == 3:
-            tf = tf_solve(trap, 1.0, g)
-            ratio = state.E / tf.E_tf
+            e_tf = tf_solve(trap, 1.0, g).E_tf
             scale = g ** (1.0 / (s + 3.0))
             dens_scale = g ** (3.0 / (s + 3.0))
         else:
-            ratio = state.E / (g ** (s / (s + 2.0)) * tf_unit.E_tf)
+            e_tf = tf_scaling(g, s, d) * tf_unit.E_tf
             scale = g ** (1.0 / (s + 2.0))
             dens_scale = g ** (2.0 / (s + 2.0))
         r_ref = np.linspace(0.0, 1.4 * tf_unit.support_radius, 800)
@@ -475,10 +454,8 @@ def gp_tf_limit(trap: TrapPotential, g_sequence: Sequence[float],
                                         state.phi ** 2, right=0.0)
         jac = _omega(d) * r_ref ** (d - 1)
         l1 = float(np.trapezoid(np.abs(rho_gp - rho_ref) * jac, r_ref))
-        rows.append({"g": g, "E_gp": state.E,
-                     "E_tf": (tf.E_tf if d == 3
-                              else g ** (s / (s + 2.0)) * tf_unit.E_tf),
-                     "ratio": ratio, "l1_rescaled": l1})
+        rows.append({"g": g, "E_gp": state.E, "E_tf": e_tf,
+                     "ratio": state.E / e_tf, "l1_rescaled": l1})
     return rows
 
 

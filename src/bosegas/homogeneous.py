@@ -1,9 +1,9 @@
 """Closed-form energy bounds for the homogeneous dilute gas (3D and 2D).
 
 Leading-order asymptotics, the hard-sphere upper bound, the Y^(1/17) lower
-bound, the 2D logarithmic bounds, and the Temple/cell-method machinery that
-produces the lower bounds.  Everything here is formula evaluation: pure,
-deterministic, and cheap enough for dense parameter sweeps.
+bound, the 3D Temple/cell-method machinery that produces it, and the 2D
+logarithmic bounds in closed form.  Everything here is formula evaluation:
+pure, deterministic, and cheap enough for dense parameter sweeps.
 
 The paper leaves the constants inside its O(.) remainders unquantified;
 here each is fixed at 1, and only the exponents carry the theory.
@@ -33,13 +33,10 @@ __all__ = [
     "dilute_lower_ratio",
     "schick_2d_bounds",
     "temple_bound",
-    "softened_interaction",
-    "first_order_expectation",
     "cell_energy_factor",
     "cell_lower_bound",
     "cell_lower_ratio",
     "cell_params_from_ansatz",
-    "two_dim_cell_parameters",
     "occupation_minimum",
     "log_quadratic_gap",
 ]
@@ -90,11 +87,12 @@ class DiluteParams:
 
 @dataclass(frozen=True)
 class CellMethodParams:
-    """Parameters of one Temple cell: n particles in a box of side ell.
+    """Parameters of one 3D Temple cell: n particles in a box of side ell.
 
-    The softened interaction lives on the shell R0 < r < R; eps is the
-    kinetic-energy fraction withheld from the Dyson substitution.  ``n`` may
-    be non-integral: the closed formulas are evaluated at n = 4 rho ell^d.
+    The soft replacement of the interaction lives on the shell R0 < r < R;
+    eps is the kinetic-energy fraction withheld from the Dyson substitution.
+    ``n`` may be non-integral: the closed formulas are evaluated at
+    n = 4 rho ell^3.
     """
 
     n: float
@@ -240,101 +238,22 @@ def temple_bound(h_mean: float, h2_mean: float, e1: float) -> float:
     return h_mean - variance / gap
 
 
-class SoftenedInteraction(NamedTuple):
-    amplitude: float
-    normalization: float  # should be exactly 1
-    support_volume: float
+def cell_energy_factor(params: CellMethodParams, a: float, n=None):
+    """The dimensionless factor K(n, ell) of the 3D cell-method lower bound:
 
-
-def softened_interaction(params: CellMethodParams, a: float = 1.0,
-                         d: int = 3) -> SoftenedInteraction:
-    """Normalized soft replacement for a hard potential on R0 < r < R.
-
-    3D: amplitude 3/(R^3-R0^3) with int U r^2 dr = 1.
-    2D: amplitude 1/nu(R) with nu(R) = int_R0^R ln(r/a) r dr
-        = (1/4){R^2(ln(R^2/a^2)-1) - R0^2(ln(R0^2/a^2)-1)}; needs R0 >= a.
-    The support volume is 4 pi (R^3-R0^3)/3 in 3D and pi (R^2-R0^2) in 2D.
-    """
-    R, R0 = params.R, params.R0
-    if d == 3:
-        shell = R ** 3 - R0 ** 3
-        amplitude = 3.0 / shell
-        normalization = amplitude * shell / 3.0
-        return SoftenedInteraction(amplitude, normalization,
-                                   4.0 * math.pi * shell / 3.0)
-    if d == 2:
-        if R0 < a:
-            raise DomainError("2D softened interaction needs R0 >= a")
-        nu = 0.25 * (R * R * (math.log(R * R / (a * a)) - 1.0)
-                     - R0 * R0 * (math.log(R0 * R0 / (a * a)) - 1.0))
-        if nu <= 0:
-            raise DomainError("normalization integral must be positive")
-        return SoftenedInteraction(1.0 / nu, 1.0, math.pi * (R * R - R0 * R0))
-    raise DomainError("d must be 2 or 3")
-
-
-def first_order_expectation(params: CellMethodParams, rho_cell: float,
-                            d: int = 3, a: float = None):
-    """Bracketing pair (lower, upper) for <W_R>_0 / n in one Neumann cell.
-
-    3D: upper 4 pi rho (1 - 1/n); lower adds the boundary factor
-    (1 - 2R/ell)^3 and the local-density denominator
-    (1 + 4 pi rho (1 - 1/n)(R^3 - R0^3)/3)^(-1).
-
-    2D (needs the scattering length a): upper (n-1) Q / nu(R) with
-    Q = A(R)/ell^2; lower multiplies by (1 - 2R/ell)^2 / (1 + (n-1) Q).
-    """
-    n, ell, R, R0 = params.n, params.ell, params.R, params.R0
-    if n < 2:
-        raise DomainError("need n >= 2")
-    if d == 3:
-        base = 4.0 * math.pi * rho_cell * (1.0 - 1.0 / n)
-        boundary = (1.0 - 2.0 * R / ell) ** 3
-        local = 1.0 + 4.0 * math.pi / 3.0 * rho_cell * (1.0 - 1.0 / n) \
-            * (R ** 3 - R0 ** 3)
-        return base * boundary / local, base
-    if d == 2:
-        if a is None:
-            raise DomainError("the 2D bracket needs the scattering length a")
-        soft = softened_interaction(params, a=a, d=2)
-        nu = 1.0 / soft.amplitude
-        q = soft.support_volume / ell ** 2
-        upper = (n - 1.0) * q / nu
-        lower = upper * (1.0 - 2.0 * R / ell) ** 2 / (1.0 + (n - 1.0) * q)
-        return lower, upper
-    raise DomainError("d must be 2 or 3")
-
-
-def cell_energy_factor(params: CellMethodParams, a: float, d: int = 3,
-                       n=None):
-    """The dimensionless factor K(n, ell) of the cell-method lower bound.
-
-    3D:  (1-eps) (1-2R/ell)^3 (1 + 4 pi/3 rho (1-1/n)(R^3-R0^3))^(-1)
+         (1-eps) (1-2R/ell)^3 (1 + 4 pi/3 rho (1-1/n)(R^3-R0^3))^(-1)
          * (1 - (3/pi) a n / ((R^3-R0^3)(eps ell^-2 - 4 a ell^-3 n(n-1))))
-    with rho = n/ell^3.  2D analogously with nu(R) and Q = A(R)/ell^2.
-    Returns 0 whenever the Temple denominator is nonpositive or the product
-    turns negative (0 is the documented trivial lower bound).  ``n`` may be
-    an array for sweeps; defaults to params.n.
+
+    with rho = n/ell^3.  Returns 0 whenever the Temple denominator is
+    nonpositive or the product turns negative (0 is the documented trivial
+    lower bound).  ``n`` may be an array for sweeps; defaults to params.n.
     """
     n = params.n if n is None else n
     n = np.asarray(n, dtype=float)
     if np.any(n < 2):
         raise DomainError("need n >= 2")
     ell, R, R0, eps = params.ell, params.R, params.R0, params.eps
-    if d == 3:
-        k = _k_factor_3d(eps, ell, R, n, _temple(a, eps, ell, R, R0, n))
-    elif d == 2:
-        soft = softened_interaction(params, a=a, d=2)
-        nu = 1.0 / soft.amplitude
-        q = soft.support_volume / ell ** 2
-        denom = eps * nu / ell ** 2 - n * (n - 1.0) * q
-        with np.errstate(divide="ignore", invalid="ignore"):
-            temple = 1.0 - n / denom
-        k = (1.0 - eps) * (1.0 - 2.0 * R / ell) ** 2 \
-            / (1.0 + (n - 1.0) * q) * temple
-        k = np.where(denom > 0.0, np.maximum(k, 0.0), 0.0)
-    else:
-        raise DomainError("d must be 2 or 3")
+    k = _k_factor_3d(eps, ell, R, n, _temple(a, eps, ell, R, R0, n))
     return k if k.ndim else float(k)
 
 
@@ -368,7 +287,7 @@ def cell_lower_bound(p: DiluteParams) -> float:
     terms = cell_error_terms(p, params)
     if any(t >= 1.0 for t in terms.values()):
         raise AnsatzInfeasible(f"error terms not all < 1: {terms}")
-    k = cell_energy_factor(params, a=p.a, d=3)
+    k = cell_energy_factor(params, a=p.a)
     return float(_cell_value(p.mu, p.a, p.rho, terms["occupancy"], k))
 
 
@@ -481,19 +400,6 @@ def _k_factor_3d(eps, ell, R, n, t: _Temple):
 def _cell_value(mu, a, rho, occupancy, k):
     """4 pi mu a rho (1 - 1/(rho ell^3)) K."""
     return 4.0 * math.pi * mu * a * rho * (1.0 - occupancy) * k
-
-
-def two_dim_cell_parameters(rho: float, a: float):
-    """2D cell parameters: eps = |ln(rho a^2)|^(-1/5),
-    ell = rho^(-1/2) |ln|^(1/10), R = rho^(-1/2) |ln|^(-1/10)."""
-    rho_a2 = rho * a * a
-    if rho_a2 >= 1.0:
-        raise DomainError("need rho a^2 < 1")
-    log = abs(math.log(rho_a2))
-    eps = log ** -0.2
-    ell = rho ** -0.5 * log ** 0.1
-    R = rho ** -0.5 * log ** -0.1
-    return eps, ell, R
 
 
 def occupation_minimum(k: float, p: int) -> float:

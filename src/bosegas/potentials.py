@@ -163,7 +163,6 @@ def pair_piece(p: PairPotential, lo: float, hi: float):
 @dataclass(frozen=True)
 class TailReport:
     integrable: bool
-    tail_integral: float
     cut_radius: float
 
 
@@ -175,18 +174,16 @@ def tail_integrability(p: PairPotential) -> TailReport:
     cut radius bounds the neglected Born-integral contribution below 1e-10.
     """
     if p.tail is None:
-        return TailReport(integrable=True, tail_integral=0.0,
-                          cut_radius=p.range_radius)
+        return TailReport(integrable=True, cut_radius=p.range_radius)
     c_t, exponent = p.tail
     d = p.dimension
     if exponent <= d:
-        return TailReport(False, math.inf, math.inf)
+        return TailReport(False, math.inf)
     r0 = p.range_radius
-    tail_integral = c_t * r0 ** (d - exponent) / (exponent - d)
     omega = 4.0 * math.pi if d == 3 else 2.0 * math.pi
     # Omega_d * C_t * R^(d-p) / (p-d) <= 1e-10  fixes the cut radius
     cut = (omega * c_t / (1e-10 * (exponent - d))) ** (1.0 / (exponent - d))
-    return TailReport(True, tail_integral, max(cut, 2.0 * r0))
+    return TailReport(True, max(cut, 2.0 * r0))
 
 
 @dataclass(frozen=True)

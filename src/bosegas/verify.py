@@ -306,7 +306,7 @@ def _variance_substitution(rng, n):
     gap = params.eps * math.pi * p.mu / ell ** 2
     temple_factor = 1.0 - p.mu * p.a * w2_mean \
         / (w_mean * (gap - p.mu * p.a * w_mean))
-    k = homogeneous.cell_energy_factor(params, a=p.a, d=3)
+    k = homogeneous.cell_energy_factor(params, a=p.a)
     direct = (1.0 - params.eps) * (1.0 - 2.0 * params.R / ell) ** 3 \
         / (1.0 + 4.0 * math.pi / 3.0 * (nc / ell ** 3) * (1.0 - 1.0 / nc)
            * shell) * temple_factor

@@ -470,6 +470,9 @@ def test_gp_invalid_inputs_exit_3(capsys):
     (["scatter", "--potential", "squarewell:r0=1,v0=2,r0=3"],
      "parameter 'r0' given twice in 'squarewell:r0=1,v0=2,r0=3'"),
     (["gp", "--trap", "nope", "--coupling", "1"], "unknown trap spec 'nope'"),
+    # the 2D TF energy at g = 0 is 0: the ratio once divided by it
+    (["gp-tf-limit", "--dim", "2", "--g-grid", "0:10:2"],
+     "g must be positive"),
 ])
 def test_boundary_inputs_exit_3_with_a_named_error(capsys, argv, message):
     # each of these once ended in a traceback (exit 1), or in bounds'
@@ -800,11 +803,9 @@ _PUBLIC_NAMES = {
                     "cell_lower_ratio", "dilute_lower_ratio",
                     "dyson_upper_ratio", "leading_energy", "lhy_energy",
                     "log_quadratic_gap", "occupation_minimum",
-                    "schick_2d_bounds", "softened_interaction",
-                    "temple_bound"],
-    "gp": ["GpState", "TfState", "coupling_2d", "gp_minimize",
-           "gp_residual", "gp_tf_limit", "mean_density", "tf_scaling",
-           "tf_solve"],
+                    "schick_2d_bounds", "temple_bound"],
+    "gp": ["GpState", "TfState", "gp_minimize", "gp_residual",
+           "gp_tf_limit", "mean_density", "tf_scaling", "tf_solve"],
     "bogolubov": ["BogolubovMode", "FoldyParams", "fock_oracle",
                   "foldy_dimensionless_integral", "foldy_energy",
                   "foldy_mode_integrand", "kinetic_cutoff",

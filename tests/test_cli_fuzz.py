@@ -6,8 +6,10 @@ infinities, zero, negatives, 1e308, text) and near-miss unknown keys; the
 potential and trap specs are drawn the same way.  Flat JSON configs are
 drawn too, with values of every JSON type: huge ints, floats, strings,
 bools, null, lists and objects.  Only sizes are bounded, for runtime: at
-most 400 GP grid points, 5 sweep points and n_max 60, and `verify` is left
-out.
+most 400 GP grid points, 5 sweep points and n_max 60.  A drawn `verify`
+line always carries a key that `verify` does not take, or a format that no
+command writes, so it ends at parse time with exit 2: one full `verify`
+run is acceptance criterion 18's.
 """
 
 import contextlib
@@ -93,9 +95,14 @@ def values(key, typ, tables, out):
     return number
 
 
+# keys that `verify` does not take: every other command's, and near misses
+# of `format`
+NOT_VERIFY = sorted(set().union(*_SCHEMAS.values()) | set(near_misses("format")))
+
+
 @st.composite
 def command_lines(draw, tables, out):
-    command = draw(st.sampled_from(sorted(set(_SCHEMAS) - {"verify"})))
+    command = draw(st.sampled_from(sorted(_SCHEMAS)))
     schema = _SCHEMAS[command]
     argv = [command]
     for key, (typ, _default) in schema.items():
@@ -113,6 +120,11 @@ def command_lines(draw, tables, out):
         near = draw(st.sampled_from(near_misses(draw(st.sampled_from(
             sorted(schema) + ["format"])))))
         argv += ["--" + near.replace("_", "-"), draw(number)]
+    if command == "verify":
+        argv += draw(st.one_of(
+            st.sampled_from(NOT_VERIFY).map(
+                lambda key: ["--" + key.replace("_", "-"), "1"]),
+            st.just(["--format", "xml"])))
     return argv
 
 
@@ -151,7 +163,7 @@ def json_values(key, typ, tables, out, hostile):
 def json_configs(draw, tables, out):
     """A flat config object and the argv that reads it (the command comes
     from the file or, at times, from the command line)."""
-    command = draw(st.sampled_from(sorted(set(_SCHEMAS) - {"verify"})))
+    command = draw(st.sampled_from(sorted(_SCHEMAS)))
     schema = _SCHEMAS[command]
 
     def value(key, typ):
@@ -170,6 +182,9 @@ def json_configs(draw, tables, out):
         near = draw(st.sampled_from(near_misses(draw(st.sampled_from(
             sorted(schema) + ["format"])))))
         config[near] = value(near, float)
+    if command == "verify":
+        key = draw(st.sampled_from(NOT_VERIFY))
+        config[key] = value(key, float)
     if draw(st.booleans()):
         return config, [command]
     config["command"] = command if draw(st.integers(0, 3)) \
@@ -204,7 +219,8 @@ def test_main_ends_in_a_report_or_a_named_error(files, data):
         with contextlib.redirect_stdout(stdout), \
                 contextlib.redirect_stderr(stderr):
             code = main(argv)
-    assert code in (0, 2, 3), (argv, stderr.getvalue())
+    assert code in ((2,) if argv[0] == "verify" else (0, 2, 3)), \
+        (argv, stderr.getvalue())
     assert "Traceback" not in stderr.getvalue()
 
 
@@ -222,5 +238,6 @@ def test_json_config_ends_in_a_report_or_a_named_error(files, data):
         with contextlib.redirect_stdout(stdout), \
                 contextlib.redirect_stderr(stderr):
             code = main(argv + ["--config", path])
-    assert code in (0, 2, 3), (config, stderr.getvalue())
+    verify = "verify" in argv or config.get("command") == "verify"
+    assert code in ((2,) if verify else (0, 2, 3)), (config, stderr.getvalue())
     assert "Traceback" not in stderr.getvalue()

@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from bosegas.errors import DomainError, NegativeCoupling
-from bosegas.gp import (_RESIDUAL_TOL, _simpson, coupling_2d, export_profile,
-                        gp_minimize, gp_residual, gp_tf_limit, mean_density,
+from bosegas.gp import (_RESIDUAL_TOL, _simpson, export_profile, gp_minimize,
+                        gp_residual, gp_tf_limit, mean_density,
                         tf_chemical_identity_gap, tf_density, tf_scaling,
-                        tf_solve, two_dim_coupling)
+                        tf_solve)
 from bosegas.potentials import TrapPotential, parse_trap_potential
 
 HARM3 = TrapPotential(kind="harmonic", dimension=3)
@@ -166,16 +166,6 @@ def test_simpson_matches_scipy_bitwise():
                   np.geomspace(1e-3, 40.0, n)):
             y = rng.normal(size=n) * np.exp(-x)
             assert _simpson(y, x) == float(simpson(y, x=x))
-
-
-def test_coupling_2d_formula():
-    assert coupling_2d(math.exp(-20.0), 1.0) == pytest.approx(0.05, rel=1e-12)
-    with pytest.raises(DomainError):
-        coupling_2d(2.0, 1.0)
-    alpha = two_dim_coupling(HARM2, 10.0, 1e-6, grid_points=800)
-    st = gp_minimize(HARM2, 10.0, 1.0, grid_points=800)
-    expected = 1.0 / abs(math.log(mean_density(st) * 1e-12))
-    assert alpha == pytest.approx(expected, rel=1e-10)
 
 
 def test_tf_closed_forms_3d():

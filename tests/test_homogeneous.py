@@ -6,7 +6,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad as scipy_quad
 from scipy.optimize import brentq, linprog
 
 from bosegas.errors import (AnsatzInfeasible, DomainError, GapViolation,
@@ -17,12 +16,10 @@ from bosegas.homogeneous import (ANSATZ_EXPONENTS, DYSON_LOWER_RATIO,
                                  cell_lower_bound, cell_lower_ratio,
                                  cell_params_from_ansatz,
                                  dilute_lower_ratio, dyson_upper_ratio,
-                                 first_order_expectation,
                                  intermediate_2d_upper, leading_energy,
                                  lhy_energy, log_quadratic_gap,
                                  occupation_minimum, schick_2d_bounds,
-                                 softened_interaction, temple_bound,
-                                 two_dim_cell_parameters)
+                                 temple_bound)
 
 
 def test_dilute_params_derived_fields():
@@ -177,62 +174,6 @@ def test_temple_two_level_oracle():
         assert bound <= 1e-12
 
 
-def test_softened_interaction_3d():
-    params = CellMethodParams(n=4, ell=10.0, R=1.0, R0=0.0)
-    soft = softened_interaction(params, d=3)
-    assert soft.amplitude == pytest.approx(3.0, rel=1e-14)
-    assert soft.normalization == pytest.approx(1.0, rel=1e-14)
-    val, _ = scipy_quad(lambda r: soft.amplitude * r * r, 0.0, 1.0)
-    assert val == pytest.approx(1.0, rel=1e-12)
-
-
-def test_softened_interaction_2d():
-    a = 0.5
-    params = CellMethodParams(n=4, ell=10.0, R=2.0, R0=1.0)
-    soft = softened_interaction(params, a=a, d=2)
-    # closed form (1/4){R^2(ln(R^2/a^2)-1) - R0^2(ln(R0^2/a^2)-1)}
-    nu = 0.25 * (4.0 * (math.log(4.0 / 0.25) - 1.0)
-                 - 1.0 * (math.log(1.0 / 0.25) - 1.0))
-    assert 1.0 / soft.amplitude == pytest.approx(nu, rel=1e-14)
-    val, _ = scipy_quad(lambda r: soft.amplitude * math.log(r / a) * r,
-                        1.0, 2.0)
-    assert abs(val - 1.0) <= 1e-10
-    assert soft.support_volume == pytest.approx(math.pi * 3.0, rel=1e-14)
-    with pytest.raises(DomainError):
-        softened_interaction(params, a=1.5, d=2)   # needs R0 >= a
-
-
-def test_first_order_expectation_3d():
-    # n -> inf, R/ell -> 0, rho R^3 -> 0: both bounds approach 4 pi rho
-    params = CellMethodParams(n=1e9, ell=1e6, R=1e-3, R0=0.5e-3)
-    low, up = first_order_expectation(params, rho_cell=2.0, d=3)
-    assert up == pytest.approx(8.0 * math.pi, rel=1e-6)
-    assert low == pytest.approx(8.0 * math.pi, rel=1e-4)
-    rng = np.random.default_rng(4)
-    for _ in range(1000):
-        ell = rng.uniform(1.0, 50.0)
-        r_soft = rng.uniform(0.02, 0.49) * ell
-        r0 = rng.uniform(0.0, 0.9) * r_soft
-        n = rng.uniform(2.0, 1e4)
-        params = CellMethodParams(n=n, ell=ell, R=r_soft, R0=r0)
-        low, up = first_order_expectation(params, rho_cell=n / ell ** 3, d=3)
-        assert low <= up * (1.0 + 1e-12)
-
-
-def test_first_order_expectation_2d_bracket_chain():
-    rng = np.random.default_rng(6)
-    for _ in range(200):
-        q = rng.uniform(1e-6, 0.2)
-        n = rng.integers(2, 500)
-        mid = 1.0 - (1.0 - q) ** (n - 1)
-        assert (n - 1) * q >= mid - 1e-12
-        assert mid >= (n - 1) * q / (1.0 + (n - 1) * q) - 1e-12
-    a = 0.01
-    params = CellMethodParams(n=50.0, ell=20.0, R=1.0, R0=0.5)
-    low, up = first_order_expectation(params, rho_cell=None, d=2, a=a)
-    assert 0.0 < low <= up
-
-
 def test_cell_factor_limits_and_monotonicity():
     a = 2e-5
     p = DiluteParams(rho=1.0, a=a, mu=1.0)
@@ -248,8 +189,10 @@ def test_cell_factor_limits_and_monotonicity():
 
 
 def test_cell_energy_factor_has_no_mu_parameter():
-    # K depends on the cell geometry and a only; mu scales the bound outside
-    assert "mu" not in inspect.signature(cell_energy_factor).parameters
+    # K depends on the cell geometry and a only; mu scales the bound outside,
+    # and the factor is three-dimensional, so no d either
+    assert list(inspect.signature(cell_energy_factor).parameters) \
+        == ["params", "a", "n"]
 
 
 def test_cell_factor_frozen_sample():
@@ -330,33 +273,6 @@ def test_superadditivity_surrogate():
             assert e_n >= (n / (2.0 * p_idx)) * e_p - 1e-12
             n += 1
         assert n > p_idx + 3     # the regime is nonempty
-
-
-def test_two_dim_cell_parameters():
-    rho = 1.0
-    for rho_a2 in (1e-8, 1e-12):
-        a = math.sqrt(rho_a2)
-        eps, ell, r_soft = two_dim_cell_parameters(rho, a)
-        # spectral-gap condition (unit constants, rho = 1)
-        lhs = eps * math.log(r_soft ** 2 / a ** 2) / ell ** 2
-        rhs = rho ** 2 * ell ** 4
-        assert lhs > rhs
-
-
-def test_two_dim_cell_factor():
-    # a positive 2D factor needs the normalization integral to beat the
-    # occupancy term: an exponential separation between a and R
-    # (the logarithmic 2D error decay)
-    params = CellMethodParams(n=2.0, ell=25.0, R=10.0, R0=1e-30, eps=0.6)
-    k2 = cell_energy_factor(params, a=1e-30, d=2)
-    assert k2 > 0.0
-    ns = np.arange(2.0, 500.0)
-    ks = cell_energy_factor(params, a=1e-30, d=2, n=ns)
-    assert np.all(np.diff(ks) <= 1e-12)
-    # moderate scale separation leaves the Temple denominator negative:
-    # the documented trivial lower bound 0 applies
-    modest = CellMethodParams(n=2.0, ell=25.0, R=10.0, R0=1.0, eps=0.6)
-    assert cell_energy_factor(modest, a=0.5, d=2) == 0.0
 
 
 def test_occupation_minimum():

@@ -110,15 +110,20 @@ def test_trap_homogeneity_property():
 def test_tail_integrability_cases():
     finite = PairPotential(kind="square-well", core_radius=1.0, strength=2.0)
     rep = tail_integrability(finite)
-    assert rep.integrable and rep.tail_integral == 0.0 and rep.cut_radius == 1.0
+    assert rep.integrable and rep.cut_radius == 1.0
 
-    # int_1^inf r^-4 r^2 dr = 1 for C_t = 1, p = 4, attached at R0 = 1
+    # int_1^inf r^-4 r^2 dr = 1 for C_t = 1, p = 4, attached at R0 = 1:
+    # the Born integral is 4 pi (1/3 + 1) = 16 pi/3
     p4 = PairPotential(kind="square-well", core_radius=1.0, strength=1.0,
                        tail=(1.0, 4.0))
     rep4 = tail_integrability(p4)
     assert rep4.integrable
-    assert rep4.tail_integral == pytest.approx(1.0, rel=1e-14)
     assert rep4.cut_radius > 2.0
+    assert born_integral(p4) == 16.0 * math.pi / 3.0
+    # in 2D, int_1^inf r^-3 r dr = 1 for p = 3: 2 pi (1/2 + 1) = 3 pi
+    disc = PairPotential(kind="square-well", core_radius=1.0, strength=1.0,
+                         tail=(1.0, 3.0), dimension=2)
+    assert born_integral(disc) == 3.0 * math.pi
 
     p3 = PairPotential(kind="square-well", core_radius=1.0, strength=1.0,
                        tail=(1.0, 3.0))
