@@ -28,7 +28,7 @@ _EXPORTS = {
     "occupation_minimum schick_2d_bounds temple_bound",
     "gp": "GpState TfState gp_minimize gp_residual gp_tf_limit "
     "mean_density tf_scaling tf_solve",
-    "bogolubov": "BogolubovMode FoldyParams fock_oracle "
+    "bogolubov": "BogolubovMode fock_oracle "
     "foldy_dimensionless_integral foldy_energy foldy_mode_integrand "
     "kinetic_cutoff two_component_scaling yukawa_ft",
 }

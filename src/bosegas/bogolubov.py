@@ -20,7 +20,6 @@ from .numerics import Tolerances, quad
 
 __all__ = [
     "BogolubovMode",
-    "FoldyParams",
     "fock_oracle",
     "yukawa_ft",
     "kinetic_cutoff",
@@ -61,27 +60,6 @@ class BogolubovMode:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "D", self.B / (2.0 * alpha))
         object.__setattr__(self, "ground_bound_coeff", 0.5 * (self.A - root))
-
-
-@dataclass(frozen=True)
-class FoldyParams:
-    """Parameters of the localized charged-gas construction that
-    kinetic_cutoff reads: the cell side ell and the cutoff's smoothing t and
-    constant C_univ; ell_cor = rho^(-1/4) is the correlation length.  The
-    kinetic coefficient is an argument of the mode integrals instead."""
-
-    rho: float
-    ell: float = 1.0          # cell side
-    t: float = 0.1            # smoothing parameter of the cutoff function
-    C_univ: float = 1.0       # unquantified universal constant, configurable
-    ell_cor: float = field(init=False)
-
-    def __post_init__(self):
-        if self.rho <= 0 or self.ell <= 0:
-            raise DomainError("rho and ell must be positive")
-        if self.C_univ <= 0 or not (0.0 < self.t < 1.0 / self.C_univ):
-            raise DomainError("need 0 < t < 1/C_univ")
-        object.__setattr__(self, "ell_cor", self.rho ** -0.25)
 
 
 def fock_oracle(A: float, B: float, n_max: int,
@@ -154,15 +132,21 @@ def yukawa_ft(k: float, omega: float) -> float:
     return 4.0 * math.pi / (k * k + omega * omega)
 
 
-def kinetic_cutoff(v: float, params: FoldyParams) -> float:
-    """Cutoff function F(v) = (1 - C t) v^2 / (v + (ell t^3)^-2).
+def kinetic_cutoff(v: float, ell: float = 1.0, t: float = 0.1,
+                   C_univ: float = 1.0) -> float:
+    """Cutoff function F(v) = (1 - C t) v^2 / (v + (ell t^3)^-2) of the
+    localized charged-gas construction: ell is the cell side, t the
+    smoothing parameter and C_univ the unquantified universal constant.
 
     Satisfies 0 <= F(v) <= (1 - C t) v with F(0) = 0.
     """
+    if ell <= 0:
+        raise DomainError("ell must be positive")
+    if C_univ <= 0 or not (0.0 < t < 1.0 / C_univ):
+        raise DomainError("need 0 < t < 1/C_univ")
     if v < 0:
         raise DomainError("v must be nonnegative")
-    gap = (params.ell * params.t ** 3) ** -2.0
-    return (1.0 - params.C_univ * params.t) * v * v / (v + gap)
+    return (1.0 - C_univ * t) * v * v / (v + (ell * t ** 3) ** -2.0)
 
 
 def foldy_mode_integrand(k: float, rho: float, mu_const: float = 1.0) -> float:

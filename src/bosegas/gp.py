@@ -32,9 +32,9 @@ import numpy as np
 
 from .errors import DomainError, NegativeCoupling, NoConvergence, float_range
 from .numerics import Tolerances
-from .potentials import TrapPotential
+from .potentials import TrapPotential, _omega
 # re-exported; the `tf` command imports their numpy-free module alone
-from .thomas_fermi import (TfState, _omega, _tf_mu_closed, _trap_units,
+from .thomas_fermi import (TfState, _tf_mu_closed, _trap_units,
                            tf_chemical_identity_gap, tf_scaling, tf_solve)
 
 __all__ = [
@@ -56,10 +56,9 @@ class GpState:
     """Converged GP minimizer on a radial grid with its energy breakdown.
 
     Every state has passed the stopping rule of `gp_minimize`: a solve that
-    misses it raises NoConvergence.
+    misses it raises NoConvergence.  The dimension is that of ``trap``.
     """
 
-    dimension: int
     trap: TrapPotential
     N: float
     coupling: float           # scattering length a (3D) or alpha (2D)
@@ -230,7 +229,7 @@ def gp_minimize(trap: TrapPotential, N: float, coupling: float,
         volume = L ** d
         inter = 4.0 * math.pi * mu_const * coupling * N * N / volume
         return GpState(
-            dimension=d, trap=trap, N=N, coupling=coupling, mu_const=mu_const,
+            trap=trap, N=N, coupling=coupling, mu_const=mu_const,
             r=np.linspace(L / 33, L, 33), phi=np.full(33, math.sqrt(N / volume)),
             kinetic=0.0, trap_energy=0.0, interaction=inter, E=inter,
             mu_gp=2.0 * inter / N, residual=0.0, iterations=0,
@@ -328,7 +327,7 @@ def gp_minimize(trap: TrapPotential, N: float, coupling: float,
     mu_gp = e_total / N + disc.g / N * quartic
     kin, trap_e, inter = (float(unit * e) for e in parts)
     return GpState(
-        dimension=d, trap=trap, N=N, coupling=coupling, mu_const=mu_const,
+        trap=trap, N=N, coupling=coupling, mu_const=mu_const,
         r=ell * r, phi=ell ** (-d / 2) * phi, kinetic=kin, trap_energy=trap_e,
         interaction=inter, E=float(unit * e_total), mu_gp=float(unit * mu_gp),
         residual=resid_hist[-1], iterations=iterations,
@@ -353,7 +352,7 @@ def gp_residual(state: GpState) -> float:
     """Relative L2 residual of the discrete GP equation at the stored profile."""
     if state.trap.kind == "box":
         return 0.0
-    d = state.dimension
+    d = state.trap.dimension
     ell, _ = _trap_units(state.trap, state.mu_const)
     # both discretizations place the outer Dirichlet edge one spacing unit
     # beyond/at the last node: R = r[-1] + r[0] (h or h/2 offset)
@@ -396,8 +395,8 @@ def mean_density(state: GpState) -> float:
     """Mean density (1/N) int |phi|^4 d^dx (Simpson quadrature), computed in
     trap units (x = r/ell, psi = ell^(d/2) phi) and divided by ell^d."""
     if state.trap.kind == "box":
-        return state.N / state.trap.box_side ** state.dimension
-    d = state.dimension
+        return state.N / state.trap.box_side ** state.trap.dimension
+    d = state.trap.dimension
     ell, _ = _trap_units(state.trap, state.mu_const)
     x = state.r / ell
     psi = ell ** (d / 2) * state.phi
@@ -429,7 +428,8 @@ def gp_tf_limit(trap: TrapPotential, g_sequence: Sequence[float],
 
     3D: ratio E_GP(1, g)/E_TF(1, g); rescaled density g^(3/(s+3))
     rho_GP(g^(1/(s+3)) x) against rho_TF(1,1).  2D: E_GP(1, g)/(g^(s/(s+2))
-    E_TF(1,1)) with the g^(2/(s+2)) density rescaling.
+    E_TF(1,1)) with the g^(2/(s+2)) density rescaling.  Every g is checked
+    to be positive before the first GP solve.
     """
     gs = list(g_sequence)
     if any(b <= a for a, b in zip(gs, gs[1:])):
@@ -437,22 +437,20 @@ def gp_tf_limit(trap: TrapPotential, g_sequence: Sequence[float],
     d = trap.dimension
     s = trap.homogeneity_degree
     tf_unit = tf_solve(trap, 1.0, 1.0)
+    if gs and gs[0] <= 0:       # gs is increasing: gs[0] is the least g
+        raise (NegativeCoupling("coupling must be nonnegative") if gs[0] < 0
+               else DomainError("g must be positive"))
+    r_ref = np.linspace(0.0, 1.4 * tf_unit.support_radius, 800)
+    rho_ref = tf_density(tf_unit, r_ref)
+    jac = _omega(d) * r_ref ** (d - 1)
     rows = []
     for g in gs:
         state = gp_minimize(trap, 1.0, g, grid_points=grid_points)
-        if d == 3:
-            e_tf = tf_solve(trap, 1.0, g).E_tf
-            scale = g ** (1.0 / (s + 3.0))
-            dens_scale = g ** (3.0 / (s + 3.0))
-        else:
-            e_tf = tf_scaling(g, s, d) * tf_unit.E_tf
-            scale = g ** (1.0 / (s + 2.0))
-            dens_scale = g ** (2.0 / (s + 2.0))
-        r_ref = np.linspace(0.0, 1.4 * tf_unit.support_radius, 800)
-        rho_ref = tf_density(tf_unit, r_ref)
-        rho_gp = dens_scale * np.interp(scale * r_ref, state.r,
-                                        state.phi ** 2, right=0.0)
-        jac = _omega(d) * r_ref ** (d - 1)
+        # 2D: the coupling-1 TF energy, scaled by its exponent law
+        e_tf = (tf_solve(trap, 1.0, g).E_tf if d == 3
+                else tf_scaling(g, s, d) * tf_unit.E_tf)
+        rho_gp = g ** (d / (s + d)) * np.interp(
+            g ** (1.0 / (s + d)) * r_ref, state.r, state.phi ** 2, right=0.0)
         l1 = float(np.trapezoid(np.abs(rho_gp - rho_ref) * jac, r_ref))
         rows.append({"g": g, "E_gp": state.E, "E_tf": e_tf,
                      "ratio": state.E / e_tf, "l1_rescaled": l1})
@@ -470,7 +468,7 @@ def export_profile(state: GpState, path: str) -> None:
         trap_spec = f"power:s={trap.homogeneity_degree!r},scale={trap.scale!r}"
     lines = [
         f"# trap = {trap_spec}",
-        f"# dimension = {state.dimension}",
+        f"# dimension = {trap.dimension}",
         *(f"# {key} = {float(getattr(state, key))!r}"
           for key in ("N", "coupling", "mu_const", "E", "mu_gp")),
         "r,phi,rho",

@@ -160,6 +160,11 @@ def pair_piece(p: PairPotential, lo: float, hi: float):
     return linear
 
 
+def _omega(d: int) -> float:
+    """The solid angle Omega_d of the unit sphere in d = 3 or 2 dimensions."""
+    return 4.0 * math.pi if d == 3 else 2.0 * math.pi
+
+
 @dataclass(frozen=True)
 class TailReport:
     integrable: bool
@@ -179,11 +184,9 @@ def tail_integrability(p: PairPotential) -> TailReport:
     d = p.dimension
     if exponent <= d:
         return TailReport(False, math.inf)
-    r0 = p.range_radius
-    omega = 4.0 * math.pi if d == 3 else 2.0 * math.pi
     # Omega_d * C_t * R^(d-p) / (p-d) <= 1e-10  fixes the cut radius
-    cut = (omega * c_t / (1e-10 * (exponent - d))) ** (1.0 / (exponent - d))
-    return TailReport(True, max(cut, 2.0 * r0))
+    cut = (_omega(d) * c_t / (1e-10 * (exponent - d))) ** (1.0 / (exponent - d))
+    return TailReport(True, max(cut, 2.0 * p.range_radius))
 
 
 @dataclass(frozen=True)
@@ -240,7 +243,7 @@ def born_integral(p: PairPotential) -> float:
     if not report.integrable:
         raise NonIntegrableTail("Born integral diverges: tail exponent <= dimension")
     d = p.dimension
-    omega = 4.0 * math.pi if d == 3 else 2.0 * math.pi
+    omega = _omega(d)
 
     # exact integral of the linear interpolant, constant from r = 0 to the first knot
     knots = ((0.0, p.table[0][1]),) + p.table

@@ -4,7 +4,8 @@ Solves -2*mu*u'' + v*u = 0 (3D, u = r*psi) and the radial equation for psi
 (2D) outward from the regular solution, continues analytically beyond the
 interaction range (linear in 3D, logarithmic in 2D), and extracts the
 scattering length from the asymptote.  Energy integrals are accumulated as
-extra ODE components, so they inherit the integrator's accuracy.
+extra ODE components, so they inherit the integrator's accuracy;
+`_energy_parts` splits them at a radius R for both energy diagnostics.
 
 The integration ends at the interaction range, or for a tail at the radius
 `_end_radius` picks.  `_by_segments` runs it one integrate_ode span per
@@ -62,11 +63,12 @@ class ScatteringSolution:
     that of ``potential``.
 
     ``s`` is the kinetic fraction: 1 in 2D, and in 3D NaN exactly where it
-    is undefined, at a <= 1e-12 range_radius.  ``slope`` is the asymptotic
+    is undefined, at a <= 1e-12 end_radius.  ``slope`` is the asymptotic
     scale (u' beyond the range in 3D, r*psi' in 2D), so dividing by it gives
     the u ~ r - a (3D) or psi ~ ln(r/a) (2D) normalization.
-    ``range_radius`` is where that asymptote is read off: the interaction
-    range, or the cut radius of a tail.  ``tol`` holds the tolerances the
+    ``end_radius`` is where the integration ends and that asymptote is read
+    off: the interaction range (the potential's ``range_radius``), or
+    further out for a tail.  ``tol`` holds the tolerances the
     reported run used.  Every solution has passed the convergence gate: a
     solve that misses it raises GridTooCoarse.
     """
@@ -75,7 +77,7 @@ class ScatteringSolution:
     a: float
     s: float
     potential: PairPotential
-    range_radius: float
+    end_radius: float
     slope: float
     kin_interior: float   # int (u' - u/r)^2 dr (3D) / int psi'^2 r dr (2D), raw
     pot_interior: float   # int v u^2 dr (3D) / int v psi^2 r dr (2D), raw
@@ -251,42 +253,54 @@ def solve_zero_energy(p: PairPotential, mu: float,
     return sol
 
 
+def _energy_parts(sol: ScatteringSolution, R: float):
+    """The interior (kin, pot) integrals out to R, over slope^2: from a
+    rerun of the solve out to R inside the end radius, else the solve's own
+    plus the exterior kinetic term, a^2 (1/r_end - 1/R) in 3D and
+    ln(R/r_end) in 2D.  A tail's exterior potential term is the caller's."""
+    p = sol.potential
+    if R < p.range_radius:
+        raise RadiusInsideRange(
+            f"R={R!r} lies inside the interaction range {p.range_radius!r}")
+    c2 = sol.slope * sol.slope
+    r_end = sol.end_radius
+    if R < r_end:    # a tail is integrated out to its end radius
+        solve = _solve_3d if p.dimension == 3 else _solve_2d
+        run = solve(p, sol.mu, R, sol.tol)
+        return run.kin_interior / c2, run.pot_interior / c2
+    outer = (sol.a * sol.a * (1.0 / r_end - 1.0 / R) if p.dimension == 3
+             else math.log(R / r_end))
+    return sol.kin_interior / c2 + outer, sol.pot_interior / c2
+
+
 def energy_integral(sol: ScatteringSolution, R: float) -> float:
     """int_{|x|<=R} (2 mu |grad psi0|^2 + v psi0^2) d^3x, psi0 -> 1 at infinity.
 
     Equals 8 pi mu a (1 - a/R) for finite-range potentials.  R may be any
-    radius from the potential's range on: inside a tail's cut radius the
-    interior integrals come from a rerun of the solve out to R, and at the
-    radius of a bare hard core, where psi0 vanishes, the integral is 0.
+    radius from the potential's range on (`_energy_parts`); at the radius of
+    a bare hard core, where psi0 vanishes, the integral is 0.
     """
     p = sol.potential
     if p.dimension != 3:
         raise DomainError("energy_integral is a 3D operation")
-    if R < p.range_radius:
-        raise RadiusInsideRange(
-            f"R={R!r} lies inside the interaction range {p.range_radius!r}")
     if R == p.range_radius and p.has_hard_core():    # psi0 = 0 on the core
         return 0.0
-    mu, a, c = sol.mu, sol.a, sol.slope
-    c2 = c * c
-    if R < sol.range_radius:    # a tail is integrated out to its end radius
-        run = _solve_3d(p, mu, R, sol.tol)
-        return 4.0 * math.pi * (2.0 * mu * run.kin_interior + run.pot_interior) / c2
-    kin = sol.kin_interior / c2 + a * a * (1.0 / sol.range_radius - 1.0 / R)
-    pot = sol.pot_interior / c2
-    if p.tail is not None and R > sol.range_radius:
+    kin, pot = _energy_parts(sol, R)
+    if p.tail is not None and R > sol.end_radius:
+        a = sol.a
+
         def tail_term(r):
             return pair_value(p, r) * (1.0 - a / r) ** 2 * r * r
 
-        pot += quad(tail_term, (sol.range_radius, R),
+        pot += quad(tail_term, (sol.end_radius, R),
                     Tolerances(abs_tol=1e-13, rel_tol=1e-10))
-    return 4.0 * math.pi * (2.0 * mu * kin + pot)
+    return 4.0 * math.pi * (2.0 * sol.mu * kin + pot)
 
 
 def kinetic_fraction(sol: ScatteringSolution) -> float:
     """s = int |grad psi0|^2 d^3x / (4 pi a); equals 1 identically in 2D.
     Raises ZeroScatteringLength where sol.s is NaN: in 3D, at a <= 1e-12
-    range_radius, where s is undefined."""
+    end_radius, where s is undefined."""
     if math.isnan(sol.s):
         raise ZeroScatteringLength("kinetic fraction undefined for a = 0")
     return sol.s
@@ -296,24 +310,15 @@ def two_dim_energy_ratio(sol: ScatteringSolution, R: float) -> float:
     """Kinetic share of the 2D energy integral over a disc of radius R.
 
     Tends to 1 like 1/ln(R/a): the logarithmically growing kinetic part
-    dominates the finite potential part.  R may be any radius beyond the
-    potential's range: inside a tail's cut radius the interior integrals
-    come from a rerun of the solve out to R.  At the radius of a hard disc
+    dominates the finite potential part.  R may be any radius from the
+    potential's range on (`_energy_parts`).  At the radius of a hard disc
     both parts vanish, and the ratio 0/0 raises DomainError.
     """
     p = sol.potential
     if p.dimension != 2:
         raise DomainError("two_dim_energy_ratio is a 2D diagnostic")
-    if R < p.range_radius:
-        raise RadiusInsideRange("R inside the interaction range")
     if R == p.range_radius and p.has_hard_core():
         raise DomainError(
             f"the energy ratio is 0/0 at the hard-disc radius R={R!r}")
-    c2 = sol.slope * sol.slope
-    if R < sol.range_radius:    # a tail is integrated out to its end radius
-        run = _solve_2d(p, sol.mu, R, sol.tol)
-        kin, pot = run.kin_interior / c2, run.pot_interior / c2
-    else:
-        kin = sol.kin_interior / c2 + math.log(R / sol.range_radius)
-        pot = sol.pot_interior / c2
+    kin, pot = _energy_parts(sol, R)
     return 2.0 * sol.mu * kin / (2.0 * sol.mu * kin + pot)

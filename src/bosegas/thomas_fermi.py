@@ -8,20 +8,16 @@ from dataclasses import dataclass
 
 from .errors import DomainError, float_range, require_finite
 from .numerics import Tolerances, quad
-from .potentials import TrapPotential
+from .potentials import TrapPotential, _omega
 
 __all__ = ["TfState", "tf_solve", "tf_scaling", "tf_chemical_identity_gap"]
 
 
-def _omega(d: int) -> float:
-    return 4.0 * math.pi if d == 3 else 2.0 * math.pi
-
-
 @dataclass(frozen=True)
 class TfState:
-    """Closed-form Thomas-Fermi minimizer parameters."""
+    """Closed-form Thomas-Fermi minimizer parameters; the dimension is that
+    of ``trap``."""
 
-    dimension: int
     trap: TrapPotential
     N: float
     a: float                   # coupling: a in 3D, 1 in the 2D convention
@@ -80,7 +76,7 @@ def tf_solve(trap: TrapPotential, N: float, a: float,
     if not all(0.0 < v < math.inf for v in (mu_tf, support, e_tf)):
         raise ArithmeticError(f"mu_tf, support_radius, E_tf = {mu_tf!r}, "
                               f"{support!r}, {e_tf!r} leave (0, inf)")
-    return TfState(dimension=d, trap=trap, N=N, a=coupling, mu_const=mu_const,
+    return TfState(trap=trap, N=N, a=coupling, mu_const=mu_const,
                    mu_tf=mu_tf, support_radius=support, E_tf=e_tf)
 
 
@@ -100,7 +96,7 @@ def tf_chemical_identity_gap(state: TfState) -> float:
     mu and R so the integrand is of order one: (4 pi g / N) int rho^2 =
     Omega_d mu^2 R^d / (16 pi g N) int_0^1 (1 - (R t)^s / mu)^2 t^(d-1) dt."""
     tol = Tolerances(abs_tol=1e-13, rel_tol=1e-12)
-    d = state.dimension
+    d = state.trap.dimension
     s = state.trap.homogeneity_degree
     ell, unit = _trap_units(state.trap, state.mu_const)
     g = state.a * ell ** (2 - d)

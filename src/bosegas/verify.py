@@ -276,21 +276,13 @@ def _kinetic_fraction(rng, n):
 
 @_entry("homogeneous", "bound_sandwich_sweep", 1.0 + 1e-12, n=50, number=12)
 def _bound_sandwich(rng, n):
-    worst_cell = 0.0
-    for y in np.geomspace(1e-20, 1e-4, n):
-        y = float(y)
-        lower = homogeneous.dilute_lower_ratio(y, 8.9).value
-        upper = homogeneous.dyson_upper_ratio(y)
-        assert lower <= 1.0 <= upper, (y, lower, upper)
-        a = (3.0 * y / (4.0 * math.pi)) ** (1.0 / 3.0)
-        p = homogeneous.DiluteParams(rho=1.0, a=a, mu=1.0)
-        try:
-            ratio = homogeneous.cell_lower_bound(p) \
-                / homogeneous.leading_energy(p)
-        except homogeneous.AnsatzInfeasible:
-            ratio = 0.0        # the documented trivial lower bound
-        worst_cell = _worst(worst_cell, ratio)
-    return worst_cell, f"max cell ratio; lower <= 1 <= upper on {n} points"
+    ys = np.geomspace(1e-20, 1e-4, n)
+    lower = homogeneous.dilute_lower_ratio(ys, 8.9).value
+    upper = homogeneous.dyson_upper_ratio(ys)
+    assert np.all(lower <= 1.0) and np.all(1.0 <= upper), (lower, upper)
+    cell = homogeneous.cell_lower_ratio(ys)    # 0 where the ansatz fails
+    return _worst(0.0, *cell), \
+        f"max cell ratio; lower <= 1 <= upper on {n} points"
 
 
 @_entry("homogeneous", "variance_substitution", 1e-12)
@@ -490,10 +482,9 @@ def _two_component(rng, n):
 
 @_entry("bogolubov", "kinetic_cutoff", 1e-30, n=1000, seed=77)
 def _cutoff_bounds(rng, n):
-    params = bogolubov.FoldyParams(rho=2.0, t=0.2, C_univ=1.0)
     worst = 0.0
     for v in rng.uniform(0.0, 1e4, n):
-        f = bogolubov.kinetic_cutoff(float(v), params)
+        f = bogolubov.kinetic_cutoff(float(v), t=0.2, C_univ=1.0)
         assert f >= 0.0, (v, f)
         worst = _worst(worst, f - (1.0 - 0.2) * v)
     return worst, f"0 <= F(v) <= (1 - C t) v on {n} samples"

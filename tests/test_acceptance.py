@@ -79,7 +79,7 @@ def _nan_at(fn, call):
 
 
 @pytest.mark.parametrize("number, target, call", [
-    (12, "leading_energy", 2), (13, "temple_bound", 2),
+    (12, "cell_lower_ratio", 1), (13, "temple_bound", 2),
     (14, "log_quadratic_gap", 1), (17, "cell_energy_factor", 2)])
 def test_nan_partway_through_a_sample_fails_its_entry(monkeypatch, number,
                                                        target, call):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
-from bosegas.bogolubov import (BogolubovMode, FoldyParams,
+from bosegas.bogolubov import (BogolubovMode,
                                displayed_prefactor_energy, fock_oracle,
                                foldy_dimensionless_integral, foldy_energy,
                                foldy_gamma_closed_form, foldy_mode_integrand,
@@ -122,24 +122,23 @@ def test_yukawa_ft():
 
 
 def test_kinetic_cutoff():
-    params = FoldyParams(rho=1.0, t=0.25, C_univ=1.0, ell=2.0)
-    assert kinetic_cutoff(0.0, params) == 0.0
+    params = dict(ell=2.0, t=0.25, C_univ=1.0)
+    assert kinetic_cutoff(0.0, **params) == 0.0
     big = 1e12
-    assert kinetic_cutoff(big, params) / big == pytest.approx(0.75, rel=1e-6)
+    assert kinetic_cutoff(big, **params) / big == pytest.approx(0.75, rel=1e-6)
     rng = np.random.default_rng(41)
     for _ in range(1000):
         v = float(rng.uniform(0.0, 1e5))
         t = float(rng.uniform(0.01, 0.9))
-        p = FoldyParams(rho=1.0, t=t, C_univ=1.0, ell=2.0)
-        f = kinetic_cutoff(v, p)
+        f = kinetic_cutoff(v, ell=2.0, t=t, C_univ=1.0)
         assert 0.0 <= f <= (1.0 - t) * v + 1e-30
     with pytest.raises(DomainError):
-        FoldyParams(rho=1.0, t=1.5, C_univ=1.0)
+        kinetic_cutoff(1.0, t=1.5, C_univ=1.0)
 
 
 def test_foldy_params_correlation_length():
-    params = FoldyParams(rho=16.0)
-    assert params.ell_cor == pytest.approx(0.5, rel=1e-14)
+    # the correlation length rho^(-1/4) is a column of the Foldy report
+    assert foldy_report(16.0)["correlation_length"] == 0.5
 
 
 def test_mode_integrand_properties():

@@ -470,9 +470,11 @@ def test_gp_invalid_inputs_exit_3(capsys):
     (["scatter", "--potential", "squarewell:r0=1,v0=2,r0=3"],
      "parameter 'r0' given twice in 'squarewell:r0=1,v0=2,r0=3'"),
     (["gp", "--trap", "nope", "--coupling", "1"], "unknown trap spec 'nope'"),
-    # the 2D TF energy at g = 0 is 0: the ratio once divided by it
+    # the 2D TF energy at g = 0 is 0: the ratio once divided by it; in both
+    # dimensions g = 0 is named before any GP solve runs
     (["gp-tf-limit", "--dim", "2", "--g-grid", "0:10:2"],
      "g must be positive"),
+    (["gp-tf-limit", "--g-grid", "0:10:2"], "g must be positive"),
 ])
 def test_boundary_inputs_exit_3_with_a_named_error(capsys, argv, message):
     # each of these once ended in a traceback (exit 1), or in bounds'
@@ -806,7 +808,7 @@ _PUBLIC_NAMES = {
                     "schick_2d_bounds", "temple_bound"],
     "gp": ["GpState", "TfState", "gp_minimize", "gp_residual",
            "gp_tf_limit", "mean_density", "tf_scaling", "tf_solve"],
-    "bogolubov": ["BogolubovMode", "FoldyParams", "fock_oracle",
+    "bogolubov": ["BogolubovMode", "fock_oracle",
                   "foldy_dimensionless_integral", "foldy_energy",
                   "foldy_mode_integrand", "kinetic_cutoff",
                   "two_component_scaling", "yukawa_ft"],

@@ -76,8 +76,8 @@ def test_energy_integral_with_tail():
     p = PairPotential(kind="square-well", core_radius=1.0, strength=2.0,
                       tail=(0.3, 6.0))
     sol = solve_zero_energy(p, 1.0)
-    vals = [energy_integral(sol, R) for R in (sol.range_radius * 1.5,
-                                              sol.range_radius * 4.0)]
+    vals = [energy_integral(sol, R) for R in (sol.end_radius * 1.5,
+                                              sol.end_radius * 4.0)]
     assert vals[1] > vals[0] > 0.0
     assert vals[1] <= 8.0 * math.pi * sol.a * 1.01
 
@@ -88,7 +88,7 @@ def test_energy_integral_inside_a_tail_cut_radius():
     p = PairPotential(kind="square-well", core_radius=1.0, strength=2.0,
                       tail=(0.3, 6.0))
     sol = solve_zero_energy(p, 1.0)
-    cut = sol.range_radius
+    cut = sol.end_radius
     radii = [1.0, 1.5, 10.0, 100.0, 2000.0, cut, 1.5 * cut, 4.0 * cut]
     vals = [energy_integral(sol, R) for R in radii]
     assert all(map(math.isfinite, vals))

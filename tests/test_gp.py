@@ -214,6 +214,22 @@ def test_gp_tf_limit_trend():
     assert small > 5.0
 
 
+@pytest.mark.parametrize("trap", [HARM3, HARM2], ids=["3d", "2d"])
+@pytest.mark.parametrize("gs, error, message", [
+    ([0.0, 10.0], DomainError, "g must be positive"),
+    ([-1.0, 10.0], NegativeCoupling, "coupling must be nonnegative")])
+def test_gp_tf_limit_checks_every_g_before_a_solve(monkeypatch, trap, gs,
+                                                    error, message):
+    import bosegas.gp as gp_module
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("gp_minimize ran before the g check")
+
+    monkeypatch.setattr(gp_module, "gp_minimize", no_solve)
+    with pytest.raises(error, match=message):
+        gp_tf_limit(trap, gs)
+
+
 def test_grid_refinement_consistency():
     coarse = gp_minimize(HARM3, 1.0, 0.5, grid_points=700)
     fine = gp_minimize(HARM3, 1.0, 0.5, grid_points=1400)

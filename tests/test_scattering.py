@@ -279,12 +279,12 @@ def test_2d_energy_ratio_inside_a_tail_cut_radius():
     p = PairPotential(kind="hard-core", dimension=2, core_radius=1.0,
                       tail=(0.5, 4.0))
     sol = solve_zero_energy(p, 1.0)
-    cut = sol.range_radius
+    cut = sol.end_radius
     assert 0.0 < two_dim_energy_ratio(sol, 2.0) < 1.0
     inside = two_dim_energy_ratio(sol, math.nextafter(cut, 0.0))
     at_cut = two_dim_energy_ratio(sol, cut)
     assert abs(inside - at_cut) <= math.ulp(at_cut)
-    with pytest.raises(RadiusInsideRange):
+    with pytest.raises(RadiusInsideRange, match=r"interaction range 1\.0$"):
         two_dim_energy_ratio(sol, 0.5)
 
 
@@ -311,19 +311,19 @@ def test_a_zero_tail_gives_the_tailless_bits(dimension):
     hard = solve_zero_energy(PairPotential(
         kind="hard-core", core_radius=1.5, dimension=dimension,
         tail=(0.0, 4.0)), 1.0)
-    assert hard.a == 1.5 and hard.s == 1.0 and hard.range_radius == 1.5
+    assert hard.a == 1.5 and hard.s == 1.0 and hard.end_radius == 1.5
     well = dict(kind="square-well", core_radius=1.0, strength=1.0,
                 dimension=dimension)
     bare = solve_zero_energy(PairPotential(**well), 1.0)
     zero = solve_zero_energy(PairPotential(**well, tail=(0.0, dimension)), 1.0)
-    fields = ("a", "s", "slope", "range_radius", "kin_interior", "pot_interior")
+    fields = ("a", "s", "slope", "end_radius", "kin_interior", "pot_interior")
     assert [float(getattr(zero, f)).hex() for f in fields] \
         == [float(getattr(bare, f)).hex() for f in fields]
     closed = (square_well_a if dimension == 3 else disc_well_a)(1.0, 1.0, 1.0)
     assert abs(zero.a - closed) <= 1e-8 * closed
 
 
-# float.hex of (a, s, kin_interior, pot_interior, slope, range_radius) for
+# float.hex of (a, s, kin_interior, pot_interior, slope, end_radius) for
 # one potential of each kind the solver branches on, fixed when the
 # integration path was last restructured: any change to the bits of the
 # integration, the quadrature components included, fails here by name
@@ -365,4 +365,4 @@ def test_scattering_golden_bits(name):
     sol = solve_zero_energy(PairPotential(**kwargs), mu)
     assert [float(x).hex() for x in (sol.a, sol.s, sol.kin_interior,
                                       sol.pot_interior, sol.slope,
-                                      sol.range_radius)] == golden
+                                      sol.end_radius)] == golden
