@@ -140,11 +140,11 @@ def kinetic_cutoff(v: float, ell: float = 1.0, t: float = 0.1,
 
     Satisfies 0 <= F(v) <= (1 - C t) v with F(0) = 0.
     """
-    if ell <= 0:
+    if not ell > 0:     # NaN too
         raise DomainError("ell must be positive")
     if C_univ <= 0 or not (0.0 < t < 1.0 / C_univ):
         raise DomainError("need 0 < t < 1/C_univ")
-    if v < 0:
+    if not v >= 0:
         raise DomainError("v must be nonnegative")
     return (1.0 - C_univ * t) * v * v / (v + (ell * t ** 3) ** -2.0)
 

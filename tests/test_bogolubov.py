@@ -134,6 +134,11 @@ def test_kinetic_cutoff():
         assert 0.0 <= f <= (1.0 - t) * v + 1e-30
     with pytest.raises(DomainError):
         kinetic_cutoff(1.0, t=1.5, C_univ=1.0)
+    # a NaN v or ell is named, not passed on as a NaN cutoff
+    with pytest.raises(DomainError, match="v must be nonnegative"):
+        kinetic_cutoff(math.nan)
+    with pytest.raises(DomainError, match="ell must be positive"):
+        kinetic_cutoff(1.0, ell=math.nan)
 
 
 def test_foldy_params_correlation_length():
