@@ -3,18 +3,21 @@
 `integrate_ode` integrates over one span (lo, hi) on which the right-hand
 side is smooth; a caller whose equation has breakpoints integrates one span
 per piece.  Its steps run on Python floats and skip the stage states of
-quadratures, integrals rhs never reads.  `quad` sums each Gauss-Kronrod
-panel in Python floats too.  Every sum in both has a fixed left-to-right
-order, so their results depend only on IEEE double arithmetic, not on the
-BLAS build.  All routines are deterministic pure functions of their arguments.
+quadratures, integrals rhs never reads.  Its trial step is generated as source
+from the tableau, each sum written out in a loop's left-to-right order, and
+compiled lazily, once per state shape (a few ms); only the module's
+constants and two ints reach exec.  `quad` sums each Gauss-Kronrod panel in
+Python floats too.  Every sum in both has a fixed left-to-right order, so
+their results depend only on IEEE double arithmetic, not on the BLAS build.
+All routines are deterministic pure functions of their arguments.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 from .errors import (
     DivergentTail,
@@ -145,6 +148,51 @@ _E3_SHIFT = {0: 0.244094488188976377952755905512,
 _E3_ROW = tuple((j, b - _E3_SHIFT.get(j, 0.0)) for j, b in _B_ROW)
 
 
+def _weighted(row, m):
+    """sum_j a_j k_j[m] over a tableau row as source, left to right from 0.0."""
+    return "(0.0" + "".join(f" + {a!r} * k{j}_{m}" for j, a in row) + ")"
+
+
+# a component's update and error-norm term.  At scale 0, x/0 is inf and 0/0
+# nan: a rejected step, or a component that the denom > 0 mask drops
+_NORM_TERM = """
+    n{m} = y{m} + h * {b}
+    e5, e3 = h * {e5}, h * {e3}
+    scale = abs_tol + rel_tol * (abs(y{m}) + abs(h * k0_{m}))
+    if scale > 0.0:
+        e5, e3 = e5 / scale, e3 / scale
+        denom = math.hypot(e5, 0.1 * e3)
+        q = e5 * e5 / denom if denom > 0.0 else 0.0
+    else:
+        q = math.inf if e5 or e3 else 0.0
+    if q > err or q != q:    # a NaN err sticks, as in a max
+        err = q"""
+
+
+@functools.cache
+def _trial_step(n, total):
+    """trial(rhs, r, h, y, k0, abs_tol, rel_tol) -> (y_new, err): one DOP853
+    trial step from r with first stage k0, for `total` components, the first
+    n driving.  It raises NonFiniteRhs if any of the 12 stages is not finite."""
+    def names(prefix):
+        return "".join(f"{prefix}{m}, " for m in range(total))
+    lines = ["def trial(rhs, r, h, y, k0, abs_tol, rel_tol):",
+             f"    {names('y')}= y", f"    {names('k0_')}= k0"]
+    for s, (c, row) in enumerate(_ROWS, start=1):
+        state = ", ".join(f"y{m} + h * {_weighted(row, m)}" for m in range(n))
+        lines.append(f"    {names(f'k{s}_')}= rhs(r + {c!r} * h, [{state}])")
+    stages = "".join(names(f"k{s}_") for s in range(_STAGES))
+    lines += [f"    if not all(map(math.isfinite, ({stages}))):",
+              '        raise NonFiniteRhs("rhs non-finite in the step from r=%r" % (r,))',
+              "    err = 0.0"]
+    lines += [_NORM_TERM.format(m=m, b=_weighted(_B_ROW, m), e5=_weighted(_E5_ROW, m),
+                                e3=_weighted(_E3_ROW, m)) for m in range(total)]
+    lines.append(f"    return [{names('n')}], err")
+    namespace = {}
+    exec("\n".join(lines), globals(), namespace)
+    return namespace["trial"]
+
+
 def integrate_ode(rhs, initial, span, tol: Tolerances, quadratures: int = 0) -> list:
     """Integrate y' = rhs(r, y) over span = (lo, hi) with adaptive DOP853
     steps and return the state at hi, as a list of floats.
@@ -160,14 +208,17 @@ def integrate_ode(rhs, initial, span, tol: Tolerances, quadratures: int = 0) -> 
     0 <= quadratures < len(initial), are integrals that rhs never reads: no
     stage states are built for them; the update and error norm cover them.
 
-    The step runs on Python floats: every weighted sum of stages is formed
-    left to right over the nonzero weights, so the results depend only on
-    IEEE double arithmetic, not on the BLAS build.  `rhs` gets r and the
-    components of y before the quadratures, as a list, and returns
-    len(initial) numbers, read as they are; the state at hi becomes Python
-    floats once.  A non-finite rhs at any stage, or a state that overflows,
-    raises NonFiniteRhs before the step is used.  No evaluation follows the
-    last accepted step.
+    The step runs on Python floats, in source generated from the tableau
+    and compiled on first use, once per state shape (a few ms); only
+    module constants and two ints reach exec.  Each weighted sum of stages
+    is written out left to right over the nonzero weights, from 0.0 as in a
+    loop, so the results depend only on IEEE double arithmetic, not on the
+    BLAS build.  `rhs` gets r and the components of y before the
+    quadratures, as a list, and returns len(initial) numbers, read as they
+    are (another count at lo raises DomainError); the state at hi becomes
+    Python floats once.  A non-finite rhs at any stage, or a state that
+    overflows, raises NonFiniteRhs before the step is used.  No evaluation
+    follows the last accepted step.
     """
     lo, hi = span
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -179,46 +230,17 @@ def integrate_ode(rhs, initial, span, tol: Tolerances, quadratures: int = 0) -> 
     r = lo
     h_min = 1e-14 * (hi - lo)
     abs_tol, rel_tol = tol.abs_tol, tol.rel_tol
-    k = [rhs(r, y[:n])] + [None] * (_STAGES - 1)
+    k0 = rhs(r, y[:n])
+    if len(k0) != len(y):
+        raise DomainError(f"rhs returned {len(k0)} values for a state of {len(y)}")
+    trial = _trial_step(n, len(y))
     h = hi - r
     steps = 0
 
     while True:
         last = h >= hi - r
         step = hi - r if last else h
-        for s, (c, row) in enumerate(_ROWS, start=1):
-            state = []
-            for m in range(n):
-                acc = 0.0
-                for j, a in row:
-                    acc += a * k[j][m]
-                state.append(y[m] + step * acc)
-            k[s] = rhs(r + c * step, state)
-        if not all(map(math.isfinite, chain.from_iterable(k))):
-            raise NonFiniteRhs(f"rhs non-finite in the step from r={r!r}")
-        y_new = []
-        err = 0.0
-        for m, y_m in enumerate(y):
-            acc = e5 = e3 = 0.0
-            for j, a in _B_ROW:
-                acc += a * k[j][m]
-            for j, a in _E5_ROW:
-                e5 += a * k[j][m]
-            for j, a in _E3_ROW:
-                e3 += a * k[j][m]
-            y_new.append(y_m + step * acc)
-            e5, e3 = step * e5, step * e3
-            scale = abs_tol + rel_tol * (abs(y_m) + abs(step * k[0][m]))
-            if scale > 0.0:
-                e5, e3 = e5 / scale, e3 / scale
-                denom = math.hypot(e5, 0.1 * e3)
-                q = e5 * e5 / denom if denom > 0.0 else 0.0
-            else:
-                # x/0 is inf and 0/0 nan: a rejected step, or a component
-                # that the denom > 0 mask drops
-                q = math.inf if e5 or e3 else 0.0
-            if q > err or q != q:     # a NaN err sticks, as in a max
-                err = q
+        y_new, err = trial(rhs, r, step, y, k0, abs_tol, rel_tol)
         # a non-finite err (e5 * e5 overflows at a tiny abs_tol) is
         # a rejected step: err ** -0.125 shrinks h by 0.2
         if not all(map(math.isfinite, y_new)):
@@ -228,7 +250,7 @@ def integrate_ode(rhs, initial, span, tol: Tolerances, quadratures: int = 0) -> 
             y = y_new
             if last or r >= hi:     # r + h may round onto hi
                 return list(map(float, y))
-            k[0] = rhs(r, y[:n])
+            k0 = rhs(r, y[:n])
             grow = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
             h = step * grow
         else:

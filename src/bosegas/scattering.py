@@ -259,6 +259,8 @@ def _energy_parts(sol: ScatteringSolution, R: float):
     plus the exterior kinetic term, a^2 (1/r_end - 1/R) in 3D and
     ln(R/r_end) in 2D.  A tail's exterior potential term is the caller's."""
     p = sol.potential
+    if math.isnan(R):
+        raise DomainError(f"need a radius R, got R={R!r}")
     if R < p.range_radius:
         raise RadiusInsideRange(
             f"R={R!r} lies inside the interaction range {p.range_radius!r}")
@@ -309,10 +311,10 @@ def kinetic_fraction(sol: ScatteringSolution) -> float:
 def two_dim_energy_ratio(sol: ScatteringSolution, R: float) -> float:
     """Kinetic share of the 2D energy integral over a disc of radius R.
 
-    Tends to 1 like 1/ln(R/a): the logarithmically growing kinetic part
-    dominates the finite potential part.  R may be any radius from the
-    potential's range on (`_energy_parts`).  At the radius of a hard disc
-    both parts vanish, and the ratio 0/0 raises DomainError.
+    Tends to 1 like 1/ln(R/a), the value at R = inf: the logarithmically
+    growing kinetic part dominates the finite potential part.  R may be any
+    radius from the potential's range on (`_energy_parts`).  At the radius
+    of a hard disc both parts vanish, and the ratio 0/0 raises DomainError.
     """
     p = sol.potential
     if p.dimension != 2:
@@ -321,4 +323,4 @@ def two_dim_energy_ratio(sol: ScatteringSolution, R: float) -> float:
         raise DomainError(
             f"the energy ratio is 0/0 at the hard-disc radius R={R!r}")
     kin, pot = _energy_parts(sol, R)
-    return 2.0 * sol.mu * kin / (2.0 * sol.mu * kin + pot)
+    return 1.0 if kin == math.inf else 2.0 * sol.mu * kin / (2.0 * sol.mu * kin + pot)

@@ -789,6 +789,28 @@ def test_each_command_loads_only_what_it_computes_with():
         assert not scipy or "linalg" in subpackages, argv
 
 
+_STEP_PROBE = """
+import contextlib, io, json, sys
+from bosegas import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+numerics = sys.modules["bosegas.numerics"]
+print(json.dumps([codes, numerics._trial_step.cache_info().misses]))
+"""
+
+
+def test_commands_without_an_ode_compile_no_trial_step():
+    # a hard core is exact, and tf and bogolubov integrate no ODE: a fresh
+    # process that runs them loads numerics but generates no DOP853 step
+    argvs = [["scatter", "--potential", "hardcore:r0=1"],
+             ["tf", "--coupling", "100"], ["bogolubov"]]
+    proc = subprocess.run(
+        [sys.executable, "-c", _STEP_PROBE, json.dumps(argvs)],
+        capture_output=True, text=True, timeout=120, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 0, 0], 0]
+
+
 # The names `bosegas/__init__.py` imported eagerly before its namespace
 # became lazy, by defining module.
 _PUBLIC_NAMES = {

@@ -1,5 +1,6 @@
 """Numerical-kernel tests: ODE control and quadrature."""
 
+import bisect
 import math
 import warnings
 
@@ -10,8 +11,10 @@ from bosegas.errors import (DivergentTail, DomainError, NonFiniteRhs,
                             StepSizeUnderflow)
 from bosegas.numerics import (_B_ROW, _E3_ROW, _E5_ROW, _GAUSS_W,
                               _KRONROD_W, _KRONROD_X, _MAX_STEPS, _ROWS,
-                              _STAGES, Tolerances, _gk_panel, integrate_ode,
-                              quad)
+                              _STAGES, Tolerances, _gk_panel, _trial_step,
+                              integrate_ode, quad)
+from bosegas.potentials import PairPotential
+from bosegas.scattering import solve_zero_energy
 
 TOL = Tolerances()
 
@@ -168,6 +171,69 @@ def test_ode_bits_match_reference_loop(seed):
             new = integrate_ode(rhs, y0, (0.0, hi), tol)
             old = _reference_integrate_ode(rhs, y0, np.array([0.0, hi]), tol)
             assert np.array(new).tobytes() == old[-1].tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ode_bits_at_the_scattering_shape(seed):
+    # (w, u', kin, pot) of a 3D zero-energy solve, w = u - r u', through a
+    # seeded piecewise-constant v whose jumps reject steps, the last two
+    # components quadratures.  The state at hi and every (r, state) that rhs
+    # sees match the reference on the full state.  v = 0 on the first piece
+    # makes w' = -0.0 there, so the run from w = -0.0 pins the 0.0 start of
+    # each stage sum: without it a stage would pass w = -0.0, not +0.0
+    rng = np.random.default_rng(seed)
+    knots = np.sort(rng.uniform(0.5, 2.0, size=3)).tolist()
+    levels = [0.0, *rng.uniform(0.5, 50.0, size=3).tolist()]
+    mu = float(rng.uniform(0.5, 2.0))
+
+    def recorded(calls):
+        def rhs(r, y):
+            w, du = float(y[0]), float(y[1])
+            calls.append((float(r).hex(), w.hex(), du.hex()))
+            v = levels[bisect.bisect(knots, r)]
+            u = w + r * du
+            curv = v * u / (2.0 * mu)
+            grad = w / r
+            return (-r * curv, curv, grad * grad, v * u * u)
+        return rhs
+
+    span = (0.25, 2.5)
+    starts = ([-0.0, 1.0, 0.0, 0.0],
+              [float(rng.uniform(-1.0, 0.0)), float(rng.uniform(0.5, 2.0)),
+               0.0, 0.0])
+    for y0 in starts:
+        for tol in (Tolerances(), Tolerances(abs_tol=1e-6, rel_tol=1e-5)):
+            calls, old_calls = [], []
+            new = integrate_ode(recorded(calls), y0, span, tol, quadratures=2)
+            old = _reference_integrate_ode(recorded(old_calls), y0,
+                                           np.array(span), tol)
+            assert np.array(new).tobytes() == old[-1].tobytes()
+            assert calls == old_calls[:-1]
+            # an accepted step ends on its stage 11, which FSAL evaluates
+            # again; every trial step costs 11 evaluations
+            accepted = 1 + sum(a[0] == b[0] for a, b in zip(calls, calls[1:]))
+            rejected, rest = divmod(len(calls) - 12 * accepted, 11)
+            assert rest == 0 and rejected > 0
+
+
+@pytest.mark.parametrize("returned", [lambda y: (y[1],),
+                                      lambda y: (y[1], -y[0], 0.0)],
+                         ids=["short", "long"])
+def test_ode_names_an_rhs_of_the_wrong_length(returned):
+    with pytest.raises(DomainError, match="rhs returned [13] values for a "
+                                          "state of 2"):
+        integrate_ode(lambda r, y: returned(y), [0.0, 1.0], (0.0, 1.0), TOL)
+
+
+def test_trial_step_compiles_once_per_state_shape():
+    # every segment of every 3D solve integrates 2 driving components and
+    # 2 quadratures: one compile, then cache hits
+    _trial_step.cache_clear()
+    for v0 in (3.0, 30.0):
+        solve_zero_energy(PairPotential(kind="square-well", core_radius=1.0,
+                                        strength=v0), 1.0)
+    info = _trial_step.cache_info()
+    assert (info.misses, info.currsize) == (1, 1) and info.hits >= 3
 
 
 def test_ode_nan_at_zero_weight_stage_raises():

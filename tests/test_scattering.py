@@ -366,3 +366,20 @@ def test_scattering_golden_bits(name):
     assert [float(x).hex() for x in (sol.a, sol.s, sol.kin_interior,
                                       sol.pot_interior, sol.slope,
                                       sol.end_radius)] == golden
+
+
+def test_energy_diagnostics_name_a_nan_radius_and_reach_their_limits():
+    # R = nan is no radius and raises a DomainError naming it; R = inf gives
+    # each diagnostic's limit: 8 pi mu a in 3D, a kinetic share of 1 in 2D
+    sol3 = solve_zero_energy(
+        PairPotential(kind="square-well", core_radius=1.0, strength=1.0), 1.0)
+    sol2 = solve_zero_energy(
+        PairPotential(kind="square-well", dimension=2, core_radius=1.0,
+                      strength=1.0), 1.0)
+    assert energy_integral(sol3, math.inf) == 3.492014152252422
+    assert two_dim_energy_ratio(sol2, math.inf) == 1.0
+    assert two_dim_energy_ratio(sol2, 1e300) < 1.0
+    for diagnostic, sol in ((energy_integral, sol3),
+                            (two_dim_energy_ratio, sol2)):
+        with pytest.raises(DomainError, match="R=nan"):
+            diagnostic(sol, math.nan)
