@@ -13,17 +13,15 @@ import math
 import numpy as np
 
 from bosegas.homogeneous import (DYSON_LOWER_RATIO, DiluteParams,
-                                 cell_error_terms, cell_lower_bound,
-                                 cell_params_from_ansatz, dilute_lower_ratio,
-                                 dyson_upper_ratio, leading_energy,
-                                 lhy_energy, schick_2d_bounds)
+                                 cell_construction, cell_lower_bound,
+                                 dilute_lower_ratio, dyson_upper_ratio,
+                                 leading_energy, lhy_energy, schick_2d_bounds)
 
 print("-- 3D bound sandwich: e0 / (4 pi mu rho a) --")
 print(f"  {'Y':>8}  {'lower 1-8.9 Y^(1/17)':>22}  {'upper':>10}  "
       f"{'upper (finite range)':>21}")
 for y in np.geomspace(1e-20, 1e-6, 8):
-    lower = dilute_lower_ratio(float(y))
-    print(f"  {float(y):8.0e}  {lower.value:22.6f}  "
+    print(f"  {float(y):8.0e}  {dilute_lower_ratio(float(y)):22.6f}  "
           f"{dyson_upper_ratio(float(y)):10.6f}  "
           f"{dyson_upper_ratio(float(y), True):21.6f}")
 y_star = ((1.0 - DYSON_LOWER_RATIO) / 8.9) ** 17
@@ -41,7 +39,7 @@ print(f"  {'Y':>8}  {'bound/leading':>14}  dominant error terms")
 for y in (1e-12, 1e-20, 1e-50, 1e-100):
     a = (3.0 * y / (4.0 * math.pi)) ** (1.0 / 3.0)
     p = DiluteParams(rho=1.0, a=a, mu=1.0)
-    terms = cell_error_terms(p, cell_params_from_ansatz(p))
+    terms = cell_construction(p).terms
     top = sorted(terms.items(), key=lambda kv: -kv[1])[:2]
     summary = ", ".join(f"{k} = {v:.3f}" for k, v in top)
     print(f"  {y:8.0e}  {cell_lower_bound(p) / leading_energy(p):14.6f}  "

@@ -22,7 +22,7 @@ _EXPORTS = {
     "trap_value",
     "scattering": "ScatteringSolution energy_integral kinetic_fraction "
     "solve_zero_energy",
-    "homogeneous": "CellMethodParams DiluteParams "
+    "homogeneous": "CellConstruction DiluteParams cell_construction "
     "cell_energy_factor cell_lower_bound cell_lower_ratio dilute_lower_ratio "
     "dyson_upper_ratio leading_energy lhy_energy log_quadratic_gap "
     "occupation_minimum schick_2d_bounds temple_bound",

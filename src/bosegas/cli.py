@@ -353,7 +353,7 @@ def _run_bounds(config: RunConfig) -> Tuple[list, list]:
         lower = homogeneous.dilute_lower_ratio(ys, pars["lower_c"])
         values = [ys, homogeneous.dyson_upper_ratio(ys),
                   homogeneous.dyson_upper_ratio(ys, True),
-                  lower.value, lower.valid, homogeneous.cell_lower_ratio(ys)]
+                  lower, lower > 0.0, homogeneous.cell_lower_ratio(ys)]
         rows = [{"Y": y, "dyson_upper": up, "dyson_upper_improved": up_i,
                  "lower_ratio": low, "lower_valid": valid,
                  "dyson_lower_const": homogeneous.DYSON_LOWER_RATIO,

@@ -22,8 +22,7 @@ from .errors import (AnsatzInfeasible, DomainError, GapViolation,
 
 __all__ = [
     "DiluteParams",
-    "CellMethodParams",
-    "LowerRatio",
+    "CellConstruction",
     "DYSON_LOWER_RATIO",
     "LOWER_RATIO_C",
     "ANSATZ_EXPONENTS",
@@ -36,7 +35,7 @@ __all__ = [
     "cell_energy_factor",
     "cell_lower_bound",
     "cell_lower_ratio",
-    "cell_params_from_ansatz",
+    "cell_construction",
     "occupation_minimum",
     "log_quadratic_gap",
 ]
@@ -85,29 +84,21 @@ class DiluteParams:
         object.__setattr__(self, "rho_a2", rho_a2)
 
 
-@dataclass(frozen=True)
-class CellMethodParams:
-    """Parameters of one 3D Temple cell: n particles in a box of side ell.
+class CellConstruction(NamedTuple):
+    """One 3D Temple cell of the Y-power ansatz and the bound it gives:
+    n = 4 rho ell^3 particles (not necessarily integral) in a box of side
+    ell, the soft interaction on the shell R0 = a < r < R, eps the kinetic
+    fraction withheld from the Dyson substitution, the five relative error
+    terms, K(n, ell) and the bound 4 pi mu a rho (1 - 1/(rho ell^3)) K."""
 
-    The soft replacement of the interaction lives on the shell R0 < r < R;
-    eps is the kinetic-energy fraction withheld from the Dyson substitution.
-    ``n`` may be non-integral: the closed formulas are evaluated at
-    n = 4 rho ell^3.
-    """
-
-    n: float
+    eps: float
     ell: float
     R: float
-    R0: float = 0.0
-    eps: float = 0.5
-
-    def __post_init__(self):
-        if not (0.0 <= self.R0 < self.R < 0.5 * self.ell):
-            raise DomainError("need R0 < R < ell/2")
-        if not (0.0 < self.eps < 1.0):
-            raise DomainError("eps must lie in (0, 1)")
-        if self.n < 2:
-            raise DomainError("need at least 2 particles per cell")
+    R0: float
+    n: float
+    terms: dict
+    k: float
+    bound: float
 
 
 def leading_energy(p: DiluteParams) -> float:
@@ -171,26 +162,19 @@ def dyson_upper_ratio(y, finite_range_improved: bool = False):
     return out if out.ndim else float(out)
 
 
-class LowerRatio(NamedTuple):
-    value: float        # or an array, for array Y
-    valid: bool
-
-
-def dilute_lower_ratio(y, c: float = LOWER_RATIO_C) -> LowerRatio:
-    """Lower bound ratio 1 - C Y^(1/17), unclamped, with a validity flag.
+def dilute_lower_ratio(y, c: float = LOWER_RATIO_C):
+    """Lower bound ratio 1 - C Y^(1/17), unclamped.
 
     The bound is vacuous (value <= 0) for large Y; returning the raw value
     keeps the crossover against DYSON_LOWER_RATIO visible.  Array ``Y``
-    gives arrays; scalar ``Y`` a Python float and bool.
+    gives an array; scalar ``Y`` a Python float.
     """
     require_finite(C=c)
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0):
         raise DomainError("Y must be positive")
     value = 1.0 - c * _libm_pow(y, 1.0 / 17.0)
-    if value.ndim:
-        return LowerRatio(value=value, valid=value > 0.0)
-    return LowerRatio(value=float(value), valid=bool(value > 0.0))
+    return value if value.ndim else float(value)
 
 
 def schick_2d_bounds(p: DiluteParams):
@@ -204,7 +188,7 @@ def schick_2d_bounds(p: DiluteParams):
     if p.rho_a2 >= 1.0 or abs(math.log(p.rho_a2)) <= 1.0:
         raise DomainError("need rho a^2 small enough that |ln(rho a^2)| > 1")
     log = abs(math.log(p.rho_a2))
-    lead = 4.0 * math.pi * p.mu * p.rho / log
+    lead = leading_energy(p)
     return lead * (1.0 + 1.0 / log), lead * (1.0 - log ** -0.2)
 
 
@@ -238,57 +222,59 @@ def temple_bound(h_mean: float, h2_mean: float, e1: float) -> float:
     return h_mean - variance / gap
 
 
-def cell_energy_factor(params: CellMethodParams, a: float, n=None):
+def cell_energy_factor(cell: CellConstruction, n=None):
     """The dimensionless factor K(n, ell) of the 3D cell-method lower bound:
 
          (1-eps) (1-2R/ell)^3 (1 + 4 pi/3 rho (1-1/n)(R^3-R0^3))^(-1)
-         * (1 - (3/pi) a n / ((R^3-R0^3)(eps ell^-2 - 4 a ell^-3 n(n-1))))
+         * (1 - (3/pi) R0 n / ((R^3-R0^3)(eps ell^-2 - 4 R0 ell^-3 n(n-1))))
 
-    with rho = n/ell^3.  Returns 0 whenever the Temple denominator is
-    nonpositive or the product turns negative (0 is the documented trivial
-    lower bound).  ``n`` may be an array for sweeps; defaults to params.n.
+    with rho = n/ell^3 and the scattering length a = R0.  Returns 0
+    whenever the Temple denominator is nonpositive or the product turns
+    negative (0 is the documented trivial lower bound).  ``n`` may be an
+    array for sweeps; defaults to cell.n.
     """
-    n = params.n if n is None else n
+    n = cell.n if n is None else n
     n = np.asarray(n, dtype=float)
     if np.any(n < 2):
         raise DomainError("need n >= 2")
-    ell, R, R0, eps = params.ell, params.R, params.R0, params.eps
-    k = _k_factor_3d(eps, ell, R, n, _temple(a, eps, ell, R, R0, n))
+    t = _temple(cell.R0, cell.eps, cell.ell, cell.R, n)
+    k = _k_factor_3d(cell.eps, cell.ell, cell.R, n, t)
     return k if k.ndim else float(k)
 
 
-def cell_params_from_ansatz(p: DiluteParams) -> CellMethodParams:
-    """Instantiate cell parameters from the Y-power ansatz.
+def cell_construction(p: DiluteParams) -> CellConstruction:
+    """The cell of the Y-power ansatz at p, as Python floats.
 
     eps = Y^(1/17), a/ell = Y^(6/17), (R^3 - R0^3)/ell^3 = Y^(3/17) with
     R0 = a (the hard-core convention, where range and scattering length
-    coincide); the constants of the three powers are fixed at 1.
+    coincide); the constants of the three powers are fixed at 1.  Raises
+    AnsatzInfeasible when one of the three ansatz conditions fails, but not
+    on the error terms: K stays readable where the bound is void.
     """
     if p.d != 3:
         raise DomainError("the Y-power ansatz is three-dimensional")
     if p.y == 0.0:      # a^3 below the float range: the ansatz takes 0 * inf
         raise DomainError(f"rho = {p.rho!r}, a = {p.a!r}: "
                           "Y = 4 pi rho a^3 / 3 underflows to 0")
-    eps, ell, R, n = map(float, _ansatz(p.y, p.a, p.rho))
-    for holds, message in _ansatz_checks(eps, ell, R, p.a, n):
+    cell, checks = _construct(p.rho, p.a, p.mu)
+    for holds, message in checks:
         if not holds:
-            raise AnsatzInfeasible(message.format(eps=eps))
-    return CellMethodParams(n=n, ell=ell, R=R, R0=p.a, eps=eps)
+            raise AnsatzInfeasible(message.format(eps=float(cell.eps)))
+    return cell._make({name: float(t) for name, t in v.items()}
+                      if isinstance(v, dict) else float(v) for v in cell)
 
 
 def cell_lower_bound(p: DiluteParams) -> float:
     """Cell-method lower bound 4 pi mu a rho (1 - 1/(rho ell^3)) K(4 rho ell^3, ell)
-    with the ansatz-instantiated cell parameters.
+    of the ansatz cell (`cell_construction`).
 
     Raises AnsatzInfeasible when the ansatz or one of the five relative
-    error terms (`cell_error_terms`) rules the construction out.
+    error terms rules the construction out.
     """
-    params = cell_params_from_ansatz(p)
-    terms = cell_error_terms(p, params)
-    if any(t >= 1.0 for t in terms.values()):
-        raise AnsatzInfeasible(f"error terms not all < 1: {terms}")
-    k = cell_energy_factor(params, a=p.a)
-    return float(_cell_value(p.mu, p.a, p.rho, terms["occupancy"], k))
+    cell = cell_construction(p)
+    if any(t >= 1.0 for t in cell.terms.values()):
+        raise AnsatzInfeasible(f"error terms not all < 1: {cell.terms}")
+    return cell.bound
 
 
 def cell_lower_ratio(y):
@@ -305,32 +291,21 @@ def cell_lower_ratio(y):
         raise DomainError("Y must be positive")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a = _libm_pow(3.0 * y / (4.0 * math.pi), 1.0 / 3.0)
-        eps, ell, R, n = _ansatz(_diluteness(1.0, a), a, 1.0)
-        temple = _temple(a, eps, ell, R, a, n)
-        terms = _error_terms(1.0, eps, ell, R, temple)
+        cell, checks = _construct(1.0, a, 1.0)
         feasible = np.logical_and.reduce(
-            [holds for holds, _ in _ansatz_checks(eps, ell, R, a, n)]
-            + [~(t >= 1.0) for t in terms.values()])
-        k = _k_factor_3d(eps, ell, R, n, temple)
-        ratio = _cell_value(1.0, a, 1.0, terms["occupancy"], k) \
-            / (4.0 * math.pi * a)
+            [holds for holds, _ in checks]
+            + [~(t >= 1.0) for t in cell.terms.values()])
+        ratio = cell.bound / (4.0 * math.pi * a)
     out = np.where(feasible, ratio, 0.0)
     return out if out.ndim else float(out)
 
 
-def cell_error_terms(p: DiluteParams, params: CellMethodParams) -> dict:
-    """The five relative error terms of the cell construction (all must be << 1)."""
-    eps, ell, R = params.eps, params.ell, params.R
-    temple = _temple(p.a, eps, ell, R, params.R0, params.n)
-    return {name: float(t) for name, t in
-            _error_terms(p.rho, eps, ell, R, temple).items()}
-
-
-# --- the cell-method chain, elementwise on scalars or arrays -----------------------
+# --- the cell construction, elementwise on scalars or arrays -----------------------
 #
-# One copy of the formulas serves the scalar entry points above and the
-# array-valued `cell_lower_ratio`.  Every power goes through `_libm_pow`, so
-# an array element carries the same bits as the scalar evaluation.
+# `_construct` is the one evaluation of the construction: `cell_construction`
+# and `cell_lower_bound` read it at one (rho, a, mu), `cell_lower_ratio` at a
+# whole Y sweep.  Every power goes through `_libm_pow`, so an array element
+# carries the same bits as the scalar evaluation.
 
 
 def _diluteness(rho, a):
@@ -338,8 +313,11 @@ def _diluteness(rho, a):
     return 4.0 * math.pi * rho * _libm_pow(a, 3) / 3.0
 
 
-def _ansatz(y, a, rho):
-    """(eps, ell, R, n) of the Y-power ansatz at diluteness y, with R0 = a."""
+def _construct(rho, a, mu):
+    """The ansatz cell at (rho, a, mu), R0 = a, with its three ansatz
+    conditions as (holds, message) pairs in checking order.  Where one
+    fails, ell and what is built on it are NaN, which raises no float error."""
+    y = _diluteness(rho, a)
     alpha, beta, gamma = ANSATZ_EXPONENTS
     eps = _libm_pow(y, alpha)
     with np.errstate(divide="ignore"):      # y = 0 (a^3 underflows): ell = inf
@@ -347,21 +325,27 @@ def _ansatz(y, a, rho):
     ell3 = _libm_pow(ell, 3)
     R = _libm_pow(_libm_pow(a, 3) + _libm_pow(y, gamma) * ell3, 1.0 / 3.0)
     n = 4.0 * rho * ell3
-    return eps, ell, R, n
-
-
-def _ansatz_checks(eps, ell, R, R0, n):
-    """(holds, message) for each feasibility condition, in checking order."""
-    return [((0.0 < eps) & (eps < 1.0),
-             "eps = {eps!r} outside (0, 1); Y too large"),
-            ((R0 < R) & (R < 0.5 * ell),
-             "ansatz violates R0 < R < ell/2; Y too large"),
-            (np.logical_not(n < 2),
-             "fewer than 2 particles per cell; Y too large")]
+    checks = [((0.0 < eps) & (eps < 1.0),
+               "eps = {eps!r} outside (0, 1); Y too large"),
+              ((a < R) & (R < 0.5 * ell),
+               "ansatz violates R0 < R < ell/2; Y too large"),
+              (np.logical_not(n < 2),
+               "fewer than 2 particles per cell; Y too large")]
+    ansatz = np.logical_and.reduce([holds for holds, _ in checks])
+    ell = np.where(ansatz, ell, math.nan)
+    t = _temple(a, eps, ell, R, n)
+    terms = {"eps": eps, "occupancy": 1.0 / (rho * t.ell3),
+             "boundary": 2.0 * R / ell,
+             "local_density": 4.0 * math.pi / 3.0 * (4.0 * rho) * t.shell,
+             "temple": t.error}
+    k = _k_factor_3d(eps, ell, R, n, t)
+    bound = 4.0 * math.pi * mu * a * rho * (1.0 - terms["occupancy"]) * k
+    return CellConstruction(eps, ell, R, a, n, terms, k, bound), checks
 
 
 class _Temple(NamedTuple):
-    """The pieces of the 3D Temple denominator shared by the error terms and K."""
+    """The pieces of the 3D Temple denominator shared by the error terms and
+    K, for a cell with R0 = a."""
 
     ell3: np.ndarray
     shell: np.ndarray       # R^3 - R0^3
@@ -369,23 +353,13 @@ class _Temple(NamedTuple):
     error: np.ndarray       # (3/pi) a n / (shell denom); +inf where denom <= 0
 
 
-def _temple(a, eps, ell, R, R0, n) -> _Temple:
+def _temple(a, eps, ell, R, n) -> _Temple:
     ell3 = _libm_pow(ell, 3)
-    shell = _libm_pow(R, 3) - _libm_pow(R0, 3)
+    shell = _libm_pow(R, 3) - _libm_pow(a, 3)
     denom = eps / _libm_pow(ell, 2) - 4.0 * a / ell3 * n * (n - 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         error = (3.0 / math.pi) * a * n / (shell * denom)
     return _Temple(ell3, shell, denom, np.where(denom <= 0.0, math.inf, error))
-
-
-def _error_terms(rho, eps, ell, R, t: _Temple) -> dict:
-    return {
-        "eps": eps,
-        "occupancy": 1.0 / (rho * t.ell3),
-        "boundary": 2.0 * R / ell,
-        "local_density": 4.0 * math.pi / 3.0 * (4.0 * rho) * t.shell,
-        "temple": t.error,
-    }
 
 
 def _k_factor_3d(eps, ell, R, n, t: _Temple):
@@ -395,11 +369,6 @@ def _k_factor_3d(eps, ell, R, n, t: _Temple):
         k = (1.0 - eps) * _libm_pow(1.0 - 2.0 * R / ell, 3) / local \
             * (1.0 - t.error)
     return np.where(t.denom > 0.0, np.maximum(k, 0.0), 0.0)
-
-
-def _cell_value(mu, a, rho, occupancy, k):
-    """4 pi mu a rho (1 - 1/(rho ell^3)) K."""
-    return 4.0 * math.pi * mu * a * rho * (1.0 - occupancy) * k
 
 
 def occupation_minimum(k: float, p: int) -> float:

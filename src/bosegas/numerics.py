@@ -215,7 +215,8 @@ def integrate_ode(rhs, initial, span, tol: Tolerances, quadratures: int = 0) -> 
     loop, so the results depend only on IEEE double arithmetic, not on the
     BLAS build.  `rhs` gets r and the components of y before the
     quadratures, as a list, and returns len(initial) numbers, read as they
-    are (another count at lo raises DomainError); the state at hi becomes
+    are (any other return, at lo or a later stage, raises DomainError; an
+    error raised inside rhs passes through as it is); the state at hi becomes
     Python floats once.  A non-finite rhs at any stage, or a state that
     overflows, raises NonFiniteRhs before the step is used.  No evaluation
     follows the last accepted step.
@@ -231,36 +232,52 @@ def integrate_ode(rhs, initial, span, tol: Tolerances, quadratures: int = 0) -> 
     h_min = 1e-14 * (hi - lo)
     abs_tol, rel_tol = tol.abs_tol, tol.rel_tol
     k0 = rhs(r, y[:n])
-    if len(k0) != len(y):
-        raise DomainError(f"rhs returned {len(k0)} values for a state of {len(y)}")
+    try:
+        count = len(k0)
+    except TypeError:
+        raise DomainError(f"rhs returned a {type(k0).__name__}, not {len(y)} "
+                          "values") from None
+    if count != len(y):
+        raise DomainError(f"rhs returned {count} values for a state of {len(y)}")
     trial = _trial_step(n, len(y))
     h = hi - r
     steps = 0
 
-    while True:
-        last = h >= hi - r
-        step = hi - r if last else h
-        y_new, err = trial(rhs, r, step, y, k0, abs_tol, rel_tol)
-        # a non-finite err (e5 * e5 overflows at a tiny abs_tol) is
-        # a rejected step: err ** -0.125 shrinks h by 0.2
-        if not all(map(math.isfinite, y_new)):
-            raise NonFiniteRhs(f"state overflow near r={r:.6g}")
-        if err <= 1.0:
-            r += step
-            y = y_new
-            if last or r >= hi:     # r + h may round onto hi
-                return list(map(float, y))
-            k0 = rhs(r, y[:n])
-            grow = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
-            h = step * grow
-        else:
-            h = step * max(0.2, 0.9 * err ** -0.125)
-            if h < h_min:
-                raise StepSizeUnderflow(
-                    f"step {h:.3e} below floor near r={r:.6g}")
-        steps += 1
-        if steps > _MAX_STEPS:
-            raise StepSizeUnderflow("step budget exhausted")
+    try:
+        while True:
+            last = h >= hi - r
+            step = hi - r if last else h
+            y_new, err = trial(rhs, r, step, y, k0, abs_tol, rel_tol)
+            # a non-finite err (e5 * e5 overflows at a tiny abs_tol) is
+            # a rejected step: err ** -0.125 shrinks h by 0.2
+            if not all(map(math.isfinite, y_new)):
+                raise NonFiniteRhs(f"state overflow near r={r:.6g}")
+            if err <= 1.0:
+                r += step
+                y = y_new
+                if last or r >= hi:     # r + h may round onto hi
+                    return list(map(float, y))
+                k0 = rhs(r, y[:n])
+                grow = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
+                h = step * grow
+            else:
+                h = step * max(0.2, 0.9 * err ** -0.125)
+                if h < h_min:
+                    raise StepSizeUnderflow(
+                        f"step {h:.3e} below floor near r={r:.6g}")
+            steps += 1
+            if steps > _MAX_STEPS:
+                raise StepSizeUnderflow("step budget exhausted")
+    except (TypeError, ValueError) as exc:
+        # a stage return that the trial step cannot unpack or test fails in
+        # the step's own frame; an error raised inside rhs has rhs innermost
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        if tb.tb_frame.f_code is not trial.__code__:
+            raise
+        raise DomainError(f"rhs must return {len(y)} numbers for a state of "
+                          f"{len(y)}; a stage near r={r:.6g} did not") from None
 
 
 # 15-point Kronrod rule with embedded 7-point Gauss rule on [-1, 1].

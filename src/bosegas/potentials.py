@@ -34,7 +34,10 @@ HARD_CORE = math.inf
 # each pair kind with the fields it does not read, which keep their defaults
 _PAIR_KINDS = {"hard-core": ("strength", "table"), "square-well": ("table",),
                "tabulated": ("core_radius", "strength")}
-_TRAP_KINDS = ("box", "harmonic", "power-law")
+# each trap kind with the fields it does not read, which keep their defaults
+_TRAP_KINDS = {"box": ("homogeneity_degree", "scale"),
+               "harmonic": ("box_side", "homogeneity_degree"),
+               "power-law": ("box_side",)}
 
 
 @dataclass(frozen=True)
@@ -191,7 +194,10 @@ def tail_integrability(p: PairPotential) -> TailReport:
 
 @dataclass(frozen=True)
 class TrapPotential:
-    """Confining potential: box, harmonic, or general power law |x|^s."""
+    """Confining potential: box (`box_side`), harmonic (`scale` r^2), or
+    general power law (`scale` |x|^s, s = `homogeneity_degree`).  A field
+    that the kind does not read must keep its default.
+    """
 
     kind: str
     dimension: int = 3
@@ -200,21 +206,22 @@ class TrapPotential:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in _TRAP_KINDS:
+        if not (isinstance(self.kind, str) and self.kind in _TRAP_KINDS):
             raise DomainError(f"unknown trap kind {self.kind!r}")
         if self.dimension not in (2, 3):
             raise DomainError("dimension must be 2 or 3")
         require_finite(box_side=self.box_side,
                        homogeneity_degree=self.homogeneity_degree,
                        scale=self.scale)
+        for name in _TRAP_KINDS[self.kind]:
+            if getattr(self, name) != getattr(TrapPotential, name):
+                raise DomainError(f"{name} is not read by a {self.kind} trap")
         if self.kind == "box" and self.box_side <= 0:
             raise DomainError("box trap needs a positive side length")
         if self.kind != "box":
             if self.scale <= 0:
                 raise DomainError("power-law trap needs positive scale")
-            if self.kind == "harmonic":
-                object.__setattr__(self, "homogeneity_degree", 2.0)
-            elif self.homogeneity_degree <= 0:
+            if self.homogeneity_degree <= 0:
                 raise DomainError("homogeneity degree must be positive")
 
 

@@ -277,7 +277,7 @@ def _kinetic_fraction(rng, n):
 @_entry("homogeneous", "bound_sandwich_sweep", 1.0 + 1e-12, n=50, number=12)
 def _bound_sandwich(rng, n):
     ys = np.geomspace(1e-20, 1e-4, n)
-    lower = homogeneous.dilute_lower_ratio(ys, 8.9).value
+    lower = homogeneous.dilute_lower_ratio(ys, 8.9)
     upper = homogeneous.dyson_upper_ratio(ys)
     assert np.all(lower <= 1.0) and np.all(1.0 <= upper), (lower, upper)
     cell = homogeneous.cell_lower_ratio(ys)    # 0 where the ansatz fails
@@ -290,19 +290,18 @@ def _variance_substitution(rng, n):
     # recompute the Temple factor of the cell formula from its ingredients:
     # <W> upper bound, <W^2> <= 3n/(R^3-R0^3) <W>, gap eps pi mu / ell^2
     p = homogeneous.DiluteParams(rho=1.0, a=1e-5, mu=1.7)
-    params = homogeneous.cell_params_from_ansatz(p)
-    nc, ell = params.n, params.ell
-    shell = params.R ** 3 - params.R0 ** 3
+    cell = homogeneous.cell_construction(p)
+    nc, ell = cell.n, cell.ell
+    shell = cell.R ** 3 - cell.R0 ** 3
     w_mean = 4.0 * math.pi * nc * (nc - 1.0) / ell ** 3
     w2_mean = 3.0 * nc / shell * w_mean
-    gap = params.eps * math.pi * p.mu / ell ** 2
+    gap = cell.eps * math.pi * p.mu / ell ** 2
     temple_factor = 1.0 - p.mu * p.a * w2_mean \
         / (w_mean * (gap - p.mu * p.a * w_mean))
-    k = homogeneous.cell_energy_factor(params, a=p.a)
-    direct = (1.0 - params.eps) * (1.0 - 2.0 * params.R / ell) ** 3 \
+    direct = (1.0 - cell.eps) * (1.0 - 2.0 * cell.R / ell) ** 3 \
         / (1.0 + 4.0 * math.pi / 3.0 * (nc / ell ** 3) * (1.0 - 1.0 / nc)
            * shell) * temple_factor
-    rel = abs(k - direct) / abs(k)
+    rel = abs(cell.k - direct) / abs(cell.k)
     return rel, "Temple factor rebuilt from <W>, <W^2> and the gap"
 
 
@@ -360,9 +359,9 @@ def _cell_factor_monotone(rng, n):
     ns = np.arange(2.0, n + 1.0)
     for y in (1e-12, 1e-14, 1e-16):
         a = (3.0 * y / (4.0 * math.pi)) ** (1.0 / 3.0)
-        params = homogeneous.cell_params_from_ansatz(
+        cell = homogeneous.cell_construction(
             homogeneous.DiluteParams(rho=1.0, a=a, mu=1.0))
-        ks = homogeneous.cell_energy_factor(params, a=a, n=ns)
+        ks = homogeneous.cell_energy_factor(cell, n=ns)
         worst = _worst(worst, np.max(np.diff(ks)))
         positive = ks[ks > 0.0]
         assert np.all(np.diff(positive) < 0.0), f"K not decreasing at Y={y}"

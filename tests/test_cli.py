@@ -811,8 +811,7 @@ def test_commands_without_an_ode_compile_no_trial_step():
     assert json.loads(proc.stdout) == [[0, 0, 0], 0]
 
 
-# The names `bosegas/__init__.py` imported eagerly before its namespace
-# became lazy, by defining module.
+# The public names of the lazy `bosegas` namespace, by defining module.
 _PUBLIC_NAMES = {
     "errors": ["BoseGasError", "DomainError"],
     "numerics": ["Tolerances", "integrate_ode", "quad"],
@@ -822,7 +821,7 @@ _PUBLIC_NAMES = {
                    "trap_value"],
     "scattering": ["ScatteringSolution", "energy_integral",
                    "kinetic_fraction", "solve_zero_energy"],
-    "homogeneous": ["CellMethodParams", "DiluteParams",
+    "homogeneous": ["CellConstruction", "DiluteParams", "cell_construction",
                     "cell_energy_factor", "cell_lower_bound",
                     "cell_lower_ratio", "dilute_lower_ratio",
                     "dyson_upper_ratio", "leading_energy", "lhy_energy",

@@ -1,8 +1,9 @@
 """The test settings themselves: a failing test must fail alone.  And the
 code base itself: every function in the package has a caller outside the
-tests."""
+tests, and every name a module lists in `__all__` exists."""
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -84,3 +85,17 @@ def test_every_function_in_the_package_is_reached_outside_the_tests():
             todo |= _names_read(node) - reached
     unreached = sorted(set(defs) - reached - _IMPORT_HOOKS)
     assert not unreached, f"reached only from tests, if at all: {unreached}"
+
+
+def test_every_name_in_each_all_exists():
+    # perfbench's tracer and `import *` read these lists; a name deleted
+    # from its module but left in `__all__` is caught here
+    modules = ["bosegas"] + [
+        f"bosegas.{path.stem}"
+        for path in sorted((ROOT / "src" / "bosegas").glob("*.py"))
+        if path.stem != "__init__"]
+    for modname in modules:
+        module = importlib.import_module(modname)
+        missing = [name for name in getattr(module, "__all__", ())
+                   if not hasattr(module, name)]
+        assert not missing, f"{modname}.__all__ names what is gone: {missing}"

@@ -11,11 +11,10 @@ from scipy.optimize import brentq, linprog
 from bosegas.errors import (AnsatzInfeasible, DomainError, GapViolation,
                             VarianceNegative)
 from bosegas.homogeneous import (ANSATZ_EXPONENTS, DYSON_LOWER_RATIO,
-                                 CellMethodParams, DiluteParams,
-                                 cell_energy_factor, cell_error_terms,
-                                 cell_lower_bound, cell_lower_ratio,
-                                 cell_params_from_ansatz,
-                                 dilute_lower_ratio, dyson_upper_ratio,
+                                 DiluteParams, cell_construction,
+                                 cell_energy_factor, cell_lower_bound,
+                                 cell_lower_ratio, dilute_lower_ratio,
+                                 dyson_upper_ratio,
                                  intermediate_2d_upper, leading_energy,
                                  lhy_energy, log_quadratic_gap,
                                  occupation_minimum, schick_2d_bounds,
@@ -75,13 +74,12 @@ def test_dyson_upper_ratio():
 
 
 def test_lower_ratio_and_crossover():
-    assert dilute_lower_ratio(1e-60).value == pytest.approx(1.0, abs=1e-2)
-    res = dilute_lower_ratio(1e-3)
-    assert not res.valid and res.value < 0.0
+    assert dilute_lower_ratio(1e-60) == pytest.approx(1.0, abs=1e-2)
+    assert dilute_lower_ratio(1e-3) < 0.0
     # crossover against the hard-sphere lower constant 1/(10 sqrt 2),
     # verified with SciPy's root finder
     y_star = ((1.0 - DYSON_LOWER_RATIO) / 8.9) ** 17
-    root = brentq(lambda y: dilute_lower_ratio(y).value - DYSON_LOWER_RATIO,
+    root = brentq(lambda y: dilute_lower_ratio(y) - DYSON_LOWER_RATIO,
                   y_star * 0.1, min(1.0, y_star * 10.0))
     assert root == pytest.approx(y_star, rel=1e-6)
 
@@ -111,12 +109,10 @@ def test_upper_and_lower_ratio_arrays_match_scalars_bitwise():
         assert _same_bits(dyson_upper_ratio(ARRAY_GRID, improved), scalars)
     for c in (8.9, 2.0):      # C = 2 moves the validity edge onto the grid
         scalars = [dilute_lower_ratio(y, c) for y in ys]
-        assert all(type(r.value) is float and type(r.valid) is bool
-                   for r in scalars)
+        assert all(type(v) is float for v in scalars)
         arrays = dilute_lower_ratio(ARRAY_GRID, c)
-        assert _same_bits(arrays.value, [r.value for r in scalars])
-        assert arrays.valid.tolist() == [r.valid for r in scalars]
-    assert 0 < int(arrays.valid.sum()) < ARRAY_GRID.size
+        assert _same_bits(arrays, scalars)
+    assert 0 < int(np.count_nonzero(arrays > 0.0)) < ARRAY_GRID.size
 
 
 def test_cell_ratio_array_matches_cell_lower_bound_bitwise():
@@ -135,6 +131,42 @@ def test_cell_ratio_array_matches_cell_lower_bound_bitwise():
     assert type(one) is float and one == scalars[500] > 0.0
     with pytest.raises(DomainError):
         cell_lower_ratio(np.array([1e-8, 0.0]))
+
+
+def test_cell_and_lower_ratio_golden_bits():
+    # pinned bit for bit at non-unit rho and mu, where the unit-scale
+    # array-against-scalar test does not look
+    for (rho, a, mu), bits in (((2.5, 1e-6, 0.7), "0x1.58faa233d54bep-18"),
+                               ((1e-3, 3e-7, 1.9), "0x1.f511eea0b6ad2p-29"),
+                               ((37.0, 1e-40, 2.2e-3),
+                                "0x1.1d24a9a7eef19p-133")):
+        value = cell_lower_bound(DiluteParams(rho=rho, a=a, mu=mu))
+        assert value.hex() == bits
+    assert cell_lower_ratio(1e-20).hex() == "0x1.9ea3f241d5d54p-2"
+    assert cell_lower_ratio(1e-3) == 0.0
+    assert dilute_lower_ratio(1e-20).hex() == "0x1.a0f5055227e6ep-2"
+    assert dilute_lower_ratio(1e-3, 2.0).hex() == "-0x1.54242d922aa5cp-2"
+
+
+def test_cell_construction_raises_no_float_error_past_a_failed_condition():
+    # far beyond the ansatz, K's (1 - 2R/ell)^3 would overflow: the failed
+    # condition is named, and the sweep reads 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in (1e90, 1e99):
+            with pytest.raises(AnsatzInfeasible, match="^eps = "):
+                cell_lower_bound(DiluteParams(rho=1.0, a=a, mu=1e300))
+        assert cell_lower_ratio(1e300) == 0.0
+        assert cell_lower_ratio(np.array([1e-20, 1e300])).tolist() \
+            == [cell_lower_ratio(1e-20), 0.0]
+
+
+def test_cell_construction_is_python_floats():
+    cell = cell_construction(DiluteParams(rho=2.5, a=1e-6, mu=0.7))
+    fields = [v for v in cell if not isinstance(v, dict)]
+    assert all(type(v) is float for v in fields + list(cell.terms.values()))
+    with pytest.raises(DomainError, match="three-dimensional"):
+        cell_construction(DiluteParams(rho=1.0, a=1e-6, d=2))
 
 
 def test_schick_bounds_bracket():
@@ -176,31 +208,30 @@ def test_temple_two_level_oracle():
 
 def test_cell_factor_limits_and_monotonicity():
     a = 2e-5
-    p = DiluteParams(rho=1.0, a=a, mu=1.0)
-    params = cell_params_from_ansatz(p)
+    cell = cell_construction(DiluteParams(rho=1.0, a=a, mu=1.0))
     # eps -> 1 kills K through the (1 - eps) factor
-    near_one = CellMethodParams(n=params.n, ell=params.ell, R=params.R,
-                                R0=params.R0, eps=1.0 - 1e-15)
-    assert cell_energy_factor(near_one, a=a) <= 1e-14
+    assert cell_energy_factor(cell._replace(eps=1.0 - 1e-15)) <= 1e-14
     ns = np.arange(2.0, 10001.0)
-    ks = cell_energy_factor(params, a=a, n=ns)
+    ks = cell_energy_factor(cell, n=ns)
     assert np.all(np.diff(ks) <= 1e-12)
     assert ks[0] > 0.0 and ks[-1] == 0.0
 
 
 def test_cell_energy_factor_has_no_mu_parameter():
-    # K depends on the cell geometry and a only; mu scales the bound outside,
-    # and the factor is three-dimensional, so no d either
+    # K depends on the cell geometry only (a is the cell's R0); mu scales
+    # the bound outside, and the factor is three-dimensional, so no d either
     assert list(inspect.signature(cell_energy_factor).parameters) \
-        == ["params", "a", "n"]
+        == ["cell", "n"]
 
 
 def test_cell_factor_frozen_sample():
     # ansatz defaults at Y = 1e-10 (plug-in regression value)
     y = 1e-10
     a = (3.0 * y / (4.0 * math.pi)) ** (1.0 / 3.0)
-    params = cell_params_from_ansatz(DiluteParams(rho=1.0, a=a, mu=1.0))
-    assert cell_energy_factor(params, a=a) == pytest.approx(
+    # the error terms rule the bound out here, but not the ansatz
+    cell = cell_construction(DiluteParams(rho=1.0, a=a, mu=1.0))
+    assert max(cell.terms.values()) >= 1.0
+    assert cell_energy_factor(cell) == cell.k == pytest.approx(
         0.0529997707334302, rel=1e-10)
 
 
@@ -210,12 +241,11 @@ def test_cell_lower_bound_ansatz():
     y = 1e-12
     a = (3.0 * y / (4.0 * math.pi)) ** (1.0 / 3.0)
     p = DiluteParams(rho=1.0, a=a, mu=1.0)
-    params = cell_params_from_ansatz(p)
+    cell = cell_construction(p)
     # length-scale ordering a << R << rho^(-1/3) << ell << (rho a)^(-1/2)
-    assert a < params.R < 1.0 < params.ell < (p.rho * a) ** -0.5
-    assert 0.0 < cell_lower_bound(p) <= leading_energy(p)
-    terms = cell_error_terms(p, params)
-    assert all(t < 1.0 for t in terms.values())
+    assert cell.R0 == a < cell.R < 1.0 < cell.ell < (p.rho * a) ** -0.5
+    assert 0.0 < cell_lower_bound(p) == cell.bound <= leading_energy(p)
+    assert all(t < 1.0 for t in cell.terms.values())
     # infeasible at large Y
     with pytest.raises(AnsatzInfeasible):
         cell_lower_bound(DiluteParams(rho=1.0, a=0.1, mu=1.0))
@@ -260,13 +290,13 @@ def test_superadditivity_surrogate():
     # for K(n) >= K(p)/2 the ratio is >= (n-1)/(p-1) >= 1
     y = 1e-14
     a = (3.0 * y / (4.0 * math.pi)) ** (1.0 / 3.0)
-    params = cell_params_from_ansatz(DiluteParams(rho=1.0, a=a, mu=1.0))
+    cell = cell_construction(DiluteParams(rho=1.0, a=a, mu=1.0))
     for p_idx in (2, 3, 5):
-        k_p = cell_energy_factor(params, a=a, n=float(p_idx))
+        k_p = cell_energy_factor(cell, n=float(p_idx))
         e_p = p_idx * (p_idx - 1) * k_p
         n = p_idx
         while True:
-            k_n = cell_energy_factor(params, a=a, n=float(n))
+            k_n = cell_energy_factor(cell, n=float(n))
             if k_n < 0.5 * k_p:
                 break
             e_n = n * (n - 1) * k_n

@@ -225,6 +225,48 @@ def test_ode_names_an_rhs_of_the_wrong_length(returned):
         integrate_ode(lambda r, y: returned(y), [0.0, 1.0], (0.0, 1.0), TOL)
 
 
+def test_ode_names_an_rhs_that_returns_no_sequence():
+    for value in (1.0, np.float64(1.0), np.array(1.0), None):
+        with pytest.raises(DomainError, match="^rhs returned a .*, not 2 "
+                                              "values$"):
+            integrate_ode(lambda r, y: value, [0.0, 1.0], (0.0, 1.0), TOL)
+
+
+def _turns_bad_after(calls, bad):
+    """An oscillator rhs whose return becomes bad(y) from call `calls` on."""
+    count = [0]
+
+    def rhs(r, y):
+        count[0] += 1
+        return bad(y) if count[0] > calls else (y[1], -y[0])
+    return rhs
+
+
+@pytest.mark.parametrize("bad", [lambda y: (y[1],),
+                                 lambda y: (y[1], -y[0], 0.0),
+                                 lambda y: y[1],
+                                 lambda y: (y[1], "x")],
+                         ids=["short", "long", "scalar", "not-a-number"])
+@pytest.mark.parametrize("calls", [1, 2, 12, 40])
+def test_ode_names_a_later_stage_of_the_wrong_shape(bad, calls):
+    # bad from call `calls` + 1 on: call 1 is the check at lo, calls 2-12
+    # the first trial step's stages, call 13 the next step's first stage
+    # (FSAL after an accepted step) and call 41 well into the run
+    with pytest.raises(DomainError, match="^rhs must return 2 numbers for a "
+                                          "state of 2; a stage near r="):
+        integrate_ode(_turns_bad_after(calls, bad), [0.0, 1.0], (0.0, 10.0),
+                      TOL)
+
+
+def test_ode_passes_an_error_raised_inside_rhs_through():
+    def rhs(r, y):
+        if r > 0.5:
+            raise ValueError("rhs's own failure")
+        return (y[1], -y[0])
+    with pytest.raises(ValueError, match="^rhs's own failure$"):
+        integrate_ode(rhs, [0.0, 1.0], (0.0, 10.0), TOL)
+
+
 def test_trial_step_compiles_once_per_state_shape():
     # every segment of every 3D solve integrates 2 driving components and
     # 2 quadratures: one compile, then cache hits

@@ -226,6 +226,31 @@ def test_trap_potential_rejects_nonfinite_fields(kwargs, name):
             TrapPotential(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs,name", [
+    ({"kind": "harmonic", "homogeneity_degree": 3.0}, "homogeneity_degree"),
+    ({"kind": "harmonic", "box_side": 2.0}, "box_side"),
+    ({"kind": "box", "box_side": 2.0, "homogeneity_degree": 4.0},
+     "homogeneity_degree"),
+    ({"kind": "box", "box_side": 2.0, "scale": 3.0}, "scale"),
+    ({"kind": "power-law", "homogeneity_degree": 3.0, "box_side": 2.0},
+     "box_side"),
+])
+def test_trap_potential_rejects_a_field_its_kind_does_not_read(kwargs, name):
+    # stored and ignored, a harmonic trap's s = 3 would solve with s = 2
+    with pytest.raises(DomainError, match=f"^{name} is not read by a "
+                                          f"{kwargs['kind']} trap$"):
+        TrapPotential(**kwargs)
+    # a field at its default is not given
+    TrapPotential(kind=kwargs["kind"], dimension=2,
+                  **{k: v for k, v in kwargs.items() if k not in (name, "kind")})
+
+
+def test_trap_potential_names_an_unknown_kind():
+    for kind in ("cubic", ["box"], None):
+        with pytest.raises(DomainError, match="^unknown trap kind"):
+            TrapPotential(kind=kind)
+
+
 def test_nonfinite_specs_fail_before_any_numerics():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
