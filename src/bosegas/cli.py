@@ -553,28 +553,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     try:
         config = parse_config(argv)
-    except (ParseError, UnknownKey, DomainError) as exc:
-        print(f"config error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    try:
         report = run(config)
+        text = report.to_csv() if config.output_format == "csv" \
+            else report.to_json()
+        if config.output_path:
+            with open(config.output_path, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (ParseError, UnknownKey) as exc:
         print(f"config error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except BoseGasError as exc:
-        print(f"{config.command}: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
+    except (BoseGasError, OSError) as exc:
+        name = "io error" if isinstance(exc, OSError) else type(exc).__name__
+        print(f"{config.command}: {name}: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"{config.command}: io error: {exc}", file=sys.stderr)
-        return 3
-    text = report.to_csv() if config.output_format == "csv" \
-        else report.to_json()
-    if config.output_path:
-        with open(config.output_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     if config.command == "verify":
         failed = [row for row in report.rows if not row["passed"]]
         print(f"verify: {len(report.rows) - len(failed)} passed, "

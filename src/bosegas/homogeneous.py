@@ -105,10 +105,10 @@ def leading_energy(p: DiluteParams) -> float:
     """Leading low-density energy per particle: 4 pi mu rho a, or its 2D
     analogue 4 pi mu rho / |ln(rho a^2)|."""
     if p.d == 3:
-        return 4.0 * math.pi * p.mu * p.rho * p.a
+        return _finite(4.0 * math.pi * p.mu * p.rho * p.a)
     if p.rho_a2 >= 1.0:
         raise DomainError("2D leading term needs rho a^2 < 1")
-    return 4.0 * math.pi * p.mu * p.rho / abs(math.log(p.rho_a2))
+    return _finite(4.0 * math.pi * p.mu * p.rho / abs(math.log(p.rho_a2)))
 
 
 def lhy_energy(p: DiluteParams) -> float:
@@ -122,7 +122,14 @@ def lhy_energy(p: DiluteParams) -> float:
     series = (1.0
               + 128.0 / (15.0 * math.sqrt(math.pi)) * math.sqrt(x)
               + 8.0 * (4.0 * math.pi / 3.0 - math.sqrt(3.0)) * x * math.log(x))
-    return 4.0 * math.pi * p.mu * p.rho * p.a * series
+    return _finite(4.0 * math.pi * p.mu * p.rho * p.a * series)
+
+
+def _finite(energy: float) -> float:
+    """`energy`, or DomainError where its product left the float range."""
+    if not math.isfinite(energy):
+        raise DomainError(f"energy {energy!r} leaves the float range")
+    return energy
 
 
 def _libm_pow(x, e):
@@ -274,7 +281,7 @@ def cell_lower_bound(p: DiluteParams) -> float:
     cell = cell_construction(p)
     if any(t >= 1.0 for t in cell.terms.values()):
         raise AnsatzInfeasible(f"error terms not all < 1: {cell.terms}")
-    return cell.bound
+    return _finite(cell.bound)
 
 
 def cell_lower_ratio(y):

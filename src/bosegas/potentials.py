@@ -62,7 +62,7 @@ class PairPotential:
     tail: Optional[Tuple[float, float]] = None  # (C_t, p)
 
     def __post_init__(self, kind, core_radius, strength):
-        if kind not in _PAIR_KINDS:
+        if not (isinstance(kind, str) and kind in _PAIR_KINDS):
             raise DomainError(f"unknown pair potential kind {kind!r}")
         if self.dimension not in (2, 3):
             raise DomainError("dimension must be 2 or 3")

@@ -104,18 +104,13 @@ def test_round_trip_identity(tmp_path):
         assert again == cfg
 
 
-def test_tolerance_keys_only_for_scatter(capsys):
+def test_tolerance_keys_only_for_scatter():
+    # the other commands name them an UnknownKey: rows of the exit table
     cfg = parse_config(["scatter", "--potential", "squarewell:r0=1,v0=2",
                         "--abs-tol", "1e-11", "--rel-tol", "1e-9"])
     assert (cfg.parameters["abs_tol"], cfg.parameters["rel_tol"]) \
         == (1e-11, 1e-9)
     assert run(cfg).rows[0]["converged"]
-    for argv in (["bounds", "--rel-tol", "5"],
-                 ["gp", "--coupling", "1", "--abs-tol", "-3"],
-                 ["tf", "--coupling", "1", "--rel-tol", "1e-3"],
-                 ["verify", "--abs-tol", "1e-8"]):
-        assert main(argv) == 2
-        assert "UnknownKey" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [["--abs-tol", "1e-13"],
@@ -232,76 +227,12 @@ def test_bounds_rows_match_row_by_row_oracle_bitwise(grid):
             == {k: (type(v), repr(v)) for k, v in want.items()}
 
 
-def test_bounds_outside_unit_interval_first_row_decides(capsys):
-    for grid, message in (("-1:2:4", "Y must be positive"),
-                          ("2:-1:4", "upper bound valid for 0 < Y < 1")):
-        assert main(["bounds", "--y-grid", grid]) == 3
-        err = capsys.readouterr().err
-        assert f"DomainError: {message}" in err and "Traceback" not in err
-
-
 def test_sweep_rejects_nonfinite_ends():
     for text in ("nan:1e-4:3", "1e-8:inf:3:log", "-inf:1:3", "1:nan:2:log",
                  "-1e308:1e308:3", "1e-8:0:3:log", "1e-8:-1:3:log"):
         with pytest.raises(ParseError):
             _parse_sweep(text)
 
-
-def test_nonfinite_sweeps_exit_2_without_warnings(capsys):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for argv in (["bounds", "--y-grid", "nan:1e-4:3"],
-                     ["bounds", "--dim", "2", "--rho-a2-grid",
-                      "nan:1e-6:3:log"],
-                     ["bounds", "--y-grid", "1e-8:inf:3:log"],
-                     ["gp-tf-limit", "--g-grid", "10:nan:2"],
-                     ["foldy", "--rho-grid", "1:inf:2"]):
-            assert main(argv) == 2
-            assert "ParseError" in capsys.readouterr().err
-
-
-def test_nonfinite_inputs_exit_3_naming_the_input(capsys):
-    for argv, name in ((["bounds", "--lower-c", "nan"], "C"),
-                       (["tf", "--coupling", "inf"], "coupling"),
-                       (["tf", "--coupling", "nan"], "coupling"),
-                       (["tf", "--n", "nan", "--coupling", "1"], "N"),
-                       (["foldy", "--mu-const", "nan"], "mu_const"),
-                       (["foldy", "--rho-grid", "1:2:2", "--mu-const", "-inf"],
-                        "mu_const")):
-        assert main(argv) == 3
-        err = capsys.readouterr().err
-        assert f"DomainError: {name} must be finite" in err
-        assert "Traceback" not in err
-    for argv in (["tf", "--coupling", "1", "--mu-const", "-1"],
-                 ["foldy", "--mu-const", "-1"]):
-        assert main(argv) == 3
-        assert "DomainError" in capsys.readouterr().err
-
-
-
-def test_scatter_nonfinite_mu_exits_3_naming_mu(capsys):
-    # --mu inf once gave a = -0.0, s = nan and converged = True with exit 0
-    for mu in ("inf", "nan", "-inf"):
-        assert main(["scatter", "--potential", "squarewell:r0=1,v0=1",
-                     "--mu", mu]) == 3
-        err = capsys.readouterr().err
-        assert "DomainError: mu must be finite" in err
-        assert "Traceback" not in err
-
-
-def test_nonfinite_potential_specs_exit_3_without_warnings(capsys):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for argv, name in ((["scatter", "--potential", "hardcore:r0=inf"],
-                            "core_radius"),
-                           (["scatter", "--potential",
-                             "squarewell:r0=1,v0=nan"], "strength"),
-                           (["gp", "--trap", "harmonic:scale=inf",
-                             "--coupling", "1"], "scale")):
-            assert main(argv) == 3
-            err = capsys.readouterr().err
-            assert f"DomainError: {name} must be finite" in err
-            assert "Traceback" not in err
 
 def test_csv_determinism():
     args = ["bounds", "--y-grid", "1e-12:1e-4:7:log"]
@@ -324,14 +255,6 @@ def test_main_exit_codes(tmp_path):
     assert main(["scatter", "--potential", "hardcore:r0=1",
                  "--output", str(out)]) == 0
     assert out.exists()
-    assert main(["scatter", "--potentail", "x"]) == 2       # unknown key
-    assert main(["scatter", "--potential", "nonsense:r0=1"]) == 3
-    assert main(["gp", "--coupling", "-1"]) == 3            # named error
-    assert main(["scatter", "--potential", "squarewell:r0=1,v0=1",
-                 "--mu", "0"]) == 3
-    assert main(["scatter", "--potential", "hardcore:r0=1",
-                 "--grid-points", "64"]) == 2               # not a scatter key
-    assert main([]) == 0                                     # help
 
 
 def test_help_lists_every_key_with_its_default(capsys):
@@ -345,26 +268,6 @@ def test_help_lists_every_key_with_its_default(capsys):
             shown = {"__required__": "required", None: "unset"}.get(
                 default, default)
             assert f"--{key.replace('_', '-')} ({shown}" in block, key
-
-
-@pytest.mark.parametrize("argv, message", [
-    (["bounds", "--y-grid", "1:2:1000000000000"],
-     "sweep '1:2:1000000000000': needs 1 to 1000000 points"),
-    (["foldy", "--rho-grid", "1:2:1000001:log"],
-     "sweep '1:2:1000001:log': needs 1 to 1000000 points"),
-    (["gp", "--coupling", "1", "--grid-points", "100000000000"],
-     "parameter 'grid_points': 100000000000 exceeds the ceiling 100000"),
-    (["gp-tf-limit", "--grid-points", "100001"],
-     "parameter 'grid_points': 100001 exceeds the ceiling 100000"),
-    (["bogolubov", "--n-max", "100000000000000000000"],
-     "parameter 'n_max': 100000000000000000000 exceeds the ceiling 100000"),
-])
-def test_sizes_above_their_ceiling_exit_2(capsys, argv, message):
-    # the first, third and last once ended in a traceback (exit 1): a
-    # 7.28 TiB sweep, a 745 GiB grid and an array size numpy refuses
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: ParseError: {message}")
 
 
 def test_infinite_size_in_a_config_file_exits_2(tmp_path, capsys):
@@ -404,23 +307,6 @@ def test_sizes_at_their_ceiling_parse():
                  ["bogolubov", "--n-max", "100000"]):
         key = argv[-2][2:].replace("-", "_")
         assert parse_config(argv).parameters[key] == 10 ** 5
-
-
-def test_underflowed_scattering_length_exits_3(capsys):
-    # a ~ 1.7e-925 once came out as a = -0.0, s = nan and converged = True
-    assert main(["scatter", "--potential", "squarewell:r0=1e-308,v0=1"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("scatter: ScatteringLengthUnderflow: a = -0.0 ")
-
-
-def test_gp_invalid_inputs_exit_3(capsys):
-    for argv in (["gp", "--coupling", "nan"],
-                 ["gp", "--n", "nan", "--coupling", "1"],
-                 ["gp", "--coupling", "inf"],
-                 ["gp", "--coupling", "1", "--mu-const", "-1"]):
-        assert main(argv) == 3
-        err = capsys.readouterr().err
-        assert "DomainError" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -475,17 +361,97 @@ def test_gp_invalid_inputs_exit_3(capsys):
     (["gp-tf-limit", "--dim", "2", "--g-grid", "0:10:2"],
      "g must be positive"),
     (["gp-tf-limit", "--g-grid", "0:10:2"], "g must be positive"),
+    (["scatter", "--potential", "nonsense:r0=1"],
+     "unknown pair potential spec 'nonsense:r0=1'"),
+    (["gp", "--trap", "harmonic:scale=1,scale=2", "--coupling", "1"],
+     "parameter 'scale' given twice in 'harmonic:scale=1,scale=2'"),
+    (["gp", "--coupling", "-1"],
+     "NegativeCoupling: coupling must be nonnegative"),
+    (["scatter", "--potential", "squarewell:r0=1,v0=1", "--mu", "0"],
+     "mu must be positive"),
+    *(([cmd, "--coupling", "1", "--mu-const", "-1"],
+       "mu_const must be positive") for cmd in ("tf", "gp")),
+    (["foldy", "--mu-const", "-1"], "rho and mu_const must be positive"),
+    # the first row of a bounds sweep decides which bound names the error
+    (["bounds", "--y-grid", "-1:2:4"], "Y must be positive"),
+    (["bounds", "--y-grid", "2:-1:4"], "upper bound valid for 0 < Y < 1"),
+    # --mu inf once gave a = -0.0, s = nan and converged = True with exit 0
+    *((["scatter", "--potential", "squarewell:r0=1,v0=1", "--mu", mu],
+      f"mu must be finite, got {mu}") for mu in ("inf", "nan", "-inf")),
+    (["scatter", "--potential", "hardcore:r0=inf"],
+     "core_radius must be finite, got inf"),
+    (["scatter", "--potential", "squarewell:r0=1,v0=nan"],
+     "strength must be finite, got nan"),
+    (["gp", "--trap", "harmonic:scale=inf", "--coupling", "1"],
+     "scale must be finite, got inf"),
+    (["bounds", "--lower-c", "nan"], "C must be finite, got nan"),
+    (["tf", "--coupling", "inf"], "coupling must be finite, got inf"),
+    (["tf", "--coupling", "nan"], "coupling must be finite, got nan"),
+    (["tf", "--n", "nan", "--coupling", "1"], "N must be finite, got nan"),
+    (["foldy", "--mu-const", "nan"], "mu_const must be finite, got nan"),
+    (["foldy", "--rho-grid", "1:2:2", "--mu-const", "-inf"],
+     "mu_const must be finite, got -inf"),
+    *((argv, "N, coupling and mu_const must be finite")
+      for argv in (["gp", "--coupling", "nan"], ["gp", "--coupling", "inf"],
+                   ["gp", "--n", "nan", "--coupling", "1"])),
+    # a ~ 1.7e-925 once came out as a = -0.0, s = nan and converged = True
+    (["scatter", "--potential", "squarewell:r0=1e-308,v0=1"],
+     "ScatteringLengthUnderflow: a = -0.0 for a nonzero potential"),
+    # u ~ sinh(r / sqrt(2)) overflows inside the well, as in any overflowing
+    # well; it once surfaced as a DomainError from the Born integral's r0^3
+    (["scatter", "--potential", "squarewell:r0=1e200,v0=1"],
+     "NonFiniteRhs: rhs non-finite in the step from r=0.0"),
+    (["scatter", "--potential", "hardcore:r0=1", "--output", "no-dir/a.csv"],
+     "io error: [Errno 2] No such file or directory: 'no-dir/a.csv'"),
+    # exit 2: a key, a value or a sweep that the configuration cannot hold
+    (["scatter", "--potentail", "x"], "config error: UnknownKey: unknown key "
+     "'potentail'; did you mean 'potential'?"),
+    (["scatter", "--potential", "hardcore:r0=1", "--grid-points", "64"],
+     "config error: UnknownKey: unknown key 'grid_points'"),
+    (["bounds", "--rel-tol", "5"], "config error: UnknownKey: unknown key "
+     "'rel_tol'"),
+    (["gp", "--coupling", "1", "--abs-tol", "-3"],
+     "config error: UnknownKey: unknown key 'abs_tol'"),
+    (["tf", "--coupling", "1", "--rel-tol", "1e-3"],
+     "config error: UnknownKey: unknown key 'rel_tol'"),
+    (["verify", "--abs-tol", "1e-8"],
+     "config error: UnknownKey: unknown key 'abs_tol'"),
+    *((argv, f"config error: ParseError: sweep {argv[-1]!r}: lo, hi and "
+      "hi - lo must be finite")
+      for argv in (["bounds", "--y-grid", "nan:1e-4:3"],
+                   ["bounds", "--dim", "2", "--rho-a2-grid", "nan:1e-6:3:log"],
+                   ["bounds", "--y-grid", "1e-8:inf:3:log"],
+                   ["gp-tf-limit", "--g-grid", "10:nan:2"],
+                   ["foldy", "--rho-grid", "1:inf:2"])),
+    # the first, third and last once ended in a traceback (exit 1): a
+    # 7.28 TiB sweep, a 745 GiB grid and an array size numpy refuses
+    (["bounds", "--y-grid", "1:2:1000000000000"], "config error: ParseError: "
+     "sweep '1:2:1000000000000': needs 1 to 1000000 points"),
+    (["foldy", "--rho-grid", "1:2:1000001:log"], "config error: ParseError: "
+     "sweep '1:2:1000001:log': needs 1 to 1000000 points"),
+    (["gp", "--coupling", "1", "--grid-points", "100000000000"],
+     "config error: ParseError: parameter 'grid_points': 100000000000 "
+     "exceeds the ceiling 100000"),
+    (["gp-tf-limit", "--grid-points", "100001"], "config error: ParseError: "
+     "parameter 'grid_points': 100001 exceeds the ceiling 100000"),
+    (["bogolubov", "--n-max", "100000000000000000000"],
+     "config error: ParseError: parameter 'n_max': 100000000000000000000 "
+     "exceeds the ceiling 100000"),
 ])
 def test_boundary_inputs_exit_3_with_a_named_error(capsys, argv, message):
-    # each of these once ended in a traceback (exit 1), or in bounds'
-    # case ran the 2D branch for any --dim other than 3; a message that
-    # names no error is a DomainError's
-    error, _, text = message.rpartition(": ")
+    # the CLI's exit contract: every input ends in a report or in a named
+    # error on stderr, with exit 2 for a configuration (`config error: `
+    # starts the message) and exit 3 for a command's input (`<command>: `
+    # starts it, and a message that names no error is a DomainError's)
+    code = 2 if message.startswith("config error: ") else 3
+    if code == 3:
+        message = f"{argv[0]}: " + (message if ": " in message
+                                    else f"DomainError: {message}")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(argv) == 3
+        assert main(argv) == code
     err = capsys.readouterr().err
-    assert err.startswith(f"{argv[0]}: {error or 'DomainError'}: {text}")
+    assert err.startswith(message)
     assert "Traceback" not in err
 
 
@@ -559,36 +525,12 @@ def test_zero_huge_well_has_born_integral_zero(capsys):
     assert next(csv.DictReader(body))["born_integral"] == "0.0"
 
 
-def test_overflowing_huge_well_exits_3(capsys):
-    # u ~ sinh(r / sqrt(2)) overflows inside the well, a NonFiniteRhs as for
-    # any overflowing well; it once surfaced as a DomainError from the Born
-    # integral's r0^3, which a solve without a tail no longer computes
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["scatter", "--potential",
-                     "squarewell:r0=1e200,v0=1"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("scatter: NonFiniteRhs: ")
-    assert "Traceback" not in err
-
-
 def test_table_row_without_a_value_exits_3(tmp_path, capsys):
     table = tmp_path / "one_column.csv"
     table.write_text("0.5\n1.0\n")
     assert main(["scatter", "--potential", f"table:path={table}"]) == 3
     err = capsys.readouterr().err
     assert "DomainError: table" in err and "lacks a value" in err
-    assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("argv", [
-    ["scatter", "--potential", "squarewell:r0=1,v0=2,r0=3"],
-    ["gp", "--coupling", "1", "--trap", "harmonic:scale=1,scale=2"],
-])
-def test_repeated_spec_key_exits_with_a_named_error(argv, capsys):
-    assert main(argv) in (2, 3)
-    err = capsys.readouterr().err
-    assert "DomainError: parameter " in err and "given twice" in err
     assert "Traceback" not in err
 
 
@@ -629,186 +571,94 @@ def test_lower_c_default_is_the_library_constant():
                                                  "1e-8:1e-6:2"])).to_csv()
 
 
-def _child_env():
-    """The environment of a child that imports the same bosegas as this
-    process, installed or not."""
-    src = os.path.dirname(os.path.dirname(bosegas.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return dict(os.environ, PYTHONPATH=path)
-
-
-def test_cli_subprocess_entry():
-    proc = subprocess.run(
-        [sys.executable, "-m", "bosegas.cli", "bogolubov"],
-        capture_output=True, text=True, timeout=120, env=_child_env())
-    assert proc.returncode == 0
-    assert "fock_energy" in proc.stdout
-
-
-# The probe's commands in order, each with its exit code and the bosegas
-# modules it adds to those loaded so far; `import bosegas.cli` loads `cli`
-# and `errors` only.  A config error (exit 2) loads neither numpy nor a
-# solver module.  The commands that compute on Python floats come first, so
-# numpy arrives with the first `bounds` and scipy with the first GP solve.
-_IMPORT_GRAPH = [
-    (["gp", "--coupling", "1", "--coupling-strength", "2"], 2, []),
-    (["scatter", "--potentail", "x"], 2, []),
-    (["scatter", "--potential", "nope"], 3,
-     ["numerics", "potentials", "scattering"]),
-    (["scatter", "--potential", "hardcore:r0=1"], 0, []),
-    (["scatter", "--potential", "squarewell:r0=1,v0=10", "--mu", "2"], 0, []),
-    (["tf", "--coupling", "100"], 0, ["thomas_fermi"]),
-    (["bogolubov", "--n-max", "40"], 0, ["bogolubov"]),
-    (["bounds", "--y-grid", "1e-12:1e-4:5:log"], 0, ["homogeneous"]),
-    (["bounds", "--dim", "2", "--rho-a2-grid", "1e-20:1e-8:4:log"], 0, []),
-    (["foldy", "--rho-grid", "1:16:2:log"], 0, []),
-    (["gp", "--coupling", "-1"], 3, ["gp"]),
-    (["gp", "--coupling", "1", "--grid-points", "300"], 0, []),
-    (["gp-tf-limit", "--g-grid", "10:100:2:log", "--grid-points", "300"], 0,
-     []),
-]
-
-_COLD_PATH_PROBE = """
-import contextlib, io, json, sys
-def seen(code):
-    return {"code": code, "numpy": "numpy" in sys.modules,
-            "bosegas": sorted(m for m in sys.modules
-                              if m.startswith("bosegas.")),
-            "scipy": sorted(m for m in sys.modules
-                            if m.split(".")[0] == "scipy")}
-from bosegas import cli
-steps = [seen(None)]
-with contextlib.redirect_stdout(io.StringIO()), \\
-        contextlib.redirect_stderr(io.StringIO()):
-    for argv in json.loads(sys.argv[1]):
-        steps.append(seen(cli.main(argv)))
-print(json.dumps(steps))
-"""
-
-
-def test_cold_commands_do_not_load_scipy():
-    # sys.modules of this process already holds scipy, so look in a fresh one
-    proc = subprocess.run(
-        [sys.executable, "-c", _COLD_PATH_PROBE,
-         json.dumps([argv for argv, _, _ in _IMPORT_GRAPH])],
-        capture_output=True, text=True, timeout=120, env=_child_env())
-    assert proc.returncode == 0, proc.stderr
-    steps = json.loads(proc.stdout)
-    loaded = {"bosegas.cli", "bosegas.errors"}
-    assert steps[0] == {"code": None, "numpy": False,
-                        "bosegas": sorted(loaded), "scipy": []}
-    first_numpy = next(i for i, (argv, _, _) in enumerate(_IMPORT_GRAPH)
-                       if argv[0] == "bounds")
-    first_gp = next(i for i, (argv, code, _) in enumerate(_IMPORT_GRAPH)
-                    if argv[0] == "gp" and code == 0)
-    for i, ((argv, code, adds), step) in enumerate(zip(_IMPORT_GRAPH,
-                                                      steps[1:])):
-        loaded |= {f"bosegas.{m}" for m in adds}
-        assert (step["code"], step["bosegas"]) == (code, sorted(loaded)), argv
-        # no command before the first `bounds` loads numpy
-        assert step["numpy"] == (i >= first_numpy), argv
-        # scipy comes with the first GP solve, and only scipy.linalg
-        if i < first_gp:
-            assert step["scipy"] == [], argv
-        assert not any(m.startswith(("scipy.optimize", "scipy.integrate"))
-                       for m in step["scipy"]), argv
-
-
-# Each command with the numpy and scipy it loads in a process of its own:
-# only `bounds`, `foldy` and the GP commands compute with numpy arrays, and
-# only the GP commands call LAPACK.
+# Each row in a process of its own: the command line of `python -m
+# bosegas.cli` (None: `import bosegas.cli` alone), its exit code, the
+# bosegas modules it loads, whether it loads numpy, the public scipy
+# subpackages it loads and the DOP853 trial steps it compiles.  A
+# configuration error loads no solver module; `scatter`, `tf` and
+# `bogolubov` compute on Python floats; only the GP commands call LAPACK;
+# and a solve compiles one trial step per state shape.
+_SCATTER = "errors numerics potentials scattering"
+_GP = "errors gp numerics potentials thomas_fermi"
 _FRESH_LOADS = [
-    (["gp", "--coupling", "1", "--coupling-strength", "2"], 2, False, False),
-    (["scatter", "--potentail", "x"], 2, False, False),
-    (["scatter", "--potential", "nope"], 3, False, False),
-    (["scatter", "--potential", "hardcore:r0=1"], 0, False, False),
-    (["scatter", "--potential", "squarewell:r0=1,v0=10"], 0, False, False),
-    (["tf", "--coupling", "100"], 0, False, False),
-    (["bogolubov"], 0, False, False),
-    (["bounds", "--y-grid", "1e-12:1e-4:5:log"], 0, True, False),
-    (["foldy", "--rho-grid", "1:16:2:log"], 0, True, False),
-    (["gp", "--coupling", "-1"], 3, True, False),
-    (["gp", "--coupling", "1", "--grid-points", "300"], 0, True, True),
-    (["gp-tf-limit", "--g-grid", "10:100:2:log", "--grid-points", "300"], 0,
-     True, True),
-    (["verify"], 0, True, True),
+    (None, None, "cli errors", False, "", 0),
+    ("", 0, "errors", False, "", 0),
+    ("gp --coupling 1 --coupling-strength 2", 2, "errors", False, "", 0),
+    ("scatter --potentail x", 2, "errors", False, "", 0),
+    ("scatter --potential nope", 3, _SCATTER, False, "", 0),
+    ("scatter --potential hardcore:r0=1", 0, _SCATTER, False, "", 0),
+    ("scatter --potential squarewell:r0=1,v0=10 --mu 2", 0, _SCATTER, False,
+     "", 1),
+    ("tf --coupling 100", 0, "errors numerics potentials thomas_fermi", False,
+     "", 0),
+    ("bogolubov", 0, "bogolubov errors numerics", False, "", 0),
+    ("bounds --y-grid 1e-12:1e-4:5:log", 0, "errors homogeneous", True, "", 0),
+    ("bounds --dim 2 --rho-a2-grid 1e-20:1e-8:4:log", 0, "errors homogeneous",
+     True, "", 0),
+    ("foldy --rho-grid 1:16:2:log", 0, "bogolubov errors numerics", True, "",
+     0),
+    ("gp --coupling -1", 3, _GP, True, "", 0),
+    ("gp --coupling 1 --grid-points 300", 0, _GP, True, "linalg version", 0),
+    ("gp-tf-limit --g-grid 10:100:2:log --grid-points 300", 0, _GP, True,
+     "linalg version", 0),
+    ("verify", 0, "bogolubov errors gp homogeneous numerics potentials "
+     "scattering thomas_fermi verify", True, "linalg version", 2),
 ]
 
-# Runs each command in a child forked from an interpreter that has imported
-# only the standard library, so a child's sys.modules holds what its
-# command loaded and nothing an earlier command did.  Two children run at a
-# time; their results print in command order.
+# Forks a child per row, two at a time, from an interpreter that has imported
+# only the standard library.  Each child writes its row's index and facts in
+# one line, or the exception it raised in place of its facts.
 _FRESH_PROBE = """
-import contextlib, io, json, os, sys
-running = []
-def collect():
-    read, pid = running.pop(0)
-    with os.fdopen(read) as fh:
-        print(fh.read())
-    os.waitpid(pid, 0)
-for argv in json.loads(sys.argv[1]):
-    if len(running) == 2:
-        collect()
-    read, write = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        os.close(read)
-        with contextlib.redirect_stdout(io.StringIO()), \\
-                contextlib.redirect_stderr(io.StringIO()):
-            from bosegas import cli
-            code = cli.main(argv)
-        with os.fdopen(write, "w") as fh:
-            json.dump([code, "numpy" in sys.modules,
-                       sorted(m for m in sys.modules
-                              if m.split(".")[0] == "scipy")], fh)
+import contextlib, io, json, os, runpy, sys
+def facts(line):
+    code = None
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        if line is None:
+            import bosegas.cli
+        else:
+            sys.argv = ["bosegas.cli", *line.split()]
+            try:
+                runpy.run_module("bosegas.cli", run_name="__main__")
+            except SystemExit as exc:
+                code = exc.code
+    numerics = sys.modules.get("bosegas.numerics")
+    return [code, " ".join(sorted(m[8:] for m in sys.modules
+                                  if m.startswith("bosegas."))),
+            "numpy" in sys.modules,
+            " ".join(sorted({m.split(".")[1] for m in sys.modules
+                             if m.startswith("scipy.") and m[6] != "_"})),
+            numerics._trial_step.cache_info().misses if numerics else 0]
+for i, line in enumerate(json.loads(sys.argv[1])):
+    if i >= 2:
+        os.wait()
+    if os.fork() == 0:
+        try:
+            seen = facts(line)
+        except BaseException as exc:
+            seen = repr(exc)
+        os.write(1, (json.dumps([i, seen]) + "\\n").encode())
         os._exit(0)
-    os.close(write)
-    running.append((read, pid))
-while running:
-    collect()
+for _ in range(min(i + 1, 2)):
+    os.wait()
 """
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the probe forks")
 def test_each_command_loads_only_what_it_computes_with():
+    # sys.modules of this process already holds scipy, so look in fresh
+    # ones, which import the same bosegas as this process, installed or not
+    src = os.path.dirname(os.path.dirname(bosegas.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _FRESH_PROBE,
-         json.dumps([argv for argv, *_ in _FRESH_LOADS])],
-        capture_output=True, text=True, timeout=120, env=_child_env())
+        [sys.executable, "-W", "error", "-c", _FRESH_PROBE,
+         json.dumps([line for line, *_ in _FRESH_LOADS])],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
-    seen = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert len(seen) == len(_FRESH_LOADS)
-    for (argv, code, numpy, scipy), (got_code, got_numpy, got_scipy) \
-            in zip(_FRESH_LOADS, seen):
-        assert (got_code, got_numpy, bool(got_scipy)) \
-            == (code, numpy, scipy), argv
-        # scipy.linalg and the private modules it pulls in, nothing else
-        subpackages = {m.split(".")[1] for m in got_scipy if "." in m}
-        assert all(p in ("linalg", "version") or p.startswith("_")
-                   for p in subpackages), (argv, subpackages)
-        assert not scipy or "linalg" in subpackages, argv
-
-
-_STEP_PROBE = """
-import contextlib, io, json, sys
-from bosegas import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-numerics = sys.modules["bosegas.numerics"]
-print(json.dumps([codes, numerics._trial_step.cache_info().misses]))
-"""
-
-
-def test_commands_without_an_ode_compile_no_trial_step():
-    # a hard core is exact, and tf and bogolubov integrate no ODE: a fresh
-    # process that runs them loads numerics but generates no DOP853 step
-    argvs = [["scatter", "--potential", "hardcore:r0=1"],
-             ["tf", "--coupling", "100"], ["bogolubov"]]
-    proc = subprocess.run(
-        [sys.executable, "-c", _STEP_PROBE, json.dumps(argvs)],
-        capture_output=True, text=True, timeout=120, env=_child_env())
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[0, 0, 0], 0]
+    seen = dict(json.loads(line) for line in proc.stdout.splitlines())
+    for i, (line, *facts) in enumerate(_FRESH_LOADS):
+        assert seen.get(i) == facts, line
 
 
 # The public names of the lazy `bosegas` namespace, by defining module.

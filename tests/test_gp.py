@@ -200,6 +200,8 @@ def test_tf_scaling_law():
     assert vals[1] == pytest.approx(vals[2], rel=1e-9)
     # 2D exponent: s/(s+2)
     assert tf_scaling(16.0, s=2.0, d=2) == pytest.approx(4.0, rel=1e-14)
+    with pytest.raises(DomainError, match="^g must be positive$"):
+        tf_scaling(0.0, s=2.0)
 
 
 def test_gp_tf_limit_trend():

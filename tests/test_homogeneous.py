@@ -368,3 +368,13 @@ def test_dilute_params_reject_overflow_and_nonfinite_inputs():
             with pytest.raises(DomainError, match=f"^{name} must be finite"):
                 DiluteParams(**kwargs)
 
+
+def test_energies_name_a_product_that_leaves_the_float_range():
+    # 4 pi mu overflows first: each energy once returned inf, where the
+    # true 3D value is about 1.3e303
+    p = DiluteParams(rho=1.0, a=1e-6, mu=1e308)
+    p2 = DiluteParams(rho=1.0, a=0.5, mu=1e308, d=2)
+    for energy, params in ((leading_energy, p), (lhy_energy, p),
+                           (cell_lower_bound, p), (leading_energy, p2)):
+        with pytest.raises(DomainError, match="leaves the float range"):
+            energy(params)

@@ -251,6 +251,13 @@ def test_trap_potential_names_an_unknown_kind():
             TrapPotential(kind=kind)
 
 
+def test_pair_potential_names_an_unknown_kind():
+    # an unhashable kind once raised a bare TypeError from the dict lookup
+    for kind in ("hardcore", ["x"], None):
+        with pytest.raises(DomainError, match="^unknown pair potential kind"):
+            PairPotential(kind=kind)
+
+
 def test_nonfinite_specs_fail_before_any_numerics():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
