@@ -455,6 +455,20 @@ def test_boundary_inputs_exit_3_with_a_named_error(capsys, argv, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["scatter", "--potential", "squarewell:r0=1,v0=2,r0=3"],
+    ["gp", "--coupling", "1", "--trap", "harmonic:scale=1,scale=2"],
+])
+def test_repeated_spec_key_exits_with_a_named_error(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"{argv[0]}: DomainError: parameter ")
+    assert "given twice in" in err
+    assert "Traceback" not in err
+
+
 def _readme_cli_examples():
     """The `bosegas ...` lines of the README's "Command line" block."""
     readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -644,21 +658,60 @@ for _ in range(min(i + 1, 2)):
 """
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="the probe forks")
-def test_each_command_loads_only_what_it_computes_with():
-    # sys.modules of this process already holds scipy, so look in fresh
-    # ones, which import the same bosegas as this process, installed or not
+def _child_env():
+    """The environment of a child that imports the same bosegas as this
+    process, installed or not."""
     src = os.path.dirname(os.path.dirname(bosegas.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+@pytest.fixture(scope="module")
+def fresh_loads():
+    """The probe's facts for each row of _FRESH_LOADS, by row index."""
+    if not hasattr(os, "fork"):
+        pytest.skip("the probe forks")
+    # sys.modules of this process already holds scipy, so look in fresh ones
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-c", _FRESH_PROBE,
          json.dumps([line for line, *_ in _FRESH_LOADS])],
-        capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=path))
+        capture_output=True, text=True, timeout=120, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    seen = dict(json.loads(line) for line in proc.stdout.splitlines())
+    return dict(json.loads(line) for line in proc.stdout.splitlines())
+
+
+def test_each_command_loads_only_what_it_computes_with(fresh_loads):
     for i, (line, *facts) in enumerate(_FRESH_LOADS):
-        assert seen.get(i) == facts, line
+        assert fresh_loads.get(i) == facts, line
+
+
+def test_cli_subprocess_entry():
+    proc = subprocess.run(
+        [sys.executable, "-m", "bosegas.cli", "bogolubov"],
+        capture_output=True, text=True, timeout=120, env=_child_env())
+    assert proc.returncode == 0
+    assert "fock_energy" in proc.stdout
+
+
+def test_cold_commands_do_not_load_scipy(fresh_loads):
+    # the import alone, a configuration error and the commands on Python
+    # floats load neither numpy nor scipy; none loads scipy.optimize or
+    # scipy.integrate
+    for i, (line, code, *_) in enumerate(_FRESH_LOADS):
+        if not line or code == 2 or line.split()[0] in ("scatter", "tf",
+                                                        "bogolubov"):
+            assert fresh_loads[i][2:4] == [False, ""], line
+        assert not {"optimize", "integrate"} & set(fresh_loads[i][3].split())
+
+
+def test_commands_without_an_ode_compile_no_trial_step(fresh_loads):
+    # a hard core is exact, and tf and bogolubov integrate no ODE: they load
+    # numerics but generate no DOP853 step
+    for line in ("scatter --potential hardcore:r0=1", "tf --coupling 100",
+                 "bogolubov"):
+        i = [row[0] for row in _FRESH_LOADS].index(line)
+        code, modules, *_, steps = fresh_loads[i]
+        assert (code, "numerics" in modules.split(), steps) == (0, True, 0)
 
 
 # The public names of the lazy `bosegas` namespace, by defining module.
