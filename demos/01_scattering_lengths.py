@@ -10,8 +10,9 @@ core (s = 1, all kinetic).
 
 import math
 
-from bosegas import PairPotential, born_integral, energy_integral
-from bosegas.scattering import kinetic_fraction, solve_zero_energy
+from bosegas.potentials import PairPotential, born_integral
+from bosegas.scattering import (energy_integral, kinetic_fraction,
+                                solve_zero_energy)
 
 MU = 1.0
 

@@ -79,6 +79,9 @@ _SCHEMAS: Dict[str, Dict[str, tuple]] = {
 # Size ceilings, checked at parse time; the README gives their measured costs
 _CEILINGS = {"grid_points": 10 ** 5, "n_max": 10 ** 5}
 _MAX_SWEEP_POINTS = 10 ** 6
+# each bounds dimension with the keys it does not read, which keep their
+# defaults
+_BOUNDS_UNREAD = {2: ("y_grid", "lower_c"), 3: ("rho_a2_grid",)}
 
 
 @dataclass(frozen=True)
@@ -257,6 +260,8 @@ def parse_config(argv: List[str]) -> RunConfig:
             if key in _CEILINGS and value > _CEILINGS[key]:
                 raise ParseError(f"parameter {key!r}: {value} exceeds the "
                                  f"ceiling {_CEILINGS[key]}")
+            if key.endswith("_grid"):       # a sweep
+                _sweep_spec(value)
     for key, (typ, default) in schema.items():
         if key not in parameters:
             if default == "__required__":
@@ -264,6 +269,12 @@ def parse_config(argv: List[str]) -> RunConfig:
                                  + key.replace("_", "-"))
             if default is not None:
                 parameters[key] = default
+    if command == "bounds":
+        dim = parameters["dim"]
+        for key in _BOUNDS_UNREAD.get(dim, ()):
+            if parameters[key] != schema[key][1]:
+                raise ParseError(f"parameter {key!r} is not read by bounds "
+                                 f"in {dim}D")
     return RunConfig(command=command, parameters=parameters,
                      output_path=out_path, output_format=out_format)
 
@@ -278,9 +289,9 @@ def serialize_config(config: RunConfig) -> str:
     return json.dumps(flat, sort_keys=True)
 
 
-def _parse_sweep(text: str):
-    """`lo:hi:points` (linear) or `lo:hi:points:log`, as a numpy array."""
-    import numpy as np
+def _sweep_spec(text: str) -> Tuple[float, float, int, bool]:
+    """`lo:hi:points` (linear) or `lo:hi:points:log` as (lo, hi, points,
+    log); parse_config checks every sweep with it."""
     parts = text.split(":")
     if len(parts) not in (3, 4):
         raise ParseError(f"sweep {text!r}: expected lo:hi:points[:log]")
@@ -299,8 +310,14 @@ def _parse_sweep(text: str):
             raise ParseError(f"sweep suffix must be 'log', got {parts[3]!r}")
         if lo <= 0 or hi <= 0:
             raise ParseError("log sweep needs lo > 0 and hi > 0")
-        return np.geomspace(lo, hi, n)
-    return np.linspace(lo, hi, n)
+    return lo, hi, n, len(parts) == 4
+
+
+def _parse_sweep(text: str):
+    """The points of a sweep, as a numpy array."""
+    import numpy as np
+    lo, hi, n, log = _sweep_spec(text)
+    return (np.geomspace if log else np.linspace)(lo, hi, n)
 
 
 # --- command implementations -----------------------------------------------------

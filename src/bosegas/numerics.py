@@ -232,13 +232,6 @@ def integrate_ode(rhs, initial, span, tol: Tolerances, quadratures: int = 0) -> 
     h_min = 1e-14 * (hi - lo)
     abs_tol, rel_tol = tol.abs_tol, tol.rel_tol
     k0 = rhs(r, y[:n])
-    try:
-        count = len(k0)
-    except TypeError:
-        raise DomainError(f"rhs returned a {type(k0).__name__}, not {len(y)} "
-                          "values") from None
-    if count != len(y):
-        raise DomainError(f"rhs returned {count} values for a state of {len(y)}")
     trial = _trial_step(n, len(y))
     h = hi - r
     steps = 0

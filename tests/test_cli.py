@@ -1,7 +1,6 @@
 """CLI: config parsing, round trips, report formats, determinism, errors."""
 
 import csv
-import importlib
 import io
 import json
 import math
@@ -97,7 +96,9 @@ def test_round_trip_identity(tmp_path):
                         parameters={"potential": "squarewell:r0=1,v0=2",
                                     "mu": 1.0, "dim": 3, "abs_tol": 1e-10},
                         output_path="out.csv", output_format="csv")
-    for cfg in (bounds, scatter):
+    bounds_2d = parse_config(["bounds", "--dim", "2", "--rho-a2-grid",
+                              "1e-20:1e-8:4:log", "--format", "json"])
+    for cfg in (bounds, bounds_2d, scatter):
         path = tmp_path / "round.json"
         path.write_text(serialize_config(cfg))
         again = parse_config(["--config", str(path)])
@@ -437,6 +438,22 @@ def test_sizes_at_their_ceiling_parse():
     (["bogolubov", "--n-max", "100000000000000000000"],
      "config error: ParseError: parameter 'n_max': 100000000000000000000 "
      "exceeds the ceiling 100000"),
+    # a malformed sweep is named at parse time, before its runner loads numpy
+    (["bounds", "--y-grid", "1:2"], "config error: ParseError: sweep '1:2': "
+     "expected lo:hi:points[:log]"),
+    (["foldy", "--rho-grid", "1:2:3:lin"], "config error: ParseError: sweep "
+     "suffix must be 'log', got 'lin'"),
+    (["gp-tf-limit", "--g-grid", "x:1:3"], "config error: ParseError: sweep "
+     "'x:1:3': could not convert string to float: 'x'"),
+    # a bounds key that the dimension does not read must keep its default;
+    # these once exited 0 with the key ignored
+    (["bounds", "--dim", "2", "--y-grid", "1e-3:1e-2:3", "--lower-c", "5"],
+     "config error: ParseError: parameter 'y_grid' is not read by bounds "
+     "in 2D"),
+    (["bounds", "--dim", "2", "--lower-c", "5"], "config error: ParseError: "
+     "parameter 'lower_c' is not read by bounds in 2D"),
+    (["bounds", "--rho-a2-grid", "1e-10:1e-8:2"], "config error: ParseError: "
+     "parameter 'rho_a2_grid' is not read by bounds in 3D"),
 ])
 def test_boundary_inputs_exit_3_with_a_named_error(capsys, argv, message):
     # the CLI's exit contract: every input ends in a report or in a named
@@ -599,6 +616,9 @@ _FRESH_LOADS = [
     ("", 0, "errors", False, "", 0),
     ("gp --coupling 1 --coupling-strength 2", 2, "errors", False, "", 0),
     ("scatter --potentail x", 2, "errors", False, "", 0),
+    ("bounds --y-grid 1:2", 2, "errors", False, "", 0),
+    ("foldy --rho-grid 1:2:3:lin", 2, "errors", False, "", 0),
+    ("gp-tf-limit --g-grid x:1:3", 2, "errors", False, "", 0),
     ("scatter --potential nope", 3, _SCATTER, False, "", 0),
     ("scatter --potential hardcore:r0=1", 0, _SCATTER, False, "", 0),
     ("scatter --potential squarewell:r0=1,v0=10 --mu 2", 0, _SCATTER, False,
@@ -712,48 +732,6 @@ def test_commands_without_an_ode_compile_no_trial_step(fresh_loads):
         i = [row[0] for row in _FRESH_LOADS].index(line)
         code, modules, *_, steps = fresh_loads[i]
         assert (code, "numerics" in modules.split(), steps) == (0, True, 0)
-
-
-# The public names of the lazy `bosegas` namespace, by defining module.
-_PUBLIC_NAMES = {
-    "errors": ["BoseGasError", "DomainError"],
-    "numerics": ["Tolerances", "integrate_ode", "quad"],
-    "potentials": ["HARD_CORE", "PairPotential", "TrapPotential",
-                   "born_integral", "pair_value", "parse_pair_potential",
-                   "parse_trap_potential", "tail_integrability",
-                   "trap_value"],
-    "scattering": ["ScatteringSolution", "energy_integral",
-                   "kinetic_fraction", "solve_zero_energy"],
-    "homogeneous": ["CellConstruction", "DiluteParams", "cell_construction",
-                    "cell_energy_factor", "cell_lower_bound",
-                    "cell_lower_ratio", "dilute_lower_ratio",
-                    "dyson_upper_ratio", "leading_energy", "lhy_energy",
-                    "log_quadratic_gap", "occupation_minimum",
-                    "schick_2d_bounds", "temple_bound"],
-    "gp": ["GpState", "TfState", "gp_minimize", "gp_residual",
-           "gp_tf_limit", "mean_density", "tf_scaling", "tf_solve"],
-    "bogolubov": ["BogolubovMode", "fock_oracle",
-                  "foldy_dimensionless_integral", "foldy_energy",
-                  "foldy_mode_integrand", "kinetic_cutoff",
-                  "two_component_scaling", "yukawa_ft"],
-}
-
-
-def test_lazy_namespace_resolves_every_public_name():
-    for module, names in _PUBLIC_NAMES.items():
-        defining = importlib.import_module(f"bosegas.{module}")
-        for name in names:
-            assert getattr(bosegas, name) is getattr(defining, name)
-            assert name in dir(bosegas)
-    assert sorted(bosegas.__all__) \
-        == sorted(sum(_PUBLIC_NAMES.values(), []))
-    from bosegas import PairPotential, solve_zero_energy
-    assert PairPotential is bosegas.potentials.PairPotential
-    assert solve_zero_energy is bosegas.scattering.solve_zero_energy
-    with pytest.raises(AttributeError):
-        bosegas.no_such_name
-    with pytest.raises(ImportError):
-        from bosegas import no_such_name  # noqa: F401
 
 
 # --- report writer against independent oracles -----------------------------------

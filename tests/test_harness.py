@@ -43,10 +43,6 @@ def test_a_failing_hypothesis_test_fails_only_itself(tmp_path):
     assert "1 failed, 1 passed" in proc.stdout, out
 
 
-# called by the import system (PEP 562), never by name
-_IMPORT_HOOKS = {"__getattr__", "__dir__"}
-
-
 def _names_read(node):
     """Every name a piece of code reads: bare names and attribute names."""
     return {n.id if isinstance(n, ast.Name) else n.attr
@@ -83,17 +79,16 @@ def test_every_function_in_the_package_is_reached_outside_the_tests():
         reached.add(name)
         for node in defs.get(name, ()):
             todo |= _names_read(node) - reached
-    unreached = sorted(set(defs) - reached - _IMPORT_HOOKS)
+    unreached = sorted(set(defs) - reached)
     assert not unreached, f"reached only from tests, if at all: {unreached}"
 
 
 def test_every_name_in_each_all_exists():
     # perfbench's tracer and `import *` read these lists; a name deleted
     # from its module but left in `__all__` is caught here
-    modules = ["bosegas"] + [
-        f"bosegas.{path.stem}"
-        for path in sorted((ROOT / "src" / "bosegas").glob("*.py"))
-        if path.stem != "__init__"]
+    modules = [f"bosegas.{path.stem}"
+               for path in sorted((ROOT / "src" / "bosegas").glob("*.py"))
+               if path.stem != "__init__"]
     for modname in modules:
         module = importlib.import_module(modname)
         missing = [name for name in getattr(module, "__all__", ())

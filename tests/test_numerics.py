@@ -216,22 +216,6 @@ def test_ode_bits_at_the_scattering_shape(seed):
             assert rest == 0 and rejected > 0
 
 
-@pytest.mark.parametrize("returned", [lambda y: (y[1],),
-                                      lambda y: (y[1], -y[0], 0.0)],
-                         ids=["short", "long"])
-def test_ode_names_an_rhs_of_the_wrong_length(returned):
-    with pytest.raises(DomainError, match="rhs returned [13] values for a "
-                                          "state of 2"):
-        integrate_ode(lambda r, y: returned(y), [0.0, 1.0], (0.0, 1.0), TOL)
-
-
-def test_ode_names_an_rhs_that_returns_no_sequence():
-    for value in (1.0, np.float64(1.0), np.array(1.0), None):
-        with pytest.raises(DomainError, match="^rhs returned a .*, not 2 "
-                                              "values$"):
-            integrate_ode(lambda r, y: value, [0.0, 1.0], (0.0, 1.0), TOL)
-
-
 def _turns_bad_after(calls, bad):
     """An oscillator rhs whose return becomes bad(y) from call `calls` on."""
     count = [0]
@@ -245,13 +229,17 @@ def _turns_bad_after(calls, bad):
 @pytest.mark.parametrize("bad", [lambda y: (y[1],),
                                  lambda y: (y[1], -y[0], 0.0),
                                  lambda y: y[1],
-                                 lambda y: (y[1], "x")],
-                         ids=["short", "long", "scalar", "not-a-number"])
-@pytest.mark.parametrize("calls", [1, 2, 12, 40])
+                                 lambda y: (y[1], "x"),
+                                 lambda y: np.float64(y[1]),
+                                 lambda y: np.array(y[1]),
+                                 lambda y: None],
+                         ids=["short", "long", "scalar", "not-a-number",
+                              "numpy-scalar", "0-d-array", "none"])
+@pytest.mark.parametrize("calls", [0, 1, 2, 12, 40])
 def test_ode_names_a_later_stage_of_the_wrong_shape(bad, calls):
-    # bad from call `calls` + 1 on: call 1 is the check at lo, calls 2-12
-    # the first trial step's stages, call 13 the next step's first stage
-    # (FSAL after an accepted step) and call 41 well into the run
+    # bad from call `calls` + 1 on: call 1 is the first stage at lo, calls
+    # 2-12 the first trial step's other stages, call 13 the next step's
+    # first stage (FSAL after an accepted step) and call 41 well into the run
     with pytest.raises(DomainError, match="^rhs must return 2 numbers for a "
                                           "state of 2; a stage near r="):
         integrate_ode(_turns_bad_after(calls, bad), [0.0, 1.0], (0.0, 10.0),
