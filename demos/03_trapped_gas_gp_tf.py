@@ -10,7 +10,7 @@ from bosegas.gp import (export_profile, gp_minimize, gp_tf_limit, mean_density,
                         tf_solve)
 from bosegas.potentials import TrapPotential
 
-HARM3 = TrapPotential(kind="harmonic", dimension=3)
+HARM3 = TrapPotential(kind="power-law", dimension=3)  # s = 2: harmonic
 
 print("-- noninteracting limit (a = 0, harmonic trap): E/N = 3 --")
 state = gp_minimize(HARM3, 1.0, 0.0)

@@ -216,9 +216,9 @@ def parse_config(argv: List[str]) -> RunConfig:
     if "config" in flags:
         path = flags.pop("config")
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 loaded = json.load(fh)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read config file {path!r}: {exc}")
         except json.JSONDecodeError as exc:
             raise ParseError(f"config file {path!r}: line {exc.lineno}: "
@@ -534,8 +534,8 @@ Potential specs: hardcore:r0=X | squarewell:r0=X,v0=Y | softsphere:r0=X,v0=Y
                  | table:path=FILE
 Trap specs: harmonic[:scale=S] | box:l=L | power:s=S[,scale=C]
 Sweeps use lo:hi:points[:log], at most {_MAX_SWEEP_POINTS} points.
-  bounds reads --y-grid in 3D and --rho-a2-grid in 2D; --abs-tol and
-  --rel-tol are the ODE tolerances of scatter.
+  bounds reads --y-grid and --lower-c in 3D and --rho-a2-grid in 2D;
+  --abs-tol and --rel-tol are the ODE tolerances of scatter.
 Common keys: --config FILE (flat JSON; flags override), --output PATH,
   --format csv|json.
 Exit codes: 0 ok, 2 config error, 3 numerical failure or a rejected spec.
@@ -574,7 +574,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         text = report.to_csv() if config.output_format == "csv" \
             else report.to_json()
         if config.output_path:
-            with open(config.output_path, "w") as fh:
+            # a non-UTF-8 argument, such as a file name, is written as it came
+            with open(config.output_path, "w", encoding="utf-8",
+                      errors="surrogateescape") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)

@@ -1,5 +1,7 @@
 """Gross-Pitaevskii and Thomas-Fermi solvers on radial grids (3D and 2D).
 
+A trap is a box or a power law V = scale r^s, of which the harmonic trap
+is s = 2: the solvers read only s and scale, and branch only on the box.
 Both solve in trap units: for V = scale r^s, with scale ell^(s+2) = mu_const,
 x = r/ell and phi = ell^(-d/2) psi, the GP energy is mu_const/ell^2 times
 the one with unit kinetic and trap coefficients and coupling c ell^(2-d)
@@ -32,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError, NegativeCoupling, NoConvergence, float_range
 from .numerics import Tolerances
-from .potentials import TrapPotential, _omega
+from .potentials import TrapPotential, _omega, trap_spec
 # re-exported; the `tf` command imports their numpy-free module alone
 from .thomas_fermi import (TfState, _tf_mu_closed, _trap_units,
                            tf_chemical_identity_gap, tf_scaling, tf_solve)
@@ -459,16 +461,9 @@ def gp_tf_limit(trap: TrapPotential, g_sequence: Sequence[float],
 
 def export_profile(state: GpState, path: str) -> None:
     """Write the density profile as CSV (r, phi, rho) with # metadata lines."""
-    trap = state.trap
-    if trap.kind == "box":
-        trap_spec = f"box:l={trap.box_side!r}"
-    elif trap.kind == "harmonic":
-        trap_spec = f"harmonic:scale={trap.scale!r}"
-    else:
-        trap_spec = f"power:s={trap.homogeneity_degree!r},scale={trap.scale!r}"
     lines = [
-        f"# trap = {trap_spec}",
-        f"# dimension = {trap.dimension}",
+        f"# trap = {trap_spec(state.trap)}",
+        f"# dimension = {state.trap.dimension}",
         *(f"# {key} = {float(getattr(state, key))!r}"
           for key in ("N", "coupling", "mu_const", "E", "mu_gp")),
         "r,phi,rho",
@@ -476,5 +471,5 @@ def export_profile(state: GpState, path: str) -> None:
     # plain float reprs: np.float64's repr is not a number
     for r, phi in zip(state.r.tolist(), state.phi.tolist()):
         lines.append(f"{r!r},{phi!r},{phi * phi!r}")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -25,6 +25,7 @@ from .errors import (
     NoConvergence,
     NonFiniteRhs,
     StepSizeUnderflow,
+    require_finite,
 )
 
 __all__ = [
@@ -46,6 +47,7 @@ class Tolerances:
     rel_tol: float = 1e-10
 
     def __post_init__(self):
+        require_finite(abs_tol=self.abs_tol, rel_tol=self.rel_tol)
         if self.abs_tol < 0 or self.rel_tol < 0:
             raise DomainError("tolerances must be nonnegative")
         if self.abs_tol + self.rel_tol <= 0:

@@ -2,7 +2,8 @@
 
 A hard core of radius R0 is the one knot (R0, HARD_CORE), with the exact
 marker ``HARD_CORE`` (float infinity) as its value; solvers branch on it
-instead of integrating through a large float.  All potentials are immutable
+instead of integrating through a large float.  A trap is a box or a power
+law, whose default s = 2 is the harmonic trap.  All potentials are immutable
 after construction and safe to share.
 """
 
@@ -20,13 +21,13 @@ __all__ = [
     "HARD_CORE",
     "PairPotential",
     "TrapPotential",
-    "TailReport",
     "born_integral",
     "pair_value",
     "trap_value",
-    "tail_integrability",
+    "tail_cut_radius",
     "parse_pair_potential",
     "parse_trap_potential",
+    "trap_spec",
 ]
 
 HARD_CORE = math.inf
@@ -36,7 +37,6 @@ _PAIR_KINDS = {"hard-core": ("strength", "table"), "square-well": ("table",),
                "tabulated": ("core_radius", "strength")}
 # each trap kind with the fields it does not read, which keep their defaults
 _TRAP_KINDS = {"box": ("homogeneity_degree", "scale"),
-               "harmonic": ("box_side", "homogeneity_degree"),
                "power-law": ("box_side",)}
 
 
@@ -131,13 +131,9 @@ del PairPotential.core_radius, PairPotential.strength  # constructor-only
 
 def pair_value(p: PairPotential, r: float) -> float:
     """v(r); returns the HARD_CORE marker inside a hard core."""
-    if r <= 0:
+    if not r > 0:
         raise DomainError("pair_value requires r > 0")
-    (r_first, v_first), (r_last, _) = p.table[0], p.table[-1]
-    if r < r_last:   # constant up to the first knot
-        return v_first if r <= r_first else pair_piece(p, r, r)(r)
-    c_t, power = p.tail or (0.0, 0.0)     # no tail is the tail 0 r^0
-    return c_t * r ** -power
+    return pair_piece(p, r, math.inf)(r)
 
 
 def pair_piece(p: PairPotential, lo: float, hi: float):
@@ -151,7 +147,7 @@ def pair_piece(p: PairPotential, lo: float, hi: float):
         return lambda r: v_first
     last = math.nextafter(hi, lo)
     if j == len(table):
-        c_t, power = p.tail or (0.0, 0.0)
+        c_t, power = p.tail or (0.0, 0.0)     # no tail is the tail 0 r^0
         return lambda r: c_t * (r if r < last else last) ** -power
     (xa, va), (xb, vb) = table[j - 1], table[j]
     slope = (vb - va) / (xb - xa)
@@ -168,35 +164,29 @@ def _omega(d: int) -> float:
     return 4.0 * math.pi if d == 3 else 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class TailReport:
-    integrable: bool
-    cut_radius: float
-
-
-def tail_integrability(p: PairPotential) -> TailReport:
-    """Diagnose the large-r decay of v.
-
-    For a tail C_t r^-p the integral int_R^inf v(r) r^(d-1) dr is finite only
-    for p > d; slower decay means an infinite scattering length.  The report's
-    cut radius bounds the neglected Born-integral contribution below 1e-10.
+def tail_cut_radius(p: PairPotential) -> float:
+    """The range without a tail; for a tail C_t r^-p, the radius beyond which
+    its Born integral is below 1e-10, and at least twice the range.  The
+    integral int_R^inf v(r) r^(d-1) dr is finite only for p > d: slower
+    decay means an infinite scattering length, and raises NonIntegrableTail.
     """
     if p.tail is None:
-        return TailReport(integrable=True, cut_radius=p.range_radius)
+        return p.range_radius
     c_t, exponent = p.tail
     d = p.dimension
     if exponent <= d:
-        return TailReport(False, math.inf)
+        raise NonIntegrableTail(f"tail exponent {exponent!r} <= dimension "
+                                f"{d}: the scattering length is infinite")
     # Omega_d * C_t * R^(d-p) / (p-d) <= 1e-10  fixes the cut radius
     cut = (_omega(d) * c_t / (1e-10 * (exponent - d))) ** (1.0 / (exponent - d))
-    return TailReport(True, max(cut, 2.0 * p.range_radius))
+    return max(cut, 2.0 * p.range_radius)
 
 
 @dataclass(frozen=True)
 class TrapPotential:
-    """Confining potential: box (`box_side`), harmonic (`scale` r^2), or
-    general power law (`scale` |x|^s, s = `homogeneity_degree`).  A field
-    that the kind does not read must keep its default.
+    """Confining potential: a box (`box_side`) or a power law `scale` |x|^s
+    with s = `homogeneity_degree`, whose default 2 is the harmonic trap.  A
+    field that the kind does not read must keep its default.
     """
 
     kind: str
@@ -218,11 +208,10 @@ class TrapPotential:
                 raise DomainError(f"{name} is not read by a {self.kind} trap")
         if self.kind == "box" and self.box_side <= 0:
             raise DomainError("box trap needs a positive side length")
-        if self.kind != "box":
-            if self.scale <= 0:
-                raise DomainError("power-law trap needs positive scale")
-            if self.homogeneity_degree <= 0:
-                raise DomainError("homogeneity degree must be positive")
+        if self.scale <= 0:     # a box keeps the defaults, scale 1 and s 2
+            raise DomainError("power-law trap needs positive scale")
+        if self.homogeneity_degree <= 0:
+            raise DomainError("homogeneity degree must be positive")
 
 
 def trap_value(t: TrapPotential, x) -> float:
@@ -246,9 +235,7 @@ def born_integral(p: PairPotential) -> float:
         return HARD_CORE
     if p.vanishes():        # exact, and no r^d to overflow at a huge radius
         return 0.0
-    report = tail_integrability(p)
-    if not report.integrable:
-        raise NonIntegrableTail("Born integral diverges: tail exponent <= dimension")
+    tail_cut_radius(p)      # raises NonIntegrableTail for a slow tail
     d = p.dimension
     omega = _omega(d)
 
@@ -319,21 +306,25 @@ def parse_pair_potential(spec: str, dimension: int = 3) -> PairPotential:
         kv = _parse_kv(body, frozenset({"path"}), spec)
         # an empty or absent path raises _require's missing-key error
         path = kv.get("path") or _require({}, "path", spec)
+        try:    # utf-8-sig: a byte-order mark would read as a header
+            with open(path, newline="", encoding="utf-8-sig") as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"table {path!r}: {exc}") from None
         rows = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            for n, row in enumerate(r for r in reader if any(map(str.strip, r))):
-                try:
-                    knot = tuple(map(float, row))
-                except ValueError:
-                    if n == 0:
-                        continue  # the first non-blank row may be a header
-                    knot = ()
-                if len(knot) != 2:
-                    raise DomainError(
-                        f"table {path!r} line {reader.line_num}: row {row!r} "
-                        + ("lacks a value" if len(row) < 2 else "is not two numbers"))
-                rows.append(knot)
+        reader = csv.reader(lines)
+        for n, row in enumerate(r for r in reader if any(map(str.strip, r))):
+            try:
+                knot = tuple(map(float, row))
+            except ValueError:
+                if n == 0:
+                    continue  # the first non-blank row may be a header
+                knot = ()
+            if len(knot) != 2:
+                raise DomainError(
+                    f"table {path!r} line {reader.line_num}: row {row!r} "
+                    + ("lacks a value" if len(row) < 2 else "is not two numbers"))
+            rows.append(knot)
         return PairPotential(kind="tabulated", dimension=dimension,
                              table=tuple(rows))
     raise DomainError(f"unknown pair potential spec {spec!r}")
@@ -345,7 +336,7 @@ def parse_trap_potential(spec: str, dimension: int = 3) -> TrapPotential:
     name = name.strip().lower()
     if name == "harmonic":
         kv = _parse_kv(body, frozenset({"scale"}), spec)
-        return TrapPotential(kind="harmonic", dimension=dimension,
+        return TrapPotential(kind="power-law", dimension=dimension,
                              scale=_require(kv, "scale", spec, 1.0))
     if name == "box":
         kv = _parse_kv(body, frozenset({"l"}), spec)
@@ -357,3 +348,12 @@ def parse_trap_potential(spec: str, dimension: int = 3) -> TrapPotential:
                              homogeneity_degree=_require(kv, "s", spec),
                              scale=_require(kv, "scale", spec, 1.0))
     raise DomainError(f"unknown trap spec {spec!r}")
+
+
+def trap_spec(t: TrapPotential) -> str:
+    """The spec that parse_trap_potential reads back as t, in t's dimension."""
+    if t.kind == "box":
+        return f"box:l={t.box_side!r}"
+    if t.homogeneity_degree == 2.0:
+        return f"harmonic:scale={t.scale!r}"
+    return f"power:s={t.homogeneity_degree!r},scale={t.scale!r}"

@@ -27,7 +27,6 @@ from .errors import (
     DomainError,
     GridTooCoarse,
     NoLogAsymptote,
-    NonIntegrableTail,
     RadiusInsideRange,
     ScatteringLengthUnderflow,
     ZeroScatteringLength,
@@ -40,7 +39,7 @@ from .potentials import (
     born_integral,
     pair_piece,
     pair_value,
-    tail_integrability,
+    tail_cut_radius,
 )
 
 __all__ = [
@@ -85,19 +84,16 @@ class ScatteringSolution:
 
 
 def _end_radius(p: PairPotential, mu: float) -> float:
-    """Where the integration ends: the range, or for a tail the largest of
-    twice the range, ten a-estimates and the cut radius.  The a-estimate is
-    the Born bound on a plus 1e-3 range, capped at the range, which is where
-    a hard core's infinite Born integral puts it."""
-    report = tail_integrability(p)
-    if not report.integrable:
-        raise NonIntegrableTail(
-            "potential tail decays too slowly; scattering length infinite")
+    """Where the integration ends: the range, or for a tail the larger of
+    ten a-estimates and the cut radius, which is at least twice the range.
+    The a-estimate is the Born bound on a plus 1e-3 range, capped at the
+    range, which is where a hard core's infinite Born integral puts it."""
+    cut = tail_cut_radius(p)
     if p.tail is None:
-        return p.range_radius
+        return cut
     r0 = p.range_radius
     a_estimate = min(r0, born_integral(p) / (8.0 * math.pi * mu) + 1e-3 * r0)
-    return max(2.0 * r0, 10.0 * a_estimate, report.cut_radius)
+    return max(10.0 * a_estimate, cut)
 
 
 def _edges(p: PairPotential, r_start: float, r_end: float) -> list:

@@ -63,6 +63,9 @@ def test_config_file_and_flag_override(tmp_path):
     assert cfg.parameters["mu"] == 2.0
     over = parse_config(["--config", str(path), "--mu", "0.5"])
     assert over.parameters["mu"] == 0.5          # flag wins
+    # a UTF-8 byte-order mark once ended in a ParseError
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert parse_config(["--config", str(path)]) == cfg
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"command": "scatter",
                                "potential": "hardcore:r0=1", "ro": 1}))
@@ -454,12 +457,31 @@ def test_sizes_at_their_ceiling_parse():
      "parameter 'lower_c' is not read by bounds in 2D"),
     (["bounds", "--rho-a2-grid", "1e-10:1e-8:2"], "config error: ParseError: "
      "parameter 'rho_a2_grid' is not read by bounds in 3D"),
+    # a file that is not UTF-8 once ended in a UnicodeDecodeError traceback
+    # (exit 1); the test writes both files in UTF-16, which starts \xff\xfe
+    (["--config", "utf16.json"], "config error: ParseError: cannot read "
+     "config file 'utf16.json': 'utf-8' codec can't decode byte 0xff in "
+     "position 0"),
+    (["scatter", "--potential", "table:path=utf16.csv"], "DomainError: table "
+     "'utf16.csv': 'utf-8' codec can't decode byte 0xff in position 0"),
+    # an infinite tolerance made the rerun gate vacuous (--abs-tol inf once
+    # exited 0 with a 4.9e-5 relative error in a), and a NaN one or
+    # --rel-tol inf ended in a misleading StepSizeUnderflow
+    *((["scatter", "--potential", "squarewell:r0=1,v0=10", flag, value],
+      f"{flag[2:].replace('-', '_')} must be finite, got {value}")
+      for flag, value in (("--abs-tol", "inf"), ("--abs-tol", "nan"),
+                          ("--rel-tol", "nan"), ("--rel-tol", "inf"))),
 ])
-def test_boundary_inputs_exit_3_with_a_named_error(capsys, argv, message):
+def test_boundary_inputs_exit_3_with_a_named_error(capsys, tmp_path,
+                                                   monkeypatch, argv, message):
     # the CLI's exit contract: every input ends in a report or in a named
     # error on stderr, with exit 2 for a configuration (`config error: `
     # starts the message) and exit 3 for a command's input (`<command>: `
     # starts it, and a message that names no error is a DomainError's)
+    monkeypatch.chdir(tmp_path)
+    for name, text in (("utf16.json", '{"command": "bogolubov"}'),
+                       ("utf16.csv", "1.0,2.0\n2.0,0.0\n")):
+        (tmp_path / name).write_bytes(b"\xff\xfe" + text.encode("utf-16-le"))
     code = 2 if message.startswith("config error: ") else 3
     if code == 3:
         message = f"{argv[0]}: " + (message if ": " in message
@@ -540,7 +562,7 @@ def test_mean_density_in_trap_units(argv, scale):
     pars = config.parameters
     ell = (pars["mu_const"] / scale) ** 0.25
     # the same solve on the unit trap: coupling c ell^(2-d), mu_const 1
-    unit = gp_minimize(TrapPotential(kind="harmonic"), pars["n"],
+    unit = gp_minimize(TrapPotential(kind="power-law"), pars["n"],
                        pars["coupling"] / ell,
                        grid_points=pars["grid_points"])
     rho_bar = run(config).rows[0]["rho_bar"]
@@ -565,6 +587,17 @@ def test_table_row_without_a_value_exits_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_output_file_holds_a_spec_that_is_not_utf8(tmp_path, monkeypatch):
+    # a table's file name that is not UTF-8 reaches the report as it came;
+    # writing it to --output once ended in a UnicodeEncodeError traceback
+    monkeypatch.chdir(tmp_path)
+    name = os.fsdecode(b"t\xff.csv")
+    pathlib.Path(name).write_text("1.0,2.0\n2.0,0.0\n")
+    assert main(["scatter", "--potential", f"table:path={name}",
+                 "--output", "out.csv"]) == 0
+    assert b"\ntable:path=t\xff.csv,3," in pathlib.Path("out.csv").read_bytes()
+
+
 def test_gp_profile_export(tmp_path):
     prof = tmp_path / "prof.csv"
     cfg = parse_config(["gp", "--coupling", "0.1", "--grid-points", "700",
@@ -573,6 +606,21 @@ def test_gp_profile_export(tmp_path):
     text = prof.read_text()
     assert text.startswith("# trap")
     assert "r,phi,rho" in text
+
+
+@pytest.mark.parametrize("spec", [
+    "harmonic:scale=3", "box:l=3", "power:s=2,scale=3",
+    "power:s=2.5,scale=0.30000000000000004"])
+@pytest.mark.parametrize("dim", ["2", "3"])
+def test_profile_trap_header_reads_back_as_the_runs_trap(tmp_path, spec, dim):
+    from bosegas.potentials import parse_trap_potential
+    prof = tmp_path / "prof.csv"
+    assert main(["gp", "--trap", spec, "--dim", dim, "--coupling", "1",
+                 "--grid-points", "100", "--profile-out", str(prof)]) == 0
+    header = prof.read_text().splitlines()[0]
+    assert header.startswith("# trap = ")
+    assert parse_trap_potential(header[len("# trap = "):], int(dim)) \
+        == parse_trap_potential(spec, int(dim))
 
 
 def test_two_dimensional_commands():

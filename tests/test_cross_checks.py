@@ -116,7 +116,7 @@ def test_energy_integral_inside_a_tail_cut_radius():
 
 def test_gp_nonunit_constants():
     # ground energy of -mu lap + c r^2 is 3 sqrt(mu c) per particle (3D)
-    trap = TrapPotential(kind="harmonic", dimension=3, scale=2.0)
+    trap = TrapPotential(kind="power-law", dimension=3, scale=2.0)
     st = gp_minimize(trap, 1.0, 0.0, mu_const=0.5, grid_points=1500)
     assert st.E == pytest.approx(3.0 * math.sqrt(0.5 * 2.0), abs=2e-4)
     # interacting state still satisfies its invariants
@@ -129,7 +129,7 @@ def test_gp_nonunit_constants():
 
 
 def test_tf_nonunit_constants():
-    trap = TrapPotential(kind="harmonic", dimension=3, scale=2.0)
+    trap = TrapPotential(kind="power-law", dimension=3, scale=2.0)
     tf = tf_solve(trap, N=2.0, a=1.5, mu_const=0.5)
     # normalization: int (mu - 2 r^2)_+ d^3x = 4 pi mu^(5/2) 2^(-3/2) (2/15)
     # must equal 8 pi mu_c a N = 8 pi * 0.5 * 1.5 * 2
@@ -140,7 +140,7 @@ def test_tf_nonunit_constants():
 
 
 def test_gp_scaling_survives_mu_const():
-    trap = TrapPotential(kind="harmonic", dimension=3)
+    trap = TrapPotential(kind="power-law", dimension=3)
     big = gp_minimize(trap, 50.0, 0.02, mu_const=2.0, grid_points=1000)
     unit = gp_minimize(trap, 1.0, 1.0, mu_const=2.0, grid_points=1000)
     assert big.E == pytest.approx(50.0 * unit.E, rel=1e-10)

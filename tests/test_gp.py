@@ -22,8 +22,8 @@ from bosegas.gp import (_RESIDUAL_TOL, _simpson, export_profile, gp_minimize,
                         tf_solve)
 from bosegas.potentials import TrapPotential, parse_trap_potential
 
-HARM3 = TrapPotential(kind="harmonic", dimension=3)
-HARM2 = TrapPotential(kind="harmonic", dimension=2)
+HARM3 = TrapPotential(kind="power-law", dimension=3)    # s = 2: harmonic
+HARM2 = TrapPotential(kind="power-law", dimension=2)
 
 
 def test_linear_limit_harmonic():
@@ -399,7 +399,7 @@ def test_extreme_trap_scale_converges_in_few_passes(spec, d, mu_const):
 def test_tf_closed_form_at_tiny_trap_scale():
     # 2D harmonic trap c r^2, N = 1, coupling 1: mu_tf = 4 sqrt(c)
     for scale in (1e-12, 1e12):
-        trap = TrapPotential(kind="harmonic", dimension=2, scale=scale)
+        trap = TrapPotential(kind="power-law", dimension=2, scale=scale)
         exact = 4.0 * math.sqrt(scale)
         assert abs(tf_solve(trap, 1.0, 1.0).mu_tf - exact) <= 1e-10 * exact
 

@@ -29,7 +29,7 @@ def traps(draw):
     d = draw(st.sampled_from([2, 3]))
     scale = draw(log_uniform(-6.0, 6.0))
     if draw(st.booleans()):
-        return TrapPotential(kind="harmonic", dimension=d, scale=scale)
+        return TrapPotential(kind="power-law", dimension=d, scale=scale)
     return TrapPotential(kind="power-law", dimension=d, scale=scale,
                          homogeneity_degree=draw(st.floats(1.0, 6.0)))
 

@@ -8,11 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bosegas.errors import DomainError
+from bosegas.errors import DomainError, NonIntegrableTail
 from bosegas.potentials import (HARD_CORE, PairPotential, TrapPotential,
                                 born_integral, pair_piece, pair_value,
                                 parse_pair_potential, parse_trap_potential,
-                                tail_integrability, trap_value)
+                                tail_cut_radius, trap_spec, trap_value)
 
 
 def test_hard_core_marker():
@@ -87,7 +87,7 @@ def test_step_monotone_nonincreasing():
 
 
 def test_trap_values():
-    harm = TrapPotential(kind="harmonic", scale=1.0)
+    harm = TrapPotential(kind="power-law", scale=1.0)     # s = 2: harmonic
     assert trap_value(harm, [0.0, 0.0, 2.0]) == pytest.approx(4.0)
     box = TrapPotential(kind="box", box_side=1.0)
     assert trap_value(box, [0.2, -0.3, 0.1]) == 0.0
@@ -107,28 +107,38 @@ def test_trap_homogeneity_property():
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
-def test_tail_integrability_cases():
+def test_tail_cut_radius_cases():
+    # no tail: the cut radius is the range
     finite = PairPotential(kind="square-well", core_radius=1.0, strength=2.0)
-    rep = tail_integrability(finite)
-    assert rep.integrable and rep.cut_radius == 1.0
+    assert tail_cut_radius(finite) == 1.0
 
     # int_1^inf r^-4 r^2 dr = 1 for C_t = 1, p = 4, attached at R0 = 1:
     # the Born integral is 4 pi (1/3 + 1) = 16 pi/3
     p4 = PairPotential(kind="square-well", core_radius=1.0, strength=1.0,
                        tail=(1.0, 4.0))
-    rep4 = tail_integrability(p4)
-    assert rep4.integrable
-    assert rep4.cut_radius > 2.0
+    # the tail's Born integral beyond the cut radius, 4 pi / R, is 1e-10
+    assert tail_cut_radius(p4) == pytest.approx(4e10 * math.pi, rel=1e-14)
     assert born_integral(p4) == 16.0 * math.pi / 3.0
+    # a tail that falls below 1e-10 inside twice the range is cut there
+    steep = PairPotential(kind="square-well", core_radius=1.0, strength=1.0,
+                          tail=(1e-12, 40.0))
+    assert tail_cut_radius(steep) == 2.0
     # in 2D, int_1^inf r^-3 r dr = 1 for p = 3: 2 pi (1/2 + 1) = 3 pi
     disc = PairPotential(kind="square-well", core_radius=1.0, strength=1.0,
                          tail=(1.0, 3.0), dimension=2)
+    assert tail_cut_radius(disc) > 2.0
     assert born_integral(disc) == 3.0 * math.pi
 
-    p3 = PairPotential(kind="square-well", core_radius=1.0, strength=1.0,
-                       tail=(1.0, 3.0))
-    rep3 = tail_integrability(p3)
-    assert not rep3.integrable and math.isinf(rep3.cut_radius)
+    # p <= d: one verdict, raised by tail_cut_radius and reached through
+    # the Born integral, in 3D and in 2D
+    for d, exponent in ((3, 3.0), (3, 2.5), (2, 2.0), (2, 1.5)):
+        slow = PairPotential(kind="square-well", core_radius=1.0,
+                             strength=1.0, tail=(1.0, exponent), dimension=d)
+        for check in (tail_cut_radius, born_integral):
+            with pytest.raises(NonIntegrableTail,
+                               match=f"^tail exponent {exponent!r} <= "
+                                     f"dimension {d}: "):
+                check(slow)
 
 
 def test_born_integral_closed_forms():
@@ -169,6 +179,9 @@ def test_spec_string_parsing(tmp_path):
     csv_path.write_text("radius,value\n1.0,2.0\n2.0,0.0\n")
     t = parse_pair_potential(f"table:path={csv_path}")
     assert t.table == ((1.0, 2.0), (2.0, 0.0)) and not t.has_hard_core()
+    # a byte-order mark once made the first knot read as a header
+    csv_path.write_bytes(b"\xef\xbb\xbf1.0,2.0\n2.0,0.0\n")
+    assert parse_pair_potential(f"table:path={csv_path}") == t
 
     trap = parse_trap_potential("power:s=3,scale=2")
     assert trap.homogeneity_degree == 3.0 and trap.scale == 2.0
@@ -213,7 +226,7 @@ def test_pair_potential_rejects_nonfinite_fields(kwargs, name):
 
 @pytest.mark.parametrize("kwargs,name", [
     ({"kind": "box", "box_side": math.inf}, "box_side"),
-    ({"kind": "harmonic", "scale": math.nan}, "scale"),
+    ({"kind": "power-law", "scale": math.nan}, "scale"),
     ({"kind": "power-law", "homogeneity_degree": math.inf},
      "homogeneity_degree"),
     ({"kind": "power-law", "homogeneity_degree": 4.0, "scale": -math.inf},
@@ -227,8 +240,9 @@ def test_trap_potential_rejects_nonfinite_fields(kwargs, name):
 
 
 @pytest.mark.parametrize("kwargs,name", [
-    ({"kind": "harmonic", "homogeneity_degree": 3.0}, "homogeneity_degree"),
-    ({"kind": "harmonic", "box_side": 2.0}, "box_side"),
+    ({"kind": "box", "box_side": 2.0, "homogeneity_degree": 3.0},
+     "homogeneity_degree"),
+    ({"kind": "power-law", "box_side": 2.0}, "box_side"),
     ({"kind": "box", "box_side": 2.0, "homogeneity_degree": 4.0},
      "homogeneity_degree"),
     ({"kind": "box", "box_side": 2.0, "scale": 3.0}, "scale"),
@@ -236,7 +250,7 @@ def test_trap_potential_rejects_nonfinite_fields(kwargs, name):
      "box_side"),
 ])
 def test_trap_potential_rejects_a_field_its_kind_does_not_read(kwargs, name):
-    # stored and ignored, a harmonic trap's s = 3 would solve with s = 2
+    # stored and ignored, such a field would be read by no solver
     with pytest.raises(DomainError, match=f"^{name} is not read by a "
                                           f"{kwargs['kind']} trap$"):
         TrapPotential(**kwargs)
@@ -245,8 +259,30 @@ def test_trap_potential_rejects_a_field_its_kind_does_not_read(kwargs, name):
                   **{k: v for k, v in kwargs.items() if k not in (name, "kind")})
 
 
+def test_trap_spec_reads_back_as_its_trap():
+    # repr writes each float in as few digits as read back to it: 17 for
+    # 0.1 + 0.2 and for the float above 2, which is no harmonic trap
+    odd, above_two = 0.1 + 0.2, math.nextafter(2.0, 3.0)
+    assert len(repr(odd)) - 2 == len(repr(above_two)) - 1 == 17
+    for d in (2, 3):
+        for t in (TrapPotential(kind="box", dimension=d, box_side=3.0),
+                  TrapPotential(kind="box", dimension=d, box_side=odd),
+                  TrapPotential(kind="power-law", dimension=d),
+                  TrapPotential(kind="power-law", dimension=d, scale=odd),
+                  TrapPotential(kind="power-law", dimension=d,
+                                homogeneity_degree=4.0, scale=2.0),
+                  TrapPotential(kind="power-law", dimension=d,
+                                homogeneity_degree=above_two, scale=1e-300)):
+            assert parse_trap_potential(trap_spec(t), d) == t
+    assert [trap_spec(parse_trap_potential(spec)) for spec in (
+        "box:l=3", "harmonic", "power:s=2,scale=3", "power:s=4,scale=2")] \
+        == ["box:l=3.0", "harmonic:scale=1.0", "harmonic:scale=3.0",
+            "power:s=4.0,scale=2.0"]
+
+
 def test_trap_potential_names_an_unknown_kind():
-    for kind in ("cubic", ["box"], None):
+    # the harmonic trap is the power law's default s = 2, not a kind
+    for kind in ("cubic", "harmonic", ["box"], None):
         with pytest.raises(DomainError, match="^unknown trap kind"):
             TrapPotential(kind=kind)
 
@@ -317,7 +353,7 @@ def test_a_zero_tail_is_stored_as_none(kwargs):
     for tail in ((0.0, 3.0), (-0.0, 4.0), (0.0, 1.0), (0, 2)):
         p = PairPotential(**kwargs, tail=tail)
         assert p.tail is None and p == bare and hash(p) == hash(bare)
-        assert tail_integrability(p) == tail_integrability(bare)
+        assert tail_cut_radius(p) == tail_cut_radius(bare)
         assert born_integral(p) == born_integral(bare)
 
 
