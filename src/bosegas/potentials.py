@@ -15,7 +15,7 @@ import math
 from dataclasses import InitVar, dataclass
 from typing import Optional, Tuple
 
-from .errors import DomainError, NonIntegrableTail, require_finite
+from .errors import DomainError, NonIntegrableTail, float_range, require_finite
 
 __all__ = [
     "HARD_CORE",
@@ -224,9 +224,11 @@ def trap_value(t: TrapPotential, x) -> float:
     return float(t.scale * r ** t.homogeneity_degree)
 
 
+@float_range
 def born_integral(p: PairPotential) -> float:
     """First Born integral int v(|x|) d^dx, an upper bound for 8 pi mu a in 3D;
-    HARD_CORE for hard cores, error for non-integrable tails.
+    HARD_CORE for hard cores, error for non-integrable tails, DomainError
+    where a power r^d leaves the float range.
 
     Computed exactly: the interpolated knot table integrates in closed form,
     and so does the power tail.

@@ -138,8 +138,7 @@ def _solve_3d(p, mu, r_end, tol) -> ScatteringSolution:
 
     w_range, du_range, kin, pot = _by_segments(
         rhs, state, p, _edges(p, r_start, r_end), tol)
-    if du_range <= 0.0:
-        raise DomainError("u' <= 0 at the range; potential not nonnegative?")
+    # v >= 0 makes u'' = v u / (2 mu) >= 0: u' stays at or above its start 1
     a = -w_range / du_range
 
     if p.tail is not None:

@@ -473,11 +473,33 @@ def _fock_oracle(rng, n):
     return worst, f"|E - exact| over {n} pairs; (5, 3) -> -1"
 
 
+def _golden_min(f, a, b, iters: int = 200):
+    """The minimizer of a unimodal f on [a, b] by golden-section search."""
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - phi * (b - a)
+    d = a + phi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
 @_entry("bogolubov", "two_component_scaling", 1e-6, number=16)
 def _two_component(rng, n):
     res = bogolubov.two_component_scaling([10.0 ** e for e in range(3, 10)])
     e_exp, l_exp = res["energy_exponent"], res["radius_exponent"]
     assert all(p.E_opt < 0.0 for p in res["points"]), "E_opt >= 0"
+    for p in res["points"]:     # the closed-form minimizer, found numerically
+        found = _golden_min(lambda L: p.N / L ** 2 - p.N ** 1.25 * L ** -0.75,
+                            0.2 * p.L_opt, 5.0 * p.L_opt)
+        assert abs(found - p.L_opt) <= 1e-6 * p.L_opt, (p, found)
     return _worst(abs(e_exp - 1.4), abs(l_exp + 0.2)), \
         f"exponents {e_exp:.8f}, {l_exp:.8f}"
 

@@ -1,6 +1,7 @@
 """Pair-mode diagonalization, Foldy integral, and two-component scaling."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from bosegas.bogolubov import (BogolubovMode,
                                foldy_report, kinetic_cutoff,
                                mode_integral_energy, two_component_scaling,
                                yukawa_ft)
-from bosegas.errors import DomainError, TruncationNotConverged
 
 
 def test_pair_mode_examples():
@@ -24,10 +24,6 @@ def test_pair_mode_examples():
     equal = BogolubovMode(4.0, 4.0)
     assert equal.ground_bound_coeff == pytest.approx(2.0, rel=1e-14)
     assert equal.alpha == pytest.approx(1.0, rel=1e-14)
-    with pytest.raises(DomainError):
-        BogolubovMode(3.0, 4.0)
-    with pytest.raises(DomainError):
-        BogolubovMode(3.0, 0.0)
 
 
 def test_completed_square_identities():
@@ -44,12 +40,6 @@ def test_completed_square_identities():
 def test_fock_oracle_examples():
     assert abs(fock_oracle(5.0, 3.0, 60) + 1.0) <= 1e-6
     assert fock_oracle(5.0, 0.0, 10) == 0.0
-    with pytest.raises(DomainError):
-        fock_oracle(5.0, 3.0, 3)
-    # the B = 0 shortcut once returned 0.0 before checking A
-    for a_val in (-1.0, math.nan):
-        with pytest.raises(DomainError):
-            fock_oracle(a_val, 0.0, 10)
 
 
 def test_fock_oracle_sandwich_and_monotonicity():
@@ -95,14 +85,6 @@ def test_fock_oracle_at_the_float_range_ends():
     for scale in (1e-300, 1e154):
         assert fock_oracle(5.0 * scale, 3.0 * scale, 200) \
             == pytest.approx(-scale, rel=1e-14)
-    with pytest.raises(DomainError):
-        fock_oracle(math.inf, 1.0, 10)
-
-
-def test_fock_oracle_truncation_gate():
-    # B/A -> 1 converges slowly; a small cutoff must be flagged
-    with pytest.raises(TruncationNotConverged):
-        fock_oracle(1.0, 0.999999, 40, )
 
 
 def test_yukawa_ft():
@@ -132,13 +114,6 @@ def test_kinetic_cutoff():
         t = float(rng.uniform(0.01, 0.9))
         f = kinetic_cutoff(v, ell=2.0, t=t, C_univ=1.0)
         assert 0.0 <= f <= (1.0 - t) * v + 1e-30
-    with pytest.raises(DomainError):
-        kinetic_cutoff(1.0, t=1.5, C_univ=1.0)
-    # a NaN v or ell is named, not passed on as a NaN cutoff
-    with pytest.raises(DomainError, match="v must be nonnegative"):
-        kinetic_cutoff(math.nan)
-    with pytest.raises(DomainError, match="ell must be positive"):
-        kinetic_cutoff(1.0, ell=math.nan)
 
 
 def test_foldy_params_correlation_length():
@@ -155,8 +130,6 @@ def test_mode_integrand_properties():
         f = g + k * k
         assert foldy_mode_integrand(k, 1.0) / (g * g / (2.0 * f)) \
             == pytest.approx(1.0, rel=1e-6)
-    with pytest.raises(DomainError):
-        foldy_mode_integrand(0.0, 1.0)
 
 
 def test_mode_integrand_change_of_variables():
@@ -213,18 +186,6 @@ def test_mode_integral_vs_closed_form():
         foldy_energy(1.0) / 2.0, rel=1e-12)
 
 
-def test_foldy_rejects_nonfinite_inputs_by_name():
-    for rho, mu_const, name in ((math.nan, 1.0, "rho"),
-                                (math.inf, 1.0, "rho"),
-                                (1.0, math.nan, "mu_const"),
-                                (1.0, -math.inf, "mu_const")):
-        for fn in (mode_integral_energy, foldy_report):
-            with pytest.raises(DomainError, match=f"^{name} must be finite"):
-                fn(rho, mu_const)
-    with pytest.raises(DomainError):
-        mode_integral_energy(1.0, -1.0)
-
-
 def test_mode_integral_density_exponent():
     rhos = [1.0, 16.0, 256.0]
     es = [abs(mode_integral_energy(r)) for r in rhos]
@@ -237,8 +198,6 @@ def test_two_component_scaling():
     assert abs(res["energy_exponent"] - 1.4) <= 1e-6
     assert abs(res["radius_exponent"] + 0.2) <= 1e-6
     assert all(p.E_opt < 0.0 for p in res["points"])
-    with pytest.raises(DomainError):
-        two_component_scaling([1e3, 1e2, 1e4])
 
 
 def test_mode_integral_range_edges():
@@ -248,20 +207,37 @@ def test_mode_integral_range_edges():
                           (1e300, 1e300)):
         report = foldy_report(rho, mu_const)
         assert report["numeric_over_closed"] == pytest.approx(1.0, abs=1e-11)
-    # beyond them the quadrature once returned 0 (ratio 1e23 and up) or
-    # failed its tail test (1e-10 and below)
-    for mu_const in (1e-10, 1e23, 1e300, 1e308):
-        with pytest.raises(DomainError, match="mu_const/rho"):
-            mode_integral_energy(1.0, mu_const)
-    # mu_const k^2 overflows at the largest nodes
-    with pytest.raises(DomainError, match="leaves the float range"):
-        mode_integral_energy(1e308, 1e308)
+
+
+def _decimal_pair_mode(a, b):
+    """alpha, D and ground_bound_coeff at 60 digits, from the decimal A, B."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, b = Decimal(a), Decimal(b)
+        alpha = b / (a + ((a - b) * (a + b)).sqrt())
+        return [float(x) for x in (alpha, b / (2 * alpha), b * alpha / 2)]
+
+
+def _floats_apart(x, y):
+    """How many floats lie between x and y, plus one if they differ."""
+    lo, hi = sorted((x, y))
+    steps = 0
+    while lo < hi:
+        lo, steps = math.nextafter(lo, hi), steps + 1
+    return steps
 
 
 def test_pair_mode_out_of_float_range():
-    # A^2 overflows, or alpha = B/(A + sqrt(A^2 - B^2)) underflows to 0
-    for a, b in ((1e200, 1e199), (1e308, 1e307), (5.0, 5e-324)):
-        with pytest.raises(DomainError, match="leaves the float range"):
-            BogolubovMode(a, b)
+    # A and B are scaled by a power of two: A^2 once overflowed for the
+    # first three, ground_bound_coeff = (A - sqrt(A^2 - B^2))/2 cancelled
+    # to 0.0 at (1, 1e-9), and A^2 and B^2 underflowed to 0 at (1e-200,
+    # 1e-201), giving A/2 (alpha below the float range is a row of
+    # tests/test_errors.py)
+    for a, b in ((1e200, 1e199), (1e308, 1e307), (1e308, 1e308),
+                 (1.0, 1e-9), (1e-200, 1e-201)):
+        mode = BogolubovMode(a, b)
+        got = [mode.alpha, mode.D, mode.ground_bound_coeff]
+        assert all(_floats_apart(x, y) <= 2
+                   for x, y in zip(got, _decimal_pair_mode(a, b))), (a, b, got)
     mode = BogolubovMode(1e150, 3e149)       # A^2 still finite
     assert mode.ground_bound_coeff == pytest.approx(0.5e150 * (1 - 0.91 ** 0.5))

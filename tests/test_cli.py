@@ -332,7 +332,8 @@ def test_sizes_at_their_ceiling_parse():
       "--coupling", "1"], "tf_solve leaves the float range"),
     (["gp-tf-limit", "--trap", "power:s=1e-212,scale=1e15",
       "--grid-points", "100"], "trap is flat on the grid"),
-    (["bogolubov", "--a-value", "1e308", "--b-value", "1e307"],
+    # alpha ~ B/(2A) lies below the float range
+    (["bogolubov", "--a-value", "1e308", "--b-value", "1e-300"],
      "BogolubovMode.__post_init__ leaves the float range"),
     (["bogolubov", "--b-value", "5e-324"],
      "BogolubovMode.__post_init__ leaves the float range"),
@@ -471,6 +472,16 @@ def test_sizes_at_their_ceiling_parse():
       f"{flag[2:].replace('-', '_')} must be finite, got {value}")
       for flag, value in (("--abs-tol", "inf"), ("--abs-tol", "nan"),
                           ("--rel-tol", "nan"), ("--rel-tol", "inf"))),
+    # parse errors of the command line and of the config file itself
+    (["scatter", "--potential"], "config error: ParseError: flag "
+     "'--potential' is missing a value"),
+    (["scatter", "-x"], "config error: ParseError: unrecognized token '-x'"),
+    (["scatter", "bounds"], "config error: ParseError: at most one "
+     "positional command, got ['scatter', 'bounds']"),
+    (["--config", "bad.json"], "config error: ParseError: config file "
+     "'bad.json': line 1: Expecting value"),
+    (["--config", "list.json"], "config error: ParseError: config file must "
+     "hold a flat JSON object"),
 ])
 def test_boundary_inputs_exit_3_with_a_named_error(capsys, tmp_path,
                                                    monkeypatch, argv, message):
@@ -482,6 +493,8 @@ def test_boundary_inputs_exit_3_with_a_named_error(capsys, tmp_path,
     for name, text in (("utf16.json", '{"command": "bogolubov"}'),
                        ("utf16.csv", "1.0,2.0\n2.0,0.0\n")):
         (tmp_path / name).write_bytes(b"\xff\xfe" + text.encode("utf-16-le"))
+    (tmp_path / "bad.json").write_text('{"command": ')
+    (tmp_path / "list.json").write_text("[1, 2]")
     code = 2 if message.startswith("config error: ") else 3
     if code == 3:
         message = f"{argv[0]}: " + (message if ": " in message
@@ -576,6 +589,43 @@ def test_zero_huge_well_has_born_integral_zero(capsys):
     body = [ln for ln in capsys.readouterr().out.splitlines()
             if not ln.startswith("#")]
     assert next(csv.DictReader(body))["born_integral"] == "0.0"
+
+
+def test_born_integral_out_of_float_range_reports_nan(capsys):
+    # the solve succeeds, and r0^3 in the Born integral overflows: the row
+    # holds nan there, where a traceback once ended the command (exit 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["scatter", "--potential",
+                     "squarewell:r0=1e120,v0=1e-300"]) == 0
+    out, err = capsys.readouterr()
+    row = next(csv.DictReader(ln for ln in out.splitlines()
+                              if not ln.startswith("#")))
+    # the weak-well Born limit a = v0 r0^3 / (6 mu)
+    assert (row["a"], row["s"], row["born_integral"]) \
+        == ("1.6666666666666645e+59", "nan", "nan")
+    assert err == ""
+
+
+@pytest.mark.parametrize("a_value, b_value, row", [
+    # B << A once gave 0.0 for both, where fock_energy prints -5e-19
+    ("1", "1e-9", ["5e-10", "1.0", "2.5e-19", "-5e-19"]),
+    # once 0.09999999999999999, 5e-201, 5e-201 and -1e-200, exit 0
+    ("1e-200", "1e-201", ["0.05012562893380045", "9.9749371855331e-201",
+                          "2.5062814466900225e-203",
+                          "-5.012562893380045e-203"]),
+    # A^2 once overflowed (exit 3)
+    ("1e308", "1e307", ["0.05012562893380045", "9.9749371855331e+307",
+                        "2.5062814466900227e+305",
+                        "-5.0125628933800455e+305"]),
+])
+def test_pair_mode_columns_at_scaled_inputs(a_value, b_value, row, capsys):
+    assert main(["bogolubov", "--a-value", a_value, "--b-value", b_value]) == 0
+    body = [ln for ln in capsys.readouterr().out.splitlines()
+            if not ln.startswith("#")]
+    cells = next(csv.DictReader(body))
+    assert [cells[key] for key in ("alpha", "D", "ground_bound_coeff",
+                                   "exact_pair_energy")] == row
 
 
 def test_table_row_without_a_value_exits_3(tmp_path, capsys):

@@ -7,8 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bosegas.errors import (DivergentTail, DomainError, NonFiniteRhs,
-                            StepSizeUnderflow)
+from bosegas.errors import DomainError, NonFiniteRhs, StepSizeUnderflow
 from bosegas.numerics import (_B_ROW, _E3_ROW, _E5_ROW, _GAUSS_W,
                               _KRONROD_W, _KRONROD_X, _MAX_STEPS, _ROWS,
                               _STAGES, Tolerances, _gk_panel, _trial_step,
@@ -34,13 +33,6 @@ _A = np.array([_dense(())] + [_dense(row) for _, row in _ROWS])
 _B, _E5, _E3 = map(_dense, (_B_ROW, _E5_ROW, _E3_ROW))
 
 
-def test_tolerances_validation():
-    with pytest.raises(DomainError):
-        Tolerances(abs_tol=0.0, rel_tol=0.0)
-    with pytest.raises(DomainError):
-        Tolerances(abs_tol=-1.0)
-
-
 def _walk(rhs, initial, nodes, tol):
     """The state at the last of an array of nodes, one integrate_ode span
     per gap."""
@@ -57,9 +49,6 @@ def test_ode_on_one_span():
     y = integrate_ode(rhs, [0.0, 1.0], (0.0, 1.0), TOL)
     assert type(y) is list and list(map(type, y)) == [float, float]
     assert abs(y[0] - math.sinh(1.0)) <= 1e-11
-    for bad in ((0.0, 0.0), (1.0, 0.5), (0.0, math.inf), (math.nan, 1.0)):
-        with pytest.raises(DomainError):
-            integrate_ode(rhs, [0.0, 1.0], bad, TOL)
 
 
 def test_ode_step_halving_consistency():
@@ -73,14 +62,6 @@ def test_ode_step_halving_consistency():
     fine = _walk(rhs, [1.0, 0.0], np.linspace(0.0, 5.0, 65), tol)
     rel = abs(coarse[0] - fine[0]) / abs(fine[0])
     assert rel <= 4.0 * tol.rel_tol
-
-
-def test_ode_nonfinite_rhs():
-    def rhs(r, y):
-        return np.array([y[1], math.nan if r > 0.5 else 0.0])
-
-    with pytest.raises(NonFiniteRhs):
-        _walk(rhs, [0.0, 1.0], np.linspace(0.0, 1.0, 17), TOL)
 
 
 def _left_to_right(weights, k):
@@ -246,15 +227,6 @@ def test_ode_names_a_later_stage_of_the_wrong_shape(bad, calls):
                       TOL)
 
 
-def test_ode_passes_an_error_raised_inside_rhs_through():
-    def rhs(r, y):
-        if r > 0.5:
-            raise ValueError("rhs's own failure")
-        return (y[1], -y[0])
-    with pytest.raises(ValueError, match="^rhs's own failure$"):
-        integrate_ode(rhs, [0.0, 1.0], (0.0, 10.0), TOL)
-
-
 def test_trial_step_compiles_once_per_state_shape():
     # every segment of every 3D solve integrates 2 driving components and
     # 2 quadratures: one compile, then cache hits
@@ -315,10 +287,6 @@ def test_ode_quadratures_are_integrals_that_rhs_never_reads():
         assert type(y) is list and set(map(type, y)) == {float}
         assert list(map(float.hex, y)) == list(map(float.hex, full))
         assert seen == [2] * len(all_seen) and set(all_seen) == {4}
-    for bad in (-1, 4, 5, 1.0, None):
-        with pytest.raises(DomainError, match="quadratures"):
-            integrate_ode(oscillator([], False), initial, span, TOL,
-                          quadratures=bad)
 
 
 def test_quad_foldy_integral_vs_gamma():
@@ -362,9 +330,3 @@ def test_quad_panel_is_a_left_to_right_sum():
         value, err = _gk_panel(f, lo, hi)
         assert type(value) is float and value.hex() == k15.hex()
         assert err.hex() == abs(k15 - g7).hex()
-
-
-def test_quad_divergent_tail():
-    with pytest.raises(DivergentTail):
-        quad(lambda x: 1.0 / (1.0 + x), (0.0, math.inf), TOL)
-

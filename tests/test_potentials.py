@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bosegas.errors import DomainError, NonIntegrableTail
+from bosegas.errors import DomainError
 from bosegas.potentials import (HARD_CORE, PairPotential, TrapPotential,
                                 born_integral, pair_piece, pair_value,
                                 parse_pair_potential, parse_trap_potential,
@@ -19,8 +19,6 @@ def test_hard_core_marker():
     p = PairPotential(kind="hard-core", core_radius=1.0)
     assert pair_value(p, 0.5) == HARD_CORE
     assert pair_value(p, 1.5) == 0.0
-    with pytest.raises(DomainError):
-        pair_value(p, 0.0)
 
 
 def test_step_values():
@@ -68,15 +66,6 @@ def test_table_values_unchanged_over_a_radius_grid():
                 piece, last = pair_piece(p, lo, hi), math.nextafter(hi, lo)
                 for r in (x for x in grid if lo <= x <= hi):
                     assert piece(r) == _interp_oracle(p, min(r, last))
-
-
-def test_nonnegativity_enforced():
-    with pytest.raises(DomainError):
-        PairPotential(kind="tabulated", table=((1.0, 1.0), (2.0, -0.1)))
-    with pytest.raises(DomainError):
-        PairPotential(kind="square-well", core_radius=1.0, strength=-1.0)
-    with pytest.raises(DomainError):
-        PairPotential(kind="tabulated", table=((2.0, 1.0), (1.0, 0.0)))
 
 
 def test_step_monotone_nonincreasing():
@@ -129,17 +118,6 @@ def test_tail_cut_radius_cases():
     assert tail_cut_radius(disc) > 2.0
     assert born_integral(disc) == 3.0 * math.pi
 
-    # p <= d: one verdict, raised by tail_cut_radius and reached through
-    # the Born integral, in 3D and in 2D
-    for d, exponent in ((3, 3.0), (3, 2.5), (2, 2.0), (2, 1.5)):
-        slow = PairPotential(kind="square-well", core_radius=1.0,
-                             strength=1.0, tail=(1.0, exponent), dimension=d)
-        for check in (tail_cut_radius, born_integral):
-            with pytest.raises(NonIntegrableTail,
-                               match=f"^tail exponent {exponent!r} <= "
-                                     f"dimension {d}: "):
-                check(slow)
-
 
 def test_born_integral_closed_forms():
     p = PairPotential(kind="square-well", core_radius=1.0, strength=3.0)
@@ -172,8 +150,6 @@ def test_spec_string_parsing(tmp_path):
     assert q == PairPotential(kind="tabulated", table=((1.0, 10.0),),
                               dimension=2)
     assert parse_pair_potential("softsphere:r0=1,v0=10", dimension=2) == q
-    with pytest.raises(DomainError):
-        PairPotential(kind="soft-sphere", core_radius=1.0, strength=10.0)
 
     csv_path = tmp_path / "pot.csv"
     csv_path.write_text("radius,value\n1.0,2.0\n2.0,0.0\n")
@@ -185,78 +161,20 @@ def test_spec_string_parsing(tmp_path):
 
     trap = parse_trap_potential("power:s=3,scale=2")
     assert trap.homogeneity_degree == 3.0 and trap.scale == 2.0
-    with pytest.raises(DomainError):
-        parse_pair_potential("squarewell:ro=1,v0=3")
-    with pytest.raises(DomainError):
-        parse_trap_potential("funnel:s=1")
 
 
-def test_missing_spec_keys_name_the_key():
-    for spec, key in (("table:", "path"), ("table:path=", "path"),
-                      ("hardcore:", "r0"), ("squarewell:r0=1", "v0"),
-                      ("power:scale=2", "s")):
-        parse = parse_trap_potential if spec.startswith("power") \
-            else parse_pair_potential
-        with pytest.raises(DomainError) as err:
-            parse(spec)
-        assert str(err.value) == f"spec {spec!r} is missing {key}=..."
-
-
-@pytest.mark.parametrize("kwargs,name", [
-    ({"kind": "hard-core", "core_radius": math.inf}, "core_radius"),
-    ({"kind": "square-well", "core_radius": math.nan, "strength": 1.0},
-     "core_radius"),
-    ({"kind": "square-well", "core_radius": 1.0, "strength": math.inf},
-     "strength"),
-    ({"kind": "tabulated", "table": ((1.0, 2.0), (math.inf, 0.0))},
-     "table_radius"),
-    ({"kind": "tabulated", "table": ((1.0, math.nan), (2.0, 0.0))},
-     "table_value"),
-    ({"kind": "square-well", "core_radius": 1.0, "strength": 1.0,
-      "tail": (math.inf, 4.0)}, "tail_coefficient"),
-    ({"kind": "square-well", "core_radius": 1.0, "strength": 1.0,
-      "tail": (1.0, math.nan)}, "tail_exponent"),
-])
-def test_pair_potential_rejects_nonfinite_fields(kwargs, name):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DomainError, match=f"^{name} must be finite"):
-            PairPotential(**kwargs)
-
-
-@pytest.mark.parametrize("kwargs,name", [
-    ({"kind": "box", "box_side": math.inf}, "box_side"),
-    ({"kind": "power-law", "scale": math.nan}, "scale"),
-    ({"kind": "power-law", "homogeneity_degree": math.inf},
-     "homogeneity_degree"),
-    ({"kind": "power-law", "homogeneity_degree": 4.0, "scale": -math.inf},
-     "scale"),
-])
-def test_trap_potential_rejects_nonfinite_fields(kwargs, name):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DomainError, match=f"^{name} must be finite"):
-            TrapPotential(**kwargs)
-
-
-@pytest.mark.parametrize("kwargs,name", [
-    ({"kind": "box", "box_side": 2.0, "homogeneity_degree": 3.0},
-     "homogeneity_degree"),
-    ({"kind": "power-law", "box_side": 2.0}, "box_side"),
-    ({"kind": "box", "box_side": 2.0, "homogeneity_degree": 4.0},
-     "homogeneity_degree"),
-    ({"kind": "box", "box_side": 2.0, "scale": 3.0}, "scale"),
-    ({"kind": "power-law", "homogeneity_degree": 3.0, "box_side": 2.0},
-     "box_side"),
-])
-def test_trap_potential_rejects_a_field_its_kind_does_not_read(kwargs, name):
-    # stored and ignored, such a field would be read by no solver
-    with pytest.raises(DomainError, match=f"^{name} is not read by a "
-                                          f"{kwargs['kind']} trap$"):
-        TrapPotential(**kwargs)
-    # a field at its default is not given
-    TrapPotential(kind=kwargs["kind"], dimension=2,
-                  **{k: v for k, v in kwargs.items() if k not in (name, "kind")})
+def test_unread_fields_at_their_defaults_are_accepted():
+    # a caller that passes every field needs the defaults accepted; with
+    # another value, each of these is a row of tests/test_errors.py
+    PairPotential(kind="hard-core", core_radius=1.0, strength=0.0)
+    PairPotential(kind="hard-core", core_radius=1.0, table=None)
+    PairPotential(kind="square-well", core_radius=1.0, strength=2.0,
+                  table=None)
+    PairPotential(kind="tabulated", table=((1.0, 2.0),), strength=0.0)
+    PairPotential(kind="tabulated", table=((1.0, 2.0),), core_radius=0.0)
+    TrapPotential(kind="box", dimension=2, box_side=2.0)
+    TrapPotential(kind="power-law", dimension=2)
+    TrapPotential(kind="power-law", dimension=2, homogeneity_degree=3.0)
 
 
 def test_trap_spec_reads_back_as_its_trap():
@@ -278,35 +196,6 @@ def test_trap_spec_reads_back_as_its_trap():
         "box:l=3", "harmonic", "power:s=2,scale=3", "power:s=4,scale=2")] \
         == ["box:l=3.0", "harmonic:scale=1.0", "harmonic:scale=3.0",
             "power:s=4.0,scale=2.0"]
-
-
-def test_trap_potential_names_an_unknown_kind():
-    # the harmonic trap is the power law's default s = 2, not a kind
-    for kind in ("cubic", "harmonic", ["box"], None):
-        with pytest.raises(DomainError, match="^unknown trap kind"):
-            TrapPotential(kind=kind)
-
-
-def test_pair_potential_names_an_unknown_kind():
-    # an unhashable kind once raised a bare TypeError from the dict lookup
-    for kind in ("hardcore", ["x"], None):
-        with pytest.raises(DomainError, match="^unknown pair potential kind"):
-            PairPotential(kind=kind)
-
-
-def test_nonfinite_specs_fail_before_any_numerics():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for spec, name in (("hardcore:r0=inf", "core_radius"),
-                           ("squarewell:r0=1,v0=nan", "strength"),
-                           ("softsphere:r0=1,v0=inf", "strength")):
-            with pytest.raises(DomainError, match=f"^{name} must be finite"):
-                parse_pair_potential(spec)
-        with pytest.raises(DomainError, match="^homogeneity_degree must be"):
-            parse_trap_potential("power:s=inf")
-        for spec in ("harmonic:scale=abc", "power:s=4,scale=x"):
-            with pytest.raises(DomainError, match="is not a number"):
-                parse_trap_potential(spec)
 
 
 def test_square_well_is_its_one_knot_table():
@@ -432,25 +321,6 @@ def test_born_integral_of_sloped_tables_vs_exact_arithmetic():
             p = PairPotential(kind="tabulated", table=table, dimension=d)
             exact = _born_exact(p)
             assert abs(Fraction(born_integral(p)) - exact) <= 1e-15 * exact
-
-
-@pytest.mark.parametrize("kwargs,name", [
-    ({"kind": "hard-core", "core_radius": 1.0, "strength": 2.0}, "strength"),
-    ({"kind": "hard-core", "core_radius": 1.0, "table": ((1.0, 2.0),)},
-     "table"),
-    ({"kind": "square-well", "core_radius": 1.0, "strength": 2.0,
-      "table": ((1.0, 2.0),)}, "table"),
-    ({"kind": "tabulated", "table": ((1.0, 2.0),), "strength": 2.0},
-     "strength"),
-    ({"kind": "tabulated", "table": ((1.0, 2.0),), "core_radius": 0.5},
-     "core_radius"),
-])
-def test_pair_potential_rejects_fields_its_kind_does_not_read(kwargs, name):
-    with pytest.raises(DomainError, match=f"^{name} is not read by a "):
-        PairPotential(**kwargs)
-    # the defaults stay accepted, as a caller that passes every field needs
-    defaults = {"core_radius": 0.0, "strength": 0.0, "table": None}
-    PairPotential(**{**kwargs, name: defaults[name]})
 
 
 @pytest.mark.parametrize("text,line", [

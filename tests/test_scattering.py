@@ -15,10 +15,7 @@ import pytest
 from scipy.special import i0, i1
 
 from bosegas import scattering
-from bosegas.errors import (DomainError, NoLogAsymptote, NonFiniteRhs,
-                            NonIntegrableTail, RadiusInsideRange,
-                            ScatteringLengthUnderflow, StepSizeUnderflow,
-                            ZeroScatteringLength)
+from bosegas.errors import NonFiniteRhs
 from bosegas.numerics import Tolerances
 from bosegas.potentials import (HARD_CORE, PairPotential, born_integral,
                                 pair_piece, parse_pair_potential)
@@ -57,8 +54,6 @@ def test_free_case_3d():
     sol = solve_zero_energy(
         PairPotential(kind="square-well", core_radius=1.0, strength=0.0), 1.0)
     assert abs(sol.a) <= 1e-12
-    with pytest.raises(ZeroScatteringLength):
-        kinetic_fraction(sol)
 
 
 @pytest.mark.parametrize("v0", [400.0, 4000.0])
@@ -134,9 +129,6 @@ def test_born_integral_values():
     assert born_integral(p) == pytest.approx(4.0 * math.pi, rel=1e-13)
     assert born_integral(PairPotential(kind="hard-core", core_radius=1.0)) \
         == HARD_CORE
-    with pytest.raises(NonIntegrableTail):
-        born_integral(PairPotential(kind="square-well", core_radius=1.0,
-                                    strength=1.0, tail=(1.0, 2.5)))
 
 
 def test_energy_integral_hard_core():
@@ -148,8 +140,6 @@ def test_energy_integral_hard_core():
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     assert vals[-1] == pytest.approx(8.0 * math.pi, rel=1e-5)
     assert all(v <= 8.0 * math.pi * (1 + 1e-12) for v in vals)
-    with pytest.raises(RadiusInsideRange):
-        energy_integral(sol, 0.5)
 
 
 def test_energy_integral_identity_square_well():
@@ -208,9 +198,6 @@ def test_tail_potential_and_nonintegrable():
                       tail=(0.3, 6.0))
     sol = solve_zero_energy(p, 1.0)
     assert 0.0 < sol.a < 1.2
-    with pytest.raises(NonIntegrableTail):
-        solve_zero_energy(PairPotential(kind="square-well", core_radius=1.0,
-                                        strength=1.0, tail=(1.0, 3.0)), 1.0)
 
 
 @pytest.mark.parametrize("r0, strength, mu, tail", [
@@ -228,28 +215,12 @@ def test_step_plus_tail_well(r0, strength, mu, tail):
     assert 8.0 * math.pi * mu * sol.a <= born_integral(p)
 
 
-@pytest.mark.parametrize("dimension", [2, 3])
-@pytest.mark.parametrize("r0", [1e-308, 1e-200])
-def test_underflowed_scattering_length_is_named(dimension, r0):
-    # a ~ v0 r0^3 (3D) or r0 exp(-4 mu / (v0 r0^2)) (2D) lies below the float
-    # range: a = 0 for a nonzero potential is no result
-    p = PairPotential(kind="square-well", core_radius=r0, strength=1.0,
-                      dimension=dimension)
-    with pytest.raises(ScatteringLengthUnderflow):
-        solve_zero_energy(p, 1.0)
-
-
 def test_zero_table_keeps_its_result():
     # v = 0 identically: a = 0 in 3D, and no logarithmic asymptote in 2D
     table = ((0.5, 0.0), (1.0, 0.0))
     sol = solve_zero_energy(PairPotential(kind="tabulated", table=table), 1.0)
     assert sol.a == 0.0 and math.isnan(sol.s)
-    with pytest.raises(ZeroScatteringLength):
-        kinetic_fraction(sol)
     assert math.copysign(1.0, sol.a) == 1.0
-    with pytest.raises(NoLogAsymptote):
-        solve_zero_energy(PairPotential(kind="tabulated", table=table,
-                                        dimension=2), 1.0)
 
 
 def test_tailed_disc_matches_tight_solve():
@@ -264,15 +235,6 @@ def test_tailed_disc_matches_tight_solve():
     assert abs(a - ref) <= 1e-11 * ref
 
 
-def test_zero_error_scale_rejects_the_step():
-    # with abs_tol = 0 the integral pot starts at y = 0 with f = 0, so its
-    # error scale is 0: x/0 is a rejected step, not a ZeroDivisionError
-    p = PairPotential(kind="hard-core", dimension=2, core_radius=1.0,
-                      tail=(1.0, 4.0))
-    with pytest.raises(StepSizeUnderflow, match="below floor"):
-        solve_zero_energy(p, 1.0, Tolerances(abs_tol=0.0, rel_tol=1e-10))
-
-
 def test_2d_energy_ratio_inside_a_tail_cut_radius():
     # inside the cut radius the ratio comes from a rerun out to R, which
     # meets the reported run at the cut radius
@@ -284,17 +246,6 @@ def test_2d_energy_ratio_inside_a_tail_cut_radius():
     inside = two_dim_energy_ratio(sol, math.nextafter(cut, 0.0))
     at_cut = two_dim_energy_ratio(sol, cut)
     assert abs(inside - at_cut) <= math.ulp(at_cut)
-    with pytest.raises(RadiusInsideRange, match=r"interaction range 1\.0$"):
-        two_dim_energy_ratio(sol, 0.5)
-
-
-@pytest.mark.parametrize("tail", [None, (0.5, 4.0)])
-def test_2d_energy_ratio_at_the_hard_disc_radius_is_named(tail):
-    # kinetic and potential parts both vanish at R0: the ratio is 0/0
-    p = PairPotential(kind="hard-core", dimension=2, core_radius=1.0,
-                      tail=tail)
-    with pytest.raises(DomainError, match="0/0"):
-        two_dim_energy_ratio(solve_zero_energy(p, 1.0), 1.0)
 
 
 @pytest.mark.parametrize("tail", [None, (1.0, 4.0)])
@@ -369,7 +320,7 @@ def test_scattering_golden_bits(name):
 
 
 def test_energy_diagnostics_name_a_nan_radius_and_reach_their_limits():
-    # R = nan is no radius and raises a DomainError naming it; R = inf gives
+    # R = nan is no radius (a row of tests/test_errors.py); R = inf gives
     # each diagnostic's limit: 8 pi mu a in 3D, a kinetic share of 1 in 2D
     sol3 = solve_zero_energy(
         PairPotential(kind="square-well", core_radius=1.0, strength=1.0), 1.0)
@@ -379,7 +330,3 @@ def test_energy_diagnostics_name_a_nan_radius_and_reach_their_limits():
     assert energy_integral(sol3, math.inf) == 3.492014152252422
     assert two_dim_energy_ratio(sol2, math.inf) == 1.0
     assert two_dim_energy_ratio(sol2, 1e300) < 1.0
-    for diagnostic, sol in ((energy_integral, sol3),
-                            (two_dim_energy_ratio, sol2)):
-        with pytest.raises(DomainError, match="R=nan"):
-            diagnostic(sol, math.nan)
