@@ -139,18 +139,15 @@ def _format_column(values: list) -> Tuple[list, list]:
     """The CSV and the JSON text of each value, each formatted once: floats
     by repr (NaN and Infinity in JSON), bools True/False and true/false,
     other values by str (quoted in CSV where RFC 4180 needs it) and by
-    json.dumps; numpy scalars as the Python scalars they hold."""
+    json.dumps."""
     if all(isinstance(v, float) for v in values):
         csv = list(map(float.__repr__, values))
         if all(map(math.isfinite, values)):
             return csv, csv
         return csv, [_JSON_NONFINITE.get(c, c) for c in csv]
-    np = sys.modules.get("numpy")   # without it no value is a numpy scalar
-    if all(isinstance(v, (bool, np.bool_) if np else bool) for v in values):
-        return ([("False", "True")[bool(v)] for v in values],
-                [("false", "true")[bool(v)] for v in values])
-    if np:
-        values = [v.item() if isinstance(v, np.generic) else v for v in values]
+    if all(isinstance(v, bool) for v in values):
+        return ([("False", "True")[v] for v in values],
+                [("false", "true")[v] for v in values])
     return [_csv_quote(str(v)) for v in values], list(map(json.dumps, values))
 
 
@@ -313,11 +310,43 @@ def _sweep_spec(text: str) -> Tuple[float, float, int, bool]:
     return lo, hi, n, len(parts) == 4
 
 
-def _parse_sweep(text: str):
-    """The points of a sweep, as a numpy array."""
-    import numpy as np
+def _parse_sweep(text: str) -> List[float]:
+    """The points of a sweep, i = 0 .. points - 1.  Linear: i * step + lo,
+    step = (hi - lo) / (points - 1).  Log: 10 ** (log10(lo) + i * step),
+    step = (log10(hi) - log10(lo)) / (points - 1), with the first point lo.
+    The last point is hi, but a one-point sweep is lo."""
     lo, hi, n, log = _sweep_spec(text)
-    return (np.geomspace if log else np.linspace)(lo, hi, n)
+    if not log:
+        return _linspace(lo, hi, n)
+    points = [_exp10(x) for x in _linspace(math.log10(lo), math.log10(hi), n)]
+    points[-1] = hi
+    points[0] = lo      # the one point of a one-point sweep
+    return points
+
+
+def _linspace(lo: float, hi: float, n: int) -> List[float]:
+    """n points from lo to hi, i * step + lo with step = (hi - lo) / (n - 1),
+    or i / (n - 1) * (hi - lo) + lo where that step underflows to 0, and
+    the last point hi; one point is lo."""
+    delta, div = hi - lo, n - 1
+    if div == 0:
+        return [0.0 * delta + lo]
+    step = delta / div
+    if step == 0.0:
+        points = [i / div * delta + lo for i in range(n)]
+    else:
+        points = [i * step + lo for i in range(n)]
+    points[-1] = hi
+    return points
+
+
+def _exp10(x: float) -> float:
+    """10 ** x, and inf beyond the float range (a point of a log sweep that
+    ends within rounding of the largest float)."""
+    try:
+        return 10.0 ** x
+    except OverflowError:
+        return math.inf
 
 
 # --- command implementations -----------------------------------------------------
@@ -356,48 +385,39 @@ def _run_scatter(config: RunConfig) -> Tuple[list, list]:
 
 
 def _run_bounds(config: RunConfig) -> Tuple[list, list]:
-    import numpy as np
-    from . import homogeneous
+    from . import homogeneous as h
     pars = config.parameters
-    if pars["dim"] not in (2, 3):
-        raise DomainError("dimension must be 2 or 3")
     if pars["dim"] == 3:
-        ys = _parse_sweep(pars["y_grid"])
-        outside = np.flatnonzero((ys <= 0.0) | (ys >= 1.0))
-        if outside.size:
-            # the first row outside 0 < Y < 1 names the error, as row by row
-            ys = ys[:outside[0] + 1]
-        lower = homogeneous.dilute_lower_ratio(ys, pars["lower_c"])
-        values = [ys, homogeneous.dyson_upper_ratio(ys),
-                  homogeneous.dyson_upper_ratio(ys, True),
-                  lower, lower > 0.0, homogeneous.cell_lower_ratio(ys)]
-        rows = [{"Y": y, "dyson_upper": up, "dyson_upper_improved": up_i,
-                 "lower_ratio": low, "lower_valid": valid,
-                 "dyson_lower_const": homogeneous.DYSON_LOWER_RATIO,
-                 "cell_lower_ratio": cell}
-                for y, up, up_i, low, valid, cell
-                in zip(*(v.tolist() for v in values))]
+        c = pars["lower_c"]
+
+        def row(y):
+            # the lower bound first: it names a Y <= 0 and a C not finite
+            lower = h.dilute_lower_ratio(y, c)
+            return {"Y": y, "dyson_upper": h.dyson_upper_ratio(y),
+                    "dyson_upper_improved": h.dyson_upper_ratio(y, True),
+                    "lower_ratio": lower, "lower_valid": lower > 0.0,
+                    "dyson_lower_const": h.DYSON_LOWER_RATIO,
+                    "cell_lower_ratio": h.cell_lower_ratio(y)}
+        grid = pars["y_grid"]
         columns = [("Y", "dimensionless"), ("dyson_upper", "dimensionless"),
                    ("dyson_upper_improved", "dimensionless"),
                    ("lower_ratio", "dimensionless"), ("lower_valid", "bool"),
                    ("dyson_lower_const", "dimensionless"),
                    ("cell_lower_ratio", "dimensionless")]
-        return columns, rows
-
-    xs = _parse_sweep(pars["rho_a2_grid"])
-
-    def one2(x):
-        if x <= 0.0:
-            raise DomainError("rho_a2 must be positive")
-        p = homogeneous.DiluteParams(rho=1.0, a=math.sqrt(x), mu=1.0, d=2)
-        upper, lower = homogeneous.schick_2d_bounds(p)
-        return {"rho_a2": x, "leading": homogeneous.leading_energy(p),
-                "upper": upper, "lower": lower}
-
-    rows = [one2(float(x)) for x in xs]
-    columns = [("rho_a2", "dimensionless"), ("leading", "energy"),
-               ("upper", "energy"), ("lower", "energy")]
-    return columns, rows
+    elif pars["dim"] == 2:
+        def row(x):
+            if x <= 0.0:
+                raise DomainError("rho_a2 must be positive")
+            p = h.DiluteParams(rho=1.0, a=math.sqrt(x), mu=1.0, d=2)
+            upper, lower = h.schick_2d_bounds(p)
+            return {"rho_a2": x, "leading": h.leading_energy(p),
+                    "upper": upper, "lower": lower}
+        grid = pars["rho_a2_grid"]
+        columns = [("rho_a2", "dimensionless"), ("leading", "energy"),
+                   ("upper", "energy"), ("lower", "energy")]
+    else:
+        raise DomainError("dimension must be 2 or 3")
+    return columns, [row(x) for x in _parse_sweep(grid)]
 
 
 def _run_gp(config: RunConfig) -> Tuple[list, list]:
@@ -449,8 +469,7 @@ def _run_gp_tf_limit(config: RunConfig) -> Tuple[list, list]:
     from . import gp, potentials
     pars = config.parameters
     trap = potentials.parse_trap_potential(pars["trap"], dimension=pars["dim"])
-    gs = _parse_sweep(pars["g_grid"])
-    rows = gp.gp_tf_limit(trap, [float(g) for g in gs],
+    rows = gp.gp_tf_limit(trap, _parse_sweep(pars["g_grid"]),
                            grid_points=pars["grid_points"])
     columns = [("g", "dimensionless"), ("E_gp", "energy"),
                ("E_tf", "energy"), ("ratio", "dimensionless"),
@@ -461,8 +480,8 @@ def _run_gp_tf_limit(config: RunConfig) -> Tuple[list, list]:
 def _run_foldy(config: RunConfig) -> Tuple[list, list]:
     from . import bogolubov
     pars = config.parameters
-    rhos = _parse_sweep(pars["rho_grid"])
-    rows = [bogolubov.foldy_report(float(r), pars["mu_const"]) for r in rhos]
+    rows = [bogolubov.foldy_report(rho, pars["mu_const"])
+            for rho in _parse_sweep(pars["rho_grid"])]
     columns = [("rho", "length^-3"), ("mode_integral", "energy"),
                ("closed_form", "energy"),
                ("displayed_prefactor_form", "energy"),

@@ -407,7 +407,7 @@ def mean_density(state: GpState) -> float:
     # the grid starts off-axis; psi is flat at the origin, so the missing
     # [0, x_min) piece integrates to psi(x_min)^4 Omega x_min^d / d
     origin = float(psi[0]) ** 4 * _omega(d) * x[0] ** d / d
-    return (body + origin) / state.N / ell ** d
+    return float((body + origin) / state.N / ell ** d)
 
 
 # --- Thomas-Fermi -----------------------------------------------------------------

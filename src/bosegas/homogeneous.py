@@ -2,8 +2,9 @@
 
 Leading-order asymptotics, the hard-sphere upper bound, the Y^(1/17) lower
 bound, the 3D Temple/cell-method machinery that produces it, and the 2D
-logarithmic bounds in closed form.  Everything here is formula evaluation:
-pure, deterministic, and cheap enough for dense parameter sweeps.
+logarithmic bounds in closed form.  Everything here is formula evaluation
+on Python floats, one point per call: pure, deterministic, and cheap enough
+for dense parameter sweeps.
 
 The paper leaves the constants inside its O(.) remainders unquantified;
 here each is fixed at 1, and only the exponents carry the theory.
@@ -14,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import (AnsatzInfeasible, DomainError, GapViolation,
                      VarianceNegative, require_finite)
@@ -72,9 +71,8 @@ class DiluteParams:
         if self.d not in (2, 3):
             raise DomainError("d must be 2 or 3")
         try:
-            with np.errstate(over="ignore"):
-                y = float(_diluteness(self.rho, self.a))
-                rho_a2 = self.rho * self.a ** 2
+            y = 4.0 * math.pi * self.rho * self.a ** 3 / 3.0
+            rho_a2 = self.rho * self.a ** 2
         except OverflowError:           # a ** 3 beyond the float range
             y = rho_a2 = math.inf
         if not (math.isfinite(y) and math.isfinite(rho_a2)):
@@ -132,56 +130,37 @@ def _finite(energy: float) -> float:
     return energy
 
 
-def _libm_pow(x, e):
-    """Elementwise ``x ** e`` through the C library's ``pow``, as Python
-    floats compute it; returns an array shaped like ``x``.
-
-    numpy's float64 ``power`` may take a SIMD path (AVX-512 builds do) that
-    differs from libm ``pow`` by 1 ulp on a few percent of inputs.  The
-    scalar entry points have always computed their powers with libm, so the
-    array formulas route every power through here and match them bit for
-    bit.
-    """
-    x = np.asarray(x, dtype=float)
-    return np.fromiter((v ** e for v in x.ravel().tolist()), float,
-                       x.size).reshape(x.shape)
-
-
-def dyson_upper_ratio(y, finite_range_improved: bool = False):
+def dyson_upper_ratio(y: float, finite_range_improved: bool = False) -> float:
     """Hard-sphere-style upper bound on e0/(4 pi mu rho a) as a function of
-    Y = 4 pi rho a^3 / 3 (valid for Y < 1); array-valued for array ``Y``.
+    Y = 4 pi rho a^3 / 3 (valid for Y < 1).
 
     The improved variant assumes finite range R0 < b = (4 pi rho/3)^(-1/3),
-    for which a/b = Y^(1/3).  The cube root is numpy's power for scalars
-    and arrays alike; the later powers go through libm (`_libm_pow`), as
-    they always have for scalar ``Y``, so both give the same bits.
+    for which a/b = Y^(1/3).  Where Y^(1/3) rounds to 1, both divide by
+    zero, and DomainError says so.
     """
-    y = np.asarray(y, dtype=float)
-    if np.any(y <= 0.0) or np.any(y >= 1.0):
+    if y <= 0.0 or y >= 1.0:
         raise DomainError("upper bound valid for 0 < Y < 1")
     t = y ** (1.0 / 3.0)
+    if t == 1.0:
+        raise DomainError(f"Y = {y!r}: 1 - Y^(1/3) rounds to 0")
     if finite_range_improved:
-        out = (1.0 - _libm_pow(t, 2) + 0.5 * _libm_pow(t, 3)) \
-            / _libm_pow(1.0 - t, 4)
-    else:
-        out = (1.0 - t + _libm_pow(t, 2) - 0.5 * _libm_pow(t, 3)) \
-            / _libm_pow(1.0 - t, 8)
-    return out if out.ndim else float(out)
+        return (1.0 - t ** 2 + 0.5 * t ** 3) / (1.0 - t) ** 4
+    return (1.0 - t + t ** 2 - 0.5 * t ** 3) / (1.0 - t) ** 8
 
 
-def dilute_lower_ratio(y, c: float = LOWER_RATIO_C):
+def dilute_lower_ratio(y: float, c: float = LOWER_RATIO_C) -> float:
     """Lower bound ratio 1 - C Y^(1/17), unclamped.
 
     The bound is vacuous (value <= 0) for large Y; returning the raw value
-    keeps the crossover against DYSON_LOWER_RATIO visible.  Array ``Y``
-    gives an array; scalar ``Y`` a Python float.
+    keeps the crossover against DYSON_LOWER_RATIO visible.
     """
-    require_finite(C=c)
-    y = np.asarray(y, dtype=float)
-    if np.any(y <= 0):
+    # require_finite's message without its keyword call, which would cost a
+    # third of the time of this function in a sweep
+    if not math.isfinite(c):
+        raise DomainError(f"C must be finite, got {c!r}")
+    if y <= 0:
         raise DomainError("Y must be positive")
-    value = 1.0 - c * _libm_pow(y, 1.0 / 17.0)
-    return value if value.ndim else float(value)
+    return 1.0 - c * y ** (1.0 / 17.0)
 
 
 def schick_2d_bounds(p: DiluteParams):
@@ -229,7 +208,7 @@ def temple_bound(h_mean: float, h2_mean: float, e1: float) -> float:
     return h_mean - variance / gap
 
 
-def cell_energy_factor(cell: CellConstruction, n=None):
+def cell_energy_factor(cell: CellConstruction, n=None) -> float:
     """The dimensionless factor K(n, ell) of the 3D cell-method lower bound:
 
          (1-eps) (1-2R/ell)^3 (1 + 4 pi/3 rho (1-1/n)(R^3-R0^3))^(-1)
@@ -237,20 +216,18 @@ def cell_energy_factor(cell: CellConstruction, n=None):
 
     with rho = n/ell^3 and the scattering length a = R0.  Returns 0
     whenever the Temple denominator is nonpositive or the product turns
-    negative (0 is the documented trivial lower bound).  ``n`` may be an
-    array for sweeps; defaults to cell.n.
+    negative (0 is the documented trivial lower bound).  ``n`` defaults to
+    cell.n.
     """
     n = cell.n if n is None else n
-    n = np.asarray(n, dtype=float)
-    if np.any(n < 2):
+    if n < 2:
         raise DomainError("need n >= 2")
-    t = _temple(cell.R0, cell.eps, cell.ell, cell.R, n)
-    k = _k_factor_3d(cell.eps, cell.ell, cell.R, n, t)
-    return k if k.ndim else float(k)
+    a, ell, R = cell.R0, cell.ell, cell.R
+    return _temple(a, cell.eps, ell, ell ** 3, R, R ** 3 - a ** 3, n)[1]
 
 
 def cell_construction(p: DiluteParams) -> CellConstruction:
-    """The cell of the Y-power ansatz at p, as Python floats.
+    """The cell of the Y-power ansatz at p.
 
     eps = Y^(1/17), a/ell = Y^(6/17), (R^3 - R0^3)/ell^3 = Y^(3/17) with
     R0 = a (the hard-core convention, where range and scattering length
@@ -263,12 +240,9 @@ def cell_construction(p: DiluteParams) -> CellConstruction:
     if p.y == 0.0:      # a^3 below the float range: the ansatz takes 0 * inf
         raise DomainError(f"rho = {p.rho!r}, a = {p.a!r}: "
                           "Y = 4 pi rho a^3 / 3 underflows to 0")
-    cell, checks = _construct(p.rho, p.a, p.mu)
-    for holds, message in checks:
-        if not holds:
-            raise AnsatzInfeasible(message.format(eps=float(cell.eps)))
-    return cell._make({name: float(t) for name, t in v.items()}
-                      if isinstance(v, dict) else float(v) for v in cell)
+    eps, ell, R, n, terms, k, bound = _construct(p.rho, p.a, p.mu)
+    return CellConstruction(eps, ell, R, p.a, n, dict(zip(_TERMS, terms)), k,
+                            bound)
 
 
 def cell_lower_bound(p: DiluteParams) -> float:
@@ -279,103 +253,84 @@ def cell_lower_bound(p: DiluteParams) -> float:
     error terms rules the construction out.
     """
     cell = cell_construction(p)
-    if any(t >= 1.0 for t in cell.terms.values()):
+    if max(cell.terms.values()) >= 1.0:
         raise AnsatzInfeasible(f"error terms not all < 1: {cell.terms}")
     return _finite(cell.bound)
 
 
-def cell_lower_ratio(y):
-    """Cell-method lower bound over 4 pi mu rho a as a function of Y, for
-    scalar or array ``Y``, and 0 wherever `cell_lower_bound` would raise
-    AnsatzInfeasible (0 is the trivial lower bound).
+def cell_lower_ratio(y: float) -> float:
+    """Cell-method lower bound over 4 pi mu rho a as a function of Y, and 0
+    wherever `cell_lower_bound` would raise AnsatzInfeasible (0 is the
+    trivial lower bound).
 
     Evaluated at the unit-scale instantiation rho = mu = 1,
-    a = (3Y/(4 pi))^(1/3); each value is bit for bit
+    a = (3Y/(4 pi))^(1/3); the value is bit for bit
     ``cell_lower_bound(DiluteParams(1.0, a)) / (4 pi a)``.
     """
-    y = np.asarray(y, dtype=float)
-    if np.any(y <= 0):
+    if y <= 0:
         raise DomainError("Y must be positive")
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a = _libm_pow(3.0 * y / (4.0 * math.pi), 1.0 / 3.0)
-        cell, checks = _construct(1.0, a, 1.0)
-        feasible = np.logical_and.reduce(
-            [holds for holds, _ in checks]
-            + [~(t >= 1.0) for t in cell.terms.values()])
-        ratio = cell.bound / (4.0 * math.pi * a)
-    out = np.where(feasible, ratio, 0.0)
-    return out if out.ndim else float(out)
+    a = (3.0 * y / (4.0 * math.pi)) ** (1.0 / 3.0)
+    try:
+        *_, terms, _, bound = _construct(1.0, a, 1.0)
+    except AnsatzInfeasible:
+        return 0.0
+    return bound / (4.0 * math.pi * a) if max(terms) < 1.0 else 0.0
 
 
-# --- the cell construction, elementwise on scalars or arrays -----------------------
+# --- the cell construction ----------------------------------------------------------
 #
 # `_construct` is the one evaluation of the construction: `cell_construction`
-# and `cell_lower_bound` read it at one (rho, a, mu), `cell_lower_ratio` at a
-# whole Y sweep.  Every power goes through `_libm_pow`, so an array element
-# carries the same bits as the scalar evaluation.
+# and `cell_lower_bound` read it at one (rho, a, mu), `cell_lower_ratio` at
+# the unit-scale instantiation of one Y.  It builds nothing but two tuples,
+# so that a sweep calls it once per point at little cost.
 
-
-def _diluteness(rho, a):
-    """Y = 4 pi rho a^3 / 3."""
-    return 4.0 * math.pi * rho * _libm_pow(a, 3) / 3.0
+_TERMS = ("eps", "occupancy", "boundary", "local_density", "temple")
 
 
 def _construct(rho, a, mu):
-    """The ansatz cell at (rho, a, mu), R0 = a, with its three ansatz
-    conditions as (holds, message) pairs in checking order.  Where one
-    fails, ell and what is built on it are NaN, which raises no float error."""
-    y = _diluteness(rho, a)
+    """The ansatz cell at (rho, a, mu), R0 = a, as the tuple
+    (eps, ell, R, n, terms, k, bound) with the five error terms in `_TERMS`
+    order.  The three ansatz conditions are checked in order, each before
+    anything that needs it is computed; the first that fails raises
+    AnsatzInfeasible."""
+    a3 = a ** 3
+    y = 4.0 * math.pi * rho * a3 / 3.0
     alpha, beta, gamma = ANSATZ_EXPONENTS
-    eps = _libm_pow(y, alpha)
-    with np.errstate(divide="ignore"):      # y = 0 (a^3 underflows): ell = inf
-        ell = a / _libm_pow(y, beta)
-    ell3 = _libm_pow(ell, 3)
-    R = _libm_pow(_libm_pow(a, 3) + _libm_pow(y, gamma) * ell3, 1.0 / 3.0)
+    eps = y ** alpha
+    if not 0.0 < eps < 1.0:
+        raise AnsatzInfeasible(f"eps = {eps!r} outside (0, 1); Y too large")
+    ell = a / y ** beta
+    try:
+        ell3 = ell ** 3
+    except OverflowError:       # then R is infinite too, and R < ell/2 fails
+        ell3 = math.inf
+    R = (a3 + y ** gamma * ell3) ** (1.0 / 3.0)
+    if not a < R < 0.5 * ell:
+        raise AnsatzInfeasible("ansatz violates R0 < R < ell/2; Y too large")
     n = 4.0 * rho * ell3
-    checks = [((0.0 < eps) & (eps < 1.0),
-               "eps = {eps!r} outside (0, 1); Y too large"),
-              ((a < R) & (R < 0.5 * ell),
-               "ansatz violates R0 < R < ell/2; Y too large"),
-              (np.logical_not(n < 2),
-               "fewer than 2 particles per cell; Y too large")]
-    ansatz = np.logical_and.reduce([holds for holds, _ in checks])
-    ell = np.where(ansatz, ell, math.nan)
-    t = _temple(a, eps, ell, R, n)
-    terms = {"eps": eps, "occupancy": 1.0 / (rho * t.ell3),
-             "boundary": 2.0 * R / ell,
-             "local_density": 4.0 * math.pi / 3.0 * (4.0 * rho) * t.shell,
-             "temple": t.error}
-    k = _k_factor_3d(eps, ell, R, n, t)
-    bound = 4.0 * math.pi * mu * a * rho * (1.0 - terms["occupancy"]) * k
-    return CellConstruction(eps, ell, R, a, n, terms, k, bound), checks
+    if n < 2:
+        raise AnsatzInfeasible("fewer than 2 particles per cell; Y too large")
+    shell = R ** 3 - a3
+    temple, k = _temple(a, eps, ell, ell3, R, shell, n)
+    occupancy = 1.0 / (rho * ell3)
+    terms = (eps, occupancy, 2.0 * R / ell,
+             4.0 * math.pi / 3.0 * (4.0 * rho) * shell, temple)
+    bound = 4.0 * math.pi * mu * a * rho * (1.0 - occupancy) * k
+    return eps, ell, R, n, terms, k, bound
 
 
-class _Temple(NamedTuple):
-    """The pieces of the 3D Temple denominator shared by the error terms and
-    K, for a cell with R0 = a."""
-
-    ell3: np.ndarray
-    shell: np.ndarray       # R^3 - R0^3
-    denom: np.ndarray       # eps ell^-2 - 4 a ell^-3 n(n-1)
-    error: np.ndarray       # (3/pi) a n / (shell denom); +inf where denom <= 0
-
-
-def _temple(a, eps, ell, R, n) -> _Temple:
-    ell3 = _libm_pow(ell, 3)
-    shell = _libm_pow(R, 3) - _libm_pow(a, 3)
-    denom = eps / _libm_pow(ell, 2) - 4.0 * a / ell3 * n * (n - 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        error = (3.0 / math.pi) * a * n / (shell * denom)
-    return _Temple(ell3, shell, denom, np.where(denom <= 0.0, math.inf, error))
-
-
-def _k_factor_3d(eps, ell, R, n, t: _Temple):
-    local = 1.0 + 4.0 * math.pi / 3.0 * (n / t.ell3) * (1.0 - 1.0 / n) \
-        * t.shell
-    with np.errstate(invalid="ignore"):
-        k = (1.0 - eps) * _libm_pow(1.0 - 2.0 * R / ell, 3) / local \
-            * (1.0 - t.error)
-    return np.where(t.denom > 0.0, np.maximum(k, 0.0), 0.0)
+def _temple(a, eps, ell, ell3, R, shell, n):
+    """(Temple error term, K) of a cell with R0 = a holding n particles,
+    shell = R^3 - R0^3: the error is (3/pi) a n / (shell denom) with the
+    Temple denominator denom = eps ell^-2 - 4 a ell^-3 n(n-1), and +inf,
+    with K = 0, where denom is not positive."""
+    denom = eps / ell ** 2 - 4.0 * a / ell3 * n * (n - 1.0)
+    if not denom > 0.0:
+        return math.inf, 0.0
+    error = (3.0 / math.pi) * a * n / (shell * denom)
+    local = 1.0 + 4.0 * math.pi / 3.0 * (n / ell3) * (1.0 - 1.0 / n) * shell
+    k = (1.0 - eps) * (1.0 - 2.0 * R / ell) ** 3 / local * (1.0 - error)
+    return error, max(k, 0.0)
 
 
 def occupation_minimum(k: float, p: int) -> float:
@@ -400,20 +355,16 @@ def occupation_minimum(k: float, p: int) -> float:
     return min(objective(t) for t in candidates)
 
 
-def log_quadratic_gap(x, b, k):
+def log_quadratic_gap(x: float, b: float, k: float) -> float:
     """LHS - RHS of the inequality
     x^2/|ln x| - 2 (b/|ln b|) x k >= -(b^2/|ln b|)(1 + (2|ln b|)^-2) k^2,
     for 0 < x, b < 1 and k >= 1.  Nonnegative throughout that domain."""
-    x = np.asarray(x, dtype=float)
-    b = np.asarray(b, dtype=float)
-    k = np.asarray(k, dtype=float)
-    if np.any(x <= 0) or np.any(x >= 1) or np.any(b <= 0) or np.any(b >= 1):
+    if x <= 0 or x >= 1 or b <= 0 or b >= 1:
         raise DomainError("need 0 < x, b < 1")
-    if np.any(k < 1):
+    if k < 1:
         raise DomainError("need k >= 1")
-    log_x = np.abs(np.log(x))
-    log_b = np.abs(np.log(b))
-    gap = (x * x / log_x
-           - 2.0 * (b / log_b) * x * k
-           + (b * b / log_b) * (1.0 + 1.0 / (2.0 * log_b) ** 2) * k * k)
-    return gap if gap.ndim else float(gap)
+    log_x = abs(math.log(x))
+    log_b = abs(math.log(b))
+    return (x * x / log_x
+            - 2.0 * (b / log_b) * x * k
+            + (b * b / log_b) * (1.0 + 1.0 / (2.0 * log_b) ** 2) * k * k)

@@ -279,11 +279,12 @@ def _kinetic_fraction(rng, n):
 
 @_entry("homogeneous", "bound_sandwich_sweep", 1.0 + 1e-12, n=50, number=12)
 def _bound_sandwich(rng, n):
-    ys = np.geomspace(1e-20, 1e-4, n)
-    lower = homogeneous.dilute_lower_ratio(ys, 8.9)
-    upper = homogeneous.dyson_upper_ratio(ys)
-    assert np.all(lower <= 1.0) and np.all(1.0 <= upper), (lower, upper)
-    cell = homogeneous.cell_lower_ratio(ys)    # 0 where the ansatz fails
+    ys = np.geomspace(1e-20, 1e-4, n).tolist()
+    lower = [homogeneous.dilute_lower_ratio(y, 8.9) for y in ys]
+    upper = [homogeneous.dyson_upper_ratio(y) for y in ys]
+    assert all(v <= 1.0 for v in lower) and all(1.0 <= v for v in upper), \
+        (lower, upper)
+    cell = map(homogeneous.cell_lower_ratio, ys)    # 0 where the ansatz fails
     return _worst(0.0, *cell), \
         f"max cell ratio; lower <= 1 <= upper on {n} points"
 
@@ -335,7 +336,8 @@ def _log_quadratic_gap(rng, n):
     x = rng.uniform(1e-12, 1.0 - 1e-12, n)
     b = rng.uniform(1e-12, 1.0 - 1e-12, n)
     k = rng.uniform(1.0, 10.0, n)
-    gap = float(np.min(homogeneous.log_quadratic_gap(x, b, k)))
+    gap = float(np.min(list(map(homogeneous.log_quadratic_gap, x.tolist(),
+                                b.tolist(), k.tolist()))))
     return _worst(0.0, -gap), f"min gap {gap:.2e} over {n} triples"
 
 
@@ -359,12 +361,12 @@ def _occupation(rng, n):
 @_entry("homogeneous", "cell_factor_monotonicity", 1e-12, n=10_000, number=17)
 def _cell_factor_monotone(rng, n):
     worst = 0.0
-    ns = np.arange(2.0, n + 1.0)
     for y in (1e-12, 1e-14, 1e-16):
         a = (3.0 * y / (4.0 * math.pi)) ** (1.0 / 3.0)
         cell = homogeneous.cell_construction(
             homogeneous.DiluteParams(rho=1.0, a=a, mu=1.0))
-        ks = homogeneous.cell_energy_factor(cell, n=ns)
+        ks = np.array([homogeneous.cell_energy_factor(cell, count)
+                       for count in range(2, n + 1)])
         worst = _worst(worst, np.max(np.diff(ks)))
         positive = ks[ks > 0.0]
         assert np.all(np.diff(positive) < 0.0), f"K not decreasing at Y={y}"

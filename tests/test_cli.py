@@ -1,6 +1,7 @@
 """CLI: config parsing, round trips, report formats, determinism, errors."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -12,7 +13,6 @@ import subprocess
 import sys
 import warnings
 
-import numpy as np
 import pytest
 
 import bosegas
@@ -175,10 +175,9 @@ def test_bounds_row_count_and_csv():
 
 
 def _row_by_row_bounds(y, c=8.9):
-    """Oracle: one 3D bounds row evaluated the way the report used to be,
-    one Y at a time with scalar arithmetic (Python floats and libm powers;
-    numpy only for the cube root of the upper bound and the numpy-scalar
-    arithmetic after it), independent of the array code in bosegas."""
+    """Oracle: one 3D bounds row written out in one place, one Y at a time
+    on Python floats with libm powers, independent of the functions in
+    bosegas that the report calls."""
     lower = 1.0 - c * y ** (1.0 / 17.0)
     # cell method at the unit-scale instantiation rho = mu = 1, a from Y
     a = (3.0 * y / (4.0 * math.pi)) ** (1.0 / 3.0)
@@ -203,13 +202,12 @@ def _row_by_row_bounds(y, c=8.9):
             value = 4.0 * math.pi * 1.0 * a * 1.0 \
                 * (1.0 - 1.0 / (1.0 * ell ** 3)) * max(k, 0.0)
             cell = value / (4.0 * math.pi * a)
-    t = np.asarray(y, dtype=float) ** (1.0 / 3.0)
+    t = y ** (1.0 / 3.0)
     return {
         "Y": y,
-        "dyson_upper": float((1.0 - t + t ** 2 - 0.5 * t ** 3)
-                             / (1.0 - t) ** 8),
-        "dyson_upper_improved": float((1.0 - t ** 2 + 0.5 * t ** 3)
-                                      / (1.0 - t) ** 4),
+        "dyson_upper": (1.0 - t + t ** 2 - 0.5 * t ** 3) / (1.0 - t) ** 8,
+        "dyson_upper_improved": (1.0 - t ** 2 + 0.5 * t ** 3)
+        / (1.0 - t) ** 4,
         "lower_ratio": lower,
         "lower_valid": lower > 0.0,
         "dyson_lower_const": 1.0 / (10.0 * math.sqrt(2.0)),
@@ -221,12 +219,12 @@ def _row_by_row_bounds(y, c=8.9):
                                   "1e-6:0.99:1001"])
 def test_bounds_rows_match_row_by_row_oracle_bitwise(grid):
     rows = run(parse_config(["bounds", "--y-grid", grid])).rows
-    ys = _parse_sweep(grid).tolist()
+    ys = _parse_sweep(grid)
     assert len(rows) == len(ys)
     for row, y in zip(rows, ys):
         want = _row_by_row_bounds(y)
         assert list(row) == list(want)
-        # repr pins every bit of a float; type() pins float vs numpy vs bool
+        # repr pins every bit of a float; type() pins float vs bool
         assert {k: (type(v), repr(v)) for k, v in row.items()} \
             == {k: (type(v), repr(v)) for k, v in want.items()}
 
@@ -306,7 +304,7 @@ def test_config_values_parse_like_flags(tmp_path, capsys, key, value, flag):
 
 
 def test_sizes_at_their_ceiling_parse():
-    assert _parse_sweep("1:2:1000000").size == 10 ** 6
+    assert len(_parse_sweep("1:2:1000000")) == 10 ** 6
     for argv in (["gp", "--coupling", "1", "--grid-points", "100000"],
                  ["bogolubov", "--n-max", "100000"]):
         key = argv[-2][2:].replace("-", "_")
@@ -482,6 +480,10 @@ def test_sizes_at_their_ceiling_parse():
      "'bad.json': line 1: Expecting value"),
     (["--config", "list.json"], "config error: ParseError: config file must "
      "hold a flat JSON object"),
+    # Y^(1/3) rounds to 1: this once exited 0 with dyson_upper = inf and two
+    # numpy warnings on stderr
+    (["bounds", "--y-grid", "0.9999999999999999:0.9999999999999999:1"],
+     "DomainError: Y = 0.9999999999999999: 1 - Y^(1/3) rounds to 0"),
 ])
 def test_boundary_inputs_exit_3_with_a_named_error(capsys, tmp_path,
                                                    monkeypatch, argv, message):
@@ -538,6 +540,65 @@ def test_readme_cli_examples_exit_0(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for argv in examples:
         assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)
+
+
+# SHA-256 of the body of each README example whose command computes on
+# Python floats, in CSV and in JSON, with its timestamp line stripped.  A
+# change that moves a bit of one regenerates this table (the failing
+# assertion prints the new one) and names each moved body.
+_GOLDEN_BODIES = {
+    "bosegas scatter --potential hardcore:r0=1 [csv]":
+        "f6ab76f8e7106dc6abb7fadec32b84df7fd91cc95c1f43f2c0d669d2c4e37d7c",
+    "bosegas scatter --potential hardcore:r0=1 [json]":
+        "9cfddb22f0c461deedad11bd62537d7e1293794c99738d2331a9b07e62b1d45a",
+    "bosegas scatter --potential squarewell:r0=1,v0=10 --mu 2 [csv]":
+        "c9e5614b115c0149bd451ed42ed199550fbe563d848aeea957995be538ee62ab",
+    "bosegas scatter --potential squarewell:r0=1,v0=10 --mu 2 [json]":
+        "ff99d696f7210a512193a1b42d453515d209683cd2f53aa592f01c9f27d706a9",
+    "bosegas bounds --y-grid 1e-12:1e-4:50:log --output bounds.csv [csv]":
+        "2f07a0d409763b173ad8e4da23a1ab92671c91fd8c6f2379bf05e859edffd519",
+    "bosegas bounds --y-grid 1e-12:1e-4:50:log --output bounds.csv [json]":
+        "e8f01748f5644da9a5a3aa14692d1a5d702eb67d078b7dc86f6492c275e9ee9f",
+    "bosegas tf --coupling 100 [csv]":
+        "e59d8f51bb46cf5496f5d6df33d037e77d6125cccf67c5aac05991071ace9618",
+    "bosegas tf --coupling 100 [json]":
+        "1cd0b287a50ec1b4165804b27a9f5cf4f0d3223ffd45896de2f6c49eb208fb35",
+    "bosegas foldy --rho-grid 1:256:3:log [csv]":
+        "264cb6be1339cb3abb04f6a6cd7fcd9ad0c11b2e277516827ed5eb26d96667fa",
+    "bosegas foldy --rho-grid 1:256:3:log [json]":
+        "e62eb98e3a20744999ccb84e4c731f51e2e786e5f25a0ba2577c2d545f8019de",
+    "bosegas bogolubov --a-value 5 --b-value 3 [csv]":
+        "b0c18e87d68e22e0e087f7a1fa93b2c1348881ea7b517271efa5e2237543bc1d",
+    "bosegas bogolubov --a-value 5 --b-value 3 [json]":
+        "e8a1c4b1110668b9a8ec0edf0d95a4d9dbc30efd3ba9019b785fe2ada7e3df7f",
+}
+
+
+def _readme_bodies():
+    """The stripped body of each numpy-free README example, by command line
+    and format."""
+    bodies = {}
+    for argv in _readme_cli_examples():
+        if argv[1] not in ("scatter", "bounds", "tf", "foldy", "bogolubov"):
+            continue
+        for fmt in ("csv", "json"):
+            report = run(parse_config(argv[1:] + ["--format", fmt]))
+            text = report.to_csv() if fmt == "csv" else report.to_json()
+            body = "".join(line for line in text.splitlines(keepends=True)
+                           if not line.startswith("# timestamp")
+                           and not line.startswith('    "timestamp": '))
+            assert body != text
+            bodies[f"{shlex.join(argv)} [{fmt}]"] = body
+    return bodies
+
+
+def test_readme_bodies_match_their_golden_hashes():
+    # the numpy-free bodies depend only on IEEE arithmetic and libm, so
+    # they are the same on every CPU and Python in CI
+    got = {key: hashlib.sha256(body.encode()).hexdigest()
+           for key, body in _readme_bodies().items()}
+    assert len(got) == 12
+    assert got == _GOLDEN_BODIES
 
 
 @pytest.mark.parametrize("trap, s, scale, coupling", [
@@ -704,9 +765,9 @@ def test_lower_c_default_is_the_library_constant():
 # bosegas.cli` (None: `import bosegas.cli` alone), its exit code, the
 # bosegas modules it loads, whether it loads numpy, the public scipy
 # subpackages it loads and the DOP853 trial steps it compiles.  A
-# configuration error loads no solver module; `scatter`, `tf` and
-# `bogolubov` compute on Python floats; only the GP commands call LAPACK;
-# and a solve compiles one trial step per state shape.
+# configuration error loads no solver module; `scatter`, `bounds`, `tf`,
+# `foldy` and `bogolubov` compute on Python floats; only the GP commands
+# call LAPACK; and a solve compiles one trial step per state shape.
 _SCATTER = "errors numerics potentials scattering"
 _GP = "errors gp numerics potentials thomas_fermi"
 _FRESH_LOADS = [
@@ -724,10 +785,11 @@ _FRESH_LOADS = [
     ("tf --coupling 100", 0, "errors numerics potentials thomas_fermi", False,
      "", 0),
     ("bogolubov", 0, "bogolubov errors numerics", False, "", 0),
-    ("bounds --y-grid 1e-12:1e-4:5:log", 0, "errors homogeneous", True, "", 0),
+    ("bounds --y-grid 1e-12:1e-4:5:log", 0, "errors homogeneous", False, "",
+     0),
     ("bounds --dim 2 --rho-a2-grid 1e-20:1e-8:4:log", 0, "errors homogeneous",
-     True, "", 0),
-    ("foldy --rho-grid 1:16:2:log", 0, "bogolubov errors numerics", True, "",
+     False, "", 0),
+    ("foldy --rho-grid 1:16:2:log", 0, "bogolubov errors numerics", False, "",
      0),
     ("gp --coupling -1", 3, _GP, True, "", 0),
     ("gp --coupling 1 --grid-points 300", 0, _GP, True, "linalg version", 0),
@@ -816,8 +878,8 @@ def test_cold_commands_do_not_load_scipy(fresh_loads):
     # floats load neither numpy nor scipy; none loads scipy.optimize or
     # scipy.integrate
     for i, (line, code, *_) in enumerate(_FRESH_LOADS):
-        if not line or code == 2 or line.split()[0] in ("scatter", "tf",
-                                                        "bogolubov"):
+        if not line or code == 2 or line.split()[0] in (
+                "scatter", "bounds", "tf", "foldy", "bogolubov"):
             assert fresh_loads[i][2:4] == [False, ""], line
         assert not {"optimize", "integrate"} & set(fresh_loads[i][3].split())
 
@@ -854,12 +916,8 @@ _EVERY_COMMAND = [
 
 def _old_fmt(value) -> str:
     """The CSV cell text of the per-cell writer the report once used."""
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, np.integer):
-        return str(int(value))
+    if isinstance(value, float):
+        return repr(value)
     return str(value)
 
 
@@ -877,24 +935,17 @@ def _oracle_csv(report) -> str:
     return "\n".join(lines) + "\n" + body.getvalue()
 
 
-def _numpy_scalar(value):
-    if isinstance(value, np.generic):
-        return value.item()
-    raise TypeError(f"not serializable: {type(value)}")
-
-
 def _oracle_json(report) -> str:
     payload = {"metadata": dict(report.metadata,
                                 columns=[{"name": n, "unit": u}
                                          for n, u in report.columns]),
                "rows": report.rows}
-    return json.dumps(payload, indent=2, default=_numpy_scalar) + "\n"
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _synthetic_report(rows):
     columns = [("x", "length"), ("flag", "bool"), ("n", "count"),
-               ("text", "spec"), ("np_x", "energy"), ("np_flag", "bool"),
-               ("np_n", "count"), ("mixed", "any")]
+               ("text", "spec"), ("mixed", "any")]
     rows = [dict(zip([name for name, _ in columns], row)) for row in rows]
     metadata = {"command": "synthetic", "config": '{"a": "b\\\\c"}',
                 "version": bosegas.__version__, "timestamp": "now"}
@@ -902,17 +953,12 @@ def _synthetic_report(rows):
 
 
 _SYNTHETIC_ROWS = [
-    (1.5, True, 3, 'say "hi"', np.float64(0.1), np.bool_(True),
-     np.int64(7), 1),
-    (math.nan, False, -2, "back\\slash", np.float64(math.nan),
-     np.bool_(False), np.int64(-1), "plain"),
-    (math.inf, np.bool_(True), 0, "Ω café ünï", np.float64(-math.inf),
-     False, np.int64(2 ** 62), np.float32(0.1)),
-    (-math.inf, True, 10 ** 20, "squarewell:r0=1,v0=10", 1e-300,
-     np.bool_(True), np.int64(0), np.float64(math.inf)),
-    (np.float64(-0.0), False, 1, "tab\there\nline", 5e-324, True,
-     np.int64(3), None),
-    (1e300, True, 2, "", math.nan, False, np.int64(4), True),
+    (1.5, True, 3, 'say "hi"', 1),
+    (math.nan, False, -2, "back\\slash", "plain"),
+    (math.inf, True, 0, "Ω café ünï", 0.1),
+    (-math.inf, True, 10 ** 20, "squarewell:r0=1,v0=10", math.inf),
+    (-0.0, False, 1, "tab\there\nline", None),
+    (1e300, True, 2, "", True),
 ]
 
 
@@ -930,6 +976,15 @@ def synthetic_reports():
 def test_reports_cover_every_command(command_reports):
     assert {r.metadata["command"] for r in command_reports} \
         == set(_RUNNERS)
+
+
+def test_every_cell_is_a_python_scalar(command_reports):
+    # the writer formats bool, int, float and str, and no numpy scalar
+    for report in command_reports:
+        for row in report.rows:
+            for name, value in row.items():
+                assert type(value) in (bool, int, float, str), \
+                    (report.metadata["command"], name, type(value))
 
 
 def test_row_keys_are_the_column_names_in_order(command_reports):

@@ -357,10 +357,12 @@ ROWS = [
      "DomainError: upper bound valid for 0 < Y < 1"),
     ("dyson-upper-y-0", lambda: dyson_upper_ratio(0.0),
      "DomainError: upper bound valid for 0 < Y < 1"),
-    *((f"lower-ratio-c-{c}-{shape}", lambda c=c, y=y: dilute_lower_ratio(
-        y, c), f"DomainError: C must be finite, got {c!r}")
-      for c in (math.nan, math.inf, -math.inf)
-      for shape, y in (("scalar", 1e-6), ("array", np.array([1e-6, 1e-5])))),
+    # Y^(1/3) rounds to 1: the bound once read inf with a numpy warning
+    ("dyson-upper-cube-root-1", lambda: dyson_upper_ratio(0.9999999999999999),
+     "DomainError: Y = 0.9999999999999999: 1 - Y^(1/3) rounds to 0"),
+    *((f"lower-ratio-c-{c}-scalar", lambda c=c: dilute_lower_ratio(1e-6, c),
+       f"DomainError: C must be finite, got {c!r}")
+      for c in (math.nan, math.inf, -math.inf)),
     ("lower-ratio-y-0", lambda: dilute_lower_ratio(0.0),
      "DomainError: Y must be positive"),
     ("schick-3d", lambda: schick_2d_bounds(DiluteParams(rho=1.0, a=0.1)),
@@ -408,7 +410,15 @@ ROWS = [
      "0.2580861540418075, 'occupancy': 1.0810687540413133, 'boundary': "
      "0.5161723083419267, 'local_density': 0.26643385163236677, 'temple': "
      "0.24663155480407964}"),
-    ("cell-ratio-y-0", lambda: cell_lower_ratio(np.array([1e-8, 0.0])),
+    # Y near 5e-6: R < ell/2 holds, and n = (3/pi) Y^(-1/17) < 2
+    ("cell-ansatz-few-particles", lambda: cell_lower_bound(
+        DiluteParams(rho=1.0, a=0.0106)),
+     "AnsatzInfeasible: fewer than 2 particles per cell; Y too large"),
+    # ell^3 overflows, where a bare OverflowError once ended the call
+    ("cell-ell-cubed-overflows", lambda: cell_lower_bound(
+        DiluteParams(rho=1e-309, a=5e102)),
+     "AnsatzInfeasible: ansatz violates R0 < R < ell/2; Y too large"),
+    ("cell-ratio-y-0", lambda: cell_lower_ratio(0.0),
      "DomainError: Y must be positive"),
     ("occupation-k-half", lambda: occupation_minimum(0.5, 4),
      "DomainError: need k >= 1"),
