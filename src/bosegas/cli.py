@@ -421,9 +421,12 @@ def _run_bounds(config: RunConfig) -> Tuple[list, list]:
 
 
 def _run_gp(config: RunConfig) -> Tuple[list, list]:
-    from . import gp, potentials
+    from . import potentials, thomas_fermi
     pars = config.parameters
     trap = potentials.parse_trap_potential(pars["trap"], dimension=pars["dim"])
+    thomas_fermi.check_gp_arguments(pars["n"], pars["coupling"],
+                                    pars["mu_const"], pars["grid_points"])
+    from . import gp
     state = gp.gp_minimize(trap, pars["n"], pars["coupling"],
                            mu_const=pars["mu_const"],
                            grid_points=pars["grid_points"])

@@ -26,6 +26,9 @@ of true Dirichlet boxes is out of scope).
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -37,7 +40,8 @@ from .numerics import Tolerances
 from .potentials import TrapPotential, _omega, trap_spec
 # re-exported; the `tf` command imports their numpy-free module alone
 from .thomas_fermi import (TfState, _tf_mu_closed, _trap_units,
-                           tf_chemical_identity_gap, tf_scaling, tf_solve)
+                           check_gp_arguments, tf_chemical_identity_gap,
+                           tf_scaling, tf_solve)
 
 __all__ = [
     "GpState",
@@ -79,6 +83,55 @@ class GpState:
     newton_steps: int = 0     # accepted Newton steps among the iterations
 
 
+@functools.cache
+def _numpy_dgtsv():
+    """numpy's LAPACK dgtsv and its integer type, bound on the first GP solve
+    from the scipy-openblas that numpy ships and has loaded; None on another
+    LAPACK, or where that library or its symbol is not found exactly once."""
+    lapack = np.__config__.CONFIG["Build Dependencies"]["lapack"]
+    wide = "USE64BITINT" in lapack.get("openblas configuration", "")
+    suffix, integer = ("64_", ctypes.c_int64) if wide else ("", ctypes.c_int32)
+    libs = glob.glob(f"{np.__path__[0]}.libs/libscipy_openblas{suffix}-*")
+    if lapack.get("name") != "scipy-openblas" or len(libs) != 1:
+        return None
+    routine = getattr(ctypes.CDLL(libs[0]), f"scipy_dgtsv_{suffix}", None)
+    if routine is None:
+        return None
+    ref = ctypes.POINTER(integer)
+    routine.argtypes = [ref, ref] + [ctypes.c_void_p] * 4 + [ref, ref]
+    routine.restype = None
+    return routine, integer
+
+
+def _dgtsv(dl, d, du, b):
+    """Solve the tridiagonal system (dl, d, du) x = b, b one vector or a
+    column stack, by LAPACK dgtsv (Anderson et al., LAPACK Users' Guide,
+    SIAM 1999) with scipy.linalg.solve_banded's checks and errors."""
+    # float64 Fortran-ordered copies: dgtsv overwrites all four
+    dl, d, du, x = (np.array(v, float, order="F") for v in (dl, d, du, b))
+    n = d.size
+    # arguments that do not match crash the interpreter inside dgtsv
+    if not (n >= 1 and dl.shape == du.shape == (n - 1,) and x.ndim in (1, 2)
+            and x.shape[0] == n):
+        raise ValueError(f"dgtsv shapes do not match: n = {n}, b {x.shape}")
+    if not all(np.isfinite(v).all() for v in (dl, d, du, x)):
+        raise ValueError("array must not contain infs or NaNs")
+    if (bound := _numpy_dgtsv()) is None:
+        from scipy.linalg.lapack import dgtsv
+        *_, x, info = dgtsv(dl, d, du, x, True, True, True, True)
+    else:
+        routine, integer = bound
+        size, nrhs, status = integer(n), integer(x.size // n), integer(0)
+        routine(ctypes.byref(size), ctypes.byref(nrhs), dl.ctypes.data,
+                d.ctypes.data, du.ctypes.data, x.ctypes.data,
+                ctypes.byref(size), ctypes.byref(status))
+        info = status.value
+    if info:
+        raise (np.linalg.LinAlgError("singular matrix") if info > 0 else
+               ValueError(f"dgtsv argument {-info} has an illegal value"))
+    return x
+
+
 # --- the discrete GP energy in trap units ----------------------------------------
 
 
@@ -90,10 +143,6 @@ class _Discretization:
 
     def __init__(self, s: float, d: int, coupling: float, r_max: float,
                  n: int):
-        # LAPACK is loaded by the first GP solve, not by importing bosegas
-        from scipy.linalg import solve_banded
-
-        self.solve_banded = solve_banded
         self.d = d
         self.g = 4.0 * math.pi * coupling
         h = r_max / (n + 1) if d == 3 else r_max / n
@@ -114,11 +163,7 @@ class _Discretization:
             main = (e[:-1] + e[1:]) / (self.r * h ** 2)
             # symmetrize in the weighted inner product: work with y = sqrt(r) u
             off = -e[1:-1] / (np.sqrt(self.r[:-1] * self.r[1:]) * h ** 2)
-        self.main = main
-        # LAPACK band storage; only the diagonal row changes between solves
-        self._band = np.zeros((3, n))
-        self._band[0, 1:] = off
-        self._band[2, :-1] = off
+        self.main, self.off = main, off
         self._sqrt_r = np.sqrt(self.r)
 
     def density(self, u: np.ndarray) -> np.ndarray:
@@ -170,12 +215,10 @@ class _Discretization:
         With a positive diag the matrix is an M-matrix and keeps rhs > 0
         positive.
         """
-        band = self._band.copy()
-        band[1] = self.main + diag
         if self.d == 3:
-            return self.solve_banded((1, 1), band, rhs)
+            return _dgtsv(self.off, self.main + diag, self.off, rhs)
         s = self._sqrt_r if rhs.ndim == 1 else self._sqrt_r[:, None]
-        return self.solve_banded((1, 1), band, rhs * s) / s
+        return _dgtsv(self.off, self.main + diag, self.off, rhs * s) / s
 
 
 def _auto_extent(s: float, d: int, g_eff: float) -> float:
@@ -213,16 +256,7 @@ def gp_minimize(trap: TrapPotential, N: float, coupling: float,
     Newton steps among them.  The grid depends on the trap and N*coupling
     only, so (N, a) and (1, N a) share one discretization exactly.
     """
-    if not all(map(math.isfinite, (N, coupling, mu_const))):
-        raise DomainError("N, coupling and mu_const must be finite")
-    if mu_const <= 0:
-        raise DomainError("mu_const must be positive")
-    if coupling < 0:
-        raise NegativeCoupling("coupling must be nonnegative")
-    if N <= 0:
-        raise DomainError("N must be positive")
-    if grid_points < 16:
-        raise DomainError("grid needs at least 16 nodes")
+    check_gp_arguments(N, coupling, mu_const, grid_points)
     d = trap.dimension
 
     if trap.kind == "box":

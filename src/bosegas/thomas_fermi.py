@@ -1,12 +1,13 @@
-"""Thomas-Fermi closed forms for power-law traps, and the trap units that
-the GP solver shares, on Python floats: the `tf` command loads no numpy."""
+"""Thomas-Fermi closed forms for power-law traps, and the trap units and
+argument checks that the GP solver shares, on Python floats: the `tf`
+command, and `gp` on arguments it rejects, load no numpy."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, float_range, require_finite
+from .errors import DomainError, NegativeCoupling, float_range, require_finite
 from .numerics import Tolerances, quad
 from .potentials import TrapPotential, _omega
 
@@ -34,6 +35,22 @@ def _trap_units(trap: TrapPotential, mu_const: float):
     if not 0.0 < ell < math.inf:        # float_range names the solve
         raise OverflowError(f"trap length (mu_const/scale)^(1/(s+2)) = {ell!r}")
     return ell, mu_const / ell ** 2
+
+
+def check_gp_arguments(N: float, coupling: float, mu_const: float,
+                       grid_points: int) -> None:
+    """gp_minimize's argument checks, which the `gp` command runs before it
+    loads numpy."""
+    if not all(map(math.isfinite, (N, coupling, mu_const))):
+        raise DomainError("N, coupling and mu_const must be finite")
+    if mu_const <= 0:
+        raise DomainError("mu_const must be positive")
+    if coupling < 0:
+        raise NegativeCoupling("coupling must be nonnegative")
+    if N <= 0:
+        raise DomainError("N must be positive")
+    if grid_points < 16:
+        raise DomainError("grid needs at least 16 nodes")
 
 
 def _tf_mu_closed(s: float, d: int, g: float) -> float:

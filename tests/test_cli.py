@@ -13,6 +13,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy
 import pytest
 
 import bosegas
@@ -484,6 +485,11 @@ def test_sizes_at_their_ceiling_parse():
     # numpy warnings on stderr
     (["bounds", "--y-grid", "0.9999999999999999:0.9999999999999999:1"],
      "DomainError: Y = 0.9999999999999999: 1 - Y^(1/3) rounds to 0"),
+    # `gp` checks its arguments before it loads numpy, after the trap and
+    # in gp_minimize's order
+    (["gp", "--coupling", "-1", "--n", "nan"],
+     "N, coupling and mu_const must be finite"),
+    (["gp", "--coupling", "-1", "--trap", "nope"], "unknown trap spec 'nope'"),
 ])
 def test_boundary_inputs_exit_3_with_a_named_error(capsys, tmp_path,
                                                    monkeypatch, argv, message):
@@ -766,9 +772,15 @@ def test_lower_c_default_is_the_library_constant():
 # bosegas modules it loads, whether it loads numpy, the public scipy
 # subpackages it loads and the DOP853 trial steps it compiles.  A
 # configuration error loads no solver module; `scatter`, `bounds`, `tf`,
-# `foldy` and `bogolubov` compute on Python floats; only the GP commands
-# call LAPACK; and a solve compiles one trial step per state shape.
+# `foldy` and `bogolubov` compute on Python floats, as the GP argument checks
+# do; only the GP commands call LAPACK, numpy's own dgtsv where numpy ships
+# scipy-openblas and scipy's elsewhere; and a solve compiles one trial step
+# per state shape.
+_SCIPY_OPENBLAS = numpy.__config__.CONFIG["Build Dependencies"]["lapack"][
+    "name"] == "scipy-openblas"
+_LINALG = "" if _SCIPY_OPENBLAS else "linalg version"
 _SCATTER = "errors numerics potentials scattering"
+_TF = "errors numerics potentials thomas_fermi"
 _GP = "errors gp numerics potentials thomas_fermi"
 _FRESH_LOADS = [
     (None, None, "cli errors", False, "", 0),
@@ -782,8 +794,7 @@ _FRESH_LOADS = [
     ("scatter --potential hardcore:r0=1", 0, _SCATTER, False, "", 0),
     ("scatter --potential squarewell:r0=1,v0=10 --mu 2", 0, _SCATTER, False,
      "", 1),
-    ("tf --coupling 100", 0, "errors numerics potentials thomas_fermi", False,
-     "", 0),
+    ("tf --coupling 100", 0, _TF, False, "", 0),
     ("bogolubov", 0, "bogolubov errors numerics", False, "", 0),
     ("bounds --y-grid 1e-12:1e-4:5:log", 0, "errors homogeneous", False, "",
      0),
@@ -791,12 +802,14 @@ _FRESH_LOADS = [
      False, "", 0),
     ("foldy --rho-grid 1:16:2:log", 0, "bogolubov errors numerics", False, "",
      0),
-    ("gp --coupling -1", 3, _GP, True, "", 0),
-    ("gp --coupling 1 --grid-points 300", 0, _GP, True, "linalg version", 0),
+    ("gp --coupling -1", 3, _TF, False, "", 0),
+    ("gp --coupling 1 --mu-const -1", 3, _TF, False, "", 0),
+    ("gp --coupling 1 --grid-points 3", 3, _TF, False, "", 0),
+    ("gp --coupling 1 --grid-points 300", 0, _GP, True, _LINALG, 0),
     ("gp-tf-limit --g-grid 10:100:2:log --grid-points 300", 0, _GP, True,
-     "linalg version", 0),
+     _LINALG, 0),
     ("verify", 0, "bogolubov errors gp homogeneous numerics potentials "
-     "scattering thomas_fermi verify", True, "linalg version", 2),
+     "scattering thomas_fermi verify", True, _LINALG, 2),
 ]
 
 # Forks a child per row, two at a time, from an interpreter that has imported
@@ -874,14 +887,20 @@ def test_cli_subprocess_entry():
 
 
 def test_cold_commands_do_not_load_scipy(fresh_loads):
-    # the import alone, a configuration error and the commands on Python
-    # floats load neither numpy nor scipy; none loads scipy.optimize or
-    # scipy.integrate
+    # the import alone, a configuration error, a rejected GP argument and the
+    # commands on Python floats load neither numpy nor scipy; none loads
+    # scipy.optimize or scipy.integrate
     for i, (line, code, *_) in enumerate(_FRESH_LOADS):
-        if not line or code == 2 or line.split()[0] in (
-                "scatter", "bounds", "tf", "foldy", "bogolubov"):
+        if not line or code == 2 or code == 3 and line.startswith("gp ") \
+                or line.split()[0] in ("scatter", "bounds", "tf", "foldy",
+                                       "bogolubov"):
             assert fresh_loads[i][2:4] == [False, ""], line
         assert not {"optimize", "integrate"} & set(fresh_loads[i][3].split())
+    if not _SCIPY_OPENBLAS:
+        pytest.skip("numpy's LAPACK is not scipy-openblas: the GP commands "
+                    "solve with scipy's dgtsv")
+    # numpy's own dgtsv solves: no command loads scipy
+    assert all(fresh_loads[i][3] == "" for i in range(len(_FRESH_LOADS)))
 
 
 def test_commands_without_an_ode_compile_no_trial_step(fresh_loads):

@@ -454,6 +454,17 @@ ROWS = [
         grid_points=100),
      "DomainError: trap is flat on the grid: x^s = 1.0 at every node (s = "
      "1e-212)"),
+    # the tridiagonal solve checks what would crash LAPACK, and fails as
+    # scipy.linalg.solve_banded does
+    ("dgtsv-shapes", lambda: gp._dgtsv(np.ones(2), np.ones(3), np.ones(2),
+                                       np.ones(4)),
+     "ValueError: dgtsv shapes do not match: n = 3, b (4,)"),
+    ("dgtsv-nan", lambda: gp._dgtsv(np.ones(1), np.ones(2), np.ones(1),
+                                    np.array([1.0, math.nan])),
+     "ValueError: array must not contain infs or NaNs"),
+    ("dgtsv-singular", lambda: gp._dgtsv(np.ones(1), np.ones(2), np.ones(1),
+                                         np.ones(2)),
+     "LinAlgError: singular matrix"),
     ("gp-tf-limit-g-decreasing", lambda: gp_tf_limit(HARM3, [10.0, 1.0]),
      "DomainError: g_sequence must be increasing"),
     ("gp-tf-limit-g-0", lambda: gp_tf_limit(HARM3, [0.0, 10.0]),
@@ -639,6 +650,7 @@ _ELSEWHERE = {
 _CLASSES = {name: cls for name, cls in vars(errors).items()
             if isinstance(cls, type) and issubclass(cls, Exception)}
 _CLASSES["ValueError"] = ValueError
+_CLASSES["LinAlgError"] = np.linalg.LinAlgError
 
 
 def _assert_raises(call, expected):

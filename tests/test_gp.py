@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+from bosegas import gp
 from bosegas.errors import DomainError, NegativeCoupling
 from bosegas.gp import (_RESIDUAL_TOL, _simpson, export_profile, gp_minimize,
                         gp_residual, gp_tf_limit, mean_density,
@@ -135,6 +136,70 @@ def test_simpson_matches_scipy_bitwise():
                   np.geomspace(1e-3, 40.0, n)):
             y = rng.normal(size=n) * np.exp(-x)
             assert _simpson(y, x) == float(simpson(y, x=x))
+
+
+def _tridiagonal_systems():
+    """Seeded (dl, d, du, b): n from 2 to 8999, one vector or two columns,
+    diagonally dominant or indefinite; 100 systems."""
+    rng = np.random.default_rng(31)
+    for n in (2, 3, 7, 16, 101, 500, 2000, 8000, 8999,
+              *rng.integers(2, 9000, 16).tolist()):
+        for shape in ((n,), (n, 2)):
+            for dominant in (True, False):
+                dl, du = rng.uniform(-1.0, 1.0, (2, n - 1))
+                d = rng.uniform(2.0, 3.0, n) if dominant \
+                    else rng.uniform(-1.0, 1.0, n)
+                yield dl, d, du, rng.normal(size=shape)
+
+
+def _solve_banded(dl, d, du, b):
+    from scipy.linalg import solve_banded
+
+    ab = np.zeros((3, d.size))
+    ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+    return solve_banded((1, 1), ab, b)
+
+
+def _raised(solve, *args):
+    try:
+        solve(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture(params=["numpy", "scipy"])
+def dgtsv_binding(request, monkeypatch):
+    """The GP solves' dgtsv bound to numpy's LAPACK, or to scipy's as on a
+    numpy whose LAPACK is not scipy-openblas."""
+    lapack = np.__config__.CONFIG["Build Dependencies"]["lapack"]
+    if request.param == "numpy" and lapack["name"] != "scipy-openblas":
+        pytest.skip("numpy's LAPACK is not scipy-openblas")
+    if request.param == "scipy":
+        monkeypatch.setitem(lapack, "name", "accelerate")
+    gp._numpy_dgtsv.cache_clear()
+    assert (gp._numpy_dgtsv() is None) == (request.param == "scipy")
+    yield request.param
+    gp._numpy_dgtsv.cache_clear()
+
+
+def test_dgtsv_matches_solve_banded_bitwise(dgtsv_binding):
+    for dl, d, du, b in _tridiagonal_systems():
+        kept = [v.copy() for v in (dl, d, du, b)]
+        x = gp._dgtsv(dl, d, du, b)
+        expected = _solve_banded(dl, d, du, b)
+        assert x.shape == expected.shape and x.tobytes() == expected.tobytes()
+        assert all(np.array_equal(v, w) for v, w in zip((dl, d, du, b), kept))
+    # the same error class and message: two singular matrices, and a NaN or
+    # an inf in each argument
+    one, two, zero = np.ones(1), np.ones(2), np.zeros(2)
+    nan, inf = np.array([math.nan]), np.array([math.inf, 1.0])
+    for dl, d, du, b in ((one, two, one, two),
+                         (zero, np.array([1.0, 0.0, 1.0]), zero, np.ones(3)),
+                         (-inf[:1], two, one, two), (one, inf, -one, two),
+                         (one, two, nan, two), (one, two, -one, -inf)):
+        raised = _raised(gp._dgtsv, dl, d, du, b)
+        assert raised is not None and raised == _raised(_solve_banded, dl, d,
+                                                        du, b)
 
 
 def test_tf_closed_forms_3d():
