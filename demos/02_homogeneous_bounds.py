@@ -13,17 +13,17 @@ import math
 import numpy as np
 
 from bosegas.homogeneous import (DYSON_LOWER_RATIO, DiluteParams,
-                                 cell_construction, cell_lower_bound,
-                                 dilute_lower_ratio, dyson_upper_ratio,
-                                 leading_energy, lhy_energy, schick_2d_bounds)
+                                 bound_sandwich, cell_construction,
+                                 cell_lower_bound, leading_energy, lhy_energy,
+                                 schick_2d_bounds)
 
 print("-- 3D bound sandwich: e0 / (4 pi mu rho a) --")
 print(f"  {'Y':>8}  {'lower 1-8.9 Y^(1/17)':>22}  {'upper':>10}  "
       f"{'upper (finite range)':>21}")
 for y in np.geomspace(1e-20, 1e-6, 8):
-    print(f"  {float(y):8.0e}  {dilute_lower_ratio(float(y)):22.6f}  "
-          f"{dyson_upper_ratio(float(y)):10.6f}  "
-          f"{dyson_upper_ratio(float(y), True):21.6f}")
+    upper, improved, lower, _ = bound_sandwich(float(y))
+    print(f"  {float(y):8.0e}  {lower:22.6f}  {upper:10.6f}  "
+          f"{improved:21.6f}")
 y_star = ((1.0 - DYSON_LOWER_RATIO) / 8.9) ** 17
 print(f"  the Y^(1/17) bound beats the 1957 hard-sphere constant "
       f"1/(10 sqrt 2) below Y* = {y_star:.2e}")

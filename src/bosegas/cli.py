@@ -391,13 +391,12 @@ def _run_bounds(config: RunConfig) -> Tuple[list, list]:
         c = pars["lower_c"]
 
         def row(y):
-            # the lower bound first: it names a Y <= 0 and a C not finite
-            lower = h.dilute_lower_ratio(y, c)
-            return {"Y": y, "dyson_upper": h.dyson_upper_ratio(y),
-                    "dyson_upper_improved": h.dyson_upper_ratio(y, True),
+            upper, improved, lower, cell = h.bound_sandwich(y, c)
+            return {"Y": y, "dyson_upper": upper,
+                    "dyson_upper_improved": improved,
                     "lower_ratio": lower, "lower_valid": lower > 0.0,
                     "dyson_lower_const": h.DYSON_LOWER_RATIO,
-                    "cell_lower_ratio": h.cell_lower_ratio(y)}
+                    "cell_lower_ratio": cell}
         grid = pars["y_grid"]
         columns = [("Y", "dimensionless"), ("dyson_upper", "dimensionless"),
                    ("dyson_upper_improved", "dimensionless"),
@@ -430,7 +429,7 @@ def _run_gp(config: RunConfig) -> Tuple[list, list]:
     state = gp.gp_minimize(trap, pars["n"], pars["coupling"],
                            mu_const=pars["mu_const"],
                            grid_points=pars["grid_points"])
-    if pars.get("profile_out"):
+    if pars.get("profile_out") is not None:
         gp.export_profile(state, pars["profile_out"])
     row = {
         "trap": pars["trap"], "dim": pars["dim"], "N": pars["n"],
@@ -469,11 +468,13 @@ def _run_tf(config: RunConfig) -> Tuple[list, list]:
 
 
 def _run_gp_tf_limit(config: RunConfig) -> Tuple[list, list]:
-    from . import gp, potentials
+    from . import potentials, thomas_fermi
     pars = config.parameters
     trap = potentials.parse_trap_potential(pars["trap"], dimension=pars["dim"])
-    rows = gp.gp_tf_limit(trap, _parse_sweep(pars["g_grid"]),
-                           grid_points=pars["grid_points"])
+    gs = _parse_sweep(pars["g_grid"])
+    thomas_fermi.check_gp_tf_limit_arguments(trap, gs, pars["grid_points"])
+    from . import gp
+    rows = gp.gp_tf_limit(trap, gs, grid_points=pars["grid_points"])
     columns = [("g", "dimensionless"), ("E_gp", "energy"),
                ("E_tf", "energy"), ("ratio", "dimensionless"),
                ("l1_rescaled", "dimensionless")]
@@ -594,7 +595,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         report = run(config)
         text = report.to_csv() if config.output_format == "csv" \
             else report.to_json()
-        if config.output_path:
+        if config.output_path is not None:
             # a non-UTF-8 argument, such as a file name, is written as it came
             with open(config.output_path, "w", encoding="utf-8",
                       errors="surrogateescape") as fh:

@@ -35,13 +35,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, NegativeCoupling, NoConvergence, float_range
+from .errors import DomainError, NoConvergence, float_range
 from .numerics import Tolerances
 from .potentials import TrapPotential, _omega, trap_spec
 # re-exported; the `tf` command imports their numpy-free module alone
 from .thomas_fermi import (TfState, _tf_mu_closed, _trap_units,
-                           check_gp_arguments, tf_chemical_identity_gap,
-                           tf_scaling, tf_solve)
+                           check_gp_arguments, check_gp_tf_limit_arguments,
+                           tf_chemical_identity_gap, tf_scaling, tf_solve)
 
 __all__ = [
     "GpState",
@@ -464,18 +464,13 @@ def gp_tf_limit(trap: TrapPotential, g_sequence: Sequence[float],
 
     3D: ratio E_GP(1, g)/E_TF(1, g); rescaled density g^(3/(s+3))
     rho_GP(g^(1/(s+3)) x) against rho_TF(1,1).  2D: E_GP(1, g)/(g^(s/(s+2))
-    E_TF(1,1)) with the g^(2/(s+2)) density rescaling.  Every g is checked
-    to be positive before the first GP solve.
+    E_TF(1,1)) with the g^(2/(s+2)) density rescaling.  Every argument is
+    checked, by `check_gp_tf_limit_arguments`, before the first GP solve.
     """
     gs = list(g_sequence)
-    if any(b <= a for a, b in zip(gs, gs[1:])):
-        raise DomainError("g_sequence must be increasing")
+    tf_unit = check_gp_tf_limit_arguments(trap, gs, grid_points)
     d = trap.dimension
     s = trap.homogeneity_degree
-    tf_unit = tf_solve(trap, 1.0, 1.0)
-    if gs and gs[0] <= 0:       # gs is increasing: gs[0] is the least g
-        raise (NegativeCoupling("coupling must be nonnegative") if gs[0] < 0
-               else DomainError("g must be positive"))
     r_ref = np.linspace(0.0, 1.4 * tf_unit.support_radius, 800)
     rho_ref = tf_density(tf_unit, r_ref)
     jac = _omega(d) * r_ref ** (d - 1)

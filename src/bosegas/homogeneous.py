@@ -27,13 +27,11 @@ __all__ = [
     "ANSATZ_EXPONENTS",
     "leading_energy",
     "lhy_energy",
-    "dyson_upper_ratio",
-    "dilute_lower_ratio",
+    "bound_sandwich",
     "schick_2d_bounds",
     "temple_bound",
     "cell_energy_factor",
     "cell_lower_bound",
-    "cell_lower_ratio",
     "cell_construction",
     "occupation_minimum",
     "log_quadratic_gap",
@@ -130,37 +128,42 @@ def _finite(energy: float) -> float:
     return energy
 
 
-def dyson_upper_ratio(y: float, finite_range_improved: bool = False) -> float:
-    """Hard-sphere-style upper bound on e0/(4 pi mu rho a) as a function of
-    Y = 4 pi rho a^3 / 3 (valid for Y < 1).
+def bound_sandwich(y: float, c: float = LOWER_RATIO_C) -> tuple:
+    """The 3D bounds on e0/(4 pi mu rho a) at Y = 4 pi rho a^3 / 3, in the
+    report's column order: (dyson_upper, dyson_upper_improved, lower_ratio,
+    cell_lower_ratio).  C is checked first, then 0 < Y < 1.
 
-    The improved variant assumes finite range R0 < b = (4 pi rho/3)^(-1/3),
-    for which a/b = Y^(1/3).  Where Y^(1/3) rounds to 1, both divide by
-    zero, and DomainError says so.
+    Dyson's upper bound, and its improvement for a finite range
+    R0 < b = (4 pi rho/3)^(-1/3), for which a/b = Y^(1/3): where Y^(1/3)
+    rounds to 1 both divide by zero, and DomainError says so.  The lower
+    bound 1 - C Y^(1/17), unclamped: it is vacuous (<= 0) for large Y, and
+    the raw value keeps the crossover against DYSON_LOWER_RATIO visible.
+    The cell-method bound at the unit-scale instantiation rho = mu = 1,
+    a = (3Y/(4 pi))^(1/3), bit for bit
+    ``cell_lower_bound(DiluteParams(1.0, a)) / (4 pi a)``, and 0 wherever
+    that would raise AnsatzInfeasible (0 is the trivial lower bound).
     """
-    if y <= 0.0 or y >= 1.0:
-        raise DomainError("upper bound valid for 0 < Y < 1")
-    t = y ** (1.0 / 3.0)
-    if t == 1.0:
-        raise DomainError(f"Y = {y!r}: 1 - Y^(1/3) rounds to 0")
-    if finite_range_improved:
-        return (1.0 - t ** 2 + 0.5 * t ** 3) / (1.0 - t) ** 4
-    return (1.0 - t + t ** 2 - 0.5 * t ** 3) / (1.0 - t) ** 8
-
-
-def dilute_lower_ratio(y: float, c: float = LOWER_RATIO_C) -> float:
-    """Lower bound ratio 1 - C Y^(1/17), unclamped.
-
-    The bound is vacuous (value <= 0) for large Y; returning the raw value
-    keeps the crossover against DYSON_LOWER_RATIO visible.
-    """
-    # require_finite's message without its keyword call, which would cost a
-    # third of the time of this function in a sweep
+    # require_finite's message, without the cost of its keyword call in a
+    # sweep
     if not math.isfinite(c):
         raise DomainError(f"C must be finite, got {c!r}")
     if y <= 0:
         raise DomainError("Y must be positive")
-    return 1.0 - c * y ** (1.0 / 17.0)
+    if y >= 1.0:
+        raise DomainError("upper bound valid for 0 < Y < 1")
+    t = y ** (1.0 / 3.0)
+    if t == 1.0:
+        raise DomainError(f"Y = {y!r}: 1 - Y^(1/3) rounds to 0")
+    a = (3.0 * y / (4.0 * math.pi)) ** (1.0 / 3.0)
+    try:
+        *_, terms, _, bound = _construct(1.0, a, 1.0)
+    except AnsatzInfeasible:
+        cell = 0.0
+    else:
+        cell = bound / (4.0 * math.pi * a) if max(terms) < 1.0 else 0.0
+    return ((1.0 - t + t ** 2 - 0.5 * t ** 3) / (1.0 - t) ** 8,
+            (1.0 - t ** 2 + 0.5 * t ** 3) / (1.0 - t) ** 4,
+            1.0 - c * y ** (1.0 / 17.0), cell)
 
 
 def schick_2d_bounds(p: DiluteParams):
@@ -258,29 +261,10 @@ def cell_lower_bound(p: DiluteParams) -> float:
     return _finite(cell.bound)
 
 
-def cell_lower_ratio(y: float) -> float:
-    """Cell-method lower bound over 4 pi mu rho a as a function of Y, and 0
-    wherever `cell_lower_bound` would raise AnsatzInfeasible (0 is the
-    trivial lower bound).
-
-    Evaluated at the unit-scale instantiation rho = mu = 1,
-    a = (3Y/(4 pi))^(1/3); the value is bit for bit
-    ``cell_lower_bound(DiluteParams(1.0, a)) / (4 pi a)``.
-    """
-    if y <= 0:
-        raise DomainError("Y must be positive")
-    a = (3.0 * y / (4.0 * math.pi)) ** (1.0 / 3.0)
-    try:
-        *_, terms, _, bound = _construct(1.0, a, 1.0)
-    except AnsatzInfeasible:
-        return 0.0
-    return bound / (4.0 * math.pi * a) if max(terms) < 1.0 else 0.0
-
-
 # --- the cell construction ----------------------------------------------------------
 #
 # `_construct` is the one evaluation of the construction: `cell_construction`
-# and `cell_lower_bound` read it at one (rho, a, mu), `cell_lower_ratio` at
+# and `cell_lower_bound` read it at one (rho, a, mu), `bound_sandwich` at
 # the unit-scale instantiation of one Y.  It builds nothing but two tuples,
 # so that a sweep calls it once per point at little cost.
 

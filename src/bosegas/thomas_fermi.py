@@ -53,6 +53,23 @@ def check_gp_arguments(N: float, coupling: float, mu_const: float,
         raise DomainError("grid needs at least 16 nodes")
 
 
+def check_gp_tf_limit_arguments(trap: TrapPotential, gs: list,
+                                grid_points: int) -> TfState:
+    """gp_tf_limit's argument checks, which the `gp-tf-limit` command runs
+    before it loads numpy, in order: g increasing, the trap's TF state at
+    N = 1 and coupling 1 (returned), the least g positive, then each GP
+    solve's arguments."""
+    if any(b <= a for a, b in zip(gs, gs[1:])):
+        raise DomainError("g_sequence must be increasing")
+    tf_unit = tf_solve(trap, 1.0, 1.0)
+    if gs and gs[0] <= 0:       # gs is increasing: gs[0] is the least g
+        raise (NegativeCoupling("coupling must be nonnegative") if gs[0] < 0
+               else DomainError("g must be positive"))
+    for g in gs:
+        check_gp_arguments(1.0, g, 1.0, grid_points)
+    return tf_unit
+
+
 def _tf_mu_closed(s: float, d: int, g: float) -> float:
     """Closed-form TF chemical potential in trap units for the trap x^s at
     N=1, coupling g (3D: a = g; 2D: coupling-1 functional scaled by g)."""

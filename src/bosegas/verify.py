@@ -280,12 +280,11 @@ def _kinetic_fraction(rng, n):
 @_entry("homogeneous", "bound_sandwich_sweep", 1.0 + 1e-12, n=50, number=12)
 def _bound_sandwich(rng, n):
     ys = np.geomspace(1e-20, 1e-4, n).tolist()
-    lower = [homogeneous.dilute_lower_ratio(y, 8.9) for y in ys]
-    upper = [homogeneous.dyson_upper_ratio(y) for y in ys]
-    assert all(v <= 1.0 for v in lower) and all(1.0 <= v for v in upper), \
-        (lower, upper)
-    cell = map(homogeneous.cell_lower_ratio, ys)    # 0 where the ansatz fails
-    return _worst(0.0, *cell), \
+    sandwich = [homogeneous.bound_sandwich(y, 8.9) for y in ys]
+    assert all(lower <= 1.0 <= upper for upper, _, lower, _ in sandwich), \
+        sandwich
+    # the cell ratio is 0 where the ansatz fails
+    return _worst(0.0, *(cell for *_, cell in sandwich)), \
         f"max cell ratio; lower <= 1 <= upper on {n} points"
 
 

@@ -184,7 +184,9 @@ def _row_by_row_bounds(y, c=8.9):
     a = (3.0 * y / (4.0 * math.pi)) ** (1.0 / 3.0)
     y_cell = 4.0 * math.pi * 1.0 * a ** 3 / 3.0
     eps = 1.0 * y_cell ** (1.0 / 17.0)
-    ell = a / (1.0 * y_cell ** (6.0 / 17.0))
+    # at Y = 5e-324, 3Y/(4 pi) underflows to a = 0: eps = 0 fails the
+    # ansatz below, and ell must not divide by 0 first
+    ell = a / (1.0 * y_cell ** (6.0 / 17.0)) if a > 0.0 else math.inf
     r_soft = (a ** 3 + 1.0 * y_cell ** (3.0 / 17.0) * ell ** 3) ** (1.0 / 3.0)
     n = 4.0 * 1.0 * ell ** 3
     cell = 0.0
@@ -217,7 +219,7 @@ def _row_by_row_bounds(y, c=8.9):
 
 
 @pytest.mark.parametrize("grid", ["1e-12:1e-4:50:log", "1e-14:0.9:4000:log",
-                                  "1e-6:0.99:1001"])
+                                  "1e-6:0.99:1001", "5e-324:0.99:3"])
 def test_bounds_rows_match_row_by_row_oracle_bitwise(grid):
     rows = run(parse_config(["bounds", "--y-grid", grid])).rows
     ys = _parse_sweep(grid)
@@ -490,6 +492,11 @@ def test_sizes_at_their_ceiling_parse():
     (["gp", "--coupling", "-1", "--n", "nan"],
      "N, coupling and mu_const must be finite"),
     (["gp", "--coupling", "-1", "--trap", "nope"], "unknown trap spec 'nope'"),
+    # an empty path once wrote the report to stdout, or no profile, exit 0
+    (["bogolubov", "--output", ""],
+     "io error: [Errno 2] No such file or directory: ''"),
+    (["gp", "--coupling", "1", "--grid-points", "100", "--profile-out", ""],
+     "io error: [Errno 2] No such file or directory: ''"),
 ])
 def test_boundary_inputs_exit_3_with_a_named_error(capsys, tmp_path,
                                                    monkeypatch, argv, message):
@@ -510,9 +517,10 @@ def test_boundary_inputs_exit_3_with_a_named_error(capsys, tmp_path,
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith(message)
     assert "Traceback" not in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -805,6 +813,10 @@ _FRESH_LOADS = [
     ("gp --coupling -1", 3, _TF, False, "", 0),
     ("gp --coupling 1 --mu-const -1", 3, _TF, False, "", 0),
     ("gp --coupling 1 --grid-points 3", 3, _TF, False, "", 0),
+    ("gp-tf-limit --g-grid 0:10:2", 3, _TF, False, "", 0),
+    ("gp-tf-limit --g-grid 10:1:2", 3, _TF, False, "", 0),
+    ("gp-tf-limit --trap box:l=1", 3, _TF, False, "", 0),
+    ("gp-tf-limit --grid-points 3", 3, _TF, False, "", 0),
     ("gp --coupling 1 --grid-points 300", 0, _GP, True, _LINALG, 0),
     ("gp-tf-limit --g-grid 10:100:2:log --grid-points 300", 0, _GP, True,
      _LINALG, 0),
@@ -891,7 +903,7 @@ def test_cold_commands_do_not_load_scipy(fresh_loads):
     # commands on Python floats load neither numpy nor scipy; none loads
     # scipy.optimize or scipy.integrate
     for i, (line, code, *_) in enumerate(_FRESH_LOADS):
-        if not line or code == 2 or code == 3 and line.startswith("gp ") \
+        if not line or code == 2 or code == 3 and line.startswith("gp") \
                 or line.split()[0] in ("scatter", "bounds", "tf", "foldy",
                                        "bogolubov"):
             assert fresh_loads[i][2:4] == [False, ""], line

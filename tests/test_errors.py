@@ -30,10 +30,9 @@ from bosegas.bogolubov import (BogolubovMode, displayed_prefactor_energy,
                                mode_integral_energy, two_component_scaling,
                                yukawa_ft)
 from bosegas.gp import gp_minimize, gp_tf_limit
-from bosegas.homogeneous import (DiluteParams, cell_construction,
-                                 cell_energy_factor, cell_lower_bound,
-                                 cell_lower_ratio, dilute_lower_ratio,
-                                 dyson_upper_ratio, intermediate_2d_upper,
+from bosegas.homogeneous import (DiluteParams, bound_sandwich,
+                                 cell_construction, cell_energy_factor,
+                                 cell_lower_bound, intermediate_2d_upper,
                                  leading_energy, lhy_energy, log_quadratic_gap,
                                  occupation_minimum, schick_2d_bounds,
                                  temple_bound)
@@ -353,17 +352,15 @@ ROWS = [
      "DomainError: the expansion is three-dimensional"),
     ("lhy-rho-a3-1", lambda: lhy_energy(DiluteParams(rho=1.0, a=1.0)),
      "DomainError: expansion needs rho a^3 < 1"),
-    ("dyson-upper-y-1", lambda: dyson_upper_ratio(1.0),
-     "DomainError: upper bound valid for 0 < Y < 1"),
-    ("dyson-upper-y-0", lambda: dyson_upper_ratio(0.0),
+    ("dyson-upper-y-1", lambda: bound_sandwich(1.0),
      "DomainError: upper bound valid for 0 < Y < 1"),
     # Y^(1/3) rounds to 1: the bound once read inf with a numpy warning
-    ("dyson-upper-cube-root-1", lambda: dyson_upper_ratio(0.9999999999999999),
+    ("dyson-upper-cube-root-1", lambda: bound_sandwich(0.9999999999999999),
      "DomainError: Y = 0.9999999999999999: 1 - Y^(1/3) rounds to 0"),
-    *((f"lower-ratio-c-{c}-scalar", lambda c=c: dilute_lower_ratio(1e-6, c),
+    *((f"lower-ratio-c-{c}-scalar", lambda c=c: bound_sandwich(1e-6, c),
        f"DomainError: C must be finite, got {c!r}")
       for c in (math.nan, math.inf, -math.inf)),
-    ("lower-ratio-y-0", lambda: dilute_lower_ratio(0.0),
+    ("lower-ratio-y-0", lambda: bound_sandwich(0.0),
      "DomainError: Y must be positive"),
     ("schick-3d", lambda: schick_2d_bounds(DiluteParams(rho=1.0, a=0.1)),
      "DomainError: 2D operation"),
@@ -418,8 +415,6 @@ ROWS = [
     ("cell-ell-cubed-overflows", lambda: cell_lower_bound(
         DiluteParams(rho=1e-309, a=5e102)),
      "AnsatzInfeasible: ansatz violates R0 < R < ell/2; Y too large"),
-    ("cell-ratio-y-0", lambda: cell_lower_ratio(0.0),
-     "DomainError: Y must be positive"),
     ("occupation-k-half", lambda: occupation_minimum(0.5, 4),
      "DomainError: need k >= 1"),
     ("occupation-p-1", lambda: occupation_minimum(2.0, 1),

@@ -10,12 +10,10 @@ from scipy.optimize import brentq, linprog
 
 from bosegas.errors import AnsatzInfeasible
 from bosegas.homogeneous import (ANSATZ_EXPONENTS, DYSON_LOWER_RATIO,
-                                 DiluteParams, cell_construction,
-                                 cell_energy_factor, cell_lower_bound,
-                                 cell_lower_ratio, dilute_lower_ratio,
-                                 dyson_upper_ratio,
-                                 intermediate_2d_upper, leading_energy,
-                                 lhy_energy, log_quadratic_gap,
+                                 DiluteParams, bound_sandwich,
+                                 cell_construction, cell_energy_factor,
+                                 cell_lower_bound, intermediate_2d_upper,
+                                 leading_energy, lhy_energy, log_quadratic_gap,
                                  occupation_minimum, schick_2d_bounds,
                                  temple_bound)
 
@@ -56,21 +54,20 @@ def test_lhy_energy():
 
 
 def test_dyson_upper_ratio():
-    assert dyson_upper_ratio(1e-18) == pytest.approx(1.0, abs=1e-5)
+    assert bound_sandwich(1e-18)[0] == pytest.approx(1.0, abs=1e-5)
     # frozen plug-in values, independently evaluated
-    assert dyson_upper_ratio(1e-3) == pytest.approx(2.112820625756837,
-                                                    rel=1e-13)
-    assert dyson_upper_ratio(1e-3, finite_range_improved=True) \
-        == pytest.approx(1.5096784026825179, rel=1e-13)
+    upper, improved, *_ = bound_sandwich(1e-3)
+    assert upper == pytest.approx(2.112820625756837, rel=1e-13)
+    assert improved == pytest.approx(1.5096784026825179, rel=1e-13)
 
 
 def test_lower_ratio_and_crossover():
-    assert dilute_lower_ratio(1e-60) == pytest.approx(1.0, abs=1e-2)
-    assert dilute_lower_ratio(1e-3) < 0.0
+    assert bound_sandwich(1e-60)[2] == pytest.approx(1.0, abs=1e-2)
+    assert bound_sandwich(1e-3)[2] < 0.0
     # crossover against the hard-sphere lower constant 1/(10 sqrt 2),
     # verified with SciPy's root finder
     y_star = ((1.0 - DYSON_LOWER_RATIO) / 8.9) ** 17
-    root = brentq(lambda y: dilute_lower_ratio(y) - DYSON_LOWER_RATIO,
+    root = brentq(lambda y: bound_sandwich(y)[2] - DYSON_LOWER_RATIO,
                   y_star * 0.1, min(1.0, y_star * 10.0))
     assert root == pytest.approx(y_star, rel=1e-6)
 
@@ -79,16 +76,15 @@ Y_GRID = np.geomspace(1e-14, 0.9, 3001).tolist()
 
 
 def test_upper_and_lower_ratios_are_python_floats():
-    for improved in (False, True):
-        assert all(type(dyson_upper_ratio(y, improved)) is float
-                   for y in Y_GRID)
     for c in (8.9, 2.0):      # C = 2 moves the validity edge onto the grid
-        lower = [dilute_lower_ratio(y, c) for y in Y_GRID]
-        assert all(type(v) is float for v in lower)
+        sandwiches = [bound_sandwich(y, c) for y in Y_GRID]
+        assert all(type(v) is float for sw in sandwiches for v in sw)
+    lower = [sw[2] for sw in sandwiches]
     assert 0 < sum(v > 0.0 for v in lower) < len(Y_GRID)
     # the cube root goes through the C library's pow, as Y ** (1/3)
-    assert dyson_upper_ratio(1e-3).hex() == "0x1.0e70e800f84dbp+1"
-    assert dyson_upper_ratio(1e-3, True).hex() == "0x1.827a48a6ffba1p+0"
+    upper, improved, *_ = bound_sandwich(1e-3)
+    assert upper.hex() == "0x1.0e70e800f84dbp+1"
+    assert improved.hex() == "0x1.827a48a6ffba1p+0"
 
 
 def test_cell_ratio_array_matches_cell_lower_bound_bitwise():
@@ -101,7 +97,7 @@ def test_cell_ratio_array_matches_cell_lower_bound_bitwise():
             scalars.append(value / (4.0 * math.pi * a))
         except AnsatzInfeasible:
             scalars.append(0.0)
-    ratios = [cell_lower_ratio(y) for y in Y_GRID]
+    ratios = [bound_sandwich(y)[3] for y in Y_GRID]
     assert all(type(v) is float for v in ratios)
     assert list(map(float.hex, ratios)) == list(map(float.hex, scalars))
     assert 0 < sum(v > 0.0 for v in ratios) < len(Y_GRID)
@@ -116,19 +112,24 @@ def test_cell_and_lower_ratio_golden_bits():
                                 "0x1.1d24a9a7eef19p-133")):
         value = cell_lower_bound(DiluteParams(rho=rho, a=a, mu=mu))
         assert value.hex() == bits
-    assert cell_lower_ratio(1e-20).hex() == "0x1.9ea3f241d5d54p-2"
-    assert cell_lower_ratio(1e-3) == 0.0
-    assert dilute_lower_ratio(1e-20).hex() == "0x1.a0f5055227e6ep-2"
-    assert dilute_lower_ratio(1e-3, 2.0).hex() == "-0x1.54242d922aa5cp-2"
+    *_, lower, cell = bound_sandwich(1e-20)
+    assert cell.hex() == "0x1.9ea3f241d5d54p-2"
+    assert lower.hex() == "0x1.a0f5055227e6ep-2"
+    assert bound_sandwich(1e-3)[3] == 0.0
+    assert bound_sandwich(1e-3, 2.0)[2].hex() == "-0x1.54242d922aa5cp-2"
 
 
 def test_cell_construction_raises_no_float_error_past_a_failed_condition():
-    # far beyond the ansatz, K's (1 - 2R/ell)^3 would overflow: the sweep
-    # reads 0 (cell_lower_bound names the failed condition)
+    # far beyond the ansatz, at Y = 1e300, K's (1 - 2R/ell)^3 would
+    # overflow: the construction names the failed condition, and the sweep
+    # reads 0 where the ansatz fails
+    a = (3.0 * 1e300 / (4.0 * math.pi)) ** (1.0 / 3.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert cell_lower_ratio(1e300) == 0.0
-        assert cell_lower_ratio(1e-20) > 0.0
+        with pytest.raises(AnsatzInfeasible, match="^eps = "):
+            cell_construction(DiluteParams(rho=1.0, a=a))
+        assert bound_sandwich(0.99)[3] == 0.0
+        assert bound_sandwich(1e-20)[3] > 0.0
 
 
 def test_cell_construction_is_python_floats():
@@ -301,6 +302,6 @@ def test_estimate_kinds_ordered():
         a = (3.0 * float(y) / (4.0 * math.pi)) ** (1.0 / 3.0)
         p = DiluteParams(rho=1.0, a=a, mu=1.0)
         lead = leading_energy(p)
-        upper = lead * dyson_upper_ratio(float(y))
+        upper = lead * bound_sandwich(float(y))[0]
         lower = cell_lower_bound(p)
         assert lower <= upper
