@@ -78,8 +78,6 @@ class GpState:
     mu_gp: float
     residual: float
     iterations: int
-    residual_trace: tuple
-    energy_trace: tuple = ()
     newton_steps: int = 0     # accepted Newton steps among the iterations
 
 
@@ -138,8 +136,8 @@ def _dgtsv(dl, d, du, b):
 class _Discretization:
     """Uniform radial grid in trap units (kinetic coefficient 1, trap x^s,
     interaction 4 pi c psi^4) on u = x psi in 3D and u = psi in 2D: the one
-    owner of the discrete GP energy, the interaction diagonal and the
-    Rayleigh residual."""
+    owner of the discrete GP energy, the interaction diagonal, the Rayleigh
+    residual and int psi^4, which mu_gp and the mean density both read."""
 
     def __init__(self, s: float, d: int, coupling: float, r_max: float,
                  n: int):
@@ -183,6 +181,13 @@ class _Discretization:
         trap_e = float(np.sum(self.weights * self.V * u ** 2))
         inter = float(np.sum(self.weights * self.g * self.density(u) * u ** 2))
         return kin + trap_e + inter, (kin, trap_e, inter)
+
+    def quartic(self, psi: np.ndarray) -> float:
+        """int psi^4 d^dx on the energy's weights, psi = u/x in 3D."""
+        if self.d == 3:
+            return float(np.sum(self.weights * (psi * self.r) ** 4
+                                / self.r ** 2))
+        return float(np.sum(self.weights * psi ** 4))
 
     def apply_kinetic(self, u: np.ndarray) -> np.ndarray:
         if self.d == 3:
@@ -268,8 +273,8 @@ def gp_minimize(trap: TrapPotential, N: float, coupling: float,
             trap=trap, N=N, coupling=coupling, mu_const=mu_const,
             r=np.linspace(L / 33, L, 33), phi=np.full(33, math.sqrt(N / volume)),
             kinetic=0.0, trap_energy=0.0, interaction=inter, E=inter,
-            mu_gp=2.0 * inter / N, residual=0.0, iterations=0,
-            residual_trace=(0.0,))
+            mu_gp=8.0 * math.pi * mu_const * coupling * N / volume,
+            residual=0.0, iterations=0)
 
     s = trap.homogeneity_degree
     ell, unit = _trap_units(trap, mu_const)
@@ -313,10 +318,8 @@ def gp_minimize(trap: TrapPotential, N: float, coupling: float,
 
     u = normalize(_initial_profile(disc, s, g_eff))
     e_old, _ = disc.energy(u)
-    h_u, lam, _ = disc.rayleigh(u)
+    h_u, lam, res = disc.rayleigh(u)
     tau = 0.2 / max(1.0, abs(e_old) / N)
-    resid_hist = []
-    e_hist = [e_old]
     iterations = newton_steps = 0
     try_newton = True
 
@@ -345,31 +348,21 @@ def gp_minimize(trap: TrapPotential, N: float, coupling: float,
         u = trial
         flat = abs(e_new - e_old) <= _TOL.rel_tol * abs(e_new) + _TOL.abs_tol
         e_old = min(e_new, e_old)
-        e_hist.append(e_new)
         h_u, lam, res = disc.rayleigh(u)
-        resid_hist.append(res)
         if res <= resid_tol and flat:
             break
     else:
-        raise NoConvergence(
-            f"GP residual {resid_hist[-1]:.3e} after "
-            f"{iterations} iterations")
+        raise NoConvergence(f"GP residual {res:.3e} after {iterations} iterations")
 
     e_total, parts = disc.energy(u)
-    r = disc.r
-    phi = u / r if d == 3 else u.copy()
-    quartic = float(np.sum(disc.weights * (phi * r) ** 4 / r ** 2)) if d == 3 \
-        else float(np.sum(disc.weights * phi ** 4))
-    mu_gp = e_total / N + disc.g / N * quartic
+    phi = u / disc.r if d == 3 else u.copy()
+    mu_gp = e_total / N + disc.g / N * disc.quartic(phi)
     kin, trap_e, inter = (float(unit * e) for e in parts)
     return GpState(
-        trap=trap, N=N, coupling=coupling, mu_const=mu_const,
-        r=ell * r, phi=ell ** (-d / 2) * phi, kinetic=kin, trap_energy=trap_e,
+        trap=trap, N=N, coupling=coupling, mu_const=mu_const, r=ell * disc.r,
+        phi=ell ** (-d / 2) * phi, kinetic=kin, trap_energy=trap_e,
         interaction=inter, E=float(unit * e_total), mu_gp=float(unit * mu_gp),
-        residual=resid_hist[-1], iterations=iterations,
-        residual_trace=tuple(resid_hist[-32:]),
-        energy_trace=tuple(float(unit * e) for e in e_hist[-64:]),
-        newton_steps=newton_steps)
+        residual=res, iterations=iterations, newton_steps=newton_steps)
 
 
 def _initial_profile(disc, s, g_eff):
@@ -384,64 +377,36 @@ def _initial_profile(disc, s, g_eff):
     return prof * r if disc.d == 3 else prof
 
 
+def _trap_unit_state(state: GpState):
+    """The discretization of a power-law state, rebuilt from its grid with
+    the outer Dirichlet edge R = r[-1] + r[0] (h or h/2 past the last node),
+    the trap length ell and the profile psi = ell^(d/2) phi in trap units."""
+    d = state.trap.dimension
+    ell, _ = _trap_units(state.trap, state.mu_const)
+    disc = _Discretization(state.trap.homogeneity_degree, d,
+                           state.coupling * ell ** (2 - d),
+                           (state.r[-1] + state.r[0]) / ell, state.r.size)
+    return disc, ell, ell ** (d / 2) * np.asarray(state.phi, dtype=float)
+
+
 def gp_residual(state: GpState) -> float:
     """Relative L2 residual of the discrete GP equation at the stored profile."""
     if state.trap.kind == "box":
         return 0.0
-    d = state.trap.dimension
-    ell, _ = _trap_units(state.trap, state.mu_const)
-    # both discretizations place the outer Dirichlet edge one spacing unit
-    # beyond/at the last node: R = r[-1] + r[0] (h or h/2 offset)
-    disc = _Discretization(state.trap.homogeneity_degree, d,
-                           state.coupling * ell ** (2 - d),
-                           (state.r[-1] + state.r[0]) / ell, state.r.size)
-    psi = ell ** (d / 2) * np.asarray(state.phi, dtype=float)
-    return disc.rayleigh(psi * disc.r if d == 3 else psi)[2]
-
-
-def _simpson(y: np.ndarray, x: np.ndarray) -> float:
-    """Composite Simpson rule for n >= 3 samples y at strictly increasing x.
-
-    A 1-D port of SciPy's `integrate.simpson(y, x=x)` (scipy/integrate/
-    _quadrature.py, BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc.
-    and 2003-2024 SciPy Developers), same operations in the same order, so
-    the value agrees bit for bit.  Each pair of intervals gets the
-    uneven-spacing parabola; for an even number of samples the last interval
-    gets Cartwright's (2017) correction.
-    """
-    n = y.size
-    stop = n - 2 if n % 2 else n - 3
-    h = np.diff(x)
-    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
-    hsum, hprod, h0divh1 = h0 + h1, h0 * h1, h0 / h1
-    result = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / h0divh1)
-                                  + y[1:stop + 1:2] * (hsum * (hsum / hprod))
-                                  + y[2:stop + 2:2] * (2.0 - h0divh1)))
-    if n % 2 == 0:
-        p, q = np.asarray(h[-2]), np.asarray(h[-1])
-        alpha = (2 * q ** 2 + 3 * p * q) / (6 * (q + p))
-        beta = (q ** 2 + 3.0 * p * q) / (6 * p)
-        eta = q ** 3 / (6 * p * (p + q))
-        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
-    return float(result)
+    disc, _, psi = _trap_unit_state(state)
+    return disc.rayleigh(psi * disc.r if disc.d == 3 else psi)[2]
 
 
 @float_range
 def mean_density(state: GpState) -> float:
-    """Mean density (1/N) int |phi|^4 d^dx (Simpson quadrature), computed in
-    trap units (x = r/ell, psi = ell^(d/2) phi) and divided by ell^d."""
+    """Mean density (1/N) int |phi|^4 d^dx on the discrete energy's weights,
+    so that mu_gp = E/N + 4 pi mu_const c rho_bar to rounding; taken on the
+    unit-norm profile in trap units, whose fourth power stays in range."""
     if state.trap.kind == "box":
         return state.N / state.trap.box_side ** state.trap.dimension
-    d = state.trap.dimension
-    ell, _ = _trap_units(state.trap, state.mu_const)
-    x = state.r / ell
-    psi = ell ** (d / 2) * state.phi
-    jac = _omega(d) * x ** (d - 1)
-    body = _simpson(psi ** 4 * jac, x)
-    # the grid starts off-axis; psi is flat at the origin, so the missing
-    # [0, x_min) piece integrates to psi(x_min)^4 Omega x_min^d / d
-    origin = float(psi[0]) ** 4 * _omega(d) * x[0] ** d / d
-    return float((body + origin) / state.N / ell ** d)
+    disc, ell, psi = _trap_unit_state(state)
+    return float(state.N * disc.quartic(psi / math.sqrt(state.N))
+                 / ell ** disc.d)
 
 
 # --- Thomas-Fermi -----------------------------------------------------------------

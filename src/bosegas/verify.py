@@ -11,6 +11,7 @@ the full one is costly.  Repeated runs are identical.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, List, NamedTuple, Optional
 
@@ -402,6 +403,20 @@ def _gp_scaling(rng, n):
         unit = gp.gp_minimize(_HARM3, 1.0, n_part * a, grid_points=n)
         worst = _worst(worst, abs(big.E - n_part * unit.E) / abs(big.E))
     return worst, "E(N, a) = N E(1, Na) at two (N, a)"
+
+
+@_entry("gp", "gp_chemical_identity", 1e-13, n=500)
+def _gp_chemical_identity(rng, n):
+    worst = 0.0
+    for spec, d, (n_part, c, mu) in itertools.product(
+            ("harmonic:scale=3.7", "power:s=4,scale=0.3"), (3, 2),
+            ((1.0, 0.5, 2.5), (7.3, 1.1, 0.4), (30.0, 300.0, 1.7),
+             (1.0, 1e4, 0.8))):
+        st = gp.gp_minimize(potentials.parse_trap_potential(spec, d), n_part,
+                            c, mu_const=mu, grid_points=n)
+        rebuilt = st.E / n_part + 4.0 * math.pi * mu * c * gp.mean_density(st)
+        worst = _worst(worst, abs(st.mu_gp - rebuilt) / st.mu_gp)
+    return worst, "mu_gp = E/N + 4 pi mu_const c rho_bar, 8 solves a dimension"
 
 
 @_entry("gp", "tf_closed_forms", 1e-10, number=10)
