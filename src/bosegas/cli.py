@@ -141,6 +141,11 @@ def _format_column(values: list) -> Tuple[list, list]:
     other values by str (quoted in CSV where RFC 4180 needs it) and by
     json.dumps."""
     if all(isinstance(v, float) for v in values):
+        if len(values) > 1 and all(v is values[0] for v in values):
+            # one object in every cell, as in a constant column: formatted
+            # once (told by identity, since 0.0 == -0.0)
+            (csv,), (js,) = _format_column(values[:1])
+            return [csv] * len(values), [js] * len(values)
         csv = list(map(float.__repr__, values))
         if all(map(math.isfinite, values)):
             return csv, csv
@@ -388,21 +393,18 @@ def _run_bounds(config: RunConfig) -> Tuple[list, list]:
     from . import homogeneous as h
     pars = config.parameters
     if pars["dim"] == 3:
-        c = pars["lower_c"]
-
-        def row(y):
-            upper, improved, lower, cell = h.bound_sandwich(y, c)
-            return {"Y": y, "dyson_upper": upper,
-                    "dyson_upper_improved": improved,
-                    "lower_ratio": lower, "lower_valid": lower > 0.0,
-                    "dyson_lower_const": h.DYSON_LOWER_RATIO,
-                    "cell_lower_ratio": cell}
-        grid = pars["y_grid"]
+        c, dyson_lower = pars["lower_c"], h.DYSON_LOWER_RATIO
         columns = [("Y", "dimensionless"), ("dyson_upper", "dimensionless"),
                    ("dyson_upper_improved", "dimensionless"),
                    ("lower_ratio", "dimensionless"), ("lower_valid", "bool"),
                    ("dyson_lower_const", "dimensionless"),
                    ("cell_lower_ratio", "dimensionless")]
+        return columns, [
+            {"Y": y, "dyson_upper": upper, "dyson_upper_improved": improved,
+             "lower_ratio": lower, "lower_valid": lower > 0.0,
+             "dyson_lower_const": dyson_lower, "cell_lower_ratio": cell}
+            for y in _parse_sweep(pars["y_grid"])
+            for upper, improved, lower, cell in [h.bound_sandwich(y, c)]]
     elif pars["dim"] == 2:
         def row(x):
             if x <= 0.0:

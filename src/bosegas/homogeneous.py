@@ -155,12 +155,22 @@ def bound_sandwich(y: float, c: float = LOWER_RATIO_C) -> tuple:
     if t == 1.0:
         raise DomainError(f"Y = {y!r}: 1 - Y^(1/3) rounds to 0")
     a = (3.0 * y / (4.0 * math.pi)) ** (1.0 / 3.0)
+    cell = 0.0
     try:
-        *_, terms, _, bound = _construct(1.0, a, 1.0)
+        a3, eps, ell, ell3, R, n = _cell(1.0, a)
     except AnsatzInfeasible:
-        cell = 0.0
+        pass
     else:
-        cell = bound / (4.0 * math.pi * a) if max(terms) < 1.0 else 0.0
+        # `_construct`'s error terms at rho = mu = 1 after eps (< 1 in every
+        # cell), each read only while those before it are < 1
+        occupancy = 1.0 / ell3
+        shell = R ** 3 - a3
+        if (occupancy < 1.0 and 2.0 * R / ell < 1.0
+                and 4.0 * math.pi / 3.0 * 4.0 * shell < 1.0):
+            error, k = _temple(a, eps, ell, ell3, R, shell, n)
+            if error < 1.0:     # `_construct`'s bound over 4 pi a
+                lead = 4.0 * math.pi * a
+                cell = lead * (1.0 - occupancy) * k / lead
     return ((1.0 - t + t ** 2 - 0.5 * t ** 3) / (1.0 - t) ** 8,
             (1.0 - t ** 2 + 0.5 * t ** 3) / (1.0 - t) ** 4,
             1.0 - c * y ** (1.0 / 17.0), cell)
@@ -263,20 +273,22 @@ def cell_lower_bound(p: DiluteParams) -> float:
 
 # --- the cell construction ----------------------------------------------------------
 #
-# `_construct` is the one evaluation of the construction: `cell_construction`
-# and `cell_lower_bound` read it at one (rho, a, mu), `bound_sandwich` at
-# the unit-scale instantiation of one Y.  It builds nothing but two tuples,
-# so that a sweep calls it once per point at little cost.
+# `_cell` is the one evaluation of the cell's geometry and its three ansatz
+# conditions.  `_construct` adds all five error terms, K and the bound, for
+# `cell_construction` and `cell_lower_bound` at one (rho, a, mu), which read
+# K even where the bound is void.  `bound_sandwich`, at the unit-scale
+# instantiation of one Y, stops at the first error term that is >= 1, so
+# that a sweep pays for the Temple error and K only where the bound is not
+# void.  Both reach K through `_temple`.
 
 _TERMS = ("eps", "occupancy", "boundary", "local_density", "temple")
 
 
-def _construct(rho, a, mu):
-    """The ansatz cell at (rho, a, mu), R0 = a, as the tuple
-    (eps, ell, R, n, terms, k, bound) with the five error terms in `_TERMS`
-    order.  The three ansatz conditions are checked in order, each before
-    anything that needs it is computed; the first that fails raises
-    AnsatzInfeasible."""
+def _cell(rho, a):
+    """The geometry (a^3, eps, ell, ell^3, R, n) of the ansatz cell at
+    (rho, a), R0 = a.  The three ansatz conditions are checked in order,
+    each before anything that needs it is computed; the first that fails
+    raises AnsatzInfeasible."""
     a3 = a ** 3
     y = 4.0 * math.pi * rho * a3 / 3.0
     alpha, beta, gamma = ANSATZ_EXPONENTS
@@ -294,6 +306,14 @@ def _construct(rho, a, mu):
     n = 4.0 * rho * ell3
     if n < 2:
         raise AnsatzInfeasible("fewer than 2 particles per cell; Y too large")
+    return a3, eps, ell, ell3, R, n
+
+
+def _construct(rho, a, mu):
+    """The ansatz cell at (rho, a, mu) (`_cell`) as the tuple
+    (eps, ell, R, n, terms, k, bound) with the five error terms in `_TERMS`
+    order."""
+    a3, eps, ell, ell3, R, n = _cell(rho, a)
     shell = R ** 3 - a3
     temple, k = _temple(a, eps, ell, ell3, R, shell, n)
     occupancy = 1.0 / (rho * ell3)

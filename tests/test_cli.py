@@ -588,22 +588,35 @@ _GOLDEN_BODIES = {
 }
 
 
+# The same for a 3D sweep whose rows cross each exit of the cell
+# construction: a bound, a void occupancy term, n < 2 and R >= ell/2
+_GOLDEN_SWEEPS = {
+    "bosegas bounds --y-grid 1e-14:0.9:2000:log [csv]":
+        "39f1bbec34821f138b3a71d3b0cdb63bcacc85c5ea8fde678d80c884ca55d77d",
+    "bosegas bounds --y-grid 1e-14:0.9:2000:log [json]":
+        "374046bffe0ff5c82e424fa4bac18d9ee000e5a411706a7c48a21b09f2f86528",
+}
+
+
+def _body(argv, fmt):
+    """The body of `bosegas argv` in format fmt, its timestamp line
+    stripped."""
+    report = run(parse_config(argv[1:] + ["--format", fmt]))
+    text = report.to_csv() if fmt == "csv" else report.to_json()
+    body = "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith("# timestamp")
+                   and not line.startswith('    "timestamp": '))
+    assert body != text
+    return body
+
+
 def _readme_bodies():
     """The stripped body of each numpy-free README example, by command line
     and format."""
-    bodies = {}
-    for argv in _readme_cli_examples():
-        if argv[1] not in ("scatter", "bounds", "tf", "foldy", "bogolubov"):
-            continue
-        for fmt in ("csv", "json"):
-            report = run(parse_config(argv[1:] + ["--format", fmt]))
-            text = report.to_csv() if fmt == "csv" else report.to_json()
-            body = "".join(line for line in text.splitlines(keepends=True)
-                           if not line.startswith("# timestamp")
-                           and not line.startswith('    "timestamp": '))
-            assert body != text
-            bodies[f"{shlex.join(argv)} [{fmt}]"] = body
-    return bodies
+    return {f"{shlex.join(argv)} [{fmt}]": _body(argv, fmt)
+            for argv in _readme_cli_examples()
+            if argv[1] in ("scatter", "bounds", "tf", "foldy", "bogolubov")
+            for fmt in ("csv", "json")}
 
 
 def test_readme_bodies_match_their_golden_hashes():
@@ -613,6 +626,14 @@ def test_readme_bodies_match_their_golden_hashes():
            for key, body in _readme_bodies().items()}
     assert len(got) == 12
     assert got == _GOLDEN_BODIES
+
+
+def test_sweep_bodies_match_their_golden_hashes():
+    argv = ["bosegas", "bounds", "--y-grid", "1e-14:0.9:2000:log"]
+    got = {f"{shlex.join(argv)} [{fmt}]":
+           hashlib.sha256(_body(argv, fmt).encode()).hexdigest()
+           for fmt in ("csv", "json")}
+    assert got == _GOLDEN_SWEEPS
 
 
 @pytest.mark.parametrize("trap, s, scale, coupling", [
@@ -1052,3 +1073,20 @@ def test_csv_reader_reads_back_every_cell(command_reports, synthetic_reports):
         for row, cells in zip(report.rows, rows[1:]):
             assert cells == [_old_fmt(row[name]) for name in names]
     assert _format_column(["a\rb", "plain"])[0] == ['"a\rb"', "plain"]
+
+
+@pytest.mark.parametrize("values", [
+    [1.0 / 3.0] * 5,                         # one object in every cell
+    [0.0, -0.0, 0.0],                        # equal values, different text
+    [math.nan] * 4,                          # one NaN object
+    [math.inf, math.inf, -math.inf],
+    [],
+], ids=["repeated", "signed-zeros", "repeated-nan", "infinities", "empty"])
+def test_float_column_formats_each_cell_by_its_own_repr(values):
+    # a cell's text is reused only for the same object, never for an
+    # equal value: 0.0 == -0.0 but their texts differ
+    nonfinite = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+    csv_cells, json_cells = _format_column(values)
+    assert csv_cells == [float.__repr__(v) for v in values]
+    assert json_cells == [nonfinite.get(repr(v), repr(v)) for v in values]
+    assert json_cells == [json.dumps(v) for v in values]

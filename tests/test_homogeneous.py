@@ -2,13 +2,14 @@
 
 import inspect
 import math
+import struct
 import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq, linprog
 
-from bosegas.errors import AnsatzInfeasible
+from bosegas.errors import AnsatzInfeasible, DomainError
 from bosegas.homogeneous import (ANSATZ_EXPONENTS, DYSON_LOWER_RATIO,
                                  DiluteParams, bound_sandwich,
                                  cell_construction, cell_energy_factor,
@@ -101,6 +102,104 @@ def test_cell_ratio_array_matches_cell_lower_bound_bitwise():
     assert all(type(v) is float for v in ratios)
     assert list(map(float.hex, ratios)) == list(map(float.hex, scalars))
     assert 0 < sum(v > 0.0 for v in ratios) < len(Y_GRID)
+
+
+def _unit_cell(y):
+    """cell_construction at rho = 1, a = (3Y/(4 pi))^(1/3), or the message
+    of the error it raises."""
+    a = (3.0 * y / (4.0 * math.pi)) ** (1.0 / 3.0)
+    try:
+        return cell_construction(DiluteParams(rho=1.0, a=a))
+    except (AnsatzInfeasible, DomainError) as exc:
+        return str(exc)
+
+
+def _unit_ratio(y):
+    """cell_lower_bound / (4 pi a) at the unit-scale instantiation of Y, 0
+    where it raises."""
+    a = (3.0 * y / (4.0 * math.pi)) ** (1.0 / 3.0)
+    try:
+        return cell_lower_bound(DiluteParams(rho=1.0, a=a)) / (4.0 * math.pi * a)
+    except (AnsatzInfeasible, DomainError):
+        return 0.0
+
+
+def _flip(pred, lo, hi):
+    """Adjacent positive floats y0 < y1 in [lo, hi] with pred(y0) !=
+    pred(y1), by bisection on the bit patterns, which order positive
+    floats as their values."""
+    def bits(x):
+        return struct.unpack("<q", struct.pack("<d", x))[0]
+
+    def value(i):
+        return struct.unpack("<d", struct.pack("<q", i))[0]
+    i, j = bits(lo), bits(hi)
+    assert pred(lo) != pred(hi)
+    while j - i > 1:
+        m = (i + j) // 2
+        if pred(value(m)) == pred(lo):
+            i = m
+        else:
+            j = m
+    return value(i), value(j)
+
+
+def test_cell_ratio_at_each_exit_matches_cell_lower_bound_bitwise():
+    # the sweep stops at the first failed ansatz condition or error term;
+    # at the adjacent pair of Y where each exit flips, which a grid steps
+    # over, its ratio is the construction's own, bit for bit
+    def fails(prefix):
+        return lambda y: str(_unit_cell(y)).startswith(prefix)
+
+    def no_cell(y):
+        return isinstance(_unit_cell(y), str)
+
+    def void_by_occupancy(y):
+        cell = _unit_cell(y)
+        return isinstance(cell, str) or cell.terms["occupancy"] >= 1.0
+
+    top = math.nextafter(1.0, 0.0)
+    # per exit: a predicate that holds past it, a range where it flips,
+    # and how cell_construction begins its text on the side past it
+    exits = {
+        # eps > 0 fails where a^3 underflows; DiluteParams raises first
+        "eps > 0": (no_cell, 5e-324, 1e-300, "rho, a, mu must"),
+        "eps < 1": (fails("eps = "), 0.5, top, "eps = 1.0 outside"),
+        "R0 < R < ell/2": (fails("ansatz violates"), 1e-6, 0.5,
+                           "ansatz violates"),
+        "n >= 2": (no_cell, 1e-6, 0.5, "fewer than 2"),
+        "occupancy < 1": (void_by_occupancy, 1e-14, 1e-6, "CellConstruction"),
+    }
+    flips = {}
+    for way, (pred, lo, hi, name) in exits.items():
+        y0, y1 = flips[way] = _flip(pred, lo, hi)
+        assert math.nextafter(y0, 1.0) == y1, way
+        for y in (y0, y1):
+            assert bound_sandwich(y)[3].hex() == _unit_ratio(y).hex(), (way, y)
+        assert str(_unit_cell(y1 if pred(y1) else y0)).startswith(name), way
+    y0, y1 = flips["occupancy < 1"]
+    assert bound_sandwich(y0)[3] > 0.0 == bound_sandwich(y1)[3]
+
+    # the other exits never come first in this ansatz.  With s = Y^(1/17),
+    # n = 3/(pi s), and n >= 2 caps s at 3/(2 pi):
+    #   eps < 1 and 2R/ell < 1 are ansatz conditions themselves;
+    #   local_density = 4 s^2 <= 9/pi^2 < 1;
+    #   temple = (9/pi^2) s / D <= 0.55, D = 1 - (12/pi) s^3 (3/pi - s);
+    #   the Temple denominator, s D / ell^2, is positive for all 0 < s < 1
+    last = flips["n >= 2"][0]
+    for y in np.geomspace(1e-14, last, 50).tolist() + [last]:
+        cell = _unit_cell(y)
+        s = y ** (1.0 / 17.0)
+        d = 1.0 - 12.0 / math.pi * s ** 3 * (3.0 / math.pi - s)
+        assert cell.terms["local_density"] == pytest.approx(4.0 * s * s)
+        assert cell.terms["temple"] == pytest.approx(9.0 / math.pi ** 2 * s / d)
+        assert cell.eps / cell.ell ** 2 - 4.0 * cell.R0 / cell.ell ** 3 \
+            * cell.n * (cell.n - 1.0) == pytest.approx(s * d / cell.ell ** 2)
+    assert cell.terms["local_density"] == pytest.approx(9.0 / math.pi ** 2)
+    assert cell.terms["local_density"] < 1.0
+    assert cell.terms["temple"] < 0.55
+    assert min(1.0 - 12.0 / math.pi * s ** 3 * (3.0 / math.pi - s)
+               for s in np.linspace(0.0, 1.0, 1001).tolist()) > 0.6
 
 
 def test_cell_and_lower_ratio_golden_bits():
