@@ -12,6 +12,7 @@ another library error, such as a potential or trap spec its parser rejects.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import sys
@@ -109,13 +110,15 @@ class Report:
                 for name, _ in self.columns]
 
     def to_csv(self) -> str:
-        lines = [f"# {key} = {self.metadata[key]}"
-                 for key in ("command", "config", "version", "timestamp")]
+        head = "".join(f"# {key} = {self.metadata[key]}\n"
+                       for key in ("command", "config", "version", "timestamp"))
         units = "; ".join(f"{name} [{unit}]" for name, unit in self.columns)
-        lines.append(f"# units: {units}")
-        lines.append(",".join(name for name, _ in self.columns))
-        lines.extend(map(",".join, zip(*(csv for csv, _ in self._cells))))
-        return "\n".join(lines) + "\n"
+        names = ",".join(_csv_quote(name) for name, _ in self.columns)
+        head += f"# units: {units}\n{names}\n"
+        if not self.rows:
+            return head
+        return _interleave(head, "\n", [","] * (len(self.columns) - 1),
+                           [csv for csv, _ in self._cells], "\n")
 
     def to_json(self) -> str:
         """What json.dumps(indent=2) writes, with the rows joined from cells."""
@@ -124,12 +127,23 @@ class Report:
             indent=2)[:-len("[]\n}")]
         if not self.rows:
             return head + "[]\n}\n"
-        row = ",\n".join(f"      {json.dumps(name).replace('%', '%%')}: %s"
-                         for name, _ in self.columns)
-        row = "    {\n" + row + "\n    }"
-        body = ",\n".join(row % cells
-                          for cells in zip(*(js for _, js in self._cells)))
-        return head + "[\n" + body + "\n  ]\n}\n"
+        first, *keys = [json.dumps(name) for name, _ in self.columns]
+        return _interleave(f"{head}[\n    {{\n      {first}: ",
+                           f"\n    }},\n    {{\n      {first}: ",
+                           [f",\n      {key}: " for key in keys],
+                           [js for _, js in self._cells], "\n    }\n  ]\n}\n")
+
+
+def _interleave(first, between, seps, columns, last) -> str:
+    """first, the cells of row 0 with seps[i] between those of columns i and
+    i + 1, then `between` and the cells of each later row in turn, then
+    last: one join over the column lists of cell text."""
+    parts = [itertools.chain((first,), itertools.repeat(between))]
+    for sep, column in zip(seps, columns):
+        parts += [column, itertools.repeat(sep)]
+    parts.append(columns[-1])
+    return "".join(itertools.chain(
+        itertools.chain.from_iterable(zip(*parts)), (last,)))
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}

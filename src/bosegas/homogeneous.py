@@ -154,23 +154,24 @@ def bound_sandwich(y: float, c: float = LOWER_RATIO_C) -> tuple:
     t = y ** (1.0 / 3.0)
     if t == 1.0:
         raise DomainError(f"Y = {y!r}: 1 - Y^(1/3) rounds to 0")
-    a = (3.0 * y / (4.0 * math.pi)) ** (1.0 / 3.0)
     cell = 0.0
-    try:
-        a3, eps, ell, ell3, R, n = _cell(1.0, a)
-    except AnsatzInfeasible:
-        pass
-    else:
-        # `_construct`'s error terms at rho = mu = 1 after eps (< 1 in every
-        # cell), each read only while those before it are < 1
-        occupancy = 1.0 / ell3
-        shell = R ** 3 - a3
-        if (occupancy < 1.0 and 2.0 * R / ell < 1.0
-                and 4.0 * math.pi / 3.0 * 4.0 * shell < 1.0):
-            error, k = _temple(a, eps, ell, ell3, R, shell, n)
-            if error < 1.0:     # `_construct`'s bound over 4 pi a
-                lead = 4.0 * math.pi * a
-                cell = lead * (1.0 - occupancy) * k / lead
+    if y < _VOID_Y:         # at and past it the cell is void (`_VOID_Y`)
+        a = (3.0 * y / (4.0 * math.pi)) ** (1.0 / 3.0)
+        try:
+            a3, eps, ell, ell3, R, n = _cell(1.0, a)
+        except AnsatzInfeasible:
+            pass
+        else:
+            # `_construct`'s error terms at rho = mu = 1 after eps (< 1 in
+            # every cell), each read only while those before it are < 1
+            occupancy = 1.0 / ell3
+            shell = R ** 3 - a3
+            if (occupancy < 1.0 and 2.0 * R / ell < 1.0
+                    and 4.0 * math.pi / 3.0 * 4.0 * shell < 1.0):
+                error, k = _temple(a, eps, ell, ell3, R, shell, n)
+                if error < 1.0:     # `_construct`'s bound over 4 pi a
+                    lead = 4.0 * math.pi * a
+                    cell = lead * (1.0 - occupancy) * k / lead
     return ((1.0 - t + t ** 2 - 0.5 * t ** 3) / (1.0 - t) ** 8,
             (1.0 - t ** 2 + 0.5 * t ** 3) / (1.0 - t) ** 4,
             1.0 - c * y ** (1.0 / 17.0), cell)
@@ -262,8 +263,9 @@ def cell_lower_bound(p: DiluteParams) -> float:
     """Cell-method lower bound 4 pi mu a rho (1 - 1/(rho ell^3)) K(4 rho ell^3, ell)
     of the ansatz cell (`cell_construction`).
 
-    Raises AnsatzInfeasible when the ansatz or one of the five relative
-    error terms rules the construction out.
+    Raises AnsatzInfeasible when the ansatz or an error term >= 1 rules the
+    construction out.  Of the five terms only `occupancy` can, since the
+    ansatz conditions (n >= 2 among them) keep the other four below 1.
     """
     cell = cell_construction(p)
     if max(cell.terms.values()) >= 1.0:
@@ -280,8 +282,16 @@ def cell_lower_bound(p: DiluteParams) -> float:
 # instantiation of one Y, stops at the first error term that is >= 1, so
 # that a sweep pays for the Temple error and K only where the bound is not
 # void.  Both reach K through `_temple`.
+#
+# At rho = 1, ell^3 = a^3 / Y^(3 beta) with beta = ANSATZ_EXPONENTS[1], so
+# the occupancy term 1/ell^3 is (4 pi/3) Y^(3 beta - 1) = (4 pi/3) Y^(1/17),
+# >= 1 from Y = (3/(4 pi))^17 = 2.66e-11 on: there the bound is void, or the
+# ansatz fails first.  `bound_sandwich` builds no cell from _VOID_Y on, that
+# Y raised by a relative 1e-8, far more than the rounded term can stray.
 
 _TERMS = ("eps", "occupancy", "boundary", "local_density", "temple")
+_VOID_Y = ((3.0 / (4.0 * math.pi)) ** (1.0 / (3.0 * ANSATZ_EXPONENTS[1] - 1.0))
+           * (1.0 + 1e-8))
 
 
 def _cell(rho, a):

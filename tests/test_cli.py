@@ -995,9 +995,11 @@ def _oracle_json(report) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _synthetic_report(rows):
-    columns = [("x", "length"), ("flag", "bool"), ("n", "count"),
-               ("text", "spec"), ("mixed", "any")]
+_SYNTHETIC_COLUMNS = [("x", "length"), ("flag", "bool"), ("n", "count"),
+                      ("text", "spec"), ("mixed", "any")]
+
+
+def _synthetic_report(rows, columns=_SYNTHETIC_COLUMNS):
     rows = [dict(zip([name for name, _ in columns], row)) for row in rows]
     metadata = {"command": "synthetic", "config": '{"a": "b\\\\c"}',
                 "version": bosegas.__version__, "timestamp": "now"}
@@ -1021,8 +1023,17 @@ def command_reports():
 
 @pytest.fixture
 def synthetic_reports():
+    # one row; one column, so no separator between cells; and column names
+    # that CSV quotes or JSON escapes, with % among them
+    odd = [('100% "x"', "ratio"), ("back\\slash", "1"), ("Ωmega", "1"),
+           ("a,b", "1"), ("flag", "bool")]
     return [_synthetic_report(_SYNTHETIC_ROWS),
-            _synthetic_report(_SYNTHETIC_ROWS[:1]), _synthetic_report([])]
+            _synthetic_report(_SYNTHETIC_ROWS[:1]), _synthetic_report([]),
+            _synthetic_report([(row[0],) for row in _SYNTHETIC_ROWS],
+                              [("x", "length")]),
+            _synthetic_report([("only",)], [("%s", "1")]),
+            _synthetic_report(_SYNTHETIC_ROWS, odd),
+            _synthetic_report(_SYNTHETIC_ROWS[:1], odd)]
 
 
 def test_reports_cover_every_command(command_reports):

@@ -124,6 +124,13 @@ def _unit_ratio(y):
         return 0.0
 
 
+def _void_by_occupancy(y):
+    """Whether the unit-scale cell of Y fails the ansatz or has occupancy
+    >= 1."""
+    cell = _unit_cell(y)
+    return isinstance(cell, str) or cell.terms["occupancy"] >= 1.0
+
+
 def _flip(pred, lo, hi):
     """Adjacent positive floats y0 < y1 in [lo, hi] with pred(y0) !=
     pred(y1), by bisection on the bit patterns, which order positive
@@ -154,10 +161,6 @@ def test_cell_ratio_at_each_exit_matches_cell_lower_bound_bitwise():
     def no_cell(y):
         return isinstance(_unit_cell(y), str)
 
-    def void_by_occupancy(y):
-        cell = _unit_cell(y)
-        return isinstance(cell, str) or cell.terms["occupancy"] >= 1.0
-
     top = math.nextafter(1.0, 0.0)
     # per exit: a predicate that holds past it, a range where it flips,
     # and how cell_construction begins its text on the side past it
@@ -168,7 +171,7 @@ def test_cell_ratio_at_each_exit_matches_cell_lower_bound_bitwise():
         "R0 < R < ell/2": (fails("ansatz violates"), 1e-6, 0.5,
                            "ansatz violates"),
         "n >= 2": (no_cell, 1e-6, 0.5, "fewer than 2"),
-        "occupancy < 1": (void_by_occupancy, 1e-14, 1e-6, "CellConstruction"),
+        "occupancy < 1": (_void_by_occupancy, 1e-14, 1e-6, "CellConstruction"),
     }
     flips = {}
     for way, (pred, lo, hi, name) in exits.items():
@@ -200,6 +203,43 @@ def test_cell_ratio_at_each_exit_matches_cell_lower_bound_bitwise():
     assert cell.terms["temple"] < 0.55
     assert min(1.0 - 12.0 / math.pi * s ** 3 * (3.0 / math.pi - s)
                for s in np.linspace(0.0, 1.0, 1001).tolist()) > 0.6
+
+
+def test_void_cell_shortcut_edge_matches_cell_lower_bound_bitwise(monkeypatch):
+    # past a Y just above (3/(4 pi))^17 the sweep builds no cell, since
+    # occupancy = (4 pi/3) Y^(1/17) >= 1 there; at the adjacent pair of Y
+    # where that starts, and across a band around the threshold, its ratio
+    # is still the construction's own, bit for bit
+    from bosegas import homogeneous
+    built, real = [], homogeneous._cell
+
+    def spy(rho, a):
+        built.append(a)
+        return real(rho, a)
+    monkeypatch.setattr(homogeneous, "_cell", spy)
+
+    def skipped(y):
+        built.clear()
+        bound_sandwich(y)
+        return not built
+
+    threshold = (3.0 / (4.0 * math.pi)) ** 17
+    y0, y1 = _flip(skipped, 1e-14, 1e-6)
+    assert math.nextafter(y0, 1.0) == y1 and skipped(y1)
+    for y in (y0, y1):
+        assert bound_sandwich(y)[3].hex() == _unit_ratio(y).hex(), y
+    v0, v1 = _flip(_void_by_occupancy, 1e-14, 1e-6)
+    assert (y0 - v1) / (y1 - y0) >= 1000       # in ulps of Y, one binade
+    band = np.linspace(-1e-6, 1e-6, 2000) * threshold + threshold
+    for y in band.tolist():
+        assert bound_sandwich(y)[3].hex() == _unit_ratio(y).hex(), y
+
+    # the derivation: ell^3 = (3/(4 pi)) Y^(1 - 3 beta) at rho = 1, and
+    # beta = 6/17
+    assert 3.0 * ANSATZ_EXPONENTS[1] - 1.0 == pytest.approx(1.0 / 17.0)
+    for y in np.geomspace(1e-14, v0, 50).tolist():
+        assert _unit_cell(y).terms["occupancy"] \
+            == pytest.approx(4.0 * math.pi / 3.0 * y ** (1.0 / 17.0))
 
 
 def test_cell_and_lower_ratio_golden_bits():
