@@ -39,16 +39,15 @@ print(f"  quadrature : {numeric:.12f}")
 print(f"  Gamma form : {closed:.12f}   (2^(3/4) sqrt(pi) G(3/4) / (5 G(5/4)))")
 
 print("\n-- energy per particle at high density --")
-print(f"  {'rho':>7}  {'mode integral':>14}  {'closed form':>12}  "
-      f"{'l_cor':>7}  {'rho^(-1/3)':>10}")
+print(f"  {'rho':>7}  {'mode integral':>14}  {'closed form':>12}")
 for rho in (1.0, 16.0, 256.0):
     rep = foldy_report(rho)
     print(f"  {rho:7.0f}  {rep['mode_integral']:14.8f}  "
-          f"{rep['closed_form']:12.8f}  {rep['correlation_length']:7.4f}  "
-          f"{rep['mean_distance']:10.4f}")
+          f"{rep['closed_form']:12.8f}")
 rep = foldy_report(1.0)
+ratio = rep["closed_form"] / rep["displayed_prefactor_form"]
 print(f"  note: the alternative prefactor convention gives exactly half "
-      f"(ratio {rep['closed_over_displayed']:.1f});")
+      f"(ratio {ratio:.1f});")
 print("  the factor traces to (k, -k) pair counting and is reported, "
       "not hidden")
 

@@ -505,10 +505,7 @@ def _run_foldy(config: RunConfig) -> Tuple[list, list]:
     columns = [("rho", "length^-3"), ("mode_integral", "energy"),
                ("closed_form", "energy"),
                ("displayed_prefactor_form", "energy"),
-               ("numeric_over_closed", "dimensionless"),
-               ("closed_over_displayed", "dimensionless"),
-               ("correlation_length", "length"), ("mean_distance", "length"),
-               ("correlation_over_mean", "dimensionless")]
+               ("numeric_over_closed", "dimensionless")]
     return columns, rows
 
 

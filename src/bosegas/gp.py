@@ -41,7 +41,7 @@ from .potentials import TrapPotential, _omega, trap_spec
 # re-exported; the `tf` command imports their numpy-free module alone
 from .thomas_fermi import (TfState, _tf_mu_closed, _trap_units,
                            check_gp_arguments, check_gp_tf_limit_arguments,
-                           tf_chemical_identity_gap, tf_scaling, tf_solve)
+                           tf_scaling, tf_solve)
 
 __all__ = [
     "GpState",

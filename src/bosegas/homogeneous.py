@@ -44,6 +44,8 @@ DYSON_LOWER_RATIO = 1.0 / (10.0 * math.sqrt(2.0))
 LOWER_RATIO_C = 8.9
 
 # Cell-method ansatz exponents for (eps, a/ell, (R^3-R0^3)/ell^3) in powers of Y
+# (the paper's fixed ansatz).  `bound_sandwich` tests only the occupancy error
+# term: that the others stay below 1 is proved for these exponents alone
 ANSATZ_EXPONENTS = (1.0 / 17.0, 6.0 / 17.0, 3.0 / 17.0)
 
 
@@ -162,16 +164,12 @@ def bound_sandwich(y: float, c: float = LOWER_RATIO_C) -> tuple:
         except AnsatzInfeasible:
             pass
         else:
-            # `_construct`'s error terms at rho = mu = 1 after eps (< 1 in
-            # every cell), each read only while those before it are < 1
+            # the one error term of `_construct` that can reach 1 (below)
             occupancy = 1.0 / ell3
-            shell = R ** 3 - a3
-            if (occupancy < 1.0 and 2.0 * R / ell < 1.0
-                    and 4.0 * math.pi / 3.0 * 4.0 * shell < 1.0):
-                error, k = _temple(a, eps, ell, ell3, R, shell, n)
-                if error < 1.0:     # `_construct`'s bound over 4 pi a
-                    lead = 4.0 * math.pi * a
-                    cell = lead * (1.0 - occupancy) * k / lead
+            if occupancy < 1.0:     # `_construct`'s bound over 4 pi a
+                k = _temple(a, eps, ell, ell3, R, R ** 3 - a3, n)[1]
+                lead = 4.0 * math.pi * a
+                cell = lead * (1.0 - occupancy) * k / lead
     return ((1.0 - t + t ** 2 - 0.5 * t ** 3) / (1.0 - t) ** 8,
             (1.0 - t ** 2 + 0.5 * t ** 3) / (1.0 - t) ** 4,
             1.0 - c * y ** (1.0 / 17.0), cell)
@@ -279,9 +277,11 @@ def cell_lower_bound(p: DiluteParams) -> float:
 # conditions.  `_construct` adds all five error terms, K and the bound, for
 # `cell_construction` and `cell_lower_bound` at one (rho, a, mu), which read
 # K even where the bound is void.  `bound_sandwich`, at the unit-scale
-# instantiation of one Y, stops at the first error term that is >= 1, so
-# that a sweep pays for the Temple error and K only where the bound is not
-# void.  Both reach K through `_temple`.
+# instantiation of one Y, reads only the occupancy term, so that a sweep
+# pays for K only where the bound is not void.  With s = Y^(1/17), the
+# boundary term is below 1 by the ansatz condition R < ell/2, and in every
+# cell local_density = 4 s^2 <= 9/pi^2 and temple <= 0.55 (proved by the
+# exit test of tests/test_homogeneous.py).  Both reach K through `_temple`.
 #
 # At rho = 1, ell^3 = a^3 / Y^(3 beta) with beta = ANSATZ_EXPONENTS[1], so
 # the occupancy term 1/ell^3 is (4 pi/3) Y^(3 beta - 1) = (4 pi/3) Y^(1/17),

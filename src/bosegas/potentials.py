@@ -23,7 +23,6 @@ __all__ = [
     "TrapPotential",
     "born_integral",
     "pair_value",
-    "trap_value",
     "tail_cut_radius",
     "parse_pair_potential",
     "parse_trap_potential",
@@ -212,16 +211,6 @@ class TrapPotential:
             raise DomainError("power-law trap needs positive scale")
         if self.homogeneity_degree <= 0:
             raise DomainError("homogeneity degree must be positive")
-
-
-def trap_value(t: TrapPotential, x) -> float:
-    """V(x) for a position vector (or scalar radius)."""
-    import numpy as np      # loaded by the first call, not by the module
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if t.kind == "box":
-        return 0.0 if np.max(np.abs(x)) <= 0.5 * t.box_side else HARD_CORE
-    r = float(np.linalg.norm(x))
-    return float(t.scale * r ** t.homogeneity_degree)
 
 
 @float_range

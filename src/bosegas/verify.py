@@ -7,6 +7,10 @@ inequality, a monotone sequence, an error not raised) raises
 AssertionError.  The test suite runs every entry at `n`; the CLI `verify`
 command runs it at `quick_n`, a prefix of the same seeded sample, where
 the full one is costly.  Repeated runs are identical.
+
+An entry checks something its code could get wrong.  An algebraic identity
+of the code's own formula, which holds whatever constants the formula has,
+does not qualify.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 
-from . import bogolubov, gp, homogeneous, numerics, potentials, scattering
+from . import (bogolubov, gp, homogeneous, numerics, potentials, scattering,
+               thomas_fermi)
 from .errors import BoseGasError, NoLogAsymptote, NonIntegrableTail
 from .numerics import Tolerances
 from .potentials import PairPotential, TrapPotential
@@ -151,19 +156,11 @@ def _quad_linearity(rng, n):
 
 # --- potentials ------------------------------------------------------------------
 
-@_entry("potentials", "properties", 1e-12, n=100, seed=9)
+@_entry("potentials", "properties", 0.0)
 def _potential_properties(rng, n):
     p = PairPotential(kind="square-well", core_radius=1.0, strength=3.0)
     vals = [potentials.pair_value(p, r) for r in np.linspace(0.1, 2.0, 50)]
     assert all(b <= a for a, b in zip(vals, vals[1:])), "step not monotone"
-    trap = TrapPotential(kind="power-law", homogeneity_degree=3.0, scale=2.0)
-    worst = 0.0
-    for _ in range(n):
-        x = rng.uniform(-2, 2, size=3)
-        lam = rng.uniform(0.1, 3.0)
-        lhs = potentials.trap_value(trap, lam * x)
-        rhs = lam ** 3 * potentials.trap_value(trap, x)
-        worst = _worst(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
     try:
         PairPotential(kind="tabulated", table=((1.0, -0.5),))
         raise AssertionError("negative table accepted")
@@ -176,7 +173,7 @@ def _potential_properties(rng, n):
         raise AssertionError("p = 3 tail not flagged in 3D")
     except NonIntegrableTail:
         pass
-    return worst, f"trap homogeneity on {n} points; p = 3 tail flagged"
+    return 0.0, "step monotone; negative table rejected; p = 3 tail flagged"
 
 
 # --- scattering ------------------------------------------------------------------
@@ -421,12 +418,13 @@ def _gp_chemical_identity(rng, n):
 
 @_entry("gp", "tf_closed_forms", 1e-10, number=10)
 def _tf_closed_forms(rng, n):
-    tf3 = gp.tf_solve(_HARM3, N=2.0, a=0.5)
+    tf3 = thomas_fermi.tf_solve(_HARM3, N=2.0, a=0.5)
     rel3 = abs(tf3.mu_tf - 15.0 ** 0.4) / 15.0 ** 0.4
-    tf2 = gp.tf_solve(TrapPotential(kind="power-law", dimension=2), N=1.0, a=1.0)
+    tf2 = thomas_fermi.tf_solve(TrapPotential(kind="power-law", dimension=2),
+                                N=1.0, a=1.0)
     rel2 = abs(tf2.mu_tf - 4.0) / 4.0
-    gap = _worst(gp.tf_chemical_identity_gap(tf3),
-                 gp.tf_chemical_identity_gap(tf2))
+    gap = _worst(thomas_fermi.tf_chemical_identity_gap(tf3),
+                 thomas_fermi.tf_chemical_identity_gap(tf2))
     assert gap <= 1e-9, f"chemical identity gap {gap:.2e}"
     return _worst(rel3, rel2), f"mu_tf in 3D and 2D; identity gap {gap:.2e}"
 
@@ -469,7 +467,8 @@ def _foldy_identity(rng, n):
     rel = abs(numeric / closed - 1.0)
     rep = bogolubov.foldy_report(3.7)
     assert abs(rep["numeric_over_closed"] - 1.0) <= 1e-8, rep
-    assert abs(rep["closed_over_displayed"] - 2.0) <= 1e-12, rep
+    ratio = rep["closed_form"] / rep["displayed_prefactor_form"]
+    assert abs(ratio - 2.0) <= 1e-12, rep
     return rel, "quadrature against Gamma closed form; convention ratio 2"
 
 
@@ -518,13 +517,3 @@ def _two_component(rng, n):
         assert abs(found - p.L_opt) <= 1e-6 * p.L_opt, (p, found)
     return _worst(abs(e_exp - 1.4), abs(l_exp + 0.2)), \
         f"exponents {e_exp:.8f}, {l_exp:.8f}"
-
-
-@_entry("bogolubov", "kinetic_cutoff", 1e-30, n=1000, seed=77)
-def _cutoff_bounds(rng, n):
-    worst = 0.0
-    for v in rng.uniform(0.0, 1e4, n):
-        f = bogolubov.kinetic_cutoff(float(v), t=0.2, C_univ=1.0)
-        assert f >= 0.0, (v, f)
-        worst = _worst(worst, f - (1.0 - 0.2) * v)
-    return worst, f"0 <= F(v) <= (1 - C t) v on {n} samples"

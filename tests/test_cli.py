@@ -252,7 +252,9 @@ def test_json_format():
     payload = json.loads(run(cfg).to_json())
     assert payload["metadata"]["command"] == "foldy"
     assert len(payload["rows"]) == 2
-    assert payload["rows"][0]["closed_over_displayed"] == pytest.approx(2.0)
+    row = payload["rows"][0]
+    assert row["closed_form"] / row["displayed_prefactor_form"] \
+        == pytest.approx(2.0)
 
 
 def test_main_exit_codes(tmp_path):
@@ -578,9 +580,9 @@ _GOLDEN_BODIES = {
     "bosegas tf --coupling 100 [json]":
         "1cd0b287a50ec1b4165804b27a9f5cf4f0d3223ffd45896de2f6c49eb208fb35",
     "bosegas foldy --rho-grid 1:256:3:log [csv]":
-        "264cb6be1339cb3abb04f6a6cd7fcd9ad0c11b2e277516827ed5eb26d96667fa",
+        "20912e7e8270014b3cb43758f7154392c09f6af0efdcffae10d8f007b843554f",
     "bosegas foldy --rho-grid 1:256:3:log [json]":
-        "e62eb98e3a20744999ccb84e4c731f51e2e786e5f25a0ba2577c2d545f8019de",
+        "a0b494a3119e7539ba5803c38cf357aa8cf32a6d6a2107c87e99ad080f78b3f4",
     "bosegas bogolubov --a-value 5 --b-value 3 [csv]":
         "b0c18e87d68e22e0e087f7a1fa93b2c1348881ea7b517271efa5e2237543bc1d",
     "bosegas bogolubov --a-value 5 --b-value 3 [json]":

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from bosegas.gp import (gp_minimize, tf_chemical_identity_gap, tf_solve)
+from bosegas.gp import gp_minimize
 from bosegas.potentials import PairPotential, TrapPotential, pair_value
 from bosegas.scattering import energy_integral, solve_zero_energy
+from bosegas.thomas_fermi import tf_chemical_identity_gap, tf_solve
 
 TRIANGLE = PairPotential(kind="tabulated",
                          table=((0.2, 3.0), (1.0, 1.5), (1.8, 0.0)))

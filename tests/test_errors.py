@@ -26,9 +26,8 @@ import bosegas
 from bosegas import errors, gp, numerics, scattering
 from bosegas.bogolubov import (BogolubovMode, displayed_prefactor_energy,
                                fock_oracle, foldy_energy, foldy_mode_integrand,
-                               foldy_report, kinetic_cutoff,
-                               mode_integral_energy, two_component_scaling,
-                               yukawa_ft)
+                               foldy_report, mode_integral_energy,
+                               two_component_scaling, yukawa_ft)
 from bosegas.gp import gp_minimize, gp_tf_limit
 from bosegas.homogeneous import (DiluteParams, bound_sandwich,
                                  cell_construction, cell_energy_factor,
@@ -579,13 +578,6 @@ ROWS = [
      "n_max=40"),
     ("yukawa-omega-0", lambda: yukawa_ft(1.0, 0.0),
      "DomainError: omega must be positive"),
-    ("cutoff-t-1.5", lambda: kinetic_cutoff(1.0, t=1.5, C_univ=1.0),
-     "DomainError: need 0 < t < 1/C_univ"),
-    # a NaN v or ell is named, not passed on as a NaN cutoff
-    ("cutoff-v-nan", lambda: kinetic_cutoff(math.nan),
-     "DomainError: v must be nonnegative"),
-    ("cutoff-ell-nan", lambda: kinetic_cutoff(1.0, ell=math.nan),
-     "DomainError: ell must be positive"),
     ("mode-integrand-k-0", lambda: foldy_mode_integrand(0.0, 1.0),
      "DomainError: k must be positive"),
     ("foldy-energy-rho-0", lambda: foldy_energy(0.0),

@@ -18,10 +18,10 @@ import pytest
 from bosegas import gp
 from bosegas.errors import DomainError, NegativeCoupling
 from bosegas.gp import (_RESIDUAL_TOL, export_profile, gp_minimize,
-                        gp_residual, gp_tf_limit, mean_density,
-                        tf_chemical_identity_gap, tf_density, tf_scaling,
-                        tf_solve)
+                        gp_residual, gp_tf_limit, mean_density, tf_density,
+                        tf_scaling)
 from bosegas.potentials import TrapPotential, parse_trap_potential
+from bosegas.thomas_fermi import tf_chemical_identity_gap, tf_solve
 
 HARM3 = TrapPotential(kind="power-law", dimension=3)    # s = 2: harmonic
 HARM2 = TrapPotential(kind="power-law", dimension=2)

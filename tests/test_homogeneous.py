@@ -88,20 +88,30 @@ def test_upper_and_lower_ratios_are_python_floats():
     assert improved.hex() == "0x1.827a48a6ffba1p+0"
 
 
+# below Y_GRID down to subnormal Y, where every cell gives a bound: the
+# sandwich reads one error term, and cell_lower_bound all five
+Y_DEEP = np.geomspace(1e-320, 1e-14, 3001).tolist()
+
+
 def test_cell_ratio_array_matches_cell_lower_bound_bitwise():
-    # the ratio over the Y grid, one Y per call, against the bound it reads
-    scalars = []
-    for y in Y_GRID:
-        a = (3.0 * y / (4.0 * math.pi)) ** (1.0 / 3.0)
-        try:
-            value = cell_lower_bound(DiluteParams(rho=1.0, a=a, mu=1.0))
-            scalars.append(value / (4.0 * math.pi * a))
-        except AnsatzInfeasible:
-            scalars.append(0.0)
-    ratios = [bound_sandwich(y)[3] for y in Y_GRID]
-    assert all(type(v) is float for v in ratios)
-    assert list(map(float.hex, ratios)) == list(map(float.hex, scalars))
+    # the ratio over a Y grid, one Y per call, against the bound it reads
+    def matched(grid):
+        scalars = []
+        for y in grid:
+            a = (3.0 * y / (4.0 * math.pi)) ** (1.0 / 3.0)
+            try:
+                value = cell_lower_bound(DiluteParams(rho=1.0, a=a, mu=1.0))
+                scalars.append(value / (4.0 * math.pi * a))
+            except AnsatzInfeasible:
+                scalars.append(0.0)
+        ratios = [bound_sandwich(y)[3] for y in grid]
+        assert all(type(v) is float for v in ratios)
+        assert list(map(float.hex, ratios)) == list(map(float.hex, scalars))
+        return ratios
+
+    ratios = matched(Y_GRID)
     assert 0 < sum(v > 0.0 for v in ratios) < len(Y_GRID)
+    assert all(v > 0.0 for v in matched(Y_DEEP))
 
 
 def _unit_cell(y):

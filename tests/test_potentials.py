@@ -12,7 +12,7 @@ from bosegas.errors import DomainError
 from bosegas.potentials import (HARD_CORE, PairPotential, TrapPotential,
                                 born_integral, pair_piece, pair_value,
                                 parse_pair_potential, parse_trap_potential,
-                                tail_cut_radius, trap_spec, trap_value)
+                                tail_cut_radius, trap_spec)
 
 
 def test_hard_core_marker():
@@ -73,27 +73,6 @@ def test_step_monotone_nonincreasing():
         p = parse_pair_potential(spec)
         vals = [pair_value(p, r) for r in np.linspace(0.05, 3.0, 60)]
         assert all(b <= a for a, b in zip(vals, vals[1:]))
-
-
-def test_trap_values():
-    harm = TrapPotential(kind="power-law", scale=1.0)     # s = 2: harmonic
-    assert trap_value(harm, [0.0, 0.0, 2.0]) == pytest.approx(4.0)
-    box = TrapPotential(kind="box", box_side=1.0)
-    assert trap_value(box, [0.2, -0.3, 0.1]) == 0.0
-    assert trap_value(box, [0.2, 0.9, 0.0]) == HARD_CORE
-    power = TrapPotential(kind="power-law", homogeneity_degree=3.0, scale=2.0)
-    assert trap_value(power, [0.0, 0.0, 2.0]) == pytest.approx(16.0)
-
-
-def test_trap_homogeneity_property():
-    trap = TrapPotential(kind="power-law", homogeneity_degree=2.7, scale=1.3)
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        x = rng.uniform(-3.0, 3.0, size=3)
-        lam = rng.uniform(0.05, 4.0)
-        lhs = trap_value(trap, lam * x)
-        rhs = lam ** 2.7 * trap_value(trap, x)
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
 def test_tail_cut_radius_cases():
