@@ -18,7 +18,8 @@ backtracking so the energy never increases between accepted iterations).
 The flow is the globalizer, Newton gives the fast local convergence.  In 3D
 the substitution w = r*phi turns the radial problem into a plain 1D
 Dirichlet problem; in 2D a cell-centered conservative stencil handles the
-r = 0 axis.
+r = 0 axis.  Every sum is numpy's pairwise add.reduce in a fixed association,
+never a BLAS dot, whose order depends on the BLAS build and the CPU.
 
 Box traps use the closed-form constant profile (the gradient-term subtlety
 of true Dirichlet boxes is out of scope).
@@ -105,23 +106,28 @@ def _dgtsv(dl, d, du, b):
     """Solve the tridiagonal system (dl, d, du) x = b, b one vector or a
     column stack, by LAPACK dgtsv (Anderson et al., LAPACK Users' Guide,
     SIAM 1999) with scipy.linalg.solve_banded's checks and errors."""
-    # float64 Fortran-ordered copies: dgtsv overwrites all four
-    dl, d, du, x = (np.array(v, float, order="F") for v in (dl, d, du, b))
+    dl, d, du, b = (np.asarray(v, float) for v in (dl, d, du, b))
     n = d.size
     # arguments that do not match crash the interpreter inside dgtsv
-    if not (n >= 1 and dl.shape == du.shape == (n - 1,) and x.ndim in (1, 2)
-            and x.shape[0] == n):
-        raise ValueError(f"dgtsv shapes do not match: n = {n}, b {x.shape}")
-    if not all(np.isfinite(v).all() for v in (dl, d, du, x)):
+    if not (n >= 1 and dl.shape == du.shape == (n - 1,) and b.ndim in (1, 2)
+            and b.shape[0] == n):
+        raise ValueError(f"dgtsv shapes do not match: n = {n}, b {b.shape}")
+    # one copy of all four, b in Fortran order, since dgtsv overwrites them
+    buf = np.concatenate([v.ravel("F") for v in (dl, d, du, b)])
+    if not np.isfinite(buf).all():
         raise ValueError("array must not contain infs or NaNs")
+    starts = (0, n - 1, 2 * n - 1, 3 * n - 2)    # of dl, d, du and x in buf
+    x = buf[starts[3]:].reshape(b.shape, order="F")
     if (bound := _numpy_dgtsv()) is None:
         from scipy.linalg.lapack import dgtsv
-        *_, x, info = dgtsv(dl, d, du, x, True, True, True, True)
+        *_, x, info = dgtsv(*np.split(buf[:starts[3]], starts[1:3]), x,
+                            True, True, True, True)
     else:
         routine, integer = bound
-        size, nrhs, status = integer(n), integer(x.size // n), integer(0)
-        routine(ctypes.byref(size), ctypes.byref(nrhs), dl.ctypes.data,
-                d.ctypes.data, du.ctypes.data, x.ctypes.data,
+        size, nrhs, status = integer(n), integer(b.size // n), integer(0)
+        at = buf.ctypes.data
+        routine(ctypes.byref(size), ctypes.byref(nrhs),
+                *(at + buf.itemsize * k for k in starts),
                 ctypes.byref(size), ctypes.byref(status))
         info = status.value
     if info:
@@ -132,12 +138,14 @@ def _dgtsv(dl, d, du, b):
 
 # --- the discrete GP energy in trap units ----------------------------------------
 
+_sum = np.add.reduce    # np.sum's pairwise sum without its Python wrapper
+
 
 class _Discretization:
     """Uniform radial grid in trap units (kinetic coefficient 1, trap x^s,
     interaction 4 pi c psi^4) on u = x psi in 3D and u = psi in 2D: the one
-    owner of the discrete GP energy, the interaction diagonal, the Rayleigh
-    residual and int psi^4, which mu_gp and the mean density both read."""
+    owner of the discrete GP energy, its Rayleigh residual and Newton step,
+    and int psi^4, which mu_gp and the mean density both read."""
 
     def __init__(self, s: float, d: int, coupling: float, r_max: float,
                  n: int):
@@ -152,46 +160,47 @@ class _Discretization:
         self.V = self.r ** s
         # quadrature weights for int f(r) Omega_d r^(d-1) dr
         if d == 3:
-            self.weights = 4.0 * math.pi * h * np.ones(n)   # acts on w = r*phi
-            main = 2.0 * np.ones(n) / h ** 2
-            off = -np.ones(n - 1) / h ** 2
+            self.weights = np.full(n, 4.0 * math.pi * h)   # acts on w = r*phi
+            main = np.full(n, 2.0 / h ** 2)
+            off = np.full(n - 1, -1.0 / h ** 2)
         else:
             self.weights = 2.0 * math.pi * h * self.r
             self.edges = e = h * np.arange(n + 1)    # edge radii, e[0] = 0
             main = (e[:-1] + e[1:]) / (self.r * h ** 2)
             # symmetrize in the weighted inner product: work with y = sqrt(r) u
             off = -e[1:-1] / (np.sqrt(self.r[:-1] * self.r[1:]) * h ** 2)
+            self._sqrt_r = np.sqrt(self.r)
         self.main, self.off = main, off
-        self._sqrt_r = np.sqrt(self.r)
+
+    @functools.cached_property
+    def weighted(self):     # formed by the first energy; mean_density has none
+        return self.weights * self.V, self.weights * self.g
 
     def density(self, u: np.ndarray) -> np.ndarray:
         return (u / self.r) ** 2 if self.d == 3 else u ** 2
 
-    def interaction_diag(self, u: np.ndarray) -> np.ndarray:
-        return 2.0 * self.g * self.density(u)    # 8 pi c |psi|^2
-
     def energy(self, u: np.ndarray):
-        """The discrete GP energy and its (kinetic, trap, interaction) parts."""
-        if self.d == 3:
-            diffs = np.diff(np.concatenate(([0.0], u, [0.0])))
-            kin = 4.0 * math.pi * np.sum(diffs ** 2) / self.h
-        else:
-            diffs = np.diff(np.concatenate((u, [0.0])))   # inner edge flux-free
-            kin = 2.0 * math.pi * (np.sum(self.edges[1:] * diffs ** 2) / self.h)
-        trap_e = float(np.sum(self.weights * self.V * u ** 2))
-        inter = float(np.sum(self.weights * self.g * self.density(u) * u ** 2))
-        return kin + trap_e + inter, (kin, trap_e, inter)
+        """The discrete GP energy, its (kinetic, trap, interaction) parts
+        and the density of u."""
+        up = np.concatenate(([0.0], u, [0.0]) if self.d == 3 else (u, [0.0]))
+        diffs = up[1:] - up[:-1]            # the 2D inner edge is flux-free
+        kin = (4.0 * math.pi * _sum(diffs ** 2) / self.h if self.d == 3 else
+               2.0 * math.pi * (_sum(self.edges[1:] * diffs ** 2) / self.h))
+        (w_V, w_g), u2, dens = self.weighted, u ** 2, self.density(u)
+        trap_e = float(_sum(w_V * u2))
+        inter = float(_sum(w_g * dens * u2))
+        return kin + trap_e + inter, (kin, trap_e, inter), dens
 
     def quartic(self, psi: np.ndarray) -> float:
         """int psi^4 d^dx on the energy's weights, psi = u/x in 3D."""
         if self.d == 3:
-            return float(np.sum(self.weights * (psi * self.r) ** 4
-                                / self.r ** 2))
-        return float(np.sum(self.weights * psi ** 4))
+            return float(_sum(self.weights * (psi * self.r) ** 4
+                              / self.r ** 2))
+        return float(_sum(self.weights * psi ** 4))
 
     def apply_kinetic(self, u: np.ndarray) -> np.ndarray:
         if self.d == 3:
-            out = 2.0 * u.copy()
+            out = 2.0 * u
             out[:-1] -= u[1:]
             out[1:] -= u[:-1]
             return out / self.h ** 2
@@ -201,15 +210,18 @@ class _Discretization:
         inward = np.concatenate(([0.0], e[1:-1] * (u[1:] - u[:-1])))
         return (outward + inward) / (self.r * self.h ** 2)
 
-    def rayleigh(self, u: np.ndarray):
-        """H(u) u, the Rayleigh quotient lam and the relative residual
-        |H(u) u - lam u|_W / (|lam| |u|_W) of the discrete GP equation."""
-        h_u = self.apply_kinetic(u) + (self.V + self.interaction_diag(u)) * u
-        lam = float(np.sum(self.weights * u * h_u)
-                    / np.sum(self.weights * u * u))
-        num = np.sqrt(np.sum(self.weights * (h_u - lam * u) ** 2))
-        den = abs(lam) * np.sqrt(np.sum(self.weights * u * u))
-        return h_u, lam, float(num / den)
+    def rayleigh(self, u: np.ndarray, dens: np.ndarray):
+        """F = H(u) u - lam u at the Rayleigh quotient lam, lam, the relative
+        residual |F|_W / (|lam| |u|_W) of the discrete GP equation, and the
+        interaction diagonal 8 pi c |psi|^2 of u, whose density is dens."""
+        diag = 2.0 * self.g * dens
+        h_u = self.apply_kinetic(u) + (self.V + diag) * u
+        weighted_u = self.weights * u
+        norm = _sum(weighted_u * u)
+        lam = float(_sum(weighted_u * h_u) / norm)
+        f = h_u - lam * u
+        num = np.sqrt(_sum(self.weights * f ** 2))
+        return f, lam, float(num / (abs(lam) * np.sqrt(norm))), diag
 
     def solve(self, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve (A + diag) x = rhs; rhs is one vector or a column stack.
@@ -224,6 +236,33 @@ class _Discretization:
             return _dgtsv(self.off, self.main + diag, self.off, rhs)
         s = self._sqrt_r if rhs.ndim == 1 else self._sqrt_r[:, None]
         return _dgtsv(self.off, self.main + diag, self.off, rhs * s) / s
+
+    def normalize(self, u: np.ndarray, N: float) -> np.ndarray:
+        """u scaled to <u, u>_W = N."""
+        return u * math.sqrt(N / float(_sum(self.weights * u ** 2)))
+
+    def newton(self, u, diag, f, lam, N: float):
+        """One normalized Newton step on H(u) u = lam u, <u, u>_W = N, or
+        None: the Jacobian A + V + 3 int(u) - lam, solved against rayleigh's
+        F and u, gives dlam from the linearized constraint <u, du>_W = 0.  A
+        candidate that is not finite or changes sign in the bulk is refused;
+        |u| drops the round-off sign flips of the far tail."""
+        try:
+            step_f, step_u = self.solve(self.V + 3.0 * diag - lam,
+                                        np.array((f, u)).T).T
+        except np.linalg.LinAlgError:       # lam hit an eigenvalue exactly
+            return None
+        weighted_u = self.weights * u
+        with np.errstate(all="ignore"):     # a nearly singular solve
+            dlam = _sum(weighted_u * step_f) / _sum(weighted_u * step_u)
+            cand = u - step_f + dlam * step_u
+        if not np.isfinite(cand).all():
+            return None
+        # |min(cand, 0)|_W <= 1e-10 |cand|_W, squared
+        norm = _sum(self.weights * cand ** 2)
+        if _sum(self.weights * np.minimum(cand, 0.0) ** 2) > 1e-20 * norm:
+            return None
+        return np.abs(cand) * math.sqrt(N / float(norm))  # norm of |cand| too
 
 
 def _auto_extent(s: float, d: int, g_eff: float) -> float:
@@ -286,55 +325,25 @@ def gp_minimize(trap: TrapPotential, N: float, coupling: float,
                           f"{float(disc.V[0])!r} at every node (s = {s!r})")
     resid_tol = max(_RESIDUAL_TOL, 4.0 * np.finfo(float).eps / disc.h ** 2)
 
-    def normalize(u):
-        norm = float(np.sum(disc.weights * u ** 2))
-        return u * math.sqrt(N / norm)
-
-    def newton_candidate(u, h_u, lam):
-        """One Newton step on H(u) u = lam u, <u, u>_W = N, or None.
-
-        The Jacobian is A + V + 3 int(u) - lam; its solves against F and u
-        give dlam from the linearized constraint <u, du>_W = 0.  A candidate
-        that changes sign in the bulk or is not finite is refused; the
-        round-off sign flips of the far tail are dropped by |u|.
-        """
-        rhs = np.column_stack((h_u - lam * u, u))
-        try:
-            sol = disc.solve(disc.V + 3.0 * disc.interaction_diag(u) - lam, rhs)
-        except np.linalg.LinAlgError:       # lam hit an eigenvalue exactly
-            return None
-        step_a, step_b = sol[:, 0], sol[:, 1]
-        with np.errstate(all="ignore"):     # a nearly singular solve
-            dlam = np.sum(disc.weights * u * step_a) \
-                / np.sum(disc.weights * u * step_b)
-            cand = u - step_a + dlam * step_b
-        if not np.all(np.isfinite(cand)):
-            return None
-        # |min(cand, 0)|_W <= 1e-10 |cand|_W, squared
-        neg = np.sum(disc.weights * np.minimum(cand, 0.0) ** 2)
-        if neg > 1e-20 * np.sum(disc.weights * cand ** 2):
-            return None
-        return normalize(np.abs(cand))
-
-    u = normalize(_initial_profile(disc, s, g_eff))
-    e_old, _ = disc.energy(u)
-    h_u, lam, res = disc.rayleigh(u)
+    u = disc.normalize(_initial_profile(disc, s, g_eff), N)
+    e_old, _, dens = disc.energy(u)
+    f, lam, res, diag = disc.rayleigh(u, dens)
     tau = 0.2 / max(1.0, abs(e_old) / N)
     iterations = newton_steps = 0
     try_newton = True
 
     for iterations in range(1, _MAX_PASSES + 1):
-        trial = newton_candidate(u, h_u, lam) if try_newton else None
+        trial = disc.newton(u, diag, f, lam, N) if try_newton else None
         if trial is not None:
-            e_new, _ = disc.energy(trial)
+            e_new, parts, dens = disc.energy(trial)
             if e_new > e_old + 1e-14 * abs(e_old):
                 trial = None
         if trial is None:
             # fall back on a backtracking flow step: linearized backward
             # Euler, (A + V + int(u) + 1/tau) u_new = u / tau
-            trial = normalize(disc.solve(
-                disc.V + disc.interaction_diag(u) + 1.0 / tau, u / tau))
-            e_new, _ = disc.energy(trial)
+            trial = disc.normalize(disc.solve(disc.V + diag + 1.0 / tau,
+                                              u / tau), N)
+            e_new, parts, dens = disc.energy(trial)
             if e_new > e_old + 1e-14 * abs(e_old):
                 try_newton = False
                 tau *= 0.5
@@ -348,20 +357,20 @@ def gp_minimize(trap: TrapPotential, N: float, coupling: float,
         u = trial
         flat = abs(e_new - e_old) <= _TOL.rel_tol * abs(e_new) + _TOL.abs_tol
         e_old = min(e_new, e_old)
-        h_u, lam, res = disc.rayleigh(u)
+        f, lam, res, diag = disc.rayleigh(u, dens)
         if res <= resid_tol and flat:
             break
     else:
         raise NoConvergence(f"GP residual {res:.3e} after {iterations} iterations")
 
-    e_total, parts = disc.energy(u)
+    # the loop breaks on an accepted trial: e_new and parts are u's
     phi = u / disc.r if d == 3 else u.copy()
-    mu_gp = e_total / N + disc.g / N * disc.quartic(phi)
+    mu_gp = e_new / N + disc.g / N * disc.quartic(phi)
     kin, trap_e, inter = (float(unit * e) for e in parts)
     return GpState(
         trap=trap, N=N, coupling=coupling, mu_const=mu_const, r=ell * disc.r,
         phi=ell ** (-d / 2) * phi, kinetic=kin, trap_energy=trap_e,
-        interaction=inter, E=float(unit * e_total), mu_gp=float(unit * mu_gp),
+        interaction=inter, E=float(unit * e_new), mu_gp=float(unit * mu_gp),
         residual=res, iterations=iterations, newton_steps=newton_steps)
 
 
@@ -394,7 +403,8 @@ def gp_residual(state: GpState) -> float:
     if state.trap.kind == "box":
         return 0.0
     disc, _, psi = _trap_unit_state(state)
-    return disc.rayleigh(psi * disc.r if disc.d == 3 else psi)[2]
+    u = psi * disc.r if disc.d == 3 else psi
+    return disc.rayleigh(u, disc.density(u))[2]
 
 
 @float_range

@@ -690,7 +690,8 @@ def test_gp_flow_step_underflow_is_named(monkeypatch):
     # every flow step, so the flow step halves until it underflows
     rising = itertools.count()
     monkeypatch.setattr(gp._Discretization, "energy",
-                        lambda self, u: (float(next(rising)), ()))
+                        lambda self, u: (float(next(rising)), (),
+                                         self.density(u)))
     _assert_raises(lambda: gp_minimize(HARM3, 1.0, 1.0, grid_points=100),
                    "NoConvergence: step size underflow in gradient flow")
 

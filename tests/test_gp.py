@@ -155,7 +155,8 @@ def test_box_mu_gp_at_tiny_n():
 
 def _tridiagonal_systems():
     """Seeded (dl, d, du, b): n from 2 to 8999, one vector or two columns,
-    diagonally dominant or indefinite; 100 systems."""
+    diagonally dominant or indefinite; 100 systems, and each two-column b
+    again in Fortran order and as a strided view of columns; 200 in all."""
     rng = np.random.default_rng(31)
     for n in (2, 3, 7, 16, 101, 500, 2000, 8000, 8999,
               *rng.integers(2, 9000, 16).tolist()):
@@ -164,7 +165,13 @@ def _tridiagonal_systems():
                 dl, du = rng.uniform(-1.0, 1.0, (2, n - 1))
                 d = rng.uniform(2.0, 3.0, n) if dominant \
                     else rng.uniform(-1.0, 1.0, n)
-                yield dl, d, du, rng.normal(size=shape)
+                b = rng.normal(size=shape)
+                yield dl, d, du, b
+                if b.ndim == 2:
+                    yield dl, d, du, np.asfortranarray(b)
+                    wide = np.zeros((n, 5))
+                    wide[:, 1::2] = b
+                    yield dl, d, du, wide[:, 1::2]
 
 
 def _solve_banded(dl, d, du, b):
@@ -198,6 +205,7 @@ def dgtsv_binding(request, monkeypatch):
 
 
 def test_dgtsv_matches_solve_banded_bitwise(dgtsv_binding):
+    assert sum(1 for _ in _tridiagonal_systems()) == 200
     for dl, d, du, b in _tridiagonal_systems():
         kept = [v.copy() for v in (dl, d, du, b)]
         x = gp._dgtsv(dl, d, du, b)
@@ -215,6 +223,111 @@ def test_dgtsv_matches_solve_banded_bitwise(dgtsv_binding):
         raised = _raised(gp._dgtsv, dl, d, du, b)
         assert raised is not None and raised == _raised(_solve_banded, dl, d,
                                                         du, b)
+
+
+# The discretization's sums transcribed as plain np.sum over each product,
+# in the association that fixes every GP body: a change that reassociates a
+# sum or hoists a factor out of one moves a bit and fails the test below.
+
+def _np_sum_energy(disc, u):
+    if disc.d == 3:
+        diffs = np.diff(np.concatenate(([0.0], u, [0.0])))
+        kin = 4.0 * math.pi * np.sum(diffs ** 2) / disc.h
+    else:
+        diffs = np.diff(np.concatenate((u, [0.0])))
+        kin = 2.0 * math.pi * (np.sum(disc.edges[1:] * diffs ** 2) / disc.h)
+    dens = (u / disc.r) ** 2 if disc.d == 3 else u ** 2
+    trap_e = float(np.sum(disc.weights * disc.V * u ** 2))
+    inter = float(np.sum(disc.weights * disc.g * dens * u ** 2))
+    return kin + trap_e + inter, (kin, trap_e, inter), dens
+
+
+def _np_sum_rayleigh(disc, u):
+    """H(u) u, lam, the relative residual and the interaction diagonal."""
+    diag = 2.0 * disc.g * ((u / disc.r) ** 2 if disc.d == 3 else u ** 2)
+    if disc.d == 3:
+        kin_u = 2.0 * u.copy()
+        kin_u[:-1] -= u[1:]
+        kin_u[1:] -= u[:-1]
+        kin_u = kin_u / disc.h ** 2
+    else:
+        e = disc.edges
+        up = np.concatenate((u, [0.0]))
+        inward = np.concatenate(([0.0], e[1:-1] * (u[1:] - u[:-1])))
+        kin_u = (e[1:] * (u - up[1:]) + inward) / (disc.r * disc.h ** 2)
+    h_u = kin_u + (disc.V + diag) * u
+    lam = float(np.sum(disc.weights * u * h_u)
+                / np.sum(disc.weights * u * u))
+    num = np.sqrt(np.sum(disc.weights * (h_u - lam * u) ** 2))
+    den = abs(lam) * np.sqrt(np.sum(disc.weights * u * u))
+    return h_u, lam, float(num / den), diag
+
+
+def _np_sum_quartic(disc, psi):
+    if disc.d == 3:
+        return float(np.sum(disc.weights * (psi * disc.r) ** 4
+                            / disc.r ** 2))
+    return float(np.sum(disc.weights * psi ** 4))
+
+
+def _np_sum_newton(disc, u, n_part):
+    """The normalized Newton candidate, or None."""
+    h_u, lam, _, diag = _np_sum_rayleigh(disc, u)
+    rhs = np.column_stack((h_u - lam * u, u))
+    main = disc.main + (disc.V + 3.0 * diag - lam)
+    s = 1.0 if disc.d == 3 else np.sqrt(disc.r)[:, None]
+    sol = _solve_banded(disc.off, main, disc.off, rhs * s) / s
+    step_a, step_b = sol[:, 0], sol[:, 1]
+    dlam = np.sum(disc.weights * u * step_a) \
+        / np.sum(disc.weights * u * step_b)
+    cand = u - step_a + dlam * step_b
+    if not np.all(np.isfinite(cand)) or \
+            np.sum(disc.weights * np.minimum(cand, 0.0) ** 2) \
+            > 1e-20 * np.sum(disc.weights * cand ** 2):
+        return None
+    cand = np.abs(cand)
+    return cand * math.sqrt(n_part / float(np.sum(disc.weights * cand ** 2)))
+
+
+@pytest.mark.parametrize("d", [3, 2])
+@pytest.mark.parametrize("points", [16, 500, 2001])
+def test_discretization_sums_match_np_sum_bitwise(d, points):
+    rng = np.random.default_rng(points + d)
+    accepted = 0
+    for spec, coupling in (("harmonic", 0.0), ("harmonic", 0.7),
+                           ("power:s=4", 30.0), ("power:s=1.5", 1e-3)):
+        trap = parse_trap_potential(spec, dimension=d)
+        disc, _, ground = gp._trap_unit_state(
+            gp_minimize(trap, 3.0, coupling, grid_points=points))
+        if d == 3:      # the 3D weights and bands as products of np.ones
+            ones, h2 = np.ones(points), disc.h ** 2
+            assert disc.weights.tobytes() \
+                == (4.0 * math.pi * disc.h * ones).tobytes()
+            assert disc.main.tobytes() == (2.0 * ones / h2).tobytes()
+            assert disc.off.tobytes() == (-ones[1:] / h2).tobytes()
+        # seeded positive profiles: the ground state, roughened, and noise
+        for psi in (ground, ground * rng.uniform(0.999, 1.001, points),
+                    ground * rng.uniform(0.5, 1.5, points),
+                    rng.uniform(1e-3, 1.0, points)):
+            u = psi * disc.r if d == 3 else psi
+            e, parts, dens = disc.energy(u)
+            e_ref, parts_ref, dens_ref = _np_sum_energy(disc, u)
+            assert (e, parts) == (e_ref, parts_ref)
+            assert dens.tobytes() == dens_ref.tobytes()
+            f, lam, res, diag = disc.rayleigh(u, dens)
+            h_u, lam_ref, res_ref, diag_ref = _np_sum_rayleigh(disc, u)
+            assert (lam, res) == (lam_ref, res_ref)
+            assert f.tobytes() == (h_u - lam * u).tobytes()
+            assert diag.tobytes() == diag_ref.tobytes()
+            assert disc.quartic(psi) == _np_sum_quartic(disc, psi)
+            cand = disc.newton(u, diag, f, lam, 3.0)
+            cand_ref = _np_sum_newton(disc, u, 3.0)
+            assert (cand is None) == (cand_ref is None)
+            if cand is not None:
+                accepted += 1
+                assert cand.tobytes() == cand_ref.tobytes()
+    # a candidate carries dlam's bits: most of them must be compared
+    assert accepted >= 8
 
 
 def test_tf_closed_forms_3d():
@@ -363,6 +476,26 @@ _FLOW_ENERGIES = [
 ]
 
 
+# (iterations, newton_steps) of each _FLOW_ENERGIES row: a change to the
+# solver's arithmetic that moves a bit of an iterate can move these too
+_FLOW_PASSES = {
+    ("harmonic", 3, 500, 7.0, 0.04285714285714286): (10, 4),
+    ("harmonic", 3, 500, 1.0, 0.3): (10, 4),
+    ("power:s=4", 3, 2000, 3.0, 1.0): (10, 4),
+    ("power:s=4", 3, 2000, 1.0, 3.0): (10, 4),
+    ("harmonic", 3, 8000, 40.0, 0.75): (6, 6),
+    ("harmonic", 3, 8000, 1.0, 30.0): (6, 6),
+    ("power:s=4", 2, 8000, 12.0, 25.0): (4, 4),
+    ("power:s=4", 2, 8000, 1.0, 300.0): (4, 4),
+    ("harmonic", 2, 2000, 90.0, 33.333333333333336): (4, 4),
+    ("harmonic", 2, 2000, 1.0, 3000.0): (4, 4),
+    ("power:s=4", 2, 500, 2.5, 12000.0): (4, 4),
+    ("power:s=4", 2, 500, 1.0, 30000.0): (4, 4),
+    ("harmonic", 3, 500, 1.0, 0.0): (10, 3),
+    ("power:s=4", 2, 2000, 1.0, 0.0): (10, 3),
+}
+
+
 @pytest.mark.parametrize("spec,d,points,n_part,coupling,energy",
                          _FLOW_ENERGIES)
 def test_newton_matches_flow_energies(spec, d, points, n_part, coupling,
@@ -374,6 +507,22 @@ def test_newton_matches_flow_energies(spec, d, points, n_part, coupling,
     assert st.phi.min() > 0.0
     assert 1 <= st.newton_steps <= 10
     assert st.newton_steps <= st.iterations
+    assert (st.iterations, st.newton_steps) \
+        == _FLOW_PASSES[spec, d, points, n_part, coupling]
+
+
+@pytest.mark.parametrize("row", [0, 4, 8, 11])
+def test_gp_minimize_is_bitwise_the_same_on_both_bindings(dgtsv_binding,
+                                                          monkeypatch, row):
+    # each binding against scipy's solve_banded in place of dgtsv, which
+    # test_dgtsv_matches_solve_banded_bitwise pins to both bindings' bits
+    spec, d, points, n_part, coupling, _ = _FLOW_ENERGIES[row]
+    trap = parse_trap_potential(spec, dimension=d)
+    st = gp_minimize(trap, n_part, coupling, grid_points=points)
+    monkeypatch.setattr(gp, "_dgtsv", _solve_banded)
+    ref = gp_minimize(trap, n_part, coupling, grid_points=points)
+    assert st.phi.tobytes() == ref.phi.tobytes()
+    assert (st.E, st.mu_gp) == (ref.E, ref.mu_gp)
 
 
 def test_box_state_takes_no_steps():
