@@ -6,7 +6,9 @@ per piece.  Its steps run on Python floats and skip the stage states of
 quadratures, integrals rhs never reads.  Its trial step is generated as source
 from the tableau, each sum written out in a loop's left-to-right order, and
 compiled lazily, once per state shape (a few ms); only the module's
-constants and two ints reach exec.  `quad` sums each Gauss-Kronrod panel in
+constants and two ints reach exec.  Its rhs takes the driving components as
+arguments, rhs(r, y0, y1, ...), and each trial step screens its stages for
+finiteness with one norm of them all.  `quad` sums each Gauss-Kronrod panel in
 Python floats too.  Every sum in both has a fixed left-to-right order, so
 their results depend only on IEEE double arithmetic, not on the BLAS build.
 All routines are deterministic pure functions of their arguments.
@@ -175,16 +177,20 @@ _NORM_TERM = """
 def _trial_step(n, total):
     """trial(rhs, r, h, y, k0, abs_tol, rel_tol) -> (y_new, err): one DOP853
     trial step from r with first stage k0, for `total` components, the first
-    n driving.  It raises NonFiniteRhs if any of the 12 stages is not finite."""
+    n driving, passed as rhs(r + c h, y0, ..., y{n-1}).  It raises
+    NonFiniteRhs if any of the 12 stages is not finite.  Their math.hypot, a
+    norm in C doubles that never warns, screens them: only where it is not
+    finite (a non-finite value, or overflow) does math.isfinite test each."""
     def names(prefix):
         return "".join(f"{prefix}{m}, " for m in range(total))
     lines = ["def trial(rhs, r, h, y, k0, abs_tol, rel_tol):",
              f"    {names('y')}= y", f"    {names('k0_')}= k0"]
     for s, (c, row) in enumerate(_ROWS, start=1):
         state = ", ".join(f"y{m} + h * {_weighted(row, m)}" for m in range(n))
-        lines.append(f"    {names(f'k{s}_')}= rhs(r + {c!r} * h, [{state}])")
+        lines.append(f"    {names(f'k{s}_')}= rhs(r + {c!r} * h, {state})")
     stages = "".join(names(f"k{s}_") for s in range(_STAGES))
-    lines += [f"    if not all(map(math.isfinite, ({stages}))):",
+    lines += [f"    if not (math.isfinite(math.hypot({stages}))",
+              f"            or all(map(math.isfinite, ({stages})))):",
               '        raise NonFiniteRhs("rhs non-finite in the step from r=%r" % (r,))',
               "    err = 0.0"]
     lines += [_NORM_TERM.format(m=m, b=_weighted(_B_ROW, m), e5=_weighted(_E5_ROW, m),
@@ -196,8 +202,9 @@ def _trial_step(n, total):
 
 
 def integrate_ode(rhs, initial, span, tol: Tolerances, quadratures: int = 0) -> list:
-    """Integrate y' = rhs(r, y) over span = (lo, hi) with adaptive DOP853
-    steps and return the state at hi, as a list of floats.
+    """Integrate y' = f(r, y) over span = (lo, hi) with adaptive DOP853
+    steps and return the state at hi, as a list of floats; f is
+    rhs(r, y0, ..., y{n-1}), given the n driving components of y.
 
     The Dormand-Prince 8(5,3) embedded pair: eighth-order steps of 12
     right-hand-side evaluations, the last reused as the first of the next
@@ -215,13 +222,17 @@ def integrate_ode(rhs, initial, span, tol: Tolerances, quadratures: int = 0) -> 
     module constants and two ints reach exec.  Each weighted sum of stages
     is written out left to right over the nonzero weights, from 0.0 as in a
     loop, so the results depend only on IEEE double arithmetic, not on the
-    BLAS build.  `rhs` gets r and the components of y before the
-    quadratures, as a list, and returns len(initial) numbers, read as they
+    BLAS build.  `rhs` gets r and, as n arguments, the components of y
+    before the quadratures, and returns len(initial) numbers, read as they
     are (any other return, at lo or a later stage, raises DomainError; an
-    error raised inside rhs passes through as it is); the state at hi becomes
-    Python floats once.  A non-finite rhs at any stage, or a state that
-    overflows, raises NonFiniteRhs before the step is used.  No evaluation
-    follows the last accepted step.
+    rhs whose parameters do not take them fails at its first call, at lo,
+    with Python's own TypeError; an error raised inside rhs passes through
+    as it is); the state at hi becomes Python floats once.  A non-finite rhs
+    at any stage, or a state that overflows, raises NonFiniteRhs before the
+    step is used: one norm of the 12 stages screens each trial step, and
+    each value is tested only where that norm is not finite.  More than
+    500 000 steps raise StepSizeUnderflow("step budget exhausted").  No
+    evaluation follows the last accepted step.
     """
     lo, hi = span
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -233,7 +244,7 @@ def integrate_ode(rhs, initial, span, tol: Tolerances, quadratures: int = 0) -> 
     r = lo
     h_min = 1e-14 * (hi - lo)
     abs_tol, rel_tol = tol.abs_tol, tol.rel_tol
-    k0 = rhs(r, y[:n])
+    k0 = rhs(r, *y[:n])
     trial = _trial_step(n, len(y))
     h = hi - r
     steps = 0
@@ -252,7 +263,7 @@ def integrate_ode(rhs, initial, span, tol: Tolerances, quadratures: int = 0) -> 
                 y = y_new
                 if last or r >= hi:     # r + h may round onto hi
                     return list(map(float, y))
-                k0 = rhs(r, y[:n])
+                k0 = rhs(r, *y[:n])
                 grow = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
                 h = step * grow
             else:

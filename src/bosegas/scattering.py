@@ -19,7 +19,6 @@ A bare hard core and a vanishing potential are exact, with no integration.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -101,16 +100,17 @@ def _edges(p: PairPotential, r_start: float, r_end: float) -> list:
     return [r_start, *(b for b in p.breakpoints if r_start < b < r_end), r_end]
 
 
-def _by_segments(rhs, state, p, edges, tol) -> list:
-    """Integrate rhs(piece, r, y) one integrate_ode span per segment [lo, hi]
-    of `edges`, and return the state at edges[-1]: the one place that decides
-    where an integration stops.  Every stage sees its segment's own piece of
-    v, pair_piece(p, lo, hi), which takes the left limit at hi; rhs gets only
-    y's first two components, as kin and pot are quadratures.
+def _by_segments(rhs_on, state, p, edges, tol) -> list:
+    """Integrate one integrate_ode span per segment [lo, hi] of `edges`, and
+    return the state at edges[-1]: the one place that decides where an
+    integration stops.  Each span's right-hand side is the closure
+    rhs_on(piece) over its segment's own piece of v, pair_piece(p, lo, hi),
+    which takes the left limit at hi; it is called as rhs(r, y0, y1) with
+    the state's first two components, as kin and pot are quadratures.
     """
     for lo, hi in zip(edges[:-1], edges[1:]):
-        state = integrate_ode(functools.partial(rhs, pair_piece(p, lo, hi)),
-                              state, (lo, hi), tol, quadratures=2)
+        state = integrate_ode(rhs_on(pair_piece(p, lo, hi)), state, (lo, hi),
+                              tol, quadratures=2)
     return state
 
 
@@ -125,19 +125,20 @@ def _solve_3d(p, mu, r_end, tol) -> ScatteringSolution:
     r_start = p.range_radius if p.has_hard_core() else 0.0
     state = [-r_start, 1.0, 0.0, 0.0]    # u = 0, u' = 1
 
-    def rhs(piece, r, y):
-        w, du = y
-        if r <= 0.0:
-            # regular solution: u ~ r, so u'' and w/r vanish at 0
-            return (0.0, 0.0, 0.0, 0.0)
-        v = piece(r)
-        u = w + r * du
-        curv = v * u / (2.0 * mu)
-        grad = w / r     # u/r - u'
-        return (-r * curv, curv, grad * grad, v * u * u)
+    def rhs_on(piece):
+        def rhs(r, w, du):
+            if r <= 0.0:
+                # regular solution: u ~ r, so u'' and w/r vanish at 0
+                return (0.0, 0.0, 0.0, 0.0)
+            v = piece(r)
+            u = w + r * du
+            curv = v * u / (2.0 * mu)
+            grad = w / r     # u/r - u'
+            return (-r * curv, curv, grad * grad, v * u * u)
+        return rhs
 
     w_range, du_range, kin, pot = _by_segments(
-        rhs, state, p, _edges(p, r_start, r_end), tol)
+        rhs_on, state, p, _edges(p, r_start, r_end), tol)
     # v >= 0 makes u'' = v u / (2 mu) >= 0: u' stays at or above its start 1
     a = -w_range / du_range
 
@@ -167,25 +168,28 @@ def _solve_2d(p, mu, r_end, tol) -> ScatteringSolution:
         v0 = pair_value(p, r_start)
         state = [1.0, v0 * r_start * r_start / (4.0 * mu), 0.0, 0.0]
 
-    def rhs(piece, r, y):
-        psi, chi = y
-        v = piece(r)
-        return (chi / r, r * v * psi / (2.0 * mu), chi * chi / r, v * psi * psi * r)
+    def rhs_on(piece):
+        def rhs(r, psi, chi):
+            v = piece(r)
+            return (chi / r, r * v * psi / (2.0 * mu), chi * chi / r,
+                    v * psi * psi * r)
+        return rhs
 
-    def tail_rhs(piece, r, y):
-        q, chi = y
-        v = piece(r)
-        log_r = math.log(r)
-        psi = q + chi * log_r
-        dchi = r * v * psi / (2.0 * mu)
-        return (-dchi * log_r, dchi, chi * chi / r, v * psi * psi * r)
+    def tail_rhs_on(piece):
+        def tail_rhs(r, q, chi):
+            v = piece(r)
+            log_r = math.log(r)
+            psi = q + chi * log_r
+            dchi = r * v * psi / (2.0 * mu)
+            return (-dchi * log_r, dchi, chi * chi / r, v * psi * psi * r)
+        return tail_rhs
 
     tailed = r_end > r_tail     # the tail runs in q from where it attaches
     edges = _edges(p, r_start, r_end)
-    state = _by_segments(rhs, state, p, [e for e in edges if e <= r_tail], tol)
+    state = _by_segments(rhs_on, state, p, [e for e in edges if e <= r_tail], tol)
     if tailed:
         state[0] -= state[1] * math.log(r_tail)
-        state = _by_segments(tail_rhs, state, p, [r_tail, r_end], tol)
+        state = _by_segments(tail_rhs_on, state, p, [r_tail, r_end], tol)
     lead, chi_range, kin, pot = state     # lead is q on a tail, else psi
     # psi = chi ln(r/a) beyond the range: a = r exp(-psi/chi) = exp(-q/chi);
     # chi underflows to 0 only where a does

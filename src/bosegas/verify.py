@@ -98,14 +98,14 @@ def _walk(rhs, initial, nodes, tol):
 @_entry("numerics", "ode_linear", 1e-12, n=49)
 def _ode_linear(rng, n):
     nodes = np.linspace(0.0, 3.0, n)
-    states = _walk(lambda r, y: (y[1], 0.0), [0.0, 1.0], nodes, Tolerances())
+    states = _walk(lambda r, u, du: (du, 0.0), [0.0, 1.0], nodes, Tolerances())
     err = max(abs(y[0] - r) for y, r in zip(states, nodes))
     return err, f"max |u(r) - r| on {n} nodes"
 
 
 @_entry("numerics", "ode_sinh", 1e-11, n=33)
 def _ode_sinh(rng, n):
-    states = _walk(lambda r, y: (y[1], y[0]), [0.0, 1.0],
+    states = _walk(lambda r, u, du: (du, u), [0.0, 1.0],
                    np.linspace(0.0, 1.0, n), Tolerances())
     err = abs(states[-1][0] - math.sinh(1.0))
     return err, f"|u(1) - sinh(1)| on {n} nodes"
@@ -115,8 +115,8 @@ def _ode_sinh(rng, n):
 def _ode_step_halving(rng, n):
     tol = Tolerances(abs_tol=1e-10, rel_tol=1e-8)
 
-    def rhs(r, y):
-        return (y[1], r * y[0])
+    def rhs(r, u, du):
+        return (du, r * u)
 
     coarse = _walk(rhs, [1.0, 0.0], np.linspace(0.0, 4.0, n), tol)
     fine = _walk(rhs, [1.0, 0.0], np.linspace(0.0, 4.0, 2 * n - 1), tol)

@@ -59,15 +59,15 @@ def _walk(rhs, initial, nodes):
     return initial
 
 
-def _fails_beyond_half(r, y):
+def _fails_beyond_half(r, u, du):
     if r > 0.5:
         raise ValueError("rhs's own failure")
-    return (y[1], -y[0])
+    return (du, -u)
 
 
-def _oscillator(r, y):
-    """(u, u', int u^2, int u'^2) for u'' = -u."""
-    return (y[1], -y[0], y[0] * y[0], y[1] * y[1])
+def _oscillator(r, u, du):
+    """(u, u', int u^2, int u'^2) for u'' = -u, the last two quadratures."""
+    return (du, -u, u * u, du * du)
 
 
 def _well(**kwargs):
@@ -278,7 +278,7 @@ ROWS = [
     ("tolerances-negative", lambda: Tolerances(abs_tol=-1.0),
      "DomainError: tolerances must be nonnegative"),
     *((f"ode-span-{lo}-{hi}", lambda span=(lo, hi): integrate_ode(
-        lambda r, y: np.array([y[1], y[0]]), [0.0, 1.0], span, TOL),
+        lambda r, u, du: np.array([du, u]), [0.0, 1.0], span, TOL),
        f"DomainError: need a finite span lo < hi, got {(lo, hi)!r}")
       for lo, hi in ((0.0, 0.0), (1.0, 0.5), (0.0, math.inf),
                      (math.nan, 1.0))),
@@ -288,14 +288,14 @@ ROWS = [
        f"DomainError: need 0 <= quadratures < 4, got {bad!r}")
       for bad in (-1, 4, 5, 1.0, None)),
     ("ode-nan-rhs", lambda: _walk(
-        lambda r, y: np.array([y[1], math.nan if r > 0.5 else 0.0]),
+        lambda r, u, du: np.array([du, math.nan if r > 0.5 else 0.0]),
         [0.0, 1.0], np.linspace(0.0, 1.0, 17)),
      "NonFiniteRhs: rhs non-finite in the step from r=0.5"),
     ("ode-state-overflow", lambda: integrate_ode(
-        lambda r, y: (1e308,), [1e308], (0.0, 10.0), TOL),
+        lambda r, u: (1e308,), [1e308], (0.0, 10.0), TOL),
      "NonFiniteRhs: state overflow near r=0"),
     ("ode-rhs-short-at-lo", lambda: integrate_ode(
-        lambda r, y: (1.0,), [0.0, 1.0], (0.0, 1.0), TOL),
+        lambda r, u, du: (1.0,), [0.0, 1.0], (0.0, 1.0), TOL),
      "DomainError: rhs must return 2 numbers for a state of 2; a stage near "
      "r=0 did not"),
     ("ode-rhs-own-error", lambda: integrate_ode(
@@ -668,7 +668,7 @@ def test_each_row_raises_its_named_error(call, expected):
 def test_ode_step_budget_is_named(monkeypatch):
     monkeypatch.setattr(numerics, "_MAX_STEPS", 3)
     _assert_raises(lambda: integrate_ode(
-        lambda r, y: (y[1], -y[0]), [0.0, 1.0], (0.0, 100.0), TOL),
+        lambda r, u, du: (du, -u), [0.0, 1.0], (0.0, 100.0), TOL),
         "StepSizeUnderflow: step budget exhausted")
 
 

@@ -30,17 +30,22 @@ def test_runs_after_the_failure():
 def test_a_failing_hypothesis_test_fails_only_itself(tmp_path):
     # under this project's settings (every warning an error), Hypothesis
     # once turned its own failure report into an INTERNALERROR that ended
-    # the run before the next test
+    # the run before the next test.  The child loads Hypothesis's plugin
+    # and no other: autoloading every installed plugin costs it about 1 s
     (tmp_path / "test_probe.py").write_text(_FAILING_FIRST)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTEST_DISABLE_PLUGIN_AUTOLOAD"] = "1"
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-c", str(PYPROJECT), "--rootdir",
-         str(tmp_path), "-p", "no:cacheprovider", "-q", "test_probe.py"],
-        capture_output=True, text=True, timeout=120, cwd=tmp_path,
-        env={k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"})
+         str(tmp_path), "-p", "no:cacheprovider", "-p",
+         "_hypothesis_pytestplugin", "-q", "test_probe.py"],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path, env=env)
     out = proc.stdout + proc.stderr
     assert "INTERNALERROR" not in out, out
     assert proc.returncode == 1, out
     assert "1 failed, 1 passed" in proc.stdout, out
+    # Hypothesis ran the failing test and reported its shrunk example
+    assert "Falsifying example: test_fails(" in out, out
 
 
 def _names_read(node):

@@ -43,8 +43,8 @@ def _walk(rhs, initial, nodes, tol):
 
 
 def test_ode_on_one_span():
-    def rhs(r, y):
-        return np.array([y[1], y[0]])
+    def rhs(r, u, du):
+        return np.array([du, u])
 
     y = integrate_ode(rhs, [0.0, 1.0], (0.0, 1.0), TOL)
     assert type(y) is list and list(map(type, y)) == [float, float]
@@ -55,8 +55,8 @@ def test_ode_step_halving_consistency():
     # oscillatory-tolerance stress: u'' = r u, compare against half-step rerun
     tol = Tolerances(abs_tol=1e-10, rel_tol=1e-8)
 
-    def rhs(r, y):
-        return np.array([y[1], r * y[0]])
+    def rhs(r, u, du):
+        return np.array([du, r * u])
 
     coarse = _walk(rhs, [1.0, 0.0], np.linspace(0.0, 5.0, 33), tol)
     fine = _walk(rhs, [1.0, 0.0], np.linspace(0.0, 5.0, 65), tol)
@@ -75,8 +75,9 @@ def _left_to_right(weights, k):
 def _reference_integrate_ode(rhs, initial, radii, tol):
     """The DOP853 loop as first written: numpy-scalar radii, a finiteness
     check after each of the 12 evaluations, and a final FSAL evaluation.
-    Each weighted sum of stages is a plain float sum, left to right.  The
-    oracle for the bits of integrate_ode."""
+    Each weighted sum of stages is a plain float sum, left to right.  rhs
+    gets r and every component of the state, as numpy scalars.  The oracle
+    for the bits of integrate_ode."""
     nodes = np.asarray(radii, dtype=float)
     y = np.asarray(initial, dtype=float).copy()
     out = np.empty((nodes.size, y.size))
@@ -87,7 +88,7 @@ def _reference_integrate_ode(rhs, initial, radii, tol):
     steps = 0
 
     def checked_rhs(r, state):
-        f = np.asarray(rhs(r, state), dtype=float)
+        f = np.asarray(rhs(r, *state), dtype=float)
         if not np.all(np.isfinite(f)):
             raise NonFiniteRhs(f"rhs non-finite at r={float(r)!r}")
         return f
@@ -138,10 +139,10 @@ def test_ode_bits_match_reference_loop(seed):
     m = rng.normal(size=(3, 3))
     c = rng.uniform(0.5, 3.0)
 
-    def linear(r, y):
+    def linear(r, *y):
         return m @ y
 
-    def nonlinear(r, y):      # a damped pendulum driving a cubic relaxation
+    def nonlinear(r, *y):     # a damped pendulum driving a cubic relaxation
         return np.array([y[1], -c * np.sin(y[0]) - 0.1 * r * y[1],
                          np.cos(r * y[0]) - y[2] ** 3])
 
@@ -168,8 +169,8 @@ def test_ode_bits_at_the_scattering_shape(seed):
     mu = float(rng.uniform(0.5, 2.0))
 
     def recorded(calls):
-        def rhs(r, y):
-            w, du = float(y[0]), float(y[1])
+        def rhs(r, w, du, *quadratures):
+            w, du = float(w), float(du)
             calls.append((float(r).hex(), w.hex(), du.hex()))
             v = levels[bisect.bisect(knots, r)]
             u = w + r * du
@@ -201,7 +202,7 @@ def _turns_bad_after(calls, bad):
     """An oscillator rhs whose return becomes bad(y) from call `calls` on."""
     count = [0]
 
-    def rhs(r, y):
+    def rhs(r, *y):
         count[0] += 1
         return bad(y) if count[0] > calls else (y[1], -y[0])
     return rhs
@@ -238,13 +239,32 @@ def test_trial_step_compiles_once_per_state_shape():
     assert (info.misses, info.currsize) == (1, 1) and info.hits >= 3
 
 
+def _stage_indexed(f):
+    """An rhs that calls f(s, r, *y) with the DOP853 stage s of each call:
+    0 at lo and after an accepted step (whose stage 11 ran at the same r),
+    else one more than the previous call's, 1 after stage 11."""
+    last = [None, None]     # the r and the stage of the previous call
+
+    def rhs(r, *y):
+        r_prev, s_prev = last
+        if s_prev is None:
+            s = 0
+        elif s_prev < _STAGES - 1:
+            s = s_prev + 1
+        else:
+            s = 0 if r == r_prev else 1
+        last[:] = r, s
+        return f(s, r, *y)
+    return rhs
+
+
 def test_ode_nan_at_zero_weight_stage_raises():
     # stage 2 enters neither the solution nor the error estimate, and no
     # later stage reads the state here, so only a check of every stage sees it
     assert _B[2] == _E5[2] == _E3[2] == 0.0
     calls = []
 
-    def rhs(r, y):
+    def rhs(r, u):
         calls.append(r)
         return [math.nan if len(calls) == 3 else 1.0]
 
@@ -253,12 +273,72 @@ def test_ode_nan_at_zero_weight_stage_raises():
         with pytest.raises(NonFiniteRhs, match="rhs non-finite"):
             integrate_ode(rhs, [0.0], (0.0, 1.0), TOL)
 
+    # on the scattering shape, 2 driving components and 2 quadratures, a NaN
+    # or an infinity at any (stage, component) of the first trial step
+    # raises.  The quadrature components of stages 1-4 enter nothing, not
+    # even the update or the error norm
+    assert not (_B[1:5].any() or _E5[1:5].any() or _E3[1:5].any())
+    for stage in range(_STAGES):
+        for m in range(4):
+            for bad in (math.nan, math.inf, -math.inf):
+                def oscillator(s, r, u, du, stage=stage, m=m, bad=bad):
+                    f = [du, -u, u * u, du * du]
+                    if s == stage:
+                        f[m] = bad
+                    return f
+
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(NonFiniteRhs, match=r"^rhs non-finite "
+                                       r"in the step from r=0\.0$"):
+                        integrate_ode(_stage_indexed(oscillator),
+                                      [0.0, 1.0, 0.0, 0.0], (0.0, 1.0), TOL,
+                                      quadratures=2)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("kind", [float, np.float64], ids=["float", "float64"])
+def test_ode_finite_stages_whose_sum_overflows_keep_their_bits(kind, sign):
+    # the quadrature components of stages 1-4 enter nothing, so +-1e308
+    # there integrates; the 8 of them overflow any sum or norm of the stage
+    # values, which must neither raise nor warn (numpy warns on a float64
+    # sum that overflows), and the state keeps the reference's bits
+    def oscillator(s, r, u, du, *quadratures):
+        big = [sign * 1e308] * 2 if 1 <= s <= 4 else [u * u, du * du]
+        return tuple(map(kind, [du, -u, *big]))
+
+    initial, span = [0.0, 1.0, 0.0, 0.0], (0.0, 3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        new = integrate_ode(_stage_indexed(oscillator), initial, span, TOL,
+                            quadratures=2)
+    old = _reference_integrate_ode(_stage_indexed(oscillator), initial,
+                                   np.array(span), TOL)
+    assert np.array(new).tobytes() == old[-1].tobytes()
+    assert abs(new[2] - (1.5 - math.sin(6.0) / 4.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("rhs, quadratures", [
+    (lambda r, y: (y[1], -y[0], 0.0, 0.0), 0),
+    (lambda r, u, du, kin, pot: (du, -u, u * u, du * du), 2),
+    (lambda r, u, du: (du, -u, u * u, du * du), 0)],
+    ids=["state-as-one-list", "reads-the-quadratures", "too-few"])
+def test_ode_rhs_of_the_wrong_arity_raises_its_own_type_error(rhs,
+                                                              quadratures):
+    # rhs(r, y0, ..., y{n-1}) takes the n driving components as arguments.
+    # A signature that does not fits fails at the first call, at lo, with
+    # Python's own TypeError, never as a wrong return count
+    with pytest.raises(TypeError, match="positional argument") as info:
+        integrate_ode(rhs, [0.0, 1.0, 0.0, 0.0], (0.0, 1.0), TOL,
+                      quadratures=quadratures)
+    assert type(info.value) is TypeError
+
 
 def test_ode_skips_the_final_fsal_evaluation():
     new_calls, old_calls = [], []
 
     def counted(calls):
-        return lambda r, y: calls.append(r) or np.array([y[1], -y[0]])
+        return lambda r, u, du: calls.append(r) or np.array([du, -u])
 
     integrate_ode(counted(new_calls), [0.0, 1.0], (0.0, 2.0), TOL)
     _reference_integrate_ode(counted(old_calls), [0.0, 1.0],
@@ -270,7 +350,7 @@ def test_ode_quadratures_are_integrals_that_rhs_never_reads():
     # (u, u', int u^2, int u'^2) for u'' = -u: the last two components are
     # quadratures, so rhs sees only (u, u') and the state keeps its bits
     def oscillator(seen, array):
-        def rhs(r, y):
+        def rhs(r, *y):
             seen.append(len(y))
             f = (y[1], -y[0], y[0] * y[0], y[1] * y[1])
             return np.array(f) if array else f

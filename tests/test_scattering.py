@@ -307,6 +307,18 @@ _GOLDEN = {
                     "0x1.1f7caca031527p+0", "0x1.0000000000000p+0",
                     "0x1.e3c86c41ddb57p+3", "0x1.19245cfa41629p-2",
                     "0x1.2103955dfca3fp+0", "0x1.5a2eb14aa5ae9p+17"),
+    # a well whose power tail runs on as a second segment in w, and in 2D
+    # the switch from psi to q = psi - chi ln r where the tail attaches
+    "welltail3d": (dict(kind="square-well", core_radius=1.0, strength=5.0,
+                        tail=(0.5, 6.0)), 1.0,
+                   "0x1.d46506e3bb472p-2", "0x1.f5ed7dc48eaacp-2",
+                   "0x1.8f9959fee5605p+0", "0x1.9fc70914cc83ap+1",
+                   "0x1.51cab583aba31p+1", "0x1.588ef57e9f2cbp+11"),
+    "welltail2d": (dict(kind="square-well", dimension=2, core_radius=1.0,
+                        strength=6.0, tail=(1.0, 4.0)), 1.0,
+                   "0x1.42c262ba61c12p-1", "0x1.0000000000000p+0",
+                   "0x1.93887b3309dd1p+6", "0x1.81dc2a9c06ed2p+3",
+                   "0x1.75a514e053506p+1", "0x1.5a2eb14aa5ae9p+17"),
 }
 
 
