@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (DomainError, TruncationNotConverged, float_range,
                      require_finite)
 from .numerics import Tolerances, quad
 
 __all__ = [
+    "FOCK_TOL",
     "BogolubovMode",
     "fock_oracle",
     "yukawa_ft",
@@ -29,6 +30,8 @@ __all__ = [
     "foldy_report",
     "two_component_scaling",
 ]
+
+FOCK_TOL = Tolerances(abs_tol=1e-9, rel_tol=1e-9)
 
 
 @dataclass(frozen=True)
@@ -61,8 +64,7 @@ class BogolubovMode:
         object.__setattr__(self, "ground_bound_coeff", 0.5 * self.B * alpha)
 
 
-def fock_oracle(A: float, B: float, n_max: int,
-                tol: Optional[Tolerances] = None) -> float:
+def fock_oracle(A: float, B: float, n_max: int) -> float:
     """Lowest eigenvalue of A(b*b + c*c) + B(b*c* + bc) on the truncated
     equal-pair-number Fock space span{|n, n> : n <= n_max}.
 
@@ -79,7 +81,8 @@ def fock_oracle(A: float, B: float, n_max: int,
     A n_max eps may put the result below the exact value;
     fock_oracle(5, 3, 100000) returns -0.9999999999999999, above the exact
     -1.  Raises TruncationNotConverged if the last two cutoff increments
-    still move the eigenvalue by more than the tolerance.
+    still move the eigenvalue by more than FOCK_TOL: 1e-9, absolute or
+    relative to the result, whichever is larger.
     """
     if not (A >= 0.0 and (B == 0.0 or math.inf > A >= B > 0.0)):
         raise DomainError("need A >= B >= 0, and A finite")
@@ -87,7 +90,6 @@ def fock_oracle(A: float, B: float, n_max: int,
         return 0.0
     if n_max < 4:
         raise DomainError("need n_max >= 4")
-    tol = tol or Tolerances(abs_tol=1e-9, rel_tol=1e-9)
     scale = math.frexp(A)[1]
     a, b = math.ldexp(A, -scale), math.ldexp(B, -scale)
 
@@ -117,7 +119,7 @@ def fock_oracle(A: float, B: float, n_max: int,
     e2 = lowest(max(4, n_max - 2 * step), -b * b / (a + math.hypot(a, b)))
     e1 = lowest(max(4, n_max - step), e2)
     e2, e1, e0 = (math.ldexp(e, scale) for e in (e2, e1, lowest(n_max, e1)))
-    budget = max(tol.abs_tol, tol.rel_tol * abs(e0))
+    budget = max(FOCK_TOL.abs_tol, FOCK_TOL.rel_tol * abs(e0))
     if abs(e0 - e1) > budget or abs(e1 - e2) > budget:
         raise TruncationNotConverged(
             f"eigenvalue still moving by {abs(e0 - e1):.3e} at n_max={n_max}")

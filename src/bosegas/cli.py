@@ -110,8 +110,8 @@ class Report:
                 for name, _ in self.columns]
 
     def to_csv(self) -> str:
-        head = "".join(f"# {key} = {self.metadata[key]}\n"
-                       for key in ("command", "config", "version", "timestamp"))
+        head = "".join(f"# {key} = {value}\n"
+                       for key, value in self.metadata.items())
         units = "; ".join(f"{name} [{unit}]" for name, unit in self.columns)
         names = ",".join(_csv_quote(name) for name, _ in self.columns)
         head += f"# units: {units}\n{names}\n"
@@ -155,11 +155,6 @@ def _format_column(values: list) -> Tuple[list, list]:
     other values by str (quoted in CSV where RFC 4180 needs it) and by
     json.dumps."""
     if all(isinstance(v, float) for v in values):
-        if len(values) > 1 and all(v is values[0] for v in values):
-            # one object in every cell, as in a constant column: formatted
-            # once (told by identity, since 0.0 == -0.0)
-            (csv,), (js,) = _format_column(values[:1])
-            return [csv] * len(values), [js] * len(values)
         csv = list(map(float.__repr__, values))
         if all(map(math.isfinite, values)):
             return csv, csv
@@ -234,7 +229,8 @@ def parse_config(argv: List[str]) -> RunConfig:
         try:
             with open(path, encoding="utf-8-sig") as fh:
                 loaded = json.load(fh)
-        except (OSError, UnicodeDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, RecursionError) as exc:
+            # RecursionError: arrays or objects nested too deep
             raise ParseError(f"cannot read config file {path!r}: {exc}")
         except json.JSONDecodeError as exc:
             raise ParseError(f"config file {path!r}: line {exc.lineno}: "
@@ -392,14 +388,10 @@ def _run_scatter(config: RunConfig) -> Tuple[list, list]:
         "a": sol.a,
         "s": sol.s,
         "born_integral": born,
-        # a solve that misses its convergence gate raises GridTooCoarse
-        # (exit 3), so every reported row is converged
-        "converged": True,
     }
     columns = [("potential", "spec"), ("dim", "1"),
                ("mu", "energy*length^2"), ("a", "length"),
-               ("s", "dimensionless"), ("born_integral", "energy*length^dim"),
-               ("converged", "bool")]
+               ("s", "dimensionless"), ("born_integral", "energy*length^dim")]
     return columns, [row]
 
 
@@ -407,16 +399,14 @@ def _run_bounds(config: RunConfig) -> Tuple[list, list]:
     from . import homogeneous as h
     pars = config.parameters
     if pars["dim"] == 3:
-        c, dyson_lower = pars["lower_c"], h.DYSON_LOWER_RATIO
+        c = pars["lower_c"]
         columns = [("Y", "dimensionless"), ("dyson_upper", "dimensionless"),
                    ("dyson_upper_improved", "dimensionless"),
-                   ("lower_ratio", "dimensionless"), ("lower_valid", "bool"),
-                   ("dyson_lower_const", "dimensionless"),
+                   ("lower_ratio", "dimensionless"),
                    ("cell_lower_ratio", "dimensionless")]
         return columns, [
             {"Y": y, "dyson_upper": upper, "dyson_upper_improved": improved,
-             "lower_ratio": lower, "lower_valid": lower > 0.0,
-             "dyson_lower_const": dyson_lower, "cell_lower_ratio": cell}
+             "lower_ratio": lower, "cell_lower_ratio": cell}
             for y in _parse_sweep(pars["y_grid"])
             for upper, improved, lower, cell in [h.bound_sandwich(y, c)]]
     elif pars["dim"] == 2:
@@ -446,7 +436,7 @@ def _run_gp(config: RunConfig) -> Tuple[list, list]:
                            mu_const=pars["mu_const"],
                            grid_points=pars["grid_points"])
     if pars.get("profile_out") is not None:
-        gp.export_profile(state, pars["profile_out"])
+        gp.export_profile(state, _nul_free(pars["profile_out"]))
     row = {
         "trap": pars["trap"], "dim": pars["dim"], "N": pars["n"],
         "coupling": pars["coupling"], "E": state.E,
@@ -598,6 +588,13 @@ def _help() -> str:
     return "\n".join(lines) + "\n" + _HELP_FOOTER
 
 
+def _nul_free(path: str) -> str:
+    """path, or an io error (exit 3) where open() would raise ValueError."""
+    if "\0" in path:
+        raise OSError(f"embedded null byte in path {path!r}")
+    return path
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if not argv or argv[0] in ("-h", "--help", "help"):
@@ -610,7 +607,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             else report.to_json()
         if config.output_path is not None:
             # a non-UTF-8 argument, such as a file name, is written as it came
-            with open(config.output_path, "w", encoding="utf-8",
+            with open(_nul_free(config.output_path), "w", encoding="utf-8",
                       errors="surrogateescape") as fh:
                 fh.write(text)
         else:

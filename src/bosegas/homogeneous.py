@@ -138,8 +138,8 @@ def bound_sandwich(y: float, c: float = LOWER_RATIO_C) -> tuple:
     Dyson's upper bound, and its improvement for a finite range
     R0 < b = (4 pi rho/3)^(-1/3), for which a/b = Y^(1/3): where Y^(1/3)
     rounds to 1 both divide by zero, and DomainError says so.  The lower
-    bound 1 - C Y^(1/17), unclamped: it is vacuous (<= 0) for large Y, and
-    the raw value keeps the crossover against DYSON_LOWER_RATIO visible.
+    bound 1 - C Y^(1/17), unclamped: vacuous (<= 0) for large Y, and above
+    DYSON_LOWER_RATIO below Y* = ((1 - DYSON_LOWER_RATIO)/C)^17 (demo 02).
     The cell-method bound at the unit-scale instantiation rho = mu = 1,
     a = (3Y/(4 pi))^(1/3), bit for bit
     ``cell_lower_bound(DiluteParams(1.0, a)) / (4 pi a)``, and 0 wherever

@@ -300,7 +300,7 @@ def parse_pair_potential(spec: str, dimension: int = 3) -> PairPotential:
         try:    # utf-8-sig: a byte-order mark would read as a header
             with open(path, newline="", encoding="utf-8-sig") as fh:
                 lines = fh.readlines()
-        except UnicodeDecodeError as exc:
+        except ValueError as exc:   # not UTF-8, or a NUL byte in the path
             raise DomainError(f"table {path!r}: {exc}") from None
         rows = []
         reader = csv.reader(lines)

@@ -15,6 +15,7 @@ import pytest
 from bosegas import homogeneous
 from bosegas.cli import parse_config, run
 from bosegas.verify import REGISTRY, run_entry
+from report_text import strip_timestamp
 
 
 def _report(num: int, ok: bool, detail: str):
@@ -43,15 +44,12 @@ for _entry in REGISTRY:
 
 
 def test_criterion_18_cli_verify_and_determinism():
-    def body(text):
-        return "\n".join(ln for ln in text.splitlines()
-                         if not ln.startswith("# timestamp"))
-
     identical = True
     for args in (["bounds", "--y-grid", "1e-12:1e-4:11:log"], ["verify"]):
         one = run(parse_config(args))
         two = run(parse_config(args))
-        identical = identical and body(one.to_csv()) == body(two.to_csv())
+        identical = identical and \
+            strip_timestamp(one.to_csv()) == strip_timestamp(two.to_csv())
     failed = [f"{r['suite']}.{r['check']}" for r in one.rows if not r["passed"]]
     _report(18, identical and not failed,
             f"verify: {len(one.rows) - len(failed)}/{len(one.rows)} checks "

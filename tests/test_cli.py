@@ -21,11 +21,7 @@ from bosegas.cli import (_RUNNERS, _SCHEMAS, Report, RunConfig,
                          _format_column, _parse_sweep, main, parse_config,
                          run, serialize_config)
 from bosegas.errors import ParseError, UnknownKey
-
-
-def strip_timestamp(text: str) -> str:
-    return "\n".join(ln for ln in text.splitlines()
-                     if not ln.startswith("# timestamp"))
+from report_text import strip_timestamp
 
 
 def test_parse_basic():
@@ -115,7 +111,8 @@ def test_tolerance_keys_only_for_scatter():
                         "--abs-tol", "1e-11", "--rel-tol", "1e-9"])
     assert (cfg.parameters["abs_tol"], cfg.parameters["rel_tol"]) \
         == (1e-11, 1e-9)
-    assert run(cfg).rows[0]["converged"]
+    # a repulsive well's a lies in (0, R0)
+    assert 0.0 < run(cfg).rows[0]["a"] < 1.0
 
 
 @pytest.mark.parametrize("flags", [["--abs-tol", "1e-13"],
@@ -137,7 +134,7 @@ def test_vanishing_well_reports_a_plus_zero(capsys):
     assert main(["scatter", "--potential", "squarewell:r0=1,v0=0"]) == 0
     body = [ln for ln in capsys.readouterr().out.splitlines()
             if not ln.startswith("#")]
-    assert body[1] == '"squarewell:r0=1,v0=0",3,1.0,0.0,nan,0.0,True'
+    assert body[1] == '"squarewell:r0=1,v0=0",3,1.0,0.0,nan,0.0'
 
 
 def test_scatter_tiny_positive_a_reports_nan_s(capsys):
@@ -212,8 +209,6 @@ def _row_by_row_bounds(y, c=8.9):
         "dyson_upper_improved": (1.0 - t ** 2 + 0.5 * t ** 3)
         / (1.0 - t) ** 4,
         "lower_ratio": lower,
-        "lower_valid": lower > 0.0,
-        "dyson_lower_const": 1.0 / (10.0 * math.sqrt(2.0)),
         "cell_lower_ratio": cell,
     }
 
@@ -499,6 +494,16 @@ def test_sizes_at_their_ceiling_parse():
      "io error: [Errno 2] No such file or directory: ''"),
     (["gp", "--coupling", "1", "--grid-points", "100", "--profile-out", ""],
      "io error: [Errno 2] No such file or directory: ''"),
+    # a NUL byte in a path from a config file, and 10^5 nested arrays in
+    # one, once ended in a ValueError or RecursionError traceback (exit 1)
+    (["bogolubov", "--config", "nul-output.json"],
+     "io error: embedded null byte in path 'a\\x00b'"),
+    (["gp", "--coupling", "1", "--grid-points", "100", "--config",
+      "nul-profile.json"], "io error: embedded null byte in path 'a\\x00b'"),
+    (["scatter", "--config", "nul-table.json"],
+     "DomainError: table 'a\\x00b': embedded null byte"),
+    (["bounds", "--config", "deep.json"], "config error: ParseError: cannot "
+     "read config file 'deep.json': maximum recursion depth exceeded"),
 ])
 def test_boundary_inputs_exit_3_with_a_named_error(capsys, tmp_path,
                                                    monkeypatch, argv, message):
@@ -512,6 +517,11 @@ def test_boundary_inputs_exit_3_with_a_named_error(capsys, tmp_path,
         (tmp_path / name).write_bytes(b"\xff\xfe" + text.encode("utf-16-le"))
     (tmp_path / "bad.json").write_text('{"command": ')
     (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "deep.json").write_text("[" * 10 ** 5)
+    for name, key, value in (("output", "output", "a\0b"),
+                             ("profile", "profile_out", "a\0b"),
+                             ("table", "potential", "table:path=a\0b")):
+        (tmp_path / f"nul-{name}.json").write_text(json.dumps({key: value}))
     code = 2 if message.startswith("config error: ") else 3
     if code == 3:
         message = f"{argv[0]}: " + (message if ": " in message
@@ -564,17 +574,17 @@ def test_readme_cli_examples_exit_0(tmp_path, monkeypatch, capsys):
 # assertion prints the new one) and names each moved body.
 _GOLDEN_BODIES = {
     "bosegas scatter --potential hardcore:r0=1 [csv]":
-        "f6ab76f8e7106dc6abb7fadec32b84df7fd91cc95c1f43f2c0d669d2c4e37d7c",
+        "4c4ab94364ce760940f25aee6d095cc7e7c8b189eb02f1d2da194bb733bae959",
     "bosegas scatter --potential hardcore:r0=1 [json]":
-        "9cfddb22f0c461deedad11bd62537d7e1293794c99738d2331a9b07e62b1d45a",
+        "d07fe5ce7a8923eeb685a12f85ec05f0f2825ec9d2a8e46488c4cb304b7b9f13",
     "bosegas scatter --potential squarewell:r0=1,v0=10 --mu 2 [csv]":
-        "c9e5614b115c0149bd451ed42ed199550fbe563d848aeea957995be538ee62ab",
+        "a10aeec5f7e3caae618bce27dcc3275e060710ce5895f84dbef8dc5ceb9ae26d",
     "bosegas scatter --potential squarewell:r0=1,v0=10 --mu 2 [json]":
-        "ff99d696f7210a512193a1b42d453515d209683cd2f53aa592f01c9f27d706a9",
+        "d863c50eba9fd0e3afd2db9ba1a09346c30d9bdd00aa1312ed691d8ef1caeccc",
     "bosegas bounds --y-grid 1e-12:1e-4:50:log --output bounds.csv [csv]":
-        "2f07a0d409763b173ad8e4da23a1ab92671c91fd8c6f2379bf05e859edffd519",
+        "e912f42e57ae825bd60ff345f0fcbd13e99261d3a77f842e48a6bd5e35618a20",
     "bosegas bounds --y-grid 1e-12:1e-4:50:log --output bounds.csv [json]":
-        "e8f01748f5644da9a5a3aa14692d1a5d702eb67d078b7dc86f6492c275e9ee9f",
+        "c74a843c603b1350fd4e96a6c1ccb3f74c5d6a73f8ace3fb5efd31a19b738fde",
     "bosegas tf --coupling 100 [csv]":
         "e59d8f51bb46cf5496f5d6df33d037e77d6125cccf67c5aac05991071ace9618",
     "bosegas tf --coupling 100 [json]":
@@ -594,9 +604,9 @@ _GOLDEN_BODIES = {
 # construction: a bound, a void occupancy term, n < 2 and R >= ell/2
 _GOLDEN_SWEEPS = {
     "bosegas bounds --y-grid 1e-14:0.9:2000:log [csv]":
-        "39f1bbec34821f138b3a71d3b0cdb63bcacc85c5ea8fde678d80c884ca55d77d",
+        "11ef4013aa7fc4220ae5d7121be6f12f1b9729fbb4c8fffb9d6ca09f64d2fcd9",
     "bosegas bounds --y-grid 1e-14:0.9:2000:log [json]":
-        "374046bffe0ff5c82e424fa4bac18d9ee000e5a411706a7c48a21b09f2f86528",
+        "0db0691761b42927caf1edf654914e2a6b168960b50f803285f431ae312e49e1",
 }
 
 
@@ -604,12 +614,8 @@ def _body(argv, fmt):
     """The body of `bosegas argv` in format fmt, its timestamp line
     stripped."""
     report = run(parse_config(argv[1:] + ["--format", fmt]))
-    text = report.to_csv() if fmt == "csv" else report.to_json()
-    body = "".join(line for line in text.splitlines(keepends=True)
-                   if not line.startswith("# timestamp")
-                   and not line.startswith('    "timestamp": '))
-    assert body != text
-    return body
+    return strip_timestamp(report.to_csv() if fmt == "csv"
+                           else report.to_json())
 
 
 def _readme_bodies():
@@ -976,8 +982,7 @@ def _old_fmt(value) -> str:
 
 
 def _oracle_csv(report) -> str:
-    lines = [f"# {key} = {report.metadata[key]}"
-             for key in ("command", "config", "version", "timestamp")]
+    lines = [f"# {key} = {value}" for key, value in report.metadata.items()]
     lines.append("# units: " + "; ".join(f"{name} [{unit}]"
                                          for name, unit in report.columns))
     names = [name for name, _ in report.columns]
@@ -1001,10 +1006,11 @@ _SYNTHETIC_COLUMNS = [("x", "length"), ("flag", "bool"), ("n", "count"),
                       ("text", "spec"), ("mixed", "any")]
 
 
-def _synthetic_report(rows, columns=_SYNTHETIC_COLUMNS):
+def _synthetic_report(rows, columns=_SYNTHETIC_COLUMNS, **more_metadata):
     rows = [dict(zip([name for name, _ in columns], row)) for row in rows]
     metadata = {"command": "synthetic", "config": '{"a": "b\\\\c"}',
-                "version": bosegas.__version__, "timestamp": "now"}
+                "version": bosegas.__version__, "timestamp": "now",
+                **more_metadata}
     return Report(metadata=metadata, columns=columns, rows=rows)
 
 
@@ -1035,7 +1041,8 @@ def synthetic_reports():
                               [("x", "length")]),
             _synthetic_report([("only",)], [("%s", "1")]),
             _synthetic_report(_SYNTHETIC_ROWS, odd),
-            _synthetic_report(_SYNTHETIC_ROWS[:1], odd)]
+            _synthetic_report(_SYNTHETIC_ROWS[:1], odd),
+            _synthetic_report(_SYNTHETIC_ROWS, elapsed_s=0.25)]
 
 
 def test_reports_cover_every_command(command_reports):
@@ -1060,6 +1067,68 @@ def test_row_keys_are_the_column_names_in_order(command_reports):
             assert list(row) == names
 
 
+# Every command's columns with their units, in order; bounds per dimension
+_COLUMNS = {
+    "scatter": [("potential", "spec"), ("dim", "1"),
+                ("mu", "energy*length^2"), ("a", "length"),
+                ("s", "dimensionless"),
+                ("born_integral", "energy*length^dim")],
+    "bounds 3D": [("Y", "dimensionless"), ("dyson_upper", "dimensionless"),
+                  ("dyson_upper_improved", "dimensionless"),
+                  ("lower_ratio", "dimensionless"),
+                  ("cell_lower_ratio", "dimensionless")],
+    "bounds 2D": [("rho_a2", "dimensionless"), ("leading", "energy"),
+                  ("upper", "energy"), ("lower", "energy")],
+    "gp": [("trap", "spec"), ("dim", "1"), ("N", "count"),
+           ("coupling", "length|dimensionless"), ("E", "energy"),
+           ("kinetic", "energy"), ("trap_energy", "energy"),
+           ("interaction", "energy"), ("mu_gp", "energy"),
+           ("rho_bar", "length^-dim"), ("residual", "dimensionless"),
+           ("iterations", "count"), ("newton_steps", "count")],
+    "tf": [("trap", "spec"), ("dim", "1"), ("N", "count"),
+           ("coupling", "length|dimensionless"), ("mu_tf", "energy"),
+           ("support_radius", "length"), ("E_tf", "energy"),
+           ("identity_gap", "dimensionless")],
+    "gp-tf-limit": [("g", "dimensionless"), ("E_gp", "energy"),
+                    ("E_tf", "energy"), ("ratio", "dimensionless"),
+                    ("l1_rescaled", "dimensionless")],
+    "foldy": [("rho", "length^-3"), ("mode_integral", "energy"),
+              ("closed_form", "energy"),
+              ("displayed_prefactor_form", "energy"),
+              ("numeric_over_closed", "dimensionless")],
+    "bogolubov": [("A", "energy"), ("B", "energy"),
+                  ("alpha", "dimensionless"), ("D", "energy"),
+                  ("ground_bound_coeff", "energy"),
+                  ("fock_energy", "energy"),
+                  ("exact_pair_energy", "energy")],
+    "verify": [("suite", "name"), ("check", "name"), ("passed", "bool"),
+               ("observed", "per check"), ("tolerance", "per check"),
+               ("margin", "tolerance/observed"), ("detail", "text")],
+}
+
+
+def test_every_command_has_its_pinned_columns_and_units(command_reports):
+    seen = set()
+    for report in command_reports:
+        command = report.metadata["command"]
+        if command == "bounds":
+            dim = json.loads(report.metadata["config"])["dim"]
+            command = f"bounds {dim}D"
+        seen.add(command)
+        assert report.columns == _COLUMNS[command], command
+        names = ",".join(name for name, _ in _COLUMNS[command])
+        assert f"\n{names}\n" in report.to_csv(), command
+    assert seen == set(_COLUMNS)
+
+
+def test_csv_prints_every_metadata_entry_as_json_does():
+    report = _synthetic_report(_SYNTHETIC_ROWS[:1], elapsed_s=0.25)
+    assert "\n# timestamp = now\n# elapsed_s = 0.25\n# units: " \
+        in report.to_csv()
+    assert list(json.loads(report.to_json())["metadata"]) == [
+        "command", "config", "version", "timestamp", "elapsed_s", "columns"]
+
+
 def test_json_matches_json_dumps(command_reports, synthetic_reports):
     for report in command_reports + synthetic_reports:
         assert report.to_json() == _oracle_json(report)
@@ -1079,7 +1148,8 @@ def test_csv_matches_per_cell_writer(command_reports, synthetic_reports):
 
 def test_csv_reader_reads_back_every_cell(command_reports, synthetic_reports):
     for report in command_reports + synthetic_reports:
-        body = report.to_csv().split("\n", 5)[5]      # after the # lines
+        # after the metadata and units lines
+        body = report.to_csv().split("\n", len(report.metadata) + 1)[-1]
         rows = list(csv.reader(io.StringIO(body, newline="")))
         names = [name for name, _ in report.columns]
         assert rows[0] == names and len(rows) == len(report.rows) + 1
