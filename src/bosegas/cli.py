@@ -229,12 +229,12 @@ def parse_config(argv: List[str]) -> RunConfig:
         try:
             with open(path, encoding="utf-8-sig") as fh:
                 loaded = json.load(fh)
-        except (OSError, UnicodeDecodeError, RecursionError) as exc:
-            # RecursionError: arrays or objects nested too deep
-            raise ParseError(f"cannot read config file {path!r}: {exc}")
         except json.JSONDecodeError as exc:
             raise ParseError(f"config file {path!r}: line {exc.lineno}: "
                              f"{exc.msg}")
+        except (OSError, ValueError, RecursionError) as exc:
+            # not UTF-8, a NUL in the path, an overlong int or too deep nesting
+            raise ParseError(f"cannot read config file {path!r}: {exc}")
         if not isinstance(loaded, dict):
             raise ParseError("config file must hold a flat JSON object")
         merged.update({str(k).replace("-", "_"): v for k, v in loaded.items()})

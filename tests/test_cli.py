@@ -494,8 +494,9 @@ def test_sizes_at_their_ceiling_parse():
      "io error: [Errno 2] No such file or directory: ''"),
     (["gp", "--coupling", "1", "--grid-points", "100", "--profile-out", ""],
      "io error: [Errno 2] No such file or directory: ''"),
-    # a NUL byte in a path from a config file, and 10^5 nested arrays in
-    # one, once ended in a ValueError or RecursionError traceback (exit 1)
+    # a NUL byte in a path, set in a config file or the --config path
+    # itself, and a 5000-digit number or 10^5 nested arrays in a config
+    # file once ended in a ValueError or RecursionError traceback (exit 1)
     (["bogolubov", "--config", "nul-output.json"],
      "io error: embedded null byte in path 'a\\x00b'"),
     (["gp", "--coupling", "1", "--grid-points", "100", "--config",
@@ -504,6 +505,11 @@ def test_sizes_at_their_ceiling_parse():
      "DomainError: table 'a\\x00b': embedded null byte"),
     (["bounds", "--config", "deep.json"], "config error: ParseError: cannot "
      "read config file 'deep.json': maximum recursion depth exceeded"),
+    (["bounds", "--config", "a\0b"], "config error: ParseError: cannot read "
+     "config file 'a\\x00b': embedded null byte"),
+    (["bogolubov", "--config", "bigint.json"], "config error: ParseError: "
+     "cannot read config file 'bigint.json': Exceeds the limit (4300 digits) "
+     "for integer string conversion"),
 ])
 def test_boundary_inputs_exit_3_with_a_named_error(capsys, tmp_path,
                                                    monkeypatch, argv, message):
@@ -518,6 +524,7 @@ def test_boundary_inputs_exit_3_with_a_named_error(capsys, tmp_path,
     (tmp_path / "bad.json").write_text('{"command": ')
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "deep.json").write_text("[" * 10 ** 5)
+    (tmp_path / "bigint.json").write_text('{"n_max": ' + "1" * 5000 + "}")
     for name, key, value in (("output", "output", "a\0b"),
                              ("profile", "profile_out", "a\0b"),
                              ("table", "potential", "table:path=a\0b")):
